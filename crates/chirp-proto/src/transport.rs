@@ -670,7 +670,14 @@ impl Read for MemStream {
 
 impl Write for MemStream {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        if buf.is_empty() {
+        self.write_vectored(&[io::IoSlice::new(buf)])
+    }
+
+    /// Like a socket's `writev`: the buffers enter the pipe back to
+    /// back under one lock hold, as many bytes as there is room for,
+    /// and the reader is woken once.
+    fn write_vectored(&mut self, bufs: &[io::IoSlice<'_>]) -> io::Result<usize> {
+        if bufs.iter().all(|b| b.is_empty()) {
             return Ok(0);
         }
         let start = Instant::now();
@@ -703,8 +710,12 @@ impl Write for MemStream {
                 st = next;
                 continue;
             }
-            let n = buf.len().min(room);
-            st.buf.extend(buf[..n].iter().copied());
+            let mut n = 0;
+            for buf in bufs {
+                let take = buf.len().min(room - n);
+                st.buf.extend(buf[..take].iter().copied());
+                n += take;
+            }
             let reader = st.reader.clone();
             drop(st);
             self.end.write_pipe.cond.notify_all();

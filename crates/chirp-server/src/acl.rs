@@ -22,10 +22,14 @@
 //! which is how pre-existing data exported in place gets protection
 //! from the root ACL.
 
+use std::collections::HashMap;
 use std::fmt;
-use std::path::Path;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, RwLock};
 
 use chirp_proto::{ChirpError, ChirpResult};
+use telemetry::{Counter, Gauge, Registry};
 
 use crate::jail::ACL_FILE;
 
@@ -352,6 +356,97 @@ impl Acl {
     /// Write this ACL as `dir`'s own `.__acl`.
     pub fn store(&self, dir: &Path) -> ChirpResult<()> {
         std::fs::write(dir.join(ACL_FILE), self.render()).map_err(|e| ChirpError::from_io(&e))
+    }
+}
+
+/// The server's in-memory copy of the effective ACLs it has looked
+/// up: `dir → Arc<Acl>`, so an ACL-checked RPC costs a map lookup
+/// instead of an open + read + parse of `.__acl` (plus the walk up on
+/// inheritance). [`Acl::load_effective`] remains the miss path.
+///
+/// Coherence is one generation counter. Whoever changes what
+/// `load_effective` could return for *any* directory — `SETACL`,
+/// `MKDIR`, `RMDIR`, a `RENAME` of a directory — calls
+/// [`AclCache::invalidate`] *after* touching the disk and before
+/// replying: it bumps the generation and drops the whole map (with
+/// inheritance, one ancestor's change reaches an unknown set of
+/// descendants, and these ops are rare next to checks). A miss inserts
+/// only if the generation it read before touching the disk is still
+/// current, so a load that raced a mutation is served once and never
+/// retained — the page cache's fill-vs-write rule.
+///
+/// Only directories that exist are remembered. What a *missing*
+/// directory's lookup returns (the nearest ancestor's ACL, or
+/// `NotADirectory` once a file takes a name on its path) changes with
+/// every file creation, which no one wants to invalidate on; so a
+/// lookup under a missing directory always goes to the disk, exactly
+/// as before, and a directory can only stop existing through the ops
+/// that invalidate.
+///
+/// Like the page cache, this assumes the server is the only writer
+/// under its root once started.
+#[derive(Debug)]
+pub struct AclCache {
+    generation: AtomicU64,
+    map: RwLock<HashMap<PathBuf, Arc<Acl>>>,
+    hits: Counter,
+    misses: Counter,
+    invalidations: Counter,
+    entries: Gauge,
+}
+
+impl AclCache {
+    /// Most directories remembered at once. Reaching it clears the
+    /// map wholesale: a peer walking a million distinct directories
+    /// costs misses, never memory.
+    pub const MAX_ENTRIES: usize = 4096;
+
+    /// An empty cache reporting `acl.cache.*` into `registry`.
+    pub fn new(registry: &Registry) -> AclCache {
+        AclCache {
+            generation: AtomicU64::new(0),
+            map: RwLock::new(HashMap::new()),
+            hits: registry.counter("acl.cache.hits"),
+            misses: registry.counter("acl.cache.misses"),
+            invalidations: registry.counter("acl.cache.invalidations"),
+            entries: registry.gauge("acl.cache.entries"),
+        }
+    }
+
+    /// The ACL governing `dir`, from memory when known, else through
+    /// [`Acl::load_effective`].
+    pub fn effective(&self, root: &Path, dir: &Path) -> ChirpResult<Arc<Acl>> {
+        if let Some(acl) = self.map.read().expect("acl cache poisoned").get(dir) {
+            self.hits.inc();
+            return Ok(acl.clone());
+        }
+        self.misses.inc();
+        // SeqCst pairs with `invalidate`: a mutation that finished
+        // before this load is visible to the disk read below; one that
+        // finishes after it fails the re-check under the lock.
+        let generation = self.generation.load(Ordering::SeqCst);
+        let acl = Arc::new(Acl::load_effective(root, dir)?);
+        if !dir.is_dir() {
+            return Ok(acl);
+        }
+        let mut map = self.map.write().expect("acl cache poisoned");
+        if self.generation.load(Ordering::SeqCst) == generation {
+            if map.len() >= AclCache::MAX_ENTRIES {
+                map.clear();
+            }
+            map.insert(dir.to_path_buf(), acl.clone());
+            self.entries.set(map.len() as i64);
+        }
+        Ok(acl)
+    }
+
+    /// Forget everything. Call after the disk change, before the reply.
+    pub fn invalidate(&self) {
+        self.generation.fetch_add(1, Ordering::SeqCst);
+        let mut map = self.map.write().expect("acl cache poisoned");
+        map.clear();
+        self.entries.set(0);
+        self.invalidations.inc();
     }
 }
 

@@ -169,6 +169,12 @@ impl PageReply {
     pub fn slices(&self) -> &[PageSlice] {
         &self.slices
     }
+
+    /// The slices by value, in file order, for a sender that queues
+    /// them one by one.
+    pub fn into_slices(self) -> Vec<PageSlice> {
+        self.slices
+    }
 }
 
 #[derive(Debug)]

@@ -4,6 +4,7 @@
 use std::fs::{File, OpenOptions};
 use std::io::BufRead;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use chirp_proto::escape::escape;
 use chirp_proto::persist::DurabilityPoint;
@@ -100,9 +101,10 @@ impl PutfileUpload {
 
 /// The state of one client connection.
 pub struct Session {
-    shared: std::sync::Arc<Shared>,
+    shared: Arc<Shared>,
     auth: Authenticator,
-    subject: Option<String>,
+    /// Shared with every trace event this session records.
+    subject: Option<Arc<str>>,
     fds: FdTable,
     /// Reusable read buffer for `PREAD` replies (see [`Reply::Scratch`]).
     /// Grows to the largest read this connection has served and stays
@@ -112,7 +114,7 @@ pub struct Session {
 
 impl Session {
     /// A fresh session for a connection from `peer_ip`.
-    pub fn new(shared: std::sync::Arc<Shared>, peer_ip: std::net::IpAddr) -> Session {
+    pub fn new(shared: Arc<Shared>, peer_ip: std::net::IpAddr) -> Session {
         let max_open = shared.config.max_open_per_connection;
         Session {
             shared,
@@ -144,8 +146,8 @@ impl Session {
     }
 
     /// The authenticated subject, if any.
-    pub fn subject(&self) -> Option<&str> {
-        self.subject.as_deref()
+    pub fn subject(&self) -> Option<&Arc<str>> {
+        self.subject.as_ref()
     }
 
     /// Announce a durability point to the configured observer, before
@@ -382,8 +384,9 @@ impl Session {
         {
             Ok(AuthOutcome::Subject(s)) => {
                 self.shared.telemetry.auth_success();
-                self.subject = Some(s.clone());
-                Ok(Reply::Words(0, escape(s.as_bytes())))
+                let words = escape(s.as_bytes());
+                self.subject = Some(s.into());
+                Ok(Reply::Words(0, words))
             }
             Ok(AuthOutcome::Challenge(challenge)) => {
                 self.shared.telemetry.auth_challenge();
@@ -412,8 +415,22 @@ impl Session {
                 return Ok(Rights::all());
             }
         }
-        let acl = Acl::load_effective(self.shared.jail.root(), dir)?;
-        Ok(acl.rights_of(subject))
+        Ok(self.effective_acl(dir)?.rights_of(subject))
+    }
+
+    /// The ACL governing host directory `dir`, through the shared
+    /// in-memory cache.
+    fn effective_acl(&self, dir: &Path) -> ChirpResult<Arc<Acl>> {
+        self.shared.acls.effective(self.shared.jail.root(), dir)
+    }
+
+    /// Write `acl` as `dir`'s own, then drop every remembered ACL —
+    /// whether or not the write came through whole: the change reaches
+    /// whatever inherits from `dir`.
+    fn store_acl(&self, acl: &Acl, dir: &Path) -> ChirpResult<()> {
+        let stored = acl.store(dir);
+        self.shared.acls.invalidate();
+        stored
     }
 
     /// Require at least one of `any_of` in `dir`.
@@ -423,15 +440,6 @@ impl Session {
             Ok(r)
         } else {
             Err(ChirpError::NotAuthorized)
-        }
-    }
-
-    /// The directory whose ACL governs operations on `path`: its
-    /// parent, or the root for the root itself.
-    fn governing_dir(&self, path: &str) -> ChirpResult<PathBuf> {
-        match self.shared.jail.resolve_parent(path) {
-            Ok((dir, _leaf)) => Ok(dir),
-            Err(_) => Ok(self.shared.jail.root().to_path_buf()),
         }
     }
 
@@ -455,9 +463,10 @@ impl Session {
             return Err(ChirpError::NotAuthorized);
         }
         let host = dir.join(leaf);
-        if host.is_dir() {
-            return Err(ChirpError::IsADirectory);
-        }
+        // A directory is refused without a stat of its own: the open
+        // below fails on one (and says so), except a plain read-only
+        // open, which the fstat after it catches.
+        //
         // An O_TRUNC open releases the file's old bytes; account for
         // them so the capacity policy sees rewrites as reuse, not
         // growth.
@@ -481,19 +490,34 @@ impl Session {
         if self.shared.config.persistence.is_enabled() {
             // Only existence-probe when observed: the branch costs a
             // stat that production opens must not pay.
-            let exists = host.exists();
+            let meta = std::fs::metadata(&host).ok();
+            if meta.as_ref().is_some_and(|m| m.is_dir()) {
+                return Err(ChirpError::IsADirectory);
+            }
+            let exists = meta.is_some();
             if flags.contains(OpenFlags::CREATE) && !exists {
                 self.durability(DurabilityPoint::Create, path)?;
             } else if flags.contains(OpenFlags::TRUNCATE) && exists {
                 self.durability(DurabilityPoint::Truncate, path)?;
             }
         }
-        let file = open_with_mode(&mut opts, &host, mode)?;
+        let file = match open_with_mode(&mut opts, &host, mode) {
+            Ok(file) => file,
+            // A directory fails every open but a plain read-only one
+            // (EISDIR, EEXIST under O_EXCL, ...): the failure path can
+            // afford the stat that names it.
+            Err(_) if host.is_dir() => return Err(ChirpError::IsADirectory),
+            Err(e) => return Err(e),
+        };
         self.shared.adjust_usage(-(truncated_bytes as i64));
         // One fstat per open seeds the inode key and tracked size;
         // every later write and ftruncate on the descriptor maintains
-        // the size without touching the kernel again.
+        // the size without touching the kernel again. It is also what
+        // catches a directory opened read-only.
         let meta = syscount::fstat(&file).map_err(|e| ChirpError::from_io(&e))?;
+        if meta.is_dir() {
+            return Err(ChirpError::IsADirectory);
+        }
         let key = file_key(&meta);
         if truncated_bytes > 0 {
             // O_TRUNC reused the inode but emptied it.
@@ -607,9 +631,23 @@ impl Session {
     /// The stat words for one path (the body of `STAT` and of each
     /// `STATMULTI` line), with `STAT`'s exact error ordering.
     fn stat_words(&self, path: &str) -> ChirpResult<String> {
-        let dir = self.governing_dir(path)?;
-        self.require_rights(&dir, Rights::READ | Rights::LIST)?;
-        let host = self.shared.jail.resolve(path)?;
+        // The parent's ACL governs a path; the root, which has no
+        // parent in the jail, is governed by its own.
+        let need = Rights::READ | Rights::LIST;
+        let root = self.shared.jail.root();
+        let host = match self.shared.jail.resolve_parent(path) {
+            Ok((dir, leaf)) => {
+                self.require_rights(&dir, need)?;
+                dir.join(leaf)
+            }
+            Err(e) => {
+                self.require_rights(root, need)?;
+                if e != ChirpError::InvalidRequest {
+                    return Err(e);
+                }
+                root.to_path_buf()
+            }
+        };
         let meta = std::fs::metadata(&host).map_err(|e| ChirpError::from_io(&e))?;
         Ok(meta_to_stat(&meta).to_words())
     }
@@ -664,13 +702,18 @@ impl Session {
         self.require_rights(&from_dir, Rights::WRITE | Rights::DELETE)?;
         self.require_rights(&to_dir, Rights::WRITE)?;
         let src = from_dir.join(from_leaf);
-        if !src.exists() {
+        let Ok(src_meta) = std::fs::metadata(&src) else {
             return Err(ChirpError::NotFound);
-        }
+        };
         let dst = to_dir.join(to_leaf);
         let clobbered = std::fs::metadata(&dst).ok().map(|m| file_key(&m));
         self.durability(DurabilityPoint::Rename, from)?;
         std::fs::rename(&src, &dst).map_err(|e| ChirpError::from_io(&e))?;
+        if src_meta.is_dir() {
+            // The directory took its `.__acl` (and its subtree's) to a
+            // new path and freed the old one.
+            self.shared.acls.invalidate();
+        }
         if let Some(key) = clobbered {
             // The rename unlinked the old target inode — same
             // treatment as UNLINK, unless the "target" was the source
@@ -695,16 +738,14 @@ impl Session {
             // Ordinary create: the new directory inherits a copy of the
             // parent's effective ACL.
             std::fs::create_dir(&host).map_err(|e| ChirpError::from_io(&e))?;
-            let parent_acl = Acl::load_effective(self.shared.jail.root(), &dir)?;
-            parent_acl.store(&host)?;
+            self.store_acl(&*self.effective_acl(&dir)?, &host)?;
             return Ok(Reply::Value(0));
         }
         if have.contains(Rights::RESERVE) {
             // Reserve: the new directory's ACL grants only the calling
             // subject, with exactly the rights named in the parent's
             // v(...) grant (paper §4).
-            let acl = Acl::load_effective(self.shared.jail.root(), &dir)?;
-            let granted = acl.reserve_rights_of(&subject);
+            let granted = self.effective_acl(&dir)?.reserve_rights_of(&subject);
             if granted.is_empty() {
                 return Err(ChirpError::NotAuthorized);
             }
@@ -713,7 +754,7 @@ impl Session {
             fresh
                 .set(&subject, &format!("{granted}"))
                 .expect("rights render round-trips");
-            fresh.store(&host)?;
+            self.store_acl(&fresh, &host)?;
             return Ok(Reply::Value(0));
         }
         Err(ChirpError::NotAuthorized)
@@ -736,7 +777,9 @@ impl Session {
                 return Err(ChirpError::NotEmpty);
             }
         }
-        std::fs::remove_dir_all(&host).map_err(|e| ChirpError::from_io(&e))?;
+        let removed = std::fs::remove_dir_all(&host);
+        self.shared.acls.invalidate();
+        removed.map_err(|e| ChirpError::from_io(&e))?;
         Ok(Reply::Value(0))
     }
 
@@ -823,8 +866,9 @@ impl Session {
         if r.is_empty() {
             return Err(ChirpError::NotAuthorized);
         }
-        let acl = Acl::load_effective(self.shared.jail.root(), &host)?;
-        Ok(Reply::Data(acl.render().into_bytes()))
+        Ok(Reply::Data(
+            self.effective_acl(&host)?.render().into_bytes(),
+        ))
     }
 
     fn do_setacl(&self, path: &str, subject: &str, rights: &str) -> ChirpResult<Reply> {
@@ -835,9 +879,9 @@ impl Session {
         self.require_rights(&host, Rights::ADMIN)?;
         // Materialize the inherited ACL on first modification so the
         // change is scoped to this directory.
-        let mut acl = Acl::load_effective(self.shared.jail.root(), &host)?;
+        let mut acl = Acl::clone(&*self.effective_acl(&host)?);
         acl.set(subject, rights)?;
-        acl.store(&host)?;
+        self.store_acl(&acl, &host)?;
         Ok(Reply::Value(0))
     }
 

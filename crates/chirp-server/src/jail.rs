@@ -39,8 +39,8 @@ impl Jail {
     /// components vanish; `..` pops but never climbs above the root
     /// (as in a real chroot, `/..` is `/`). Components that would name
     /// the ACL metadata file are rejected.
-    pub fn components(&self, chirp_path: &str) -> Result<Vec<String>, ChirpError> {
-        let mut parts: Vec<String> = Vec::new();
+    pub fn components<'a>(&self, chirp_path: &'a str) -> Result<Vec<&'a str>, ChirpError> {
+        let mut parts: Vec<&str> = Vec::new();
         for comp in chirp_path.split('/') {
             match comp {
                 "" | "." => {}
@@ -48,7 +48,7 @@ impl Jail {
                     parts.pop();
                 }
                 ACL_FILE => return Err(ChirpError::NotAuthorized),
-                c => parts.push(c.to_string()),
+                c => parts.push(c),
             }
         }
         Ok(parts)
@@ -68,7 +68,10 @@ impl Jail {
     /// ACL checks are made against the *containing directory* of the
     /// target, which this accessor names. Fails on the root itself,
     /// which has no parent inside the jail.
-    pub fn resolve_parent(&self, chirp_path: &str) -> Result<(PathBuf, String), ChirpError> {
+    pub fn resolve_parent<'a>(
+        &self,
+        chirp_path: &'a str,
+    ) -> Result<(PathBuf, &'a str), ChirpError> {
         let mut parts = self.components(chirp_path)?;
         let leaf = parts.pop().ok_or(ChirpError::InvalidRequest)?;
         let mut dir = self.root.clone();

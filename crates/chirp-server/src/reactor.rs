@@ -27,17 +27,21 @@
 //! silent close on oversized or non-UTF-8 lines, the same
 //! error-then-close on an over-cap `PWRITE`, the PR-5 flush deferral
 //! (replies coalesce while further requests are already buffered), and
-//! the PR-6 scatter-gather page replies. Reply bytes that cannot be
-//! transmitted yet queue on the connection; when the queue passes
-//! [`crate::config::ServerConfig::reactor_write_cap`] the reactor
-//! stops *reading* from that connection — bounded backpressure for a
-//! slow reader — until the queue drains.
+//! the PR-6 scatter-gather page replies. A reply leaves in one socket
+//! write whenever the socket takes it: the write queue is a flat run of
+//! byte buffers and cache pages gathered into a single vectored write,
+//! so a status line rides with its pages, and a file no longer than
+//! one `READ_CHUNK` is read in behind its status line. Reply bytes
+//! that cannot be transmitted yet queue on the connection; when the
+//! queue passes [`crate::config::ServerConfig::reactor_write_cap`] the
+//! reactor stops *reading* from that connection — bounded backpressure
+//! for a slow reader — until the queue drains.
 //!
 //! [`MemStream`]: chirp_proto::transport::MemStream
 //! [`ReadyWatcher`]: chirp_proto::ready::ReadyWatcher
 
 use std::collections::HashMap;
-use std::io::{self, Read};
+use std::io::{self, Read, Write};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -49,15 +53,21 @@ use chirp_proto::transport::Transport;
 use chirp_proto::{ChirpError, Request, MAX_LINE, MAX_PAYLOAD};
 use telemetry::SpanTimer;
 
-use crate::cache::PageReply;
+use crate::cache::PageSlice;
 use crate::config::CoreKind;
 use crate::handlers::{PutfileUpload, Reply, Session};
 use crate::server::Shared;
 
 /// Token reserved for the poller's own wake channel.
 const WAKE_TOKEN: Token = usize::MAX;
-/// Bytes read from a stream per `read` call.
+/// Bytes read from a stream per `read` call, and from a streamed file
+/// per staging round; a file reply up to this long is sent inline.
 const READ_CHUNK: usize = 64 * 1024;
+/// Buffers gathered into one vectored write (Linux's `IOV_MAX`).
+const MAX_IOV: usize = 1024;
+/// Shrink an empty write queue whose capacity grew past this many
+/// items (a large page reply queues one item per page).
+const WQ_WATERMARK: usize = 64;
 /// Stop reading a connection once this many unparsed request bytes are
 /// buffered (mirrors the blocking core's 256 KiB `BufReader`).
 const RBUF_CAP: usize = 256 * 1024;
@@ -333,16 +343,28 @@ impl Shard {
     }
 }
 
-/// What one connection still owes the wire.
+/// What one connection still owes the wire. Buffers are never empty,
+/// so a write that moves bytes always retires or advances the front.
 enum WItem {
-    /// Plain reply bytes (status lines, inline data), partially sent
-    /// up to the offset.
-    Bytes(Vec<u8>, usize),
+    /// Plain reply bytes: status lines, inline data, a staged chunk
+    /// of a streamed file.
+    Bytes(Vec<u8>),
+    /// One cache page's share of a scatter-gathered reply.
+    Page(PageSlice),
     /// A file streamed from disk in bounded chunks.
     File(std::fs::File, u64),
-    /// Cache pages scatter-gathered with vectored writes, positioned
-    /// at (slice index, offset within slice).
-    Pages(PageReply, usize, usize),
+}
+
+impl WItem {
+    /// The bytes this item holds in memory; `None` for a file, whose
+    /// next chunk must be staged first.
+    fn buffer(&self) -> Option<&[u8]> {
+        match self {
+            WItem::Bytes(vec) => Some(vec),
+            WItem::Page(slice) => Some(slice.as_slice()),
+            WItem::File(..) => None,
+        }
+    }
 }
 
 /// Read-side position in the request stream.
@@ -379,6 +401,9 @@ struct Conn {
     scan: usize,
     rstate: RState,
     wq: std::collections::VecDeque<WItem>,
+    /// Bytes of the front `wq` buffer already transmitted — the whole
+    /// of the partial-write state, whatever the item kinds.
+    whead: usize,
     /// Total untransmitted bytes across `wq` (the backpressure gauge).
     wq_bytes: u64,
     readable: bool,
@@ -414,6 +439,7 @@ impl Conn {
             scan: 0,
             rstate: RState::Line,
             wq: std::collections::VecDeque::new(),
+            whead: 0,
             wq_bytes: 0,
             // Optimistic: a fresh stream is writable until proven
             // otherwise; fd readability arrives level-triggered, mem
@@ -434,7 +460,7 @@ impl Conn {
     fn pump(&mut self, shared: &Arc<Shared>) {
         loop {
             let mut progress = false;
-            progress |= self.drain_writes();
+            progress |= self.drain_writes(shared);
             if self.dead {
                 return;
             }
@@ -676,7 +702,7 @@ impl Conn {
     fn queue_reply(
         &mut self,
         shared: &Arc<Shared>,
-        op: &str,
+        op: &'static str,
         bytes_in: u64,
         span: SpanTimer,
         reply: Result<Reply, ChirpError>,
@@ -701,19 +727,28 @@ impl Conn {
                 out.extend_from_slice(&self.session.scratch()[..n]);
                 self.push_bytes(out);
             }
+            Ok(Reply::FileStream(file, len)) if len <= READ_CHUNK as u64 => {
+                // Small enough to hold: read it in behind its status
+                // line so both leave in one write. A file that shrank
+                // under us kills the connection, as the blocking
+                // core's `copy_exact` failure does.
+                let mut out = format!("{len}\n").into_bytes();
+                out.reserve(len as usize);
+                match file.take(len).read_to_end(&mut out) {
+                    Ok(n) if n as u64 == len => self.push_bytes(out),
+                    _ => self.dead = true,
+                }
+            }
             Ok(Reply::FileStream(file, len)) => {
                 self.push_bytes(format!("{len}\n").into_bytes());
-                if len > 0 {
-                    self.wq.push_back(WItem::File(file, len));
-                    self.wq_bytes += len;
-                }
+                self.wq.push_back(WItem::File(file, len));
+                self.wq_bytes += len;
             }
             Ok(Reply::Pages(p)) => {
                 self.push_bytes(format!("{}\n", p.total()).into_bytes());
-                if p.total() > 0 {
-                    self.wq_bytes += p.total() as u64;
-                    self.wq.push_back(WItem::Pages(p, 0, 0));
-                }
+                self.wq_bytes += p.total() as u64;
+                let pages = p.into_slices().into_iter().filter(|s| !s.is_empty());
+                self.wq.extend(pages.map(WItem::Page));
             }
             Err(e) => {
                 shared.stats.error();
@@ -747,120 +782,103 @@ impl Conn {
             return;
         }
         self.wq_bytes += data.len() as u64;
-        if let Some(WItem::Bytes(tail, _)) = self.wq.back_mut() {
+        if let Some(WItem::Bytes(tail)) = self.wq.back_mut() {
             if tail.len() + data.len() <= RBUF_CAP {
                 tail.extend_from_slice(&data);
                 return;
             }
         }
-        self.wq.push_back(WItem::Bytes(data, 0));
+        self.wq.push_back(WItem::Bytes(data));
     }
 
     /// Transmit queued reply bytes until the stream would block or the
-    /// queue empties. Returns whether anything was written.
-    fn drain_writes(&mut self) -> bool {
-        let mut progress = false;
+    /// queue empties: every buffer up to the next streamed file goes
+    /// to the socket in one (vectored) write. Returns whether anything
+    /// was written.
+    fn drain_writes(&mut self, shared: &Arc<Shared>) -> bool {
+        let mut writes = 0u64;
         while self.writable && !self.dead {
-            let Some(item) = self.wq.pop_front() else {
-                break;
+            let ready = self
+                .wq
+                .iter()
+                .take(MAX_IOV)
+                .take_while(|item| item.buffer().is_some())
+                .count();
+            if ready == 0 {
+                if self.wq.is_empty() {
+                    break;
+                }
+                self.stage_file_chunk();
+                continue;
+            }
+            let mut buffers = self.wq.iter().map_while(WItem::buffer);
+            let head = &buffers.next().expect("ready > 0")[self.whead..];
+            let written = if ready == 1 {
+                self.stream.write(head)
+            } else {
+                let gathered: Vec<io::IoSlice> = std::iter::once(head)
+                    .chain(buffers.take(ready - 1))
+                    .map(io::IoSlice::new)
+                    .collect();
+                self.stream.write_vectored(&gathered)
             };
-            match item {
-                WItem::Bytes(vec, mut off) => {
-                    while off < vec.len() && self.writable && !self.dead {
-                        match self.stream.write(&vec[off..]) {
-                            Ok(0) => self.dead = true,
-                            Ok(n) => {
-                                off += n;
-                                self.wq_bytes -= n as u64;
-                                progress = true;
-                            }
-                            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                                self.writable = false;
-                            }
-                            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                            Err(_) => self.dead = true,
-                        }
-                    }
-                    if off < vec.len() && !self.dead {
-                        self.wq.push_front(WItem::Bytes(vec, off));
-                    }
+            match written {
+                Ok(0) => self.dead = true,
+                Ok(n) => {
+                    writes += 1;
+                    self.advance(n);
                 }
-                WItem::File(mut file, remaining) => {
-                    // One bounded chunk per round: read from disk, then
-                    // transmit, parking any unwritten tail in front of
-                    // the file so ordering holds.
-                    let mut chunk = vec![0u8; READ_CHUNK.min(remaining as usize)];
-                    match file.read(&mut chunk) {
-                        Ok(0) => {
-                            // File shrank mid-stream: the blocking
-                            // core's copy_exact fails and the
-                            // connection dies; replicate.
-                            self.dead = true;
-                        }
-                        Ok(n) => {
-                            chunk.truncate(n);
-                            let left = remaining - n as u64;
-                            if left > 0 {
-                                self.wq.push_front(WItem::File(file, left));
-                            }
-                            // Re-enter through push of the chunk ahead
-                            // of the remaining file bytes.
-                            self.wq_bytes -= n as u64;
-                            self.wq.push_front(WItem::Bytes(chunk, 0));
-                            self.wq_bytes += n as u64;
-                            progress = true;
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::Interrupted => {
-                            self.wq.push_front(WItem::File(file, remaining));
-                        }
-                        Err(_) => self.dead = true,
-                    }
-                }
-                WItem::Pages(reply, mut slice, mut off) => {
-                    while self.writable && !self.dead {
-                        let slices = reply.slices();
-                        if slice >= slices.len() {
-                            break;
-                        }
-                        let bufs: Vec<io::IoSlice> =
-                            std::iter::once(io::IoSlice::new(&slices[slice].as_slice()[off..]))
-                                .chain(
-                                    slices[slice + 1..]
-                                        .iter()
-                                        .map(|s| io::IoSlice::new(s.as_slice())),
-                                )
-                                .collect();
-                        match self.stream.write_vectored(&bufs) {
-                            Ok(0) => self.dead = true,
-                            Ok(mut n) => {
-                                self.wq_bytes -= n as u64;
-                                progress = true;
-                                while n > 0 && slice < slices.len() {
-                                    let left = slices[slice].len() - off;
-                                    if n >= left {
-                                        n -= left;
-                                        slice += 1;
-                                        off = 0;
-                                    } else {
-                                        off += n;
-                                        n = 0;
-                                    }
-                                }
-                            }
-                            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                                self.writable = false;
-                            }
-                            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                            Err(_) => self.dead = true,
-                        }
-                    }
-                    if slice < reply.slices().len() && !self.dead {
-                        self.wq.push_front(WItem::Pages(reply, slice, off));
-                    }
-                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => self.writable = false,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(_) => self.dead = true,
             }
         }
-        progress
+        if writes > 0 {
+            shared.telemetry.reactor_writes(writes);
+        }
+        writes > 0
+    }
+
+    /// Account for `n` transmitted bytes: retire every buffer they
+    /// cover and leave `whead` inside the first one they do not.
+    fn advance(&mut self, mut n: usize) {
+        self.wq_bytes -= n as u64;
+        while n > 0 {
+            let front = self.wq.front().and_then(WItem::buffer);
+            let left = front.expect("the stream took bytes it was not given").len() - self.whead;
+            if n < left {
+                self.whead += n;
+                return;
+            }
+            n -= left;
+            self.whead = 0;
+            self.wq.pop_front();
+        }
+    }
+
+    /// Replace the file at the front of the queue by its next bounded
+    /// chunk, read into memory, ahead of whatever of it remains.
+    fn stage_file_chunk(&mut self) {
+        let Some(WItem::File(mut file, remaining)) = self.wq.pop_front() else {
+            unreachable!("caller saw a file at the front");
+        };
+        let mut chunk = vec![0u8; READ_CHUNK.min(remaining as usize)];
+        match file.read(&mut chunk) {
+            // File shrank mid-stream: the blocking core's copy_exact
+            // fails and the connection dies; replicate.
+            Ok(0) => self.dead = true,
+            Ok(n) => {
+                chunk.truncate(n);
+                if remaining > n as u64 {
+                    self.wq.push_front(WItem::File(file, remaining - n as u64));
+                }
+                self.wq.push_front(WItem::Bytes(chunk));
+            }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {
+                self.wq.push_front(WItem::File(file, remaining));
+            }
+            Err(_) => self.dead = true,
+        }
     }
 
     /// Read newly arrived bytes into the request buffer, up to the
@@ -920,6 +938,9 @@ impl Conn {
             self.scan = 0;
             if self.rbuf.capacity() > RBUF_WATERMARK {
                 self.rbuf.shrink_to(RBUF_WATERMARK);
+            }
+            if self.wq.is_empty() && self.wq.capacity() > WQ_WATERMARK {
+                self.wq.shrink_to(WQ_WATERMARK);
             }
         } else if self.rpos >= READ_CHUNK {
             self.rbuf.drain(..self.rpos);

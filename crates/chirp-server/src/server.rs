@@ -15,6 +15,7 @@ use chirp_proto::transport::{Listener, Transport};
 use chirp_proto::wire;
 use chirp_proto::{ChirpError, Request};
 
+use crate::acl::AclCache;
 use crate::cache::{PageCache, PageReply, SizeTable};
 use crate::config::{CoreKind, ServerConfig};
 use crate::handlers::{Reply, Session};
@@ -40,6 +41,9 @@ pub struct Shared {
     /// Per-inode size tracking shared across descriptors, so the hot
     /// write path computes growth without an `fstat`.
     pub sizes: SizeTable,
+    /// Effective ACLs already looked up, shared by every connection on
+    /// either serving core.
+    pub acls: AclCache,
     /// Currently active connections.
     pub active: AtomicUsize,
     /// Set when the server is shutting down.
@@ -74,6 +78,7 @@ impl Shared {
             .cache_bytes
             .filter(|&b| b > 0)
             .map(|b| PageCache::new(b, config.cache_page_bytes, telemetry.registry()));
+        let acls = AclCache::new(telemetry.registry());
         Ok(Arc::new(Shared {
             config,
             jail,
@@ -81,6 +86,7 @@ impl Shared {
             telemetry,
             cache,
             sizes: SizeTable::new(),
+            acls,
             active: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
             used_bytes: AtomicU64::new(used),

@@ -6,6 +6,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use telemetry::{Counter, Gauge, Histogram, Outcome, Registry, TraceEvent};
 
@@ -26,11 +27,14 @@ pub struct ServerTelemetry {
     data_latency: Histogram,
     reactor_loops: Counter,
     reactor_wakeups: Counter,
+    reactor_writes: Counter,
     reactor_backpressure: Counter,
     reactor_wq_peak: Gauge,
     auth_success: Counter,
     auth_failure: Counter,
     auth_challenge: Counter,
+    /// The trace subject of an RPC served before authentication.
+    anonymous: Arc<str>,
 }
 
 impl Default for ServerTelemetry {
@@ -50,11 +54,13 @@ impl Default for ServerTelemetry {
             data_latency: registry.histogram("rpc.data.latency_ns"),
             reactor_loops: registry.counter("reactor.loop_iterations"),
             reactor_wakeups: registry.counter("reactor.wakeups"),
+            reactor_writes: registry.counter("reactor.writes"),
             reactor_backpressure: registry.counter("reactor.backpressure"),
             reactor_wq_peak: registry.gauge("reactor.wq_peak_bytes"),
             auth_success: registry.counter("auth.success"),
             auth_failure: registry.counter("auth.failure"),
             auth_challenge: registry.counter("auth.challenge"),
+            anonymous: "-".into(),
             registry,
         }
     }
@@ -74,6 +80,13 @@ impl ServerTelemetry {
     /// One readiness event batch woke a reactor worker.
     pub fn reactor_wakeup(&self, events: u64) {
         self.reactor_wakeups.add(events);
+    }
+
+    /// The reactor handed `writes` buffers (plain or vectored) to
+    /// sockets that took bytes from them. A reply that fits the socket
+    /// is one write, status line and payload together.
+    pub fn reactor_writes(&self, writes: u64) {
+        self.reactor_writes.add(writes);
     }
 
     /// A connection hit its queued-reply cap and stopped being read.
@@ -108,8 +121,8 @@ impl ServerTelemetry {
     /// Record one served RPC.
     pub fn record(
         &self,
-        op: &str,
-        subject: Option<&str>,
+        op: &'static str,
+        subject: Option<&Arc<str>>,
         dur_ns: u64,
         bytes_in: u64,
         bytes_out: u64,
@@ -131,8 +144,8 @@ impl ServerTelemetry {
             self.acl_denied.inc();
         }
         self.registry.record_event(TraceEvent {
-            op: op.to_string(),
-            subject: subject.unwrap_or("-").to_string(),
+            op,
+            subject: subject.unwrap_or(&self.anonymous).clone(),
             dur_ns,
             bytes: bytes_in + bytes_out,
             outcome: if error.is_none() {
@@ -232,8 +245,9 @@ mod tests {
     #[test]
     fn telemetry_records_per_op_counts_latency_and_denials() {
         let t = ServerTelemetry::default();
-        t.record("open", Some("unix:alice"), 1_000, 0, 0, None);
-        t.record("pread", Some("unix:alice"), 2_000, 0, 4096, None);
+        let alice: Arc<str> = "unix:alice".into();
+        t.record("open", Some(&alice), 1_000, 0, 0, None);
+        t.record("pread", Some(&alice), 2_000, 0, 4096, None);
         t.record(
             "open",
             None,
@@ -256,6 +270,8 @@ mod tests {
         let ring = t.registry().ring().recent();
         assert_eq!(ring.len(), 3);
         assert_eq!(ring[1].op, "pread");
+        assert!(Arc::ptr_eq(&ring[1].subject, &alice), "no copy per event");
+        assert_eq!(&*ring[2].subject, "-");
         assert_eq!(ring[1].bytes, 4096);
         assert_eq!(ring[2].outcome, telemetry::Outcome::Error);
     }

@@ -189,3 +189,82 @@ fn listener_close_with_idle_crowd_shuts_down_cleanly() {
         }
     }
 }
+
+/// Send one request and read its whole reply: the status line, then
+/// as many payload bytes as a non-negative status announces when the
+/// request is one that carries a payload back.
+fn rpc(t: &mut dyn Transport, request: &str, has_payload: bool) -> (i64, Vec<u8>) {
+    t.write_all(request.as_bytes()).unwrap();
+    let line = read_line(t);
+    let status: i64 = line.split(' ').next().unwrap().parse().unwrap();
+    let len = if has_payload { status.max(0) } else { 0 };
+    let mut payload = vec![0u8; len as usize];
+    t.read_exact(&mut payload).unwrap();
+    (status, payload)
+}
+
+/// The cost contract of the reply path, in the style of the
+/// `syscount::FSTAT_CALLS` test: a reply the socket can take leaves
+/// the reactor in exactly one write — status line and payload
+/// together, whether the payload is result words, cache pages or a
+/// file of up to one read chunk — and a longer file still streams in
+/// bounded chunks instead of being read whole.
+#[test]
+fn one_socket_write_per_reply_and_bounded_chunks_beyond() {
+    const CHUNK: usize = 64 * 1024; // the reactor's READ_CHUNK
+    let (dir, net, server) = mem_server(|cfg| {
+        cfg.cache_bytes = Some(1 << 20);
+    });
+    std::fs::write(dir.path().join("small"), vec![1u8; 100]).unwrap();
+    std::fs::write(dir.path().join("chunk"), vec![2u8; CHUNK]).unwrap();
+    std::fs::write(dir.path().join("paged"), vec![3u8; 4 * CHUNK]).unwrap();
+    std::fs::write(dir.path().join("long"), vec![4u8; 16 * CHUNK]).unwrap();
+    let mut t = dial(&net, &server);
+    auth(t.as_mut());
+    let writes = server.telemetry().registry().counter("reactor.writes");
+    // The counter moves after the write it counts, so a reply can be
+    // in hand a moment before its write is on the books.
+    let settled = |expected: u64| {
+        wait_for("reactor.writes to settle", || writes.get() >= expected);
+        writes.get()
+    };
+
+    let before = settled(1); // the auth reply
+    let mut replies = 0;
+    for _ in 0..10 {
+        assert_eq!(rpc(t.as_mut(), "STAT /small\n", false).0, 0);
+        replies += 1;
+    }
+    let open = format!("OPEN /paged {} 0\n", chirp_proto::OpenFlags::READ.bits());
+    let (fd, _) = rpc(t.as_mut(), &open, false);
+    assert!(fd >= 0);
+    replies += 1;
+    for i in 0..10 {
+        // An unaligned 24 KiB read: four page slices behind the status
+        // line, the first a miss that fills, the rest hits.
+        let request = format!("PREAD {fd} 24576 {}\n", 1000 + i);
+        let (n, data) = rpc(t.as_mut(), &request, true);
+        assert_eq!((n, data.len()), (24576, 24576));
+        assert!(data.iter().all(|&b| b == 3));
+        replies += 1;
+    }
+    for (path, len, fill) in [("small", 100, 1u8), ("chunk", CHUNK, 2u8)] {
+        for _ in 0..5 {
+            let (n, data) = rpc(t.as_mut(), &format!("GETFILE /{path}\n"), true);
+            assert_eq!(n as usize, len);
+            assert!(data.iter().all(|&b| b == fill));
+            replies += 1;
+        }
+    }
+    assert_eq!(settled(before + replies) - before, replies);
+
+    // One byte more than a chunk no longer rides inline: the status
+    // line goes out, then the file in reads of at most one chunk.
+    let before = writes.get();
+    let (n, data) = rpc(t.as_mut(), "GETFILE /long\n", true);
+    assert_eq!(n as usize, 16 * CHUNK);
+    assert!(data.iter().all(|&b| b == 4));
+    assert_eq!(settled(before + 17) - before, 17, "status line + 16 chunks");
+    let peak = server.telemetry().registry().gauge("reactor.wq_peak_bytes");
+    assert!((peak.get() as usize) < 16 * CHUNK + 64);
+}

@@ -7,7 +7,7 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// How a traced operation ended.
@@ -23,9 +23,10 @@ pub enum Outcome {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Operation name (`pread`, `open`, ...).
-    pub op: String,
-    /// Acting subject (authenticated identity, endpoint, or `-`).
-    pub subject: String,
+    pub op: &'static str,
+    /// Acting subject (authenticated identity, endpoint, or `-`),
+    /// shared with its recorder so an event costs no allocation.
+    pub subject: Arc<str>,
     /// Wall-clock duration in nanoseconds.
     pub dur_ns: u64,
     /// Payload bytes moved (in + out).
@@ -116,9 +117,9 @@ impl SpanTimer {
 mod tests {
     use super::*;
 
-    fn ev(op: &str) -> TraceEvent {
+    fn ev(op: &'static str) -> TraceEvent {
         TraceEvent {
-            op: op.into(),
+            op,
             subject: "-".into(),
             dur_ns: 1,
             bytes: 0,
@@ -132,7 +133,7 @@ mod tests {
         for op in ["a", "b", "c", "d", "e"] {
             ring.push(ev(op));
         }
-        let ops: Vec<String> = ring.recent().into_iter().map(|e| e.op).collect();
+        let ops: Vec<&str> = ring.recent().into_iter().map(|e| e.op).collect();
         assert_eq!(ops, vec!["c", "d", "e"]);
         assert_eq!(ring.dropped(), 2);
         assert_eq!(ring.len(), 3);

@@ -1,7 +1,13 @@
 #!/bin/sh
 # Tier-1 verification: everything a change must pass before landing.
 #   build + root-package tests (the ROADMAP tier-1 gate), then lint
-#   and formatting across the whole workspace.
+#   and formatting across the whole workspace. The benchmark package
+#   under bench/ is a workspace of its own that the steps above never
+#   compile, so it is built here too: a break in the public items it
+#   calls (Acl::{new,single,load_effective,rights_of},
+#   ServerConfig::{localhost,with_root_acl,with_cache,with_core},
+#   cache::{PageCache,file_key}, FileServer) fails verify, not the
+#   benchmark pipeline.
 # With --chaos, additionally run the fault-injection suite under a
 # fixed seed (override with CHAOS_SEED=<u64>).
 # With --metrics, additionally run the observability smoke stage: boot
@@ -20,7 +26,10 @@
 # The --cache stage (part of the default run; --no-cache skips it)
 # checks the server-side buffer cache: the coherence suite (two-fd
 # visibility, truncate/extend, unlink-while-open, rename clobber, a
-# randomized mirror under a pathological two-page cache), the release
+# randomized mirror under a pathological two-page cache), the ACL
+# cache's coherence suite (policy changed on one connection governs
+# the next RPC on another, on both cores, plus a seeded mirror against
+# the uncached loader), the release
 # smoke asserting the >=2x hot-read floor with oversized reads near
 # baseline, and the cache-size differential matrix (off / two-page /
 # large) replayed against the cacheless model.
@@ -94,6 +103,9 @@ cargo build --release
 echo "== cargo test -q"
 cargo test -q
 
+echo "== cargo build --release --offline --manifest-path bench/Cargo.toml  (the benchmark still compiles)"
+cargo build --release --offline --manifest-path bench/Cargo.toml
+
 if [ "$CHAOS" = "1" ]; then
     # 0xC4A05EED, the chaos suite's default seed.
     CHAOS_SEED="${CHAOS_SEED:-3298844397}"
@@ -141,6 +153,8 @@ fi
 if [ "$CACHE" = "1" ]; then
     echo "== cargo test -q -p chirp-server --test cache_coherence  (coherence suite)"
     cargo test -q -p chirp-server --test cache_coherence
+    echo "== cargo test -q -p chirp-server --test acl_coherence  (ACL cache coherence suite)"
+    cargo test -q -p chirp-server --test acl_coherence
     # Release mode: the smoke asserts a wall-clock ratio the debug
     # profile's bookkeeping would distort.
     echo "== cargo test -q --release -p tss-bench --test cache_smoke  (>=2x hot-read floor)"
