@@ -386,6 +386,29 @@ impl Cfs {
     }
 }
 
+/// `flags` minus the one-shot bits (create, truncate, exclusive), so a
+/// recovery re-open of a file that now exists is idempotent and never
+/// clobbers its contents.
+pub(crate) fn reopen_flags_of(flags: OpenFlags) -> OpenFlags {
+    let mut out = OpenFlags::empty();
+    for f in [
+        OpenFlags::READ,
+        OpenFlags::WRITE,
+        OpenFlags::APPEND,
+        OpenFlags::SYNC,
+    ] {
+        if flags.contains(f) {
+            out |= f;
+        }
+    }
+    // A write-created handle must remain re-openable: re-opening
+    // write-only is fine because the file now exists.
+    if out.bits() == 0 {
+        out = OpenFlags::READ;
+    }
+    out
+}
+
 fn drop_conn(slot: &mut ConnSlot) {
     if slot.conn.take().is_some() {
         slot.generation += 1;
@@ -765,6 +788,7 @@ impl FileSystem for Cfs {
         if self.config.sync_writes {
             flags |= OpenFlags::SYNC;
         }
+        let reopen_flags = reopen_flags_of(flags);
         let (fd, st, generation) = {
             let slot_arc = self.slot.clone();
             let mut slot = slot_arc.lock();
@@ -777,6 +801,11 @@ impl FileSystem for Cfs {
                     settle_prefetch(&mut slot);
                     let conn = slot.conn.as_mut().expect("ensured above");
                     let fd = conn.open(&full, flags, mode)?;
+                    // The one-shot bits have now had their effect. If
+                    // the connection dies under the fstat, the replay
+                    // must not ask for them again: an exclusive create
+                    // would be refused by the file it just made.
+                    flags = reopen_flags;
                     let st = conn.fstat(fd)?;
                     Ok((fd, st))
                 });
@@ -794,23 +823,6 @@ impl FileSystem for Cfs {
                 }
             }
         };
-        // Strip one-shot bits so recovery re-opens are idempotent.
-        let mut reopen_flags = OpenFlags::empty();
-        for f in [
-            OpenFlags::READ,
-            OpenFlags::WRITE,
-            OpenFlags::APPEND,
-            OpenFlags::SYNC,
-        ] {
-            if flags.contains(f) {
-                reopen_flags |= f;
-            }
-        }
-        // A write-created handle must remain re-openable: re-opening
-        // write-only is fine because the file now exists.
-        if reopen_flags.bits() == 0 {
-            reopen_flags = OpenFlags::READ;
-        }
         Ok(Box::new(CfsHandle {
             config: self.config.clone(),
             slot: self.slot.clone(),

@@ -43,19 +43,6 @@ impl Dpfs {
         let fs = StubFs::new(meta, pool, placement, options);
         Ok(Dpfs { inner: fs })
     }
-
-    /// Create each pool server's volume directory if missing. Part of
-    /// "to create a new filesystem, one must specify a list of hosts,
-    /// create a new directory root, and create new storage directories
-    /// on each server".
-    pub fn ensure_volumes(&self) -> io::Result<()> {
-        self.inner.ensure_volumes()
-    }
-
-    /// The underlying stub engine.
-    pub fn stubfs(&self) -> &StubFs {
-        &self.inner
-    }
 }
 
 delegate_filesystem!(Dpfs, inner);

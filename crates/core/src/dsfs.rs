@@ -123,11 +123,6 @@ impl Dsfs {
         fs.inner.ensure_volumes()?;
         Ok(fs)
     }
-
-    /// The underlying stub engine.
-    pub fn stubfs(&self) -> &StubFs {
-        &self.inner
-    }
 }
 
 delegate_filesystem!(Dsfs, inner);

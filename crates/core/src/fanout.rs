@@ -3,22 +3,20 @@
 //! Striping, mirroring, and the stub engine all end in the same shape:
 //! N independent RPC jobs, one per server, whose results must come
 //! back in submission order so partial-failure semantics ("first error
-//! in part order wins") match the sequential code exactly. This
-//! helper runs that shape either inline or on one scoped thread per
-//! job, so callers can switch with a flag and benchmarks can compare
-//! the two paths directly.
+//! in part order wins") are those of a sequential loop. This helper
+//! runs that shape on one scoped thread per job.
 
 /// Run every job and return their results in submission order.
 ///
-/// With `parallel` set and more than one job, each job gets its own
-/// scoped thread; otherwise jobs run inline. A panicking job is
-/// propagated to the caller either way.
-pub(crate) fn run_fanout<T, F>(parallel: bool, jobs: Vec<F>) -> Vec<T>
+/// With more than one job, each gets its own scoped thread; a single
+/// job runs inline. A panicking job is propagated to the caller either
+/// way.
+pub(crate) fn run_fanout<T, F>(jobs: Vec<F>) -> Vec<T>
 where
     T: Send,
     F: FnOnce() -> T + Send,
 {
-    if !parallel || jobs.len() <= 1 {
+    if jobs.len() <= 1 {
         return jobs.into_iter().map(|job| job()).collect();
     }
     std::thread::scope(|scope| {
@@ -37,22 +35,19 @@ mod tests {
 
     #[test]
     fn results_keep_submission_order() {
-        for parallel in [false, true] {
-            let jobs: Vec<_> = (0..8)
-                .map(|i| {
-                    move || {
-                        if i % 2 == 0 {
-                            // Stagger even jobs so finish order differs
-                            // from submission order under parallelism.
-                            std::thread::sleep(std::time::Duration::from_millis(5));
-                        }
-                        i * 10
+        let jobs: Vec<_> = (0..8)
+            .map(|i| {
+                move || {
+                    if i % 2 == 0 {
+                        // Stagger even jobs so finish order differs
+                        // from submission order.
+                        std::thread::sleep(std::time::Duration::from_millis(5));
                     }
-                })
-                .collect();
-            let out = run_fanout(parallel, jobs);
-            assert_eq!(out, vec![0, 10, 20, 30, 40, 50, 60, 70]);
-        }
+                    i * 10
+                }
+            })
+            .collect();
+        assert_eq!(run_fanout(jobs), vec![0, 10, 20, 30, 40, 50, 60, 70]);
     }
 
     #[test]
@@ -71,8 +66,15 @@ mod tests {
                 }
             })
             .collect();
-        run_fanout(true, jobs);
+        run_fanout(jobs);
         assert!(peak.load(Ordering::SeqCst) > 1, "jobs never overlapped");
+    }
+
+    #[test]
+    fn a_single_job_runs_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let ran_on = run_fanout(vec![|| std::thread::current().id()]);
+        assert_eq!(ran_on, vec![caller]);
     }
 
     #[test]
@@ -83,7 +85,7 @@ mod tests {
             .enumerate()
             .map(|(i, cell)| move || *cell = i as u64 + 1)
             .collect();
-        run_fanout(true, jobs);
+        run_fanout(jobs);
         assert_eq!(cells, [1, 2, 3, 4]);
     }
 }

@@ -17,8 +17,7 @@ use std::collections::{HashMap, HashSet};
 use std::io;
 
 use crate::fs::FileSystem;
-use crate::striped::{StripeLayout, StripedFs};
-use crate::stub::Stub;
+use crate::stub::StubRecord;
 use crate::stubfs::StubFs;
 
 /// What a scan found.
@@ -48,7 +47,15 @@ impl FsckReport {
 }
 
 /// Scan a stub filesystem: walk the directory tree, verify every
-/// stub's data, and cross-check the pool volumes for orphans.
+/// part of every stub, and cross-check the pool volumes for orphans.
+///
+/// Classification per logical file: an unparseable or torn stub is
+/// corrupt; a file its layout can still serve from the parts that
+/// answer is healthy (every part, or any one replica of a mirror);
+/// otherwise a part whose server cannot be reached concludes nothing
+/// (failure coherence: unreachable is not lost), and with all servers
+/// answering the stub is dangling (the create protocol writes the stub
+/// before the parts, so a crash leaves exactly this).
 pub fn fsck(fs: &StubFs) -> io::Result<FsckReport> {
     let mut report = FsckReport::default();
     // Referenced data paths per endpoint.
@@ -68,124 +75,48 @@ pub fn fsck(fs: &StubFs) -> io::Result<FsckReport> {
                 stack.push(path);
                 continue;
             }
-            let body = meta.read_file(&path)?;
-            if body.is_empty() {
+            let record = match StubRecord::decode(&meta.read_file(&path)?) {
+                Ok(record) => record,
                 // A zero-length stub is a create that crashed before
                 // the stub write: nothing references data, so it is a
                 // dangling entry, not corruption.
-                report.dangling_stubs.push(path);
-                continue;
+                Err(e) if e.kind() == io::ErrorKind::NotFound => {
+                    report.dangling_stubs.push(path);
+                    continue;
+                }
+                Err(_) => {
+                    report.corrupt_stubs.push(path);
+                    continue;
+                }
+            };
+            let (mut present, mut unreachable) = (0, 0);
+            for (endpoint, part) in &record.parts {
+                referenced
+                    .entry(endpoint.clone())
+                    .or_default()
+                    .insert(part.clone());
+                match fs.data_conn(endpoint)?.stat(part) {
+                    Ok(_) => present += 1,
+                    Err(e) if e.kind() == io::ErrorKind::NotFound => {}
+                    Err(_) => unreachable += 1,
+                }
             }
-            let Ok(text) = String::from_utf8(body) else {
-                report.corrupt_stubs.push(path);
-                continue;
+            let usable = if record.layout.needs_every_part() {
+                present == record.parts.len()
+            } else {
+                present > 0
             };
-            let Ok(stub) = Stub::parse(&text) else {
-                report.corrupt_stubs.push(path);
-                continue;
-            };
-            referenced
-                .entry(stub.endpoint.clone())
-                .or_default()
-                .insert(stub.data_path.clone());
-            let conn = fs.data_conn(&stub.endpoint)?;
-            match conn.stat(&stub.data_path) {
-                Ok(_) => report.healthy.push(path),
-                Err(e) if e.kind() == io::ErrorKind::NotFound => report.dangling_stubs.push(path),
-                Err(_) => report.unreachable.push(path),
+            if usable {
+                report.healthy.push(path);
+            } else if unreachable > 0 {
+                report.unreachable.push(path);
+            } else {
+                report.dangling_stubs.push(path);
             }
         }
     }
 
     // Orphans: pool volume contents minus everything referenced.
-    for server in fs.pool() {
-        let conn = fs.data_conn(&server.endpoint)?;
-        let names = match conn.readdir(&server.volume) {
-            Ok(n) => n,
-            Err(_) => continue, // unreachable server: no conclusions
-        };
-        let refs = referenced.get(&server.endpoint);
-        for name in names {
-            let data_path = format!("{}/{name}", server.volume);
-            if refs.is_none_or(|r| !r.contains(&data_path)) {
-                report
-                    .orphaned_data
-                    .push((server.endpoint.clone(), data_path));
-            }
-        }
-    }
-    report.healthy.sort();
-    report.dangling_stubs.sort();
-    report.corrupt_stubs.sort();
-    report.orphaned_data.sort();
-    report.unreachable.sort();
-    Ok(report)
-}
-
-/// Scan a striped filesystem: walk the stub tree, verify every part
-/// of every layout, and cross-check the pool volumes for orphans.
-///
-/// Classification per logical file: an unparseable or torn stripe stub
-/// is corrupt; a parsed layout with any part missing is dangling (the
-/// create protocol writes the stub before the parts, so a crash leaves
-/// exactly this); a layout whose parts all answer is healthy. A part
-/// whose server cannot be reached concludes nothing (failure
-/// coherence: unreachable is not lost).
-pub fn fsck_striped(fs: &StripedFs) -> io::Result<FsckReport> {
-    let mut report = FsckReport::default();
-    let mut referenced: HashMap<String, HashSet<String>> = HashMap::new();
-
-    let meta = fs.meta().clone();
-    let mut stack = vec!["/".to_string()];
-    while let Some(dir) = stack.pop() {
-        for name in meta.readdir(&dir)? {
-            let path = if dir == "/" {
-                format!("/{name}")
-            } else {
-                format!("{dir}/{name}")
-            };
-            let st = meta.stat(&path)?;
-            if st.is_dir() {
-                stack.push(path);
-                continue;
-            }
-            let body = meta.read_file(&path)?;
-            if body.is_empty() {
-                report.dangling_stubs.push(path);
-                continue;
-            }
-            let Ok(text) = String::from_utf8(body) else {
-                report.corrupt_stubs.push(path);
-                continue;
-            };
-            let Ok(layout) = StripeLayout::parse(&text) else {
-                report.corrupt_stubs.push(path);
-                continue;
-            };
-            let mut missing = false;
-            let mut unreachable = false;
-            for (endpoint, part) in &layout.parts {
-                referenced
-                    .entry(endpoint.clone())
-                    .or_default()
-                    .insert(part.clone());
-                let conn = fs.data_conn(endpoint)?;
-                match conn.stat(part) {
-                    Ok(_) => {}
-                    Err(e) if e.kind() == io::ErrorKind::NotFound => missing = true,
-                    Err(_) => unreachable = true,
-                }
-            }
-            if unreachable {
-                report.unreachable.push(path);
-            } else if missing {
-                report.dangling_stubs.push(path);
-            } else {
-                report.healthy.push(path);
-            }
-        }
-    }
-
     for server in fs.pool() {
         let conn = fs.data_conn(&server.endpoint)?;
         let names = match conn.readdir(&server.volume) {
@@ -222,38 +153,12 @@ pub struct RepairOptions {
 }
 
 /// Apply repairs for the problems a scan reported. Returns the number
-/// of items removed.
+/// of items removed. Removing a dangling or corrupt multi-part stub
+/// surfaces its surviving parts as orphans on the *next* scan (the
+/// removed stub no longer references them), so a full clean takes at
+/// most two scan/repair rounds — callers should iterate [`fsck`] →
+/// `repair` to a fixed point.
 pub fn repair(fs: &StubFs, report: &FsckReport, options: RepairOptions) -> io::Result<u64> {
-    let mut removed = 0;
-    if options.remove_dangling_stubs {
-        for path in report.dangling_stubs.iter().chain(&report.corrupt_stubs) {
-            fs.meta().unlink(path)?;
-            removed += 1;
-        }
-    }
-    if options.remove_orphans {
-        for (endpoint, data_path) in &report.orphaned_data {
-            let conn = fs.data_conn(endpoint)?;
-            match conn.unlink(data_path) {
-                Ok(()) => removed += 1,
-                Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-                Err(e) => return Err(e),
-            }
-        }
-    }
-    Ok(removed)
-}
-
-/// [`repair`] for striped filesystems. Removing a dangling or corrupt
-/// stripe stub surfaces its surviving parts as orphans on the *next*
-/// scan (the removed stub no longer references them), so a full clean
-/// takes at most two scan/repair rounds — callers should iterate
-/// `fsck_striped` → `repair_striped` to a fixed point.
-pub fn repair_striped(
-    fs: &StripedFs,
-    report: &FsckReport,
-    options: RepairOptions,
-) -> io::Result<u64> {
     let mut removed = 0;
     if options.remove_dangling_stubs {
         for path in report.dangling_stubs.iter().chain(&report.corrupt_stubs) {

@@ -18,7 +18,8 @@
 //!   clients can share it.
 //! * [`StripedFs`] / [`MirroredFs`] — the conclusion's suggested
 //!   extensions: transparent striping for bandwidth and transparent
-//!   replication for fault tolerance, built with zero new server code.
+//!   replication for fault tolerance, built with zero new server code
+//!   as two more layouts of the same stub engine ([`StubFs`]).
 //! * [`adapter::Adapter`] — connects applications to any of the above
 //!   through one namespace (`/cfs/host:port/...`, mountlists,
 //!   transparent reconnection, `O_SYNC` policy).
@@ -55,7 +56,7 @@ pub use discovery::{discover_pool, PoolPolicy};
 pub use dpfs::Dpfs;
 pub use dsfs::Dsfs;
 pub use fs::{FileHandle, FileSystem, OpenedFile};
-pub use fsck::{fsck, fsck_striped, repair_striped, FsckReport, RepairOptions};
+pub use fsck::{fsck, FsckReport, RepairOptions};
 pub use localfs::LocalFs;
 pub use mirrored::MirroredFs;
 pub use placement::Placement;

@@ -15,73 +15,15 @@ use chirp_proto::{OpenFlags, StatBuf};
 use crate::cfs::is_transport_error;
 use crate::fanout::run_fanout;
 use crate::fs::{FileHandle, FileSystem};
-use crate::placement::{unique_data_name, Placement};
+use crate::placement::Placement;
 use crate::pool::ServerPool;
-use crate::stubfs::{DataServer, StubFsOptions};
+use crate::stub::Layout;
+use crate::stubfs::{delegate_filesystem, DataServer, StubFs, StubFsOptions};
 
-/// First line of a mirror stub.
-pub const MIRROR_MAGIC: &str = "#tss-mirror-v1";
-
-/// The replica list of one mirrored file.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MirrorSet {
-    /// `(endpoint, data path)` per replica.
-    pub replicas: Vec<(String, String)>,
-}
-
-impl MirrorSet {
-    /// Render to the stub format. The header carries the replica count
-    /// so a torn (prefix-truncated) stub can never parse as a healthy
-    /// set that silently lost redundancy.
-    pub fn render(&self) -> String {
-        let mut out = format!("{MIRROR_MAGIC}\n{}\n", self.replicas.len());
-        for (endpoint, path) in &self.replicas {
-            out.push_str(&format!("{endpoint} {path}\n"));
-        }
-        out
-    }
-
-    /// Parse a mirror stub.
-    ///
-    /// Strict: the final newline is required and the replica list must
-    /// match the declared count, so every strict prefix of a rendered
-    /// set — what a crash mid-write leaves behind — is invalid.
-    pub fn parse(text: &str) -> io::Result<MirrorSet> {
-        let bad = |m: &str| io::Error::new(io::ErrorKind::InvalidData, m.to_string());
-        if !text.ends_with('\n') {
-            return Err(bad("mirror stub truncated"));
-        }
-        let mut lines = text.lines();
-        if lines.next() != Some(MIRROR_MAGIC) {
-            return Err(bad("not a mirror stub"));
-        }
-        let count: usize = lines
-            .next()
-            .and_then(|l| l.parse().ok())
-            .filter(|&c| c > 0)
-            .ok_or_else(|| bad("bad replica count"))?;
-        let mut replicas = Vec::new();
-        for line in lines {
-            let (endpoint, path) = line
-                .split_once(' ')
-                .filter(|(_, p)| p.starts_with('/'))
-                .ok_or_else(|| bad("bad replica line"))?;
-            replicas.push((endpoint.to_string(), path.to_string()));
-        }
-        if replicas.len() != count {
-            return Err(bad("replica count mismatch"));
-        }
-        Ok(MirrorSet { replicas })
-    }
-}
-
-/// A filesystem that mirrors every file across several servers.
+/// A filesystem that mirrors every new file across several servers:
+/// the stub engine, creating [`Layout::Mirrored`] files.
 pub struct MirroredFs {
-    meta: Arc<dyn FileSystem>,
-    pool: ServerPool,
-    placement: Placement,
-    /// Replicas per file.
-    copies: usize,
+    inner: StubFs,
 }
 
 impl MirroredFs {
@@ -99,120 +41,76 @@ impl MirroredFs {
             ));
         }
         Ok(MirroredFs {
-            meta,
-            pool: ServerPool::new(pool, options),
-            placement: Placement::round_robin(),
-            copies,
+            inner: StubFs::with_layout(
+                meta,
+                pool,
+                Placement::round_robin(),
+                options,
+                Layout::Mirrored,
+                copies,
+            ),
         })
     }
+}
 
-    /// Create pool volumes.
-    pub fn ensure_volumes(&self) -> io::Result<()> {
-        self.pool.ensure_volumes()
-    }
+delegate_filesystem!(MirroredFs, inner);
 
-    /// A snapshot of the data-connection pool counters.
-    pub fn pool_stats(&self) -> crate::pool::PoolStats {
-        self.pool.stats()
-    }
-
-    fn read_set(&self, path: &str) -> io::Result<MirrorSet> {
-        let text = self.meta.read_file(path)?;
-        if text.is_empty() {
-            // A zero-length stub is a create that died before the
-            // replica-set write: mandated to read as "file not
-            // found", like the plain dsfs.
-            return Err(io::Error::new(io::ErrorKind::NotFound, "file not found"));
-        }
-        let text = String::from_utf8(text)
-            .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "stub not utf-8"))?;
-        MirrorSet::parse(&text)
-    }
-
-    fn create_file(&self, path: &str, flags: OpenFlags) -> io::Result<Box<dyn FileHandle>> {
-        let first = self.placement.choose(self.pool.len());
-        let replicas: Vec<(String, String)> = (0..self.copies)
-            .map(|i| {
-                let server = &self.pool.servers()[(first + i) % self.pool.len()];
-                (
-                    server.endpoint.clone(),
-                    format!("{}/{}", server.volume, unique_data_name()),
-                )
-            })
-            .collect();
-        let set = MirrorSet { replicas };
-        let mut stub = self.meta.open(
-            path,
-            OpenFlags::WRITE | OpenFlags::CREATE | OpenFlags::EXCLUSIVE,
-            0o644,
-        )?;
-        stub.pwrite(set.render().as_bytes(), 0)?;
-        drop(stub);
-        let create = flags | OpenFlags::WRITE | OpenFlags::CREATE;
-        match self.open_all(&set, create) {
-            Ok(handles) => Ok(Box::new(MirrorHandle {
-                handles,
-                parallel: self.pool.parallel_fanout(),
-                preferred: 0,
-            })),
+/// Try `attempt` on each replica until one answers: endpoints whose
+/// circuit breaker is closed (or due a half-open probe) first,
+/// cooling-down endpoints last as a last resort. The breaker hears
+/// about every outcome; the last error wins if nobody answers.
+fn first_healthy<T>(
+    pool: &ServerPool,
+    replicas: &[(String, String)],
+    mut attempt: impl FnMut(usize, &str, &str) -> io::Result<T>,
+) -> io::Result<T> {
+    let (mut order, cooling): (Vec<usize>, Vec<usize>) =
+        (0..replicas.len()).partition(|&i| pool.endpoint_available(&replicas[i].0));
+    order.extend(cooling);
+    let mut last: io::Error = io::ErrorKind::NotFound.into();
+    for idx in order {
+        let (endpoint, path) = &replicas[idx];
+        match attempt(idx, endpoint, path) {
+            Ok(v) => {
+                pool.report_success(endpoint);
+                return Ok(v);
+            }
             Err(e) => {
-                let _ = self.meta.unlink(path);
-                Err(e)
+                if is_transport_error(&e) {
+                    pool.report_failure(endpoint);
+                }
+                last = e;
             }
         }
     }
+    Err(last)
+}
 
-    /// Open every replica concurrently (for writing: all must be
-    /// reachable; the first error in replica order wins).
-    fn open_all(&self, set: &MirrorSet, flags: OpenFlags) -> io::Result<Vec<Box<dyn FileHandle>>> {
-        let pool = &self.pool;
-        let jobs: Vec<_> = set
-            .replicas
-            .iter()
-            .map(|(endpoint, path)| move || pool.open(endpoint, path, flags, 0o644))
-            .collect();
-        run_fanout(pool.parallel_fanout() && set.replicas.len() > 1, jobs)
-            .into_iter()
-            .collect()
-    }
+/// Open a read handle that fails over between replicas for its
+/// whole life. The first open tries replicas health-first; later
+/// transport failures demote the current replica and move on.
+pub(crate) fn open_any(
+    pool: &ServerPool,
+    replicas: Vec<(String, String)>,
+    flags: OpenFlags,
+) -> io::Result<Box<dyn FileHandle>> {
+    let current = first_healthy(pool, &replicas, |idx, endpoint, path| {
+        Ok((idx, pool.open(endpoint, path, flags, 0)?))
+    })?;
+    Ok(Box::new(MirrorReadHandle {
+        replicas,
+        pool: pool.clone(),
+        flags,
+        current: Some(current),
+    }))
+}
 
-    /// Replica indexes in the order reads should try them: endpoints
-    /// whose circuit breaker is closed (or due a half-open probe)
-    /// first, cooling-down endpoints last as a last resort.
-    fn health_order(&self, set: &MirrorSet) -> Vec<usize> {
-        let (mut order, cooling): (Vec<usize>, Vec<usize>) = (0..set.replicas.len())
-            .partition(|&i| self.pool.endpoint_available(&set.replicas[i].0));
-        order.extend(cooling);
-        order
-    }
-
-    /// Open a read handle that fails over between replicas for its
-    /// whole life. The first open tries replicas health-first; later
-    /// transport failures demote the current replica and move on.
-    fn open_any(&self, set: &MirrorSet, flags: OpenFlags) -> io::Result<Box<dyn FileHandle>> {
-        let mut last: io::Error = io::ErrorKind::NotFound.into();
-        for idx in self.health_order(set) {
-            let (endpoint, path) = &set.replicas[idx];
-            match self.pool.open(endpoint, path, flags, 0) {
-                Ok(h) => {
-                    self.pool.report_success(endpoint);
-                    return Ok(Box::new(MirrorReadHandle {
-                        replicas: set.replicas.clone(),
-                        pool: self.pool.clone(),
-                        flags,
-                        current: Some((idx, h)),
-                    }));
-                }
-                Err(e) => {
-                    if is_transport_error(&e) {
-                        self.pool.report_failure(endpoint);
-                    }
-                    last = e;
-                }
-            }
-        }
-        Err(last)
-    }
+/// The attributes of the first replica that answers: sequential
+/// failover in health order, like reads.
+pub(crate) fn stat_any(pool: &ServerPool, replicas: &[(String, String)]) -> io::Result<StatBuf> {
+    first_healthy(pool, replicas, |_, endpoint, path| {
+        pool.with_conn(endpoint, |cfs| cfs.stat(path))
+    })
 }
 
 /// A failover read handle: one live replica at a time, demoted on
@@ -296,12 +194,10 @@ impl FileHandle for MirrorReadHandle {
     }
 }
 
-/// Write-all handle over every replica.
-struct MirrorHandle {
+/// Write-all handle over every replica. Mutations fan out over scoped
+/// threads — each replica handle owns its own pooled connection.
+pub(crate) struct MirrorHandle {
     handles: Vec<Box<dyn FileHandle>>,
-    /// Fan replica mutations out over scoped threads — each replica
-    /// handle owns its own pooled connection.
-    parallel: bool,
     /// Read failover-with-demotion: the replica reads start from.
     /// Bumped past any replica whose read fails, so one dead mirror
     /// is not re-tried at the head of every subsequent read.
@@ -309,16 +205,23 @@ struct MirrorHandle {
 }
 
 impl MirrorHandle {
+    /// One handle over every replica, each already opened for writing.
+    pub(crate) fn new(handles: Vec<Box<dyn FileHandle>>) -> MirrorHandle {
+        MirrorHandle {
+            handles,
+            preferred: 0,
+        }
+    }
+
     /// Run one mutation on every replica concurrently; strict
     /// semantics — the first error in replica order fails the call.
     fn on_all_replicas(
         &mut self,
         op: impl Fn(&mut Box<dyn FileHandle>) -> io::Result<()> + Sync,
     ) -> io::Result<()> {
-        let parallel = self.parallel && self.handles.len() > 1;
         let op = &op;
         let jobs: Vec<_> = self.handles.iter_mut().map(|h| move || op(h)).collect();
-        run_fanout(parallel, jobs).into_iter().collect()
+        run_fanout(jobs).into_iter().collect()
     }
 }
 
@@ -356,157 +259,5 @@ impl FileHandle for MirrorHandle {
 
     fn ftruncate(&mut self, size: u64) -> io::Result<()> {
         self.on_all_replicas(|h| h.ftruncate(size))
-    }
-}
-
-impl FileSystem for MirroredFs {
-    fn open(&self, path: &str, flags: OpenFlags, _mode: u32) -> io::Result<Box<dyn FileHandle>> {
-        if flags.contains(OpenFlags::CREATE) {
-            match self.create_file(path, flags) {
-                Ok(h) => return Ok(h),
-                Err(e) if e.kind() == io::ErrorKind::AlreadyExists => {
-                    if flags.contains(OpenFlags::EXCLUSIVE) {
-                        return Err(e);
-                    }
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        let set = self.read_set(path)?;
-        let mut open_flags = OpenFlags::empty();
-        for f in [OpenFlags::READ, OpenFlags::WRITE, OpenFlags::SYNC] {
-            if flags.contains(f) {
-                open_flags |= f;
-            }
-        }
-        if open_flags.contains(OpenFlags::WRITE) {
-            // Mutation must reach every replica to keep mirrors equal.
-            let handles = self.open_all(&set, open_flags)?;
-            let mut mirror = MirrorHandle {
-                handles,
-                parallel: self.pool.parallel_fanout(),
-                preferred: 0,
-            };
-            if flags.contains(OpenFlags::TRUNCATE) {
-                mirror.ftruncate(0)?;
-            }
-            Ok(Box::new(mirror))
-        } else {
-            // Read-only opens fail over to any live replica.
-            self.open_any(&set, open_flags)
-        }
-    }
-
-    fn stat(&self, path: &str) -> io::Result<StatBuf> {
-        match self.read_set(path) {
-            Ok(set) => {
-                // Sequential failover in health order, like reads.
-                let mut last: io::Error = io::ErrorKind::NotFound.into();
-                for idx in self.health_order(&set) {
-                    let (endpoint, data_path) = &set.replicas[idx];
-                    match self.pool.with_conn(endpoint, |cfs| cfs.stat(data_path)) {
-                        Ok(st) => {
-                            self.pool.report_success(endpoint);
-                            return Ok(st);
-                        }
-                        Err(e) => {
-                            if is_transport_error(&e) {
-                                self.pool.report_failure(endpoint);
-                            }
-                            last = e;
-                        }
-                    }
-                }
-                Err(last)
-            }
-            Err(e) if e.kind() == io::ErrorKind::IsADirectory => self.meta.stat(path),
-            Err(e) => Err(e),
-        }
-    }
-
-    fn unlink(&self, path: &str) -> io::Result<()> {
-        let set = self.read_set(path)?;
-        // Delete every replica concurrently. A dead or already-evicted
-        // replica must not block the user from deleting the file, so
-        // per-replica failures are swallowed.
-        let pool = &self.pool;
-        let jobs: Vec<_> = set
-            .replicas
-            .iter()
-            .map(|(endpoint, data_path)| {
-                move || {
-                    let _ = pool.with_conn(endpoint, |cfs| cfs.unlink(data_path));
-                }
-            })
-            .collect();
-        run_fanout(pool.parallel_fanout() && set.replicas.len() > 1, jobs);
-        self.meta.unlink(path)
-    }
-
-    fn rename(&self, from: &str, to: &str) -> io::Result<()> {
-        self.meta.rename(from, to)
-    }
-
-    fn mkdir(&self, path: &str, mode: u32) -> io::Result<()> {
-        self.meta.mkdir(path, mode)
-    }
-
-    fn rmdir(&self, path: &str) -> io::Result<()> {
-        self.meta.rmdir(path)
-    }
-
-    fn readdir(&self, path: &str) -> io::Result<Vec<String>> {
-        self.meta.readdir(path)
-    }
-
-    fn truncate(&self, path: &str, size: u64) -> io::Result<()> {
-        let mut h = self.open(path, OpenFlags::WRITE, 0)?;
-        h.ftruncate(size)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn mirror_set_round_trip() {
-        let s = MirrorSet {
-            replicas: vec![
-                ("h1:9094".into(), "/vol/a".into()),
-                ("h2:9094".into(), "/vol/b".into()),
-            ],
-        };
-        assert_eq!(MirrorSet::parse(&s.render()).unwrap(), s);
-    }
-
-    #[test]
-    fn mirror_set_rejects_garbage() {
-        assert!(MirrorSet::parse("").is_err());
-        assert!(MirrorSet::parse("#tss-mirror-v1\n").is_err());
-        assert!(MirrorSet::parse("#tss-mirror-v1\nnospace\n").is_err());
-        assert!(MirrorSet::parse("#tss-stripe-v1\nh /p\n").is_err());
-        // Declared count must match the replica list exactly.
-        assert!(MirrorSet::parse("#tss-mirror-v1\n2\nh /p\n").is_err());
-        assert!(MirrorSet::parse("#tss-mirror-v1\n1\nh /p\nh2 /q\n").is_err());
-    }
-
-    #[test]
-    fn every_torn_prefix_is_invalid() {
-        // A torn stub write must never leave a parseable set that
-        // silently lost replicas.
-        let full = MirrorSet {
-            replicas: vec![
-                ("h1:9094".into(), "/vol/a".into()),
-                ("h2:9094".into(), "/vol/b".into()),
-            ],
-        }
-        .render();
-        for k in 0..full.len() {
-            assert!(
-                MirrorSet::parse(&full[..k]).is_err(),
-                "torn prefix of {k} bytes parsed as healthy"
-            );
-        }
     }
 }

@@ -275,26 +275,6 @@ impl ServerPool {
         &self.shared.servers
     }
 
-    /// Number of members.
-    pub fn len(&self) -> usize {
-        self.shared.servers.len()
-    }
-
-    /// True when the pool has no members.
-    pub fn is_empty(&self) -> bool {
-        self.shared.servers.is_empty()
-    }
-
-    /// The shared options.
-    pub fn options(&self) -> &StubFsOptions {
-        &self.shared.options
-    }
-
-    /// True when multi-server operations should fan out concurrently.
-    pub fn parallel_fanout(&self) -> bool {
-        self.shared.options.parallel_fanout
-    }
-
     /// Check out an exclusive connection to `endpoint`. Endpoints
     /// outside the pool (from old stubs after the pool changed) connect
     /// with the pool's default auth. Dialing stays lazy: nothing
@@ -471,7 +451,6 @@ impl FileHandle for PooledHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::placement::Placement;
 
     fn pool(n: usize) -> ServerPool {
         let servers = (0..n)
@@ -618,13 +597,5 @@ mod tests {
         assert!(p.endpoint_available(ep));
         assert_eq!(p.stats().breaker_trips, 2);
         assert_eq!(p.stats().failures, 3);
-    }
-
-    #[test]
-    fn placement_over_pool_len() {
-        let p = pool(3);
-        let rr = Placement::round_robin();
-        let picks: Vec<usize> = (0..6).map(|_| rr.choose(p.len())).collect();
-        assert_eq!(picks, vec![0, 1, 2, 0, 1, 2]);
     }
 }

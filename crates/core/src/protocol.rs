@@ -2,20 +2,22 @@
 //! ordering the compiler enforces.
 //!
 //! A stub filesystem updates two stores per file — the directory tree
-//! (the stub) and a file server (the data). Neither pair of updates is
-//! atomic, so the *order* is the whole crash-consistency story:
+//! (the stub) and one or more file servers (the data parts: one for a
+//! plain file, several for a striped or mirrored one). No pair of
+//! updates is atomic, so the *order* is the whole crash-consistency
+//! story:
 //!
 //! ```text
 //! create:  Placed ──write_stub()──▶ StubWritten ──create_data()──▶ handle
-//!          (nothing durable)        (stub fsync'd,                 (data file
+//!          (nothing durable)        (stub fsync'd,                 (every part
 //!                                    dir fsync'd)                   exists)
 //!
 //! delete:  StubLive ──unlink_data()──▶ DataUnlinked ──unlink_stub()──▶ ()
-//!          (stub read)                 (data gone)                    (entry gone)
+//!          (stub read)                 (every part gone)              (entry gone)
 //! ```
 //!
 //! Stub-then-data on create and data-then-stub on delete guarantee that
-//! a crash between the two steps leaves at worst a *dangling stub* —
+//! a crash between any two steps leaves at worst a *dangling stub* —
 //! which reads as "file not found" — and never unreferenced data. The
 //! transactions below encode each protocol as a typestate (in the style
 //! of SquirrelFS): `create_data` exists only on a transaction whose
@@ -72,9 +74,11 @@ use std::marker::PhantomData;
 use chirp_proto::persist::DurabilityPoint;
 use chirp_proto::OpenFlags;
 
+use crate::cfs::reopen_flags_of;
+use crate::fanout::run_fanout;
 use crate::fs::{split_parent, FileHandle, FileSystem};
 use crate::placement::unique_data_name;
-use crate::stub::Stub;
+use crate::stub::StubRecord;
 use crate::stubfs::StubFs;
 
 mod sealed {
@@ -87,15 +91,15 @@ pub trait CreateState: sealed::Sealed {}
 /// A state of the delete protocol (sealed).
 pub trait DeleteState: sealed::Sealed {}
 
-/// Create state 1: a server and data name are chosen; nothing durable.
+/// Create state 1: servers and data names are chosen; nothing durable.
 pub enum Placed {}
 /// Create state 2: the stub is durable in the tree (file and parent
-/// directory fsync'd); the data file does not exist yet.
+/// directory fsync'd); no data part exists yet.
 pub enum StubWritten {}
 /// Delete state 1: the stub has been read; both stores still hold the
 /// file.
 pub enum StubLive {}
-/// Delete state 2: the data file is gone; only the stub remains.
+/// Delete state 2: every data part is gone; only the stub remains.
 pub enum DataUnlinked {}
 
 impl sealed::Sealed for Placed {}
@@ -115,14 +119,14 @@ impl DeleteState for DataUnlinked {}
 pub struct CreateTxn<'fs, S: CreateState> {
     fs: &'fs StubFs,
     path: String,
-    stub: Stub,
+    stub: StubRecord,
     _state: PhantomData<S>,
 }
 
 impl<'fs, S: CreateState> CreateTxn<'fs, S> {
-    /// The stub this create will (or did) write: chosen endpoint and
-    /// unique data path.
-    pub fn stub(&self) -> &Stub {
+    /// The stub this create will (or did) write: the layout, and the
+    /// chosen endpoint and unique data path of each part.
+    pub fn stub(&self) -> &StubRecord {
         &self.stub
     }
 
@@ -133,23 +137,34 @@ impl<'fs, S: CreateState> CreateTxn<'fs, S> {
 }
 
 impl<'fs> CreateTxn<'fs, Placed> {
-    /// Step 1: choose a server and a unique data file name. Nothing is
-    /// durable yet; dropping the transaction here abandons nothing.
+    /// Step 1: choose a server and a unique data file name for each
+    /// part — consecutive servers from a placed start, so load spreads
+    /// across files. Nothing is durable yet; dropping the transaction
+    /// here abandons nothing.
     pub(crate) fn begin(fs: &'fs StubFs, path: &str) -> io::Result<CreateTxn<'fs, Placed>> {
-        if fs.pool.is_empty() {
+        let servers = fs.pool.servers();
+        if servers.is_empty() {
             return Err(io::Error::new(
                 io::ErrorKind::Unsupported,
                 "no data servers in pool",
             ));
         }
-        let server = &fs.pool.servers()[fs.placement.choose(fs.pool.len())];
-        let data_path = format!("{}/{}", server.volume, unique_data_name());
+        let first = fs.placement.choose(servers.len());
+        let parts = (0..fs.width)
+            .map(|i| {
+                let server = &servers[(first + i) % servers.len()];
+                (
+                    server.endpoint.clone(),
+                    format!("{}/{}", server.volume, unique_data_name()),
+                )
+            })
+            .collect();
         Ok(CreateTxn {
             fs,
             path: path.to_string(),
-            stub: Stub {
-                endpoint: server.endpoint.clone(),
-                data_path,
+            stub: StubRecord {
+                layout: fs.layout,
+                parts,
             },
             _state: PhantomData,
         })
@@ -185,32 +200,67 @@ impl<'fs> CreateTxn<'fs, Placed> {
 }
 
 impl CreateTxn<'_, StubWritten> {
-    /// Step 3: create the data file the stub points at, exclusively.
-    /// The returned handle owns a pooled connection, so concurrent
-    /// handles never share a stream.
+    /// Step 3: create every data part the stub points at, exclusively
+    /// and concurrently, each announcing its `DataCreate` point first.
+    /// Each part of the returned handle owns a pooled connection, so
+    /// concurrent handles never share a stream.
     ///
-    /// On an *explicit* failure (the server said no — out of space,
-    /// permission) the stub is removed again so a knowable dangling
-    /// entry is not left behind; that removal is itself a durability
-    /// point, because a crashed process cannot clean up.
-    pub fn create_data(self, flags: OpenFlags, mode: u32) -> io::Result<Box<dyn FileHandle>> {
+    /// A part that "already exists" is this create's own — names are
+    /// unique to a transaction — made by a request whose reply was lost
+    /// and which the connection's recovery then repeated, so it is
+    /// opened as it stands.
+    ///
+    /// If any part fails, the create is undone by the delete protocol
+    /// over the parts that were made — those parts, then the stub — so
+    /// neither a knowable dangling entry nor a sibling's part is left
+    /// behind. Those removals are themselves durability points, because
+    /// a crashed process cannot clean up; and a made part whose server
+    /// cannot confirm its removal keeps the stub, as on any delete. A
+    /// part counts as not made when its server refused it, or never
+    /// answered through every retry: an unreachable server must not
+    /// wedge the name, since the next attempt is placed elsewhere. (If
+    /// a request did land just before its server went silent for good,
+    /// that part is left to `fsck`'s orphan scan — server loss, not a
+    /// client crash, is what it takes.)
+    pub fn create_data(mut self, flags: OpenFlags, mode: u32) -> io::Result<Box<dyn FileHandle>> {
         let fs = self.fs;
-        fs.persist
-            .reached(DurabilityPoint::DataCreate, &self.stub.data_path)?;
         let data_flags = flags | OpenFlags::WRITE | OpenFlags::CREATE | OpenFlags::EXCLUSIVE;
-        match fs
-            .pool
-            .open(&self.stub.endpoint, &self.stub.data_path, data_flags, mode)
-        {
-            Ok(h) => Ok(h),
-            Err(e) => {
-                if fs
-                    .persist
-                    .reached(DurabilityPoint::StubUnlink, &self.path)
-                    .is_ok()
-                {
-                    let _ = fs.meta.unlink(&self.path);
+        let taken = |e: &io::Error| e.kind() == io::ErrorKind::AlreadyExists;
+        let jobs: Vec<_> = self
+            .stub
+            .parts
+            .iter()
+            .map(|(endpoint, data_path)| {
+                move || {
+                    fs.persist.reached(DurabilityPoint::DataCreate, data_path)?;
+                    match fs.pool.open(endpoint, data_path, data_flags, mode) {
+                        Err(e) if taken(&e) => fs
+                            .pool
+                            .open(endpoint, data_path, reopen_flags_of(data_flags), mode)
+                            .or(Err(e)),
+                        other => other,
+                    }
                 }
+            })
+            .collect();
+        let opened = run_fanout(jobs);
+        let made: Vec<bool> = (opened.iter())
+            .map(|r| r.as_ref().err().is_none_or(taken))
+            .collect();
+        match opened.into_iter().collect::<io::Result<Vec<_>>>() {
+            Ok(handles) => Ok(fs.assemble(&self.stub, handles, data_flags)),
+            // (The made parts' connections are back in the pool by now.)
+            Err(e) => {
+                // Possibly none were: then only the stub goes.
+                let mut made = made.into_iter();
+                self.stub.parts.retain(|_| made.next() == Some(true));
+                let undo = DeleteTxn {
+                    fs,
+                    path: self.path,
+                    stub: self.stub,
+                    _state: PhantomData::<StubLive>,
+                };
+                let _ = undo.unlink_data().and_then(DeleteTxn::unlink_stub);
                 Err(e)
             }
         }
@@ -225,13 +275,13 @@ impl CreateTxn<'_, StubWritten> {
 pub struct DeleteTxn<'fs, S: DeleteState> {
     fs: &'fs StubFs,
     path: String,
-    stub: Stub,
+    stub: StubRecord,
     _state: PhantomData<S>,
 }
 
 impl<'fs, S: DeleteState> DeleteTxn<'fs, S> {
     /// The stub being deleted.
-    pub fn stub(&self) -> &Stub {
+    pub fn stub(&self) -> &StubRecord {
         &self.stub
     }
 
@@ -254,21 +304,31 @@ impl<'fs> DeleteTxn<'fs, StubLive> {
         })
     }
 
-    /// Step 1: remove the data file. A crash after this leaves a
-    /// dangling stub — "file not found", and repairable — never
-    /// unreferenced data. A data file already gone (dangling stub)
-    /// counts as removed.
+    /// Step 1: remove every data part, concurrently, each announcing
+    /// its `DataUnlink` point first. A crash during or after this
+    /// leaves a dangling stub — "file not found", and repairable —
+    /// never unreferenced data. A part already gone (dangling stub)
+    /// counts as removed; and where the layout survives the loss of a
+    /// part (a mirror), a dead or refusing replica must not stop the
+    /// user from deleting the file, so its failure is swallowed.
     pub fn unlink_data(self) -> io::Result<DeleteTxn<'fs, DataUnlinked>> {
         let fs = self.fs;
-        fs.persist
-            .reached(DurabilityPoint::DataUnlink, &self.stub.data_path)?;
-        fs.pool.with_conn(&self.stub.endpoint, |cfs| {
-            match cfs.unlink(&self.stub.data_path) {
-                Ok(()) => Ok(()),
-                Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(()),
-                Err(e) => Err(e),
-            }
-        })?;
+        let strict = self.stub.layout.needs_every_part();
+        let jobs: Vec<_> = self
+            .stub
+            .parts
+            .iter()
+            .map(|(endpoint, data_path)| {
+                move || {
+                    fs.persist.reached(DurabilityPoint::DataUnlink, data_path)?;
+                    match fs.pool.with_conn(endpoint, |cfs| cfs.unlink(data_path)) {
+                        Err(e) if strict && e.kind() != io::ErrorKind::NotFound => Err(e),
+                        _ => Ok(()),
+                    }
+                }
+            })
+            .collect();
+        run_fanout(jobs).into_iter().collect::<io::Result<()>>()?;
         Ok(DeleteTxn {
             fs,
             path: self.path,

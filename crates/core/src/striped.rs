@@ -18,101 +18,18 @@ use std::sync::Arc;
 
 use chirp_proto::{OpenFlags, StatBuf};
 
-use crate::cfs::is_transport_error;
+use crate::cfs::{is_transport_error, reopen_flags_of};
 use crate::fanout::run_fanout;
 use crate::fs::{FileHandle, FileSystem};
-use crate::placement::{unique_data_name, Placement};
+use crate::placement::Placement;
 use crate::pool::ServerPool;
-use crate::stubfs::{DataServer, StubFsOptions};
+use crate::stub::Layout;
+use crate::stubfs::{delegate_filesystem, DataServer, StubFs, StubFsOptions};
 
-/// First line of a stripe stub.
-pub const STRIPE_MAGIC: &str = "#tss-stripe-v1";
-
-/// The parsed layout of one striped file.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StripeLayout {
-    /// Bytes per stripe.
-    pub stripe_size: u64,
-    /// `(endpoint, part path)` in stripe order.
-    pub parts: Vec<(String, String)>,
-}
-
-impl StripeLayout {
-    /// Render to the stub format. The header carries the part count so
-    /// a torn (prefix-truncated) stub can never parse as a healthy
-    /// narrower layout.
-    pub fn render(&self) -> String {
-        let mut out = format!(
-            "{STRIPE_MAGIC}\n{} {}\n",
-            self.stripe_size,
-            self.parts.len()
-        );
-        for (endpoint, path) in &self.parts {
-            out.push_str(&format!("{endpoint} {path}\n"));
-        }
-        out
-    }
-
-    /// Parse a stripe stub.
-    ///
-    /// Strict: the final newline is required and the part list must
-    /// match the declared count, so every strict prefix of a rendered
-    /// layout — what a crash mid-write leaves behind — is invalid
-    /// rather than a plausible layout missing stripes.
-    pub fn parse(text: &str) -> io::Result<StripeLayout> {
-        let bad = |m: &str| io::Error::new(io::ErrorKind::InvalidData, m.to_string());
-        if !text.ends_with('\n') {
-            return Err(bad("stripe stub truncated"));
-        }
-        let mut lines = text.lines();
-        if lines.next() != Some(STRIPE_MAGIC) {
-            return Err(bad("not a stripe stub"));
-        }
-        let (stripe_size, count) = lines
-            .next()
-            .and_then(|l| l.split_once(' '))
-            .and_then(|(s, c)| Some((s.parse::<u64>().ok()?, c.parse::<usize>().ok()?)))
-            .filter(|&(s, c)| s > 0 && c > 0)
-            .ok_or_else(|| bad("bad stripe size"))?;
-        let mut parts = Vec::new();
-        for line in lines {
-            let (endpoint, path) = line
-                .split_once(' ')
-                .filter(|(_, p)| p.starts_with('/'))
-                .ok_or_else(|| bad("bad part line"))?;
-            parts.push((endpoint.to_string(), path.to_string()));
-        }
-        if parts.len() != count {
-            return Err(bad("stripe part count mismatch"));
-        }
-        Ok(StripeLayout { stripe_size, parts })
-    }
-
-    /// Where byte `offset` lives: `(part index, offset within part)`.
-    pub fn locate(&self, offset: u64) -> (usize, u64) {
-        let k = self.parts.len() as u64;
-        let stripe = offset / self.stripe_size;
-        let within = offset % self.stripe_size;
-        let part = (stripe % k) as usize;
-        let part_offset = (stripe / k) * self.stripe_size + within;
-        (part, part_offset)
-    }
-
-    /// Bytes from `offset` to the end of its stripe.
-    pub fn stripe_remaining(&self, offset: u64) -> u64 {
-        self.stripe_size - (offset % self.stripe_size)
-    }
-}
-
-/// A filesystem that stripes each file over several servers.
+/// A filesystem that stripes each new file over several servers: the
+/// stub engine, creating [`Layout::Striped`] files.
 pub struct StripedFs {
-    meta: Arc<dyn FileSystem>,
-    pool: ServerPool,
-    placement: Placement,
-    /// Servers per file (stripe width).
-    width: usize,
-    /// Bytes per stripe.
-    stripe_size: u64,
+    inner: StubFs,
 }
 
 impl StripedFs {
@@ -135,107 +52,52 @@ impl StripedFs {
             return Err(io::Error::new(io::ErrorKind::InvalidInput, "zero stripe"));
         }
         Ok(StripedFs {
-            meta,
-            pool: ServerPool::new(pool, options),
-            placement: Placement::round_robin(),
-            width,
-            stripe_size,
+            inner: StubFs::with_layout(
+                meta,
+                pool,
+                Placement::round_robin(),
+                options,
+                Layout::Striped { stripe_size },
+                width,
+            ),
         })
     }
+}
 
-    /// Create pool volumes.
-    pub fn ensure_volumes(&self) -> io::Result<()> {
-        self.pool.ensure_volumes()
+delegate_filesystem!(StripedFs, inner);
+
+/// The arithmetic of a striped file: `width` parts, `stripe_size`
+/// bytes per stripe.
+#[derive(Debug, Clone, Copy)]
+struct Geometry {
+    stripe_size: u64,
+    width: u64,
+}
+
+impl Geometry {
+    /// Where byte `offset` lives: `(part index, offset within part)`.
+    fn locate(self, offset: u64) -> (usize, u64) {
+        let stripe = offset / self.stripe_size;
+        let within = offset % self.stripe_size;
+        let part = (stripe % self.width) as usize;
+        let part_offset = (stripe / self.width) * self.stripe_size + within;
+        (part, part_offset)
     }
 
-    /// A snapshot of the data-connection pool counters.
-    pub fn pool_stats(&self) -> crate::pool::PoolStats {
-        self.pool.stats()
+    /// Bytes from `offset` to the end of its stripe.
+    fn stripe_remaining(self, offset: u64) -> u64 {
+        self.stripe_size - (offset % self.stripe_size)
     }
+}
 
-    /// The metadata filesystem holding the stripe stubs.
-    pub fn meta(&self) -> &Arc<dyn FileSystem> {
-        &self.meta
-    }
-
-    /// The data pool.
-    pub fn pool(&self) -> &[DataServer] {
-        self.pool.servers()
-    }
-
-    /// Check out a pooled data connection to `endpoint` (fsck and
-    /// other maintenance walks).
-    pub fn data_conn(&self, endpoint: &str) -> io::Result<crate::pool::PooledConn> {
-        Ok(self.pool.checkout(endpoint))
-    }
-
-    fn read_layout(&self, path: &str) -> io::Result<StripeLayout> {
-        let text = self.meta.read_file(path)?;
-        if text.is_empty() {
-            // A zero-length stub is a create that died before the
-            // layout write: mandated to read as "file not found",
-            // like the plain dsfs.
-            return Err(io::Error::new(io::ErrorKind::NotFound, "file not found"));
-        }
-        let text = String::from_utf8(text)
-            .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "stub not utf-8"))?;
-        StripeLayout::parse(&text)
-    }
-
-    /// Open every part, one pooled connection per part, concurrently
-    /// when fan-out is enabled. The first error in part order wins.
-    fn open_parts(
-        &self,
-        layout: &StripeLayout,
-        flags: OpenFlags,
-    ) -> io::Result<Vec<Box<dyn FileHandle>>> {
-        let pool = &self.pool;
-        let jobs: Vec<_> = layout
-            .parts
-            .iter()
-            .map(|(endpoint, path)| move || pool.open(endpoint, path, flags, 0o644))
-            .collect();
-        run_fanout(pool.parallel_fanout() && layout.parts.len() > 1, jobs)
-            .into_iter()
-            .collect()
-    }
-
-    fn create_file(&self, path: &str, flags: OpenFlags) -> io::Result<Box<dyn FileHandle>> {
-        // Choose `width` distinct servers starting at a rotating
-        // offset, so load spreads across files.
-        let first = self.placement.choose(self.pool.len());
-        let mut parts = Vec::with_capacity(self.width);
-        for i in 0..self.width {
-            let server = &self.pool.servers()[(first + i) % self.pool.len()];
-            parts.push((
-                server.endpoint.clone(),
-                format!("{}/{}", server.volume, unique_data_name()),
-            ));
-        }
-        let layout = StripeLayout {
-            stripe_size: self.stripe_size,
-            parts,
-        };
-        // Stub first (exclusive), then the part files, as in the DSFS
-        // create protocol.
-        let mut stub = self.meta.open(
-            path,
-            OpenFlags::WRITE | OpenFlags::CREATE | OpenFlags::EXCLUSIVE,
-            0o644,
-        )?;
-        stub.pwrite(layout.render().as_bytes(), 0)?;
-        drop(stub);
-        let create = flags | OpenFlags::WRITE | OpenFlags::CREATE;
-        match self.open_parts(&layout, create) {
-            Ok(handles) => Ok(Box::new(StripedHandle::new(
-                layout, handles, &self.pool, create,
-            ))),
-            Err(e) => {
-                let _ = self.meta.unlink(path);
-                Err(e)
-            }
-        }
-    }
+/// The attributes of a striped file from those of its parts, in part
+/// order: the logical size is the sum of the compacted part sizes, and
+/// the first error wins.
+pub(crate) fn sum_sizes(stats: Vec<io::Result<StatBuf>>) -> io::Result<StatBuf> {
+    let stats = stats.into_iter().collect::<io::Result<Vec<StatBuf>>>()?;
+    let mut base = stats[0];
+    base.size = stats.iter().map(|st| st.size).sum();
+    Ok(base)
 }
 
 /// One stripe part: where it lives plus the open handle serving it.
@@ -286,53 +148,39 @@ impl PartSlot {
     }
 }
 
-struct StripedHandle {
-    layout: StripeLayout,
+/// One open striped file. Per-part RPCs fan out over scoped threads:
+/// each part has its own pooled connection, so parts genuinely proceed
+/// concurrently.
+pub(crate) struct StripedHandle {
+    geometry: Geometry,
     parts: Vec<PartSlot>,
     pool: ServerPool,
     /// Flags a part may be re-opened with after a transport failure:
-    /// the open flags minus one-shot bits (`CREATE`/`TRUNCATE`/
-    /// `EXCLUSIVE`), so recovery never clobbers data.
+    /// the open flags minus the one-shot bits (create, truncate), so
+    /// recovery never clobbers data.
     reopen_flags: OpenFlags,
-    /// Fan per-part RPCs out over scoped threads. Each part has its
-    /// own pooled connection, so parts genuinely proceed concurrently.
-    parallel: bool,
 }
 
 /// The outcome of one stripe-chunk RPC, tagged with its position in
 /// logical-offset order so partial results merge deterministically.
 type ChunkResult = (usize, io::Result<usize>);
 
-/// Strip one-shot bits so mid-operation re-opens are idempotent.
-fn reopen_flags_of(flags: OpenFlags) -> OpenFlags {
-    let mut out = OpenFlags::empty();
-    for f in [
-        OpenFlags::READ,
-        OpenFlags::WRITE,
-        OpenFlags::APPEND,
-        OpenFlags::SYNC,
-    ] {
-        if flags.contains(f) {
-            out |= f;
-        }
-    }
-    if out.bits() == 0 {
-        out = OpenFlags::READ;
-    }
-    out
-}
-
 impl StripedHandle {
-    fn new(
-        layout: StripeLayout,
+    /// One handle over `parts` (in stripe order) already opened as
+    /// `handles` with `flags`.
+    pub(crate) fn new(
+        stripe_size: u64,
+        parts: Vec<(String, String)>,
         handles: Vec<Box<dyn FileHandle>>,
         pool: &ServerPool,
         flags: OpenFlags,
     ) -> StripedHandle {
-        let parts = layout
-            .parts
-            .iter()
-            .cloned()
+        let geometry = Geometry {
+            stripe_size,
+            width: parts.len() as u64,
+        };
+        let parts = parts
+            .into_iter()
             .zip(handles)
             .map(|((endpoint, path), handle)| PartSlot {
                 endpoint,
@@ -341,35 +189,29 @@ impl StripedHandle {
             })
             .collect();
         StripedHandle {
-            layout,
+            geometry,
             parts,
             pool: pool.clone(),
             reopen_flags: reopen_flags_of(flags),
-            parallel: pool.parallel_fanout(),
         }
     }
 
-    fn use_threads(&self, parts_in_play: usize) -> bool {
-        self.parallel && parts_in_play > 1
-    }
-
-    /// Run `per_part` RPCs over every part concurrently (each with the
-    /// per-stripe re-open retry) and return the first error in part
-    /// order, if any.
-    fn for_each_part(
+    /// Run `op` on every part concurrently (each with the per-stripe
+    /// re-open retry); results come back in part order.
+    fn on_each_part<T: Send>(
         &mut self,
-        per_handle: impl Fn(&mut Box<dyn FileHandle>) -> io::Result<()> + Sync,
-    ) -> io::Result<()> {
-        let parallel = self.use_threads(self.parts.len());
-        let per_handle = &per_handle;
+        op: impl Fn(usize, &mut Box<dyn FileHandle>) -> io::Result<T> + Sync,
+    ) -> Vec<io::Result<T>> {
+        let op = &op;
         let pool = &self.pool;
         let flags = self.reopen_flags;
         let jobs: Vec<_> = self
             .parts
             .iter_mut()
-            .map(|slot| move || slot.with_reopen(pool, flags, per_handle))
+            .enumerate()
+            .map(|(i, slot)| move || slot.with_reopen(pool, flags, |h| op(i, h)))
             .collect();
-        run_fanout(parallel, jobs).into_iter().collect()
+        run_fanout(jobs)
     }
 }
 
@@ -386,15 +228,14 @@ impl FileHandle for StripedHandle {
         let mut pos = 0u64;
         while !rest.is_empty() {
             let off = offset + pos;
-            let (part, part_off) = self.layout.locate(off);
-            let len = rest.len().min(self.layout.stripe_remaining(off) as usize);
+            let (part, part_off) = self.geometry.locate(off);
+            let len = rest.len().min(self.geometry.stripe_remaining(off) as usize);
             let (chunk, tail) = rest.split_at_mut(len);
             plans[part].push((chunk_lens.len(), part_off, chunk));
             chunk_lens.push(len);
             rest = tail;
             pos += len as u64;
         }
-        let parallel = self.use_threads(plans.iter().filter(|p| !p.is_empty()).count());
         let pool = &self.pool;
         let flags = self.reopen_flags;
         let jobs: Vec<_> = self
@@ -429,7 +270,7 @@ impl FileHandle for StripedHandle {
         // surface the first erroring chunk.
         let mut by_order: Vec<Option<io::Result<usize>>> =
             chunk_lens.iter().map(|_| None).collect();
-        for part_out in run_fanout(parallel, jobs) {
+        for part_out in run_fanout(jobs) {
             for (order, res) in part_out {
                 by_order[order] = Some(res);
             }
@@ -460,15 +301,14 @@ impl FileHandle for StripedHandle {
         let mut pos = 0u64;
         while !rest.is_empty() {
             let off = offset + pos;
-            let (part, part_off) = self.layout.locate(off);
-            let len = rest.len().min(self.layout.stripe_remaining(off) as usize);
+            let (part, part_off) = self.geometry.locate(off);
+            let len = rest.len().min(self.geometry.stripe_remaining(off) as usize);
             let (chunk, tail) = rest.split_at(len);
             plans[part].push((chunk_lens.len(), part_off, chunk));
             chunk_lens.push(len);
             rest = tail;
             pos += len as u64;
         }
-        let parallel = self.use_threads(plans.iter().filter(|p| !p.is_empty()).count());
         let pool = &self.pool;
         let flags = self.reopen_flags;
         let jobs: Vec<_> = self
@@ -495,7 +335,7 @@ impl FileHandle for StripedHandle {
             })
             .collect();
         let mut by_order: Vec<Option<io::Result<()>>> = chunk_lens.iter().map(|_| None).collect();
-        for part_out in run_fanout(parallel, jobs) {
+        for part_out in run_fanout(jobs) {
             for (order, res) in part_out {
                 by_order[order] = Some(res);
             }
@@ -512,35 +352,21 @@ impl FileHandle for StripedHandle {
     }
 
     fn fstat(&mut self) -> io::Result<StatBuf> {
-        // The logical size is the sum of the compacted part sizes;
-        // every part is queried concurrently.
-        let parallel = self.use_threads(self.parts.len());
-        let pool = &self.pool;
-        let flags = self.reopen_flags;
-        let jobs: Vec<_> = self
-            .parts
-            .iter_mut()
-            .map(|slot| move || slot.with_reopen(pool, flags, |h| h.fstat()))
-            .collect();
-        let stats: io::Result<Vec<StatBuf>> = run_fanout(parallel, jobs).into_iter().collect();
-        let stats = stats?;
-        let mut base = stats[0];
-        base.size = stats.iter().map(|st| st.size).sum();
-        Ok(base)
+        sum_sizes(self.on_each_part(|_, h| h.fstat()))
     }
 
     fn fsync(&mut self) -> io::Result<()> {
-        self.for_each_part(|h| h.fsync())
+        self.on_each_part(|_, h| h.fsync()).into_iter().collect()
     }
 
     fn ftruncate(&mut self, size: u64) -> io::Result<()> {
         // Compute each part's new length: whole stripes dealt round
         // robin plus the partial tail.
-        let k = self.layout.parts.len() as u64;
-        let ss = self.layout.stripe_size;
+        let k = self.geometry.width;
+        let ss = self.geometry.stripe_size;
         let full = size / ss;
         let tail = size % ss;
-        let part_lens: Vec<u64> = (0..self.parts.len() as u64)
+        let part_lens: Vec<u64> = (0..k)
             .map(|i| {
                 // Stripes this part holds among the first `full`
                 // stripes; the tail stripe replaces that part's next
@@ -553,147 +379,9 @@ impl FileHandle for StripedHandle {
                 part_len
             })
             .collect();
-        let parallel = self.use_threads(self.parts.len());
-        let pool = &self.pool;
-        let flags = self.reopen_flags;
-        let jobs: Vec<_> = self
-            .parts
-            .iter_mut()
-            .zip(part_lens)
-            .map(|(slot, len)| move || slot.with_reopen(pool, flags, |h| h.ftruncate(len)))
-            .collect();
-        run_fanout(parallel, jobs).into_iter().collect()
-    }
-}
-
-impl FileSystem for StripedFs {
-    fn open(&self, path: &str, flags: OpenFlags, _mode: u32) -> io::Result<Box<dyn FileHandle>> {
-        if flags.contains(OpenFlags::CREATE) {
-            match self.create_file(path, flags) {
-                Ok(h) => return Ok(h),
-                Err(e) if e.kind() == io::ErrorKind::AlreadyExists => {
-                    if flags.contains(OpenFlags::EXCLUSIVE) {
-                        return Err(e);
-                    }
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        let layout = self.read_layout(path)?;
-        let mut open_flags = OpenFlags::empty();
-        for f in [OpenFlags::READ, OpenFlags::WRITE, OpenFlags::SYNC] {
-            if flags.contains(f) {
-                open_flags |= f;
-            }
-        }
-        let handles = self.open_parts(&layout, open_flags)?;
-        let mut striped = StripedHandle::new(layout, handles, &self.pool, open_flags);
-        if flags.contains(OpenFlags::TRUNCATE) {
-            striped.ftruncate(0)?;
-        }
-        Ok(Box::new(striped))
-    }
-
-    fn stat(&self, path: &str) -> io::Result<StatBuf> {
-        match self.read_layout(path) {
-            Ok(layout) => {
-                // One `STATMULTI` batch per endpoint instead of one
-                // `STAT` round trip per part: an endpoint's parts all
-                // settle in a single exchange, and the (now fewer)
-                // exchanges still fan out concurrently. The logical
-                // size is the sum of the part sizes.
-                let mut groups: Vec<(&str, Vec<usize>)> = Vec::new();
-                for (i, (endpoint, _)) in layout.parts.iter().enumerate() {
-                    match groups.iter_mut().find(|(e, _)| *e == endpoint) {
-                        Some((_, idxs)) => idxs.push(i),
-                        None => groups.push((endpoint.as_str(), vec![i])),
-                    }
-                }
-                let pool = &self.pool;
-                let jobs: Vec<_> = groups
-                    .iter()
-                    .map(|(endpoint, idxs)| {
-                        let paths: Vec<String> =
-                            idxs.iter().map(|&i| layout.parts[i].1.clone()).collect();
-                        move || pool.with_conn(endpoint, |cfs| cfs.stat_multi(&paths))
-                    })
-                    .collect();
-                let answers = run_fanout(pool.parallel_fanout() && groups.len() > 1, jobs);
-                // Scatter the batched verdicts back into part order so
-                // error precedence matches the per-part fan-out.
-                let mut by_part: Vec<Option<io::Result<StatBuf>>> =
-                    layout.parts.iter().map(|_| None).collect();
-                for ((_, idxs), answer) in groups.iter().zip(answers) {
-                    match answer {
-                        Ok(verdicts) => {
-                            for (&i, v) in idxs.iter().zip(verdicts) {
-                                by_part[i] = Some(v.map_err(io::Error::from));
-                            }
-                        }
-                        Err(e) => {
-                            for &i in idxs {
-                                by_part[i] = Some(Err(io::Error::new(e.kind(), e.to_string())));
-                            }
-                        }
-                    }
-                }
-                let stats: io::Result<Vec<StatBuf>> = by_part
-                    .into_iter()
-                    .map(|v| v.expect("every part belongs to a group"))
-                    .collect();
-                let stats = stats?;
-                let mut st = stats[0];
-                st.size = stats.iter().map(|s| s.size).sum();
-                Ok(st)
-            }
-            Err(e) if e.kind() == io::ErrorKind::IsADirectory => self.meta.stat(path),
-            Err(e) => Err(e),
-        }
-    }
-
-    fn unlink(&self, path: &str) -> io::Result<()> {
-        let layout = self.read_layout(path)?;
-        // Delete every part concurrently (data first, then stub, as in
-        // the DSFS delete protocol). Parts already gone are fine.
-        let pool = &self.pool;
-        let jobs: Vec<_> = layout
-            .parts
-            .iter()
-            .map(|(endpoint, part)| {
-                move || {
-                    pool.with_conn(endpoint, |cfs| match cfs.unlink(part) {
-                        Ok(()) => Ok(()),
-                        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(()),
-                        Err(e) => Err(e),
-                    })
-                }
-            })
-            .collect();
-        run_fanout(pool.parallel_fanout() && layout.parts.len() > 1, jobs)
+        self.on_each_part(|i, h| h.ftruncate(part_lens[i]))
             .into_iter()
-            .collect::<io::Result<Vec<()>>>()?;
-        self.meta.unlink(path)
-    }
-
-    fn rename(&self, from: &str, to: &str) -> io::Result<()> {
-        self.meta.rename(from, to)
-    }
-
-    fn mkdir(&self, path: &str, mode: u32) -> io::Result<()> {
-        self.meta.mkdir(path, mode)
-    }
-
-    fn rmdir(&self, path: &str) -> io::Result<()> {
-        self.meta.rmdir(path)
-    }
-
-    fn readdir(&self, path: &str) -> io::Result<Vec<String>> {
-        self.meta.readdir(path)
-    }
-
-    fn truncate(&self, path: &str, size: u64) -> io::Result<()> {
-        let mut h = self.open(path, OpenFlags::WRITE, 0)?;
-        h.ftruncate(size)
+            .collect()
     }
 }
 
@@ -702,67 +390,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn layout_round_trip() {
-        let l = StripeLayout {
-            stripe_size: 65536,
-            parts: vec![
-                ("h1:9094".into(), "/vol/a".into()),
-                ("h2:9094".into(), "/vol/b".into()),
-            ],
-        };
-        assert_eq!(StripeLayout::parse(&l.render()).unwrap(), l);
-    }
-
-    #[test]
-    fn layout_rejects_garbage() {
-        assert!(StripeLayout::parse("").is_err());
-        assert!(StripeLayout::parse("#tss-stripe-v1\n0 1\nh /p\n").is_err());
-        assert!(StripeLayout::parse("#tss-stripe-v1\n64\n").is_err());
-        assert!(StripeLayout::parse("#tss-stripe-v1\n64 1\nnospacepath\n").is_err());
-        // Declared width must match the part list exactly.
-        assert!(StripeLayout::parse("#tss-stripe-v1\n64 2\nh /p\n").is_err());
-        assert!(StripeLayout::parse("#tss-stripe-v1\n64 1\nh /p\nh2 /q\n").is_err());
-    }
-
-    #[test]
-    fn every_torn_prefix_is_invalid() {
-        // A torn stub write leaves a strict prefix; none may parse.
-        // In particular a 2-part layout cut after its first part line
-        // must NOT parse as a healthy 1-part layout.
-        let full = StripeLayout {
-            stripe_size: 65536,
-            parts: vec![
-                ("h1:9094".into(), "/vol/a".into()),
-                ("h2:9094".into(), "/vol/b".into()),
-            ],
-        }
-        .render();
-        for k in 0..full.len() {
-            assert!(
-                StripeLayout::parse(&full[..k]).is_err(),
-                "torn prefix of {k} bytes parsed as healthy"
-            );
-        }
-    }
-
-    #[test]
     fn locate_deals_stripes_round_robin() {
-        let l = StripeLayout {
+        let g = Geometry {
             stripe_size: 100,
-            parts: vec![
-                ("a".into(), "/a".into()),
-                ("b".into(), "/b".into()),
-                ("c".into(), "/c".into()),
-            ],
+            width: 3,
         };
-        assert_eq!(l.locate(0), (0, 0));
-        assert_eq!(l.locate(99), (0, 99));
-        assert_eq!(l.locate(100), (1, 0));
-        assert_eq!(l.locate(250), (2, 50));
+        assert_eq!(g.locate(0), (0, 0));
+        assert_eq!(g.locate(99), (0, 99));
+        assert_eq!(g.locate(100), (1, 0));
+        assert_eq!(g.locate(250), (2, 50));
         // Second round: stripe 3 -> part 0 at its second slot.
-        assert_eq!(l.locate(300), (0, 100));
-        assert_eq!(l.locate(599), (2, 199));
-        assert_eq!(l.stripe_remaining(0), 100);
-        assert_eq!(l.stripe_remaining(130), 70);
+        assert_eq!(g.locate(300), (0, 100));
+        assert_eq!(g.locate(599), (2, 199));
+        assert_eq!(g.stripe_remaining(0), 100);
+        assert_eq!(g.stripe_remaining(130), 70);
     }
 }

@@ -23,12 +23,13 @@ use chirp_proto::testutil::TempDir;
 use chirp_proto::OpenFlags;
 use chirp_server::acl::Acl;
 use chirp_server::{FileServer, ServerConfig};
-use common::{auth, open_server};
+use common::{auth, data_count, open_server};
 use faultline::{FaultAction, FaultPlan, FaultProxy, FaultRule, FaultTrigger};
 use tss_core::cfs::{Cfs, CfsConfig};
 use tss_core::fs::FileSystem;
+use tss_core::fsck::fsck;
 use tss_core::stubfs::{DataServer, StubFsOptions};
-use tss_core::{LocalFs, MirroredFs, RetryPolicy, StripedFs};
+use tss_core::{LocalFs, MirroredFs, Placement, RetryPolicy, StripedFs, StubFs};
 
 /// Default plan seed, overridable with `CHAOS_SEED=<u64>`.
 const DEFAULT_SEED: u64 = 0xC4A0_5EED;
@@ -216,6 +217,69 @@ fn corrupted_replies_are_retried_not_trusted() {
     assert!(proxy.stats().corruptions > 0, "corrupt plan never fired");
     assert!(fs.retries() > 0, "corruption should force a retry");
     assert!(fs.retries() <= 3 * u64::from(chaos_retry().max_retries));
+}
+
+#[test]
+fn exclusive_create_survives_a_kill_at_any_rpc_of_its_open() {
+    let seed = announce("exclusive_create_survives_a_kill_at_any_rpc_of_its_open");
+    let dir = TempDir::new();
+    let server = open_server(dir.path());
+    // An open is a handshake, an OPEN and an FSTAT. Wherever in that
+    // run the connection dies, the replay must succeed — in particular
+    // after the OPEN landed, when asking for an exclusive create again
+    // would be refused by the file it just made.
+    let mut kills = 0;
+    for n in 1..=6 {
+        let plan = FaultPlan::new(seed).rule(FaultTrigger::NthRpc(n), FaultAction::KillMidFrame);
+        let proxy = FaultProxy::spawn(&server.endpoint(), plan).unwrap();
+        let fs = chaos_cfs(&proxy.addr());
+        let flags = OpenFlags::WRITE | OpenFlags::CREATE | OpenFlags::EXCLUSIVE;
+        let mut h = fs
+            .open(&format!("/x{n}"), flags, 0o644)
+            .unwrap_or_else(|e| panic!("kill at RPC {n} of the open: {e}"));
+        h.pwrite(b"mine", 0).unwrap();
+        kills += proxy.stats().kills;
+    }
+    assert!(
+        kills >= 3,
+        "the kills never landed inside an open ({kills})"
+    );
+}
+
+#[test]
+fn part_create_survives_a_lost_reply_with_no_stray_part() {
+    let seed = announce("part_create_survives_a_lost_reply_with_no_stray_part");
+    // Part creates are exclusive. When the reply to one is lost after
+    // the request landed, the replay is refused by the part it just
+    // made; the create must take that part as its own — not fail, and
+    // not leave it behind beside a second one.
+    let mut cuts = 0;
+    // (The fault-free set-up takes the proxy's first RPCs.)
+    for n in 1..=8 {
+        let meta_dir = TempDir::new();
+        let dir = TempDir::new();
+        let server = open_server(dir.path());
+        let plan = FaultPlan::new(seed).rule(FaultTrigger::NthRpc(n), FaultAction::TruncateReply);
+        let proxy = FaultProxy::spawn(&server.endpoint(), plan).unwrap();
+        let pool = vec![DataServer::new(&proxy.addr(), "/vol", auth())];
+        let meta = Arc::new(LocalFs::new(meta_dir.path()).unwrap());
+        let fs = StubFs::new(meta, pool, Placement::round_robin(), chaos_options());
+        proxy.set_armed(false);
+        fs.ensure_volumes().unwrap();
+        proxy.set_armed(true);
+        fs.write_file("/f", b"mine")
+            .unwrap_or_else(|e| panic!("reply to RPC {n} lost: {e}"));
+        assert_eq!(fs.read_file("/f").unwrap(), b"mine");
+        assert_eq!(
+            data_count(&dir.path().join("vol")),
+            1,
+            "RPC {n}: stray part"
+        );
+        let report = fsck(&fs).unwrap();
+        assert!(report.is_clean(), "RPC {n}: {report:?}");
+        cuts += proxy.stats().truncates;
+    }
+    assert!(cuts >= 3, "the cuts never landed inside a create ({cuts})");
 }
 
 #[test]

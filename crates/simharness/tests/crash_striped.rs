@@ -1,7 +1,8 @@
 //! Crash-injection sweeps for the striped and mirrored abstractions.
 //!
-//! Both abstractions inherit the DSFS update ordering: stub first on
-//! create, data first on delete. These sweeps kill a simulated
+//! Both abstractions are layouts of the one stub engine and so run the
+//! DSFS update ordering itself: stub first on create, data first on
+//! delete. These sweeps kill a simulated
 //! deployment at *every* durability point of a striped (resp.
 //! mirrored) create+write+delete sequence — including torn-write mode,
 //! where the killing write persists a seeded prefix — then restart and
@@ -13,10 +14,17 @@
 //!   parts are gone);
 //! * a reader sees full-old, full-new, in-flight-empty, or an error —
 //!   never a byte mix of two states and never a torn stub's garbage;
-//! * `fsck_striped` → `repair_striped` converges: removing a dangling
+//! * `fsck` → `repair` converges: removing a dangling
 //!   or corrupt stripe stub surfaces its surviving parts as orphans on
 //!   the next scan, so at most two repair rounds reach a clean report
 //!   and a third repair removes nothing.
+//!
+//! Since the engine announces its own protocol steps (`StubWrite`, one
+//! `DataCreate`/`DataUnlink` per part, `StubUnlink`) and fsyncs the
+//! stub and its directory, each sequence crosses more durability
+//! points than when striping and mirroring carried private copies of
+//! the protocol; the sweeps assert that, so the new kill points cannot
+//! go unswept unnoticed.
 //!
 //! Reproduce a failure with `STRIPE_CRASH_SEED=<seed>` (the torn-mode
 //! tear offsets are derived from it).
@@ -29,7 +37,7 @@ use chirp_proto::testutil::TempDir;
 use chirp_proto::OpenFlags;
 use simharness::SimTss;
 use tss_core::fs::FileSystem;
-use tss_core::fsck::{fsck_striped, repair_striped, RepairOptions};
+use tss_core::fsck::{fsck, repair, RepairOptions};
 use tss_core::localfs::LocalFs;
 use tss_core::mirrored::MirroredFs;
 use tss_core::striped::StripedFs;
@@ -51,6 +59,11 @@ fn scratch() -> TempDir {
 const PAYLOAD: &[u8] = b"abcd";
 const STRIPE: u64 = 4;
 const WIDTH: usize = 2;
+
+/// Durability points one create+write+delete sequence crossed before
+/// the engines were merged (server- and tree-side points only).
+const STRIPED_POINTS_BEFORE: u64 = 8;
+const MIRRORED_POINTS_BEFORE: u64 = 9;
 
 struct Sweep {
     sim: SimTss,
@@ -159,9 +172,10 @@ fn striped_create_delete_survives_a_kill_at_every_durability_point() {
     sweep.injector.disarm();
     drop(fs);
     sweep.cleanup(vol);
+    println!("striped: {points} kill points per sequence (was {STRIPED_POINTS_BEFORE})");
     assert!(
-        points >= 6,
-        "a width-{WIDTH} create+delete must cross at least stub, parts, and unlinks ({points})"
+        points > STRIPED_POINTS_BEFORE,
+        "the engine's own protocol points must be swept too ({points})"
     );
 
     let all = RepairOptions {
@@ -190,7 +204,7 @@ fn striped_create_delete_survives_a_kill_at_every_durability_point() {
 
             // Restart over whatever survived, with fresh connections.
             let rfs = sweep.striped(&meta_dir, &vol, false);
-            let report = fsck_striped(&rfs).unwrap_or_else(|e| panic!("{ctx}: fsck failed: {e}"));
+            let report = fsck(rfs.stubfs()).unwrap_or_else(|e| panic!("{ctx}: fsck failed: {e}"));
             assert!(
                 report.unreachable.is_empty(),
                 "{ctx}: unreachable {:?}",
@@ -218,13 +232,13 @@ fn striped_create_delete_survives_a_kill_at_every_durability_point() {
             while !report.is_clean() {
                 rounds += 1;
                 assert!(rounds <= 2, "{ctx}: repair did not converge: {report:?}");
-                let removed = repair_striped(&rfs, &report, all)
+                let removed = repair(rfs.stubfs(), &report, all)
                     .unwrap_or_else(|e| panic!("{ctx}: repair failed: {e}"));
                 assert!(removed > 0, "{ctx}: unclean report but nothing removed");
-                report = fsck_striped(&rfs).unwrap();
+                report = fsck(rfs.stubfs()).unwrap();
             }
             assert_eq!(
-                repair_striped(&rfs, &report, all).unwrap(),
+                repair(rfs.stubfs(), &report, all).unwrap(),
                 0,
                 "{ctx}: repair on a clean report must be a no-op"
             );
@@ -253,6 +267,11 @@ fn mirrored_create_delete_survives_a_kill_at_every_durability_point() {
     sweep.injector.disarm();
     drop(fs);
     sweep.cleanup(vol);
+    println!("mirrored: {points} kill points per sequence (was {MIRRORED_POINTS_BEFORE})");
+    assert!(
+        points > MIRRORED_POINTS_BEFORE,
+        "the engine's own protocol points must be swept too ({points})"
+    );
 
     for torn in [false, true] {
         for k in 0..points {

@@ -23,7 +23,7 @@ use tss_core::fs::FileSystem;
 use tss_core::fsck::{fsck, repair, RepairOptions};
 use tss_core::localfs::LocalFs;
 use tss_core::placement::Placement;
-use tss_core::stub::Stub;
+use tss_core::stub::StubRecord;
 use tss_core::stubfs::StubFs;
 
 /// Plant the requested damage mix and return the stub filesystem plus
@@ -63,8 +63,8 @@ fn plant(
         let path = format!("/g{i}");
         fs.write_file(&path, b"doomed").unwrap();
         let raw = std::fs::read_to_string(meta_dir.path().join(format!("g{i}"))).unwrap();
-        let stub = Stub::parse(&raw).unwrap();
-        conn.unlink(&stub.data_path).unwrap();
+        let stub = StubRecord::parse(&raw).unwrap();
+        conn.unlink(&stub.parts[0].1).unwrap();
     }
     // Zero-length stubs: what a crash between directory entry and stub
     // write leaves behind.

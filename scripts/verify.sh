@@ -1,13 +1,22 @@
 #!/bin/sh
 # Tier-1 verification: everything a change must pass before landing.
 #   build + root-package tests (the ROADMAP tier-1 gate), then lint
-#   and formatting across the whole workspace. The benchmark package
+#   and formatting across the whole workspace. Tier-1 `cargo test`
+#   covers the root package only, so the abstraction layer's own suite
+#   (`cargo test -p tss-core`: unit tests, the protocol's compile_fail
+#   doctests, abstractions, extensions, recovery, readahead, chaos
+#   under its default seed) is run here as well. The benchmark package
 #   under bench/ is a workspace of its own that the steps above never
 #   compile, so it is built here too: a break in the public items it
 #   calls (Acl::{new,single,load_effective,rights_of},
 #   ServerConfig::{localhost,with_root_acl,with_cache,with_core},
-#   cache::{PageCache,file_key}, FileServer) fails verify, not the
-#   benchmark pipeline.
+#   cache::{PageCache,file_key}, FileServer; and from tss-core
+#   stub::Stub { endpoint, data_path } + render,
+#   stubfs::{DataServer::new, StubFsOptions { timeout, retry, dialer,
+#   clock, .. }}, Dsfs::with_options (six arguments) +
+#   Dsfs::stubfs().pool_stats() with PoolStats::{hits,misses,retries},
+#   pool::ServerPool::{new,checkout}, Placement::round_robin,
+#   Adapter::mount_dsfs) fails verify, not the benchmark pipeline.
 # With --chaos, additionally run the fault-injection suite under a
 # fixed seed (override with CHAOS_SEED=<u64>).
 # With --metrics, additionally run the observability smoke stage: boot
@@ -39,7 +48,10 @@
 # point it journals, and the restarted filesystem must fsck/repair
 # into a state the stub/data ordering argument accepts (override the
 # matrix size with SIM_SEQS=<n>, or replay one printed failure with
-# CRASH_SEED=<u64>).
+# CRASH_SEED=<u64>); then the same kill-at-every-point sweep over a
+# striped and a mirrored file (crash_striped; STRIPE_CRASH_SEED=<u64>
+# picks the torn-write offsets) and the fsck/repair convergence
+# properties over arbitrary planted damage (fsck_props).
 # The --reactor stage (part of the default run; --no-reactor skips
 # it) proves the event-driven connection core: the reactor edge-case
 # suite (slow-reader backpressure, mid-pipeline disconnect, idle-crowd
@@ -102,6 +114,9 @@ cargo build --release
 
 echo "== cargo test -q"
 cargo test -q
+
+echo "== cargo test -q -p tss-core  (abstraction layer: units, doctests, integration, chaos)"
+cargo test -q -p tss-core
 
 echo "== cargo build --release --offline --manifest-path bench/Cargo.toml  (the benchmark still compiles)"
 cargo build --release --offline --manifest-path bench/Cargo.toml
@@ -179,6 +194,8 @@ if [ "$CRASH" = "1" ]; then
         echo "reproduce with CRASH_SEED=<seed> cargo test --release -p simharness --test crash_sim" >&2
         exit 1
     fi
+    echo "== cargo test -q --release -p simharness --test crash_striped --test fsck_props"
+    cargo test -q --release -p simharness --test crash_striped --test fsck_props
 fi
 
 if [ "$FED" = "1" ]; then
