@@ -1,12 +1,10 @@
-//! `conn-scale` — aggregate small-op throughput vs client count,
-//! thread-per-connection core against the reactor core.
+//! `conn-scale` — aggregate small-op throughput vs client count.
 //!
-//! For each client count N, starts one loopback file server under each
-//! [`CoreKind`], connects N clients over real TCP, and has every client
-//! issue serial 64-byte preads for a fixed window. The table reports
-//! aggregate ops/s per (core, N) and the reactor/threads ratio — the
-//! connection-scaling claim behind the reactor PR. EXPERIMENTS.md
-//! records a run.
+//! For each client count N, starts one loopback file server, connects
+//! N clients over real TCP, and has every client issue serial 64-byte
+//! preads for a fixed window. The table reports aggregate ops/s per N
+//! and how many clients never got a session. EXPERIMENTS.md records a
+//! run.
 //!
 //! Env knobs: `CONN_SCALE_CLIENTS` (comma list, default `64,256,1000`
 //! scaled by `SCENARIO_SCALE` — the same knob that resizes the
@@ -21,7 +19,6 @@ use chirp_client::Connection;
 use chirp_proto::testutil::TempDir;
 use chirp_proto::OpenFlags;
 use chirp_server::acl::Acl;
-use chirp_server::config::CoreKind;
 use chirp_server::{FileServer, ServerConfig};
 use tss_bench::{auth, print_table};
 
@@ -59,12 +56,11 @@ fn session(endpoint: &str) -> Option<(Connection, i32)> {
 }
 
 /// Aggregate ops/s for `clients` serial-pread clients against one
-/// server running `core`, plus how many clients never got a session.
-fn measure(core: CoreKind, clients: usize, window: Duration) -> (f64, usize) {
+/// server, plus how many clients never got a session.
+fn measure(clients: usize, window: Duration) -> (f64, usize) {
     let dir = TempDir::new();
     let mut cfg = ServerConfig::localhost(dir.path(), "bench")
-        .with_root_acl(Acl::single("hostname:*", "rwlda").unwrap())
-        .with_core(core);
+        .with_root_acl(Acl::single("hostname:*", "rwlda").unwrap());
     cfg.max_connections = clients + 16;
     let server = FileServer::start(cfg).expect("start server");
     std::fs::write(dir.path().join("small"), vec![0x42u8; READ_BYTES as usize]).unwrap();
@@ -130,32 +126,22 @@ fn main() {
 
     let mut rows = Vec::new();
     for &n in &counts {
-        let (threads, t_failed) = measure(CoreKind::Threads, n, window);
-        let (reactor, r_failed) = measure(CoreKind::Reactor, n, window);
+        let (ops_per_s, failed) = measure(n, window);
         rows.push(vec![
             n.to_string(),
-            format!("{threads:.0}"),
-            format!("{reactor:.0}"),
-            format!("{:.2}x", reactor / threads),
-            format!("{t_failed}/{r_failed}"),
+            format!("{ops_per_s:.0}"),
+            failed.to_string(),
         ]);
     }
     print_table(
-        "Connection scaling: aggregate 64 B pread ops/s, threads vs reactor",
-        &[
-            "clients",
-            "threads ops/s",
-            "reactor ops/s",
-            "reactor/threads",
-            "failed t/r",
-        ],
+        "Connection scaling: aggregate 64 B pread ops/s",
+        &["clients", "ops/s", "failed sessions"],
         &rows,
     );
     println!(
         "  {} s window per cell, serial preads per client, loopback TCP,\n\
-         \x20 {} host cores. The threads core pays one OS thread per\n\
-         \x20 connection; the reactor multiplexes every connection onto a\n\
-         \x20 fixed worker pool.",
+         \x20 {} host cores; every connection is multiplexed onto a fixed\n\
+         \x20 worker pool.",
         secs,
         std::thread::available_parallelism().map_or(1, |n| n.get()),
     );

@@ -1,8 +1,9 @@
 //! Fast-mode THIRDPUT distribution-tree bench for
-//! `scripts/verify.sh --fed`: 8 real TCP file servers with an
-//! injected per-data-RPC service time (loopback otherwise hides the
-//! transfer cost the tree amortizes), comparing three ways to place
-//! 8 replicas of one file:
+//! `scripts/verify.sh --fed`: 8 real TCP file servers whose outbound
+//! dialer charges a latency per round trip, so every THIRDPUT hop
+//! pays for its own connection to the next depot (loopback otherwise
+//! hides the transfer cost the tree amortizes), comparing three ways
+//! to place 8 replicas of one file:
 //!
 //! * **direct** — one source→target push, the unit of cost;
 //! * **serial** — the naive loop, 7 pushes from the source, ~7 units;
@@ -19,13 +20,16 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use chirp_proto::testutil::TempDir;
+use chirp_proto::transport::Dialer;
 use chirp_server::acl::Acl;
 use chirp_server::{FileServer, ServerConfig};
 use controlplane::{distribute, ideal_depth, TreeConfig, TreeTarget};
-use tss_bench::auth;
+use tss_bench::{auth, latency_dialer};
 use tss_core::cfs::{Cfs, CfsConfig};
 
-const SERVICE_DELAY: Duration = Duration::from_millis(25);
+/// Charged per round trip on a server's connection to a peer; a push
+/// is two (authenticate, then `PUTFILE`).
+const HOP_LATENCY: Duration = Duration::from_millis(25);
 const PAYLOAD_LEN: usize = 64 * 1024;
 const REPLICAS: usize = 8;
 
@@ -53,12 +57,10 @@ fn eight_replica_tree_lands_within_4x_of_one_direct_push() {
     let servers: Vec<FileServer> = dirs
         .iter()
         .map(|d| {
-            FileServer::start(
-                ServerConfig::localhost(d.path(), "bench")
-                    .with_root_acl(Acl::single("hostname:*", "rwlda").unwrap())
-                    .with_service_delay(SERVICE_DELAY),
-            )
-            .expect("start chirp server")
+            let mut cfg = ServerConfig::localhost(d.path(), "bench")
+                .with_root_acl(Acl::single("hostname:*", "rwlda").unwrap());
+            cfg.dialer = latency_dialer(Dialer::tcp(), HOP_LATENCY);
+            FileServer::start(cfg).expect("start chirp server")
         })
         .collect();
     let endpoints: Vec<String> = servers.iter().map(|s| s.endpoint()).collect();
@@ -107,7 +109,7 @@ fn eight_replica_tree_lands_within_4x_of_one_direct_push() {
 
     let ratio = |d: Duration| d.as_secs_f64() / direct.as_secs_f64();
     println!(
-        "tree_smoke: {REPLICAS} replicas, {PAYLOAD_LEN} B payload, {SERVICE_DELAY:?} service delay"
+        "tree_smoke: {REPLICAS} replicas, {PAYLOAD_LEN} B payload, {HOP_LATENCY:?} per hop round trip"
     );
     println!(
         "  direct 1 push   {:>8.1} ms   1.0x",

@@ -59,10 +59,10 @@ pub trait Transport: Read + Write + Send + fmt::Debug {
 
     // ---- readiness extension (see [`crate::ready`]) -----------------
     //
-    // Default implementations make every existing transport (including
-    // fault-injection wrappers) "blocking only": a reactor that finds
-    // neither a pollable fd nor watcher support falls back to serving
-    // the connection on a dedicated thread.
+    // Default implementations make a transport (the client-side
+    // fault-injection, latency and tracing wrappers) "blocking only":
+    // fine for a client, but a server that is handed one, finding
+    // neither a pollable fd nor watcher support, closes it.
 
     /// Switch the stream between blocking and nonblocking mode. In
     /// nonblocking mode reads and writes that would wait return

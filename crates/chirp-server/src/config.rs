@@ -121,22 +121,14 @@ impl KeyRing {
     }
 }
 
-/// Which connection-serving core a [`crate::FileServer`] runs.
-///
-/// Both cores speak the identical wire protocol through the identical
-/// [`crate::handlers::Session`] — the differential oracle replays the
-/// same op sequences against each and demands byte-identical replies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// The one connection-serving core, still named because `bench/` (which
+/// this change may not edit) passes it to [`ServerConfig::with_core`].
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy)]
 pub enum CoreKind {
     /// Sharded nonblocking event loops multiplexing many connections
-    /// per thread (the default; scales to tens of thousands of idle
-    /// connections at flat memory).
-    #[default]
+    /// per thread.
     Reactor,
-    /// One blocking thread per connection (the original core; also
-    /// what `service_delay` forces, since an artificial per-RPC sleep
-    /// would serialize every connection sharing a reactor worker).
-    Threads,
 }
 
 /// Configuration for a [`crate::FileServer`].
@@ -180,7 +172,7 @@ pub struct ServerConfig {
     pub max_connections: usize,
     /// Drop connections idle longer than this; `None` keeps them
     /// forever. Stuck or abandoned clients otherwise pin a connection
-    /// slot (and its thread) indefinitely.
+    /// slot indefinitely.
     pub idle_timeout: Option<Duration>,
     /// Catalog addresses to report to (UDP), possibly several — a
     /// server may report to multiple overlapping catalogs.
@@ -189,12 +181,6 @@ pub struct ServerConfig {
     pub report_interval: Duration,
     /// Server name published to catalogs; defaults to `host:port`.
     pub server_name: Option<String>,
-    /// Artificial service time added to each data or stat RPC
-    /// (`PREAD`, `PWRITE`, `STAT`). Benchmarks use this to model the
-    /// per-request disk and network latency of a real deployment,
-    /// which loopback otherwise hides; `None` (the default) adds
-    /// nothing.
-    pub service_delay: Option<Duration>,
     /// How this server opens its *outbound* connections (`THIRDPUT`
     /// pushes data to another server). TCP by default; the simulation
     /// harness points it at the in-memory network.
@@ -212,13 +198,10 @@ pub struct ServerConfig {
     /// harness installs an injector that can kill the server at any
     /// durability point.
     pub persistence: Persist,
-    /// Connection-serving core (see [`CoreKind`]). `Reactor` by
-    /// default; `service_delay` overrides to `Threads` at startup.
-    pub core: CoreKind,
     /// Reactor worker (event-loop shard) count; `0` (the default)
     /// sizes from available parallelism, clamped to `2..=8`.
     pub reactor_workers: usize,
-    /// Per-connection queued-reply byte cap under the reactor. A
+    /// Per-connection queued-reply byte cap. A
     /// connection whose untransmitted replies exceed this stops having
     /// further requests read — backpressure for slow readers — until
     /// the queue drains below the cap.
@@ -247,20 +230,18 @@ impl ServerConfig {
             catalogs: Vec::new(),
             report_interval: Duration::from_secs(300),
             server_name: None,
-            service_delay: None,
             dialer: Dialer::tcp(),
             cache_bytes: None,
             cache_page_bytes: 8192,
             persistence: Persist::none(),
-            core: CoreKind::default(),
             reactor_workers: 0,
             reactor_write_cap: 1 << 20,
         }
     }
 
-    /// Select the connection-serving core (see [`CoreKind`]).
-    pub fn with_core(mut self, core: CoreKind) -> ServerConfig {
-        self.core = core;
+    /// Identity: there is one core. Kept until `bench/` stops calling it.
+    #[doc(hidden)]
+    pub fn with_core(self, _core: CoreKind) -> ServerConfig {
         self
     }
 
@@ -275,13 +256,6 @@ impl ServerConfig {
     /// [`ServerConfig::cache_bytes`]).
     pub fn with_cache(mut self, bytes: u64) -> ServerConfig {
         self.cache_bytes = Some(bytes);
-        self
-    }
-
-    /// Add an artificial per-data-RPC service time (see
-    /// [`ServerConfig::service_delay`]).
-    pub fn with_service_delay(mut self, delay: Duration) -> ServerConfig {
-        self.service_delay = Some(delay);
         self
     }
 

@@ -2,7 +2,6 @@
 //! enforcement, and dispatch to jailed filesystem operations.
 
 use std::fs::{File, OpenOptions};
-use std::io::BufRead;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -58,9 +57,8 @@ pub enum Reply {
 }
 
 /// An in-progress streamed `PUTFILE` payload (see
-/// [`Session::begin_putfile`]). The blocking core pumps it from its
-/// `BufRead` in one call; the reactor core feeds it chunks as they
-/// arrive off the wire.
+/// [`Session::begin_putfile`]), fed chunks as they arrive off the
+/// wire.
 #[derive(Debug)]
 pub struct PutfileUpload {
     /// Payload bytes the connection still owes.
@@ -162,7 +160,8 @@ impl Session {
     }
 
     /// Handle one request. `payload` carries the body of a `PWRITE`.
-    /// (`PUTFILE` is streamed through [`Session::handle_putfile`]
+    /// (`PUTFILE` is streamed through [`Session::begin_putfile`],
+    /// [`Session::feed_putfile`] and [`Session::finish_putfile`]
     /// instead, so large uploads never sit in memory.)
     pub fn handle(&mut self, req: Request, payload: Option<Vec<u8>>) -> ChirpResult<Reply> {
         match req {
@@ -236,7 +235,7 @@ impl Session {
             Request::StatMulti { paths } => self.do_stat_multi(&paths),
             Request::Getfile { path } => self.do_getfile(&path),
             Request::Putfile { .. } => {
-                // The connection loop routes PUTFILE to handle_putfile;
+                // The connection loop routes PUTFILE to begin_putfile;
                 // reaching here is a framing bug.
                 Err(ChirpError::InvalidRequest)
             }
@@ -262,8 +261,7 @@ impl Session {
     /// target. `Ok` always consumes the payload — either into the file
     /// or down the drain (a rejected upload still owes the stream
     /// `length` bytes of framing). `Err` means the open itself failed
-    /// *after* the checks passed; no payload has been consumed, which
-    /// replicates the historical blocking-path behavior exactly.
+    /// *after* the checks passed; no payload has been consumed.
     pub fn begin_putfile(
         &mut self,
         path: &str,
@@ -342,31 +340,6 @@ impl Session {
                 Ok(Reply::Value(0))
             }
         }
-    }
-
-    /// Handle a `PUTFILE`, streaming `length` bytes from `reader`
-    /// straight into the created file. On an authorization failure the
-    /// payload is drained so the stream stays framed.
-    pub fn handle_putfile<R: BufRead>(
-        &mut self,
-        path: &str,
-        mode: u32,
-        length: u64,
-        reader: &mut R,
-    ) -> ChirpResult<Reply> {
-        let mut upload = self.begin_putfile(path, mode, length)?;
-        match &mut upload.fate {
-            UploadFate::Discard(_) => {
-                chirp_proto::wire::discard_exact(reader, length)
-                    .map_err(|e| ChirpError::from_io(&e))?;
-            }
-            UploadFate::Write { file, .. } => {
-                chirp_proto::wire::copy_exact(reader, file, length)
-                    .map_err(|e| ChirpError::from_io(&e))?;
-            }
-        }
-        upload.remaining = 0;
-        self.finish_putfile(upload)
     }
 
     // ---- authentication -------------------------------------------------
@@ -543,9 +516,6 @@ impl Session {
         if length > chirp_proto::MAX_PAYLOAD as u64 {
             return Err(ChirpError::TooBig);
         }
-        if let Some(delay) = self.shared.config.service_delay {
-            std::thread::sleep(delay);
-        }
         let f = self.fds.get(fd)?;
         if let Some(cache) = &self.shared.cache {
             if !cache.bypass(length) {
@@ -576,9 +546,6 @@ impl Session {
 
     fn do_pwrite(&mut self, fd: i32, data: &[u8], offset: u64) -> ChirpResult<Reply> {
         self.require_subject()?;
-        if let Some(delay) = self.shared.config.service_delay {
-            std::thread::sleep(delay);
-        }
         let f = self.fds.get(fd)?;
         // Capacity policy applies to the bytes the write would grow
         // the file by, not to overwrites in place. The size comes
@@ -622,9 +589,6 @@ impl Session {
     }
 
     fn do_stat(&self, path: &str) -> ChirpResult<Reply> {
-        if let Some(delay) = self.shared.config.service_delay {
-            std::thread::sleep(delay);
-        }
         Ok(Reply::Words(0, self.stat_words(path)?))
     }
 
@@ -948,12 +912,6 @@ impl Session {
     /// create on the target is the target's ACL decision, made against
     /// *this server's* hostname identity.
     fn do_thirdput(&self, path: &str, target: &str, target_path: &str) -> ChirpResult<Reply> {
-        // THIRDPUT moves file data like PREAD/PWRITE do, so the
-        // injected service time applies here too — benches that price
-        // replica placement in transfer units depend on it.
-        if let Some(delay) = self.shared.config.service_delay {
-            std::thread::sleep(delay);
-        }
         let (dir, leaf) = self.shared.jail.resolve_parent(path)?;
         self.require_rights(&dir, Rights::READ)?;
         let host = dir.join(leaf);

@@ -18,16 +18,17 @@
 //!   was drained at that instant), so coalesced or duplicated hints
 //!   cannot change behavior — which is what keeps the simulation
 //!   harness deterministic while driving this exact state machine.
-//! * transports supporting neither (fault-injection wrappers, TCP on
-//!   non-Linux hosts) fall back to a dedicated blocking thread running
-//!   the classic per-connection loop.
+//! * a transport supporting neither cannot be multiplexed and is
+//!   closed on arrival. Only client-side wrappers (fault injection,
+//!   latency, tracing) lack readiness, and no [`Listener`] hands the
+//!   server one; on a host without epoll [`crate::FileServer::start`]
+//!   refuses TCP up front.
 //!
-//! Per connection, a read/write state machine replays the blocking
-//! core's contract op-for-op: one `stats.request()` per line, the same
-//! silent close on oversized or non-UTF-8 lines, the same
-//! error-then-close on an over-cap `PWRITE`, the PR-5 flush deferral
-//! (replies coalesce while further requests are already buffered), and
-//! the PR-6 scatter-gather page replies. A reply leaves in one socket
+//! Per connection, a read/write state machine keeps the wire contract:
+//! one `stats.request()` per line, a silent close on an oversized or
+//! non-UTF-8 line, error-then-close on an over-cap `PWRITE`, replies
+//! that coalesce while further requests are already buffered, and
+//! scatter-gather page replies. A reply leaves in one socket
 //! write whenever the socket takes it: the write queue is a flat run of
 //! byte buffers and cache pages gathered into a single vectored write,
 //! so a status line rides with its pages, and a file no longer than
@@ -38,6 +39,7 @@
 //! for a slow reader — until the queue drains.
 //!
 //! [`MemStream`]: chirp_proto::transport::MemStream
+//! [`Listener`]: chirp_proto::transport::Listener
 //! [`ReadyWatcher`]: chirp_proto::ready::ReadyWatcher
 
 use std::collections::HashMap;
@@ -48,13 +50,12 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use chirp_proto::ready::{ReadyWatcher, Token, Watcher};
+use chirp_proto::ready::{ReadyWatcher, Token};
 use chirp_proto::transport::Transport;
 use chirp_proto::{ChirpError, Request, MAX_LINE, MAX_PAYLOAD};
 use telemetry::SpanTimer;
 
 use crate::cache::PageSlice;
-use crate::config::CoreKind;
 use crate::handlers::{PutfileUpload, Reply, Session};
 use crate::server::Shared;
 
@@ -69,7 +70,8 @@ const MAX_IOV: usize = 1024;
 /// items (a large page reply queues one item per page).
 const WQ_WATERMARK: usize = 64;
 /// Stop reading a connection once this many unparsed request bytes are
-/// buffered (mirrors the blocking core's 256 KiB `BufReader`).
+/// buffered; also the largest run of reply bytes coalesced into one
+/// queue buffer.
 const RBUF_CAP: usize = 256 * 1024;
 /// Shrink an empty read buffer whose capacity grew past this.
 const RBUF_WATERMARK: usize = 16 * 1024;
@@ -93,16 +95,9 @@ impl Reactor {
             .clamp(2, 8)
     }
 
-    /// Decide which core a server config actually runs: an artificial
-    /// per-RPC `service_delay` would serialize every connection
-    /// sharing a reactor worker, so it forces the threaded core.
-    pub(crate) fn effective_core(config: &crate::config::ServerConfig) -> CoreKind {
-        if config.service_delay.is_some() {
-            CoreKind::Threads
-        } else {
-            config.core
-        }
-    }
+    /// Whether this target's poller can watch sockets. Without that
+    /// only watcher-backed (in-memory) transports can be served.
+    pub(crate) const SUPPORTS_FDS: bool = Poller::SUPPORTS_FDS;
 
     /// Start the worker shards.
     pub(crate) fn start(shared: &Arc<Shared>) -> io::Result<Reactor> {
@@ -246,8 +241,8 @@ impl Shard {
                 }
             }
             // Idle policy: a connection quiet past the timeout ends
-            // exactly like a disconnect (the blocking core's read
-            // timeout), freeing its slot and descriptors.
+            // exactly like a disconnect, freeing its slot and
+            // descriptors.
             if let Some(idle) = shared.config.idle_timeout {
                 let now = Instant::now();
                 let expired: Vec<Token> = conns
@@ -263,56 +258,27 @@ impl Shard {
         }
     }
 
-    /// Register a fresh connection with the poller, choosing the fd
-    /// path, the watcher path, or the dedicated-thread fallback.
-    /// Returns `None` when the connection is fully handed off (thread
-    /// fallback) or could not be set up.
+    /// Register a fresh connection with the poller on the fd path or
+    /// the watcher path. A transport offering neither (or whose
+    /// registration fails) is closed and its slot released: `None`.
     fn adopt(&self, stream: Box<dyn Transport>, peer: SocketAddr, token: Token) -> Option<Conn> {
-        if Poller::SUPPORTS_FDS {
-            if let Some(fd) = stream.readiness_fd() {
-                if stream.set_nonblocking(true).is_ok()
-                    && self.poller.add_fd(fd, token, false).is_ok()
-                {
-                    return Some(Conn::new(
-                        stream,
-                        peer,
-                        token,
-                        Some(fd),
-                        false,
-                        &self.shared,
-                    ));
-                }
-                let _ = stream.set_nonblocking(false);
-                self.fallback_thread(stream, peer);
-                return None;
-            }
-        }
-        if stream.set_nonblocking(true).is_ok() {
-            let watcher: Watcher = Arc::new(MemWatcher {
-                poller: self.poller.clone(),
-            });
-            if stream.register_ready(token, watcher) {
-                return Some(Conn::new(stream, peer, token, None, true, &self.shared));
-            }
-            let _ = stream.set_nonblocking(false);
-        }
-        self.fallback_thread(stream, peer);
-        None
-    }
-
-    /// Serve a transport with no readiness support on its own blocking
-    /// thread — the classic core, one connection's worth.
-    fn fallback_thread(&self, stream: Box<dyn Transport>, peer: SocketAddr) {
-        let shared = self.shared.clone();
-        let spawned = std::thread::Builder::new()
-            .name("chirp-conn".to_string())
-            .spawn(move || {
-                let _ = crate::server::serve_connection(stream, peer, &shared);
-                shared.active.fetch_sub(1, Ordering::Relaxed);
-            });
-        if spawned.is_err() {
+        let fd = stream.readiness_fd().filter(|_| Poller::SUPPORTS_FDS);
+        let registered = stream.set_nonblocking(true).is_ok()
+            && match fd {
+                Some(fd) => self.poller.add_fd(fd, token, false).is_ok(),
+                None => stream.register_ready(
+                    token,
+                    Arc::new(MemWatcher {
+                        poller: self.poller.clone(),
+                    }),
+                ),
+            };
+        if !registered {
+            let _ = stream.shutdown();
             self.shared.active.fetch_sub(1, Ordering::Relaxed);
+            return None;
         }
+        Some(Conn::new(stream, peer, token, fd, &self.shared))
     }
 
     /// Reconcile a connection's epoll write interest with its queue:
@@ -332,11 +298,9 @@ impl Shard {
 
     /// Tear down a finished connection and release its slot.
     fn retire(&self, conn: Conn) {
-        if let Some(fd) = conn.fd {
-            self.poller.del_fd(fd);
-        }
-        if conn.mem {
-            conn.stream.deregister_ready();
+        match conn.fd {
+            Some(fd) => self.poller.del_fd(fd),
+            None => conn.stream.deregister_ready(),
         }
         let _ = conn.stream.shutdown();
         self.shared.active.fetch_sub(1, Ordering::Relaxed);
@@ -391,8 +355,9 @@ enum RState {
 struct Conn {
     stream: Box<dyn Transport>,
     token: Token,
+    /// The descriptor epoll watches; `None` for a watcher-backed
+    /// stream.
     fd: Option<i32>,
-    mem: bool,
     session: Session,
     rbuf: Vec<u8>,
     rpos: usize,
@@ -425,14 +390,12 @@ impl Conn {
         peer: SocketAddr,
         token: Token,
         fd: Option<i32>,
-        mem: bool,
         shared: &Arc<Shared>,
     ) -> Conn {
         Conn {
             stream,
             token,
             fd,
-            mem,
             session: Session::new(shared.clone(), peer.ip()),
             rbuf: Vec::new(),
             rpos: 0,
@@ -540,8 +503,7 @@ impl Conn {
                             }
                             if self.eof {
                                 // Clean disconnect at a line boundary;
-                                // EOF mid-line is the same silent close
-                                // the blocking core's error path takes.
+                                // EOF mid-line is the same silent close.
                                 self.dead = true;
                             }
                             return progress;
@@ -573,9 +535,8 @@ impl Conn {
                         self.queue_reply(shared, op, bytes_in, span, reply);
                         progress = true;
                     } else if self.eof {
-                        // Payload cut short: the blocking core reports
-                        // the read error and closes (`read_payload`
-                        // failure path).
+                        // Payload cut short: report the read error,
+                        // then close — framing is lost.
                         let e = ChirpError::from_io(&io::Error::from(io::ErrorKind::UnexpectedEof));
                         self.push_error_line(shared, e);
                         self.closing = true;
@@ -597,9 +558,8 @@ impl Conn {
                                 // A failed file write surfaces as the
                                 // request's error reply; the unread
                                 // payload remainder stays on the wire
-                                // (the blocking core does not drain it
-                                // either — framing is lost the same
-                                // way on both cores).
+                                // undrained, so framing is lost from
+                                // here.
                                 let RState::Putfile { span, bytes_in, .. } =
                                     std::mem::replace(&mut self.rstate, RState::Line)
                                 else {
@@ -644,8 +604,8 @@ impl Conn {
         }
     }
 
-    /// Serve one request line, mirroring the blocking core's loop body
-    /// decision for decision.
+    /// Serve one request line: reply at once, or enter the payload
+    /// state the request calls for.
     fn dispatch_line(&mut self, shared: &Arc<Shared>, line: &str) {
         shared.stats.request();
         let span = SpanTimer::start();
@@ -675,9 +635,9 @@ impl Conn {
             Ok(req @ Request::Pwrite { .. }) => {
                 let length = req.payload_len();
                 if length > MAX_PAYLOAD as u64 {
-                    // `read_payload`'s cap check: error, flush, close —
-                    // with no error-counter bump and no telemetry
-                    // record, exactly like the blocking core.
+                    // Over the payload cap: error, flush, close — with
+                    // no error-counter bump and no telemetry record
+                    // (the request was never served).
                     self.push_error_line(shared, ChirpError::TooBig);
                     self.closing = true;
                 } else {
@@ -696,9 +656,8 @@ impl Conn {
         }
     }
 
-    /// Queue a reply's bytes and account for it — the reactor's
-    /// equivalent of the blocking core's reply write + `trim_scratch`
-    /// + telemetry record.
+    /// Queue a reply's bytes and account for it: the reply write,
+    /// `trim_scratch`, and the telemetry record.
     fn queue_reply(
         &mut self,
         shared: &Arc<Shared>,
@@ -730,8 +689,8 @@ impl Conn {
             Ok(Reply::FileStream(file, len)) if len <= READ_CHUNK as u64 => {
                 // Small enough to hold: read it in behind its status
                 // line so both leave in one write. A file that shrank
-                // under us kills the connection, as the blocking
-                // core's `copy_exact` failure does.
+                // under us kills the connection: the promised length
+                // can no longer be delivered.
                 let mut out = format!("{len}\n").into_bytes();
                 out.reserve(len as usize);
                 match file.take(len).read_to_end(&mut out) {
@@ -775,8 +734,7 @@ impl Conn {
     }
 
     /// Append reply bytes, coalescing into the queue's tail buffer so
-    /// a status line and its data ride one `write` (the `BufWriter`
-    /// behavior of the blocking core).
+    /// a status line and its data ride one `write`.
     fn push_bytes(&mut self, data: Vec<u8>) {
         if data.is_empty() {
             return;
@@ -864,8 +822,8 @@ impl Conn {
         };
         let mut chunk = vec![0u8; READ_CHUNK.min(remaining as usize)];
         match file.read(&mut chunk) {
-            // File shrank mid-stream: the blocking core's copy_exact
-            // fails and the connection dies; replicate.
+            // File shrank mid-stream: the promised length cannot be
+            // delivered, so the connection dies.
             Ok(0) => self.dead = true,
             Ok(n) => {
                 chunk.truncate(n);
@@ -1112,8 +1070,8 @@ mod sys_epoll {
 }
 
 /// Portable poller for hosts without epoll: watcher-backed streams
-/// work exactly as on Linux; fd-backed streams fall back to dedicated
-/// threads (the shard reports no fd support).
+/// work exactly as on Linux; fd-backed streams cannot be served (the
+/// shard reports no fd support and `FileServer::start` refuses TCP).
 #[cfg(not(target_os = "linux"))]
 mod sys_fallback {
     use chirp_proto::ready::Token;

@@ -1,24 +1,24 @@
-//! The service: accept loop, connection threads, lifecycle.
+//! The service: accept loop, reactor hand-off, lifecycle.
 //!
 //! The server is transport-agnostic: [`FileServer::start`] binds a
 //! real [`TcpListener`], while [`FileServer::start_on`] accepts any
 //! [`Listener`] — the simulation harness hands it an in-memory one and
 //! the whole handler stack runs without a socket in sight.
 
-use std::io::{BufReader, BufWriter, Write};
+use std::io::{BufWriter, Write};
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::Duration;
 
-use chirp_proto::transport::{Listener, Transport};
+use chirp_proto::transport::Listener;
 use chirp_proto::wire;
-use chirp_proto::{ChirpError, Request};
+use chirp_proto::ChirpError;
 
 use crate::acl::AclCache;
-use crate::cache::{PageCache, PageReply, SizeTable};
-use crate::config::{CoreKind, ServerConfig};
-use crate::handlers::{Reply, Session};
+use crate::cache::{PageCache, SizeTable};
+use crate::config::ServerConfig;
 use crate::jail::Jail;
 use crate::reactor::Reactor;
 use crate::stats::{ServerStats, ServerTelemetry};
@@ -41,8 +41,7 @@ pub struct Shared {
     /// Per-inode size tracking shared across descriptors, so the hot
     /// write path computes growth without an `fstat`.
     pub sizes: SizeTable,
-    /// Effective ACLs already looked up, shared by every connection on
-    /// either serving core.
+    /// Effective ACLs already looked up, shared by every connection.
     pub acls: AclCache,
     /// Currently active connections.
     pub active: AtomicUsize,
@@ -133,12 +132,21 @@ pub struct FileServer {
     listener: Arc<dyn Listener>,
     accept_thread: Option<JoinHandle<()>>,
     report_thread: Option<JoinHandle<()>>,
-    reactor: Option<Arc<Reactor>>,
+    reactor: Arc<Reactor>,
 }
 
 impl FileServer {
     /// Start a server on TCP. Returns once the listener is bound.
+    /// `Unsupported` on a target whose poller cannot watch sockets
+    /// (anything but Linux): [`FileServer::start_on`] with an in-memory
+    /// listener still works there.
     pub fn start(config: ServerConfig) -> std::io::Result<FileServer> {
+        if !Reactor::SUPPORTS_FDS {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::Unsupported,
+                "chirp-server serves TCP through epoll, which this target lacks",
+            ));
+        }
         let listener = TcpListener::bind(config.bind)?;
         FileServer::start_on(config, Arc::new(listener))
     }
@@ -152,10 +160,7 @@ impl FileServer {
     ) -> std::io::Result<FileServer> {
         let shared = Shared::new(config)?;
         let addr = listener.local_addr()?;
-        let reactor = match Reactor::effective_core(&shared.config) {
-            CoreKind::Reactor => Some(Arc::new(Reactor::start(&shared)?)),
-            CoreKind::Threads => None,
-        };
+        let reactor = Arc::new(Reactor::start(&shared)?);
         let accept_shared = shared.clone();
         let accept_listener = listener.clone();
         let accept_reactor = reactor.clone();
@@ -214,9 +219,8 @@ impl FileServer {
         crate::report::compose_report(&self.shared, self.addr)
     }
 
-    /// Stop accepting connections and wake the accept thread. Existing
-    /// connections end when their clients disconnect or on their next
-    /// request.
+    /// Stop accepting connections, close the live ones, and join every
+    /// thread the server started.
     pub fn shutdown(&mut self) {
         if self.shared.shutdown.swap(true, Ordering::SeqCst) {
             return;
@@ -228,9 +232,7 @@ impl FileServer {
         }
         // The reactor workers observe the shutdown flag when woken,
         // tear down their connections, and exit.
-        if let Some(r) = self.reactor.take() {
-            r.join();
-        }
+        self.reactor.join();
         if let Some(h) = self.report_thread.take() {
             let _ = h.join();
         }
@@ -243,7 +245,12 @@ impl Drop for FileServer {
     }
 }
 
-fn accept_loop(listener: Arc<dyn Listener>, shared: Arc<Shared>, reactor: Option<Arc<Reactor>>) {
+/// How long the accept loop waits after an error that is neither
+/// shutdown nor a closed listener. `EMFILE`/`ENFILE` persist until a
+/// descriptor frees up; retrying at once would burn a core meanwhile.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
+
+fn accept_loop(listener: Arc<dyn Listener>, shared: Arc<Shared>, reactor: Arc<Reactor>) {
     loop {
         let accepted = listener.accept();
         let (stream, peer) = match accepted {
@@ -258,6 +265,7 @@ fn accept_loop(listener: Arc<dyn Listener>, shared: Arc<Shared>, reactor: Option
                 if e.kind() == std::io::ErrorKind::NotConnected {
                     return;
                 }
+                std::thread::sleep(ACCEPT_BACKOFF);
                 continue;
             }
         };
@@ -274,146 +282,8 @@ fn accept_loop(listener: Arc<dyn Listener>, shared: Arc<Shared>, reactor: Option
         }
         shared.active.fetch_add(1, Ordering::Relaxed);
         shared.stats.connection();
-        match &reactor {
-            // The reactor shard adopts the connection (or spawns a
-            // dedicated thread itself for transports with no readiness
-            // support) and owns the `active` decrement.
-            Some(r) => r.dispatch(stream, peer),
-            None => {
-                let conn_shared = shared.clone();
-                let _ = std::thread::Builder::new()
-                    .name("chirp-conn".to_string())
-                    .spawn(move || {
-                        let _ = serve_connection(stream, peer, &conn_shared);
-                        conn_shared.active.fetch_sub(1, Ordering::Relaxed);
-                    });
-            }
-        }
+        // The shard that adopts the connection owns the `active`
+        // decrement from here on.
+        reactor.dispatch(stream, peer);
     }
-}
-
-/// Serve one connection until the client disconnects or violates the
-/// protocol. All per-connection resources (open files, auth state) are
-/// freed on return — the paper's failure semantics.
-///
-/// This is the blocking core's loop body; the reactor replays the same
-/// contract op-for-op and also uses it directly (on a dedicated
-/// thread) for transports with no readiness support.
-pub(crate) fn serve_connection(
-    stream: Box<dyn Transport>,
-    peer: SocketAddr,
-    shared: &Arc<Shared>,
-) -> std::io::Result<()> {
-    // Idle policy: a read that times out ends the session exactly like
-    // a disconnect would — the client must reconnect and re-open.
-    stream.set_read_timeout(shared.config.idle_timeout)?;
-    let mut reader = BufReader::with_capacity(256 * 1024, stream.try_clone()?);
-    let mut writer = BufWriter::with_capacity(256 * 1024, stream);
-    let mut session = Session::new(shared.clone(), peer.ip());
-    loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return Ok(());
-        }
-        let Some(line) = wire::read_line(&mut reader)? else {
-            return Ok(()); // clean disconnect
-        };
-        shared.stats.request();
-        let span = telemetry::SpanTimer::start();
-        let parsed = Request::parse(&line);
-        let (op, bytes_in) = match &parsed {
-            Ok(req) => (req.op_name(), req.payload_len()),
-            Err(_) => ("invalid", 0),
-        };
-        let reply = match parsed {
-            Err(e) => Err(e),
-            Ok(Request::Putfile { path, mode, length }) => {
-                session.handle_putfile(&path, mode, length, &mut reader)
-            }
-            Ok(req @ Request::Pwrite { length, .. }) => {
-                match wire::read_payload(&mut reader, length) {
-                    Ok(payload) => session.handle(req, Some(payload)),
-                    Err(e) => {
-                        // Framing is lost once we fail to read a
-                        // payload; drop the connection.
-                        wire::write_error(&mut writer, e)?;
-                        writer.flush()?;
-                        return Ok(());
-                    }
-                }
-            }
-            Ok(req) => session.handle(req, None),
-        };
-        let bytes_out = match &reply {
-            Ok(Reply::Data(data)) => data.len() as u64,
-            Ok(Reply::Scratch(n)) => *n as u64,
-            Ok(Reply::FileStream(_, len)) => *len,
-            Ok(Reply::Pages(p)) => p.total() as u64,
-            _ => 0,
-        };
-        let error = reply.as_ref().err().copied();
-        match reply {
-            Ok(Reply::Value(v)) => wire::write_status(&mut writer, v)?,
-            Ok(Reply::Words(v, words)) => wire::write_status_words(&mut writer, v, &words)?,
-            Ok(Reply::Data(data)) => {
-                wire::write_status(&mut writer, data.len() as i64)?;
-                writer.write_all(&data)?;
-            }
-            Ok(Reply::Scratch(n)) => {
-                wire::write_status(&mut writer, n as i64)?;
-                writer.write_all(&session.scratch()[..n])?;
-            }
-            Ok(Reply::FileStream(mut file, len)) => {
-                wire::write_status(&mut writer, len as i64)?;
-                wire::copy_exact(&mut file, &mut writer, len)?;
-            }
-            Ok(Reply::Pages(p)) => {
-                wire::write_status(&mut writer, p.total() as i64)?;
-                write_pages(&mut writer, &p)?;
-            }
-            Err(e) => {
-                shared.stats.error();
-                wire::write_error(&mut writer, e)?;
-            }
-        }
-        session.trim_scratch();
-        // Pipelining: when a complete next request already sits in the
-        // read buffer (a `\n` in buffered bytes means at least one full
-        // line — payload bytes are consumed before this point), keep
-        // the reply buffered and go read it, overlapping this reply's
-        // drain with the next request's service. Before any read that
-        // could block, the buffer is `\n`-free, so the flush always
-        // happens ahead of waiting on the client.
-        if !reader.buffer().contains(&b'\n') {
-            writer.flush()?;
-        }
-        shared.telemetry.record(
-            op,
-            session.subject(),
-            span.elapsed_ns(),
-            bytes_in,
-            bytes_out,
-            error,
-        );
-    }
-}
-
-/// Write a [`PageReply`]'s slices. Small replies ride the `BufWriter`
-/// (one copy into its buffer, coalescing with the status line and any
-/// pipelined neighbors); large ones flush it and hand the transport a
-/// single vectored write, so a cache hit never costs more than one
-/// copy of the data.
-fn write_pages(
-    writer: &mut BufWriter<Box<dyn Transport>>,
-    reply: &PageReply,
-) -> std::io::Result<()> {
-    let room = writer.capacity() - writer.buffer().len();
-    if reply.total() <= room {
-        for s in reply.slices() {
-            writer.write_all(s.as_slice())?;
-        }
-        return Ok(());
-    }
-    writer.flush()?;
-    let bufs: Vec<&[u8]> = reply.slices().iter().map(|s| s.as_slice()).collect();
-    wire::write_all_vectored(writer.get_mut(), &bufs)
 }

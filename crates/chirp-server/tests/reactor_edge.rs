@@ -3,15 +3,19 @@
 //! server memory, not client behavior), mid-pipeline disconnect with
 //! requests in flight (settled work kept, nothing corrupted), and a
 //! listener close over a crowd of idle connections (clean shutdown,
-//! every client sees EOF).
+//! every client sees EOF); plus the two ways a listener can misbehave
+//! (a transport the reactor cannot watch, an accept that keeps
+//! failing).
 
 use std::io::Read;
 use std::io::Write;
+use std::net::SocketAddr;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use chirp_proto::testutil::TempDir;
-use chirp_proto::transport::Transport;
+use chirp_proto::transport::{Listener, MemListener, Transport};
 use chirp_proto::{Clock, MemNet, VirtualClock};
 use chirp_server::acl::Acl;
 use chirp_server::{FileServer, ServerConfig};
@@ -19,6 +23,14 @@ use chirp_server::{FileServer, ServerConfig};
 /// A server on a fresh in-memory network, with the config tweaked by
 /// `tweak` before start.
 fn mem_server(tweak: impl FnOnce(&mut ServerConfig)) -> (TempDir, MemNet, FileServer) {
+    mem_server_behind(tweak, |listener| Arc::new(listener))
+}
+
+/// [`mem_server`] with its listener wrapped by `wrap`.
+fn mem_server_behind(
+    tweak: impl FnOnce(&mut ServerConfig),
+    wrap: impl FnOnce(MemListener) -> Arc<dyn Listener>,
+) -> (TempDir, MemNet, FileServer) {
     let clock = Clock::virtual_at(VirtualClock::new());
     let net = MemNet::new(clock);
     let dir = TempDir::new();
@@ -26,8 +38,7 @@ fn mem_server(tweak: impl FnOnce(&mut ServerConfig)) -> (TempDir, MemNet, FileSe
         .with_root_acl(Acl::single("hostname:*", "rwlda").unwrap());
     cfg.dialer = net.dialer();
     tweak(&mut cfg);
-    let listener = net.listen();
-    let server = FileServer::start_on(cfg, Arc::new(listener)).unwrap();
+    let server = FileServer::start_on(cfg, wrap(net.listen())).unwrap();
     (dir, net, server)
 }
 
@@ -188,6 +199,143 @@ fn listener_close_with_idle_crowd_shuts_down_cleanly() {
             Err(_) => {} // reset is as good as EOF
         }
     }
+}
+
+/// A stream with no readiness: everything but the `Transport`
+/// readiness extension is forwarded, so the trait defaults answer
+/// "cannot be watched".
+#[derive(Debug)]
+struct Blind(Box<dyn Transport>);
+
+impl Read for Blind {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.0.read(buf)
+    }
+}
+
+impl Write for Blind {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0.write(buf)
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.0.flush()
+    }
+}
+
+impl Transport for Blind {
+    fn try_clone(&self) -> std::io::Result<Box<dyn Transport>> {
+        Ok(Box::new(Blind(self.0.try_clone()?)))
+    }
+    fn set_read_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()> {
+        self.0.set_read_timeout(timeout)
+    }
+    fn read_timeout(&self) -> std::io::Result<Option<Duration>> {
+        self.0.read_timeout()
+    }
+    fn set_write_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()> {
+        self.0.set_write_timeout(timeout)
+    }
+    fn peer_addr(&self) -> std::io::Result<SocketAddr> {
+        self.0.peer_addr()
+    }
+    fn local_addr(&self) -> std::io::Result<SocketAddr> {
+        self.0.local_addr()
+    }
+    fn shutdown(&self) -> std::io::Result<()> {
+        self.0.shutdown()
+    }
+}
+
+/// Hands the server its first connection as a [`Blind`] one.
+struct BlindFirst {
+    inner: MemListener,
+    blinded: AtomicBool,
+}
+
+impl Listener for BlindFirst {
+    fn accept(&self) -> std::io::Result<(Box<dyn Transport>, SocketAddr)> {
+        let (stream, peer) = self.inner.accept()?;
+        if self.blinded.swap(true, Ordering::SeqCst) {
+            Ok((stream, peer))
+        } else {
+            Ok((Box::new(Blind(stream)), peer))
+        }
+    }
+    fn local_addr(&self) -> std::io::Result<SocketAddr> {
+        Listener::local_addr(&self.inner)
+    }
+    fn wake(&self) {
+        self.inner.wake()
+    }
+}
+
+/// A connection the reactor can neither poll nor be notified about
+/// cannot be multiplexed: it is closed on arrival and its slot given
+/// back, and the server goes on serving everyone else.
+#[test]
+fn a_transport_without_readiness_is_closed_and_its_slot_released() {
+    let (_dir, net, server) = mem_server_behind(
+        |_| {},
+        |inner| {
+            Arc::new(BlindFirst {
+                inner,
+                blinded: AtomicBool::new(false),
+            })
+        },
+    );
+    let mut refused = dial(&net, &server);
+    let _ = refused.write_all(b"AUTH hostname x x\n");
+    let mut byte = [0u8; 1];
+    match refused.read(&mut byte) {
+        Ok(0) | Err(_) => {}
+        Ok(_) => panic!("a connection with no readiness was served"),
+    }
+    wait_for("the refused connection's slot", || {
+        server.active_connections() == 0
+    });
+
+    let mut served = dial(&net, &server);
+    auth(served.as_mut());
+    assert_eq!(rpc(served.as_mut(), "MKDIR /after 493\n", false).0, 0);
+    assert_eq!(server.active_connections(), 1);
+}
+
+/// An accept point that fails every time, the way `accept(2)` does
+/// while the process is out of descriptors.
+struct AlwaysFailing {
+    calls: Arc<AtomicUsize>,
+}
+
+impl Listener for AlwaysFailing {
+    fn accept(&self) -> std::io::Result<(Box<dyn Transport>, SocketAddr)> {
+        self.calls.fetch_add(1, Ordering::SeqCst);
+        Err(std::io::Error::other("too many open files"))
+    }
+    fn local_addr(&self) -> std::io::Result<SocketAddr> {
+        Ok("10.77.0.1:9094".parse().unwrap())
+    }
+    fn wake(&self) {}
+}
+
+/// A persistent accept error (`EMFILE`, `ENFILE`) is retried after a
+/// pause, not in a loop that burns a core until a descriptor frees
+/// up; and shutdown still gets through.
+#[test]
+fn a_persistent_accept_error_is_retried_at_a_bounded_rate() {
+    let dir = TempDir::new();
+    let calls = Arc::new(AtomicUsize::new(0));
+    let listener = AlwaysFailing {
+        calls: calls.clone(),
+    };
+    let cfg = ServerConfig::localhost(dir.path(), "owner");
+    let mut server = FileServer::start_on(cfg, Arc::new(listener)).unwrap();
+    std::thread::sleep(Duration::from_millis(200));
+    let seen = calls.load(Ordering::SeqCst);
+    // One attempt per 10 ms back-off is 20; an unthrottled loop makes
+    // millions.
+    assert!((2..=40).contains(&seen), "{seen} accept calls in 200 ms");
+    // Joins the accept thread: returning is the clean exit.
+    server.shutdown();
 }
 
 /// Send one request and read its whole reply: the status line, then

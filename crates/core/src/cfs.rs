@@ -15,7 +15,6 @@
 //! in NFS.
 
 use std::io;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -223,10 +222,6 @@ struct ConnSlot {
 pub struct Cfs {
     config: Arc<CfsConfig>,
     slot: Arc<Mutex<ConnSlot>>,
-    /// Retries performed by this mount's recovery loops. Shared so a
-    /// pool can aggregate one counter across all its connections, and
-    /// so chaos tests can assert retry counts stay bounded.
-    retries: Arc<AtomicU64>,
     tele: ClientTelemetry,
 }
 
@@ -243,20 +238,15 @@ impl Cfs {
                 pending: None,
                 prefetched: None,
             })),
-            retries: Arc::new(AtomicU64::new(0)),
             tele,
         }
     }
 
-    /// Share a retry counter (a pool aggregates one across members).
-    pub fn with_retry_counter(mut self, counter: Arc<AtomicU64>) -> Cfs {
-        self.retries = counter;
-        self
-    }
-
-    /// Retries this mount's recovery loops have performed so far.
+    /// Retries performed so far by the recovery loops recording into
+    /// this mount's registry (`client.retries`): this mount's own by
+    /// default, the whole pool's when a pool built it.
     pub fn retries(&self) -> u64 {
-        self.retries.load(Ordering::Relaxed)
+        self.tele.retries.get()
     }
 
     /// The telemetry registry this mount records into (`client.*`
@@ -312,7 +302,6 @@ impl Cfs {
                 Ok(v) => return Ok(v),
                 Err(e) => match retry.next_delay(e) {
                     Some(delay) => {
-                        self.retries.fetch_add(1, Ordering::Relaxed);
                         self.tele.retries.inc();
                         drop_conn(&mut slot);
                         self.config.clock.sleep(delay);
@@ -483,8 +472,6 @@ fn join_base(base: &str, path: &str) -> String {
 struct CfsHandle {
     config: Arc<CfsConfig>,
     slot: Arc<Mutex<ConnSlot>>,
-    /// Shared with the owning [`Cfs`]; every recovery retry counts.
-    retries: Arc<AtomicU64>,
     tele: ClientTelemetry,
     /// Full server-side path, for re-opening after reconnection.
     path: String,
@@ -549,7 +536,6 @@ impl CfsHandle {
                 Ok(v) => return Ok(v),
                 Err(e) => match retry.next_delay(e) {
                     Some(delay) => {
-                        self.retries.fetch_add(1, Ordering::Relaxed);
                         self.tele.retries.inc();
                         drop_conn(&mut slot);
                         self.config.clock.sleep(delay);
@@ -813,7 +799,6 @@ impl FileSystem for Cfs {
                     Ok((fd, st)) => break (fd, st, slot.generation),
                     Err(e) => match retry.next_delay(e) {
                         Some(delay) => {
-                            self.retries.fetch_add(1, Ordering::Relaxed);
                             self.tele.retries.inc();
                             drop_conn(&mut slot);
                             self.config.clock.sleep(delay);
@@ -826,7 +811,6 @@ impl FileSystem for Cfs {
         Ok(Box::new(CfsHandle {
             config: self.config.clone(),
             slot: self.slot.clone(),
-            retries: self.retries.clone(),
             tele: self.tele.clone(),
             path: full,
             reopen_flags,

@@ -22,7 +22,6 @@
 use std::collections::HashMap;
 use std::io;
 use std::ops::Deref;
-use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
 use chirp_client::AuthMethod;
@@ -135,9 +134,6 @@ struct PoolShared {
     /// The registry behind `counters`, installed into every connection
     /// the pool builds so `client.*` metrics aggregate pool-wide.
     registry: telemetry::Registry,
-    /// Legacy aggregate retry counter, still shared into each `Cfs` so
-    /// [`crate::cfs::Cfs::retries`] keeps working for pool members.
-    retries: Arc<AtomicU64>,
 }
 
 impl PoolShared {
@@ -156,7 +152,7 @@ impl PoolShared {
         cfg.dialer = self.options.dialer.clone();
         cfg.clock = self.options.clock.clone();
         cfg.telemetry = self.registry.clone();
-        Cfs::new(cfg).with_retry_counter(self.retries.clone())
+        Cfs::new(cfg)
     }
 
     fn checkin(&self, cfs: Cfs) {
@@ -265,7 +261,6 @@ impl ServerPool {
                 health: Mutex::new(HashMap::new()),
                 counters: PoolCounters::new(&registry),
                 registry,
-                retries: Arc::new(AtomicU64::new(0)),
             }),
         }
     }

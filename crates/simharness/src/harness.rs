@@ -19,7 +19,6 @@ use chirp_proto::testutil::TempDir;
 use chirp_proto::transport::{Dial, Dialer, Transport};
 use chirp_proto::{Clock, MemNet, VirtualClock};
 use chirp_server::acl::Acl;
-use chirp_server::config::CoreKind;
 use chirp_server::{FileServer, KeyRing, ServerConfig};
 use tss_core::cfs::{CfsConfig, RetryPolicy};
 use tss_core::stubfs::{DataServer, StubFsOptions};
@@ -35,7 +34,6 @@ pub struct SimTssBuilder {
     root_acl: Acl,
     cache_bytes: Option<u64>,
     persistence: Persist,
-    core: CoreKind,
     max_connections: Option<usize>,
     keys: Option<KeyRing>,
 }
@@ -72,14 +70,6 @@ impl SimTssBuilder {
         self
     }
 
-    /// Connection-serving core for every server (default:
-    /// [`CoreKind::Reactor`]). The differential oracle runs the same
-    /// op sequence under both cores and demands identical replies.
-    pub fn core(mut self, core: CoreKind) -> SimTssBuilder {
-        self.core = core;
-        self
-    }
-
     /// Per-server connection limit (default: the production default).
     /// The idle-connection soak raises it to hold thousands of
     /// simultaneous clients on one simulated server.
@@ -113,7 +103,6 @@ impl SimTssBuilder {
                 dialer: net.dialer(),
                 cache_bytes: self.cache_bytes,
                 persistence: self.persistence.clone(),
-                core: self.core,
                 ..cfg
             };
             if let Some(n) = self.max_connections {
@@ -154,7 +143,6 @@ impl SimTss {
             root_acl: Acl::single("hostname:*", "rwlda").expect("valid rights"),
             cache_bytes: Some(64 * 1024),
             persistence: Persist::none(),
-            core: CoreKind::default(),
             max_connections: None,
             keys: None,
         }

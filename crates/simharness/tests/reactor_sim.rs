@@ -1,10 +1,9 @@
 //! The reactor proven op-for-op, plus connection-scale soaks.
 //!
-//! * **Differential matrix** — the same seeded op sequences replayed
-//!   against a reactor-core server and a thread-core server, each
-//!   checked byte-for-byte against the model oracle. Any behavioral
-//!   drift between the cores shows up as a divergence on one side.
-//!   Reproduce with `REACTOR_SEED=<n>`.
+//! * **Differential matrix** — seeded op sequences replayed against a
+//!   server over the in-memory network, every reply checked
+//!   byte-for-byte against the model oracle. Reproduce with
+//!   `REACTOR_SEED=<n>`.
 //! * **Idle-connection soak** — thousands of idle connections held on
 //!   one server: memory must stay flat while they idle (no
 //!   per-connection thread stacks, no buffer creep), the server must
@@ -17,12 +16,11 @@
 //!   live server (the simulated host death the federation tests
 //!   inflict) must stop the accept loop without spinning, keep
 //!   already-accepted connections serving, and still shut down
-//!   cleanly — under both cores.
+//!   cleanly.
 
 use std::io::Read;
 use std::time::Duration;
 
-use chirp_server::config::CoreKind;
 use simharness::diff::DiffRunner;
 use simharness::SimTss;
 
@@ -31,7 +29,7 @@ fn env_u64(name: &str) -> Option<u64> {
 }
 
 #[test]
-fn differential_matrix_reactor_vs_threads() {
+fn differential_matrix_against_the_model() {
     let seeds: Vec<u64> = match env_u64("REACTOR_SEED") {
         Some(seed) => vec![seed],
         None => {
@@ -40,19 +38,14 @@ fn differential_matrix_reactor_vs_threads() {
         }
     };
     let root_acl = chirp_server::acl::Acl::single("hostname:*", "rwlda").unwrap();
-    for core in [CoreKind::Reactor, CoreKind::Threads] {
-        let sim = SimTss::builder()
-            .root_acl(root_acl.clone())
-            .core(core)
-            .build();
-        let mut runner = DiffRunner::new(&sim, root_acl.clone());
-        for &seed in &seeds {
-            if let Err(div) = runner.check_seed(seed) {
-                panic!(
-                    "core {core:?} diverged from the model:\n{div}\n\
-                     reproduce: REACTOR_SEED={seed} cargo test -p simharness --test reactor_sim"
-                );
-            }
+    let sim = SimTss::builder().root_acl(root_acl.clone()).build();
+    let mut runner = DiffRunner::new(&sim, root_acl);
+    for &seed in &seeds {
+        if let Err(div) = runner.check_seed(seed) {
+            panic!(
+                "the server diverged from the model:\n{div}\n\
+                 reproduce: REACTOR_SEED={seed} cargo test -p simharness --test reactor_sim"
+            );
         }
     }
 }
@@ -133,33 +126,30 @@ fn idle_connection_soak_holds_flat_memory() {
 
 #[test]
 fn unbound_listener_is_terminal_not_a_spin() {
-    for core in [CoreKind::Reactor, CoreKind::Threads] {
-        let mut sim = SimTss::builder().core(core).build();
-        let addr = sim.servers()[0].addr();
-        let mut conn = sim.connect(0); // arrives pre-authenticated
-        conn.mkdir("/survives", 0o755).unwrap();
+    let mut sim = SimTss::builder().build();
+    let addr = sim.servers()[0].addr();
+    let mut conn = sim.connect(0); // arrives pre-authenticated
+    conn.mkdir("/survives", 0o755).unwrap();
 
-        // The simulated host death: the address unbinds under the
-        // accept loop. New dials fail immediately...
-        sim.net().unbind(addr);
-        assert!(
-            sim.net()
-                .dialer()
-                .dial(&addr.to_string(), Duration::from_millis(200))
-                .is_err(),
-            "core {core:?}: unbound address must refuse dials"
-        );
-        // ...while the already-accepted connection keeps serving: the
-        // accept loop is dead, the (reactor or thread) serving path is
-        // not.
-        assert_eq!(
-            conn.getdir("/").unwrap(),
-            vec!["survives".to_string()],
-            "core {core:?}: live connection must keep serving"
-        );
-        drop(conn);
-        // Shutdown still completes promptly: the accept thread exited
-        // on the listener-closed error instead of spinning on it.
-        sim.shutdown();
-    }
+    // The simulated host death: the address unbinds under the accept
+    // loop. New dials fail immediately...
+    sim.net().unbind(addr);
+    assert!(
+        sim.net()
+            .dialer()
+            .dial(&addr.to_string(), Duration::from_millis(200))
+            .is_err(),
+        "unbound address must refuse dials"
+    );
+    // ...while the already-accepted connection keeps serving: the
+    // accept loop is dead, the reactor is not.
+    assert_eq!(
+        conn.getdir("/").unwrap(),
+        vec!["survives".to_string()],
+        "live connection must keep serving"
+    );
+    drop(conn);
+    // Shutdown still completes promptly: the accept thread exited on
+    // the listener-closed error instead of spinning on it.
+    sim.shutdown();
 }

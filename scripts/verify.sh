@@ -30,15 +30,15 @@
 # The --pipeline stage (part of the default run; --no-pipeline skips
 # it) checks the pipelined data path: the fixed-seed differential mix
 # including pipelined bursts (override with PIPE_SEQS=<n>) plus the
-# fast-mode rpc_pipeline smoke asserting >=2x small-op throughput at
-# depth 8 vs depth 1.
+# pipelining smoke asserting >=2x small-op throughput at depth 8 vs
+# depth 1.
 # The --cache stage (part of the default run; --no-cache skips it)
 # checks the server-side buffer cache: the coherence suite (two-fd
 # visibility, truncate/extend, unlink-while-open, rename clobber, a
 # randomized mirror under a pathological two-page cache), the ACL
 # cache's coherence suite (policy changed on one connection governs
-# the next RPC on another, on both cores, plus a seeded mirror against
-# the uncached loader), the release
+# the next RPC on another, plus a seeded mirror against the uncached
+# loader), the release
 # smoke asserting the >=2x hot-read floor with oversized reads near
 # baseline, and the cache-size differential matrix (off / two-page /
 # large) replayed against the cacheless model.
@@ -55,9 +55,10 @@
 # The --reactor stage (part of the default run; --no-reactor skips
 # it) proves the event-driven connection core: the reactor edge-case
 # suite (slow-reader backpressure, mid-pipeline disconnect, idle-crowd
-# shutdown), then release mode for the reactor-vs-threads differential
-# matrix (both cores against the model oracle; REACTOR_SEED=<u64>
-# replays one printed failure), the 2k idle-connection soak at flat
+# shutdown, a readiness-less transport refused, accept back-off), then
+# release mode for the differential matrix against the model oracle
+# (REACTOR_SEED=<u64> replays one printed failure), the 2k
+# idle-connection soak at flat
 # memory (REACTOR_SOAK=<n> scales it), and the unbound-listener
 # terminality check.
 # The --scenarios stage (part of the default run; --no-scenarios
@@ -152,7 +153,7 @@ if [ "$SIM" = "1" ]; then
 fi
 
 if [ "$PIPELINE" = "1" ]; then
-    echo "== cargo test -q -p tss-bench --test pipeline_smoke  (fast-mode rpc_pipeline smoke)"
+    echo "== cargo test -q -p tss-bench --test pipeline_smoke  (pipelining smoke, >=2x at depth 8)"
     cargo test -q -p tss-bench --test pipeline_smoke
     # Fixed seed matrix with the pipelined-burst / batched-metadata op
     # mix, differentially checked real-vs-model in release mode.
@@ -220,7 +221,7 @@ fi
 if [ "$REACTOR" = "1" ]; then
     echo "== cargo test -q -p chirp-server --test reactor_edge  (reactor edge cases)"
     cargo test -q -p chirp-server --test reactor_edge
-    # Both cores replayed against the model oracle over the seed
+    # The server replayed against the model oracle over the seed
     # matrix, the 2k idle-connection soak at flat memory, and the
     # unbound-listener terminality check. Release mode keeps the
     # matrix plus the soak in seconds; REACTOR_SEED replays one
