@@ -1,19 +1,28 @@
-//! The client connection: one TCP session, one subject, one RPC at a
-//! time, file data interleaved on the same stream as control.
+//! The client connection: one TCP session, one subject, file data
+//! interleaved on the same stream as control.
+//!
+//! A [`Connection`] is the typed RPC surface over one
+//! [`PipelinedConn`], which owns the stream and the queue of replies
+//! still owed on it. Every call here is a `send` and a `recv` on that
+//! pipe with the window at one, so a call made while a reply is owed
+//! — a [`Connection::defer`]red request not yet
+//! [`Connection::settle`]d — is refused with `InvalidRequest` and
+//! leaves the stream as it was; it can never read the owed reply as
+//! its own. [`Connection::pipeline`] opens the window wider for the
+//! length of a closure.
 
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::time::Duration;
 
 use chirp_proto::escape::unescape;
-use chirp_proto::pipeline::{PipelinedConn, ReplyShape};
+use chirp_proto::pipeline::{PipelinedConn, Reply, ReplyShape};
 use chirp_proto::transport::{Dialer, Transport};
 use chirp_proto::wire::{self, StatusLine};
 use chirp_proto::{ChirpError, ChirpResult, OpenFlags, Request, StatBuf, StatFs};
 
-/// A pipeline borrowed from a [`Connection`]'s buffered stream halves.
-pub type ConnPipeline<'a> =
-    PipelinedConn<'a, BufReader<Box<dyn Transport>>, BufWriter<Box<dyn Transport>>>;
+/// The pipeline a [`Connection`] sends and receives through.
+pub type ConnPipeline = PipelinedConn<BufReader<Box<dyn Transport>>, BufWriter<Box<dyn Transport>>>;
 
 /// An authentication method the client can offer, in the order given.
 /// The first method the server accepts fixes the session subject.
@@ -68,13 +77,12 @@ impl std::fmt::Debug for AuthMethod {
 
 /// A connection to one Chirp file server.
 pub struct Connection {
-    reader: BufReader<Box<dyn Transport>>,
-    writer: BufWriter<Box<dyn Transport>>,
+    /// The stream and the replies owed on it. Once it is dead the
+    /// framing is unknown and every further call fails fast with
+    /// `Disconnected`.
+    pipe: ConnPipeline,
     addr: SocketAddr,
     subject: Option<String>,
-    /// Once a transport error occurs the stream framing is unknown;
-    /// every further call fails fast with `Disconnected`.
-    broken: bool,
 }
 
 impl Connection {
@@ -116,36 +124,10 @@ impl Connection {
         );
         let writer = BufWriter::with_capacity(256 * 1024, stream);
         Ok(Connection {
-            reader,
-            writer,
+            pipe: PipelinedConn::new(reader, writer, 1),
             addr,
             subject: None,
-            broken: false,
         })
-    }
-
-    /// Connect with retries: each attempt that fails with an error the
-    /// `policy` classifies as retriable (refused, reset, timed out) is
-    /// repeated after the policy's backoff, until the policy's attempt
-    /// cap or deadline runs out. Fatal errors (unresolvable address)
-    /// surface immediately. Used by CLIs and tests that want to ride
-    /// out a server restart; the data-path recovery in `tss-core`
-    /// carries its own loop so retries are counted in one place.
-    pub fn connect_with_retry(
-        addr: impl ToSocketAddrs + Copy,
-        timeout: Duration,
-        policy: &chirp_proto::RetryPolicy,
-    ) -> ChirpResult<Connection> {
-        let mut retry = policy.begin();
-        loop {
-            match Connection::connect(addr, timeout) {
-                Ok(conn) => return Ok(conn),
-                Err(e) => match retry.next_delay(e) {
-                    Some(delay) => std::thread::sleep(delay),
-                    None => return Err(e),
-                },
-            }
-        }
     }
 
     /// The server address this connection is bound to.
@@ -160,59 +142,21 @@ impl Connection {
 
     /// True once a transport failure has poisoned the connection.
     pub fn is_broken(&self) -> bool {
-        self.broken
+        self.pipe.is_dead()
     }
 
     // ---- plumbing -------------------------------------------------------
 
-    fn check_usable(&self) -> ChirpResult<()> {
-        if self.broken {
-            Err(ChirpError::Disconnected)
-        } else {
-            Ok(())
-        }
-    }
-
-    fn send(&mut self, req: &Request) -> ChirpResult<()> {
-        self.check_usable()?;
-        let line = req.encode();
-        let res = self
-            .writer
-            .write_all(line.as_bytes())
-            .and_then(|_| self.writer.flush());
-        if let Err(e) = res {
-            self.broken = true;
-            return Err(ChirpError::from_io(&e));
-        }
-        Ok(())
-    }
-
-    fn recv_status(&mut self) -> ChirpResult<StatusLine> {
-        match wire::read_status(&mut self.reader) {
-            Ok(s) => Ok(s),
-            Err(e) => {
-                if e.is_retryable() || e == ChirpError::Disconnected {
-                    self.broken = true;
-                }
-                Err(e)
-            }
-        }
-    }
-
-    /// One round trip: send a request, read the status line.
+    /// One round trip whose answer is the status line.
     fn rpc(&mut self, req: &Request) -> ChirpResult<StatusLine> {
-        self.send(req)?;
-        self.recv_status()
+        self.pipe.send(req, None, ReplyShape::Status)?;
+        Ok(self.pipe.recv()?.into_status())
     }
 
-    fn read_body(&mut self, len: u64) -> ChirpResult<Vec<u8>> {
-        match wire::read_payload(&mut self.reader, len) {
-            Ok(v) => Ok(v),
-            Err(e) => {
-                self.broken = true;
-                Err(e)
-            }
-        }
+    /// One round trip whose answer is the body behind the status line.
+    fn rpc_body(&mut self, req: &Request) -> ChirpResult<Vec<u8>> {
+        self.pipe.send(req, None, ReplyShape::Body)?;
+        Ok(self.pipe.recv()?.into_body())
     }
 
     fn decode_word(words: &[String], idx: usize) -> ChirpResult<String> {
@@ -221,26 +165,52 @@ impl Connection {
         String::from_utf8(bytes).map_err(|_| ChirpError::InvalidRequest)
     }
 
-    /// Run `f` with a request pipeline of up to `depth` in flight over
-    /// this connection's stream. The pipeline's FIFO reply matching and
-    /// failure classification are documented on
-    /// [`chirp_proto::pipeline`]; if the pipeline dies on a transport
-    /// failure the connection is poisoned exactly as a plain RPC
-    /// failure would poison it.
+    /// Run `f` with the window opened to `depth` requests in flight.
+    /// The pipeline's FIFO reply matching and failure classification
+    /// are documented on [`chirp_proto::pipeline`]; a pipeline that
+    /// dies on a transport failure, or that `f` leaves with replies
+    /// unsettled, poisons the connection exactly as a plain RPC
+    /// failure would.
     pub fn pipeline<T>(
         &mut self,
         depth: usize,
-        f: impl FnOnce(&mut ConnPipeline<'_>) -> ChirpResult<T>,
+        f: impl FnOnce(&mut ConnPipeline) -> ChirpResult<T>,
     ) -> ChirpResult<T> {
-        self.check_usable()?;
-        let mut pipe = PipelinedConn::new(&mut self.reader, &mut self.writer, depth);
-        let out = f(&mut pipe);
-        let dead = pipe.is_dead() || pipe.in_flight() > 0;
-        if dead {
-            // Unsettled replies would desynchronize the next RPC.
-            self.broken = true;
+        if self.pipe.is_dead() {
+            return Err(ChirpError::Disconnected);
+        }
+        if self.pipe.in_flight() > 0 {
+            // `f`'s first `recv` would settle the deferred request.
+            return Err(ChirpError::InvalidRequest);
+        }
+        self.pipe.set_depth(depth);
+        let out = f(&mut self.pipe);
+        self.pipe.set_depth(1);
+        if self.pipe.in_flight() > 0 {
+            // Nobody is left to settle them.
+            self.pipe.poison();
         }
         out
+    }
+
+    /// Issue `req` and return without waiting for its reply: the
+    /// server works on it while the caller is busy elsewhere, and the
+    /// reply waits in the stream for [`Connection::settle`]. Until
+    /// then the reply is owed and every other call on this connection
+    /// is refused with `InvalidRequest`.
+    pub fn defer(&mut self, req: &Request, shape: ReplyShape) -> ChirpResult<()> {
+        self.pipe.send(req, None, shape)?;
+        self.pipe.flush()
+    }
+
+    /// Read the reply owed to the [`Connection::defer`]red request.
+    pub fn settle(&mut self) -> ChirpResult<Reply> {
+        self.pipe.recv()
+    }
+
+    /// Replies owed on this stream: deferred and not yet settled.
+    pub fn owed(&self) -> usize {
+        self.pipe.in_flight()
     }
 
     // ---- authentication -------------------------------------------------
@@ -346,122 +316,30 @@ impl Connection {
     /// Positional read of up to `length` bytes at `offset`. Short
     /// reads happen only at end of file.
     pub fn pread(&mut self, fd: i32, length: u64, offset: u64) -> ChirpResult<Vec<u8>> {
-        let st = self.rpc(&Request::Pread { fd, length, offset })?;
-        self.read_body(st.value as u64)
+        self.rpc_body(&Request::Pread { fd, length, offset })
     }
 
     /// Positional read directly into `buf`, avoiding the per-call
     /// allocation of [`Connection::pread`]. Returns the bytes read;
-    /// short only at end of file.
+    /// short only at end of file. A server that answers with more than
+    /// was asked for poisons the connection.
     pub fn pread_into(&mut self, fd: i32, buf: &mut [u8], offset: u64) -> ChirpResult<usize> {
-        let st = self.rpc(&Request::Pread {
-            fd,
-            length: buf.len() as u64,
-            offset,
-        })?;
-        let n = st.value as u64;
-        if n > buf.len() as u64 {
-            // The server answered with more than was asked for; the
-            // stream framing can no longer be trusted.
-            self.broken = true;
-            return Err(ChirpError::InvalidRequest);
-        }
-        if let Err(e) = self.reader.read_exact(&mut buf[..n as usize]) {
-            self.broken = true;
-            return Err(ChirpError::from_io(&e));
-        }
-        Ok(n as usize)
+        let length = buf.len() as u64;
+        let req = Request::Pread { fd, length, offset };
+        self.pipe.send(&req, None, ReplyShape::Body)?;
+        self.pipe.recv_into(buf)
     }
 
-    /// Several positional reads settled in one exchange: the requests
-    /// are pipelined on this stream and every reply is read in order,
-    /// so `ranges.len()` reads cost one round trip instead of one
-    /// each. Returns the bytes of each range in request order (short
-    /// only at end of file). The first protocol error settles the
-    /// whole call; reads are idempotent, so a retry layer simply
-    /// reissues everything.
-    pub fn pread_multi(&mut self, fd: i32, ranges: &[(u64, u64)]) -> ChirpResult<Vec<Vec<u8>>> {
-        if ranges.is_empty() {
-            return Ok(Vec::new());
-        }
-        self.pipeline(ranges.len(), |pipe| {
-            for &(offset, length) in ranges {
-                pipe.send(
-                    &Request::Pread { fd, length, offset },
-                    None,
-                    ReplyShape::Body,
-                )?;
-            }
-            let mut out = Vec::with_capacity(ranges.len());
-            let mut first_err = None;
-            for verdict in pipe.settle_all() {
-                match verdict {
-                    Ok(reply) => out.push(reply.into_body()),
-                    Err(e) if first_err.is_none() => first_err = Some(e),
-                    Err(_) => {}
-                }
-            }
-            match first_err {
-                None => Ok(out),
-                Some(e) => Err(e),
-            }
-        })
-        .and_then(|out| {
-            // The server must never answer more than was asked for.
-            for (body, &(_, length)) in out.iter().zip(ranges) {
-                if body.len() as u64 > length {
-                    self.broken = true;
-                    return Err(ChirpError::InvalidRequest);
-                }
-            }
-            Ok(out)
-        })
-    }
-
-    /// Issue a `PREAD` without waiting for its reply — the deferred
-    /// half of the pipelined readahead path: the server services the
-    /// read while the caller is busy elsewhere, and the reply waits in
-    /// the stream. Exactly one reply is then owed on this connection;
-    /// the caller MUST settle it with [`Connection::recv_pread`]
-    /// before issuing any other RPC, or the next status line would
-    /// answer the wrong request.
-    pub fn send_pread(&mut self, fd: i32, length: u64, offset: u64) -> ChirpResult<()> {
-        self.send(&Request::Pread { fd, length, offset })
-    }
-
-    /// Settle a read issued with [`Connection::send_pread`]: read its
-    /// status line and body. `max` is the length that was asked for; a
-    /// longer answer is a framing violation and poisons the connection.
-    pub fn recv_pread(&mut self, max: u64) -> ChirpResult<Vec<u8>> {
-        let st = self.recv_status()?;
-        let n = st.value as u64;
-        if n > max {
-            self.broken = true;
-            return Err(ChirpError::InvalidRequest);
-        }
-        self.read_body(n)
-    }
-
-    /// Positional write of the whole buffer at `offset`.
+    /// Positional write of the whole buffer at `offset`; the request
+    /// line and the data leave in one flush.
     pub fn pwrite(&mut self, fd: i32, data: &[u8], offset: u64) -> ChirpResult<u64> {
-        self.check_usable()?;
         let req = Request::Pwrite {
             fd,
             length: data.len() as u64,
             offset,
         };
-        let line = req.encode();
-        let res = self
-            .writer
-            .write_all(line.as_bytes())
-            .and_then(|_| self.writer.write_all(data))
-            .and_then(|_| self.writer.flush());
-        if let Err(e) = res {
-            self.broken = true;
-            return Err(ChirpError::from_io(&e));
-        }
-        let st = self.recv_status()?;
-        Ok(st.value as u64)
+        self.pipe.send(&req, Some(data), ReplyShape::Status)?;
+        Ok(self.pipe.recv()?.status().value as u64)
     }
 
     /// `fstat` an open descriptor.
@@ -529,10 +407,9 @@ impl Connection {
 
     /// List a directory.
     pub fn getdir(&mut self, path: &str) -> ChirpResult<Vec<String>> {
-        let st = self.rpc(&Request::Getdir {
+        let body = self.rpc_body(&Request::Getdir {
             path: path.to_string(),
         })?;
-        let body = self.read_body(st.value as u64)?;
         let text = String::from_utf8(body).map_err(|_| ChirpError::InvalidRequest)?;
         text.split('\n')
             .filter(|s| !s.is_empty())
@@ -545,10 +422,9 @@ impl Connection {
 
     /// List a directory with attributes in one round trip.
     pub fn getlongdir(&mut self, path: &str) -> ChirpResult<Vec<(String, StatBuf)>> {
-        let st = self.rpc(&Request::Getlongdir {
+        let body = self.rpc_body(&Request::Getlongdir {
             path: path.to_string(),
         })?;
-        let body = self.read_body(st.value as u64)?;
         Self::decode_dirstat_body(body)
     }
 
@@ -557,10 +433,9 @@ impl Connection {
     /// so a listing never costs a `STAT` round trip per entry
     /// (the NFS `LOOKUP`-per-component latency shape).
     pub fn getdir_stat(&mut self, path: &str) -> ChirpResult<Vec<(String, StatBuf)>> {
-        let st = self.rpc(&Request::GetdirStat {
+        let body = self.rpc_body(&Request::GetdirStat {
             path: path.to_string(),
         })?;
-        let body = self.read_body(st.value as u64)?;
         Self::decode_dirstat_body(body)
     }
 
@@ -589,10 +464,9 @@ impl Connection {
         if paths.is_empty() {
             return Ok(Vec::new());
         }
-        let st = self.rpc(&Request::StatMulti {
+        let body = self.rpc_body(&Request::StatMulti {
             paths: paths.to_vec(),
         })?;
-        let body = self.read_body(st.value as u64)?;
         let text = String::from_utf8(body).map_err(|_| ChirpError::InvalidRequest)?;
         let verdicts: Vec<ChirpResult<StatBuf>> = text
             .split('\n')
@@ -605,7 +479,7 @@ impl Connection {
             .collect();
         if verdicts.len() != paths.len() {
             // The batch must be total: one verdict per path.
-            self.broken = true;
+            self.pipe.poison();
             return Err(ChirpError::InvalidRequest);
         }
         Ok(verdicts)
@@ -613,15 +487,11 @@ impl Connection {
 
     /// Stream an entire file into `out`; returns the byte count.
     pub fn getfile_to<W: Write>(&mut self, path: &str, out: &mut W) -> ChirpResult<u64> {
-        let st = self.rpc(&Request::Getfile {
+        let req = Request::Getfile {
             path: path.to_string(),
-        })?;
-        let len = st.value as u64;
-        if let Err(e) = wire::copy_exact(&mut self.reader, out, len) {
-            self.broken = true;
-            return Err(ChirpError::from_io(&e));
-        }
-        Ok(len)
+        };
+        self.pipe.send(&req, None, ReplyShape::Body)?;
+        self.pipe.recv_to(out)
     }
 
     /// Fetch an entire file into memory.
@@ -639,23 +509,13 @@ impl Connection {
         length: u64,
         source: &mut R,
     ) -> ChirpResult<()> {
-        self.check_usable()?;
         let req = Request::Putfile {
             path: path.to_string(),
             mode,
             length,
         };
-        let line = req.encode();
-        let res = self
-            .writer
-            .write_all(line.as_bytes())
-            .and_then(|_| wire::copy_exact(source, &mut self.writer, length))
-            .and_then(|_| self.writer.flush());
-        if let Err(e) = res {
-            self.broken = true;
-            return Err(ChirpError::from_io(&e));
-        }
-        self.recv_status()?;
+        self.pipe.send_from(&req, source, ReplyShape::Status)?;
+        self.pipe.recv()?;
         Ok(())
     }
 
@@ -664,167 +524,11 @@ impl Connection {
         self.putfile_from(path, mode, data.len() as u64, &mut &data[..])
     }
 
-    /// Stream a whole file into `out` as pipelined `PREAD` chunks:
-    /// up to `depth` chunk requests ride the stream at once, so the
-    /// per-chunk round trip overlaps the previous chunk's transfer.
-    /// Unlike `GETFILE`'s single monolithic body, a transport failure
-    /// mid-stream leaves a well-defined prefix in `out` and a
-    /// retriable error. Returns the byte count.
-    pub fn getfile_pipelined<W: Write>(
-        &mut self,
-        path: &str,
-        out: &mut W,
-        chunk: usize,
-        depth: usize,
-    ) -> ChirpResult<u64> {
-        let chunk = (chunk.max(1)) as u64;
-        let fd = self.open(path, OpenFlags::READ, 0)?;
-        let total = self.pipeline(depth.max(1), |pipe| {
-            let mut next_off = 0u64;
-            let mut total = 0u64;
-            let mut eof = false;
-            let mut verdict: ChirpResult<()> = Ok(());
-            // Keep the window full until a short read marks the end,
-            // then settle what is still in flight (the speculative
-            // tail reads simply come back empty).
-            while !(eof && pipe.in_flight() == 0) && verdict.is_ok() {
-                while !eof && pipe.has_room() {
-                    let req = Request::Pread {
-                        fd,
-                        length: chunk,
-                        offset: next_off,
-                    };
-                    if let Err(e) = pipe.send(&req, None, ReplyShape::Body) {
-                        verdict = Err(e);
-                        eof = true;
-                        break;
-                    }
-                    next_off += chunk;
-                    if pipe.in_flight() == pipe.depth() {
-                        break;
-                    }
-                }
-                if verdict.is_err() || pipe.in_flight() == 0 {
-                    break;
-                }
-                match pipe.recv() {
-                    Ok(reply) => {
-                        let body = reply.into_body();
-                        if body.len() as u64 > chunk {
-                            verdict = Err(ChirpError::InvalidRequest);
-                            break;
-                        }
-                        if !body.is_empty() {
-                            if let Err(e) = out.write_all(&body) {
-                                // The sink failed, not the stream; the
-                                // remaining replies still need to be
-                                // drained to keep the connection framed.
-                                verdict = Err(ChirpError::from_io(&e));
-                                eof = true;
-                                continue;
-                            }
-                            total += body.len() as u64;
-                        }
-                        if (body.len() as u64) < chunk {
-                            eof = true;
-                        }
-                    }
-                    Err(e) => {
-                        verdict = Err(e);
-                        // A settled protocol error keeps the stream
-                        // framed; drain the speculative tail.
-                        if !pipe.is_dead() {
-                            for _ in pipe.settle_all() {}
-                        }
-                    }
-                }
-            }
-            verdict.map(|()| total)
-        });
-        let closed = self.close(fd);
-        total.and_then(|n| closed.map(|()| n))
-    }
-
-    /// Fetch a whole file into memory over pipelined chunk reads.
-    pub fn getfile_pipelined_vec(
-        &mut self,
-        path: &str,
-        chunk: usize,
-        depth: usize,
-    ) -> ChirpResult<Vec<u8>> {
-        let mut out = Vec::new();
-        self.getfile_pipelined(path, &mut out, chunk, depth)?;
-        Ok(out)
-    }
-
-    /// Stream `length` bytes from `source` into a new file at `path`
-    /// as pipelined `PWRITE` chunks, overlapping each chunk's round
-    /// trip with the next chunk's transfer. Every chunk's verdict is
-    /// checked; positional writes are idempotent, so a retry layer
-    /// may replay the whole file after a transport failure.
-    pub fn putfile_pipelined<R: Read>(
-        &mut self,
-        path: &str,
-        mode: u32,
-        length: u64,
-        source: &mut R,
-        chunk: usize,
-        depth: usize,
-    ) -> ChirpResult<()> {
-        let chunk = chunk.max(1);
-        let fd = self.open(
-            path,
-            OpenFlags::WRITE | OpenFlags::CREATE | OpenFlags::TRUNCATE,
-            mode,
-        )?;
-        let wrote = self.pipeline(depth.max(1), |pipe| {
-            let mut buf = vec![0u8; chunk];
-            let mut sent = 0u64;
-            let mut verdict: ChirpResult<()> = Ok(());
-            while verdict.is_ok() && (sent < length || pipe.in_flight() > 0) {
-                while sent < length && pipe.has_room() && verdict.is_ok() {
-                    let want = buf.len().min((length - sent) as usize);
-                    if let Err(e) = source.read_exact(&mut buf[..want]) {
-                        verdict = Err(ChirpError::from_io(&e));
-                        break;
-                    }
-                    let req = Request::Pwrite {
-                        fd,
-                        length: want as u64,
-                        offset: sent,
-                    };
-                    verdict = pipe.send(&req, Some(&buf[..want]), ReplyShape::Status);
-                    sent += want as u64;
-                }
-                if pipe.in_flight() == 0 {
-                    break;
-                }
-                match pipe.recv() {
-                    Ok(_) => {}
-                    Err(e) => {
-                        if verdict.is_ok() {
-                            verdict = Err(e);
-                        }
-                        if !pipe.is_dead() {
-                            for _ in pipe.settle_all() {}
-                        } else {
-                            break;
-                        }
-                    }
-                }
-            }
-            verdict
-        });
-        let closed = self.close(fd);
-        wrote.and(closed)
-    }
-
     /// Fetch a directory's ACL as text.
     pub fn getacl(&mut self, path: &str) -> ChirpResult<String> {
-        let st = self.rpc(&Request::Getacl {
+        let body = self.rpc_body(&Request::Getacl {
             path: path.to_string(),
         })?;
-        let body = self.read_body(st.value as u64)?;
         String::from_utf8(body).map_err(|_| ChirpError::InvalidRequest)
     }
 
@@ -890,7 +594,7 @@ impl std::fmt::Debug for Connection {
         f.debug_struct("Connection")
             .field("addr", &self.addr)
             .field("subject", &self.subject)
-            .field("broken", &self.broken)
+            .field("pipe", &self.pipe)
             .finish()
     }
 }

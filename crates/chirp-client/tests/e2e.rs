@@ -1,12 +1,14 @@
 //! End-to-end tests: a real client against a real file server over
 //! loopback TCP, exercising authentication, the full RPC surface, ACL
-//! enforcement with the reserve right, and disconnect semantics.
+//! enforcement with the reserve right, and disconnect semantics; plus
+//! the owed-reply contract, over the in-memory network.
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use chirp_client::{AuthMethod, Connection};
 use chirp_proto::testutil::TempDir;
-use chirp_proto::{ChirpError, OpenFlags};
+use chirp_proto::{ChirpError, Clock, MemNet, OpenFlags, ReplyShape, Request, VirtualClock};
 use chirp_server::acl::Acl;
 use chirp_server::{FileServer, ServerConfig};
 
@@ -538,4 +540,38 @@ fn getlongdir_lists_names_with_attributes_in_one_rpc() {
     assert!(listing[2].1.is_dir());
     // The ACL metadata stays invisible here too.
     assert!(!names.iter().any(|n| n.contains("__acl")));
+}
+
+/// A reply still owed on the stream — a deferred request not yet
+/// settled — makes any other call a refused usage error: it must never
+/// read the owed status line as its own answer, and refusing it must
+/// leave the stream exactly as it was.
+#[test]
+fn a_call_made_while_a_reply_is_owed_is_refused_not_misanswered() {
+    let net = MemNet::new(Clock::virtual_at(VirtualClock::new()));
+    let dir = TempDir::new();
+    let cfg = ServerConfig::localhost(dir.path(), "owner")
+        .with_root_acl(Acl::single("hostname:*", "rwlda").unwrap());
+    let server = FileServer::start_on(cfg, Arc::new(net.listen())).unwrap();
+    let mut conn = Connection::connect_via(&net.dialer(), &server.endpoint(), TIMEOUT).unwrap();
+    conn.authenticate(&[AuthMethod::Hostname]).unwrap();
+    conn.putfile("/f", 0o644, b"0123456789").unwrap();
+    let fd = conn.open("/f", OpenFlags::READ, 0).unwrap();
+
+    let pread = Request::Pread {
+        fd,
+        length: 4,
+        offset: 2,
+    };
+    conn.defer(&pread, ReplyShape::Body).unwrap();
+    assert_eq!(conn.owed(), 1);
+    // Unrefused, this `stat` would consume the PREAD's status line as
+    // its own answer and leave the PREAD's body to answer the next
+    // call: nothing after it on this stream could be trusted.
+    assert_eq!(conn.stat("/f").unwrap_err(), ChirpError::InvalidRequest);
+    assert!(!conn.is_broken(), "a refused call is not a wire event");
+    assert_eq!(conn.owed(), 1);
+
+    assert_eq!(conn.settle().unwrap().into_body(), b"2345");
+    assert_eq!(conn.stat("/f").unwrap().size, 10);
 }

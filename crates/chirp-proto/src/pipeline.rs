@@ -1,12 +1,18 @@
-//! Request pipelining over one Chirp stream.
+//! The client half of one Chirp stream: every request leaves, and
+//! every status line arrives, through [`PipelinedConn`].
 //!
 //! Chirp replies carry no tags: the stream is strictly FIFO, so the
 //! n-th reply always answers the n-th request. That means a client may
 //! overlap round trips — write several requests, flush once, read the
 //! replies in order — without any change to the server's one-RPC-at-a-
 //! time semantics per message. [`PipelinedConn`] is that discipline as
-//! a type: a bounded window of in-flight requests, each queued with the
-//! [`ReplyShape`] its answer is framed with, settled strictly in order.
+//! a type: it owns the two stream halves and a bounded window of
+//! in-flight requests, each queued with the [`ReplyShape`] its answer
+//! is framed with, settled strictly in order. A window of one is the
+//! classic request/reply loop; because the queue lives with the
+//! stream, a request sent into a full window is refused
+//! (`InvalidRequest`) instead of being answered by somebody else's
+//! status line.
 //!
 //! # Failure semantics
 //!
@@ -16,16 +22,17 @@
 //! - A well-formed negative status line is a **settled** protocol
 //!   verdict for the oldest in-flight request (error replies carry no
 //!   body, so the stream stays framed and the pipeline continues).
-//! - A transport failure — EOF, timeout, a garbled status line — means
-//!   the framing is lost, so no later line can be attributed to any
-//!   request. The failing request settles with the transport error and
-//!   every request queued behind it settles as
-//!   [`ChirpError::Disconnected`]: never answered, safe to retry on a
-//!   fresh connection. Replies read *before* the failure remain
-//!   settled; a retry layer must not replay them.
+//! - A transport failure — EOF, timeout, a garbled status line, a body
+//!   cut short or longer than asked for — means the framing is lost,
+//!   so no later line can be attributed to any request. The failing
+//!   request settles with the transport error and every request queued
+//!   behind it settles as [`ChirpError::Disconnected`]: never
+//!   answered, safe to retry on a fresh connection. Replies read
+//!   *before* the failure remain settled; a retry layer must not
+//!   replay them.
 
 use std::collections::VecDeque;
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 
 use crate::error::{ChirpError, ChirpResult};
 use crate::message::Request;
@@ -63,6 +70,13 @@ impl Reply {
         }
     }
 
+    /// The status line of either shape, by value.
+    pub fn into_status(self) -> StatusLine {
+        match self {
+            Reply::Status(st) | Reply::Body(st, _) => st,
+        }
+    }
+
     /// The payload, for [`Reply::Body`]; empty for a bare status.
     pub fn into_body(self) -> Vec<u8> {
         match self {
@@ -72,33 +86,35 @@ impl Reply {
     }
 }
 
-/// A bounded FIFO window of in-flight requests over one stream.
+/// A bounded FIFO window of in-flight requests over one stream, and
+/// the only code that writes a request or reads a status line.
 ///
-/// Borrows the buffered halves of an existing connection; dropping the
-/// pipeline returns the stream, which stays usable exactly when
-/// [`PipelinedConn::is_dead`] is false and nothing is left in flight.
-pub struct PipelinedConn<'a, R: BufRead, W: Write> {
-    reader: &'a mut R,
-    writer: &'a mut W,
+/// Owns the buffered stream halves (`&mut R` is itself a `BufRead`, so
+/// a caller that wants its stream back lends it). The stream stays
+/// usable exactly when [`PipelinedConn::is_dead`] is false.
+pub struct PipelinedConn<R: BufRead, W: Write> {
+    reader: R,
+    writer: W,
     depth: usize,
     /// Reply shapes of requests written but not yet settled, FIFO.
     queue: VecDeque<ReplyShape>,
-    /// First transport failure seen; fails everything after it fast.
-    dead: Option<ChirpError>,
+    /// Set by the first transport failure; everything after it fails
+    /// fast as `Disconnected`.
+    dead: bool,
     /// Requests written since the last flush.
     unflushed: bool,
 }
 
-impl<'a, R: BufRead, W: Write> PipelinedConn<'a, R, W> {
+impl<R: BufRead, W: Write> PipelinedConn<R, W> {
     /// A pipeline of at most `depth` (clamped to at least 1) in-flight
     /// requests over `reader`/`writer`.
-    pub fn new(reader: &'a mut R, writer: &'a mut W, depth: usize) -> PipelinedConn<'a, R, W> {
+    pub fn new(reader: R, writer: W, depth: usize) -> PipelinedConn<R, W> {
         PipelinedConn {
             reader,
             writer,
             depth: depth.max(1),
             queue: VecDeque::new(),
-            dead: None,
+            dead: false,
             unflushed: false,
         }
     }
@@ -106,6 +122,12 @@ impl<'a, R: BufRead, W: Write> PipelinedConn<'a, R, W> {
     /// The window size.
     pub fn depth(&self) -> usize {
         self.depth
+    }
+
+    /// Resize the window (clamped to at least 1). Requests already in
+    /// flight stay queued; a smaller window only refuses new sends.
+    pub fn set_depth(&mut self, depth: usize) {
+        self.depth = depth.max(1);
     }
 
     /// Requests written but not yet settled.
@@ -120,21 +142,53 @@ impl<'a, R: BufRead, W: Write> PipelinedConn<'a, R, W> {
 
     /// True once a transport failure has poisoned the stream.
     pub fn is_dead(&self) -> bool {
-        self.dead.is_some()
+        self.dead
     }
 
-    fn fail(&mut self, e: ChirpError) -> ChirpError {
-        if self.dead.is_none() {
-            self.dead = Some(e);
+    /// Declare the framing lost: for a caller that finds a reply it
+    /// settled malformed, or that abandons replies still owed.
+    pub fn poison(&mut self) {
+        self.dead = true;
+    }
+
+    fn lost<T>(&mut self, e: ChirpError) -> ChirpResult<T> {
+        self.dead = true;
+        Err(e)
+    }
+
+    /// Write one request line and whatever `payload` adds behind it,
+    /// and queue its reply shape. A full window is a usage error
+    /// reported as `InvalidRequest`, not a wire event.
+    fn enqueue(
+        &mut self,
+        req: &Request,
+        shape: ReplyShape,
+        payload: impl FnOnce(&mut W) -> std::io::Result<()>,
+    ) -> ChirpResult<()> {
+        if self.dead {
+            return Err(ChirpError::Disconnected);
         }
-        e
+        if !self.has_room() {
+            return Err(ChirpError::InvalidRequest);
+        }
+        let res = self
+            .writer
+            .write_all(req.encode().as_bytes())
+            .and_then(|_| payload(&mut self.writer));
+        if let Err(e) = res {
+            // A partial write loses framing: nothing sent after this
+            // point can be attributed, so the stream is dead.
+            return self.lost(ChirpError::from_io(&e));
+        }
+        self.unflushed = true;
+        self.queue.push_back(shape);
+        Ok(())
     }
 
     /// Queue one request (and its raw payload, which must match
-    /// [`Request::payload_len`]). The caller must leave room:
-    /// settle with [`PipelinedConn::recv`] until [`has_room`] before
-    /// sending into a full window; a full-window send is a usage error
-    /// reported as `InvalidRequest`, not a wire event.
+    /// [`Request::payload_len`]). The caller must leave room: settle
+    /// with [`PipelinedConn::recv`] until [`has_room`] before sending
+    /// into a full window.
     ///
     /// [`has_room`]: PipelinedConn::has_room
     pub fn send(
@@ -143,36 +197,32 @@ impl<'a, R: BufRead, W: Write> PipelinedConn<'a, R, W> {
         payload: Option<&[u8]>,
         shape: ReplyShape,
     ) -> ChirpResult<()> {
-        if let Some(e) = self.dead {
-            return Err(e);
-        }
-        if !self.has_room() {
-            return Err(ChirpError::InvalidRequest);
-        }
         debug_assert_eq!(
             payload.map_or(0, |p| p.len() as u64),
             req.payload_len(),
             "payload must match the length named on the request line"
         );
-        let line = req.encode();
-        let res = self
-            .writer
-            .write_all(line.as_bytes())
-            .and_then(|_| payload.map_or(Ok(()), |p| self.writer.write_all(p)));
-        if let Err(e) = res {
-            // A partial write loses framing: nothing sent after this
-            // point can be attributed, so the stream is dead.
-            return Err(self.fail(ChirpError::from_io(&e)));
-        }
-        self.unflushed = true;
-        self.queue.push_back(shape);
-        Ok(())
+        self.enqueue(req, shape, |w| payload.map_or(Ok(()), |p| w.write_all(p)))
+    }
+
+    /// [`PipelinedConn::send`] with the payload streamed from `source`
+    /// through a bounded buffer: exactly [`Request::payload_len`]
+    /// bytes. A source that ends early has already put the line on the
+    /// wire, so it kills the stream like any partial write.
+    pub fn send_from(
+        &mut self,
+        req: &Request,
+        source: &mut impl Read,
+        shape: ReplyShape,
+    ) -> ChirpResult<()> {
+        let len = req.payload_len();
+        self.enqueue(req, shape, |w| wire::copy_exact(source, w, len))
     }
 
     /// Push all queued request bytes to the wire.
     pub fn flush(&mut self) -> ChirpResult<()> {
-        if let Some(e) = self.dead {
-            return Err(e);
+        if self.dead {
+            return Err(ChirpError::Disconnected);
         }
         if !self.unflushed {
             return Ok(());
@@ -182,56 +232,82 @@ impl<'a, R: BufRead, W: Write> PipelinedConn<'a, R, W> {
                 self.unflushed = false;
                 Ok(())
             }
-            Err(e) => Err(self.fail(ChirpError::from_io(&e))),
+            Err(e) => self.lost(ChirpError::from_io(&e)),
         }
     }
 
-    /// Settle the oldest in-flight request (flushing first if needed).
+    /// Pop the oldest in-flight request (flushing first if needed) and
+    /// read its status line; any body is still in the stream.
+    fn recv_status(&mut self) -> ChirpResult<(ReplyShape, StatusLine)> {
+        let shape = match self.queue.pop_front() {
+            Some(s) => s,
+            None => return Err(ChirpError::InvalidRequest),
+        };
+        if self.dead {
+            // Queued behind a transport failure: never answered, so
+            // retriable — never a verdict borrowed from a later line.
+            return Err(ChirpError::Disconnected);
+        }
+        self.flush()?;
+        match wire::read_status(&mut self.reader) {
+            Ok(st) => Ok((shape, st)),
+            // EOF, timeout, or a garbled line: framing lost. (`Busy`
+            // rides along: the server answers it while closing the
+            // stream.)
+            Err(e) if e.is_retryable() => self.lost(e),
+            // A well-formed negative status: a settled verdict. Error
+            // replies carry no body, so the stream is still framed
+            // and the pipeline continues.
+            Err(e) => Err(e),
+        }
+    }
+
+    /// Settle the oldest in-flight request.
     ///
     /// `Ok` is its reply; `Err` is either its settled protocol verdict
     /// (pipeline still live) or a transport failure (pipeline dead;
     /// every later `recv` answers `Disconnected`). Calling with nothing
     /// in flight is a usage error reported as `InvalidRequest`.
     pub fn recv(&mut self) -> ChirpResult<Reply> {
-        let shape = match self.queue.pop_front() {
-            Some(s) => s,
-            None => return Err(ChirpError::InvalidRequest),
-        };
-        if self.dead.is_some() {
-            // Queued behind a transport failure: never answered, so
-            // retriable — never a verdict borrowed from a later line.
-            return Err(ChirpError::Disconnected);
-        }
-        if self.unflushed {
-            self.flush()?;
-        }
-        let st = match wire::read_status(self.reader) {
-            Ok(st) => st,
-            Err(e) => {
-                if e.is_retryable() || e == ChirpError::Disconnected {
-                    // EOF, timeout, or a garbled line: framing lost.
-                    // (`Busy` rides along: the server answers it while
-                    // closing the stream, matching the unpipelined
-                    // client's poisoning rule.)
-                    return Err(self.fail(e));
-                }
-                // A well-formed negative status: a settled verdict.
-                // Error replies carry no body, so the stream is still
-                // framed and the pipeline continues.
-                return Err(e);
-            }
-        };
+        let (shape, st) = self.recv_status()?;
         match shape {
             ReplyShape::Status => Ok(Reply::Status(st)),
-            ReplyShape::Body => match wire::read_payload(self.reader, st.value as u64) {
+            ReplyShape::Body => match wire::read_payload(&mut self.reader, st.value as u64) {
                 Ok(body) => Ok(Reply::Body(st, body)),
-                Err(e) => {
-                    // The body is unread (oversized) or half-read:
-                    // either way the framing is lost.
-                    self.fail(ChirpError::Disconnected);
-                    Err(e)
-                }
+                // The body is unread (oversized) or half-read: either
+                // way the framing is lost.
+                Err(e) => self.lost(e),
             },
+        }
+    }
+
+    /// Settle the oldest in-flight request, a [`ReplyShape::Body`]
+    /// one, reading its body straight into `buf` (one copy, no
+    /// allocation). Returns the body length. A body longer than `buf`
+    /// — more than was asked for — is left unread and kills the
+    /// stream.
+    pub fn recv_into(&mut self, buf: &mut [u8]) -> ChirpResult<usize> {
+        let (_, st) = self.recv_status()?;
+        let n = st.value as u64;
+        if n > buf.len() as u64 {
+            return self.lost(ChirpError::InvalidRequest);
+        }
+        match self.reader.read_exact(&mut buf[..n as usize]) {
+            Ok(()) => Ok(n as usize),
+            Err(e) => self.lost(ChirpError::from_io(&e)),
+        }
+    }
+
+    /// Settle the oldest in-flight request, a [`ReplyShape::Body`]
+    /// one, streaming its body into `out` through a bounded buffer.
+    /// Returns the body length. A failing sink leaves the body
+    /// half-read, so it kills the stream like a failing transport.
+    pub fn recv_to(&mut self, out: &mut impl Write) -> ChirpResult<u64> {
+        let (_, st) = self.recv_status()?;
+        let len = st.value as u64;
+        match wire::copy_exact(&mut self.reader, out, len) {
+            Ok(()) => Ok(len),
+            Err(e) => self.lost(ChirpError::from_io(&e)),
         }
     }
 
@@ -247,7 +323,7 @@ impl<'a, R: BufRead, W: Write> PipelinedConn<'a, R, W> {
     }
 }
 
-impl<R: BufRead, W: Write> std::fmt::Debug for PipelinedConn<'_, R, W> {
+impl<R: BufRead, W: Write> std::fmt::Debug for PipelinedConn<R, W> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PipelinedConn")
             .field("depth", &self.depth)
@@ -350,7 +426,7 @@ mod tests {
         assert_eq!(*verdicts[1].as_ref().unwrap_err(), ChirpError::Disconnected);
         assert_eq!(*verdicts[2].as_ref().unwrap_err(), ChirpError::Disconnected);
         assert!(pipe.is_dead());
-        // A dead pipe refuses new work with the original failure.
+        // A dead pipe refuses new work: never sent, safe to retry.
         assert_eq!(
             pipe.send(&Request::Whoami, None, ReplyShape::Status)
                 .unwrap_err(),
@@ -399,6 +475,69 @@ mod tests {
             .unwrap();
         pipe.flush().unwrap();
         assert_eq!(&writer[..], b"PWRITE 2 4 8\ndataFSYNC 2\n");
+    }
+
+    #[test]
+    fn bodies_land_in_the_callers_buffer_or_sink() {
+        // Replies for: PREAD 3 bytes, GETFILE 2 bytes.
+        let mut replies = Vec::new();
+        wire::write_status(&mut replies, 3).unwrap();
+        replies.extend_from_slice(b"abc");
+        wire::write_status(&mut replies, 2).unwrap();
+        replies.extend_from_slice(b"xy");
+        let mut pipe = PipelinedConn::new(BufReader::new(&replies[..]), Vec::new(), 2);
+        pipe.send(&pread(1, 8, 0), None, ReplyShape::Body).unwrap();
+        pipe.send(
+            &Request::Getfile { path: "/f".into() },
+            None,
+            ReplyShape::Body,
+        )
+        .unwrap();
+        let mut buf = [0u8; 8];
+        assert_eq!(pipe.recv_into(&mut buf).unwrap(), 3);
+        assert_eq!(&buf[..3], b"abc");
+        let mut sink = Vec::new();
+        assert_eq!(pipe.recv_to(&mut sink).unwrap(), 2);
+        assert_eq!(sink, b"xy");
+        assert!(!pipe.is_dead());
+    }
+
+    #[test]
+    fn a_body_longer_than_asked_for_kills_the_stream() {
+        let mut replies = Vec::new();
+        wire::write_status(&mut replies, 3).unwrap();
+        replies.extend_from_slice(b"abc");
+        let mut pipe = PipelinedConn::new(BufReader::new(&replies[..]), Vec::new(), 1);
+        pipe.send(&pread(1, 2, 0), None, ReplyShape::Body).unwrap();
+        let mut buf = [0u8; 2];
+        assert_eq!(
+            pipe.recv_into(&mut buf).unwrap_err(),
+            ChirpError::InvalidRequest
+        );
+        assert!(pipe.is_dead());
+    }
+
+    #[test]
+    fn a_streamed_payload_is_exactly_the_named_length() {
+        let put = |length| Request::Putfile {
+            path: "/f".into(),
+            mode: 0o644,
+            length,
+        };
+        let empty = b"";
+        let mut writer = Vec::new();
+        let mut pipe = PipelinedConn::new(BufReader::new(&empty[..]), &mut writer, 2);
+        pipe.send_from(&put(4), &mut &b"datamore"[..], ReplyShape::Status)
+            .unwrap();
+        // A source that ends early leaves a line without its payload
+        // on the wire: the stream is dead.
+        assert_eq!(
+            pipe.send_from(&put(9), &mut &b"short"[..], ReplyShape::Status)
+                .unwrap_err(),
+            ChirpError::Disconnected
+        );
+        assert!(pipe.is_dead());
+        assert!(writer.starts_with(b"PUTFILE /f 420 4\ndata"));
     }
 
     #[test]

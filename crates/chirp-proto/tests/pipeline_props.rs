@@ -5,7 +5,11 @@
 //! naming framing-hostile paths — written through [`PipelinedConn`]
 //! must decode server-side to exactly the op sequence that was queued,
 //! and replies must settle strictly in send order no matter how sends
-//! and receives interleave within the window. The failure half of the
+//! and receives interleave within the window — including the two moves
+//! a pipeline that owns its stream allows between bursts: a plain RPC
+//! (one round trip at window one, refused untouched while replies are
+//! owed) and a deferred send (flushed now, settled whenever). The
+//! failure half of the
 //! contract is a property too: a garbled status line anywhere in the
 //! reply stream settles the request it answers as a transport loss and
 //! everything queued behind it as [`ChirpError::Disconnected`] — a
@@ -177,6 +181,41 @@ fn stage_replies(specs: &[Queued], staged: &[Staged]) -> (Vec<u8>, Vec<Result<Re
     (stream, expected)
 }
 
+/// One step of an interleaving over a single owned pipeline.
+#[derive(Debug, Clone, Copy)]
+enum Move {
+    /// Queue the next request into the open window.
+    Send,
+    /// Settle the oldest in-flight request.
+    Recv,
+    /// A plain RPC: close the window to one, send, settle at once.
+    Plain,
+    /// Queue the next request and flush it; its reply is settled by
+    /// whichever later move gets to it.
+    Defer,
+}
+
+fn moves() -> impl Strategy<Value = Move> {
+    (0usize..4).prop_map(|i| [Move::Send, Move::Recv, Move::Plain, Move::Defer][i])
+}
+
+/// The plain server-side read loop over what the client wrote: the
+/// frames must decode to exactly `specs`, in order, and nothing more.
+fn assert_decodes_to(written: &[u8], specs: &[Queued]) {
+    let mut server = BufReader::new(written);
+    for spec in specs {
+        let line = read_line(&mut server).unwrap().expect("a queued frame");
+        let decoded = Request::parse(&line).unwrap();
+        assert_eq!(decoded, spec.request());
+        let body = read_payload(&mut server, decoded.payload_len()).unwrap();
+        assert_eq!(body.as_slice(), spec.payload().unwrap_or(&[]));
+    }
+    assert!(
+        read_line(&mut server).unwrap().is_none(),
+        "stream fully consumed"
+    );
+}
+
 /// Bytes that must never parse as a status line: either a non-numeric
 /// first token, or raw non-UTF-8 noise.
 fn garble() -> impl Strategy<Value = Vec<u8>> {
@@ -209,25 +248,19 @@ proptest! {
         pipe.flush().unwrap();
         prop_assert_eq!(pipe.in_flight(), specs.len());
         drop(pipe);
-
-        let mut server = BufReader::new(&writer[..]);
-        for spec in &specs {
-            let line = read_line(&mut server).unwrap().expect("a queued frame");
-            let decoded = Request::parse(&line).unwrap();
-            prop_assert_eq!(&decoded, &spec.request());
-            let body = read_payload(&mut server, decoded.payload_len()).unwrap();
-            prop_assert_eq!(body.as_slice(), spec.payload().unwrap_or(&[]));
-        }
-        prop_assert!(read_line(&mut server).unwrap().is_none(), "stream fully consumed");
+        assert_decodes_to(&writer, &specs);
     }
 
-    // FIFO settlement under arbitrary send/recv interleavings: however
-    // the schedule slices the window, the k-th settled verdict is the
-    // k-th staged reply — values, bodies, and protocol errors alike.
+    // FIFO settlement under arbitrary interleavings of bursts, plain
+    // RPCs and deferred sends on one pipeline: however the schedule
+    // slices the window, the k-th settled verdict is the k-th staged
+    // reply — values, bodies, and protocol errors alike — and a plain
+    // RPC attempted while replies are owed is refused without a byte
+    // written or a reply consumed.
     #[test]
     fn replies_settle_fifo_under_arbitrary_interleavings(
         pairs in proptest::collection::vec((queued(), staged()), 1..10),
-        schedule in proptest::collection::vec(any::<bool>(), 0..24),
+        schedule in proptest::collection::vec(moves(), 0..24),
         depth in 1usize..5,
     ) {
         let (specs, staged): (Vec<_>, Vec<_>) = pairs.into_iter().unzip();
@@ -238,17 +271,45 @@ proptest! {
 
         let mut next_send = 0;
         let mut verdicts: Vec<Result<Reply, ChirpError>> = Vec::new();
-        // `true` = try to send the next request, `false` = settle one;
-        // either falls back to the other move at a window edge.
-        for send_next in schedule {
+        // A move that cannot be made at a window edge falls back to
+        // the other kind.
+        for mv in schedule {
             let can_send = next_send < specs.len() && pipe.has_room();
-            let can_recv = pipe.in_flight() > 0;
-            if (send_next || !can_recv) && can_send {
-                let spec = &specs[next_send];
-                pipe.send(&spec.request(), spec.payload(), spec.shape()).unwrap();
-                next_send += 1;
-            } else if can_recv {
-                verdicts.push(pipe.recv());
+            let owed = pipe.in_flight();
+            match mv {
+                Move::Plain if next_send < specs.len() => {
+                    let spec = &specs[next_send];
+                    pipe.set_depth(1);
+                    match pipe.send(&spec.request(), spec.payload(), spec.shape()) {
+                        Ok(()) => {
+                            prop_assert_eq!(owed, 0, "a plain RPC went out past owed replies");
+                            verdicts.push(pipe.recv());
+                            next_send += 1;
+                        }
+                        Err(e) => {
+                            prop_assert!(owed > 0, "a plain RPC refused on an idle stream");
+                            prop_assert_eq!(e, ChirpError::InvalidRequest);
+                            prop_assert_eq!(pipe.in_flight(), owed);
+                            prop_assert!(!pipe.is_dead());
+                        }
+                    }
+                    pipe.set_depth(depth);
+                }
+                Move::Send | Move::Defer if can_send => {
+                    let spec = &specs[next_send];
+                    pipe.send(&spec.request(), spec.payload(), spec.shape()).unwrap();
+                    next_send += 1;
+                    if matches!(mv, Move::Defer) {
+                        pipe.flush().unwrap();
+                    }
+                }
+                _ if owed > 0 => verdicts.push(pipe.recv()),
+                _ if can_send => {
+                    let spec = &specs[next_send];
+                    pipe.send(&spec.request(), spec.payload(), spec.shape()).unwrap();
+                    next_send += 1;
+                }
+                _ => {}
             }
         }
         while next_send < specs.len() {
@@ -267,6 +328,9 @@ proptest! {
         for (i, (got, want)) in verdicts.iter().zip(&expected).enumerate() {
             prop_assert_eq!(got, want, "verdict {i} out of order");
         }
+        drop(pipe);
+        // Refused sends wrote nothing: the wire holds each request once.
+        assert_decodes_to(&writer, &specs);
     }
 
     // Total error classification: a garbled status line (or EOF) at

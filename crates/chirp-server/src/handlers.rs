@@ -336,7 +336,6 @@ impl Session {
                     self.shared.sizes.set_size(key, length);
                 }
                 self.shared.adjust_usage(length as i64 - old_size as i64);
-                self.shared.stats.wrote_bytes(length);
                 Ok(Reply::Value(0))
             }
         }
@@ -532,7 +531,6 @@ impl Session {
                 let doomed = f.state.doomed.load(std::sync::atomic::Ordering::Relaxed);
                 let reply =
                     cache.read(&f.file, f.key, offset, length as usize, f.size(), !doomed)?;
-                self.shared.stats.read_bytes(reply.total() as u64);
                 return Ok(Reply::Pages(reply));
             }
         }
@@ -540,7 +538,6 @@ impl Session {
             self.scratch.resize(length as usize, 0);
         }
         let n = read_at(&f.file, &mut self.scratch[..length as usize], offset)?;
-        self.shared.stats.read_bytes(n as u64);
         Ok(Reply::Scratch(n))
     }
 
@@ -584,7 +581,6 @@ impl Session {
                 .fetch_max(new_size, std::sync::atomic::Ordering::Relaxed);
         }
         self.shared.adjust_usage(growth as i64);
-        self.shared.stats.wrote_bytes(data.len() as u64);
         Ok(Reply::Value(data.len() as i64))
     }
 
@@ -808,7 +804,6 @@ impl Session {
         if meta.is_dir() {
             return Err(ChirpError::IsADirectory);
         }
-        self.shared.stats.read_bytes(meta.len());
         if let Some(cache) = &self.shared.cache {
             // Serve a fully-resident file straight from pages; a
             // partial miss streams from disk without populating, so a
@@ -925,7 +920,6 @@ impl Session {
             chirp_client::Connection::connect_via(&self.shared.config.dialer, target, timeout)?;
         conn.authenticate(&[chirp_client::AuthMethod::Hostname])?;
         conn.putfile_from(target_path, 0o644, meta.len(), &mut file)?;
-        self.shared.stats.read_bytes(meta.len());
         Ok(Reply::Value(meta.len() as i64))
     }
 

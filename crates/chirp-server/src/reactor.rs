@@ -710,7 +710,6 @@ impl Conn {
                 self.wq.extend(pages.map(WItem::Page));
             }
             Err(e) => {
-                shared.stats.error();
                 self.push_bytes(format!("{}\n", e.code()).into_bytes());
             }
         }

@@ -29,7 +29,7 @@ pub struct Shared {
     pub config: ServerConfig,
     /// The path jail rooted at the export directory.
     pub jail: Jail,
-    /// Activity counters.
+    /// Activity counters: a view over `telemetry`'s registry.
     pub stats: ServerStats,
     /// Per-op metrics, latency histograms, and the RPC trace ring;
     /// folded into every catalog report.
@@ -81,7 +81,7 @@ impl Shared {
         Ok(Arc::new(Shared {
             config,
             jail,
-            stats: ServerStats::default(),
+            stats: ServerStats::new(telemetry.registry()),
             telemetry,
             cache,
             sizes: SizeTable::new(),

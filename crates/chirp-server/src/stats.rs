@@ -1,11 +1,10 @@
-//! Server activity counters and the per-server telemetry registry.
+//! The per-server telemetry registry and the activity view over it.
 //!
-//! Plain relaxed atomics: the counters are monotonic telemetry, never
-//! used for synchronization, so `Relaxed` ordering is sufficient and
-//! keeps them off the hot path's critical section.
+//! Every server event is counted once, in the registry; the cells are
+//! relaxed atomics — monotonic telemetry, never used for
+//! synchronization.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use telemetry::{Counter, Gauge, Histogram, Outcome, Registry, TraceEvent};
@@ -97,9 +96,7 @@ impl ServerTelemetry {
     /// Track the largest per-connection reply queue seen, in bytes —
     /// the observable ceiling the backpressure cap enforces.
     pub fn reactor_wq_high_water(&self, bytes: u64) {
-        if (self.reactor_wq_peak.get() as u64) < bytes {
-            self.reactor_wq_peak.set(bytes as i64);
-        }
+        self.reactor_wq_peak.raise(bytes as i64);
     }
 
     /// An authentication attempt fixed a subject.
@@ -157,15 +154,14 @@ impl ServerTelemetry {
     }
 }
 
-/// Monotonic counters describing a server's lifetime activity,
-/// published in catalog reports and inspectable in tests.
-#[derive(Debug, Default)]
+/// A server's lifetime activity, published in catalog reports and
+/// inspectable in tests: a view over three counters of the server's
+/// registry (`server.connections`, `rpc.requests`, `rpc.errors`).
+#[derive(Debug)]
 pub struct ServerStats {
-    connections: AtomicU64,
-    requests: AtomicU64,
-    bytes_read: AtomicU64,
-    bytes_written: AtomicU64,
-    errors: AtomicU64,
+    connections: Counter,
+    requests: Counter,
+    errors: Counter,
 }
 
 /// A point-in-time copy of [`ServerStats`].
@@ -173,50 +169,40 @@ pub struct ServerStats {
 pub struct StatsSnapshot {
     /// Connections accepted.
     pub connections: u64,
-    /// Requests served (successful or not).
+    /// Request lines received (served or not).
     pub requests: u64,
-    /// File bytes sent to clients.
-    pub bytes_read: u64,
-    /// File bytes received from clients.
-    pub bytes_written: u64,
     /// Requests that returned an error.
     pub errors: u64,
 }
 
 impl ServerStats {
+    /// The view over `registry`. `rpc.errors` is the counter
+    /// [`ServerTelemetry::record`] bumps; the other two are bumped
+    /// through this view.
+    pub fn new(registry: &Registry) -> ServerStats {
+        ServerStats {
+            connections: registry.counter("server.connections"),
+            requests: registry.counter("rpc.requests"),
+            errors: registry.counter("rpc.errors"),
+        }
+    }
+
     /// Record an accepted connection.
     pub fn connection(&self) {
-        self.connections.fetch_add(1, Ordering::Relaxed);
+        self.connections.inc();
     }
 
-    /// Record a served request.
+    /// Record a received request line.
     pub fn request(&self) {
-        self.requests.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record file bytes sent to a client.
-    pub fn read_bytes(&self, n: u64) {
-        self.bytes_read.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Record file bytes received from a client.
-    pub fn wrote_bytes(&self, n: u64) {
-        self.bytes_written.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Record a request that failed.
-    pub fn error(&self) {
-        self.errors.fetch_add(1, Ordering::Relaxed);
+        self.requests.inc();
     }
 
     /// Copy the current values.
     pub fn snapshot(&self) -> StatsSnapshot {
         StatsSnapshot {
-            connections: self.connections.load(Ordering::Relaxed),
-            requests: self.requests.load(Ordering::Relaxed),
-            bytes_read: self.bytes_read.load(Ordering::Relaxed),
-            bytes_written: self.bytes_written.load(Ordering::Relaxed),
-            errors: self.errors.load(Ordering::Relaxed),
+            connections: self.connections.get(),
+            requests: self.requests.get(),
+            errors: self.errors.get(),
         }
     }
 }
@@ -226,20 +212,27 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_accumulate() {
-        let s = ServerStats::default();
+    fn stats_are_a_view_over_the_registry() {
+        let t = ServerTelemetry::default();
+        let s = ServerStats::new(t.registry());
         s.connection();
         s.request();
         s.request();
-        s.read_bytes(100);
-        s.wrote_bytes(7);
-        s.error();
+        t.record(
+            "stat",
+            None,
+            1,
+            0,
+            0,
+            Some(chirp_proto::ChirpError::NotFound),
+        );
         let snap = s.snapshot();
         assert_eq!(snap.connections, 1);
         assert_eq!(snap.requests, 2);
-        assert_eq!(snap.bytes_read, 100);
-        assert_eq!(snap.bytes_written, 7);
         assert_eq!(snap.errors, 1);
+        let reg = t.registry().snapshot();
+        assert_eq!(reg.counter("server.connections"), Some(1));
+        assert_eq!(reg.counter("rpc.requests"), Some(2));
     }
 
     #[test]
@@ -274,23 +267,5 @@ mod tests {
         assert_eq!(&*ring[2].subject, "-");
         assert_eq!(ring[1].bytes, 4096);
         assert_eq!(ring[2].outcome, telemetry::Outcome::Error);
-    }
-
-    #[test]
-    fn counters_are_thread_safe() {
-        let s = std::sync::Arc::new(ServerStats::default());
-        let mut handles = Vec::new();
-        for _ in 0..8 {
-            let s = s.clone();
-            handles.push(std::thread::spawn(move || {
-                for _ in 0..1000 {
-                    s.request();
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(s.snapshot().requests, 8000);
     }
 }

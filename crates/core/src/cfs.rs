@@ -13,6 +13,21 @@
 //! number. If it does not, the file was replaced or deleted while we
 //! were away, and the caller receives a "stale file handle" error, as
 //! in NFS.
+//!
+//! That policy is one loop, [`Mount::recover`]: connect if needed,
+//! settle whatever reply is still owed on the stream, run the attempt,
+//! and on a retriable failure count it, drop the connection, sleep the
+//! policy's backoff and go round again. A path operation, a descriptor
+//! operation (re-open and inode check first) and `open` itself are
+//! three attempts handed to that loop, so every `client.retries` tick
+//! and every backoff sleep in the system comes from one place.
+//!
+//! The read-ahead prefetch is the one request this module leaves
+//! unanswered on purpose. The slot keeps a note of *what* was asked
+//! (`fd`, offset, length); *whether* its reply is still owed is the
+//! connection's knowledge, and the connection refuses any other call
+//! until it is settled, so an unsettled prefetch cannot be mistaken
+//! for another request's answer.
 
 use std::io;
 use std::sync::Arc;
@@ -21,7 +36,8 @@ use std::time::Duration;
 use chirp_client::{AuthMethod, Connection};
 use chirp_proto::transport::Dialer;
 use chirp_proto::{
-    ChirpError, ChirpResult, Clock, OpenFlags, StatBuf, StatFs, DEFAULT_PIPELINE_DEPTH,
+    ChirpError, ChirpResult, Clock, OpenFlags, Reply, ReplyShape, Request, StatBuf, StatFs,
+    DEFAULT_PIPELINE_DEPTH,
 };
 use parking_lot::Mutex;
 
@@ -164,7 +180,7 @@ impl CfsConfig {
 /// Prebuilt handles into the mount's registry, so the recovery and
 /// read paths bump plain atomics instead of taking the registration
 /// lock per event.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct ClientTelemetry {
     retries: telemetry::Counter,
     connects: telemetry::Counter,
@@ -187,23 +203,16 @@ impl ClientTelemetry {
     }
 }
 
-/// A `PREAD` issued ahead of need whose reply has not been read yet.
-/// At most one rides the connection at a time, and every RPC path
-/// settles it first, so the stream is always framed before a real
-/// request goes out.
-struct PendingPrefetch {
-    fd: i32,
-    offset: u64,
-    len: usize,
-}
-
-/// A settled prefetch waiting to be claimed by the handle that issued
-/// it (identified by descriptor and connection generation).
-struct Prefetched {
+/// A `PREAD` issued ahead of need. At most one exists per mount.
+/// While the connection owes its reply, `data` is `None`; once settled
+/// the bytes wait here for the handle that asked (identified by
+/// descriptor and connection generation).
+struct Prefetch {
     generation: u64,
     fd: i32,
     offset: u64,
-    data: Vec<u8>,
+    len: usize,
+    data: Option<Vec<u8>>,
 }
 
 struct ConnSlot {
@@ -211,18 +220,119 @@ struct ConnSlot {
     /// Bumped on every reconnection; handles compare it to notice that
     /// their descriptors died with the old connection.
     generation: u64,
-    /// Deferred prefetch still owed a reply by the server.
-    pending: Option<PendingPrefetch>,
-    /// Settled prefetch not yet claimed by its handle.
-    prefetched: Option<Prefetched>,
+    prefetch: Option<Prefetch>,
+}
+
+impl ConnSlot {
+    fn drop_conn(&mut self) {
+        if self.conn.take().is_some() {
+            self.generation += 1;
+        }
+        // Any prefetch died with the stream it was queued on.
+        self.prefetch = None;
+    }
+
+    /// Read the reply the connection still owes — only a prefetch is
+    /// ever left owed — so the stream is free for the next request. A
+    /// transport failure here poisons the connection exactly as it
+    /// would on a real read; the prefetch itself is speculative, so
+    /// its loss is silent — the next window miss simply fetches over a
+    /// fresh connection.
+    fn settle_prefetch(&mut self) {
+        let Some(conn) = self.conn.as_mut().filter(|c| c.owed() > 0) else {
+            return;
+        };
+        let data = conn.settle().ok().map(Reply::into_body);
+        match (&mut self.prefetch, data) {
+            (Some(p), Some(data)) if data.len() <= p.len => p.data = Some(data),
+            _ => self.prefetch = None,
+        }
+    }
+
+    /// Settle, then hand over the prefetch if it is the one the handle
+    /// holding (`fd`, `generation`) issued: its offset and bytes, or
+    /// nothing if the reply was lost.
+    fn take_prefetch(&mut self, fd: i32, generation: u64) -> Option<(u64, Vec<u8>)> {
+        self.settle_prefetch();
+        let p = self
+            .prefetch
+            .take_if(|p| p.fd == fd && p.generation == generation)?;
+        Some((p.offset, p.data?))
+    }
+}
+
+/// What a [`Cfs`] and every handle opened through it share: the
+/// configuration, the one connection, and the counters.
+struct Mount {
+    config: CfsConfig,
+    slot: Mutex<ConnSlot>,
+    tele: ClientTelemetry,
+}
+
+impl Mount {
+    fn ensure_connected(&self, slot: &mut ConnSlot) -> ChirpResult<()> {
+        let config = &self.config;
+        if let Some(c) = &slot.conn {
+            if !c.is_broken() {
+                return Ok(());
+            }
+            slot.drop_conn();
+        }
+        let mut conn =
+            Connection::connect_via(&config.dialer, config.endpoint.as_str(), config.timeout)?;
+        self.tele.connects.inc();
+        if slot.generation > 0 {
+            // A previous connection existed: this dial is recovery, not
+            // first contact.
+            self.tele.reconnects.inc();
+        }
+        if !config.auth.is_empty() {
+            conn.authenticate(&config.auth)?;
+        }
+        slot.conn = Some(conn);
+        slot.generation += 1;
+        Ok(())
+    }
+
+    /// The recovery loop (the only consumer of [`RetryPolicy`] on the
+    /// data path): run `attempt` against a live connection and its
+    /// generation, reconnecting per the retry policy on transport
+    /// failures. Fatal (protocol/ACL) errors surface immediately; only
+    /// errors the policy classifies as retriable burn attempts.
+    fn recover<T>(
+        &self,
+        mut attempt: impl FnMut(&mut Connection, u64) -> ChirpResult<T>,
+    ) -> io::Result<T> {
+        let mut slot = self.slot.lock();
+        let mut retry = self
+            .config
+            .retry
+            .begin_with_clock(self.config.clock.clone());
+        loop {
+            let res = self.ensure_connected(&mut slot).and_then(|_| {
+                slot.settle_prefetch();
+                let generation = slot.generation;
+                attempt(slot.conn.as_mut().expect("ensured above"), generation)
+            });
+            match res {
+                Ok(v) => return Ok(v),
+                Err(e) => match retry.next_delay(e) {
+                    Some(delay) => {
+                        self.tele.retries.inc();
+                        slot.drop_conn();
+                        self.config.clock.sleep(delay);
+                    }
+                    None => return Err(e.into()),
+                },
+            }
+        }
+    }
 }
 
 /// The central filesystem: one server, untranslated paths, recovery
 /// built in.
 pub struct Cfs {
-    config: Arc<CfsConfig>,
-    slot: Arc<Mutex<ConnSlot>>,
-    tele: ClientTelemetry,
+    mount: Arc<Mount>,
 }
 
 impl Cfs {
@@ -231,14 +341,15 @@ impl Cfs {
     pub fn new(config: CfsConfig) -> Cfs {
         let tele = ClientTelemetry::new(&config.telemetry);
         Cfs {
-            config: Arc::new(config),
-            slot: Arc::new(Mutex::new(ConnSlot {
-                conn: None,
-                generation: 0,
-                pending: None,
-                prefetched: None,
-            })),
-            tele,
+            mount: Arc::new(Mount {
+                config,
+                slot: Mutex::new(ConnSlot {
+                    conn: None,
+                    generation: 0,
+                    prefetch: None,
+                }),
+                tele,
+            }),
         }
     }
 
@@ -246,13 +357,13 @@ impl Cfs {
     /// this mount's registry (`client.retries`): this mount's own by
     /// default, the whole pool's when a pool built it.
     pub fn retries(&self) -> u64 {
-        self.tele.retries.get()
+        self.mount.tele.retries.get()
     }
 
     /// The telemetry registry this mount records into (`client.*`
     /// metrics). Shared with the pool when the mount was built by one.
     pub fn telemetry(&self) -> &telemetry::Registry {
-        &self.config.telemetry
+        &self.mount.config.telemetry
     }
 
     /// Shorthand: connect to `endpoint` with `auth` at the server root.
@@ -262,12 +373,12 @@ impl Cfs {
 
     /// The server endpoint.
     pub fn endpoint(&self) -> &str {
-        &self.config.endpoint
+        &self.mount.config.endpoint
     }
 
     /// The configuration in effect.
     pub fn config(&self) -> &CfsConfig {
-        &self.config
+        &self.mount.config
     }
 
     /// True when the underlying connection has been poisoned by a
@@ -275,41 +386,17 @@ impl Cfs {
     /// safe to hand out, since dialing is lazy. The server pool uses
     /// this as the checkin health probe.
     pub fn connection_is_broken(&self) -> bool {
-        let slot = self.slot.lock();
+        let slot = self.mount.slot.lock();
         slot.conn.as_ref().is_some_and(Connection::is_broken)
     }
 
     fn full_path(&self, path: &str) -> String {
-        join_base(&self.config.base, path)
+        join_base(&self.mount.config.base, path)
     }
 
-    /// Run `op` against a live connection, reconnecting per the retry
-    /// policy on transport failures. Fatal (protocol/ACL) errors
-    /// surface immediately; only errors the policy classifies as
-    /// retriable burn attempts.
+    /// Run a path operation under the recovery loop.
     fn run<T>(&self, mut op: impl FnMut(&mut Connection) -> ChirpResult<T>) -> io::Result<T> {
-        let mut slot = self.slot.lock();
-        let mut retry = self
-            .config
-            .retry
-            .begin_with_clock(self.config.clock.clone());
-        loop {
-            let res = ensure_connected(&mut slot, &self.config, &self.tele).and_then(|_| {
-                settle_prefetch(&mut slot);
-                op(slot.conn.as_mut().expect("ensured above"))
-            });
-            match res {
-                Ok(v) => return Ok(v),
-                Err(e) => match retry.next_delay(e) {
-                    Some(delay) => {
-                        self.tele.retries.inc();
-                        drop_conn(&mut slot);
-                        self.config.clock.sleep(delay);
-                    }
-                    None => return Err(e.into()),
-                },
-            }
-        }
+        self.mount.recover(|conn, _| op(conn))
     }
 
     /// Stream a whole remote file into `out` (used by replication).
@@ -398,65 +485,6 @@ pub(crate) fn reopen_flags_of(flags: OpenFlags) -> OpenFlags {
     out
 }
 
-fn drop_conn(slot: &mut ConnSlot) {
-    if slot.conn.take().is_some() {
-        slot.generation += 1;
-    }
-    // Any prefetch state died with the stream it was queued on.
-    slot.pending = None;
-    slot.prefetched = None;
-}
-
-/// Read the reply owed by a deferred prefetch, if one is in flight,
-/// so the stream is framed before the next real RPC. A transport
-/// failure here poisons the connection exactly as it would on a real
-/// read; the prefetch itself is speculative, so its loss is silent —
-/// the next window miss simply fetches over a fresh connection.
-fn settle_prefetch(slot: &mut ConnSlot) {
-    let Some(p) = slot.pending.take() else {
-        return;
-    };
-    let generation = slot.generation;
-    let Some(conn) = slot.conn.as_mut() else {
-        return;
-    };
-    if let Ok(data) = conn.recv_pread(p.len as u64) {
-        slot.prefetched = Some(Prefetched {
-            generation,
-            fd: p.fd,
-            offset: p.offset,
-            data,
-        });
-    }
-}
-
-fn ensure_connected(
-    slot: &mut ConnSlot,
-    config: &CfsConfig,
-    tele: &ClientTelemetry,
-) -> ChirpResult<()> {
-    if let Some(c) = &slot.conn {
-        if !c.is_broken() {
-            return Ok(());
-        }
-        drop_conn(slot);
-    }
-    let mut conn =
-        Connection::connect_via(&config.dialer, config.endpoint.as_str(), config.timeout)?;
-    tele.connects.inc();
-    if slot.generation > 0 {
-        // A previous connection existed: this dial is recovery, not
-        // first contact.
-        tele.reconnects.inc();
-    }
-    if !config.auth.is_empty() {
-        conn.authenticate(&config.auth)?;
-    }
-    slot.conn = Some(conn);
-    slot.generation += 1;
-    Ok(())
-}
-
 /// Join the mount base with an abstraction path.
 fn join_base(base: &str, path: &str) -> String {
     let p = normalize_path(path);
@@ -469,10 +497,23 @@ fn join_base(base: &str, path: &str) -> String {
     }
 }
 
+fn reopen(
+    conn: &mut Connection,
+    path: &str,
+    flags: OpenFlags,
+    identity: (u64, u64),
+) -> ChirpResult<i32> {
+    let fd = conn.open(path, flags, 0)?;
+    let st = conn.fstat(fd)?;
+    if (st.device, st.inode) != identity {
+        let _ = conn.close(fd);
+        return Err(ChirpError::Stale);
+    }
+    Ok(fd)
+}
+
 struct CfsHandle {
-    config: Arc<CfsConfig>,
-    slot: Arc<Mutex<ConnSlot>>,
-    tele: ClientTelemetry,
+    mount: Arc<Mount>,
     /// Full server-side path, for re-opening after reconnection.
     path: String,
     /// Flags to re-open with: the original minus the one-shot bits
@@ -497,72 +538,31 @@ struct CfsHandle {
     /// invalidates the window (the file may have changed identity
     /// checks aside — stay conservative).
     ra_gen: u64,
-    /// Offset of the deferred prefetch this handle issued and still
-    /// trusts. `None` after a write/truncate: any reply still in the
-    /// stream gets settled and discarded instead of served.
-    prefetch: Option<u64>,
+    /// True while this handle has a deferred prefetch it still trusts.
+    /// Cleared by a write/truncate, which also discards whatever the
+    /// prefetch delivers.
+    prefetching: bool,
 }
 
 impl CfsHandle {
-    /// Run a descriptor operation, transparently re-opening after a
-    /// reconnection and surfacing `Stale` when the file changed
-    /// identity underneath us.
+    /// Run a descriptor operation under the recovery loop. If the
+    /// connection was replaced, our descriptor died with it: the
+    /// attempt first re-opens and verifies identity (adapter recovery,
+    /// §6). `Stale` is fatal by classification, so a replaced file
+    /// surfaces instead of retrying.
     fn with_fd<T>(
         &mut self,
         mut op: impl FnMut(&mut Connection, i32) -> ChirpResult<T>,
     ) -> io::Result<T> {
-        let slot_arc = self.slot.clone();
-        let mut slot = slot_arc.lock();
-        let mut retry = self
-            .config
-            .retry
-            .begin_with_clock(self.config.clock.clone());
-        loop {
-            let res = ensure_connected(&mut slot, &self.config, &self.tele).and_then(|_| {
-                settle_prefetch(&mut slot);
-                // If the connection was replaced, our descriptor died
-                // with it: re-open and verify identity (adapter
-                // recovery, §6). `Stale` is fatal by classification,
-                // so a replaced file surfaces instead of retrying.
-                if slot.generation != self.generation {
-                    let conn = slot.conn.as_mut().expect("ensured above");
-                    self.fd = reopen(conn, &self.path, self.reopen_flags, self.identity)?;
-                    self.generation = slot.generation;
-                }
-                let conn = slot.conn.as_mut().expect("ensured above");
-                op(conn, self.fd)
-            });
-            match res {
-                Ok(v) => return Ok(v),
-                Err(e) => match retry.next_delay(e) {
-                    Some(delay) => {
-                        self.tele.retries.inc();
-                        drop_conn(&mut slot);
-                        self.config.clock.sleep(delay);
-                    }
-                    None => return Err(e.into()),
-                },
+        self.mount.recover(|conn, generation| {
+            if generation != self.generation {
+                self.fd = reopen(conn, &self.path, self.reopen_flags, self.identity)?;
+                self.generation = generation;
             }
-        }
+            op(conn, self.fd)
+        })
     }
-}
 
-fn reopen(
-    conn: &mut Connection,
-    path: &str,
-    flags: OpenFlags,
-    identity: (u64, u64),
-) -> ChirpResult<i32> {
-    let fd = conn.open(path, flags, 0)?;
-    let st = conn.fstat(fd)?;
-    if (st.device, st.inode) != identity {
-        let _ = conn.close(fd);
-        return Err(ChirpError::Stale);
-    }
-    Ok(fd)
-}
-
-impl CfsHandle {
     /// Serve as much of the request as the current window covers.
     fn serve_from_window(&self, buf: &mut [u8], offset: u64) -> Option<usize> {
         if self.ra_len == 0 || self.ra_gen != self.generation {
@@ -581,31 +581,25 @@ impl CfsHandle {
     /// as the window when it covers `offset`. Returns `true` on
     /// install — `serve_from_window` will then answer without an RPC.
     fn try_claim_prefetch(&mut self, offset: u64) -> bool {
-        if self.prefetch.is_none() {
+        if !std::mem::take(&mut self.prefetching) {
             return false;
         }
-        let claimed = {
-            let mut slot = self.slot.lock();
-            settle_prefetch(&mut slot);
-            match &slot.prefetched {
-                Some(p) if p.fd == self.fd && p.generation == self.generation => {
-                    slot.prefetched.take()
-                }
-                _ => None,
-            }
-        };
-        self.prefetch = None;
-        let Some(p) = claimed else {
+        let claimed = self
+            .mount
+            .slot
+            .lock()
+            .take_prefetch(self.fd, self.generation);
+        let Some((at, data)) = claimed else {
             return false;
         };
-        if p.data.is_empty() || offset < p.offset || offset >= p.offset + p.data.len() as u64 {
+        if data.is_empty() || offset < at || offset >= at + data.len() as u64 {
             // A seek away from the speculated range (or EOF): the
             // prefetch is wasted, not wrong.
             return false;
         }
-        self.ra_off = p.offset;
-        self.ra_len = p.data.len();
-        self.ra_buf = p.data;
+        self.ra_off = at;
+        self.ra_len = data.len();
+        self.ra_buf = data;
         self.ra_gen = self.generation;
         true
     }
@@ -614,11 +608,11 @@ impl CfsHandle {
     /// (readahead over pipelining): the server services it while the
     /// application consumes the window just delivered, and the reply
     /// waits in the stream until claimed or settled. Only one deferred
-    /// read rides the connection at a time, and only when the stream
-    /// is healthy, the window is current, and nothing else is owed.
+    /// read rides the connection at a time, and only when the window
+    /// is current; a dead or busy connection refuses it.
     fn maybe_prefetch_next(&mut self) {
-        let window = self.config.readahead;
-        if window == 0 || self.config.pipeline_depth < 2 {
+        let window = self.mount.config.readahead;
+        if window == 0 || self.mount.config.pipeline_depth < 2 {
             return;
         }
         if self.ra_len < window || self.ra_gen != self.generation {
@@ -626,40 +620,39 @@ impl CfsHandle {
             return;
         }
         let offset = self.ra_off + self.ra_len as u64;
-        let mut slot = self.slot.lock();
-        if slot.generation != self.generation || slot.pending.is_some() || slot.prefetched.is_some()
-        {
+        let mut slot = self.mount.slot.lock();
+        if slot.generation != self.generation || slot.prefetch.is_some() {
             return;
         }
         let Some(conn) = slot.conn.as_mut() else {
             return;
         };
-        if conn.is_broken() {
-            return;
-        }
-        if conn.send_pread(self.fd, window as u64, offset).is_ok() {
-            slot.pending = Some(PendingPrefetch {
+        let req = Request::Pread {
+            fd: self.fd,
+            length: window as u64,
+            offset,
+        };
+        if conn.defer(&req, ReplyShape::Body).is_ok() {
+            slot.prefetch = Some(Prefetch {
+                generation: self.generation,
                 fd: self.fd,
                 offset,
                 len: window,
+                data: None,
             });
-            self.prefetch = Some(offset);
-            self.tele.ra_prefetches.inc();
+            self.prefetching = true;
+            self.mount.tele.ra_prefetches.inc();
         }
     }
 
     /// Drop any prefetch this handle has outstanding: settle the owed
-    /// reply (framing) and discard the data (a write just made it
-    /// stale).
+    /// reply and discard the data (a write just made it stale).
     fn discard_prefetch(&mut self) {
-        self.prefetch = None;
-        let mut slot = self.slot.lock();
-        settle_prefetch(&mut slot);
-        if let Some(p) = &slot.prefetched {
-            if p.fd == self.fd && p.generation == self.generation {
-                slot.prefetched = None;
-            }
-        }
+        self.prefetching = false;
+        self.mount
+            .slot
+            .lock()
+            .take_prefetch(self.fd, self.generation);
     }
 }
 
@@ -668,7 +661,7 @@ impl FileHandle for CfsHandle {
         if buf.is_empty() {
             return Ok(0);
         }
-        let window = self.config.readahead;
+        let window = self.mount.config.readahead;
         if window == 0 {
             // One RPC round trip straight into the caller's buffer;
             // the server may return short only at EOF.
@@ -676,7 +669,7 @@ impl FileHandle for CfsHandle {
         }
         if let Some(n) = self.serve_from_window(buf, offset) {
             if n == buf.len() {
-                self.tele.ra_hits.inc();
+                self.mount.tele.ra_hits.inc();
                 return Ok(n);
             }
             // The window ended mid-request; refill from the server at
@@ -691,7 +684,7 @@ impl FileHandle for CfsHandle {
         if self.try_claim_prefetch(offset) {
             if let Some(n) = self.serve_from_window(buf, offset) {
                 if n == buf.len() {
-                    self.tele.ra_hits.inc();
+                    self.mount.tele.ra_hits.inc();
                     self.maybe_prefetch_next();
                     return Ok(n);
                 }
@@ -700,7 +693,7 @@ impl FileHandle for CfsHandle {
         // Refill: fetch at least the window size in one RPC. The
         // buffer is taken out of `self` for the duration because
         // `with_fd` needs `&mut self`.
-        self.tele.ra_misses.inc();
+        self.mount.tele.ra_misses.inc();
         let want = buf.len().max(window);
         let mut scratch = std::mem::take(&mut self.ra_buf);
         scratch.resize(want, 0);
@@ -749,16 +742,11 @@ impl FileHandle for CfsHandle {
 
 impl Drop for CfsHandle {
     fn drop(&mut self) {
+        let mut slot = self.mount.slot.lock();
+        // Nobody is left to claim a prefetch of ours.
+        slot.take_prefetch(self.fd, self.generation);
         // Best-effort: if the connection died, the server has already
         // closed the descriptor for us.
-        let mut slot = self.slot.lock();
-        settle_prefetch(&mut slot);
-        if let Some(p) = &slot.prefetched {
-            if p.fd == self.fd && p.generation == self.generation {
-                // Nobody is left to claim it.
-                slot.prefetched = None;
-            }
-        }
         if slot.generation == self.generation {
             if let Some(conn) = slot.conn.as_mut() {
                 let _ = conn.close(self.fd);
@@ -771,47 +759,22 @@ impl FileSystem for Cfs {
     fn open(&self, path: &str, flags: OpenFlags, mode: u32) -> io::Result<Box<dyn FileHandle>> {
         let full = self.full_path(path);
         let mut flags = flags;
-        if self.config.sync_writes {
+        if self.mount.config.sync_writes {
             flags |= OpenFlags::SYNC;
         }
         let reopen_flags = reopen_flags_of(flags);
-        let (fd, st, generation) = {
-            let slot_arc = self.slot.clone();
-            let mut slot = slot_arc.lock();
-            let mut retry = self
-                .config
-                .retry
-                .begin_with_clock(self.config.clock.clone());
-            loop {
-                let res = ensure_connected(&mut slot, &self.config, &self.tele).and_then(|_| {
-                    settle_prefetch(&mut slot);
-                    let conn = slot.conn.as_mut().expect("ensured above");
-                    let fd = conn.open(&full, flags, mode)?;
-                    // The one-shot bits have now had their effect. If
-                    // the connection dies under the fstat, the replay
-                    // must not ask for them again: an exclusive create
-                    // would be refused by the file it just made.
-                    flags = reopen_flags;
-                    let st = conn.fstat(fd)?;
-                    Ok((fd, st))
-                });
-                match res {
-                    Ok((fd, st)) => break (fd, st, slot.generation),
-                    Err(e) => match retry.next_delay(e) {
-                        Some(delay) => {
-                            self.tele.retries.inc();
-                            drop_conn(&mut slot);
-                            self.config.clock.sleep(delay);
-                        }
-                        None => return Err(e.into()),
-                    },
-                }
-            }
-        };
+        let (fd, st, generation) = self.mount.recover(|conn, generation| {
+            let fd = conn.open(&full, flags, mode)?;
+            // The one-shot bits have now had their effect. If the
+            // connection dies under the fstat, the replay must not ask
+            // for them again: an exclusive create would be refused by
+            // the file it just made.
+            flags = reopen_flags;
+            let st = conn.fstat(fd)?;
+            Ok((fd, st, generation))
+        })?;
         Ok(Box::new(CfsHandle {
-            config: self.config.clone(),
-            slot: self.slot.clone(),
-            tele: self.tele.clone(),
+            mount: self.mount.clone(),
             path: full,
             reopen_flags,
             fd,
@@ -821,7 +784,7 @@ impl FileSystem for Cfs {
             ra_off: 0,
             ra_len: 0,
             ra_gen: 0,
-            prefetch: None,
+            prefetching: false,
         }))
     }
 

@@ -37,6 +37,7 @@ pub mod cfs;
 pub mod discovery;
 pub mod dpfs;
 pub mod dsfs;
+mod failover;
 mod fanout;
 pub mod fs;
 pub mod fsck;

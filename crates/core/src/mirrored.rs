@@ -13,6 +13,7 @@ use std::sync::Arc;
 use chirp_proto::{OpenFlags, StatBuf};
 
 use crate::cfs::is_transport_error;
+use crate::failover::FailoverHandle;
 use crate::fanout::run_fanout;
 use crate::fs::{FileHandle, FileSystem};
 use crate::placement::Placement;
@@ -94,15 +95,12 @@ pub(crate) fn open_any(
     replicas: Vec<(String, String)>,
     flags: OpenFlags,
 ) -> io::Result<Box<dyn FileHandle>> {
-    let current = first_healthy(pool, &replicas, |idx, endpoint, path| {
+    let (idx, handle) = first_healthy(pool, &replicas, |idx, endpoint, path| {
         Ok((idx, pool.open(endpoint, path, flags, 0)?))
     })?;
-    Ok(Box::new(MirrorReadHandle {
-        replicas,
-        pool: pool.clone(),
-        flags,
-        current: Some(current),
-    }))
+    Ok(Box::new(FailoverHandle::new(
+        replicas, idx, handle, pool, flags,
+    )))
 }
 
 /// The attributes of the first replica that answers: sequential
@@ -111,87 +109,6 @@ pub(crate) fn stat_any(pool: &ServerPool, replicas: &[(String, String)]) -> io::
     first_healthy(pool, replicas, |_, endpoint, path| {
         pool.with_conn(endpoint, |cfs| cfs.stat(path))
     })
-}
-
-/// A failover read handle: one live replica at a time, demoted on
-/// transport failure in favour of the next. Fatal errors (ACL denial,
-/// not-found) surface immediately — failover masks resource loss, not
-/// server verdicts.
-struct MirrorReadHandle {
-    replicas: Vec<(String, String)>,
-    pool: ServerPool,
-    flags: OpenFlags,
-    /// The replica currently serving reads, if any is open.
-    current: Option<(usize, Box<dyn FileHandle>)>,
-}
-
-impl MirrorReadHandle {
-    fn with_failover<T>(
-        &mut self,
-        mut op: impl FnMut(&mut Box<dyn FileHandle>) -> io::Result<T>,
-    ) -> io::Result<T> {
-        let n = self.replicas.len();
-        let start = self.current.as_ref().map_or(0, |(i, _)| *i);
-        let mut last: io::Error = io::ErrorKind::NotFound.into();
-        for k in 0..n {
-            let idx = (start + k) % n;
-            let (endpoint, path) = self.replicas[idx].clone();
-            // Make sure the current handle is the one for `idx`.
-            if self.current.as_ref().is_none_or(|(i, _)| *i != idx) {
-                match self.pool.open(&endpoint, &path, self.flags, 0) {
-                    Ok(h) => self.current = Some((idx, h)),
-                    Err(e) => {
-                        if is_transport_error(&e) {
-                            self.pool.report_failure(&endpoint);
-                            last = e;
-                            continue;
-                        }
-                        return Err(e);
-                    }
-                }
-            }
-            let (_, handle) = self.current.as_mut().expect("just ensured");
-            match op(handle) {
-                Ok(v) => {
-                    self.pool.report_success(&endpoint);
-                    return Ok(v);
-                }
-                Err(e) if is_transport_error(&e) => {
-                    // Demote: the dead replica loses its slot, and the
-                    // next call starts from whoever answers now.
-                    self.pool.report_failure(&endpoint);
-                    self.current = None;
-                    last = e;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        Err(last)
-    }
-}
-
-impl FileHandle for MirrorReadHandle {
-    fn pread(&mut self, buf: &mut [u8], offset: u64) -> io::Result<usize> {
-        self.with_failover(|h| h.pread(buf, offset))
-    }
-
-    fn pwrite(&mut self, buf: &[u8], offset: u64) -> io::Result<usize> {
-        // Read handles are opened without WRITE; the server's verdict
-        // on the attempt surfaces unchanged.
-        self.with_failover(|h| h.pwrite(buf, offset))
-    }
-
-    fn fstat(&mut self) -> io::Result<StatBuf> {
-        self.with_failover(|h| h.fstat())
-    }
-
-    fn fsync(&mut self) -> io::Result<()> {
-        self.with_failover(|h| h.fsync())
-    }
-
-    fn ftruncate(&mut self, size: u64) -> io::Result<()> {
-        self.with_failover(|h| h.ftruncate(size))
-    }
 }
 
 /// Write-all handle over every replica. Mutations fan out over scoped

@@ -18,7 +18,8 @@ use std::sync::Arc;
 
 use chirp_proto::{OpenFlags, StatBuf};
 
-use crate::cfs::{is_transport_error, reopen_flags_of};
+use crate::cfs::reopen_flags_of;
+use crate::failover::FailoverHandle;
 use crate::fanout::run_fanout;
 use crate::fs::{FileHandle, FileSystem};
 use crate::placement::Placement;
@@ -100,65 +101,14 @@ pub(crate) fn sum_sizes(stats: Vec<io::Result<StatBuf>>) -> io::Result<StatBuf> 
     Ok(base)
 }
 
-/// One stripe part: where it lives plus the open handle serving it.
-/// Keeping the address next to the handle lets a part recover from a
-/// dead connection by re-opening itself mid-operation.
-struct PartSlot {
-    endpoint: String,
-    path: String,
-    handle: Box<dyn FileHandle>,
-}
-
-impl PartSlot {
-    /// Per-stripe retry (the step before first-error-wins): when an
-    /// RPC fails with a transport error, re-open this part over a
-    /// fresh pooled connection and run `op` once more. The pool's
-    /// breaker hears about the outcome either way.
-    fn with_reopen<T>(
-        &mut self,
-        pool: &ServerPool,
-        flags: OpenFlags,
-        mut op: impl FnMut(&mut Box<dyn FileHandle>) -> io::Result<T>,
-    ) -> io::Result<T> {
-        match op(&mut self.handle) {
-            Ok(v) => Ok(v),
-            Err(first) if is_transport_error(&first) => {
-                pool.report_failure(&self.endpoint);
-                match pool.open(&self.endpoint, &self.path, flags, 0o644) {
-                    Ok(fresh) => {
-                        self.handle = fresh;
-                        match op(&mut self.handle) {
-                            Ok(v) => {
-                                pool.report_success(&self.endpoint);
-                                Ok(v)
-                            }
-                            Err(second) => {
-                                if is_transport_error(&second) {
-                                    pool.report_failure(&self.endpoint);
-                                }
-                                Err(second)
-                            }
-                        }
-                    }
-                    Err(_) => Err(first),
-                }
-            }
-            Err(e) => Err(e),
-        }
-    }
-}
-
 /// One open striped file. Per-part RPCs fan out over scoped threads:
 /// each part has its own pooled connection, so parts genuinely proceed
-/// concurrently.
+/// concurrently, and each part is a [`FailoverHandle`] over its one
+/// location, so it recovers from a dead connection by re-opening
+/// itself mid-operation (the step before first-error-wins).
 pub(crate) struct StripedHandle {
     geometry: Geometry,
-    parts: Vec<PartSlot>,
-    pool: ServerPool,
-    /// Flags a part may be re-opened with after a transport failure:
-    /// the open flags minus the one-shot bits (create, truncate), so
-    /// recovery never clobbers data.
-    reopen_flags: OpenFlags,
+    parts: Vec<FailoverHandle>,
 }
 
 /// The outcome of one stripe-chunk RPC, tagged with its position in
@@ -179,37 +129,29 @@ impl StripedHandle {
             stripe_size,
             width: parts.len() as u64,
         };
+        // A part is re-opened with the open flags minus the one-shot
+        // bits (create, truncate), so recovery never clobbers data.
+        let flags = reopen_flags_of(flags);
         let parts = parts
             .into_iter()
             .zip(handles)
-            .map(|((endpoint, path), handle)| PartSlot {
-                endpoint,
-                path,
-                handle,
-            })
+            .map(|(part, handle)| FailoverHandle::new(vec![part], 0, handle, pool, flags))
             .collect();
-        StripedHandle {
-            geometry,
-            parts,
-            pool: pool.clone(),
-            reopen_flags: reopen_flags_of(flags),
-        }
+        StripedHandle { geometry, parts }
     }
 
-    /// Run `op` on every part concurrently (each with the per-stripe
-    /// re-open retry); results come back in part order.
+    /// Run `op` on every part concurrently; results come back in part
+    /// order.
     fn on_each_part<T: Send>(
         &mut self,
-        op: impl Fn(usize, &mut Box<dyn FileHandle>) -> io::Result<T> + Sync,
+        op: impl Fn(usize, &mut FailoverHandle) -> io::Result<T> + Sync,
     ) -> Vec<io::Result<T>> {
         let op = &op;
-        let pool = &self.pool;
-        let flags = self.reopen_flags;
         let jobs: Vec<_> = self
             .parts
             .iter_mut()
             .enumerate()
-            .map(|(i, slot)| move || slot.with_reopen(pool, flags, |h| op(i, h)))
+            .map(|(i, part)| move || op(i, part))
             .collect();
         run_fanout(jobs)
     }
@@ -236,19 +178,17 @@ impl FileHandle for StripedHandle {
             rest = tail;
             pos += len as u64;
         }
-        let pool = &self.pool;
-        let flags = self.reopen_flags;
         let jobs: Vec<_> = self
             .parts
             .iter_mut()
             .zip(plans)
             .filter(|(_, plan)| !plan.is_empty())
-            .map(|(slot, plan)| {
+            .map(|(part, plan)| {
                 move || {
                     let mut out: Vec<ChunkResult> = Vec::with_capacity(plan.len());
                     for (order, part_off, chunk) in plan {
                         let want = chunk.len();
-                        match slot.with_reopen(pool, flags, |h| h.pread(chunk, part_off)) {
+                        match part.pread(chunk, part_off) {
                             Ok(n) => {
                                 out.push((order, Ok(n)));
                                 if n < want {
@@ -309,20 +249,16 @@ impl FileHandle for StripedHandle {
             rest = tail;
             pos += len as u64;
         }
-        let pool = &self.pool;
-        let flags = self.reopen_flags;
         let jobs: Vec<_> = self
             .parts
             .iter_mut()
             .zip(plans)
             .filter(|(_, plan)| !plan.is_empty())
-            .map(|(slot, plan)| {
+            .map(|(part, plan)| {
                 move || {
                     let mut out: Vec<(usize, io::Result<()>)> = Vec::with_capacity(plan.len());
                     for (order, part_off, chunk) in plan {
-                        // Positional writes are idempotent, so a
-                        // re-opened part may safely repeat the chunk.
-                        match slot.with_reopen(pool, flags, |h| h.pwrite(chunk, part_off)) {
+                        match part.pwrite(chunk, part_off) {
                             Ok(_) => out.push((order, Ok(()))),
                             Err(e) => {
                                 out.push((order, Err(e)));

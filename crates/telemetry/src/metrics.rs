@@ -57,6 +57,13 @@ impl Gauge {
         self.cell.fetch_add(delta, Ordering::Relaxed);
     }
 
+    /// Raise the level to `v` if it is below it — a high-water mark
+    /// that concurrent writers can never lower.
+    #[inline]
+    pub fn raise(&self, v: i64) {
+        self.cell.fetch_max(v, Ordering::Relaxed);
+    }
+
     /// Current level.
     pub fn get(&self) -> i64 {
         self.cell.load(Ordering::Relaxed)
@@ -269,6 +276,29 @@ mod tests {
         let reg = Registry::new();
         reg.counter("x");
         reg.gauge("x");
+    }
+
+    #[test]
+    fn raise_under_threads_never_ends_below_the_maximum() {
+        // Every thread raises an interleaved ladder of values; a
+        // check-then-set high-water mark can store a smaller value
+        // over a larger one, `raise` cannot.
+        let g = Gauge::default();
+        let barrier = std::sync::Barrier::new(8);
+        std::thread::scope(|s| {
+            for t in 0..8i64 {
+                let (g, barrier) = (g.clone(), &barrier);
+                s.spawn(move || {
+                    barrier.wait();
+                    for i in 0..10_000i64 {
+                        g.raise(i * 8 + t);
+                    }
+                });
+            }
+        });
+        assert_eq!(g.get(), 9_999 * 8 + 7);
+        g.raise(3);
+        assert_eq!(g.get(), 9_999 * 8 + 7, "raise never lowers");
     }
 
     #[test]

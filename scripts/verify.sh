@@ -5,12 +5,21 @@
 #   covers the root package only, so the abstraction layer's own suite
 #   (`cargo test -p tss-core`: unit tests, the protocol's compile_fail
 #   doctests, abstractions, extensions, recovery, readahead, chaos
-#   under its default seed) is run here as well. The benchmark package
+#   under its default seed) is run here as well, and so are the unit
+#   and property suites of the stream layer under it (`cargo test -p
+#   chirp-proto -p chirp-client -p telemetry`: the pipeline's FIFO and
+#   failure properties, the owed-reply contract, the metric cells),
+#   which no other default stage runs. The benchmark package
 #   under bench/ is a workspace of its own that the steps above never
 #   compile, so it is built here too: a break in the public items it
 #   calls (Acl::{new,single,load_effective,rights_of},
 #   ServerConfig::{localhost,with_root_acl,with_cache,with_core},
-#   cache::{PageCache,file_key}, FileServer; and from tss-core
+#   cache::{PageCache,file_key}, FileServer with
+#   FileServer::{endpoint,telemetry} and
+#   FileServer::stats().snapshot().connections; from chirp-client
+#   Connection::{connect,connect_via,authenticate,whoami} and
+#   AuthMethod::Hostname; Cfs::telemetry and the client.* counters
+#   behind it; and from tss-core
 #   stub::Stub { endpoint, data_path } + render,
 #   stubfs::{DataServer::new, StubFsOptions { timeout, retry, dialer,
 #   clock, .. }}, Dsfs::with_options (six arguments) +
@@ -118,6 +127,9 @@ cargo test -q
 
 echo "== cargo test -q -p tss-core  (abstraction layer: units, doctests, integration, chaos)"
 cargo test -q -p tss-core
+
+echo "== cargo test -q -p chirp-proto -p chirp-client -p telemetry  (stream layer: pipeline props, owed-reply contract, metric cells)"
+cargo test -q -p chirp-proto -p chirp-client -p telemetry
 
 echo "== cargo build --release --offline --manifest-path bench/Cargo.toml  (the benchmark still compiles)"
 cargo build --release --offline --manifest-path bench/Cargo.toml
