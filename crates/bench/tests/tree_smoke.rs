@@ -93,7 +93,7 @@ fn eight_replica_tree_lands_within_4x_of_one_direct_push() {
         distribute(
             &source,
             &targets,
-            |ep| cfs_for(ep),
+            cfs_for,
             &TreeConfig::default(),
             None,
             None,

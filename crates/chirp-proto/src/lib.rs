@@ -12,10 +12,13 @@
 //! status line (a non-negative result value or a negative error code),
 //! optionally followed by result words or a raw payload.
 //!
-//! This crate contains only the protocol: message types, encoding and
+//! This crate holds the protocol — message types, encoding and
 //! decoding, error codes, framing helpers, and the checksum used by the
-//! `CHECKSUM` RPC. The server lives in `chirp-server`, the client in
-//! `chirp-client`.
+//! `CHECKSUM` RPC — and the file interface both ends speak: the
+//! [`fs::FileSystem`] trait every abstraction implements and
+//! [`localfs::LocalFs`], the host filesystem behind it, which the
+//! server exports and `tss-core` re-exports. The server lives in
+//! `chirp-server`, the client in `chirp-client`.
 
 #![warn(missing_docs)]
 
@@ -25,6 +28,8 @@ pub mod crypto;
 pub mod error;
 pub mod escape;
 pub mod flags;
+pub mod fs;
+pub mod localfs;
 pub mod message;
 pub mod persist;
 pub mod pipeline;

@@ -1,14 +1,24 @@
 //! Per-connection request handling: authentication gate, ACL
 //! enforcement, and dispatch to jailed filesystem operations.
+//!
+//! Metadata requests run over [`Shared::fs`], the export's
+//! [`LocalFs`](chirp_proto::localfs::LocalFs), once the jail and the
+//! ACL have passed them; what stays here is what only a server knows
+//! (the hidden `.__acl`, the ACL cache, page-cache and size-table
+//! coherence, capacity accounting). Descriptor requests keep raw
+//! `File`s, because the page cache and the streamed replies need one.
 
 use std::fs::{File, OpenOptions};
+use std::io;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use chirp_proto::escape::escape;
+use chirp_proto::fs::FileSystem;
+use chirp_proto::localfs::{meta_to_stat, open_options, read_full_at};
 use chirp_proto::persist::DurabilityPoint;
-use chirp_proto::stat::FileType;
-use chirp_proto::{ChirpError, ChirpResult, OpenFlags, Request, StatBuf, StatFs};
+use chirp_proto::{ChirpError, ChirpResult, OpenFlags, Request, StatFs};
 
 use crate::acl::{wildcard_match, Acl, Rights};
 use crate::auth::{AuthOutcome, Authenticator};
@@ -208,11 +218,7 @@ impl Session {
                     return Err(ChirpError::NoSpace);
                 }
                 if self.shared.config.persistence.is_enabled() {
-                    self.shared
-                        .config
-                        .persistence
-                        .reached(DurabilityPoint::Truncate, &format!("fd{fd}"))
-                        .map_err(|e| ChirpError::from_io(&e))?;
+                    self.durability(DurabilityPoint::Truncate, &format!("fd{fd}"))?;
                 }
                 f.file.set_len(size).map_err(|e| ChirpError::from_io(&e))?;
                 if let Some(cache) = &self.shared.cache {
@@ -227,7 +233,7 @@ impl Session {
             Request::Stat { path } => self.do_stat(&path),
             Request::Unlink { path } => self.do_unlink(&path),
             Request::Rename { from, to } => self.do_rename(&from, &to),
-            Request::Mkdir { path, mode: _ } => self.do_mkdir(&path),
+            Request::Mkdir { path, mode } => self.do_mkdir(&path, mode),
             Request::Rmdir { path } => self.do_rmdir(&path),
             Request::Getdir { path } => self.do_getdir(&path),
             Request::Getlongdir { path } => self.do_getlongdir(&path),
@@ -290,11 +296,12 @@ impl Session {
         if let Err(e) = self.durability(DurabilityPoint::Create, path) {
             return Ok(PutfileUpload::discard(length, e));
         }
-        let file = open_with_mode(
-            OpenOptions::new().write(true).create(true).truncate(true),
-            &host,
+        let file = open_options(
+            OpenFlags::WRITE | OpenFlags::CREATE | OpenFlags::TRUNCATE,
             mode,
-        )?;
+        )
+        .open(&host)
+        .map_err(|e| ChirpError::from_io(&e))?;
         Ok(PutfileUpload {
             remaining: length,
             length,
@@ -447,18 +454,6 @@ impl Session {
         } else {
             0
         };
-        let mut opts = OpenOptions::new();
-        opts.read(flags.contains(OpenFlags::READ));
-        opts.write(flags.contains(OpenFlags::WRITE) || flags.contains(OpenFlags::APPEND));
-        opts.append(flags.contains(OpenFlags::APPEND));
-        if flags.contains(OpenFlags::CREATE) {
-            if flags.contains(OpenFlags::EXCLUSIVE) {
-                opts.create_new(true);
-            } else {
-                opts.create(true);
-            }
-        }
-        opts.truncate(flags.contains(OpenFlags::TRUNCATE));
         if self.shared.config.persistence.is_enabled() {
             // Only existence-probe when observed: the branch costs a
             // stat that production opens must not pay.
@@ -473,13 +468,13 @@ impl Session {
                 self.durability(DurabilityPoint::Truncate, path)?;
             }
         }
-        let file = match open_with_mode(&mut opts, &host, mode) {
+        let file = match open_options(flags, mode).open(&host) {
             Ok(file) => file,
             // A directory fails every open but a plain read-only one
             // (EISDIR, EEXIST under O_EXCL, ...): the failure path can
             // afford the stat that names it.
             Err(_) if host.is_dir() => return Err(ChirpError::IsADirectory),
-            Err(e) => return Err(e),
+            Err(e) => return Err(ChirpError::from_io(&e)),
         };
         self.shared.adjust_usage(-(truncated_bytes as i64));
         // One fstat per open seeds the inode key and tracked size;
@@ -537,7 +532,8 @@ impl Session {
         if self.scratch.len() < length as usize {
             self.scratch.resize(length as usize, 0);
         }
-        let n = read_at(&f.file, &mut self.scratch[..length as usize], offset)?;
+        let n = read_full_at(&f.file, &mut self.scratch[..length as usize], offset)
+            .map_err(|e| ChirpError::from_io(&e))?;
         Ok(Reply::Scratch(n))
     }
 
@@ -562,13 +558,11 @@ impl Session {
             return Err(ChirpError::NoSpace);
         }
         if !data.is_empty() && self.shared.config.persistence.is_enabled() {
-            self.shared
-                .config
-                .persistence
-                .reached(DurabilityPoint::Pwrite, &format!("fd{fd}"))
-                .map_err(|e| ChirpError::from_io(&e))?;
+            self.durability(DurabilityPoint::Pwrite, &format!("fd{fd}"))?;
         }
-        write_all_at(&f.file, data, offset)?;
+        f.file
+            .write_all_at(data, offset)
+            .map_err(|e| ChirpError::from_io(&e))?;
         if f.sync {
             f.file.sync_all().map_err(|e| ChirpError::from_io(&e))?;
         }
@@ -594,22 +588,23 @@ impl Session {
         // The parent's ACL governs a path; the root, which has no
         // parent in the jail, is governed by its own.
         let need = Rights::READ | Rights::LIST;
-        let root = self.shared.jail.root();
-        let host = match self.shared.jail.resolve_parent(path) {
-            Ok((dir, leaf)) => {
+        match self.shared.jail.resolve_parent(path) {
+            Ok((dir, _)) => {
                 self.require_rights(&dir, need)?;
-                dir.join(leaf)
             }
             Err(e) => {
-                self.require_rights(root, need)?;
+                self.require_rights(self.shared.jail.root(), need)?;
                 if e != ChirpError::InvalidRequest {
                     return Err(e);
                 }
-                root.to_path_buf()
             }
-        };
-        let meta = std::fs::metadata(&host).map_err(|e| ChirpError::from_io(&e))?;
-        Ok(meta_to_stat(&meta).to_words())
+        }
+        let st = self
+            .shared
+            .fs
+            .stat(path)
+            .map_err(|e| ChirpError::from_io(&e))?;
+        Ok(st.to_words())
     }
 
     /// `STATMULTI`: one batched exchange, one verdict line per path —
@@ -631,15 +626,14 @@ impl Session {
     fn do_unlink(&self, path: &str) -> ChirpResult<Reply> {
         let (dir, leaf) = self.shared.jail.resolve_parent(path)?;
         self.require_rights(&dir, Rights::WRITE | Rights::DELETE)?;
-        let host = dir.join(leaf);
-        if host.is_dir() {
+        let meta = std::fs::metadata(dir.join(leaf)).ok();
+        if meta.as_ref().is_some_and(|m| m.is_dir()) {
             return Err(ChirpError::IsADirectory);
         }
-        let meta = std::fs::metadata(&host).ok();
-        if meta.is_some() {
-            self.durability(DurabilityPoint::Unlink, path)?;
-        }
-        std::fs::remove_file(&host).map_err(|e| ChirpError::from_io(&e))?;
+        self.shared
+            .fs
+            .unlink(path)
+            .map_err(|e| ChirpError::from_io(&e))?;
         if let Some(meta) = &meta {
             // Open descriptors keep the inode readable, but once the
             // last one closes the inode number can be recycled — drop
@@ -667,8 +661,10 @@ impl Session {
         };
         let dst = to_dir.join(to_leaf);
         let clobbered = std::fs::metadata(&dst).ok().map(|m| file_key(&m));
-        self.durability(DurabilityPoint::Rename, from)?;
-        std::fs::rename(&src, &dst).map_err(|e| ChirpError::from_io(&e))?;
+        self.shared
+            .fs
+            .rename(from, to)
+            .map_err(|e| ChirpError::from_io(&e))?;
         if src_meta.is_dir() {
             // The directory took its `.__acl` (and its subtree's) to a
             // new path and freed the old one.
@@ -689,15 +685,21 @@ impl Session {
         Ok(Reply::Value(0))
     }
 
-    fn do_mkdir(&self, path: &str) -> ChirpResult<Reply> {
+    fn do_mkdir(&self, path: &str, mode: u32) -> ChirpResult<Reply> {
         let subject = self.require_subject()?.to_string();
         let (dir, leaf) = self.shared.jail.resolve_parent(path)?;
         let have = self.rights_in(&dir)?;
         let host = dir.join(leaf);
+        let mkdir = || {
+            self.shared
+                .fs
+                .mkdir(path, mode)
+                .map_err(|e| ChirpError::from_io(&e))
+        };
         if have.contains(Rights::WRITE) {
             // Ordinary create: the new directory inherits a copy of the
             // parent's effective ACL.
-            std::fs::create_dir(&host).map_err(|e| ChirpError::from_io(&e))?;
+            mkdir()?;
             self.store_acl(&*self.effective_acl(&dir)?, &host)?;
             return Ok(Reply::Value(0));
         }
@@ -709,7 +711,7 @@ impl Session {
             if granted.is_empty() {
                 return Err(ChirpError::NotAuthorized);
             }
-            std::fs::create_dir(&host).map_err(|e| ChirpError::from_io(&e))?;
+            mkdir()?;
             let mut fresh = Acl::new();
             fresh
                 .set(&subject, &format!("{granted}"))
@@ -721,23 +723,24 @@ impl Session {
     }
 
     fn do_rmdir(&self, path: &str) -> ChirpResult<Reply> {
-        let (dir, leaf) = self.shared.jail.resolve_parent(path)?;
+        let (dir, _) = self.shared.jail.resolve_parent(path)?;
         self.require_rights(&dir, Rights::WRITE | Rights::DELETE)?;
-        let host = dir.join(leaf);
-        let meta = std::fs::metadata(&host).map_err(|e| ChirpError::from_io(&e))?;
-        if !meta.is_dir() {
+        let fs = &self.shared.fs;
+        let st = fs.stat(path).map_err(|e| ChirpError::from_io(&e))?;
+        if !st.is_dir() {
             return Err(ChirpError::NotADirectory);
         }
         // A directory holding only its own ACL metadata counts as
-        // empty from the protocol's point of view.
-        let entries = std::fs::read_dir(&host).map_err(|e| ChirpError::from_io(&e))?;
-        for entry in entries {
-            let entry = entry.map_err(|e| ChirpError::from_io(&e))?;
-            if entry.file_name() != ACL_FILE {
-                return Err(ChirpError::NotEmpty);
-            }
+        // empty from the protocol's point of view: that file goes
+        // first, then the directory.
+        let names = fs.readdir(path).map_err(|e| ChirpError::from_io(&e))?;
+        if names.iter().any(|n| n != ACL_FILE) {
+            return Err(ChirpError::NotEmpty);
         }
-        let removed = std::fs::remove_dir_all(&host);
+        let removed = match fs.unlink(&format!("{path}/{ACL_FILE}")) {
+            Err(e) if e.kind() != io::ErrorKind::NotFound => Err(e),
+            _ => fs.rmdir(path),
+        };
         self.shared.acls.invalidate();
         removed.map_err(|e| ChirpError::from_io(&e))?;
         Ok(Reply::Value(0))
@@ -746,17 +749,17 @@ impl Session {
     fn do_getdir(&self, path: &str) -> ChirpResult<Reply> {
         let host = self.shared.jail.resolve(path)?;
         self.require_rights(&host, Rights::LIST)?;
-        let mut names: Vec<String> = Vec::new();
-        let entries = std::fs::read_dir(&host).map_err(|e| ChirpError::from_io(&e))?;
-        for entry in entries {
-            let entry = entry.map_err(|e| ChirpError::from_io(&e))?;
-            let name = entry.file_name();
-            if name == ACL_FILE {
-                continue;
-            }
-            names.push(escape(name.to_string_lossy().as_bytes()));
-        }
-        names.sort();
+        let names = self
+            .shared
+            .fs
+            .readdir(path)
+            .map_err(|e| ChirpError::from_io(&e))?;
+        let mut names: Vec<String> = names
+            .into_iter()
+            .filter(|n| n != ACL_FILE)
+            .map(|n| escape(n.as_bytes()))
+            .collect();
+        names.sort_unstable();
         Ok(Reply::Data(names.join("\n").into_bytes()))
     }
 
@@ -776,22 +779,17 @@ impl Session {
     fn listing_with_stats(&self, path: &str) -> ChirpResult<Reply> {
         let host = self.shared.jail.resolve(path)?;
         self.require_rights(&host, Rights::LIST)?;
-        let mut lines: Vec<String> = Vec::new();
-        let entries = std::fs::read_dir(&host).map_err(|e| ChirpError::from_io(&e))?;
-        for entry in entries {
-            let entry = entry.map_err(|e| ChirpError::from_io(&e))?;
-            let name = entry.file_name();
-            if name == ACL_FILE {
-                continue;
-            }
-            let meta = entry.metadata().map_err(|e| ChirpError::from_io(&e))?;
-            lines.push(format!(
-                "{} {}",
-                escape(name.to_string_lossy().as_bytes()),
-                meta_to_stat(&meta).to_words()
-            ));
-        }
-        lines.sort();
+        let listed = self
+            .shared
+            .fs
+            .readdir_stat(path)
+            .map_err(|e| ChirpError::from_io(&e))?;
+        let mut lines: Vec<String> = listed
+            .into_iter()
+            .filter(|(name, _)| name != ACL_FILE)
+            .map(|(name, st)| format!("{} {}", escape(name.as_bytes()), st.to_words()))
+            .collect();
+        lines.sort_unstable();
         Ok(Reply::Data(lines.join("\n").into_bytes()))
     }
 
@@ -882,17 +880,18 @@ impl Session {
     fn do_truncate(&self, path: &str, size: u64) -> ChirpResult<Reply> {
         let (dir, leaf) = self.shared.jail.resolve_parent(path)?;
         self.require_rights(&dir, Rights::WRITE)?;
-        let file = OpenOptions::new()
-            .write(true)
-            .open(dir.join(leaf))
-            .map_err(|e| ChirpError::from_io(&e))?;
-        let meta = syscount::fstat(&file).map_err(|e| ChirpError::from_io(&e))?;
+        let meta = std::fs::metadata(dir.join(leaf)).map_err(|e| ChirpError::from_io(&e))?;
+        if meta.is_dir() {
+            return Err(ChirpError::IsADirectory);
+        }
         let old = meta.len();
         if size > old && self.shared.over_capacity(size - old) {
             return Err(ChirpError::NoSpace);
         }
-        self.durability(DurabilityPoint::Truncate, path)?;
-        file.set_len(size).map_err(|e| ChirpError::from_io(&e))?;
+        self.shared
+            .fs
+            .truncate(path, size)
+            .map_err(|e| ChirpError::from_io(&e))?;
         let key = file_key(&meta);
         if let Some(cache) = &self.shared.cache {
             cache.truncate(key, old, size);
@@ -957,82 +956,6 @@ pub fn disk_usage(root: &Path) -> u64 {
         }
     }
     total
-}
-
-fn open_with_mode(opts: &mut OpenOptions, path: &Path, mode: u32) -> ChirpResult<File> {
-    #[cfg(unix)]
-    {
-        use std::os::unix::fs::OpenOptionsExt;
-        if mode != 0 {
-            opts.mode(mode);
-        }
-    }
-    opts.open(path).map_err(|e| ChirpError::from_io(&e))
-}
-
-fn read_at(file: &File, buf: &mut [u8], offset: u64) -> ChirpResult<usize> {
-    #[cfg(unix)]
-    {
-        use std::os::unix::fs::FileExt;
-        // Loop: read_at may return short counts before EOF.
-        let mut filled = 0;
-        while filled < buf.len() {
-            match file.read_at(&mut buf[filled..], offset + filled as u64) {
-                Ok(0) => break,
-                Ok(n) => filled += n,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(ChirpError::from_io(&e)),
-            }
-        }
-        Ok(filled)
-    }
-    #[cfg(not(unix))]
-    {
-        compile_error!("chirp-server requires a unix host");
-    }
-}
-
-fn write_all_at(file: &File, buf: &[u8], offset: u64) -> ChirpResult<()> {
-    #[cfg(unix)]
-    {
-        use std::os::unix::fs::FileExt;
-        file.write_all_at(buf, offset)
-            .map_err(|e| ChirpError::from_io(&e))
-    }
-    #[cfg(not(unix))]
-    {
-        compile_error!("chirp-server requires a unix host");
-    }
-}
-
-/// Convert host metadata to the protocol stat structure.
-pub fn meta_to_stat(meta: &std::fs::Metadata) -> StatBuf {
-    #[cfg(unix)]
-    let (device, inode, nlink, mode, mtime) = {
-        use std::os::unix::fs::MetadataExt;
-        (
-            meta.dev(),
-            meta.ino(),
-            meta.nlink(),
-            meta.mode() & 0o7777,
-            meta.mtime().max(0) as u64,
-        )
-    };
-    StatBuf {
-        device,
-        inode,
-        file_type: if meta.is_dir() {
-            FileType::Dir
-        } else if meta.is_file() {
-            FileType::File
-        } else {
-            FileType::Other
-        },
-        mode,
-        nlink,
-        size: meta.len(),
-        mtime,
-    }
 }
 
 #[cfg(test)]
@@ -1156,17 +1079,5 @@ mod tests {
             "scratch must shrink to the watermark, got {}",
             s.scratch.capacity()
         );
-    }
-
-    #[test]
-    fn meta_to_stat_distinguishes_types() {
-        let dir = TempDir::new();
-        std::fs::write(dir.path().join("f"), b"xyz").unwrap();
-        let f = meta_to_stat(&std::fs::metadata(dir.path().join("f")).unwrap());
-        assert!(f.is_file());
-        assert_eq!(f.size, 3);
-        let d = meta_to_stat(&std::fs::metadata(dir.path()).unwrap());
-        assert!(d.is_dir());
-        assert!(f.inode != 0);
     }
 }

@@ -80,17 +80,6 @@ impl Jail {
         }
         Ok((dir, leaf))
     }
-
-    /// The normalized protocol form of a path (`/a/b`), useful for
-    /// logging and catalog reports.
-    pub fn normalize(&self, chirp_path: &str) -> Result<String, ChirpError> {
-        let parts = self.components(chirp_path)?;
-        if parts.is_empty() {
-            Ok("/".to_string())
-        } else {
-            Ok(format!("/{}", parts.join("/")))
-        }
-    }
 }
 
 #[cfg(test)]
@@ -163,23 +152,6 @@ mod tests {
                     );
                 }
             }
-
-            #[test]
-            fn normalize_is_idempotent(path in "(/|[a-z.]{1,8}){0,8}") {
-                let dir = TempDir::new();
-                let j = Jail::new(dir.path()).unwrap();
-                if let Ok(once) = j.normalize(&path) {
-                    prop_assert_eq!(j.normalize(&once).unwrap(), once);
-                }
-            }
         }
-    }
-
-    #[test]
-    fn normalize_produces_canonical_form() {
-        let (_d, j) = jail();
-        assert_eq!(j.normalize("//a/./b/../c").unwrap(), "/a/c");
-        assert_eq!(j.normalize("/").unwrap(), "/");
-        assert_eq!(j.normalize("/..").unwrap(), "/");
     }
 }

@@ -12,6 +12,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use chirp_proto::localfs::LocalFs;
 use chirp_proto::transport::Listener;
 use chirp_proto::wire;
 use chirp_proto::ChirpError;
@@ -29,6 +30,10 @@ pub struct Shared {
     pub config: ServerConfig,
     /// The path jail rooted at the export directory.
     pub jail: Jail,
+    /// The export directory behind the common file interface: the
+    /// metadata handlers' backend, announcing every durability point
+    /// to `config.persistence` before it mutates.
+    pub fs: LocalFs,
     /// Activity counters: a view over `telemetry`'s registry.
     pub stats: ServerStats,
     /// Per-op metrics, latency histograms, and the RPC trace ring;
@@ -71,6 +76,7 @@ impl Shared {
                 .store(jail.root())
                 .map_err(|e| std::io::Error::other(e.to_string()))?;
         }
+        let fs = LocalFs::with_persistence(jail.root(), config.persistence.clone())?;
         let used = crate::handlers::disk_usage(jail.root());
         let telemetry = ServerTelemetry::default();
         let cache = config
@@ -81,6 +87,7 @@ impl Shared {
         Ok(Arc::new(Shared {
             config,
             jail,
+            fs,
             stats: ServerStats::new(telemetry.registry()),
             telemetry,
             cache,

@@ -6,7 +6,7 @@
 //! users build on them without any administrator involvement:
 //!
 //! * [`LocalFs`] — the plain host filesystem ("Unix" in the paper's
-//!   evaluation).
+//!   evaluation), and what a file server exports.
 //! * [`Cfs`] — the *central filesystem*: untranslated access to a
 //!   single file server, with grid security and Unix-like consistency
 //!   (no caching, no buffering).
@@ -27,7 +27,9 @@
 //! Everything implements the same [`FileSystem`] trait — the paper's
 //! *recursive storage abstraction*: one Unix-like interface at every
 //! layer, so abstractions compose and any server can serve as data
-//! node, directory node, or both.
+//! node, directory node, or both. The trait and [`LocalFs`] are defined
+//! in `chirp-proto`, below the server, and re-exported here as
+//! [`fs`] and [`localfs`].
 
 #![warn(missing_docs)]
 
@@ -39,9 +41,7 @@ pub mod dpfs;
 pub mod dsfs;
 mod failover;
 mod fanout;
-pub mod fs;
 pub mod fsck;
-pub mod localfs;
 pub mod mirrored;
 pub mod placement;
 pub mod pool;
@@ -49,6 +49,8 @@ pub mod protocol;
 pub mod striped;
 pub mod stub;
 pub mod stubfs;
+
+pub use chirp_proto::{fs, localfs};
 
 pub use adapter::{Adapter, AdapterConfig, Namespace};
 pub use backup::BackupVault;

@@ -5,9 +5,10 @@
 //!
 //! * `SIM_SEED=<n>` replays exactly one seed (failure reproduction).
 //! * `SIM_SEQS=<n>` overrides the sequence count.
-//! * Otherwise: 10 000 sequences in release builds (with a wall-clock
-//!   budget assertion), 1 000 in debug builds (where the unoptimized
-//!   replay loop dominates, not the system under test).
+//! * Otherwise: 10 000 sequences in release builds, 1 000 in debug
+//!   builds (where the unoptimized replay loop dominates, not the
+//!   system under test). The count is the budget; the elapsed time is
+//!   printed, not asserted.
 
 use simharness::diff::{DiffRunner, Divergence};
 use simharness::harness::SimTss;
@@ -97,14 +98,7 @@ fn generated_sequences_match_the_model() {
     if let Err(d) = check_sharded(count) {
         panic!("{d}");
     }
-    let elapsed = start.elapsed();
-    eprintln!("differential: {count} sequences in {elapsed:?}");
-    if !cfg!(debug_assertions) && count >= 10_000 {
-        assert!(
-            elapsed < std::time::Duration::from_secs(5),
-            "10k sequences took {elapsed:?}, budget is 5s"
-        );
-    }
+    eprintln!("differential: {count} sequences in {:?}", start.elapsed());
 }
 
 /// The cache must be invisible at every size: disabled, a pathological

@@ -26,12 +26,14 @@ use tss_core::placement::Placement;
 use tss_core::stub::StubRecord;
 use tss_core::stubfs::StubFs;
 
+/// The data volume every planted file lives in.
+const VOLUME: &str = "/vol";
+
 /// Plant the requested damage mix and return the stub filesystem plus
 /// the expected healthy contents.
 fn plant(
     sim: &SimTss,
     meta_dir: &TempDir,
-    volume: &str,
     n_healthy: usize,
     n_dangling: usize,
     n_empty: usize,
@@ -43,7 +45,7 @@ fn plant(
     opts.breaker_threshold = 0;
     let fs = StubFs::new(
         Arc::new(meta),
-        vec![sim.data_server(0, volume)],
+        vec![sim.data_server(0, VOLUME)],
         Placement::round_robin(),
         opts,
     );
@@ -79,7 +81,7 @@ fn plant(
     for i in 0..n_orphan {
         let fd = conn
             .open(
-                &format!("{volume}/orphan{i}.data"),
+                &format!("{VOLUME}/orphan{i}.data"),
                 OpenFlags::WRITE | OpenFlags::CREATE,
                 0o644,
             )
@@ -103,7 +105,7 @@ proptest! {
         let sim = SimTss::builder().cache_bytes(None).build();
         let meta_dir = TempDir::new();
         let (fs, healthy) =
-            plant(&sim, &meta_dir, "/vol", n_healthy, n_dangling, n_empty, n_corrupt, n_orphan);
+            plant(&sim, &meta_dir, n_healthy, n_dangling, n_empty, n_corrupt, n_orphan);
 
         // The scan classifies exactly what was planted.
         let report = fsck(&fs).unwrap();

@@ -481,13 +481,9 @@ fn scenario_seed_regression_corpus() {
     for seed in [1, 3] {
         run(stampede(seed, 12));
     }
-    for seed in [3] {
-        run(acl_churn(seed, 8));
-    }
+    run(acl_churn(3, 8));
     for seed in [4, 7] {
         run(mixed_soak(seed, 2));
     }
-    for seed in [5] {
-        run(auth_storm(seed, 10, 4));
-    }
+    run(auth_storm(5, 10, 4));
 }

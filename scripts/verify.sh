@@ -9,7 +9,9 @@
 #   and property suites of the stream layer under it (`cargo test -p
 #   chirp-proto -p chirp-client -p telemetry`: the pipeline's FIFO and
 #   failure properties, the owed-reply contract, the metric cells),
-#   which no other default stage runs. The benchmark package
+#   which no other default stage runs, and so are the file server's
+#   unit tests (handlers, jail, acl, cache) with its metadata,
+#   robustness, capacity and stress suites. The benchmark package
 #   under bench/ is a workspace of its own that the steps above never
 #   compile, so it is built here too: a break in the public items it
 #   calls (Acl::{new,single,load_effective,rights_of},
@@ -25,7 +27,8 @@
 #   clock, .. }}, Dsfs::with_options (six arguments) +
 #   Dsfs::stubfs().pool_stats() with PoolStats::{hits,misses,retries},
 #   pool::ServerPool::{new,checkout}, Placement::round_robin,
-#   Adapter::mount_dsfs) fails verify, not the benchmark pipeline.
+#   Adapter::mount_dsfs, fs::{FileHandle, FileSystem}) fails verify,
+#   not the benchmark pipeline.
 # With --chaos, additionally run the fault-injection suite under a
 # fixed seed (override with CHAOS_SEED=<u64>).
 # With --metrics, additionally run the observability smoke stage: boot
@@ -131,6 +134,9 @@ cargo test -q -p tss-core
 echo "== cargo test -q -p chirp-proto -p chirp-client -p telemetry  (stream layer: pipeline props, owed-reply contract, metric cells)"
 cargo test -q -p chirp-proto -p chirp-client -p telemetry
 
+echo "== cargo test -q -p chirp-server --lib --test metadata_ops --test robustness --test capacity --test stress  (file server: units, metadata over LocalFs, hostile peers, capacity, stress)"
+cargo test -q -p chirp-server --lib --test metadata_ops --test robustness --test capacity --test stress
+
 echo "== cargo build --release --offline --manifest-path bench/Cargo.toml  (the benchmark still compiles)"
 cargo build --release --offline --manifest-path bench/Cargo.toml
 
@@ -154,7 +160,6 @@ fi
 if [ "$SIM" = "1" ]; then
     # Fixed seed matrix: seeds 0..SIM_SEQS-1 differentially checked
     # real-vs-model, plus the chaos-under-simulation and e2e suites.
-    # Release mode — the suite carries a wall-clock budget assertion.
     SIM_SEQS="${SIM_SEQS:-10000}"
     echo "== cargo test -q --release -p simharness  (SIM_SEQS=$SIM_SEQS)"
     if ! SIM_SEQS="$SIM_SEQS" cargo test -q --release -p simharness; then
@@ -263,8 +268,8 @@ if [ "$SCENARIOS" = "1" ]; then
     fi
 fi
 
-echo "== cargo clippy --workspace -- -D warnings"
-cargo clippy --workspace -- -D warnings
+echo "== cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== cargo fmt --check"
 cargo fmt --check
