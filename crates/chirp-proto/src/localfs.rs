@@ -3,11 +3,11 @@
 //! This is "Unix" in the paper's evaluation — the zero-overhead
 //! baseline — the metadata store of a DPFS, whose directory tree lives
 //! in a local filesystem chosen by the user, and the store a Chirp
-//! server exports. The host primitives the server's descriptor path
-//! shares with it ([`meta_to_stat`], [`open_options`],
-//! [`read_full_at`]) live here once.
+//! server exports. A server's descriptor table holds the concrete
+//! [`LocalHandle`] that [`LocalFs::open_handle`] returns, so every
+//! write it serves announces its durability point here, once.
 
-use std::fs::{File, OpenOptions};
+use std::fs::{File, Metadata, OpenOptions};
 use std::io;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
@@ -55,6 +55,80 @@ impl LocalFs {
         }
         out
     }
+
+    /// Open `path` as the concrete handle, with the `fstat` taken right
+    /// after the open. Unobserved, that is the whole cost: one `open`,
+    /// one `fstat`, no allocation; an observed open first stats to pick
+    /// `Create` or `Truncate`.
+    pub fn open_handle(
+        &self,
+        path: &str,
+        flags: OpenFlags,
+        mode: u32,
+    ) -> io::Result<(LocalHandle, Metadata)> {
+        let host = self.host(path);
+        if self.persist.is_enabled() {
+            let meta = std::fs::metadata(&host).ok();
+            if meta.as_ref().is_some_and(|m| m.is_dir()) {
+                return Err(io::ErrorKind::IsADirectory.into());
+            }
+            let exists = meta.is_some();
+            if flags.contains(OpenFlags::CREATE) && !exists {
+                self.persist.reached(DurabilityPoint::Create, path)?;
+            } else if flags.contains(OpenFlags::TRUNCATE) && exists {
+                self.persist.reached(DurabilityPoint::Truncate, path)?;
+            }
+        }
+        let file = match open_options(flags, mode).open(&host) {
+            Ok(file) => file,
+            // A directory fails every open but a plain read-only one
+            // (EISDIR, EEXIST under O_EXCL, ...): the failure path can
+            // afford the stat that names it.
+            Err(_) if host.is_dir() => return Err(io::ErrorKind::IsADirectory.into()),
+            Err(e) => return Err(e),
+        };
+        // The fstat also catches a directory opened read-only.
+        let meta = syscount::fstat(&file)?;
+        if meta.is_dir() {
+            return Err(io::ErrorKind::IsADirectory.into());
+        }
+        let path = if self.persist.is_enabled() {
+            normalize_path(path)
+        } else {
+            String::new()
+        };
+        let persist = self.persist.clone();
+        Ok((
+            LocalHandle {
+                file,
+                flags,
+                persist,
+                path,
+            },
+            meta,
+        ))
+    }
+}
+
+/// Counted descriptor `fstat`s: an open takes one, a handle's `fstat`
+/// one, and its reads, writes and truncates none — the server's hot-path
+/// contract, which a test asserts through this count.
+pub mod syscount {
+    use std::cell::Cell;
+
+    thread_local! {
+        static FSTAT_CALLS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// `fstat`s so far on this thread, so parallel tests stay apart.
+    pub fn fstat_calls() -> u64 {
+        FSTAT_CALLS.with(Cell::get)
+    }
+
+    pub(super) fn fstat(file: &std::fs::File) -> std::io::Result<std::fs::Metadata> {
+        FSTAT_CALLS.with(|n| n.set(n.get() + 1));
+        file.metadata()
+    }
 }
 
 /// A directory entry's name as a `String`, reusing its buffer when the
@@ -66,11 +140,35 @@ fn entry_name(entry: &std::fs::DirEntry) -> String {
         .unwrap_or_else(|raw| raw.to_string_lossy().into_owned())
 }
 
-struct LocalHandle {
+/// An open host file. [`LocalFs::open`] boxes it; a Chirp server's
+/// descriptor table holds it unboxed, so the page cache and the
+/// streamed replies take [`LocalHandle::file`] without a copy.
+#[derive(Debug)]
+pub struct LocalHandle {
     file: File,
-    sync: bool,
+    flags: OpenFlags,
     persist: Persist,
+    /// The durability points' label: the normalized path when an
+    /// observer is installed, empty otherwise.
     path: String,
+}
+
+impl LocalHandle {
+    /// The host file, for reads that bypass the handle (the page
+    /// cache's fills, a scratch-buffer `PREAD`).
+    pub fn file(&self) -> &File {
+        &self.file
+    }
+
+    /// The host file, for a caller that streams it to the end.
+    pub fn into_file(self) -> File {
+        self.file
+    }
+
+    /// The flags the file was opened with.
+    pub fn flags(&self) -> OpenFlags {
+        self.flags
+    }
 }
 
 impl FileHandle for LocalHandle {
@@ -95,14 +193,14 @@ impl FileHandle for LocalHandle {
             }
         }
         self.file.write_all_at(buf, offset)?;
-        if self.sync {
+        if self.flags.contains(OpenFlags::SYNC) {
             self.file.sync_all()?;
         }
         Ok(buf.len())
     }
 
     fn fstat(&mut self) -> io::Result<StatBuf> {
-        Ok(meta_to_stat(&self.file.metadata()?))
+        Ok(meta_to_stat(&syscount::fstat(&self.file)?))
     }
 
     fn fsync(&mut self) -> io::Result<()> {
@@ -119,25 +217,8 @@ impl FileHandle for LocalHandle {
 
 impl FileSystem for LocalFs {
     fn open(&self, path: &str, flags: OpenFlags, mode: u32) -> io::Result<Box<dyn FileHandle>> {
-        let host = self.host(path);
-        if host.is_dir() {
-            return Err(io::ErrorKind::IsADirectory.into());
-        }
-        if self.persist.is_enabled() {
-            let exists = host.exists();
-            if flags.contains(OpenFlags::CREATE) && !exists {
-                self.persist.reached(DurabilityPoint::Create, path)?;
-            } else if flags.contains(OpenFlags::TRUNCATE) && exists {
-                self.persist.reached(DurabilityPoint::Truncate, path)?;
-            }
-        }
-        let file = open_options(flags, mode).open(host)?;
-        Ok(Box::new(LocalHandle {
-            file,
-            sync: flags.contains(OpenFlags::SYNC),
-            persist: self.persist.clone(),
-            path: normalize_path(path),
-        }))
+        let (handle, _) = self.open_handle(path, flags, mode)?;
+        Ok(Box::new(handle))
     }
 
     fn stat(&self, path: &str) -> io::Result<StatBuf> {
@@ -245,7 +326,7 @@ impl FileSystem for LocalFs {
 
 /// The host open options for protocol open flags, with `mode` applied
 /// to a created file (`0` leaves the process default).
-pub fn open_options(flags: OpenFlags, mode: u32) -> OpenOptions {
+fn open_options(flags: OpenFlags, mode: u32) -> OpenOptions {
     use std::os::unix::fs::OpenOptionsExt;
     let mut opts = OpenOptions::new();
     opts.read(flags.contains(OpenFlags::READ));
@@ -282,7 +363,7 @@ pub fn read_full_at(file: &File, buf: &mut [u8], offset: u64) -> io::Result<usiz
 }
 
 /// Convert host metadata to the shared stat structure.
-pub fn meta_to_stat(meta: &std::fs::Metadata) -> StatBuf {
+fn meta_to_stat(meta: &std::fs::Metadata) -> StatBuf {
     use std::os::unix::fs::MetadataExt;
     StatBuf {
         device: meta.dev(),

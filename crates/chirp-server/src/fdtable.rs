@@ -6,25 +6,19 @@
 //! connection, and clients must re-open after a disconnection — the
 //! paper's deliberately simple server-side failure semantics.
 
-use std::fs::File;
 use std::sync::Arc;
 
+use chirp_proto::localfs::LocalHandle;
 use chirp_proto::{ChirpError, ChirpResult};
 
-use crate::cache::{file_key, FileKey, FileState};
+use crate::cache::{FileKey, FileState};
 
 /// One open file.
 #[derive(Debug)]
 pub struct OpenFile {
-    /// The backing host file.
-    pub file: File,
-    /// Flush to stable storage after every write (`OpenFlags::SYNC`).
-    pub sync: bool,
-    /// Writes go to the current EOF (`OpenFlags::APPEND`).
-    pub append: bool,
-    /// Opened with `OpenFlags::READ` (a cache hit on a write-only
-    /// descriptor must still fail the way `read(2)` would).
-    pub readable: bool,
+    /// The export's handle on the host file: writes, syncs and
+    /// truncates go through it and announce their durability points.
+    pub handle: LocalHandle,
     /// The file's `(device, inode)` identity — the buffer cache key.
     pub key: FileKey,
     /// Size and liveness shared by every descriptor on this inode,
@@ -36,23 +30,6 @@ impl OpenFile {
     /// The current tracked size.
     pub fn size(&self) -> u64 {
         self.state.size.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// A plain read-write descriptor on `file` for tests: fstats once
-    /// to seed the key and size, shares no state with other opens.
-    pub fn for_tests(file: File) -> OpenFile {
-        let meta = file.metadata().expect("fstat test file");
-        OpenFile {
-            key: file_key(&meta),
-            state: Arc::new(FileState {
-                size: std::sync::atomic::AtomicU64::new(meta.len()),
-                ..FileState::default()
-            }),
-            file,
-            sync: false,
-            append: false,
-            readable: true,
-        }
     }
 }
 
@@ -88,11 +65,11 @@ impl FdTable {
     }
 
     /// Look up a descriptor.
-    pub fn get(&self, fd: i32) -> ChirpResult<&OpenFile> {
+    pub fn get(&mut self, fd: i32) -> ChirpResult<&mut OpenFile> {
         usize::try_from(fd)
             .ok()
-            .and_then(|i| self.slots.get(i))
-            .and_then(Option::as_ref)
+            .and_then(|i| self.slots.get_mut(i))
+            .and_then(Option::as_mut)
             .ok_or(ChirpError::BadFd)
     }
 
@@ -115,10 +92,19 @@ impl FdTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use chirp_proto::localfs::LocalFs;
     use chirp_proto::testutil::TempDir;
+    use chirp_proto::OpenFlags;
 
     fn open_file(dir: &TempDir, name: &str) -> OpenFile {
-        OpenFile::for_tests(File::create(dir.path().join(name)).unwrap())
+        let fs = LocalFs::new(dir.path()).unwrap();
+        let flags = OpenFlags::read_write() | OpenFlags::CREATE;
+        let (handle, meta) = fs.open_handle(name, flags, 0o644).unwrap();
+        OpenFile {
+            handle,
+            key: crate::cache::file_key(&meta),
+            state: Arc::default(),
+        }
     }
 
     #[test]

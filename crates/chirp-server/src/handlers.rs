@@ -3,46 +3,28 @@
 //!
 //! Metadata requests run over [`Shared::fs`], the export's
 //! [`LocalFs`](chirp_proto::localfs::LocalFs), once the jail and the
-//! ACL have passed them; what stays here is what only a server knows
-//! (the hidden `.__acl`, the ACL cache, page-cache and size-table
-//! coherence, capacity accounting). Descriptor requests keep raw
-//! `File`s, because the page cache and the streamed replies need one.
+//! ACL have passed them, and descriptors hold its concrete
+//! [`LocalHandle`](chirp_proto::localfs::LocalHandle); what stays here
+//! is what only a server knows (the hidden `.__acl`, the ACL cache,
+//! page-cache and size-table coherence, capacity accounting).
 
 use std::fs::{File, OpenOptions};
 use std::io;
-use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use chirp_proto::escape::escape;
-use chirp_proto::fs::FileSystem;
-use chirp_proto::localfs::{meta_to_stat, open_options, read_full_at};
-use chirp_proto::persist::DurabilityPoint;
+use chirp_proto::fs::{FileHandle, FileSystem};
+use chirp_proto::localfs::{read_full_at, LocalHandle};
+use chirp_proto::persist::is_crash;
 use chirp_proto::{ChirpError, ChirpResult, OpenFlags, Request, StatFs};
 
 use crate::acl::{wildcard_match, Acl, Rights};
 use crate::auth::{AuthOutcome, Authenticator};
-use crate::cache::{file_key, PageReply};
+use crate::cache::{file_key, FileKey, PageReply};
 use crate::fdtable::{FdTable, OpenFile};
 use crate::jail::ACL_FILE;
 use crate::server::Shared;
-
-/// Counted wrapper around descriptor `fstat` calls. The write path's
-/// freedom from per-write metadata syscalls is a performance contract;
-/// routing every fd-level `metadata()` through here lets a regression
-/// test assert the count stays zero across a burst of writes.
-pub mod syscount {
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    /// Total fd-level `fstat` calls made by handlers in this process.
-    pub static FSTAT_CALLS: AtomicU64 = AtomicU64::new(0);
-
-    /// `file.metadata()`, counted.
-    pub fn fstat(file: &std::fs::File) -> std::io::Result<std::fs::Metadata> {
-        FSTAT_CALLS.fetch_add(1, Ordering::Relaxed);
-        file.metadata()
-    }
-}
 
 /// What the connection loop should send back for one request.
 #[derive(Debug)]
@@ -86,6 +68,8 @@ enum UploadFate {
     /// Checks passed: bytes stream straight into the opened file.
     Write {
         file: File,
+        /// The file's identity, from the open's `fstat`.
+        key: FileKey,
         /// Size the path held before the upload, for capacity
         /// accounting (a replaced file frees its old bytes).
         old_size: u64,
@@ -158,17 +142,6 @@ impl Session {
         self.subject.as_ref()
     }
 
-    /// Announce a durability point to the configured observer, before
-    /// the mutation it names. An error means the simulated process is
-    /// dead: surface it and mutate nothing.
-    fn durability(&self, point: DurabilityPoint, path: &str) -> ChirpResult<()> {
-        self.shared
-            .config
-            .persistence
-            .reached(point, path)
-            .map_err(|e| ChirpError::from_io(&e))
-    }
-
     /// Handle one request. `payload` carries the body of a `PWRITE`.
     /// (`PUTFILE` is streamed through [`Session::begin_putfile`],
     /// [`Session::feed_putfile`] and [`Session::finish_putfile`]
@@ -198,16 +171,13 @@ impl Session {
             Request::Fstat { fd } => {
                 self.require_subject()?;
                 let f = self.fds.get(fd)?;
-                let meta = syscount::fstat(&f.file).map_err(|e| ChirpError::from_io(&e))?;
-                Ok(Reply::Words(0, meta_to_stat(&meta).to_words()))
+                let st = f.handle.fstat().map_err(|e| ChirpError::from_io(&e))?;
+                Ok(Reply::Words(0, st.to_words()))
             }
             Request::Fsync { fd } => {
                 self.require_subject()?;
-                if self.shared.config.persistence.is_enabled() {
-                    self.durability(DurabilityPoint::Fsync, &format!("fd{fd}"))?;
-                }
                 let f = self.fds.get(fd)?;
-                f.file.sync_all().map_err(|e| ChirpError::from_io(&e))?;
+                f.handle.fsync().map_err(|e| ChirpError::from_io(&e))?;
                 Ok(Reply::Value(0))
             }
             Request::Ftruncate { fd, size } => {
@@ -217,10 +187,9 @@ impl Session {
                 if size > old && self.shared.over_capacity(size - old) {
                     return Err(ChirpError::NoSpace);
                 }
-                if self.shared.config.persistence.is_enabled() {
-                    self.durability(DurabilityPoint::Truncate, &format!("fd{fd}"))?;
-                }
-                f.file.set_len(size).map_err(|e| ChirpError::from_io(&e))?;
+                f.handle
+                    .ftruncate(size)
+                    .map_err(|e| ChirpError::from_io(&e))?;
                 if let Some(cache) = &self.shared.cache {
                     cache.truncate(f.key, old, size);
                 }
@@ -290,22 +259,26 @@ impl Session {
         if self.shared.over_capacity(growth) {
             return Ok(PutfileUpload::discard(length, ChirpError::NoSpace));
         }
-        // One durability point for the whole streamed upload: the crash
-        // harness drives writes through OPEN/PWRITE, where every step
-        // is individually killable.
-        if let Err(e) = self.durability(DurabilityPoint::Create, path) {
-            return Ok(PutfileUpload::discard(length, e));
-        }
-        let file = open_options(
-            OpenFlags::WRITE | OpenFlags::CREATE | OpenFlags::TRUNCATE,
-            mode,
-        )
-        .open(&host)
-        .map_err(|e| ChirpError::from_io(&e))?;
+        // The open announces the whole streamed upload's one durability
+        // point; the chunks announce none. The crash harness drives
+        // writes through OPEN/PWRITE, where every step is killable.
+        let flags = OpenFlags::WRITE | OpenFlags::CREATE | OpenFlags::TRUNCATE;
+        let (handle, meta) = match self.shared.fs.open_handle(path, flags, mode) {
+            Ok(opened) => opened,
+            // Killed at that point, the server still drains the payload.
+            Err(e) if is_crash(&e) => {
+                return Ok(PutfileUpload::discard(length, ChirpError::from_io(&e)))
+            }
+            Err(e) => return Err(ChirpError::from_io(&e)),
+        };
         Ok(PutfileUpload {
             remaining: length,
             length,
-            fate: UploadFate::Write { file, old_size },
+            fate: UploadFate::Write {
+                file: handle.into_file(),
+                key: file_key(&meta),
+                old_size,
+            },
         })
     }
 
@@ -331,17 +304,14 @@ impl Session {
         let length = upload.length;
         match upload.fate {
             UploadFate::Discard(e) => Err(e),
-            UploadFate::Write { file, old_size } => {
+            UploadFate::Write { key, old_size, .. } => {
                 // The upload truncated and rewrote the inode: stale
                 // pages go, and descriptors already open on it learn
                 // the new size.
-                if let Ok(meta) = syscount::fstat(&file) {
-                    let key = file_key(&meta);
-                    if let Some(cache) = &self.shared.cache {
-                        cache.invalidate(key);
-                    }
-                    self.shared.sizes.set_size(key, length);
+                if let Some(cache) = &self.shared.cache {
+                    cache.invalidate(key);
                 }
+                self.shared.sizes.set_size(key, length);
                 self.shared.adjust_usage(length as i64 - old_size as i64);
                 Ok(Reply::Value(0))
             }
@@ -441,50 +411,25 @@ impl Session {
         if !have.contains(need) {
             return Err(ChirpError::NotAuthorized);
         }
-        let host = dir.join(leaf);
-        // A directory is refused without a stat of its own: the open
-        // below fails on one (and says so), except a plain read-only
-        // open, which the fstat after it catches.
-        //
         // An O_TRUNC open releases the file's old bytes; account for
         // them so the capacity policy sees rewrites as reuse, not
         // growth.
         let truncated_bytes = if flags.contains(OpenFlags::TRUNCATE) {
-            std::fs::metadata(&host).map(|m| m.len()).unwrap_or(0)
+            std::fs::metadata(dir.join(leaf))
+                .map(|m| m.len())
+                .unwrap_or(0)
         } else {
             0
         };
-        if self.shared.config.persistence.is_enabled() {
-            // Only existence-probe when observed: the branch costs a
-            // stat that production opens must not pay.
-            let meta = std::fs::metadata(&host).ok();
-            if meta.as_ref().is_some_and(|m| m.is_dir()) {
-                return Err(ChirpError::IsADirectory);
-            }
-            let exists = meta.is_some();
-            if flags.contains(OpenFlags::CREATE) && !exists {
-                self.durability(DurabilityPoint::Create, path)?;
-            } else if flags.contains(OpenFlags::TRUNCATE) && exists {
-                self.durability(DurabilityPoint::Truncate, path)?;
-            }
-        }
-        let file = match open_options(flags, mode).open(&host) {
-            Ok(file) => file,
-            // A directory fails every open but a plain read-only one
-            // (EISDIR, EEXIST under O_EXCL, ...): the failure path can
-            // afford the stat that names it.
-            Err(_) if host.is_dir() => return Err(ChirpError::IsADirectory),
-            Err(e) => return Err(ChirpError::from_io(&e)),
-        };
-        self.shared.adjust_usage(-(truncated_bytes as i64));
-        // One fstat per open seeds the inode key and tracked size;
+        // The open's one fstat seeds the inode key and tracked size;
         // every later write and ftruncate on the descriptor maintains
-        // the size without touching the kernel again. It is also what
-        // catches a directory opened read-only.
-        let meta = syscount::fstat(&file).map_err(|e| ChirpError::from_io(&e))?;
-        if meta.is_dir() {
-            return Err(ChirpError::IsADirectory);
-        }
+        // the size without touching the kernel again.
+        let (handle, meta) = self
+            .shared
+            .fs
+            .open_handle(path, flags, mode)
+            .map_err(|e| ChirpError::from_io(&e))?;
+        self.shared.adjust_usage(-(truncated_bytes as i64));
         let key = file_key(&meta);
         if truncated_bytes > 0 {
             // O_TRUNC reused the inode but emptied it.
@@ -494,14 +439,7 @@ impl Session {
             self.shared.sizes.set_size(key, 0);
         }
         let state = self.shared.sizes.track(key, meta.len());
-        let fd = self.fds.insert(OpenFile {
-            file,
-            sync: flags.contains(OpenFlags::SYNC),
-            append: flags.contains(OpenFlags::APPEND),
-            readable: flags.contains(OpenFlags::READ),
-            key,
-            state,
-        })?;
+        let fd = self.fds.insert(OpenFile { handle, key, state })?;
         Ok(Reply::Value(fd as i64))
     }
 
@@ -518,22 +456,26 @@ impl Session {
                     // empty buffer — succeeds even on a write-only fd.
                     return Ok(Reply::Pages(PageReply::default()));
                 }
-                if !f.readable {
+                if !f.handle.flags().contains(OpenFlags::READ) {
                     // read(2) on a write-only descriptor: EBADF. A
                     // cache hit must fail exactly like the syscall.
                     return Err(ChirpError::Io);
                 }
                 let doomed = f.state.doomed.load(std::sync::atomic::Ordering::Relaxed);
-                let reply =
-                    cache.read(&f.file, f.key, offset, length as usize, f.size(), !doomed)?;
+                let file = f.handle.file();
+                let reply = cache.read(file, f.key, offset, length as usize, f.size(), !doomed)?;
                 return Ok(Reply::Pages(reply));
             }
         }
         if self.scratch.len() < length as usize {
             self.scratch.resize(length as usize, 0);
         }
-        let n = read_full_at(&f.file, &mut self.scratch[..length as usize], offset)
-            .map_err(|e| ChirpError::from_io(&e))?;
+        let n = read_full_at(
+            f.handle.file(),
+            &mut self.scratch[..length as usize],
+            offset,
+        )
+        .map_err(|e| ChirpError::from_io(&e))?;
         Ok(Reply::Scratch(n))
     }
 
@@ -547,7 +489,11 @@ impl Session {
         // pwrite(2) on an O_APPEND descriptor writes at EOF no matter
         // the offset; mirror the kernel so the cache patches the
         // bytes the disk actually took.
-        let eff_off = if f.append { old_size } else { offset };
+        let eff_off = if f.handle.flags().contains(OpenFlags::APPEND) {
+            old_size
+        } else {
+            offset
+        };
         let new_size = if data.is_empty() {
             old_size
         } else {
@@ -557,15 +503,9 @@ impl Session {
         if growth > 0 && self.shared.over_capacity(growth) {
             return Err(ChirpError::NoSpace);
         }
-        if !data.is_empty() && self.shared.config.persistence.is_enabled() {
-            self.durability(DurabilityPoint::Pwrite, &format!("fd{fd}"))?;
-        }
-        f.file
-            .write_all_at(data, offset)
+        f.handle
+            .pwrite(data, offset)
             .map_err(|e| ChirpError::from_io(&e))?;
-        if f.sync {
-            f.file.sync_all().map_err(|e| ChirpError::from_io(&e))?;
-        }
         if !data.is_empty() {
             if let Some(cache) = &self.shared.cache {
                 cache.write_through(f.key, eff_off, data, old_size);
@@ -794,14 +734,9 @@ impl Session {
     }
 
     fn do_getfile(&self, path: &str) -> ChirpResult<Reply> {
-        let (dir, leaf) = self.shared.jail.resolve_parent(path)?;
+        let (dir, _) = self.shared.jail.resolve_parent(path)?;
         self.require_rights(&dir, Rights::READ)?;
-        let host = dir.join(leaf);
-        let file = File::open(&host).map_err(|e| ChirpError::from_io(&e))?;
-        let meta = file.metadata().map_err(|e| ChirpError::from_io(&e))?;
-        if meta.is_dir() {
-            return Err(ChirpError::IsADirectory);
-        }
+        let (handle, meta) = self.open_read(path)?;
         if let Some(cache) = &self.shared.cache {
             // Serve a fully-resident file straight from pages; a
             // partial miss streams from disk without populating, so a
@@ -810,7 +745,16 @@ impl Session {
                 return Ok(Reply::Pages(reply));
             }
         }
-        Ok(Reply::FileStream(file, meta.len()))
+        Ok(Reply::FileStream(handle.into_file(), meta.len()))
+    }
+
+    /// Open `path` read-only through the export, for a whole-file
+    /// stream.
+    fn open_read(&self, path: &str) -> ChirpResult<(LocalHandle, std::fs::Metadata)> {
+        self.shared
+            .fs
+            .open_handle(path, OpenFlags::READ, 0)
+            .map_err(|e| ChirpError::from_io(&e))
     }
 
     fn do_getacl(&self, path: &str) -> ChirpResult<Reply> {
@@ -906,14 +850,10 @@ impl Session {
     /// create on the target is the target's ACL decision, made against
     /// *this server's* hostname identity.
     fn do_thirdput(&self, path: &str, target: &str, target_path: &str) -> ChirpResult<Reply> {
-        let (dir, leaf) = self.shared.jail.resolve_parent(path)?;
+        let (dir, _) = self.shared.jail.resolve_parent(path)?;
         self.require_rights(&dir, Rights::READ)?;
-        let host = dir.join(leaf);
-        let mut file = File::open(&host).map_err(|e| ChirpError::from_io(&e))?;
-        let meta = file.metadata().map_err(|e| ChirpError::from_io(&e))?;
-        if meta.is_dir() {
-            return Err(ChirpError::IsADirectory);
-        }
+        let (handle, meta) = self.open_read(path)?;
+        let mut file = handle.into_file();
         let timeout = std::time::Duration::from_secs(30);
         let mut conn =
             chirp_client::Connection::connect_via(&self.shared.config.dialer, target, timeout)?;
@@ -974,16 +914,13 @@ mod tests {
 
     /// One session, end to end at the handler layer: a burst of
     /// writes, reads, and ftruncates on an open descriptor must make
-    /// zero `fstat` calls (the fd table tracks the size), and an
-    /// oversized read must not pin its scratch buffer after trimming.
-    ///
-    /// A single combined test because [`syscount::FSTAT_CALLS`] is
-    /// process-global: two tests measuring it in parallel would see
-    /// each other's opens.
+    /// zero `fstat` calls (the fd table tracks the size) while one
+    /// `FSTAT` makes exactly one, and an oversized read must not pin
+    /// its scratch buffer after trimming.
     #[test]
     fn hot_io_burst_is_fstat_free_and_scratch_shrinks() {
+        use chirp_proto::localfs::syscount::fstat_calls;
         use chirp_proto::message::Request;
-        use chirp_proto::OpenFlags;
 
         let dir = TempDir::new();
         let cfg = crate::config::ServerConfig::localhost(dir.path(), "o")
@@ -1015,7 +952,7 @@ mod tests {
         };
         let fd = fd as i32;
 
-        let before = syscount::FSTAT_CALLS.load(std::sync::atomic::Ordering::Relaxed);
+        let before = fstat_calls();
         for i in 0..256u64 {
             s.handle(
                 Request::Pwrite {
@@ -1042,12 +979,14 @@ mod tests {
             .unwrap();
         s.handle(Request::Ftruncate { fd, size: 40_000 }, None)
             .unwrap();
-        let after = syscount::FSTAT_CALLS.load(std::sync::atomic::Ordering::Relaxed);
         assert_eq!(
-            after - before,
+            fstat_calls() - before,
             0,
             "the hot read/write/ftruncate path must not fstat"
         );
+        // The counter is live: an explicit FSTAT is counted once.
+        s.handle(Request::Fstat { fd }, None).unwrap();
+        assert_eq!(fstat_calls() - before, 1, "FSTAT must fstat once");
 
         // An oversized read (past the cache bypass threshold) lands in
         // scratch and grows it; the post-reply trim must release it.

@@ -2,10 +2,12 @@
 //!
 //! A session's `MKDIR`, `RMDIR` and listings run through the same
 //! `FileSystem` every abstraction speaks, behind the jail and the ACL
-//! check. These tests pin what the server adds and what it must not
-//! lose on the way: a durability point before every mutation (a
-//! process killed at that point changes nothing on disk), and listings
-//! ordered by the escaped name the wire carries, not by the raw name.
+//! check, and its descriptors hold the same `LocalHandle`. These tests
+//! pin what the server adds and what it must not lose on the way: a
+//! durability point before every mutation (a process killed at that
+//! point changes nothing on disk, or a torn prefix of one write),
+//! journaled under the file's path, and listings ordered by the escaped
+//! name the wire carries, not by the raw name.
 
 use std::net::IpAddr;
 use std::path::Path;
@@ -14,7 +16,7 @@ use std::sync::Arc;
 use chirp_proto::message::Request;
 use chirp_proto::persist::{CrashPoint, DurabilityPoint, Persist};
 use chirp_proto::testutil::TempDir;
-use chirp_proto::OpenFlags;
+use chirp_proto::{ChirpError, OpenFlags};
 use chirp_server::acl::Acl;
 use chirp_server::handlers::{Reply, Session};
 use chirp_server::server::Shared;
@@ -108,6 +110,106 @@ fn rmdir_on_a_dead_server_removes_nothing() {
     let points: Vec<DurabilityPoint> = crash.journal().entries().iter().map(|e| e.point).collect();
     assert_eq!(points, [DurabilityPoint::Unlink, DurabilityPoint::Unlink]);
     assert!(!dir.path().join("e").exists());
+}
+
+/// Open `path` read-write, creating it.
+fn open(s: &mut Session, path: &str) -> i32 {
+    let opened = s.handle(
+        Request::Open {
+            path: path.into(),
+            flags: OpenFlags::read_write() | OpenFlags::CREATE,
+            mode: 0o644,
+        },
+        None,
+    );
+    let Ok(Reply::Value(fd)) = opened else {
+        panic!("open {path}: {opened:?}");
+    };
+    fd as i32
+}
+
+/// A server killed mid-`PWRITE` can leave a torn write: a strict prefix
+/// of the buffer on disk, and an error to the client — the same fate
+/// any other `LocalFs` write can meet.
+#[test]
+fn pwrite_on_a_dying_server_can_be_torn() {
+    let dir = TempDir::new();
+    let crash = CrashPoint::new();
+    let shared = rig(dir.path(), Persist::from_arc(crash.clone()));
+    let mut s = session(&shared);
+    let data = vec![0x5a; 64];
+    let mut torn_mid_buffer = false;
+    for seed in 0..8 {
+        let path = format!("/t{seed}");
+        let fd = open(&mut s, &path);
+        crash.arm_torn(Some(0), seed);
+        let written = s.handle(
+            Request::Pwrite {
+                fd,
+                length: data.len() as u64,
+                offset: 0,
+            },
+            Some(data.clone()),
+        );
+        crash.disarm();
+        assert!(written.is_err(), "a dead server must fail PWRITE");
+        assert!(crash.fired());
+        let on_disk = std::fs::read(dir.path().join(&path[1..])).unwrap();
+        assert!(
+            on_disk.len() < data.len() && data.starts_with(&on_disk),
+            "seed {seed}: {} bytes on disk are not a strict prefix",
+            on_disk.len()
+        );
+        torn_mid_buffer |= !on_disk.is_empty();
+    }
+    assert!(torn_mid_buffer, "some seed must leave a non-empty prefix");
+}
+
+/// `FSYNC` and `FTRUNCATE` name the file in the journal, as every other
+/// durability point does — not the connection-local descriptor.
+#[test]
+fn descriptor_points_journal_the_path() {
+    let dir = TempDir::new();
+    let crash = CrashPoint::new();
+    let shared = rig(dir.path(), Persist::from_arc(crash.clone()));
+    let mut s = session(&shared);
+    let fd = open(&mut s, "/g");
+
+    crash.arm(None);
+    s.handle(Request::Fsync { fd }, None).unwrap();
+    s.handle(Request::Ftruncate { fd, size: 5 }, None).unwrap();
+    let journal: Vec<(DurabilityPoint, String)> = crash
+        .journal()
+        .entries()
+        .into_iter()
+        .map(|e| (e.point, e.path))
+        .collect();
+    assert_eq!(
+        journal,
+        [
+            (DurabilityPoint::Fsync, "/g".to_string()),
+            (DurabilityPoint::Truncate, "/g".to_string()),
+        ]
+    );
+}
+
+/// `FSYNC` on a descriptor that was never opened is refused before any
+/// durability point: there is nothing to make durable.
+#[test]
+fn fsync_on_a_bad_descriptor_announces_nothing() {
+    let dir = TempDir::new();
+    let crash = CrashPoint::new();
+    let shared = rig(dir.path(), Persist::from_arc(crash.clone()));
+    let mut s = session(&shared);
+
+    crash.arm(None);
+    let synced = s.handle(Request::Fsync { fd: 7 }, None);
+    assert_eq!(synced.err(), Some(ChirpError::BadFd));
+    assert!(
+        crash.journal().is_empty(),
+        "{:?}",
+        crash.journal().entries()
+    );
 }
 
 /// `GETDIR` and `GETDIRSTAT` sort by the escaped name: `a b` travels as

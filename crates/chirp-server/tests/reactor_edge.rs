@@ -352,7 +352,7 @@ fn rpc(t: &mut dyn Transport, request: &str, has_payload: bool) -> (i64, Vec<u8>
 }
 
 /// The cost contract of the reply path, in the style of the
-/// `syscount::FSTAT_CALLS` test: a reply the socket can take leaves
+/// `syscount::fstat_calls` test: a reply the socket can take leaves
 /// the reactor in exactly one write — status line and payload
 /// together, whether the payload is result words, cache pages or a
 /// file of up to one read chunk — and a longer file still streams in

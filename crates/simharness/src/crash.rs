@@ -40,12 +40,14 @@
 //! **Torn-write mode** ([`CrashHarness::run_seed_torn`]) repeats the
 //! sweep with the injector in partial-sector mode: the killing write
 //! persists a seeded strict prefix of its bytes before the process
-//! dies, modeling a power cut mid-sector instead of a clean kill. Only
-//! the stub writes tear (the metadata tree is the only `LocalFs` in
-//! the loop); the acceptance relaxes exactly one clause: a *corrupt*
-//! stub — one fsck cannot parse — is allowed iff it names the crashed
-//! op's own target, reads as an error (never as garbage data), and is
-//! removed by the same repair pass that removes dangling stubs.
+//! dies, modeling a power cut mid-sector instead of a clean kill. The
+//! stub writes tear (the metadata tree is a `LocalFs`) and so does the
+//! data server's `PWRITE` (its descriptors hold a `LocalHandle`); the
+//! acceptance relaxes exactly two clauses, both for the crashed op's
+//! own target only: a *corrupt* stub — one fsck cannot parse — is
+//! allowed iff it reads as an error (never as garbage data) and is
+//! removed by the same repair pass that removes dangling stubs; and a
+//! crashed write's file may read as a strict prefix of its bytes.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -689,7 +691,15 @@ fn verify_post_state(
         // A torn stub reads as an error (InvalidData), never as
         // garbage bytes; acceptable only where the crash landed.
         let torn_target = torn && targets.contains(p) && got == State::Torn;
-        if got != s_pre && got != s_post && !in_flight_write && !torn_target {
+        // A torn data-server PWRITE leaves a strict prefix of the
+        // crashed write's bytes behind a whole stub.
+        let torn_write = torn
+            && matches!(
+                (crashed_op, &got),
+                (Some(CrashOp::Write { path, data }), State::File(b))
+                    if path == p && b.len() < data.len() && data.starts_with(b)
+            );
+        if got != s_pre && got != s_post && !in_flight_write && !torn_target && !torn_write {
             return Err(format!(
                 "{p}: found {got}, accepted states are pre={s_pre} / post={s_post}"
             ));
