@@ -13,7 +13,6 @@ use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
-use controlplane::HashRing;
 use telemetry::json::Value;
 use telemetry::{MetricValue, MetricsSnapshot};
 
@@ -30,65 +29,9 @@ struct Row {
     /// one (`--cache-bytes`); servers without a cache report neither
     /// counter and show `-`.
     cache: Option<(f64, i64)>,
-    /// Home catalog shard when the queried catalog is federated; `-`
-    /// against a classic single catalog.
-    shard: Option<String>,
     /// Reactor slow-reader backpressure events; `-` for servers that
     /// predate the reactor core and report no `reactor.*` counters.
     backpressure: Option<u64>,
-}
-
-/// A federated catalog's `fed-status` self-description: enough to
-/// rebuild its hash ring and attribute each server to a home shard.
-struct FedStatus {
-    shard: String,
-    endpoint: String,
-    entries: u64,
-    forwarded: u64,
-    /// (name, endpoint, alive, forwarded) per peer.
-    peers: Vec<(String, String, bool, u64)>,
-    ring: HashRing,
-}
-
-/// Ask the catalog whether it is a federation shard. A classic
-/// catalog answers the unknown `fed-status` verb with its text
-/// listing, which does not parse as a JSON object — that is the
-/// "not federated" signal, so the columns degrade to `-`.
-fn fed_status(addr: SocketAddr, timeout: Duration) -> Option<FedStatus> {
-    let body = catalog::client::query_raw_via(
-        &chirp_proto::transport::Dialer::tcp(),
-        &addr.to_string(),
-        timeout,
-        "fed-status",
-    )
-    .ok()?;
-    let parsed = Value::parse(body.trim())?;
-    let shard = parsed.get("shard")?.as_str()?.to_string();
-    let endpoint = parsed.get("endpoint")?.as_str()?.to_string();
-    let seed = parsed.get("seed")?.as_u64()?;
-    let vnodes = parsed.get("vnodes")?.as_u64()? as usize;
-    let entries = parsed.get("entries")?.as_u64()?;
-    let forwarded = parsed.get("forwarded")?.as_u64()?;
-    let mut peers = Vec::new();
-    for peer in parsed.get("peers")?.as_array()? {
-        let alive = matches!(peer.get("alive")?, Value::Bool(true));
-        peers.push((
-            peer.get("name")?.as_str()?.to_string(),
-            peer.get("endpoint")?.as_str()?.to_string(),
-            alive,
-            peer.get("forwarded")?.as_u64()?,
-        ));
-    }
-    let members = std::iter::once(shard.clone()).chain(peers.iter().map(|p| p.0.clone()));
-    let ring = HashRing::with_peers(seed, vnodes, members);
-    Some(FedStatus {
-        shard,
-        endpoint,
-        entries,
-        forwarded,
-        peers,
-        ring,
-    })
 }
 
 fn fetch(
@@ -131,7 +74,6 @@ fn rows(
     servers: &[(String, String, MetricsSnapshot)],
     prev: &HashMap<String, (u64, Instant)>,
     free: &HashMap<String, u64>,
-    fed: Option<&FedStatus>,
 ) -> Vec<Row> {
     servers
         .iter()
@@ -183,7 +125,6 @@ fn rows(
                 p99_us,
                 free: free.get(name).copied(),
                 cache,
-                shard: fed.and_then(|f| f.ring.shard_for(name).map(str::to_string)),
                 backpressure: snap.counter("reactor.backpressure"),
             }
         })
@@ -194,7 +135,7 @@ fn render(rows: &[Row]) {
     // New columns go at the end: scripts (and the tss_top test)
     // address existing ones by position.
     println!(
-        "{:<28} {:<22} {:>8} {:>8} {:>6} {:>9} {:>9} {:>10} {:>7} {:>9} {:<12} {:>6}",
+        "{:<28} {:<22} {:>8} {:>8} {:>6} {:>9} {:>9} {:>10} {:>7} {:>9} {:>6}",
         "NAME",
         "ADDRESS",
         "RPCS",
@@ -205,7 +146,6 @@ fn render(rows: &[Row]) {
         "FREE(MB)",
         "CACHE%",
         "RES(KB)",
-        "SHARD",
         "BACKP"
     );
     for r in rows {
@@ -222,73 +162,17 @@ fn render(rows: &[Row]) {
                 )
             })
             .unwrap_or_else(|| ("-".to_string(), "-".to_string()));
-        let shard = r.shard.as_deref().unwrap_or("-");
         let backp = r
             .backpressure
             .map(|b| b.to_string())
             .unwrap_or_else(|| "-".to_string());
         println!(
-            "{:<28} {:<22} {:>8} {:>8.1} {:>6} {:>9.1} {:>9.1} {:>10} {:>7} {:>9} {:<12} {:>6}",
-            r.name,
-            r.address,
-            r.rpcs,
-            r.rate,
-            r.errors,
-            r.p50_us,
-            r.p99_us,
-            free,
-            hit,
-            res,
-            shard,
-            backp
+            "{:<28} {:<22} {:>8} {:>8.1} {:>6} {:>9.1} {:>9.1} {:>10} {:>7} {:>9} {:>6}",
+            r.name, r.address, r.rpcs, r.rate, r.errors, r.p50_us, r.p99_us, free, hit, res, backp
         );
     }
     if rows.is_empty() {
         println!("(no servers reporting)");
-    }
-}
-
-/// The federation footer: one row per catalog shard — the one we are
-/// querying plus every peer it gossips with — with liveness and the
-/// forwarded-report rate computed from successive samples.
-fn render_federation(fed: &FedStatus, prev_fwd: &HashMap<String, (u64, Instant)>) {
-    let fwd_rate = |name: &str, fwd: u64| -> f64 {
-        prev_fwd
-            .get(name)
-            .map(|(old, at)| {
-                let dt = at.elapsed().as_secs_f64();
-                if dt > 0.0 {
-                    fwd.saturating_sub(*old) as f64 / dt
-                } else {
-                    0.0
-                }
-            })
-            .unwrap_or(0.0)
-    };
-    println!();
-    println!(
-        "{:<12} {:<22} {:>7} {:>9} {:>8} {:>8}",
-        "PEERS", "ENDPOINT", "ALIVE", "ENTRIES", "FWD", "FWD/S"
-    );
-    println!(
-        "{:<12} {:<22} {:>7} {:>9} {:>8} {:>8.1}",
-        fed.shard,
-        fed.endpoint,
-        "self",
-        fed.entries,
-        fed.forwarded,
-        fwd_rate(&fed.shard, fed.forwarded)
-    );
-    for (name, endpoint, alive, forwarded) in &fed.peers {
-        println!(
-            "{:<12} {:<22} {:>7} {:>9} {:>8} {:>8.1}",
-            name,
-            endpoint,
-            if *alive { "yes" } else { "no" },
-            "-",
-            forwarded,
-            fwd_rate(name, *forwarded)
-        );
     }
 }
 
@@ -335,27 +219,18 @@ fn main() {
 
     let timeout = Duration::from_secs(5);
     let mut prev: HashMap<String, (u64, Instant)> = HashMap::new();
-    let mut prev_fwd: HashMap<String, (u64, Instant)> = HashMap::new();
     let mut round = 0u64;
     loop {
         match fetch(addr, timeout) {
             Ok(servers) => {
                 let free = free_by_name(addr, timeout);
-                let fed = fed_status(addr, timeout);
-                let table = rows(&servers, &prev, &free, fed.as_ref());
+                let table = rows(&servers, &prev, &free);
                 let now = Instant::now();
                 for r in &table {
                     prev.insert(r.name.clone(), (r.rpcs, now));
                 }
                 println!();
                 render(&table);
-                if let Some(fed) = &fed {
-                    render_federation(fed, &prev_fwd);
-                    prev_fwd.insert(fed.shard.clone(), (fed.forwarded, now));
-                    for (name, _, _, forwarded) in &fed.peers {
-                        prev_fwd.insert(name.clone(), (*forwarded, now));
-                    }
-                }
             }
             Err(e) => eprintln!("query {addr} failed: {e}"),
         }

@@ -7,7 +7,7 @@
 //!
 //! * **direct** — one source→target push, the unit of cost;
 //! * **serial** — the naive loop, 7 pushes from the source, ~7 units;
-//! * **tree** — `controlplane::tree::distribute`'s depot-to-depot
+//! * **tree** — `gems::tree::distribute`'s depot-to-depot
 //!   doubling, where every completed replica immediately pushes to
 //!   the next orphan, so wall time is ~⌈log2⌉ units.
 //!
@@ -23,7 +23,7 @@ use chirp_proto::testutil::TempDir;
 use chirp_proto::transport::Dialer;
 use chirp_server::acl::Acl;
 use chirp_server::{FileServer, ServerConfig};
-use controlplane::{distribute, ideal_depth, TreeConfig, TreeTarget};
+use gems::{distribute, ideal_depth, TreeConfig, TreeTarget};
 use tss_bench::{auth, latency_dialer};
 use tss_core::cfs::{Cfs, CfsConfig};
 

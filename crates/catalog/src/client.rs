@@ -71,9 +71,8 @@ pub fn query_via(
 }
 
 /// Fetch any listing format over a [`Dialer`], returning the raw body
-/// (the transport-generic twin of the `query_*` helpers; also carries
-/// the federation's extra verbs, e.g. `fed-status`).
-pub fn query_raw_via(
+/// (the transport-generic twin of the `query_*` helpers).
+fn query_raw_via(
     dialer: &Dialer,
     endpoint: &str,
     timeout: Duration,

@@ -25,4 +25,4 @@ pub mod server;
 
 pub use client::query;
 pub use report::ServerReport;
-pub use server::{render_listing, CatalogConfig, CatalogServer};
+pub use server::{CatalogConfig, CatalogServer};

@@ -237,12 +237,8 @@ fn serve_query(stream: TcpStream, state: &State) -> std::io::Result<()> {
 /// (`text`, `json`, `html`, `metrics`, `metrics-json`; anything else
 /// falls back to `text`).
 ///
-/// This is *the* renderer for catalog faces: the single-process
-/// [`CatalogServer`] and the federated control plane both call it, so
-/// a federated fleet answers every query byte-for-byte like a lone
-/// catalog holding the same live set. Reports must already be
-/// expiry-filtered and sorted by name.
-pub fn render_listing(format: &str, live: &[&ServerReport]) -> String {
+/// Reports must already be expiry-filtered and sorted by name.
+pub(crate) fn render_listing(format: &str, live: &[&ServerReport]) -> String {
     let mut out = String::new();
     match format {
         "json" => {

@@ -24,6 +24,11 @@
 //! is replicated up to a space budget, and induced failures are
 //! discovered and healed. The paper-scale time series is simulated in
 //! `simnet::gems`; this crate is the real thing at test scale.
+//!
+//! Beside the replicator sit the THIRDPUT distribution trees
+//! ([`tree`]), which fan N replicas out depot-to-depot in O(log N)
+//! wave-times, re-parenting orphaned subtrees when an interior node
+//! dies mid-transfer.
 
 #![warn(missing_docs)]
 
@@ -34,6 +39,7 @@ pub mod rebuild;
 pub mod record;
 pub mod replicator;
 pub mod system;
+pub mod tree;
 
 pub use auditor::{audit_once, AuditReport};
 pub use daemons::GemsDaemons;
@@ -41,4 +47,5 @@ pub use db::{DbClient, DbServer};
 pub use rebuild::{rebuild, RebuildReport};
 pub use record::FileRecord;
 pub use replicator::{replicate_once, ReplicationReport};
-pub use system::{Gems, GemsConfig, GemsPool, Placer};
+pub use system::{Gems, GemsConfig, GemsPool};
+pub use tree::{distribute, ideal_depth, TreeConfig, TreeReport, TreeTarget};

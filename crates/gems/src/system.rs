@@ -23,20 +23,6 @@ pub fn sidecar_path(data_path: &str) -> String {
     format!("{data_path}.meta")
 }
 
-/// An external ranking of placement candidates.
-///
-/// The default GEMS placement probes each pool server's free space
-/// with a `statfs` RPC at placement time. A `Placer` replaces that
-/// with an externally informed ordering — the control plane's
-/// placement engine ranks endpoints by live catalog metrics (load,
-/// free space) without touching the servers at all.
-pub trait Placer: Send + Sync + std::fmt::Debug {
-    /// Order candidate endpoints best-first. Endpoints absent from
-    /// the returned list are never picked; an empty return falls the
-    /// caller back to its default policy.
-    fn rank(&self, candidates: &[String]) -> Vec<String>;
-}
-
 /// Configuration of a GEMS client.
 #[derive(Debug, Clone)]
 pub struct GemsConfig {
@@ -50,9 +36,6 @@ pub struct GemsConfig {
     pub timeout: Duration,
     /// Recovery policy for storage connections.
     pub retry: RetryPolicy,
-    /// Optional external placement ranking; `None` keeps the classic
-    /// statfs max-free-space policy.
-    pub placer: Option<Arc<dyn Placer>>,
 }
 
 impl GemsConfig {
@@ -64,14 +47,7 @@ impl GemsConfig {
             default_target: 2,
             timeout: Duration::from_secs(10),
             retry: RetryPolicy::default(),
-            placer: None,
         }
-    }
-
-    /// Rank placements with `placer` instead of probing free space.
-    pub fn with_placer(mut self, placer: Arc<dyn Placer>) -> GemsConfig {
-        self.placer = Some(placer);
-        self
     }
 }
 
@@ -132,30 +108,17 @@ impl Gems {
     }
 
     /// Pick the pool server a new replica of `rec` should land on:
-    /// the configured [`Placer`]'s top-ranked eligible endpoint when
-    /// one is set, else the eligible server with the most free space
-    /// (probed by `statfs`).
+    /// the eligible server with the most free space (probed by
+    /// `statfs`).
     pub(crate) fn place(&self, rec: &FileRecord) -> Option<&DataServer> {
-        let eligible: Vec<&DataServer> = self
-            .config
+        self.config
             .pool
             .iter()
             .filter(|s| !rec.replicas.iter().any(|r| r.endpoint == s.endpoint))
-            .collect();
-        if let Some(placer) = &self.config.placer {
-            let names: Vec<String> = eligible.iter().map(|s| s.endpoint.clone()).collect();
-            for pick in placer.rank(&names) {
-                if let Some(server) = eligible.iter().find(|s| s.endpoint == pick) {
-                    return Some(server);
-                }
-            }
-            // An empty (or fully non-eligible) ranking falls back to
-            // the probe below so ingest still succeeds.
-        }
-        eligible.into_iter().max_by_key(|s| {
-            let cfs = self.conn_for(&s.endpoint, &s.auth);
-            cfs.statfs().map(|st| st.free_bytes).unwrap_or(0)
-        })
+            .max_by_key(|s| {
+                let cfs = self.conn_for(&s.endpoint, &s.auth);
+                cfs.statfs().map(|st| st.free_bytes).unwrap_or(0)
+            })
     }
 
     /// Store `data` under the logical `name` with searchable
@@ -257,39 +220,6 @@ impl Gems {
             }
         }
         self.db.lock().delete(name)
-    }
-
-    /// Register an existing copy of `name`'s data at `endpoint:path`
-    /// as a replica: verify the bytes match the record's checksum,
-    /// drop the sidecar beside them, and record the location. This is
-    /// how out-of-band distribution (the control plane's THIRDPUT
-    /// trees) hands finished copies back to the database.
-    pub fn register_replica(&self, name: &str, endpoint: &str, path: &str) -> io::Result<()> {
-        let mut rec = self.db.lock().get(name)?;
-        if rec
-            .replicas
-            .iter()
-            .any(|r| r.endpoint == endpoint && r.path == path)
-        {
-            return Ok(());
-        }
-        let cfs = self.conn_for_replica(&Replica {
-            endpoint: endpoint.to_string(),
-            path: path.to_string(),
-        });
-        let data = cfs.getfile(path)?;
-        if chirp_proto::crc64(&data) != rec.checksum {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "replica checksum mismatch",
-            ));
-        }
-        cfs.putfile(&sidecar_path(path), 0o644, rec.render_sidecar().as_bytes())?;
-        rec.replicas.push(Replica {
-            endpoint: endpoint.to_string(),
-            path: path.to_string(),
-        });
-        self.db.lock().put(&rec)
     }
 
     /// One full maintenance cycle: audit everything, then repair.

@@ -233,15 +233,6 @@ impl SimTss {
         DataServer::new(&self.endpoint(i), volume, auth())
     }
 
-    /// The catalog report server `i` would send right now, parsed —
-    /// exactly the packet the production report loop puts on UDP
-    /// (vitals plus `m.*` telemetry), for feeding catalogs and
-    /// federation shards without a socket.
-    pub fn server_report(&self, i: usize) -> catalog::ServerReport {
-        catalog::ServerReport::parse(&self.servers[i].compose_report())
-            .expect("server report parses")
-    }
-
     /// Shut every server down.
     pub fn shutdown(&mut self) {
         for s in &mut self.servers {

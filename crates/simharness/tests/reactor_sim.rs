@@ -13,7 +13,7 @@
 //!   the shared `SCENARIO_SCALE` knob with the rest of the
 //!   mass-client workloads.
 //! * **Listener-closed-is-terminal** — unbinding the address under a
-//!   live server (the simulated host death the federation tests
+//!   live server (the simulated host death the tree chaos tests
 //!   inflict) must stop the accept loop without spinning, keep
 //!   already-accepted connections serving, and still shut down
 //!   cleanly.

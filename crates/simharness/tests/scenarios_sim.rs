@@ -15,7 +15,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
 use chirp_server::KeyRing;
-use controlplane::tree::{distribute, ideal_depth, TreeConfig, TreeReport, TreeTarget};
+use gems::tree::{distribute, ideal_depth, TreeConfig, TreeReport, TreeTarget};
 use simharness::harness::{auth, sim_retry, SIM_TIMEOUT};
 use simharness::scenario::{fleet_size, scenario_seed, standard_setup, Phase, Role, Scenario};
 use simharness::SimTss;

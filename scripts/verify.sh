@@ -82,13 +82,11 @@
 # envelopes. A violation prints SCENARIO_SEED=<n>; SCENARIO_SCALE=<f>
 # resizes every fleet (and the idle soak and conn-scale defaults).
 # The --fed stage (part of the default run; --no-fed skips it) checks
-# the scale-out control plane in release mode: the consistent-hash
-# ring properties, the 3-shard federation acceptance + shard/tree
-# chaos suites on the in-memory network, the seeded federation-vs-
-# single-catalog differential (override the seed with FED_SEED=<u64>;
-# a divergence prints the reproducing seed), and the live THIRDPUT
-# distribution-tree smoke asserting the 8-replica tree lands within
-# 4x of one direct push.
+# the THIRDPUT distribution trees and GEMS in release mode: the gems
+# package's units, tree chaos (an interior node killed mid-transfer, a
+# dead target abandoned after its attempt budget) and preservation
+# suites on the in-memory network, then the live tree smoke asserting
+# the 8-replica tree lands within 4x of one direct push.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -217,18 +215,8 @@ if [ "$CRASH" = "1" ]; then
 fi
 
 if [ "$FED" = "1" ]; then
-    # Ring properties, federation acceptance, shard/tree chaos, and
-    # the seeded federation-vs-single-catalog differential. Release
-    # mode keeps the 300-op differential and the chaos convergence
-    # loops in tenths of a second. 0xFEDCA7A10655EED5 is the
-    # differential's default seed.
-    FED_SEED="${FED_SEED:-}"
-    echo "== cargo test -q --release -p controlplane  (FED_SEED=${FED_SEED:-default})"
-    if ! FED_SEED="$FED_SEED" cargo test -q --release -p controlplane; then
-        echo "control-plane suite FAILED; the log above names the seed -" >&2
-        echo "reproduce with FED_SEED=<seed> cargo test --release -p controlplane --test fed_differential" >&2
-        exit 1
-    fi
+    echo "== cargo test -q --release -p gems  (tree chaos, preservation, units)"
+    cargo test -q --release -p gems
     # Live THIRDPUT tree smoke: release mode, the assertion is a
     # wall-clock ratio (8-replica tree <= 4x one direct push).
     echo "== cargo test -q --release -p tss-bench --test tree_smoke  (<=4x tree floor)"
