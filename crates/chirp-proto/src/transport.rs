@@ -315,31 +315,6 @@ impl MemNet {
         }
     }
 
-    /// Bind a listener at a *specific* fabricated address — how a
-    /// simulated process restarts at the endpoint its peers already
-    /// know (a federated catalog shard rejoining, say). Fails with
-    /// [`io::ErrorKind::AddrInUse`] if the address is still bound.
-    pub fn listen_at(&self, addr: SocketAddr) -> io::Result<MemListener> {
-        let mut listeners = self.inner.listeners.lock().unwrap();
-        if listeners.contains_key(&addr) {
-            return Err(io::ErrorKind::AddrInUse.into());
-        }
-        let queue = Arc::new(AcceptQueue {
-            state: Mutex::new(AcceptState {
-                pending: VecDeque::new(),
-                closed: false,
-                woken: false,
-            }),
-            cond: Condvar::new(),
-        });
-        listeners.insert(addr, queue.clone());
-        Ok(MemListener {
-            net: self.inner.clone(),
-            addr,
-            queue,
-        })
-    }
-
     /// A dialer connecting into this network.
     pub fn dialer(&self) -> Dialer {
         Dialer::from_arc(Arc::new(self.clone()))
@@ -456,17 +431,9 @@ impl Listener for MemListener {
 
 impl Drop for MemListener {
     fn drop(&mut self) {
-        // Only unregister our own queue: after an unbind-then-rebind
-        // cycle (a restarted process re-listening at its old address)
-        // the map entry belongs to the new listener, not to us.
-        let mut listeners = self.net.listeners.lock().unwrap();
-        if listeners
-            .get(&self.addr)
-            .is_some_and(|q| Arc::ptr_eq(q, &self.queue))
-        {
-            listeners.remove(&self.addr);
-        }
-        drop(listeners);
+        // Addresses are never reused, so the entry (if an unbind left
+        // one) is ours.
+        self.net.listeners.lock().unwrap().remove(&self.addr);
         let mut st = self.queue.state.lock().unwrap();
         st.closed = true;
         self.queue.cond.notify_all();

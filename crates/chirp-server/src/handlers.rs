@@ -145,7 +145,9 @@ impl Session {
     /// Handle one request. `payload` carries the body of a `PWRITE`.
     /// (`PUTFILE` is streamed through [`Session::begin_putfile`],
     /// [`Session::feed_putfile`] and [`Session::finish_putfile`]
-    /// instead, so large uploads never sit in memory.)
+    /// instead, so large uploads never sit in memory; `THIRDPUT` through
+    /// [`Session::begin_thirdput`] and [`push_thirdput`], so its push
+    /// runs off the serving thread.)
     pub fn handle(&mut self, req: Request, payload: Option<Vec<u8>>) -> ChirpResult<Reply> {
         match req {
             Request::Auth {
@@ -224,11 +226,11 @@ impl Session {
             Request::Statfs => self.do_statfs(),
             Request::Truncate { path, size } => self.do_truncate(&path, size),
             Request::Utime { path, mtime } => self.do_utime(&path, mtime),
-            Request::Thirdput {
-                path,
-                target,
-                target_path,
-            } => self.do_thirdput(&path, &target, &target_path),
+            Request::Thirdput { .. } => {
+                // The connection loop routes THIRDPUT to
+                // begin_thirdput; reaching here is a framing bug.
+                Err(ChirpError::InvalidRequest)
+            }
         }
     }
 
@@ -845,21 +847,27 @@ impl Session {
         Ok(Reply::Value(0))
     }
 
-    /// Third-party transfer: push a local file straight to another
-    /// server. The caller needs only the read right here; what it may
-    /// create on the target is the target's ACL decision, made against
-    /// *this server's* hostname identity.
-    fn do_thirdput(&self, path: &str, target: &str, target_path: &str) -> ChirpResult<Reply> {
+    /// Start a third-party transfer: the checks and the open, which
+    /// are this server's business. The caller needs only the read
+    /// right here; what it may create on the target is the target's ACL
+    /// decision, made against *this server's* hostname identity. The
+    /// push itself blocks on the peer, so the caller runs it elsewhere
+    /// ([`push_thirdput`]).
+    pub fn begin_thirdput(
+        &self,
+        path: &str,
+        target: &str,
+        target_path: &str,
+    ) -> ChirpResult<ThirdputPush> {
         let (dir, _) = self.shared.jail.resolve_parent(path)?;
         self.require_rights(&dir, Rights::READ)?;
         let (handle, meta) = self.open_read(path)?;
-        let mut file = handle.into_file();
-        let timeout = std::time::Duration::from_secs(30);
-        let mut conn =
-            chirp_client::Connection::connect_via(&self.shared.config.dialer, target, timeout)?;
-        conn.authenticate(&[chirp_client::AuthMethod::Hostname])?;
-        conn.putfile_from(target_path, 0o644, meta.len(), &mut file)?;
-        Ok(Reply::Value(meta.len() as i64))
+        Ok(ThirdputPush {
+            file: handle.into_file(),
+            len: meta.len(),
+            target: target.to_string(),
+            target_path: target_path.to_string(),
+        })
     }
 
     fn do_utime(&self, path: &str, mtime: u64) -> ChirpResult<Reply> {
@@ -874,6 +882,34 @@ impl Session {
             .map_err(|e| ChirpError::from_io(&e))?;
         Ok(Reply::Value(0))
     }
+}
+
+/// An authorized `THIRDPUT` (see [`Session::begin_thirdput`]): the
+/// opened source and where it goes.
+#[derive(Debug)]
+pub struct ThirdputPush {
+    file: File,
+    len: u64,
+    target: String,
+    target_path: String,
+}
+
+/// Run a third-party transfer to its end: dial the target, authenticate
+/// as this server's hostname, and stream the file in one `PUTFILE`.
+/// Blocks on the peer for as long as the transfer takes, so it never
+/// runs on a serving thread. The reply value is the byte count.
+pub fn push_thirdput(shared: &Shared, push: ThirdputPush) -> ChirpResult<u64> {
+    let ThirdputPush {
+        mut file,
+        len,
+        target,
+        target_path,
+    } = push;
+    let timeout = std::time::Duration::from_secs(30);
+    let mut conn = chirp_client::Connection::connect_via(&shared.config.dialer, &target, timeout)?;
+    conn.authenticate(&[chirp_client::AuthMethod::Hostname])?;
+    conn.putfile_from(&target_path, 0o644, len, &mut file)?;
+    Ok(len)
 }
 
 /// Total bytes of file data stored under `root` (recursive walk; the

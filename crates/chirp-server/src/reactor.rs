@@ -38,6 +38,17 @@
 //! reactor stops *reading* from that connection — bounded backpressure
 //! for a slow reader — until the queue drains.
 //!
+//! Nothing waits behind bulk. A connection gets one *turn* at a time:
+//! once it has moved [`TURN_BYTES`] (written and read together) or had
+//! [`TURN_REQUESTS`] requests served, it yields and goes to the back of
+//! its shard's queue, so an 8 MiB `GETFILE` or `PUTFILE` is many short
+//! turns with everyone else's requests served between them. A
+//! `THIRDPUT`, which blocks on another server for its whole transfer,
+//! is checked and opened on the shard and then pushed by a small fixed
+//! pool beside the shards; its connection's parser is parked meanwhile,
+//! exactly as under the write cap, and the push's reply re-enters the
+//! shard through the ready-list.
+//!
 //! [`MemStream`]: chirp_proto::transport::MemStream
 //! [`Listener`]: chirp_proto::transport::Listener
 //! [`ReadyWatcher`]: chirp_proto::ready::ReadyWatcher
@@ -46,17 +57,18 @@ use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{self, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
 use chirp_proto::ready::{ReadyWatcher, Token};
 use chirp_proto::transport::Transport;
-use chirp_proto::{ChirpError, Request, MAX_LINE, MAX_PAYLOAD};
+use chirp_proto::{ChirpError, ChirpResult, Request, MAX_LINE, MAX_PAYLOAD};
 use telemetry::SpanTimer;
 
 use crate::cache::PageSlice;
-use crate::handlers::{PutfileUpload, Reply, Session};
+use crate::handlers::{push_thirdput, PutfileUpload, Reply, Session, ThirdputPush};
 use crate::server::Shared;
 
 /// Token reserved for the poller's own wake channel.
@@ -75,10 +87,23 @@ const WQ_WATERMARK: usize = 64;
 const RBUF_CAP: usize = 256 * 1024;
 /// Shrink an empty read buffer whose capacity grew past this.
 const RBUF_WATERMARK: usize = 16 * 1024;
+/// Bytes one connection may move in one turn, written and read
+/// together, before it yields its shard: four read chunks, one
+/// `RBUF_CAP`.
+const TURN_BYTES: usize = 4 * READ_CHUNK;
+/// Requests one connection may have served in one turn before it
+/// yields, so a pipelined burst cannot hold the shard either.
+const TURN_REQUESTS: usize = 32;
+
+/// A blocking push, run by the pool off the serving shards.
+type Job = Box<dyn FnOnce() + Send>;
+/// A finished push: its connection's token and the reply.
+type Pushed = (Token, ChirpResult<u64>);
 
 /// The sharded reactor serving one [`crate::FileServer`].
 pub(crate) struct Reactor {
     shards: Vec<Arc<Shard>>,
+    /// The shard workers, then the push pool.
     threads: Mutex<Vec<JoinHandle<()>>>,
     next: AtomicUsize,
 }
@@ -99,11 +124,14 @@ impl Reactor {
     /// only watcher-backed (in-memory) transports can be served.
     pub(crate) const SUPPORTS_FDS: bool = Poller::SUPPORTS_FDS;
 
-    /// Start the worker shards.
+    /// Start the worker shards and, beside them, the push pool: as many
+    /// threads as shards, fed by every shard, each running one push at
+    /// a time until the last shard is gone.
     pub(crate) fn start(shared: &Arc<Shared>) -> io::Result<Reactor> {
         let workers = Reactor::worker_count(shared.config.reactor_workers);
         let mut shards = Vec::with_capacity(workers);
-        let mut threads = Vec::with_capacity(workers);
+        let mut threads = Vec::with_capacity(2 * workers);
+        let (jobs, queue) = mpsc::channel::<Job>();
         for i in 0..workers {
             let shard = Arc::new(Shard {
                 shared: shared.clone(),
@@ -111,10 +139,26 @@ impl Reactor {
                 inbox: Mutex::new(Vec::new()),
             });
             shards.push(shard.clone());
+            let jobs = jobs.clone();
             threads.push(
                 std::thread::Builder::new()
                     .name(format!("chirp-react-{i}"))
-                    .spawn(move || shard.run())?,
+                    .spawn(move || shard.run(jobs))?,
+            );
+        }
+        let queue = Arc::new(Mutex::new(queue));
+        for i in 0..workers {
+            let queue = queue.clone();
+            threads.push(
+                std::thread::Builder::new()
+                    .name(format!("chirp-push-{i}"))
+                    .spawn(move || loop {
+                        let job = queue.lock().unwrap().recv();
+                        match job {
+                            Ok(job) => job(),
+                            Err(_) => return,
+                        }
+                    })?,
             );
         }
         Ok(Reactor {
@@ -133,7 +177,8 @@ impl Reactor {
     }
 
     /// Wake every shard (so it observes the server's shutdown flag,
-    /// closes its connections, and exits) and join the workers.
+    /// closes its connections, and exits) and join the workers; the
+    /// push pool follows the shards out once their pushes finish.
     pub(crate) fn join(&self) {
         for shard in &self.shards {
             shard.poller.wake();
@@ -159,18 +204,32 @@ struct MemWatcher {
 
 impl ReadyWatcher for MemWatcher {
     fn notify(&self, token: Token, readable: bool, writable: bool) {
-        self.poller.push_mem(token, readable, writable);
+        self.poller.push_ready(token, readable, writable);
         self.poller.wake();
     }
 }
 
+/// A shard's side of the push pool: where it sends pushes, and where
+/// the pool sends their replies back.
+struct Outbound {
+    jobs: Sender<Job>,
+    done: Sender<Pushed>,
+}
+
 impl Shard {
-    fn run(self: Arc<Shard>) {
+    fn run(self: Arc<Shard>, jobs: Sender<Job>) {
         let shared = &self.shared;
+        let (done, pushed) = mpsc::channel();
+        let out = Outbound { jobs, done };
         let mut conns: HashMap<Token, Conn> = HashMap::new();
         let mut next_token: Token = 0;
         let mut events: Vec<(Token, bool, bool)> = Vec::new();
         let mut dirty: Vec<Token> = Vec::new();
+        // Connections that spent their turn's budget. A yielded socket that is still writable has `EPOLLOUT` disarmed
+        // and a yielded watcher stream has had its hint consumed, so
+        // nothing would report either again: the shard comes back to
+        // them itself.
+        let mut yielded: Vec<Token> = Vec::new();
         loop {
             if shared.shutdown.load(Ordering::SeqCst) {
                 for (_, conn) in conns.drain() {
@@ -196,8 +255,7 @@ impl Shard {
                     // but the mem path's initial hint was consumed into
                     // the ready-set before the conn existed in rare
                     // interleavings — a free pump is always sound).
-                    conn.pump(shared);
-                    self.settle(&mut conn);
+                    self.service(&mut conn, &out, &mut yielded);
                     if conn.dead {
                         self.retire(conn);
                     } else {
@@ -205,10 +263,14 @@ impl Shard {
                     }
                 }
             }
-            // Wait for readiness. 25 ms tick while an idle policy needs
-            // enforcing; a lazy 500 ms safety tick otherwise (shutdown
-            // and dispatch both wake the poller explicitly).
-            let timeout_ms = if shared.config.idle_timeout.is_some() {
+            // Wait for readiness: only poll while yielded connections
+            // wait for their next turn. Otherwise a 25 ms tick while an
+            // idle policy needs enforcing; a lazy 500 ms safety tick
+            // otherwise (shutdown and dispatch both wake the poller
+            // explicitly).
+            let timeout_ms = if !yielded.is_empty() {
+                0
+            } else if shared.config.idle_timeout.is_some() {
                 25
             } else {
                 500
@@ -217,6 +279,14 @@ impl Shard {
             self.poller.wait(timeout_ms, &mut events);
             shared.telemetry.reactor_loop();
             shared.telemetry.reactor_wakeup(events.len() as u64);
+            // A finished push's reply re-enters its connection, and the
+            // token the pool put on the ready-list pumps it below. A
+            // connection that retired meanwhile has nobody to answer.
+            for (token, reply) in pushed.try_iter() {
+                if let Some(conn) = conns.get_mut(&token) {
+                    conn.finish_push(shared, reply);
+                }
+            }
             dirty.clear();
             for &(token, readable, writable) in &events {
                 if let Some(conn) = conns.get_mut(&token) {
@@ -226,6 +296,15 @@ impl Shard {
                     // only watcher pushes can repeat a token, and a
                     // repeated pump is a cheap no-op — not worth a
                     // quadratic dedup scan over a large ready batch.
+                    // A yielded connection keeps its place at the back.
+                    if !conn.yielded {
+                        dirty.push(token);
+                    }
+                }
+            }
+            for token in yielded.drain(..) {
+                if let Some(conn) = conns.get_mut(&token) {
+                    conn.yielded = false;
                     dirty.push(token);
                 }
             }
@@ -233,8 +312,7 @@ impl Shard {
                 let Some(conn) = conns.get_mut(&token) else {
                     continue;
                 };
-                conn.pump(shared);
-                self.settle(conn);
+                self.service(conn, &out, &mut yielded);
                 if conn.dead {
                     let conn = conns.remove(&token).expect("present");
                     self.retire(conn);
@@ -242,12 +320,12 @@ impl Shard {
             }
             // Idle policy: a connection quiet past the timeout ends
             // exactly like a disconnect, freeing its slot and
-            // descriptors.
+            // descriptors. One waiting on its own push is not idle.
             if let Some(idle) = shared.config.idle_timeout {
                 let now = Instant::now();
                 let expired: Vec<Token> = conns
                     .iter()
-                    .filter(|(_, c)| now.duration_since(c.last_active) > idle)
+                    .filter(|(_, c)| c.parked.is_none() && now.duration_since(c.last_active) > idle)
                     .map(|(t, _)| *t)
                     .collect();
                 for token in expired {
@@ -279,6 +357,32 @@ impl Shard {
             return None;
         }
         Some(Conn::new(stream, peer, token, fd, &self.shared))
+    }
+
+    /// Give a connection one turn: pump it, queue it for another turn
+    /// if it yielded, hand a push it authorized to the pool, and
+    /// reconcile its write interest.
+    fn service(&self, conn: &mut Conn, out: &Outbound, yielded: &mut Vec<Token>) {
+        if conn.pump(&self.shared) && !conn.yielded {
+            conn.yielded = true;
+            yielded.push(conn.token);
+            self.shared.telemetry.reactor_yield();
+        }
+        if let Some(push) = conn.parked.as_mut().and_then(|p| p.push.take()) {
+            let (token, shared, poller) = (conn.token, self.shared.clone(), self.poller.clone());
+            let done = out.done.clone();
+            let job: Job = Box::new(move || {
+                let reply = push_thirdput(&shared, push);
+                if done.send((token, reply)).is_ok() {
+                    poller.push_ready(token, false, false);
+                    poller.wake();
+                }
+            });
+            out.jobs
+                .send(job)
+                .expect("the push pool outlives the shards");
+        }
+        self.settle(conn);
     }
 
     /// Reconcile a connection's epoll write interest with its queue:
@@ -350,6 +454,14 @@ enum RState {
     },
 }
 
+/// A `THIRDPUT` its connection waits on while the pool pushes it.
+struct Parked {
+    /// The request's span, closed when its reply is queued.
+    span: SpanTimer,
+    /// The authorized transfer, until the shard hands it to the pool.
+    push: Option<ThirdputPush>,
+}
+
 /// One multiplexed connection: transport, session, and the
 /// read/write state machines.
 struct Conn {
@@ -381,6 +493,14 @@ struct Conn {
     closing: bool,
     dead: bool,
     backpressured: bool,
+    /// The push a `THIRDPUT` waits on: no request is served until its
+    /// reply is queued.
+    parked: Option<Parked>,
+    /// Bytes moved and requests served in the current turn.
+    turn_bytes: usize,
+    turn_requests: usize,
+    /// Queued for another turn on the shard's yielded list.
+    yielded: bool,
     last_active: Instant,
 }
 
@@ -414,32 +534,40 @@ impl Conn {
             closing: false,
             dead: false,
             backpressured: false,
+            parked: None,
+            turn_bytes: 0,
+            turn_requests: 0,
+            yielded: false,
             last_active: Instant::now(),
         }
     }
 
-    /// Drive the connection until it can make no further progress
-    /// without new readiness events.
-    fn pump(&mut self, shared: &Arc<Shared>) {
+    /// Drive the connection for one turn: until it can make no further
+    /// progress without new readiness events, or it has spent the
+    /// turn's budget. Returns whether it yielded with the budget spent,
+    /// so the shard must come back to it.
+    fn pump(&mut self, shared: &Arc<Shared>) -> bool {
+        self.turn_bytes = 0;
+        self.turn_requests = 0;
         loop {
             let mut progress = false;
             progress |= self.drain_writes(shared);
             if self.dead {
-                return;
+                return false;
             }
             if self.closing {
                 if self.wq.is_empty() {
                     self.dead = true;
-                    return;
+                    return false;
                 }
             } else {
                 progress |= self.process(shared);
                 if self.dead {
-                    return;
+                    return false;
                 }
                 progress |= self.fill(shared);
                 if self.dead {
-                    return;
+                    return false;
                 }
             }
             if !progress {
@@ -447,6 +575,18 @@ impl Conn {
             }
         }
         self.compact();
+        self.turn_bytes >= TURN_BYTES || self.turn_requests >= TURN_REQUESTS
+    }
+
+    /// Queue the reply of the push this connection is parked on, which
+    /// lets its parser go on.
+    fn finish_push(&mut self, shared: &Arc<Shared>, reply: ChirpResult<u64>) {
+        let parked = self
+            .parked
+            .take()
+            .expect("a push answers a parked connection");
+        let reply = reply.map(|n| Reply::Value(n as i64));
+        self.queue_reply(shared, "thirdput", 0, parked.span, reply);
     }
 
     /// Parse and serve whatever complete requests the read buffer
@@ -455,7 +595,17 @@ impl Conn {
         let cap = shared.config.reactor_write_cap as u64;
         let mut progress = false;
         loop {
-            if self.dead || self.closing {
+            if self.dead || self.closing || self.turn_requests >= TURN_REQUESTS {
+                return progress;
+            }
+            if self.parked.is_some() {
+                // Waiting on its push: earlier replies still drain and
+                // later requests stay buffered, served in order once
+                // the push's reply is queued. A peer that hung up is
+                // not waited for; the push's reply is then dropped.
+                if self.eof {
+                    self.dead = true;
+                }
                 return progress;
             }
             if self.wq_bytes > cap {
@@ -608,6 +758,7 @@ impl Conn {
     /// state the request calls for.
     fn dispatch_line(&mut self, shared: &Arc<Shared>, line: &str) {
         shared.stats.request();
+        self.turn_requests += 1;
         let span = SpanTimer::start();
         let parsed = Request::parse(line);
         let (op, bytes_in) = match &parsed {
@@ -632,6 +783,19 @@ impl Conn {
                     }
                 }
             }
+            Ok(Request::Thirdput {
+                path,
+                target,
+                target_path,
+            }) => match self.session.begin_thirdput(&path, &target, &target_path) {
+                Ok(push) => {
+                    self.parked = Some(Parked {
+                        span,
+                        push: Some(push),
+                    })
+                }
+                Err(e) => self.queue_reply(shared, op, bytes_in, span, Err(e)),
+            },
             Ok(req @ Request::Pwrite { .. }) => {
                 let length = req.payload_len();
                 if length > MAX_PAYLOAD as u64 {
@@ -748,18 +912,26 @@ impl Conn {
         self.wq.push_back(WItem::Bytes(data));
     }
 
-    /// Transmit queued reply bytes until the stream would block or the
-    /// queue empties: every buffer up to the next streamed file goes
-    /// to the socket in one (vectored) write. Returns whether anything
-    /// was written.
+    /// Transmit queued reply bytes until the stream would block, the
+    /// queue empties or the turn's budget is spent: every buffer up to
+    /// the next streamed file, as far as the budget reaches, goes to
+    /// the socket in one (vectored) write. Returns whether anything was
+    /// written.
     fn drain_writes(&mut self, shared: &Arc<Shared>) -> bool {
         let mut writes = 0u64;
-        while self.writable && !self.dead {
+        while self.writable && !self.dead && self.turn_bytes < TURN_BYTES {
+            let budget = TURN_BYTES - self.turn_bytes;
+            let mut taken = 0;
             let ready = self
                 .wq
                 .iter()
                 .take(MAX_IOV)
-                .take_while(|item| item.buffer().is_some())
+                .map_while(WItem::buffer)
+                .take_while(|buf| {
+                    let within = taken < budget;
+                    taken += buf.len();
+                    within
+                })
                 .count();
             if ready == 0 {
                 if self.wq.is_empty() {
@@ -783,6 +955,7 @@ impl Conn {
                 Ok(0) => self.dead = true,
                 Ok(n) => {
                     writes += 1;
+                    self.turn_bytes += n;
                     self.advance(n);
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => self.writable = false,
@@ -839,10 +1012,11 @@ impl Conn {
     }
 
     /// Read newly arrived bytes into the request buffer, up to the
-    /// buffering cap. Returns whether anything arrived (or EOF did).
+    /// buffering cap or the turn's budget. Returns whether anything
+    /// arrived (or EOF did).
     fn fill(&mut self, _shared: &Arc<Shared>) -> bool {
         let mut progress = false;
-        while self.readable && !self.eof && !self.dead {
+        while self.readable && !self.eof && !self.dead && self.turn_bytes < TURN_BYTES {
             if self.rbuf.len() - self.rpos >= RBUF_CAP {
                 // Plenty buffered; stay marked readable and come back
                 // once the parser catches up.
@@ -859,6 +1033,7 @@ impl Conn {
                 }
                 Ok(n) => {
                     self.rbuf.truncate(old + n);
+                    self.turn_bytes += n;
                     self.last_active = Instant::now();
                     progress = true;
                     if n < READ_CHUNK {
@@ -965,11 +1140,11 @@ mod sys_epoll {
 
     /// One shard's readiness source: an epoll set for fd-backed
     /// streams, an eventfd wake channel, and a ready-list fed by
-    /// in-process stream watchers.
+    /// in-process stream watchers and finished pushes.
     pub(crate) struct Poller {
         epfd: c_int,
         wakefd: c_int,
-        mem: Mutex<Vec<(Token, bool, bool)>>,
+        ready: Mutex<Vec<(Token, bool, bool)>>,
     }
 
     impl Poller {
@@ -989,7 +1164,7 @@ mod sys_epoll {
             let poller = Poller {
                 epfd,
                 wakefd,
-                mem: Mutex::new(Vec::new()),
+                ready: Mutex::new(Vec::new()),
             };
             poller.ctl(EPOLL_CTL_ADD, wakefd, WAKE_TOKEN, false)?;
             Ok(poller)
@@ -1021,8 +1196,8 @@ mod sys_epoll {
             unsafe { epoll_ctl(self.epfd, EPOLL_CTL_DEL, fd, &mut ev) };
         }
 
-        pub(crate) fn push_mem(&self, token: Token, readable: bool, writable: bool) {
-            self.mem.lock().unwrap().push((token, readable, writable));
+        pub(crate) fn push_ready(&self, token: Token, readable: bool, writable: bool) {
+            self.ready.lock().unwrap().push((token, readable, writable));
         }
 
         pub(crate) fn wake(&self) {
@@ -1032,7 +1207,7 @@ mod sys_epoll {
 
         /// Collect ready tokens, blocking up to `timeout_ms` (0 polls).
         pub(crate) fn wait(&self, timeout_ms: i32, out: &mut Vec<(Token, bool, bool)>) {
-            let timeout = if self.mem.lock().unwrap().is_empty() {
+            let timeout = if self.ready.lock().unwrap().is_empty() {
                 timeout_ms
             } else {
                 0
@@ -1054,7 +1229,7 @@ mod sys_epoll {
                     out.push((token, readable, writable));
                 }
             }
-            out.append(&mut self.mem.lock().unwrap());
+            out.append(&mut self.ready.lock().unwrap());
         }
     }
 
@@ -1079,7 +1254,7 @@ mod sys_fallback {
     use std::time::Duration;
 
     struct State {
-        mem: Vec<(Token, bool, bool)>,
+        ready: Vec<(Token, bool, bool)>,
         woken: bool,
     }
 
@@ -1094,7 +1269,7 @@ mod sys_fallback {
         pub(crate) fn new() -> io::Result<Poller> {
             Ok(Poller {
                 state: Mutex::new(State {
-                    mem: Vec::new(),
+                    ready: Vec::new(),
                     woken: false,
                 }),
                 cond: Condvar::new(),
@@ -1111,11 +1286,11 @@ mod sys_fallback {
 
         pub(crate) fn del_fd(&self, _fd: i32) {}
 
-        pub(crate) fn push_mem(&self, token: Token, readable: bool, writable: bool) {
+        pub(crate) fn push_ready(&self, token: Token, readable: bool, writable: bool) {
             self.state
                 .lock()
                 .unwrap()
-                .mem
+                .ready
                 .push((token, readable, writable));
         }
 
@@ -1126,7 +1301,7 @@ mod sys_fallback {
 
         pub(crate) fn wait(&self, timeout_ms: i32, out: &mut Vec<(Token, bool, bool)>) {
             let mut st = self.state.lock().unwrap();
-            if st.mem.is_empty() && !st.woken {
+            if st.ready.is_empty() && !st.woken {
                 let (next, _) = self
                     .cond
                     .wait_timeout(st, Duration::from_millis(timeout_ms.max(0) as u64))
@@ -1134,7 +1309,7 @@ mod sys_fallback {
                 st = next;
             }
             st.woken = false;
-            out.append(&mut st.mem);
+            out.append(&mut st.ready);
         }
     }
 }

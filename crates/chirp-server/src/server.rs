@@ -221,7 +221,7 @@ impl FileServer {
 
     /// The catalog report packet this server would send right now —
     /// the same bytes the report thread puts on UDP. Harnesses feed
-    /// catalogs (and federations) with this instead of a socket hop.
+    /// catalogs with this instead of a socket hop.
     pub fn compose_report(&self) -> String {
         crate::report::compose_report(&self.shared, self.addr)
     }

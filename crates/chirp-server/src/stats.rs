@@ -29,6 +29,7 @@ pub struct ServerTelemetry {
     reactor_writes: Counter,
     reactor_backpressure: Counter,
     reactor_wq_peak: Gauge,
+    reactor_yields: Counter,
     auth_success: Counter,
     auth_failure: Counter,
     auth_challenge: Counter,
@@ -56,6 +57,7 @@ impl Default for ServerTelemetry {
             reactor_writes: registry.counter("reactor.writes"),
             reactor_backpressure: registry.counter("reactor.backpressure"),
             reactor_wq_peak: registry.gauge("reactor.wq_peak_bytes"),
+            reactor_yields: registry.counter("reactor.yields"),
             auth_success: registry.counter("auth.success"),
             auth_failure: registry.counter("auth.failure"),
             auth_challenge: registry.counter("auth.challenge"),
@@ -97,6 +99,12 @@ impl ServerTelemetry {
     /// the observable ceiling the backpressure cap enforces.
     pub fn reactor_wq_high_water(&self, bytes: u64) {
         self.reactor_wq_peak.raise(bytes as i64);
+    }
+
+    /// A connection spent its turn's budget and went to the back of
+    /// its shard's queue.
+    pub fn reactor_yield(&self) {
+        self.reactor_yields.inc();
     }
 
     /// An authentication attempt fixed a subject.

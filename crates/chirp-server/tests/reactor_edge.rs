@@ -5,15 +5,20 @@
 //! listener close over a crowd of idle connections (clean shutdown,
 //! every client sees EOF); plus the two ways a listener can misbehave
 //! (a transport the reactor cannot watch, an accept that keeps
-//! failing).
+//! failing); and nothing waiting behind bulk: an 8 MiB `GETFILE`
+//! yields its shard to a `STAT` within one turn's budget, and a
+//! `THIRDPUT` held open by a slow target leaves its shard serving,
+//! answers what was pipelined behind it in order, and gives a vanished
+//! client's slot back without waiting for the push.
 
 use std::io::Read;
 use std::io::Write;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
+use chirp_proto::ready::{Token, Watcher};
 use chirp_proto::testutil::TempDir;
 use chirp_proto::transport::{Listener, MemListener, Transport};
 use chirp_proto::{Clock, MemNet, VirtualClock};
@@ -415,4 +420,304 @@ fn one_socket_write_per_reply_and_bounded_chunks_beyond() {
     assert_eq!(settled(before + 17) - before, 17, "status line + 16 chunks");
     let peak = server.telemetry().registry().gauge("reactor.wq_peak_bytes");
     assert!((peak.get() as usize) < 16 * CHUNK + 64);
+}
+
+/// The reactor's `READ_CHUNK` and its per-turn byte budget.
+const CHUNK: usize = 64 * 1024;
+const TURN_BYTES: usize = 4 * CHUNK;
+
+/// Every write the server made on a [`Logged`] listener's connections,
+/// in order, as `(connection, bytes)`; the test adds [`MARK`] entries
+/// of its own.
+type WriteLog = Arc<Mutex<Vec<(usize, usize)>>>;
+const MARK: usize = usize::MAX;
+
+/// Hands the server its connections wrapped in [`LoggedStream`]s,
+/// numbered in accept order.
+struct Logged {
+    inner: MemListener,
+    log: WriteLog,
+    accepted: AtomicUsize,
+}
+
+impl Listener for Logged {
+    fn accept(&self) -> std::io::Result<(Box<dyn Transport>, SocketAddr)> {
+        let (inner, peer) = self.inner.accept()?;
+        let id = self.accepted.fetch_add(1, Ordering::SeqCst);
+        let log = self.log.clone();
+        Ok((Box::new(LoggedStream { inner, id, log }), peer))
+    }
+    fn local_addr(&self) -> std::io::Result<SocketAddr> {
+        Listener::local_addr(&self.inner)
+    }
+    fn wake(&self) {
+        self.inner.wake()
+    }
+}
+
+/// A server-side stream that logs every write it takes; everything
+/// else, readiness included, is forwarded.
+#[derive(Debug)]
+struct LoggedStream {
+    inner: Box<dyn Transport>,
+    id: usize,
+    log: WriteLog,
+}
+
+impl LoggedStream {
+    fn logged(&self, written: std::io::Result<usize>) -> std::io::Result<usize> {
+        if let Ok(n) = written {
+            self.log.lock().unwrap().push((self.id, n));
+        }
+        written
+    }
+}
+
+impl Read for LoggedStream {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.inner.read(buf)
+    }
+}
+
+impl Write for LoggedStream {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        let written = self.inner.write(buf);
+        self.logged(written)
+    }
+    fn write_vectored(&mut self, bufs: &[std::io::IoSlice<'_>]) -> std::io::Result<usize> {
+        let written = self.inner.write_vectored(bufs);
+        self.logged(written)
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.inner.flush()
+    }
+}
+
+impl Transport for LoggedStream {
+    fn try_clone(&self) -> std::io::Result<Box<dyn Transport>> {
+        self.inner.try_clone()
+    }
+    fn set_read_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()> {
+        self.inner.set_read_timeout(timeout)
+    }
+    fn read_timeout(&self) -> std::io::Result<Option<Duration>> {
+        self.inner.read_timeout()
+    }
+    fn set_write_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()> {
+        self.inner.set_write_timeout(timeout)
+    }
+    fn peer_addr(&self) -> std::io::Result<SocketAddr> {
+        self.inner.peer_addr()
+    }
+    fn local_addr(&self) -> std::io::Result<SocketAddr> {
+        self.inner.local_addr()
+    }
+    fn shutdown(&self) -> std::io::Result<()> {
+        self.inner.shutdown()
+    }
+    fn set_nonblocking(&self, nonblocking: bool) -> std::io::Result<()> {
+        self.inner.set_nonblocking(nonblocking)
+    }
+    fn readiness_fd(&self) -> Option<i32> {
+        self.inner.readiness_fd()
+    }
+    fn register_ready(&self, token: Token, watcher: Watcher) -> bool {
+        self.inner.register_ready(token, watcher)
+    }
+    fn deregister_ready(&self) {
+        self.inner.deregister_ready()
+    }
+}
+
+/// One shard, an 8 MiB file streamed from disk to connection A, and a
+/// `STAT` on connection B sent just behind A's `GETFILE`: B's reply
+/// must leave after at most one turn's worth of A's bytes (plus the
+/// one chunk write that crossed the budget), not after all of them;
+/// and the transfer is counted as the turns it took.
+#[test]
+fn a_bulk_getfile_yields_its_shard_to_a_small_request() {
+    const BULK: usize = 8 << 20;
+    let log = WriteLog::default();
+    let logged = log.clone();
+    let (dir, net, server) = mem_server_behind(
+        |cfg| cfg.reactor_workers = 1,
+        |inner| {
+            Arc::new(Logged {
+                inner,
+                log: logged,
+                accepted: AtomicUsize::new(0),
+            })
+        },
+    );
+    std::fs::write(dir.path().join("big"), vec![7u8; BULK]).unwrap();
+    std::fs::write(dir.path().join("small"), b"x").unwrap();
+    let mut a = dial(&net, &server); // connection 0
+    auth(a.as_mut());
+    let mut b = dial(&net, &server); // connection 1
+    auth(b.as_mut());
+
+    a.write_all(b"GETFILE /big\n").unwrap();
+    log.lock().unwrap().push((MARK, 0));
+    b.write_all(b"STAT /small\n").unwrap();
+    assert!(read_line(b.as_mut()).starts_with("0 "));
+    assert_eq!(read_line(a.as_mut()), BULK.to_string());
+    let mut body = vec![0u8; BULK];
+    a.read_exact(&mut body).unwrap();
+    assert!(body.iter().all(|&x| x == 7));
+
+    let log = log.lock().unwrap();
+    let mark = log.iter().position(|&(id, _)| id == MARK).unwrap();
+    let stat = mark + log[mark..].iter().position(|&(id, _)| id == 1).unwrap();
+    let bulk_before: usize = log[mark..stat]
+        .iter()
+        .filter(|&&(id, _)| id == 0)
+        .map(|&(_, n)| n)
+        .sum();
+    assert!(
+        bulk_before <= TURN_BYTES + CHUNK,
+        "the STAT's reply waited behind {bulk_before} bulk bytes"
+    );
+    let yields = server.telemetry().registry().counter("reactor.yields");
+    assert!(
+        yields.get() as usize >= BULK / TURN_BYTES - 1,
+        "8 MiB in {} yields",
+        yields.get()
+    );
+}
+
+/// A listener that hands out nothing until its gate opens.
+struct Gate {
+    inner: MemListener,
+    open: Mutex<bool>,
+    cond: Condvar,
+}
+
+impl Gate {
+    fn open(&self) {
+        *self.open.lock().unwrap() = true;
+        self.cond.notify_all();
+    }
+}
+
+impl Listener for Gate {
+    fn accept(&self) -> std::io::Result<(Box<dyn Transport>, SocketAddr)> {
+        let mut open = self.open.lock().unwrap();
+        while !*open {
+            open = self.cond.wait(open).unwrap();
+        }
+        drop(open);
+        self.inner.accept()
+    }
+    fn local_addr(&self) -> std::io::Result<SocketAddr> {
+        Listener::local_addr(&self.inner)
+    }
+    fn wake(&self) {
+        self.open();
+        self.inner.wake()
+    }
+}
+
+/// A one-shard server holding a 100 000-byte `/src`, and a push target
+/// on the same network that takes no connection until its gate opens:
+/// a `THIRDPUT` to it is held at the target's door for as long as the
+/// test likes.
+fn pusher_and_gated_target() -> (TempDir, MemNet, FileServer, TempDir, FileServer, Arc<Gate>) {
+    let (dir, net, server) = mem_server(|cfg| cfg.reactor_workers = 1);
+    std::fs::write(dir.path().join("src"), vec![3u8; 100_000]).unwrap();
+    let target_dir = TempDir::new();
+    let mut cfg = ServerConfig::localhost(target_dir.path(), "owner")
+        .with_root_acl(Acl::single("hostname:*", "rwlda").unwrap());
+    cfg.dialer = net.dialer();
+    let gate = Arc::new(Gate {
+        inner: net.listen(),
+        open: Mutex::new(false),
+        cond: Condvar::new(),
+    });
+    let target = FileServer::start_on(cfg, gate.clone()).unwrap();
+    (dir, net, server, target_dir, target, gate)
+}
+
+/// A dialed, authenticated client that gives up on a reply after 5 s
+/// instead of waiting on a stalled shard forever.
+fn client(net: &MemNet, server: &FileServer) -> Box<dyn Transport> {
+    let mut t = dial(net, server);
+    t.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    auth(t.as_mut());
+    t
+}
+
+fn thirdput_line(target: &FileServer) -> String {
+    format!("THIRDPUT /src {} /dst\n", target.endpoint())
+}
+
+/// While a `THIRDPUT` is held open by its target, another request on
+/// the same (only) shard is answered: the push runs off the shard.
+#[test]
+fn a_thirdput_held_by_a_slow_target_leaves_its_shard_serving() {
+    let (_dir, net, server, target_dir, target, gate) = pusher_and_gated_target();
+    let mut pusher = client(&net, &server);
+    let mut prober = client(&net, &server);
+    pusher.write_all(thirdput_line(&target).as_bytes()).unwrap();
+    assert_eq!(rpc(prober.as_mut(), "STAT /src\n", false).0, 0);
+    assert_eq!(rpc(prober.as_mut(), "WHOAMI\n", false).0, 0);
+
+    gate.open();
+    assert_eq!(read_line(pusher.as_mut()), "100000");
+    assert_eq!(
+        std::fs::read(target_dir.path().join("dst")).unwrap(),
+        vec![3u8; 100_000]
+    );
+}
+
+/// A request pipelined behind a `THIRDPUT` is answered after it, not
+/// while the push is out: replies stay in request order.
+#[test]
+fn a_request_pipelined_behind_a_thirdput_is_answered_after_it() {
+    let (_dir, net, server, _target_dir, target, gate) = pusher_and_gated_target();
+    let mut pusher = client(&net, &server);
+    let mut prober = client(&net, &server);
+    let pipelined = format!("{}STAT /src\n", thirdput_line(&target));
+    pusher.write_all(pipelined.as_bytes()).unwrap();
+    // The shard read both lines before it served the prober, which
+    // wrote later; an out-of-order STAT reply would already be there.
+    assert_eq!(rpc(prober.as_mut(), "STAT /src\n", false).0, 0);
+    pusher.set_nonblocking(true).unwrap();
+    let mut byte = [0u8; 1];
+    let early = pusher.read(&mut byte);
+    assert!(
+        matches!(&early, Err(e) if e.kind() == std::io::ErrorKind::WouldBlock),
+        "a reply arrived while the push was held: {early:?}"
+    );
+    pusher.set_nonblocking(false).unwrap();
+
+    gate.open();
+    assert_eq!(read_line(pusher.as_mut()), "100000");
+    assert!(read_line(pusher.as_mut()).starts_with("0 "));
+}
+
+/// A client that disconnects while its push is out gets its slot back
+/// at once; the push still runs to its end, and its reply, with nobody
+/// to take it, is dropped.
+#[test]
+fn a_client_gone_mid_push_gets_its_slot_back() {
+    let (_dir, net, server, target_dir, target, gate) = pusher_and_gated_target();
+    let mut pusher = client(&net, &server);
+    let mut prober = client(&net, &server);
+    pusher.write_all(thirdput_line(&target).as_bytes()).unwrap();
+    // Served after the THIRDPUT, so the push is out by now.
+    assert_eq!(rpc(prober.as_mut(), "STAT /src\n", false).0, 0);
+    drop(pusher);
+    drop(prober);
+    wait_for("both slots back while the push is held", || {
+        server.active_connections() == 0
+    });
+
+    gate.open();
+    let landed = target_dir.path().join("dst");
+    wait_for("the push to land", || {
+        std::fs::metadata(&landed).is_ok_and(|m| m.len() == 100_000)
+    });
+    // The server is unharmed for the next client.
+    let mut next = client(&net, &server);
+    assert_eq!(rpc(next.as_mut(), "STAT /dst\n", false).0, -3);
 }

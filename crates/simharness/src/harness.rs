@@ -35,6 +35,7 @@ pub struct SimTssBuilder {
     cache_bytes: Option<u64>,
     persistence: Persist,
     max_connections: Option<usize>,
+    reactor_workers: usize,
     keys: Option<KeyRing>,
 }
 
@@ -78,6 +79,14 @@ impl SimTssBuilder {
         self
     }
 
+    /// Reactor shards per server (default: the production default).
+    /// One shard is where a request that blocked its serving thread
+    /// would stall everything else on the server.
+    pub fn reactor_workers(mut self, n: usize) -> SimTssBuilder {
+        self.reactor_workers = n;
+        self
+    }
+
     /// Key ring installed on every server (default: empty). Handing the
     /// same [`KeyRing`] to the builder and keeping a clone lets a
     /// scenario rotate credentials under live simulated load — the
@@ -103,6 +112,7 @@ impl SimTssBuilder {
                 dialer: net.dialer(),
                 cache_bytes: self.cache_bytes,
                 persistence: self.persistence.clone(),
+                reactor_workers: self.reactor_workers,
                 ..cfg
             };
             if let Some(n) = self.max_connections {
@@ -144,6 +154,7 @@ impl SimTss {
             cache_bytes: Some(64 * 1024),
             persistence: Persist::none(),
             max_connections: None,
+            reactor_workers: 0,
             keys: None,
         }
     }

@@ -89,9 +89,19 @@ pub enum Role {
     Reader,
     /// Writes a private file and reads it back, verifying the bytes.
     Writer,
-    /// Replicates a shared file to another server with `THIRDPUT`
-    /// (server-to-server transfer, the distribution-tree primitive).
+    /// Replicates a shared file with `THIRDPUT` to any server, its own
+    /// included (server-to-server transfer, the distribution-tree
+    /// primitive).
     Replicator,
+    /// Pushes a shared file with `THIRDPUT` from server `from` to
+    /// server `to` every round: one fixed edge of a push graph, so a
+    /// phase can hold cycles (`from == to` pushes to itself).
+    Pusher {
+        /// The server the session is on.
+        from: usize,
+        /// The server it pushes to.
+        to: usize,
+    },
     /// Grants and revokes rights for a crowd of virtual users on its
     /// own directory — mass ACL churn.
     AclChurner,
@@ -126,6 +136,7 @@ impl fmt::Debug for Role {
             Role::Reader => write!(f, "Reader"),
             Role::Writer => write!(f, "Writer"),
             Role::Replicator => write!(f, "Replicator"),
+            Role::Pusher { from, to } => write!(f, "Pusher({from}->{to})"),
             Role::AclChurner => write!(f, "AclChurner"),
             Role::PathReader { path, len } => write!(f, "PathReader({path}, {len}B)"),
             // Key bytes stay out of failure reports and logs.
@@ -210,6 +221,7 @@ pub struct Scenario {
     servers: usize,
     workers: usize,
     max_connections: Option<usize>,
+    reactor_workers: usize,
     keys: Option<KeyRing>,
     setup: Option<fn(&SimTss)>,
     phases: Vec<Phase>,
@@ -226,6 +238,7 @@ impl Scenario {
             servers: 1,
             workers: 32,
             max_connections: None,
+            reactor_workers: 0,
             keys: None,
             setup: None,
             phases: Vec::new(),
@@ -251,6 +264,12 @@ impl Scenario {
     /// phase plus slack, so an intentional stampede isn't refused).
     pub fn max_connections(mut self, n: usize) -> Scenario {
         self.max_connections = Some(n);
+        self
+    }
+
+    /// Reactor shards per server (default: the production default).
+    pub fn reactor_workers(mut self, n: usize) -> Scenario {
+        self.reactor_workers = n;
         self
     }
 
@@ -356,7 +375,9 @@ impl Scenario {
     /// Stand up a fresh instance and drain the given schedule through
     /// the worker pool.
     fn execute(&self, phases: &[Phase]) -> ScenarioReport {
-        let mut builder = SimTss::builder().servers(self.servers);
+        let mut builder = SimTss::builder()
+            .servers(self.servers)
+            .reactor_workers(self.reactor_workers);
         let widest = phases.iter().map(|p| p.clients.len()).max().unwrap_or(0);
         // Every phase client may hold a session at once; servers must
         // not refuse an intentional stampede unless the scenario says so.
@@ -489,7 +510,10 @@ fn run_client(sim: &SimTss, spec: &ClientSpec, seed: u64, reg: &Registry, server
         return;
     }
 
-    let si = rng.gen_range(0usize..servers);
+    let si = match spec.role {
+        Role::Pusher { from, .. } => from,
+        _ => rng.gen_range(0usize..servers),
+    };
     let session = Connection::connect_via(&sim.dialer(), &sim.endpoint(si), SIM_TIMEOUT)
         .and_then(|mut conn| conn.authenticate(&[AuthMethod::Hostname]).map(|_| conn));
     let mut conn = match session {
@@ -502,9 +526,7 @@ fn run_client(sim: &SimTss, spec: &ClientSpec, seed: u64, reg: &Registry, server
     let tag = format!("{seed:016x}");
     for round in 0..spec.rounds {
         let t = Instant::now();
-        let ok = run_round(
-            sim, &mut conn, &spec.role, &tag, round, &mut rng, si, servers,
-        );
+        let ok = run_round(sim, &mut conn, &spec.role, &tag, round, &mut rng, servers);
         latency.record(t.elapsed().as_nanos() as u64);
         if ok {
             ops.inc()
@@ -514,9 +536,7 @@ fn run_client(sim: &SimTss, spec: &ClientSpec, seed: u64, reg: &Registry, server
     }
 }
 
-/// One round of a hostname-authenticated role on a session attached
-/// to server `si`. `true` on success.
-#[allow(clippy::too_many_arguments)]
+/// One round of a hostname-authenticated role. `true` on success.
 fn run_round(
     sim: &SimTss,
     conn: &mut Connection,
@@ -524,7 +544,6 @@ fn run_round(
     tag: &str,
     round: usize,
     rng: &mut SmallRng,
-    si: usize,
     servers: usize,
 ) -> bool {
     match role {
@@ -543,26 +562,15 @@ fn run_round(
             let path = format!("/w_{tag}_{round}");
             conn.putfile(&path, 0o644, &body).is_ok() && conn.getfile(&path) == Ok(body)
         }
-        Role::Replicator => {
+        Role::Replicator | Role::Pusher { .. } => {
+            let to = match role {
+                Role::Pusher { to, .. } => *to,
+                _ => rng.gen_range(0usize..servers),
+            };
             let k = rng.gen_range(0usize..SHARED_FILES);
-            if si + 1 >= servers {
-                // No higher-numbered peer: replicate locally. THIRDPUT
-                // runs on the serving core itself, so pushes must form
-                // an acyclic "downhill" order — a push to self, or two
-                // servers pushing to each other, parks the reactor(s)
-                // against their own transfer until the client timeout.
-                let body = match conn.getfile(&format!("/shared/f{k}")) {
-                    Ok(body) => body,
-                    Err(_) => return false,
-                };
-                return conn
-                    .putfile(&format!("/rep_{tag}_{round}"), 0o644, &body)
-                    .is_ok();
-            }
-            let sj = rng.gen_range(si + 1..servers);
             conn.thirdput(
                 &format!("/shared/f{k}"),
-                &sim.endpoint(sj),
+                &sim.endpoint(to),
                 &format!("/rep_{tag}_{round}"),
             )
             .map(|n| n as usize == 512 + 64 * k)

@@ -466,6 +466,59 @@ fn key_rotation_under_auth_load() {
     run(rotation_under_load(scenario_seed(6), fleet_size(25, 120)));
 }
 
+// ----------------------------------------------------- cyclic pushes
+// THIRDPUT in cycles on one-shard servers, all at once: A and B pushing
+// to each other, the 3-cycle A→B→C→A, and C pushing to itself. A push
+// runs off its server's serving shard, so none of them waits on its own
+// reactor; were it served on the shard, each cycle would park the
+// reactors it passes through until the client timeout.
+
+fn cyclic_thirdput(seed: u64, unit: usize) -> Scenario {
+    const ROUNDS: usize = 3;
+    let edge = |from, to| Role::Pusher { from, to };
+    Scenario::new("cyclic-thirdput", seed)
+        .servers(3)
+        .reactor_workers(1)
+        .setup(standard_setup)
+        .phase(
+            Phase::new("cycles")
+                .with(unit, edge(0, 1), ROUNDS)
+                .with(unit, edge(1, 0), ROUNDS)
+                .with(unit, edge(1, 2), ROUNDS)
+                .with(unit, edge(2, 0), ROUNDS)
+                .with(unit, edge(2, 2), ROUNDS),
+        )
+        .check("zero-failures", |r| {
+            (r.failures() == 0)
+                .then_some(())
+                .ok_or_else(|| format!("{} pushes failed", r.failures()))
+        })
+        .check("every-push-landed", |r| {
+            let pushes = (ROUNDS * r.fleet) as u64;
+            let served = r.servers.counter("rpc.thirdput.count").unwrap_or(0);
+            let landed = r.servers.counter("rpc.putfile.count").unwrap_or(0);
+            (r.ops() == pushes && served == pushes && landed == pushes)
+                .then_some(())
+                .ok_or_else(|| {
+                    format!(
+                        "{pushes} pushes: {} ok, {served} THIRDPUTs served, {landed} landed",
+                        r.ops()
+                    )
+                })
+        })
+        .check("p99-latency", |r| {
+            let p99 = r.latency_quantile(0.99);
+            (p99 < Duration::from_secs(1))
+                .then_some(())
+                .ok_or_else(|| format!("p99 {p99:?} exceeds 1s"))
+        })
+}
+
+#[test]
+fn cyclic_thirdput_completes() {
+    run(cyclic_thirdput(scenario_seed(8), fleet_size(4, 16)));
+}
+
 // --------------------------------------------------- regression corpus
 // Satellite: the worst `SCENARIO_SEED` each scenario has produced, kept
 // green at small fixed fleets as a fast-tier guard. When a scenario
@@ -476,8 +529,9 @@ fn key_rotation_under_auth_load() {
 fn scenario_seed_regression_corpus() {
     // Initial corpus: the suite's launch seeds plus the seed that
     // exposed the reactor self-THIRDPUT stall during bring-up (a
-    // replicator pushing to its own server parks the reactor until
-    // the client timeout; the role now always picks a peer).
+    // replicator pushing to its own server parked the reactor until
+    // the client timeout), and the cyclic-push seed, which stalled the
+    // same way until pushes left the serving shard.
     for seed in [1, 3] {
         run(stampede(seed, 12));
     }
@@ -486,4 +540,5 @@ fn scenario_seed_regression_corpus() {
         run(mixed_soak(seed, 2));
     }
     run(auth_storm(5, 10, 4));
+    run(cyclic_thirdput(8, 1));
 }

@@ -67,7 +67,12 @@
 # The --reactor stage (part of the default run; --no-reactor skips
 # it) proves the event-driven connection core: the reactor edge-case
 # suite (slow-reader backpressure, mid-pipeline disconnect, idle-crowd
-# shutdown, a readiness-less transport refused, accept back-off), then
+# shutdown, a readiness-less transport refused, accept back-off, an
+# 8 MiB GETFILE yielding its shard within one turn's budget, and a
+# THIRDPUT held by a slow target: its shard keeps serving, a request
+# pipelined behind it is answered after it, a client gone mid-push
+# gets its slot back), the in-memory THIRDPUT and session-teardown
+# suite (e2e_sim), then
 # release mode for the differential matrix against the model oracle
 # (REACTOR_SEED=<u64> replays one printed failure), the 2k
 # idle-connection soak at flat
@@ -226,6 +231,8 @@ fi
 if [ "$REACTOR" = "1" ]; then
     echo "== cargo test -q -p chirp-server --test reactor_edge  (reactor edge cases)"
     cargo test -q -p chirp-server --test reactor_edge
+    echo "== cargo test -q -p simharness --test e2e_sim  (THIRDPUT and teardown over MemNet)"
+    cargo test -q -p simharness --test e2e_sim
     # The server replayed against the model oracle over the seed
     # matrix, the 2k idle-connection soak at flat memory, and the
     # unbound-listener terminality check. Release mode keeps the
