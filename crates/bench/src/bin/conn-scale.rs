@@ -44,7 +44,7 @@ fn session(endpoint: &str) -> Option<(Connection, i32)> {
     for _ in 0..150 {
         let attempt = Connection::connect(endpoint, TIMEOUT).and_then(|mut conn| {
             conn.authenticate(&auth())?;
-            let fd = conn.open("/small", OpenFlags::READ, 0)?;
+            let (fd, _) = conn.open("/small", OpenFlags::READ, 0)?;
             Ok((conn, fd))
         });
         match attempt {

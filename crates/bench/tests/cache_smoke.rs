@@ -51,7 +51,7 @@ fn rig(root: &std::path::Path, cache: Option<u64>) -> (Arc<Shared>, Session, i32
         None,
     )
     .unwrap();
-    let Ok(Reply::Value(fd)) = s.handle(
+    let Ok(Reply::Words(fd, _)) = s.handle(
         Request::Open {
             path: "/data".into(),
             flags: OpenFlags::read_write() | OpenFlags::CREATE,

@@ -38,7 +38,7 @@ fn rig() -> (TempDir, FileServer, Connection, i32) {
         Connection::connect_via(&dialer, &server.endpoint(), Duration::from_secs(10)).unwrap();
     conn.authenticate(&auth()).unwrap();
     conn.putfile("/small", 0o644, &vec![5u8; 1024]).unwrap();
-    let fd = conn.open("/small", OpenFlags::READ, 0).unwrap();
+    let (fd, _) = conn.open("/small", OpenFlags::READ, 0).unwrap();
     (host, server, conn, fd)
 }
 

@@ -29,7 +29,7 @@ fn tss_top_renders_live_server_metrics() {
     }
     // Cached reads, so the CACHE% / RES(KB) columns have something to
     // show: the first read populates, the rest hit.
-    let fd = conn.open("/x", chirp_proto::OpenFlags::READ, 0).unwrap();
+    let (fd, _) = conn.open("/x", chirp_proto::OpenFlags::READ, 0).unwrap();
     for _ in 0..4 {
         conn.pread(fd, 7, 0).unwrap();
     }

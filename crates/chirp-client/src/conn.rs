@@ -296,21 +296,33 @@ impl Connection {
         Self::decode_word(&st.words, 0)
     }
 
-    /// Open a file; the returned descriptor is valid until `close` or
-    /// disconnection.
-    pub fn open(&mut self, path: &str, flags: OpenFlags, mode: u32) -> ChirpResult<i32> {
+    /// Open a file: the descriptor, valid until `close` or
+    /// disconnection, and the opened file's attributes (the server
+    /// answers `OPEN` with `FSTAT`'s words, in the same round trip).
+    pub fn open(&mut self, path: &str, flags: OpenFlags, mode: u32) -> ChirpResult<(i32, StatBuf)> {
         let st = self.rpc(&Request::Open {
             path: path.to_string(),
             flags,
             mode,
         })?;
-        Ok(st.value as i32)
+        let words: Vec<&str> = st.words.iter().map(String::as_str).collect();
+        Ok((st.value as i32, StatBuf::from_words(&words)?))
     }
 
     /// Close a descriptor.
     pub fn close(&mut self, fd: i32) -> ChirpResult<()> {
         self.rpc(&Request::Close { fd })?;
         Ok(())
+    }
+
+    /// Close a descriptor without waiting for the verdict: the `CLOSE`
+    /// leaves in the same write as the next request on this stream,
+    /// and its status line is read and dropped ahead of that
+    /// request's reply (see [`ReplyShape::Unclaimed`]). It owes
+    /// nothing, so it is allowed while a deferred reply is owed.
+    pub fn close_later(&mut self, fd: i32) -> ChirpResult<()> {
+        self.pipe
+            .send(&Request::Close { fd }, None, ReplyShape::Unclaimed)
     }
 
     /// Positional read of up to `length` bytes at `offset`. Short

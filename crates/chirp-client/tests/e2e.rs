@@ -51,7 +51,7 @@ fn open_write_read_close() {
     let dir = TempDir::new();
     let server = open_server(dir.path());
     let mut conn = connect(&server);
-    let fd = conn
+    let (fd, _) = conn
         .open(
             "/hello.txt",
             OpenFlags::read_write() | OpenFlags::CREATE,
@@ -77,7 +77,7 @@ fn pread_at_eof_is_short() {
     let server = open_server(dir.path());
     let mut conn = connect(&server);
     conn.putfile("/f", 0o644, b"12345").unwrap();
-    let fd = conn.open("/f", OpenFlags::READ, 0).unwrap();
+    let (fd, _) = conn.open("/f", OpenFlags::READ, 0).unwrap();
     assert_eq!(conn.pread(fd, 100, 0).unwrap(), b"12345");
     assert!(conn.pread(fd, 100, 5).unwrap().is_empty());
     assert_eq!(conn.pread(fd, 3, 4).unwrap(), b"5");
@@ -89,7 +89,7 @@ fn exclusive_create_detects_collision() {
     let server = open_server(dir.path());
     let mut conn = connect(&server);
     let flags = OpenFlags::WRITE | OpenFlags::CREATE | OpenFlags::EXCLUSIVE;
-    let fd = conn.open("/unique", flags, 0o644).unwrap();
+    let (fd, _) = conn.open("/unique", flags, 0o644).unwrap();
     conn.close(fd).unwrap();
     assert_eq!(
         conn.open("/unique", flags, 0o644).unwrap_err(),
@@ -380,7 +380,7 @@ fn disconnect_frees_server_state() {
     let dir = TempDir::new();
     let server = open_server(dir.path());
     let mut conn = connect(&server);
-    let fd = conn
+    let (fd, _) = conn
         .open("/f", OpenFlags::WRITE | OpenFlags::CREATE, 0o644)
         .unwrap();
     conn.pwrite(fd, b"x", 0).unwrap();
@@ -395,7 +395,7 @@ fn disconnect_frees_server_state() {
     assert_eq!(server.active_connections(), 0);
     // A new connection gets a fresh descriptor space.
     let mut conn2 = connect(&server);
-    let fd2 = conn2.open("/f", OpenFlags::READ, 0).unwrap();
+    let (fd2, _) = conn2.open("/f", OpenFlags::READ, 0).unwrap();
     assert_eq!(fd2, 0, "descriptors are connection-scoped");
 }
 
@@ -542,6 +542,28 @@ fn getlongdir_lists_names_with_attributes_in_one_rpc() {
     assert!(!names.iter().any(|n| n.contains("__acl")));
 }
 
+#[test]
+fn open_answers_with_its_attributes_in_one_rpc() {
+    let dir = TempDir::new();
+    let server = open_server(dir.path());
+    let mut conn = connect(&server);
+    conn.putfile("/f", 0o640, b"0123456789").unwrap();
+    let before = server.stats().snapshot().requests;
+    let (fd, st) = conn.open("/f", OpenFlags::READ, 0).unwrap();
+    let after = server.stats().snapshot().requests;
+    assert_eq!(after - before, 1, "one RPC for the descriptor + attributes");
+    assert_eq!(st, conn.fstat(fd).unwrap());
+    assert!(st.is_file());
+    assert_eq!(st.size, 10);
+    // A truncating open answers with the truncated file.
+    let (fd2, st2) = conn
+        .open("/f", OpenFlags::WRITE | OpenFlags::TRUNCATE, 0)
+        .unwrap();
+    assert_eq!(st2.size, 0);
+    assert_eq!((st2.device, st2.inode), (st.device, st.inode));
+    assert_eq!(st2, conn.fstat(fd2).unwrap());
+}
+
 /// A reply still owed on the stream — a deferred request not yet
 /// settled — makes any other call a refused usage error: it must never
 /// read the owed status line as its own answer, and refusing it must
@@ -556,7 +578,7 @@ fn a_call_made_while_a_reply_is_owed_is_refused_not_misanswered() {
     let mut conn = Connection::connect_via(&net.dialer(), &server.endpoint(), TIMEOUT).unwrap();
     conn.authenticate(&[AuthMethod::Hostname]).unwrap();
     conn.putfile("/f", 0o644, b"0123456789").unwrap();
-    let fd = conn.open("/f", OpenFlags::READ, 0).unwrap();
+    let (fd, _) = conn.open("/f", OpenFlags::READ, 0).unwrap();
 
     let pread = Request::Pread {
         fd,

@@ -362,8 +362,9 @@ pub fn read_full_at(file: &File, buf: &mut [u8], offset: u64) -> io::Result<usiz
     Ok(filled)
 }
 
-/// Convert host metadata to the shared stat structure.
-fn meta_to_stat(meta: &std::fs::Metadata) -> StatBuf {
+/// Convert host metadata to the shared stat structure: the words of a
+/// `STAT`/`FSTAT` reply, and of the attributes an `OPEN` answers with.
+pub fn meta_to_stat(meta: &std::fs::Metadata) -> StatBuf {
     use std::os::unix::fs::MetadataExt;
     StatBuf {
         device: meta.dev(),

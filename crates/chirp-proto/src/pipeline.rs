@@ -30,6 +30,15 @@
 //!   answered, safe to retry on a fresh connection. Replies read
 //!   *before* the failure remain settled; a retry layer must not
 //!   replay them.
+//!
+//! A request whose verdict nobody wants (a dropped handle's `CLOSE`)
+//! is sent [`ReplyShape::Unclaimed`]: it waits unflushed and leaves in
+//! the same write as the next request, and the `recv` that settles a
+//! request behind it reads its status line and drops it, negative or
+//! not. A transport failure while reading one is a transport failure
+//! like any other: everything behind it settles as `Disconnected`.
+//! Unclaimed entries take no room in the window and are not counted in
+//! [`PipelinedConn::in_flight`].
 
 use std::collections::VecDeque;
 use std::io::{BufRead, Read, Write};
@@ -51,6 +60,9 @@ pub enum ReplyShape {
     /// raw payload that follows (`PREAD`, `GETDIR`, `GETDIRSTAT`,
     /// `STATMULTI`, ...).
     Body,
+    /// A status line only, which no caller settles: it is read and
+    /// dropped ahead of the next claimed reply.
+    Unclaimed,
 }
 
 /// One settled successful reply.
@@ -98,6 +110,8 @@ pub struct PipelinedConn<R: BufRead, W: Write> {
     depth: usize,
     /// Reply shapes of requests written but not yet settled, FIFO.
     queue: VecDeque<ReplyShape>,
+    /// How many of `queue` are [`ReplyShape::Unclaimed`].
+    unclaimed: usize,
     /// Set by the first transport failure; everything after it fails
     /// fast as `Disconnected`.
     dead: bool,
@@ -114,6 +128,7 @@ impl<R: BufRead, W: Write> PipelinedConn<R, W> {
             writer,
             depth: depth.max(1),
             queue: VecDeque::new(),
+            unclaimed: 0,
             dead: false,
             unflushed: false,
         }
@@ -130,14 +145,14 @@ impl<R: BufRead, W: Write> PipelinedConn<R, W> {
         self.depth = depth.max(1);
     }
 
-    /// Requests written but not yet settled.
+    /// Requests written but not yet settled, unclaimed ones aside.
     pub fn in_flight(&self) -> usize {
-        self.queue.len()
+        self.queue.len() - self.unclaimed
     }
 
     /// True while another request fits in the window.
     pub fn has_room(&self) -> bool {
-        self.queue.len() < self.depth
+        self.in_flight() < self.depth
     }
 
     /// True once a transport failure has poisoned the stream.
@@ -158,7 +173,8 @@ impl<R: BufRead, W: Write> PipelinedConn<R, W> {
 
     /// Write one request line and whatever `payload` adds behind it,
     /// and queue its reply shape. A full window is a usage error
-    /// reported as `InvalidRequest`, not a wire event.
+    /// reported as `InvalidRequest`, not a wire event; an unclaimed
+    /// request takes no room.
     fn enqueue(
         &mut self,
         req: &Request,
@@ -168,7 +184,8 @@ impl<R: BufRead, W: Write> PipelinedConn<R, W> {
         if self.dead {
             return Err(ChirpError::Disconnected);
         }
-        if !self.has_room() {
+        let unclaimed = shape == ReplyShape::Unclaimed;
+        if !unclaimed && !self.has_room() {
             return Err(ChirpError::InvalidRequest);
         }
         let res = self
@@ -182,6 +199,7 @@ impl<R: BufRead, W: Write> PipelinedConn<R, W> {
         }
         self.unflushed = true;
         self.queue.push_back(shape);
+        self.unclaimed += usize::from(unclaimed);
         Ok(())
     }
 
@@ -236,21 +254,36 @@ impl<R: BufRead, W: Write> PipelinedConn<R, W> {
         }
     }
 
-    /// Pop the oldest in-flight request (flushing first if needed) and
-    /// read its status line; any body is still in the stream.
+    /// Pop the oldest claimed request, reading and dropping the
+    /// unclaimed status lines ahead of it, and read its status line
+    /// (flushing first if needed); any body is still in the stream.
     fn recv_status(&mut self) -> ChirpResult<(ReplyShape, StatusLine)> {
-        let shape = match self.queue.pop_front() {
-            Some(s) => s,
-            None => return Err(ChirpError::InvalidRequest),
-        };
+        if self.in_flight() == 0 {
+            return Err(ChirpError::InvalidRequest);
+        }
+        while let Some(ReplyShape::Unclaimed) = self.queue.front() {
+            self.queue.pop_front();
+            self.unclaimed -= 1;
+            if !self.dead {
+                // Its verdict, even a negative one, is nobody's; a
+                // transport failure still kills the stream.
+                let _ = self.read_status();
+            }
+        }
+        let shape = self.queue.pop_front().expect("a claimed request is queued");
         if self.dead {
             // Queued behind a transport failure: never answered, so
             // retriable — never a verdict borrowed from a later line.
             return Err(ChirpError::Disconnected);
         }
+        Ok((shape, self.read_status()?))
+    }
+
+    /// Flush, then read the next status line off the stream.
+    fn read_status(&mut self) -> ChirpResult<StatusLine> {
         self.flush()?;
         match wire::read_status(&mut self.reader) {
-            Ok(st) => Ok((shape, st)),
+            Ok(st) => Ok(st),
             // EOF, timeout, or a garbled line: framing lost. (`Busy`
             // rides along: the server answers it while closing the
             // stream.)
@@ -271,7 +304,7 @@ impl<R: BufRead, W: Write> PipelinedConn<R, W> {
     pub fn recv(&mut self) -> ChirpResult<Reply> {
         let (shape, st) = self.recv_status()?;
         match shape {
-            ReplyShape::Status => Ok(Reply::Status(st)),
+            ReplyShape::Status | ReplyShape::Unclaimed => Ok(Reply::Status(st)),
             ReplyShape::Body => match wire::read_payload(&mut self.reader, st.value as u64) {
                 Ok(body) => Ok(Reply::Body(st, body)),
                 // The body is unread (oversized) or half-read: either
@@ -299,24 +332,38 @@ impl<R: BufRead, W: Write> PipelinedConn<R, W> {
     }
 
     /// Settle the oldest in-flight request, a [`ReplyShape::Body`]
-    /// one, streaming its body into `out` through a bounded buffer.
-    /// Returns the body length. A failing sink leaves the body
-    /// half-read, so it kills the stream like a failing transport.
+    /// one, streaming its body into `out` straight from the reader's
+    /// own buffer. Returns the body length. A failing sink leaves the
+    /// body half-read, so it kills the stream like a failing transport.
     pub fn recv_to(&mut self, out: &mut impl Write) -> ChirpResult<u64> {
         let (_, st) = self.recv_status()?;
         let len = st.value as u64;
-        match wire::copy_exact(&mut self.reader, out, len) {
-            Ok(()) => Ok(len),
-            Err(e) => self.lost(ChirpError::from_io(&e)),
+        let mut remaining = len;
+        while remaining > 0 {
+            let copied = self.reader.fill_buf().and_then(|buf| {
+                if buf.is_empty() {
+                    return Err(std::io::ErrorKind::UnexpectedEof.into());
+                }
+                let n = remaining.min(buf.len() as u64) as usize;
+                out.write_all(&buf[..n]).map(|()| n)
+            });
+            match copied {
+                Ok(n) => {
+                    self.reader.consume(n);
+                    remaining -= n as u64;
+                }
+                Err(e) => return self.lost(ChirpError::from_io(&e)),
+            }
         }
+        Ok(len)
     }
 
     /// Settle everything still in flight, in order. Total: one verdict
     /// per outstanding request, settled replies and protocol errors
     /// as-is, everything behind a transport failure as `Disconnected`.
     pub fn settle_all(&mut self) -> Vec<ChirpResult<Reply>> {
-        let mut out = Vec::with_capacity(self.queue.len());
-        while !self.queue.is_empty() {
+        let mut out = Vec::with_capacity(self.in_flight());
+        while self.in_flight() > 0 {
             out.push(self.recv());
         }
         out
@@ -327,7 +374,8 @@ impl<R: BufRead, W: Write> std::fmt::Debug for PipelinedConn<R, W> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PipelinedConn")
             .field("depth", &self.depth)
-            .field("in_flight", &self.queue.len())
+            .field("in_flight", &self.in_flight())
+            .field("unclaimed", &self.unclaimed)
             .field("dead", &self.dead)
             .finish()
     }
@@ -538,6 +586,91 @@ mod tests {
         );
         assert!(pipe.is_dead());
         assert!(writer.starts_with(b"PUTFILE /f 420 4\ndata"));
+    }
+
+    /// A writer that keeps what each flush pushed, so a test can see
+    /// which requests left together.
+    #[derive(Default)]
+    struct Flushes {
+        pending: Vec<u8>,
+        flushed: std::rc::Rc<std::cell::RefCell<Vec<Vec<u8>>>>,
+    }
+
+    impl Write for Flushes {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.pending.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            let out = std::mem::take(&mut self.pending);
+            self.flushed.borrow_mut().push(out);
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn unclaimed_closes_ride_the_next_request_and_are_dropped_on_the_way() {
+        // Replies for: CLOSE ok, STAT words, CLOSE refused, PREAD 2
+        // bytes.
+        let mut replies = Vec::new();
+        wire::write_status(&mut replies, 0).unwrap();
+        replies.extend_from_slice(b"0 st\n");
+        wire::write_error(&mut replies, ChirpError::BadFd).unwrap();
+        wire::write_status(&mut replies, 2).unwrap();
+        replies.extend_from_slice(b"ab");
+        let writer = Flushes::default();
+        let flushed = writer.flushed.clone();
+        let mut pipe = PipelinedConn::new(BufReader::new(&replies[..]), writer, 1);
+        let close = |fd| Request::Close { fd };
+        pipe.send(&close(3), None, ReplyShape::Unclaimed).unwrap();
+        // Nothing owed, nothing on the wire, and the window is free.
+        assert_eq!(pipe.in_flight(), 0);
+        assert!(pipe.has_room());
+        assert!(flushed.borrow().is_empty());
+        // Nothing claimed: a recv is a usage error that reads nothing.
+        assert_eq!(pipe.recv().unwrap_err(), ChirpError::InvalidRequest);
+        let stat = Request::Stat { path: "/x".into() };
+        pipe.send(&stat, None, ReplyShape::Status).unwrap();
+        // A full window still takes an unclaimed request.
+        assert!(!pipe.has_room());
+        pipe.send(&close(4), None, ReplyShape::Unclaimed).unwrap();
+        assert_eq!(pipe.in_flight(), 1);
+        assert_eq!(pipe.recv().unwrap().status().words, vec!["st"]);
+        // Everything written by then left in one flush.
+        assert_eq!(
+            *flushed.borrow(),
+            vec![b"CLOSE 3\nSTAT /x\nCLOSE 4\n".to_vec()]
+        );
+        // The refused close is dropped, and the pipe stays live.
+        pipe.send(&pread(1, 2, 0), None, ReplyShape::Body).unwrap();
+        assert_eq!(pipe.recv().unwrap().into_body(), b"ab");
+        assert!(!pipe.is_dead());
+        assert_eq!(pipe.in_flight(), 0);
+    }
+
+    #[test]
+    fn a_transport_failure_in_an_unclaimed_reply_settles_what_is_behind_it() {
+        let mut replies = Vec::new();
+        wire::write_status(&mut replies, 0).unwrap();
+        replies.extend_from_slice(b"\xff garbage\n");
+        wire::write_status(&mut replies, 0).unwrap();
+        let mut pipe = PipelinedConn::new(BufReader::new(&replies[..]), Vec::new(), 4);
+        pipe.send(&Request::Whoami, None, ReplyShape::Status)
+            .unwrap();
+        pipe.send(&Request::Close { fd: 1 }, None, ReplyShape::Unclaimed)
+            .unwrap();
+        pipe.send(&Request::Whoami, None, ReplyShape::Status)
+            .unwrap();
+        pipe.send(&Request::Whoami, None, ReplyShape::Status)
+            .unwrap();
+        let verdicts = pipe.settle_all();
+        assert_eq!(verdicts.len(), 3);
+        assert!(verdicts[0].is_ok());
+        // The well-formed line after the garble answers nobody.
+        assert_eq!(*verdicts[1].as_ref().unwrap_err(), ChirpError::Disconnected);
+        assert_eq!(*verdicts[2].as_ref().unwrap_err(), ChirpError::Disconnected);
+        assert!(pipe.is_dead());
     }
 
     #[test]

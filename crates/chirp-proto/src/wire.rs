@@ -119,8 +119,8 @@ pub fn parse_status(line: &str) -> Result<StatusLine, ChirpError> {
 }
 
 /// Copy exactly `len` bytes from `reader` to `writer` through a bounded
-/// buffer, so multi-megabyte `putfile`/`getfile` bodies never occupy
-/// more than one buffer of memory.
+/// buffer, so a multi-megabyte `putfile` payload never occupies more
+/// than one buffer of memory.
 pub fn copy_exact<R: Read, W: Write>(reader: &mut R, writer: &mut W, len: u64) -> io::Result<()> {
     let mut buf = [0u8; 64 * 1024];
     let mut remaining = len;

@@ -14,7 +14,10 @@
 //! reply stream settles the request it answers as a transport loss and
 //! everything queued behind it as [`ChirpError::Disconnected`] — a
 //! well-formed line *after* the garble must never surface as a later
-//! request's verdict.
+//! request's verdict. Every queue may hold unclaimed `CLOSE`s: they
+//! take no verdict and no room, their replies (errors included) are
+//! dropped ahead of the next claimed one, and a garble in one of them
+//! settles everything behind it as `Disconnected`.
 
 use std::io::BufReader;
 
@@ -43,11 +46,24 @@ fn hostile_path() -> impl Strategy<Value = String> {
 /// framed.
 #[derive(Debug, Clone)]
 enum Queued {
+    /// A dropped handle's close: its reply is nobody's.
+    Close(i32),
     Open(String),
     Stat(String),
-    Pread { fd: i32, len: u64, off: u64 },
-    Pwrite { fd: i32, data: Vec<u8>, off: u64 },
-    Putfile { path: String, data: Vec<u8> },
+    Pread {
+        fd: i32,
+        len: u64,
+        off: u64,
+    },
+    Pwrite {
+        fd: i32,
+        data: Vec<u8>,
+        off: u64,
+    },
+    Putfile {
+        path: String,
+        data: Vec<u8>,
+    },
     GetdirStat(String),
     StatMulti(Vec<String>),
 }
@@ -55,6 +71,7 @@ enum Queued {
 impl Queued {
     fn request(&self) -> Request {
         match self {
+            Queued::Close(fd) => Request::Close { fd: *fd },
             Queued::Open(path) => Request::Open {
                 path: path.clone(),
                 flags: OpenFlags::read_write() | OpenFlags::CREATE,
@@ -93,6 +110,7 @@ impl Queued {
     fn shape(&self) -> ReplyShape {
         match self {
             Queued::Pread { .. } | Queued::GetdirStat(_) | Queued::StatMulti(_) => ReplyShape::Body,
+            Queued::Close(_) => ReplyShape::Unclaimed,
             _ => ReplyShape::Status,
         }
     }
@@ -100,6 +118,7 @@ impl Queued {
 
 fn queued() -> impl Strategy<Value = Queued> {
     prop_oneof![
+        (0i32..8).prop_map(Queued::Close),
         hostile_path().prop_map(Queued::Open),
         hostile_path().prop_map(Queued::Stat),
         (0i32..8, 0u64..256, 0u64..256).prop_map(|(fd, len, off)| Queued::Pread { fd, len, off }),
@@ -144,8 +163,17 @@ fn staged() -> impl Strategy<Value = Staged> {
     ]
 }
 
+/// How many of `specs` a caller settles: all but the unclaimed.
+fn claimed(specs: &[Queued]) -> usize {
+    specs
+        .iter()
+        .filter(|s| s.shape() != ReplyShape::Unclaimed)
+        .count()
+}
+
 /// Encode `staged` replies for `specs` into one reply stream and the
-/// verdict list the client must observe, in order.
+/// verdict list the client must observe, in order. An unclaimed
+/// request's reply is on the stream but in no verdict.
 fn stage_replies(specs: &[Queued], staged: &[Staged]) -> (Vec<u8>, Vec<Result<Reply, ChirpError>>) {
     let mut stream = Vec::new();
     let mut expected = Vec::new();
@@ -153,9 +181,12 @@ fn stage_replies(specs: &[Queued], staged: &[Staged]) -> (Vec<u8>, Vec<Result<Re
         match st {
             Staged::ProtocolErr(e) => {
                 wire::write_error(&mut stream, *e).unwrap();
-                expected.push(Err(*e));
+                if spec.shape() != ReplyShape::Unclaimed {
+                    expected.push(Err(*e));
+                }
             }
             Staged::Ok(body) => match spec.shape() {
+                ReplyShape::Unclaimed => wire::write_status(&mut stream, 0).unwrap(),
                 ReplyShape::Status => {
                     let value = body.len() as i64;
                     wire::write_status(&mut stream, value).unwrap();
@@ -246,7 +277,7 @@ proptest! {
             pipe.send(&spec.request(), spec.payload(), spec.shape()).unwrap();
         }
         pipe.flush().unwrap();
-        prop_assert_eq!(pipe.in_flight(), specs.len());
+        prop_assert_eq!(pipe.in_flight(), claimed(&specs));
         drop(pipe);
         assert_decodes_to(&writer, &specs);
     }
@@ -277,6 +308,16 @@ proptest! {
             let can_send = next_send < specs.len() && pipe.has_room();
             let owed = pipe.in_flight();
             match mv {
+                Move::Plain
+                    if next_send < specs.len() && specs[next_send].shape() == ReplyShape::Unclaimed =>
+                {
+                    // Owes nothing, so it is never refused, and there
+                    // is nothing to settle.
+                    let spec = &specs[next_send];
+                    pipe.send(&spec.request(), spec.payload(), spec.shape()).unwrap();
+                    prop_assert_eq!(pipe.in_flight(), owed);
+                    next_send += 1;
+                }
                 Move::Plain if next_send < specs.len() => {
                     let spec = &specs[next_send];
                     pipe.set_depth(1);
@@ -366,16 +407,25 @@ proptest! {
         }
         let verdicts = pipe.settle_all();
 
-        prop_assert_eq!(verdicts.len(), all.len(), "classification is total");
+        prop_assert_eq!(verdicts.len(), claimed(&all), "classification is total");
         for (i, (got, want)) in verdicts.iter().zip(&expected).enumerate() {
             prop_assert_eq!(got, want, "settled verdict {i} changed");
         }
-        for (i, v) in verdicts.iter().enumerate().skip(g) {
+        // The garble answers request `g`, claimed or not: every claimed
+        // verdict from there on is a transport loss.
+        for (i, v) in verdicts.iter().enumerate().skip(expected.len()) {
             prop_assert_eq!(
                 v.as_ref().unwrap_err(),
                 &ChirpError::Disconnected,
                 "request {i} took a verdict from beyond the garble"
             );
+        }
+        if !pipe.is_dead() {
+            // Only unclaimed requests followed the garble, so nothing
+            // has read it yet: the next claimed request does, and takes
+            // no verdict from beyond it.
+            pipe.send(&Request::Whoami, None, ReplyShape::Status).unwrap();
+            prop_assert_eq!(pipe.recv().unwrap_err(), ChirpError::Disconnected);
         }
         prop_assert!(pipe.is_dead());
         prop_assert_eq!(

@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use chirp_proto::escape::escape;
 use chirp_proto::fs::{FileHandle, FileSystem};
-use chirp_proto::localfs::{read_full_at, LocalHandle};
+use chirp_proto::localfs::{meta_to_stat, read_full_at, LocalHandle};
 use chirp_proto::persist::is_crash;
 use chirp_proto::{ChirpError, ChirpResult, OpenFlags, Request, StatFs};
 
@@ -423,9 +423,10 @@ impl Session {
         } else {
             0
         };
-        // The open's one fstat seeds the inode key and tracked size;
-        // every later write and ftruncate on the descriptor maintains
-        // the size without touching the kernel again.
+        // The open's one fstat seeds the inode key, the tracked size
+        // and the reply's attributes; every later write and ftruncate
+        // on the descriptor maintains the size without touching the
+        // kernel again.
         let (handle, meta) = self
             .shared
             .fs
@@ -442,7 +443,9 @@ impl Session {
         }
         let state = self.shared.sizes.track(key, meta.len());
         let fd = self.fds.insert(OpenFile { handle, key, state })?;
-        Ok(Reply::Value(fd as i64))
+        // The descriptor rides with its attributes, in `FSTAT`'s words,
+        // so a client that checks what it opened needs no second trip.
+        Ok(Reply::Words(fd as i64, meta_to_stat(&meta).to_words()))
     }
 
     fn do_pread(&mut self, fd: i32, length: u64, offset: u64) -> ChirpResult<Reply> {
@@ -983,7 +986,7 @@ mod tests {
                 None,
             )
             .unwrap();
-        let Reply::Value(fd) = open else {
+        let Reply::Words(fd, _) = open else {
             panic!("open reply");
         };
         let fd = fd as i32;

@@ -73,9 +73,14 @@ use crate::server::Shared;
 
 /// Token reserved for the poller's own wake channel.
 const WAKE_TOKEN: Token = usize::MAX;
-/// Bytes read from a stream per `read` call, and from a streamed file
-/// per staging round; a file reply up to this long is sent inline.
+/// Bytes read from a stream per `read` call (the most a shard's read
+/// scratch grows to), and from a streamed file per staging round; a
+/// file reply up to this long is sent inline.
 const READ_CHUNK: usize = 64 * 1024;
+/// A shard's read scratch to begin with: one page. Each read that fills
+/// it doubles it, up to `READ_CHUNK`, so a shard that serves only small
+/// requests never touches the rest.
+const SCRATCH_START: usize = 4 * 1024;
 /// Buffers gathered into one vectored write (Linux's `IOV_MAX`).
 const MAX_IOV: usize = 1024;
 /// Shrink an empty write queue whose capacity grew past this many
@@ -222,6 +227,11 @@ impl Shard {
         let (done, pushed) = mpsc::channel();
         let out = Outbound { jobs, done };
         let mut conns: HashMap<Token, Conn> = HashMap::new();
+        // Every read on this shard lands here first, and only the bytes
+        // read are appended to the connection's buffer: a request costs
+        // no zero-fill, and a connection that has sent nothing holds no
+        // buffer.
+        let mut scratch = vec![0u8; SCRATCH_START];
         let mut next_token: Token = 0;
         let mut events: Vec<(Token, bool, bool)> = Vec::new();
         let mut dirty: Vec<Token> = Vec::new();
@@ -255,7 +265,7 @@ impl Shard {
                     // but the mem path's initial hint was consumed into
                     // the ready-set before the conn existed in rare
                     // interleavings — a free pump is always sound).
-                    self.service(&mut conn, &out, &mut yielded);
+                    self.service(&mut conn, &out, &mut yielded, &mut scratch);
                     if conn.dead {
                         self.retire(conn);
                     } else {
@@ -312,7 +322,7 @@ impl Shard {
                 let Some(conn) = conns.get_mut(&token) else {
                     continue;
                 };
-                self.service(conn, &out, &mut yielded);
+                self.service(conn, &out, &mut yielded, &mut scratch);
                 if conn.dead {
                     let conn = conns.remove(&token).expect("present");
                     self.retire(conn);
@@ -362,8 +372,14 @@ impl Shard {
     /// Give a connection one turn: pump it, queue it for another turn
     /// if it yielded, hand a push it authorized to the pool, and
     /// reconcile its write interest.
-    fn service(&self, conn: &mut Conn, out: &Outbound, yielded: &mut Vec<Token>) {
-        if conn.pump(&self.shared) && !conn.yielded {
+    fn service(
+        &self,
+        conn: &mut Conn,
+        out: &Outbound,
+        yielded: &mut Vec<Token>,
+        scratch: &mut Vec<u8>,
+    ) {
+        if conn.pump(&self.shared, scratch) && !conn.yielded {
             conn.yielded = true;
             yielded.push(conn.token);
             self.shared.telemetry.reactor_yield();
@@ -544,9 +560,10 @@ impl Conn {
 
     /// Drive the connection for one turn: until it can make no further
     /// progress without new readiness events, or it has spent the
-    /// turn's budget. Returns whether it yielded with the budget spent,
-    /// so the shard must come back to it.
-    fn pump(&mut self, shared: &Arc<Shared>) -> bool {
+    /// turn's budget, reading through the shard's `scratch`. Returns
+    /// whether it yielded with the budget spent, so the shard must come
+    /// back to it.
+    fn pump(&mut self, shared: &Arc<Shared>, scratch: &mut Vec<u8>) -> bool {
         self.turn_bytes = 0;
         self.turn_requests = 0;
         loop {
@@ -565,7 +582,7 @@ impl Conn {
                 if self.dead {
                     return false;
                 }
-                progress |= self.fill(shared);
+                progress |= self.fill(scratch);
                 if self.dead {
                     return false;
                 }
@@ -575,6 +592,7 @@ impl Conn {
             }
         }
         self.compact();
+        self.trim();
         self.turn_bytes >= TURN_BYTES || self.turn_requests >= TURN_REQUESTS
     }
 
@@ -1011,10 +1029,10 @@ impl Conn {
         }
     }
 
-    /// Read newly arrived bytes into the request buffer, up to the
-    /// buffering cap or the turn's budget. Returns whether anything
-    /// arrived (or EOF did).
-    fn fill(&mut self, _shared: &Arc<Shared>) -> bool {
+    /// Read newly arrived bytes into the request buffer through the
+    /// shard's `scratch`, up to the buffering cap or the turn's budget.
+    /// Returns whether anything arrived (or EOF did).
+    fn fill(&mut self, scratch: &mut Vec<u8>) -> bool {
         let mut progress = false;
         while self.readable && !self.eof && !self.dead && self.turn_bytes < TURN_BYTES {
             if self.rbuf.len() - self.rpos >= RBUF_CAP {
@@ -1023,61 +1041,59 @@ impl Conn {
                 break;
             }
             self.compact();
-            let old = self.rbuf.len();
-            self.rbuf.resize(old + READ_CHUNK, 0);
-            match self.stream.read(&mut self.rbuf[old..]) {
+            match self.stream.read(scratch) {
                 Ok(0) => {
-                    self.rbuf.truncate(old);
                     self.eof = true;
                     progress = true;
                 }
                 Ok(n) => {
-                    self.rbuf.truncate(old + n);
+                    self.rbuf.extend_from_slice(&scratch[..n]);
                     self.turn_bytes += n;
                     self.last_active = Instant::now();
                     progress = true;
-                    if n < READ_CHUNK {
+                    if n < scratch.len() {
                         // A short read drained the stream at that
                         // instant; skip the confirming WouldBlock
                         // syscall. Level-triggered epoll (and the
                         // watcher's notify-on-write) re-report the
                         // moment more bytes arrive.
                         self.readable = false;
+                    } else if scratch.len() < READ_CHUNK {
+                        // A full read: more is likely waiting, so the
+                        // next one may take more.
+                        scratch.resize(2 * scratch.len(), 0);
                     }
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    self.rbuf.truncate(old);
-                    self.readable = false;
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {
-                    self.rbuf.truncate(old);
-                }
-                Err(_) => {
-                    self.rbuf.truncate(old);
-                    self.dead = true;
-                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => self.readable = false,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(_) => self.dead = true,
             }
         }
         progress
     }
 
-    /// Reclaim consumed read-buffer space; shrink an idle buffer back
-    /// to the watermark so 50k quiet connections stay flat in memory.
+    /// Reclaim consumed read-buffer space.
     fn compact(&mut self) {
         if self.rpos == self.rbuf.len() {
             self.rbuf.clear();
             self.rpos = 0;
             self.scan = 0;
-            if self.rbuf.capacity() > RBUF_WATERMARK {
-                self.rbuf.shrink_to(RBUF_WATERMARK);
-            }
-            if self.wq.is_empty() && self.wq.capacity() > WQ_WATERMARK {
-                self.wq.shrink_to(WQ_WATERMARK);
-            }
         } else if self.rpos >= READ_CHUNK {
             self.rbuf.drain(..self.rpos);
             self.scan -= self.rpos;
             self.rpos = 0;
+        }
+    }
+
+    /// At the end of a turn, shrink an empty read buffer or write queue
+    /// that a burst grew back to its watermark, so 50k quiet
+    /// connections stay flat in memory.
+    fn trim(&mut self) {
+        if self.rbuf.is_empty() && self.rbuf.capacity() > RBUF_WATERMARK {
+            self.rbuf.shrink_to(RBUF_WATERMARK);
+        }
+        if self.wq.is_empty() && self.wq.capacity() > WQ_WATERMARK {
+            self.wq.shrink_to(WQ_WATERMARK);
         }
     }
 }
@@ -1310,6 +1326,155 @@ mod sys_fallback {
             }
             st.woken = false;
             out.append(&mut st.ready);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::acl::Acl;
+    use crate::config::ServerConfig;
+    use chirp_proto::testutil::TempDir;
+    use chirp_proto::transport::MemStream;
+    use chirp_proto::{Clock, OpenFlags};
+
+    /// A connection served over one end of an in-memory stream, and
+    /// the client's end.
+    fn conn(shared: &Arc<Shared>) -> (Conn, MemStream) {
+        let (a, b) = (
+            "127.0.0.1:1".parse().unwrap(),
+            "127.0.0.1:2".parse().unwrap(),
+        );
+        let (client, server) = MemStream::pair(a, b, Clock::wall());
+        client.set_nonblocking(true).unwrap();
+        server.set_nonblocking(true).unwrap();
+        (Conn::new(Box::new(server), a, 0, None, shared), client)
+    }
+
+    /// Deliver `bytes`, then pump until the turn ends short of its
+    /// budget, as the shard would on fresh readiness.
+    fn deliver(conn: &mut Conn, client: &mut MemStream, bytes: &[u8], shared: &Arc<Shared>) {
+        client.write_all(bytes).unwrap();
+        let mut scratch = vec![0u8; SCRATCH_START];
+        conn.readable = true;
+        while conn.pump(shared, &mut scratch) {}
+    }
+
+    fn replies(client: &mut MemStream) -> Vec<u8> {
+        let mut out = Vec::new();
+        let mut buf = [0u8; 4096];
+        loop {
+            match client.read(&mut buf) {
+                Ok(0) => return out,
+                Ok(n) => out.extend_from_slice(&buf[..n]),
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return out,
+                Err(e) => panic!("client read: {e}"),
+            }
+        }
+    }
+
+    fn auth() -> Request {
+        Request::Auth {
+            method: "hostname".into(),
+            name: "localhost".into(),
+            credential: String::new(),
+        }
+    }
+
+    fn utime() -> Request {
+        Request::Utime {
+            path: "/f".into(),
+            mtime: 1_000,
+        }
+    }
+
+    fn encode(reqs: &[Request]) -> Vec<u8> {
+        reqs.iter().flat_map(|r| r.encode().into_bytes()).collect()
+    }
+
+    /// A session's requests, with the `PWRITE` carrying `payload`. The
+    /// file's attributes are the same at every run's `OPEN`: its bytes
+    /// are rewritten as they were and its mtime is put back.
+    fn script(payload: &[u8]) -> Vec<u8> {
+        let length = payload.len() as u64;
+        let open = Request::Open {
+            path: "/f".into(),
+            flags: OpenFlags::read_write(),
+            mode: 0,
+        };
+        let pwrite = Request::Pwrite {
+            fd: 0,
+            length,
+            offset: 0,
+        };
+        let rest = [
+            Request::Pread {
+                fd: 0,
+                length,
+                offset: 0,
+            },
+            Request::Stat {
+                path: "/missing".into(),
+            },
+            Request::Close { fd: 0 },
+            utime(),
+            Request::Whoami,
+        ];
+        [
+            encode(&[auth(), open, pwrite]),
+            payload.to_vec(),
+            encode(&rest),
+        ]
+        .concat()
+    }
+
+    /// A server whose `/f` holds `payload`, with the mtime the script
+    /// puts back.
+    fn shared(dir: &TempDir, payload: &[u8]) -> Arc<Shared> {
+        let cfg = ServerConfig::localhost(dir.path(), "o")
+            .with_root_acl(Acl::single("hostname:*", "rwlda").unwrap());
+        let shared = Shared::new(cfg).unwrap();
+        std::fs::write(dir.path().join("f"), payload).unwrap();
+        let (mut conn, mut client) = conn(&shared);
+        deliver(&mut conn, &mut client, &encode(&[auth(), utime()]), &shared);
+        assert_eq!(replies(&mut client), b"0 hostname:localhost\n0\n");
+        shared
+    }
+
+    /// Requests split at every byte boundary, and a `PWRITE` payload
+    /// spanning several reads, are answered exactly as when they arrive
+    /// whole; and a drained connection keeps at most the watermark of
+    /// read buffer.
+    #[test]
+    fn requests_split_anywhere_are_answered_alike_and_leave_a_small_buffer() {
+        for payload in [b"0123456".to_vec(), vec![7u8; 3 * READ_CHUNK + 17]] {
+            let dir = TempDir::new();
+            let shared = shared(&dir, &payload);
+            let bytes = script(&payload);
+            let (mut whole, mut client) = conn(&shared);
+            deliver(&mut whole, &mut client, &bytes, &shared);
+            let want = replies(&mut client);
+            assert!(want.ends_with(b"0 hostname:localhost\n"), "{want:?}");
+            let cuts: Vec<usize> = if payload.len() < 64 {
+                (0..=bytes.len()).collect()
+            } else {
+                // The payload alone spans several reads; cut it too.
+                vec![0, 40, 40 + READ_CHUNK / 2, bytes.len() - 100]
+            };
+            for cut in cuts {
+                let (mut split, mut client) = conn(&shared);
+                deliver(&mut split, &mut client, &bytes[..cut], &shared);
+                deliver(&mut split, &mut client, &bytes[cut..], &shared);
+                assert_eq!(replies(&mut client), want, "split at byte {cut}");
+                assert!(!split.dead);
+                assert!(split.rbuf.is_empty());
+                assert!(
+                    split.rbuf.capacity() <= RBUF_WATERMARK,
+                    "split at byte {cut}: {} bytes of read buffer held",
+                    split.rbuf.capacity()
+                );
+            }
         }
     }
 }

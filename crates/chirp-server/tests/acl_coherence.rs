@@ -143,7 +143,7 @@ fn a_file_taking_a_missing_directorys_name_is_seen_at_once() {
         // /n is missing, so the root's ACL (no `r`, no `l`) governs.
         assert_eq!(prober.stat("/n/x").unwrap_err(), ChirpError::NotAuthorized);
     }
-    let fd = maker
+    let (fd, _) = maker
         .open("/n", OpenFlags::WRITE | OpenFlags::CREATE, 0o644)
         .unwrap();
     maker.close(fd).unwrap();
@@ -198,7 +198,7 @@ fn revoked_rights_deny_the_open_session_at_once() {
     let (mut admin, mut user) = (rig.connect(), rig.connect());
     admin.mkdir("/s", 0o755).unwrap();
     admin.putfile("/s/f", 0o644, b"payload").unwrap();
-    let fd = user.open("/s/f", OpenFlags::READ, 0).unwrap();
+    let (fd, _) = user.open("/s/f", OpenFlags::READ, 0).unwrap();
     user.stat("/s/f").unwrap();
     admin.setacl("/s", "hostname:*", "").unwrap();
     assert_eq!(user.stat("/s/f").unwrap_err(), ChirpError::NotAuthorized);
@@ -279,7 +279,7 @@ fn random_mirror_against_the_uncached_loader() {
             10 => {
                 let flags = OpenFlags::WRITE | OpenFlags::CREATE;
                 let opened = conns[actor].open(dir, flags, 0o644);
-                opened.and_then(|fd| conns[actor].close(fd))
+                opened.and_then(|(fd, _)| conns[actor].close(fd))
             }
             _ => conns[actor].unlink(dir),
         };

@@ -51,7 +51,7 @@ fn open(s: &mut Session, path: &str, flags: OpenFlags) -> i32 {
         },
         None,
     ) {
-        Ok(Reply::Value(fd)) => fd as i32,
+        Ok(Reply::Words(fd, _)) => fd as i32,
         other => panic!("open {path}: {other:?}"),
     }
 }

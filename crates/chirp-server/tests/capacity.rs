@@ -57,7 +57,7 @@ fn pwrite_extension_hits_the_cap_but_overwrites_do_not() {
     let dir = TempDir::new();
     let server = capped_server(dir.path(), 10_000);
     let mut conn = connect(&server);
-    let fd = conn
+    let (fd, _) = conn
         .open("/f", OpenFlags::read_write() | OpenFlags::CREATE, 0o644)
         .unwrap();
     conn.pwrite(fd, &vec![1u8; 9_000], 0).unwrap();
@@ -121,7 +121,7 @@ fn truncating_open_frees_the_old_bytes() {
     let server = capped_server(dir.path(), 10_000);
     let mut conn = connect(&server);
     for round in 0..10 {
-        let fd = conn
+        let (fd, _) = conn
             .open(
                 "/rewritten",
                 OpenFlags::WRITE | OpenFlags::CREATE | OpenFlags::TRUNCATE,

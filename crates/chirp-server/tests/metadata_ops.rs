@@ -122,7 +122,7 @@ fn open(s: &mut Session, path: &str) -> i32 {
         },
         None,
     );
-    let Ok(Reply::Value(fd)) = opened else {
+    let Ok(Reply::Words(fd, _)) = opened else {
         panic!("open {path}: {opened:?}");
     };
     fd as i32
@@ -229,7 +229,7 @@ fn listings_sort_by_the_escaped_name() {
             },
             None,
         );
-        let Ok(Reply::Value(fd)) = opened else {
+        let Ok(Reply::Words(fd, _)) = opened else {
             panic!("open /{name}: {opened:?}");
         };
         s.handle(Request::Close { fd: fd as i32 }, None).unwrap();

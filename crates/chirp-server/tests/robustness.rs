@@ -121,7 +121,7 @@ fn pwrite_on_readonly_descriptor_fails() {
     let mut conn = Connection::connect(server.addr(), Duration::from_secs(5)).unwrap();
     conn.authenticate(&[AuthMethod::Hostname]).unwrap();
     conn.putfile("/f", 0o644, b"data").unwrap();
-    let fd = conn.open("/f", OpenFlags::READ, 0).unwrap();
+    let (fd, _) = conn.open("/f", OpenFlags::READ, 0).unwrap();
     assert!(conn.pwrite(fd, b"overwrite", 0).is_err());
     // The file is untouched and the connection still works.
     assert_eq!(conn.getfile("/f").unwrap(), b"data");

@@ -88,7 +88,7 @@ fn descriptor_churn_never_exhausts_the_table() {
     let mut conn = connect(server.addr());
     // Open/close far more files than the table holds: slots recycle.
     for i in 0..200 {
-        let fd = conn
+        let (fd, _) = conn
             .open(
                 &format!("/churn-{}", i % 8),
                 OpenFlags::WRITE | OpenFlags::CREATE,
@@ -130,7 +130,7 @@ fn concurrent_appenders_interleave_without_loss() {
     for worker in 0..4u8 {
         handles.push(std::thread::spawn(move || {
             let mut conn = connect(addr);
-            let fd = conn
+            let (fd, _) = conn
                 .open("/log", OpenFlags::WRITE | OpenFlags::APPEND, 0)
                 .unwrap();
             for _ in 0..50 {

@@ -9,10 +9,10 @@
 //! `Cfs` also carries the *adapter's* recovery policy (paper §6): if
 //! the TCP connection is lost, the server has already closed our
 //! descriptors, so we reconnect with exponential backoff, re-open each
-//! file, and verify with `stat` that the file still has the same inode
-//! number. If it does not, the file was replaced or deleted while we
-//! were away, and the caller receives a "stale file handle" error, as
-//! in NFS.
+//! file, and verify from the attributes the `OPEN` answers with that
+//! the file still has the same inode number. If it does not, the file
+//! was replaced or deleted while we were away, and the caller receives
+//! a "stale file handle" error, as in NFS.
 //!
 //! That policy is one loop, [`Mount::recover`]: connect if needed,
 //! settle whatever reply is still owed on the stream, run the attempt,
@@ -503,8 +503,7 @@ fn reopen(
     flags: OpenFlags,
     identity: (u64, u64),
 ) -> ChirpResult<i32> {
-    let fd = conn.open(path, flags, 0)?;
-    let st = conn.fstat(fd)?;
+    let (fd, st) = conn.open(path, flags, 0)?;
     if (st.device, st.inode) != identity {
         let _ = conn.close(fd);
         return Err(ChirpError::Stale);
@@ -745,11 +744,12 @@ impl Drop for CfsHandle {
         let mut slot = self.mount.slot.lock();
         // Nobody is left to claim a prefetch of ours.
         slot.take_prefetch(self.fd, self.generation);
-        // Best-effort: if the connection died, the server has already
-        // closed the descriptor for us.
+        // Best-effort, so nobody waits for the verdict: the CLOSE rides
+        // the next request on the stream. If the connection died, the
+        // server has already closed the descriptor for us.
         if slot.generation == self.generation {
             if let Some(conn) = slot.conn.as_mut() {
-                let _ = conn.close(self.fd);
+                let _ = conn.close_later(self.fd);
             }
         }
     }
@@ -762,21 +762,16 @@ impl FileSystem for Cfs {
         if self.mount.config.sync_writes {
             flags |= OpenFlags::SYNC;
         }
-        let reopen_flags = reopen_flags_of(flags);
+        // The OPEN answers with the attributes the handle's identity
+        // comes from, so it is the whole attempt.
         let (fd, st, generation) = self.mount.recover(|conn, generation| {
-            let fd = conn.open(&full, flags, mode)?;
-            // The one-shot bits have now had their effect. If the
-            // connection dies under the fstat, the replay must not ask
-            // for them again: an exclusive create would be refused by
-            // the file it just made.
-            flags = reopen_flags;
-            let st = conn.fstat(fd)?;
+            let (fd, st) = conn.open(&full, flags, mode)?;
             Ok((fd, st, generation))
         })?;
         Ok(Box::new(CfsHandle {
             mount: self.mount.clone(),
             path: full,
-            reopen_flags,
+            reopen_flags: reopen_flags_of(flags),
             fd,
             generation,
             identity: (st.device, st.inode),

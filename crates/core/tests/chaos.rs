@@ -224,10 +224,13 @@ fn exclusive_create_survives_a_kill_at_any_rpc_of_its_open() {
     let seed = announce("exclusive_create_survives_a_kill_at_any_rpc_of_its_open");
     let dir = TempDir::new();
     let server = open_server(dir.path());
-    // An open is a handshake, an OPEN and an FSTAT. Wherever in that
-    // run the connection dies, the replay must succeed — in particular
-    // after the OPEN landed, when asking for an exclusive create again
-    // would be refused by the file it just made.
+    // An open is a handshake and an OPEN, whose reply carries the
+    // attributes the handle's identity comes from; the first PWRITE
+    // follows. A kill at RPC 1 or 2 lands inside the open, and the
+    // replay must succeed; a kill at RPC 3 lands after the OPEN did,
+    // so the handle re-opens, and asking for an exclusive create again
+    // there would be refused by the file it just made. Later RPC
+    // numbers are never reached while the handle is open.
     let mut kills = 0;
     for n in 1..=6 {
         let plan = FaultPlan::new(seed).rule(FaultTrigger::NthRpc(n), FaultAction::KillMidFrame);
@@ -238,12 +241,11 @@ fn exclusive_create_survives_a_kill_at_any_rpc_of_its_open() {
             .open(&format!("/x{n}"), flags, 0o644)
             .unwrap_or_else(|e| panic!("kill at RPC {n} of the open: {e}"));
         h.pwrite(b"mine", 0).unwrap();
-        kills += proxy.stats().kills;
+        let landed = proxy.stats().kills;
+        assert_eq!(landed, u64::from(n <= 3), "kill at RPC {n}");
+        kills += landed;
     }
-    assert!(
-        kills >= 3,
-        "the kills never landed inside an open ({kills})"
-    );
+    assert_eq!(kills, 3, "one kill at each of RPCs 1-3 ({kills})");
 }
 
 #[test]

@@ -981,7 +981,7 @@ mod tests {
         verify_post_state(&fs, &model, None, false).expect("clean state accepted");
         // Plant a data file no stub references, behind the fs's back.
         let mut conn = h.sim.connect(0);
-        let fd = conn
+        let (fd, _) = conn
             .open(
                 "/teeth1/planted.data",
                 OpenFlags::WRITE | OpenFlags::CREATE,

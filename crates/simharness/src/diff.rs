@@ -30,6 +30,10 @@ use crate::model::ModelServer;
 pub enum OpResult {
     /// A numeric success (descriptor, byte count).
     Val(i32),
+    /// An `OPEN`'s descriptor and the attributes it answered with,
+    /// normalized as [`OpResult::Stat`]: the oracle holds them to the
+    /// opened file's state exactly as it holds `FSTAT`'s.
+    Opened(i32, bool, u64),
     /// Plain success with no interesting value.
     Unit,
     /// Returned bytes (`PREAD`) or rendered text (`GETACL`).
@@ -57,6 +61,13 @@ impl OpResult {
     pub(crate) fn from_val(r: ChirpResult<i32>) -> OpResult {
         match r {
             Ok(v) => OpResult::Val(v),
+            Err(e) => OpResult::Err(e),
+        }
+    }
+
+    pub(crate) fn from_open(r: ChirpResult<(i32, (bool, u64))>) -> OpResult {
+        match r {
+            Ok((fd, (is_dir, size))) => OpResult::Opened(fd, is_dir, if is_dir { 0 } else { size }),
             Err(e) => OpResult::Err(e),
         }
     }
@@ -249,7 +260,11 @@ impl<'a> DiffRunner<'a> {
             }
         };
         match op {
-            Op::Open { path, flags } => OpResult::from_val(self.conn.open(&p(path), *flags, 0o644)),
+            Op::Open { path, flags } => OpResult::from_open(
+                self.conn
+                    .open(&p(path), *flags, 0o644)
+                    .map(|(fd, st)| (fd, (st.is_dir(), st.size))),
+            ),
             Op::Close { fd } => OpResult::from_unit(self.conn.close(*fd)),
             Op::Pread { fd, len, off } => OpResult::from_data(self.conn.pread(*fd, *len, *off)),
             Op::Pwrite { fd, data, off } => {

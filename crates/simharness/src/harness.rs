@@ -335,7 +335,7 @@ mod tests {
         let sim = SimTss::builder().servers(2).build();
         for i in 0..2 {
             let mut conn = sim.connect(i);
-            let fd = conn
+            let (fd, _) = conn
                 .open("/hello", OpenFlags::read_write() | OpenFlags::CREATE, 0o644)
                 .unwrap();
             assert_eq!(conn.pwrite(fd, b"tactical", 0).unwrap(), 8);

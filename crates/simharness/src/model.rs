@@ -632,7 +632,10 @@ impl ModelServer {
     pub fn apply(&mut self, op: &crate::gen::Op) -> OpResult {
         use crate::gen::Op;
         match op {
-            Op::Open { path, flags } => OpResult::from_val(self.open(path, *flags)),
+            Op::Open { path, flags } => OpResult::from_open(
+                self.open(path, *flags)
+                    .and_then(|fd| Ok((fd, self.fstat(fd)?))),
+            ),
             Op::Close { fd } => OpResult::from_unit(self.close(*fd)),
             Op::Pread { fd, len, off } => OpResult::from_data(self.pread(*fd, *len, *off)),
             Op::Pwrite { fd, data, off } => {

@@ -164,7 +164,7 @@ fn kill_mid_frame_with_three_in_flight_keeps_settled_replies() {
     );
 
     let mut conn = sim.connect_via(&killer.dialer(), 0);
-    let fd = conn
+    let (fd, _) = conn
         .open(
             "/inflight",
             OpenFlags::read_write() | OpenFlags::CREATE,
@@ -233,7 +233,7 @@ fn kill_mid_frame_with_three_in_flight_keeps_settled_replies() {
     // recorded offsets (positional writes make the replay idempotent
     // even if the server applied B before the stream died).
     let mut conn = sim.connect_via(&killer.dialer(), 0);
-    let fd = conn.open("/inflight", OpenFlags::read_write(), 0).unwrap();
+    let (fd, _) = conn.open("/inflight", OpenFlags::read_write(), 0).unwrap();
     assert_eq!(conn.pwrite(fd, &chunk(b'B'), 8).unwrap(), 8);
     assert_eq!(conn.pwrite(fd, &chunk(b'C'), 16).unwrap(), 8);
 
@@ -295,8 +295,8 @@ fn killed_prefetch_stream_replays_reads_at_the_right_offset() {
 /// Accounting half of the ISSUE-5 regression: with read-ahead off,
 /// every RPC is synchronous, so each injected kill severs exactly one
 /// stream and surfaces as exactly one counted retry. The period (7)
-/// is deliberately longer than the 4-RPC recovery cycle
-/// (AUTH/OPEN/FSTAT/retried PREAD) so a retried operation always
+/// is deliberately longer than the 3-RPC recovery cycle
+/// (AUTH/OPEN/retried PREAD) so a retried operation always
 /// completes before the next fault — no resonance, strict 1:1.
 #[test]
 fn retry_counters_equal_injected_fault_count() {

@@ -74,13 +74,13 @@ fn disconnect_closes_all_descriptors() {
 
     // Hold several descriptors, including one on an unlinked file
     // (the classic held-inode case).
-    let a = conn
+    let (a, _) = conn
         .open("/a", OpenFlags::read_write() | OpenFlags::CREATE, 0o644)
         .unwrap();
-    let b = conn
+    let (b, _) = conn
         .open("/b", OpenFlags::read_write() | OpenFlags::CREATE, 0o644)
         .unwrap();
-    let c = conn
+    let (c, _) = conn
         .open("/c", OpenFlags::read_write() | OpenFlags::CREATE, 0o644)
         .unwrap();
     assert_eq!((a, b, c), (0, 1, 2), "descriptors allocate densely");
@@ -102,7 +102,7 @@ fn disconnect_closes_all_descriptors() {
         chirp_proto::ChirpError::BadFd,
         "descriptors must not survive their session"
     );
-    let fresh = conn.open("/b", OpenFlags::READ, 0).unwrap();
+    let (fresh, _) = conn.open("/b", OpenFlags::READ, 0).unwrap();
     assert_eq!(fresh, 0, "fd numbering restarts for a fresh session");
 }
 

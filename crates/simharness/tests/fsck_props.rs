@@ -79,7 +79,7 @@ fn plant(
     }
     // Orphans: data files no stub references.
     for i in 0..n_orphan {
-        let fd = conn
+        let (fd, _) = conn
             .open(
                 &format!("{VOLUME}/orphan{i}.data"),
                 OpenFlags::WRITE | OpenFlags::CREATE,
