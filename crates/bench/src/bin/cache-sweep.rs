@@ -4,8 +4,9 @@
 //! rate of an LRU cache moves as its budget crosses the working set
 //! (`predict_uniform_hit_rate`, the same law behind the Figure 7
 //! crossover), and this binary *measures* the real server — the
-//! production handler stack with the page cache enabled — under the
-//! identical uniform access stream, then prints both side by side.
+//! production handler stack with the page cache enabled, which evicts
+//! by CLOCK, an LRU approximation — under the identical uniform
+//! access stream, then prints both side by side.
 //! A model that disagrees with the live system here is wrong about
 //! the one mechanism the scaling experiments lean on.
 //!

@@ -1,4 +1,4 @@
-//! The server-side buffer cache: sharded, page-granular LRU.
+//! The server-side buffer cache: sharded, page-granular CLOCK.
 //!
 //! The paper's testbed model assumes every server fronts its disk
 //! with an LRU buffer cache (§7), and `simnet` simulates one; this
@@ -7,6 +7,10 @@
 //! shards so concurrent connection threads don't serialize on one
 //! lock, and a hit hands back `Arc`'d pages the reply path writes
 //! straight to the socket — zero disk I/O, at most one copy.
+//!
+//! Eviction is CLOCK (second chance), approximating `simnet`'s LRU:
+//! a hit only sets its page's `referenced` bit, and a full shard's
+//! hand clears set bits until it meets a page without one.
 //!
 //! Coherence rules (all enforced here, validated by the differential
 //! oracle replaying seeded op mixes with the cache on):
@@ -30,7 +34,7 @@
 //!   cache, so when the inode number is recycled by a later create
 //!   no stale pages can be attributed to the new file.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::fs::File;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, Weak};
@@ -183,7 +187,20 @@ struct Entry {
     /// Bytes of `data` that mirror the file; the rest are zero. Only
     /// the file's last page may be partially valid.
     valid: usize,
-    tick: u64,
+    /// This page's index in its shard's `ring`.
+    slot: usize,
+    /// Read since the hand last passed.
+    referenced: bool,
+}
+
+impl Entry {
+    /// A hit. The bit is written only when clear, so a page that
+    /// keeps being read keeps its cache line clean.
+    fn touch(&mut self) {
+        if !self.referenced {
+            self.referenced = true;
+        }
+    }
 }
 
 /// A multiply-mix hasher for the page maps. The std default (SipHash)
@@ -214,34 +231,32 @@ type PageMap = HashMap<(FileKey, u64), Entry, std::hash::BuildHasherDefault<Page
 #[derive(Debug, Default)]
 struct Shard {
     map: PageMap,
-    /// LRU order: tick -> page key. Ticks are unique per shard.
-    lru: BTreeMap<u64, (FileKey, u64)>,
-    tick: u64,
-    /// Amortized-LRU window: a page touched within the last `lazy`
-    /// ticks keeps its place in the recency index instead of paying
-    /// two B-tree operations per hit. Zero on small shards, where
-    /// eviction order must be exact to mean anything.
-    lazy: u64,
+    /// The resident page keys, in no order but the hand's.
+    ring: Vec<(FileKey, u64)>,
+    /// The next slot the hand looks at.
+    hand: usize,
 }
 
 impl Shard {
-    fn touch(&mut self, key: (FileKey, u64)) {
-        self.tick += 1;
-        let tick = self.tick;
-        if let Some(e) = self.map.get_mut(&key) {
-            if tick - e.tick < self.lazy {
-                return;
+    /// Advance the hand, clearing `referenced` bits, to the first
+    /// page that has none; return its slot, with the hand past it.
+    fn victim(&mut self) -> usize {
+        loop {
+            let slot = self.hand % self.ring.len();
+            self.hand = slot + 1;
+            let entry = self.map.get_mut(&self.ring[slot]);
+            if !std::mem::take(&mut entry.expect("ring key resident").referenced) {
+                return slot;
             }
-            self.lru.remove(&e.tick);
-            e.tick = tick;
-            self.lru.insert(tick, key);
         }
     }
 
-    fn remove(&mut self, key: (FileKey, u64)) -> Option<Entry> {
-        let e = self.map.remove(&key)?;
-        self.lru.remove(&e.tick);
-        Some(e)
+    fn remove(&mut self, key: (FileKey, u64)) {
+        let slot = self.map.remove(&key).expect("ring key resident").slot;
+        self.ring.swap_remove(slot);
+        if let Some(moved) = self.ring.get(slot) {
+            self.map.get_mut(moved).expect("ring key resident").slot = slot;
+        }
     }
 }
 
@@ -278,22 +293,10 @@ impl PageCache {
         // Shard only when each shard still holds a useful number of
         // pages; a pathological 2-page cache collapses to one shard.
         let shards = (total_pages / 4).clamp(1, 8) as usize;
-        let shard_budget = (total_pages / shards as u64).max(1);
         PageCache {
             page,
-            shard_budget,
-            shards: (0..shards)
-                .map(|_| {
-                    Mutex::new(Shard {
-                        // An eighth of the budget: pages that recently
-                        // hit sit far from the LRU end, so deferring
-                        // their reorder cannot change a victim choice
-                        // by more than that margin.
-                        lazy: shard_budget / 8,
-                        ..Shard::default()
-                    })
-                })
-                .collect(),
+            shard_budget: (total_pages / shards as u64).max(1),
+            shards: (0..shards).map(|_| Mutex::default()).collect(),
             epochs: (0..EPOCH_STRIPES).map(|_| AtomicU64::new(0)).collect(),
             bypass_bytes: (capacity / 2).max(page as u64),
             hits: registry.counter("cache.hits"),
@@ -338,25 +341,37 @@ impl PageCache {
         self.epoch_cell(key).fetch_add(1, Ordering::Release);
     }
 
-    fn insert(&self, key: FileKey, idx: u64, data: Arc<Vec<u8>>, valid: usize) {
-        let mut shard = self.shard_for(key, idx).lock().expect("shard poisoned");
-        shard.tick += 1;
-        let tick = shard.tick;
-        if shard.remove((key, idx)).is_none() {
-            // A genuinely new page: make room first.
-            while shard.map.len() as u64 >= self.shard_budget {
-                let Some((&t, &victim)) = shard.lru.iter().next() else {
-                    break;
-                };
-                shard.lru.remove(&t);
-                shard.map.remove(&victim);
-                self.evicted.inc();
-                self.resident.adjust(-(self.page as i64));
-            }
-            self.resident.adjust(self.page as i64);
+    /// Cache a page read from disk while `key`'s epoch was `epoch`.
+    /// The epoch is checked under the shard lock: a mutation that
+    /// bumps it later patches or drops this page after we unlock.
+    fn insert(&self, key: FileKey, idx: u64, data: Arc<Vec<u8>>, valid: usize, epoch: u64) {
+        let mut guard = self.shard_for(key, idx).lock().expect("shard poisoned");
+        if self.epoch_cell(key).load(Ordering::Acquire) != epoch {
+            return;
         }
-        shard.map.insert((key, idx), Entry { data, valid, tick });
-        shard.lru.insert(tick, (key, idx));
+        let shard = &mut *guard;
+        if shard.map.contains_key(&(key, idx)) {
+            // A racing reader filled it first, from the same disk bytes.
+            return;
+        }
+        let slot = if shard.ring.len() as u64 >= self.shard_budget {
+            let slot = shard.victim();
+            let victim = std::mem::replace(&mut shard.ring[slot], (key, idx));
+            shard.map.remove(&victim);
+            self.evicted.inc();
+            slot
+        } else {
+            shard.ring.push((key, idx));
+            self.resident.adjust(self.page as i64);
+            shard.ring.len() - 1
+        };
+        let entry = Entry {
+            data,
+            valid,
+            slot,
+            referenced: false,
+        };
+        shard.map.insert((key, idx), entry);
     }
 
     /// Serve `length` bytes at `offset` from a file of `size` bytes,
@@ -380,36 +395,29 @@ impl PageCache {
         let first = offset / page;
         let last = (end - 1) / page;
         let mut slices = Vec::with_capacity((last - first + 1) as usize);
-        for idx in first..=last {
+        // Hits are added up and counted once per read: two shared
+        // atomics per page cost more than the rest of a hit.
+        let (mut hits, mut hit_bytes) = (0, 0);
+        let filled = (first..=last).try_for_each(|idx| {
             let page_off = idx * page;
             let s = (offset.max(page_off) - page_off) as usize;
             let e = (end.min(page_off + page) - page_off) as usize;
             // Bytes of this page the file actually backs.
             let want = (size - page_off).min(page) as usize;
             let cached = {
-                let mut guard = self.shard_for(key, idx).lock().expect("shard poisoned");
-                // One map lookup per hit: the recency touch reuses the
-                // entry reference instead of re-hashing the key.
-                let shard = &mut *guard;
-                shard.tick += 1;
-                let tick = shard.tick;
+                let mut shard = self.shard_for(key, idx).lock().expect("shard poisoned");
                 match shard.map.get_mut(&(key, idx)) {
                     Some(entry) if entry.valid >= e => {
-                        let data = entry.data.clone();
-                        if tick - entry.tick >= shard.lazy {
-                            shard.lru.remove(&entry.tick);
-                            entry.tick = tick;
-                            shard.lru.insert(tick, (key, idx));
-                        }
-                        Some(data)
+                        entry.touch();
+                        Some(entry.data.clone())
                     }
                     _ => None,
                 }
             };
             let data = match cached {
                 Some(data) => {
-                    self.hits.inc();
-                    self.bytes_from_cache.add((e - s) as u64);
+                    hits += 1;
+                    hit_bytes += (e - s) as u64;
                     data
                 }
                 None => {
@@ -422,11 +430,8 @@ impl PageCache {
                     // racing truncate); serve what the disk has and
                     // skip the insert — the epoch moved anyway.
                     let data = Arc::new(buf);
-                    if allow_insert
-                        && got == want
-                        && self.epoch_cell(key).load(Ordering::Acquire) == epoch
-                    {
-                        self.insert(key, idx, data.clone(), want);
+                    if allow_insert && got == want {
+                        self.insert(key, idx, data.clone(), want, epoch);
                     }
                     data
                 }
@@ -436,7 +441,13 @@ impl PageCache {
                 start: s,
                 end: e,
             });
+            Ok(())
+        });
+        if hits > 0 {
+            self.hits.add(hits);
+            self.bytes_from_cache.add(hit_bytes);
         }
+        filled?;
         Ok(PageReply {
             total: (end - offset) as usize,
             slices,
@@ -460,12 +471,11 @@ impl PageCache {
             let page_off = idx * page;
             let want = (size - page_off).min(page) as usize;
             let mut shard = self.shard_for(key, idx).lock().expect("shard poisoned");
-            match shard.map.get(&(key, idx)) {
+            match shard.map.get_mut(&(key, idx)) {
                 Some(entry) if entry.valid >= want => {
-                    let data = entry.data.clone();
-                    shard.touch((key, idx));
+                    entry.touch();
                     slices.push(PageSlice {
-                        page: data,
+                        page: entry.data.clone(),
                         start: 0,
                         end: want,
                     });
@@ -505,22 +515,25 @@ impl PageCache {
                 let buf = Arc::make_mut(&mut entry.data);
                 buf[s..e].copy_from_slice(&data[src..src + (e - s)]);
                 entry.valid = entry.valid.max(e);
-                shard.touch((key, idx));
+                entry.touch();
             }
         }
-        if end > old_size && !old_size.is_multiple_of(page) {
-            // The old partial last page: everything between the old
-            // EOF and the write (or the page end) is a zero-filled
-            // gap, which the zero-tail invariant already covers.
-            let idx = old_size / page;
-            let page_off = idx * page;
-            if end > page_off {
-                let new_valid = (end - page_off).min(page) as usize;
-                let mut shard = self.shard_for(key, idx).lock().expect("shard poisoned");
-                if let Some(entry) = shard.map.get_mut(&(key, idx)) {
-                    entry.valid = entry.valid.max(new_valid);
-                }
-            }
+        self.grow(key, old_size, end);
+    }
+
+    /// The file grew from `old_size` to `new_size`: its old partial
+    /// last page is now backed up to the page end (or the new EOF) by
+    /// a zero-filled gap, which the zero-tail invariant already holds.
+    fn grow(&self, key: FileKey, old_size: u64, new_size: u64) {
+        let page = self.page as u64;
+        if new_size <= old_size || old_size.is_multiple_of(page) {
+            return;
+        }
+        let idx = old_size / page;
+        let new_valid = (new_size - idx * page).min(page) as usize;
+        let mut shard = self.shard_for(key, idx).lock().expect("shard poisoned");
+        if let Some(entry) = shard.map.get_mut(&(key, idx)) {
+            entry.valid = entry.valid.max(new_valid);
         }
     }
 
@@ -533,42 +546,20 @@ impl PageCache {
             return;
         }
         self.bump_epoch(key);
+        if new_size > old_size {
+            return self.grow(key, old_size, new_size);
+        }
         let page = self.page as u64;
-        if new_size < old_size {
-            for shard in &self.shards {
-                let mut shard = shard.lock().expect("shard poisoned");
-                let doomed: Vec<(FileKey, u64)> = shard
-                    .map
-                    .keys()
-                    .filter(|(k, idx)| *k == key && idx * page >= new_size)
-                    .copied()
-                    .collect();
-                for k in doomed {
-                    shard.remove(k);
-                    self.invalidated.inc();
-                    self.resident.adjust(-(self.page as i64));
-                }
-            }
-            if !new_size.is_multiple_of(page) {
-                let idx = new_size / page;
-                let new_valid = (new_size % page) as usize;
-                let mut shard = self.shard_for(key, idx).lock().expect("shard poisoned");
-                if let Some(entry) = shard.map.get_mut(&(key, idx)) {
-                    if entry.valid > new_valid {
-                        Arc::make_mut(&mut entry.data)[new_valid..entry.valid].fill(0);
-                        entry.valid = new_valid;
-                    }
-                }
-            }
-        } else if !old_size.is_multiple_of(page) {
-            // Growth: the old partial last page is now backed by
-            // zeros up to the page end (or the new EOF).
-            let idx = old_size / page;
-            let page_off = idx * page;
-            let new_valid = (new_size - page_off).min(page) as usize;
+        self.drop_pages(key, new_size.div_ceil(page));
+        if !new_size.is_multiple_of(page) {
+            let idx = new_size / page;
+            let new_valid = (new_size % page) as usize;
             let mut shard = self.shard_for(key, idx).lock().expect("shard poisoned");
             if let Some(entry) = shard.map.get_mut(&(key, idx)) {
-                entry.valid = entry.valid.max(new_valid);
+                if entry.valid > new_valid {
+                    Arc::make_mut(&mut entry.data)[new_valid..entry.valid].fill(0);
+                    entry.valid = new_valid;
+                }
             }
         }
     }
@@ -576,18 +567,25 @@ impl PageCache {
     /// Drop every page of `key` (unlink, clobbering rename, putfile).
     pub fn invalidate(&self, key: FileKey) {
         self.bump_epoch(key);
+        self.drop_pages(key, 0);
+    }
+
+    /// Drop `key`'s pages from index `first` on.
+    fn drop_pages(&self, key: FileKey, first: u64) {
         for shard in &self.shards {
             let mut shard = shard.lock().expect("shard poisoned");
             let doomed: Vec<(FileKey, u64)> = shard
-                .map
-                .keys()
-                .filter(|(k, _)| *k == key)
+                .ring
+                .iter()
+                .filter(|&&(k, idx)| k == key && idx >= first)
                 .copied()
                 .collect();
-            for k in doomed {
+            for &k in &doomed {
                 shard.remove(k);
-                self.invalidated.inc();
-                self.resident.adjust(-(self.page as i64));
+            }
+            if !doomed.is_empty() {
+                self.invalidated.add(doomed.len() as u64);
+                self.resident.adjust(-((doomed.len() * self.page) as i64));
             }
         }
     }
@@ -623,6 +621,7 @@ fn read_at(file: &File, buf: &mut [u8], offset: u64) -> ChirpResult<usize> {
 mod tests {
     use super::*;
     use chirp_proto::testutil::TempDir;
+    use proptest::prelude::*;
 
     fn open(dir: &TempDir, name: &str, content: &[u8]) -> (File, FileKey, u64) {
         let path = dir.path().join(name);
@@ -690,6 +689,34 @@ mod tests {
         assert_eq!(cache.misses.get(), 8);
         cache.read(&file, key, 0, 1024, size, true).unwrap();
         assert_eq!(cache.misses.get(), 9);
+    }
+
+    #[test]
+    fn clock_gives_a_referenced_page_a_second_chance() {
+        let dir = TempDir::new();
+        let data = content(8 * 1024);
+        let (file, key, size) = open(&dir, "f", &data);
+        let cache = PageCache::new(3 * 1024, 1024, &Registry::new());
+        assert_eq!(cache.shards.len(), 1);
+        let read = |i: u64| cache.read(&file, key, i * 1024, 1024, size, true).unwrap();
+        let resident = |i: u64| cache.shards[0].lock().unwrap().map.contains_key(&(key, i));
+        for i in 0..3 {
+            read(i); // A, B, C
+        }
+        read(0); // hit A
+        assert_eq!(cache.hits.get(), 1);
+        read(3); // D: the hand spares A, clearing its bit, and takes B
+        assert_eq!(cache.evicted.get(), 1);
+        assert!(resident(0) && !resident(1) && resident(2) && resident(3));
+        // With nothing read again, a scan evicts in the order the pages
+        // entered, A counting from its second chance: C, A, D, E.
+        for (i, gone) in [(4, 2), (5, 0), (6, 3), (7, 4)] {
+            read(i);
+            assert!(!resident(gone), "page {i} should evict page {gone}");
+            assert!(resident(i - 1) && resident(i));
+        }
+        assert_eq!(cache.evicted.get(), 5);
+        assert_eq!(cache.hits.get(), 1);
     }
 
     #[test]
@@ -800,6 +827,14 @@ mod tests {
         let key = file_key(&file.metadata().unwrap());
         let cache = PageCache::new(4 * 1024, 1024, &Registry::new());
         std::thread::scope(|s| {
+            // Drops pages while readers insert and evict, so the ring's
+            // swap-removes race its fills and its hand.
+            s.spawn(|| {
+                for _ in 0..500 {
+                    cache.invalidate(key);
+                    std::thread::yield_now();
+                }
+            });
             for t in 0..4u64 {
                 let cache = &cache;
                 let file = &file;
@@ -823,5 +858,94 @@ mod tests {
         let disk = std::fs::read(&path).unwrap();
         let r = cache.read(&file, key, 0, 8192, 8192, true).unwrap();
         assert_eq!(collect(&r), disk, "cache diverged from disk at rest");
+    }
+
+    /// Ring and map name the same pages, each entry's `slot` indexes
+    /// its own key, and the resident gauge counts exactly those pages.
+    fn check_ring(cache: &PageCache, capacity: u64) {
+        let mut pages = 0;
+        for shard in &cache.shards {
+            let shard = shard.lock().unwrap();
+            assert_eq!(shard.ring.len(), shard.map.len());
+            assert!(shard.ring.len() as u64 <= cache.shard_budget);
+            for (slot, key) in shard.ring.iter().enumerate() {
+                assert_eq!(shard.map[key].slot, slot, "{key:?}");
+            }
+            pages += shard.ring.len() as i64;
+        }
+        assert_eq!(cache.resident_bytes(), pages * cache.page as i64);
+        assert!(cache.resident_bytes() as u64 <= capacity);
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        Read(u64, usize),
+        Write(u64, usize, u8),
+        Truncate(u64),
+        Invalidate,
+    }
+
+    const PAGE: usize = 512;
+    const SPAN: u64 = 40 * PAGE as u64;
+
+    /// Reads half the time, then writes, truncates and invalidations.
+    fn op() -> impl Strategy<Value = Op> {
+        (0..8u8, 0..SPAN, 1..3 * PAGE, any::<u8>()).prop_map(|(kind, off, len, byte)| match kind {
+            0..=3 => Op::Read(off, 3 * len),
+            4 | 5 => Op::Write(off, len, byte),
+            6 => Op::Truncate(off),
+            _ => Op::Invalidate,
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+        #[test]
+        fn clock_ring_stays_coherent_with_a_flat_mirror(
+            ops in proptest::collection::vec(op(), 1..80),
+        ) {
+            use std::os::unix::fs::FileExt;
+            // One shard of 3 pages, then 8 shards of 4.
+            for pages in [3, 32] {
+                let capacity = pages * PAGE as u64;
+                let dir = TempDir::new();
+                let mut mirror = content(SPAN as usize / 2);
+                let path = dir.path().join("f");
+                std::fs::write(&path, &mirror).unwrap();
+                let file = std::fs::OpenOptions::new().read(true).write(true).open(&path).unwrap();
+                let key = file_key(&file.metadata().unwrap());
+                let cache = PageCache::new(capacity, PAGE, &Registry::new());
+                prop_assert_eq!(cache.shards.len(), if pages == 3 { 1 } else { 8 });
+                for op in &ops {
+                    let size = mirror.len() as u64;
+                    match *op {
+                        Op::Read(off, len) => {
+                            let r = cache.read(&file, key, off, len, size, true).unwrap();
+                            let lo = (off as usize).min(mirror.len());
+                            let hi = (off as usize + len).min(mirror.len());
+                            prop_assert_eq!(collect(&r), &mirror[lo..hi], "{:?}", op);
+                        }
+                        Op::Write(off, len, byte) => {
+                            let buf = vec![byte; len];
+                            file.write_all_at(&buf, off).unwrap();
+                            cache.write_through(key, off, &buf, size);
+                            let end = off as usize + len;
+                            if end > mirror.len() {
+                                mirror.resize(end, 0);
+                            }
+                            mirror[off as usize..end].copy_from_slice(&buf);
+                        }
+                        Op::Truncate(new) => {
+                            file.set_len(new).unwrap();
+                            cache.truncate(key, size, new);
+                            mirror.resize(new as usize, 0);
+                        }
+                        Op::Invalidate => cache.invalidate(key),
+                    }
+                    check_ring(&cache, capacity);
+                }
+            }
+        }
     }
 }
