@@ -16,7 +16,6 @@ use std::sync::Arc;
 use chirp_proto::escape::escape;
 use chirp_proto::fs::{FileHandle, FileSystem};
 use chirp_proto::localfs::{meta_to_stat, read_full_at, LocalHandle};
-use chirp_proto::persist::is_crash;
 use chirp_proto::{ChirpError, ChirpResult, OpenFlags, Request, StatFs};
 
 use crate::acl::{wildcard_match, Acl, Rights};
@@ -235,16 +234,11 @@ impl Session {
     }
 
     /// Start a `PUTFILE`: run every pre-payload check and open the
-    /// target. `Ok` always consumes the payload — either into the file
-    /// or down the drain (a rejected upload still owes the stream
-    /// `length` bytes of framing). `Err` means the open itself failed
-    /// *after* the checks passed; no payload has been consumed.
-    pub fn begin_putfile(
-        &mut self,
-        path: &str,
-        mode: u32,
-        length: u64,
-    ) -> ChirpResult<PutfileUpload> {
+    /// target. The upload always consumes the payload — either into
+    /// the file or down the drain: a rejected upload, whether refused
+    /// by a check or by the open itself, still owes the stream
+    /// `length` bytes of framing.
+    pub fn begin_putfile(&mut self, path: &str, mode: u32, length: u64) -> PutfileUpload {
         let checked = (|| -> ChirpResult<PathBuf> {
             self.require_subject()?;
             let (dir, leaf) = self.shared.jail.resolve_parent(path)?;
@@ -253,13 +247,13 @@ impl Session {
         })();
         let host = match checked {
             Ok(p) => p,
-            Err(e) => return Ok(PutfileUpload::discard(length, e)),
+            Err(e) => return PutfileUpload::discard(length, e),
         };
         // Capacity policy: a replaced file frees its old bytes first.
         let old_size = std::fs::metadata(&host).map(|m| m.len()).unwrap_or(0);
         let growth = length.saturating_sub(old_size);
         if self.shared.over_capacity(growth) {
-            return Ok(PutfileUpload::discard(length, ChirpError::NoSpace));
+            return PutfileUpload::discard(length, ChirpError::NoSpace);
         }
         // The open announces the whole streamed upload's one durability
         // point; the chunks announce none. The crash harness drives
@@ -267,13 +261,9 @@ impl Session {
         let flags = OpenFlags::WRITE | OpenFlags::CREATE | OpenFlags::TRUNCATE;
         let (handle, meta) = match self.shared.fs.open_handle(path, flags, mode) {
             Ok(opened) => opened,
-            // Killed at that point, the server still drains the payload.
-            Err(e) if is_crash(&e) => {
-                return Ok(PutfileUpload::discard(length, ChirpError::from_io(&e)))
-            }
-            Err(e) => return Err(ChirpError::from_io(&e)),
+            Err(e) => return PutfileUpload::discard(length, ChirpError::from_io(&e)),
         };
-        Ok(PutfileUpload {
+        PutfileUpload {
             remaining: length,
             length,
             fate: UploadFate::Write {
@@ -281,7 +271,7 @@ impl Session {
                 key: file_key(&meta),
                 old_size,
             },
-        })
+        }
     }
 
     /// Deliver the next payload chunk of an upload started by

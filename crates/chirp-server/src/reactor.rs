@@ -786,19 +786,16 @@ impl Conn {
         match parsed {
             Err(e) => self.queue_reply(shared, op, bytes_in, span, Err(e)),
             Ok(Request::Putfile { path, mode, length }) => {
-                match self.session.begin_putfile(&path, mode, length) {
-                    Err(e) => self.queue_reply(shared, op, bytes_in, span, Err(e)),
-                    Ok(upload) if upload.remaining() == 0 => {
-                        let reply = self.session.finish_putfile(upload);
-                        self.queue_reply(shared, op, bytes_in, span, reply);
-                    }
-                    Ok(upload) => {
-                        self.rstate = RState::Putfile {
-                            upload,
-                            span,
-                            bytes_in,
-                        };
-                    }
+                let upload = self.session.begin_putfile(&path, mode, length);
+                if upload.remaining() == 0 {
+                    let reply = self.session.finish_putfile(upload);
+                    self.queue_reply(shared, op, bytes_in, span, reply);
+                } else {
+                    self.rstate = RState::Putfile {
+                        upload,
+                        span,
+                        bytes_in,
+                    };
                 }
             }
             Ok(Request::Thirdput {

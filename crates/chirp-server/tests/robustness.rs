@@ -170,6 +170,33 @@ fn payload_of_rejected_putfile_does_not_desync_the_stream() {
     // Next RPC on the same connection parses cleanly.
     assert_eq!(conn.whoami().unwrap(), "hostname:localhost");
     assert!(conn.getdir("/").unwrap().is_empty());
+
+    // An upload whose open fails after the rights check passed — no
+    // parent directory, or a directory in the way — owes the stream
+    // its payload too. A payload that is itself a request line must be
+    // drained, never served.
+    let dir = TempDir::new();
+    let server = open_server(dir.path());
+    std::fs::create_dir(dir.path().join("taken")).unwrap();
+    let mut stream = raw_conn(&server);
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    stream.write_all(b"AUTH hostname x x\n").unwrap();
+    assert!(read_line(&mut reader).starts_with("0 "));
+    for (target, smuggled) in [("/missing/f", "smuggled"), ("/taken", "smuggled2")] {
+        let payload = format!("MKDIR /{smuggled} 493\n");
+        let len = payload.len();
+        write!(stream, "PUTFILE {target} 420 {len}\n{payload}STAT /\n").unwrap();
+        let put = read_line(&mut reader);
+        assert!(put.starts_with('-'), "PUTFILE {target}: {put:?}");
+        // The next reply is the STAT's (status plus stat words), not
+        // the bare `0` of a smuggled MKDIR.
+        let stat = read_line(&mut reader);
+        assert!(
+            stat.starts_with("0 ") && stat.split(' ').count() > 2,
+            "after PUTFILE {target}: {stat:?}"
+        );
+        assert!(!dir.path().join(smuggled).exists(), "{smuggled} created");
+    }
 }
 
 #[test]

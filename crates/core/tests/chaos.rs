@@ -1,5 +1,6 @@
-//! Chaos suite: end-to-end workloads driven through the deterministic
-//! fault-injecting proxy (`faultline`), proving the recovery layer's
+//! Chaos suite: end-to-end workloads over real TCP whose connections
+//! are dialed through the deterministic fault injector
+//! (`faultline::FaultDialer`), proving the recovery layer's
 //! contract — transient transport faults (kills mid-RPC, delays,
 //! corrupted and black-holed replies) are masked within the retry
 //! budget with data intact, while protocol verdicts such as ACL
@@ -20,11 +21,12 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use chirp_proto::testutil::TempDir;
+use chirp_proto::transport::Dialer;
 use chirp_proto::OpenFlags;
 use chirp_server::acl::Acl;
 use chirp_server::{FileServer, ServerConfig};
-use common::{auth, data_count, open_server};
-use faultline::{FaultAction, FaultPlan, FaultProxy, FaultRule, FaultTrigger};
+use common::{auth, data_count, fault_dialer, open_server};
+use faultline::{FaultAction, FaultDialer, FaultPlan, FaultRule, FaultTrigger, RouteDialer};
 use tss_core::cfs::{Cfs, CfsConfig};
 use tss_core::fs::FileSystem;
 use tss_core::fsck::fsck;
@@ -63,16 +65,18 @@ fn chaos_retry() -> RetryPolicy {
     }
 }
 
-fn chaos_options() -> StubFsOptions {
+fn chaos_options(dialer: Dialer) -> StubFsOptions {
     StubFsOptions {
+        dialer,
         timeout: Duration::from_millis(1500),
         retry: chaos_retry(),
         ..StubFsOptions::default()
     }
 }
 
-fn chaos_cfs(endpoint: &str) -> Cfs {
+fn chaos_cfs(endpoint: &str, dialer: Dialer) -> Cfs {
     let mut cfg = CfsConfig::new(endpoint, auth());
+    cfg.dialer = dialer;
     cfg.timeout = Duration::from_millis(1500);
     cfg.retry = chaos_retry();
     Cfs::new(cfg)
@@ -85,20 +89,20 @@ fn kill_mid_rpc_on_one_mirror_replica_is_masked() {
     let dirs: Vec<TempDir> = (0..2).map(|_| TempDir::new()).collect();
     let servers: Vec<FileServer> = dirs.iter().map(|d| open_server(d.path())).collect();
 
-    // Replica 0 sits behind a proxy that kills every second RPC;
-    // replica 1 behind a transparent one.
-    let killer = FaultProxy::spawn(
-        &servers[0].endpoint(),
+    // Replica 0 is dialed through a plan that kills every second RPC;
+    // replica 1 is dialed cleanly.
+    let killer = fault_dialer(
         FaultPlan::new(seed).rule(FaultTrigger::EveryNthRpc(2), FaultAction::KillMidFrame),
-    )
-    .unwrap();
-    let clean = FaultProxy::spawn(&servers[1].endpoint(), FaultPlan::new(seed)).unwrap();
-    let pool = vec![
-        DataServer::new(&killer.addr(), "/vol", auth()),
-        DataServer::new(&clean.addr(), "/vol", auth()),
-    ];
+    );
+    let routed = RouteDialer::new(Dialer::tcp())
+        .route(&servers[0].endpoint(), killer.dialer())
+        .dialer();
+    let pool: Vec<DataServer> = servers
+        .iter()
+        .map(|s| DataServer::new(&s.endpoint(), "/vol", auth()))
+        .collect();
     let meta = Arc::new(LocalFs::new(meta_dir.path()).unwrap());
-    let fs = MirroredFs::new(meta, pool, 2, chaos_options()).unwrap();
+    let fs = MirroredFs::new(meta, pool, 2, chaos_options(routed)).unwrap();
 
     // Fixture written fault-free.
     killer.set_armed(false);
@@ -158,24 +162,29 @@ fn striped_concurrent_workload_survives_kills_delays_and_corruption() {
         ),
         _ => FaultPlan::new(seed ^ 2),
     };
-    let proxies: Vec<FaultProxy> = servers
-        .iter()
-        .enumerate()
-        .map(|(i, s)| FaultProxy::spawn(&s.endpoint(), plan_for(i)).unwrap())
+    let faults: Vec<Arc<FaultDialer>> = (0..servers.len())
+        .map(|i| fault_dialer(plan_for(i)))
         .collect();
-    let pool: Vec<DataServer> = proxies
+    let routed = servers
         .iter()
-        .map(|p| DataServer::new(&p.addr(), "/vol", auth()))
+        .zip(&faults)
+        .fold(RouteDialer::new(Dialer::tcp()), |r, (s, f)| {
+            r.route(&s.endpoint(), f.dialer())
+        })
+        .dialer();
+    let pool: Vec<DataServer> = servers
+        .iter()
+        .map(|s| DataServer::new(&s.endpoint(), "/vol", auth()))
         .collect();
     let meta = Arc::new(LocalFs::new(meta_dir.path()).unwrap());
-    let fs = StripedFs::new(meta, pool, 3, 4096, chaos_options()).unwrap();
+    let fs = StripedFs::new(meta, pool, 3, 4096, chaos_options(routed)).unwrap();
 
-    for p in &proxies {
-        p.set_armed(false);
+    for f in &faults {
+        f.set_armed(false);
     }
     fs.ensure_volumes().unwrap();
-    for p in &proxies {
-        p.set_armed(true);
+    for f in &faults {
+        f.set_armed(true);
     }
 
     std::thread::scope(|scope| {
@@ -190,7 +199,7 @@ fn striped_concurrent_workload_survives_kills_delays_and_corruption() {
         }
     });
 
-    assert!(proxies[0].stats().kills > 0, "kill plan never fired");
+    assert!(faults[0].stats().kills > 0, "kill plan never fired");
     let budget = u64::from(chaos_retry().max_retries);
     let stats = fs.pool_stats();
     assert!(stats.retries <= budget * 64, "unbounded retries: {stats:?}");
@@ -204,8 +213,8 @@ fn corrupted_replies_are_retried_not_trusted() {
     let plan = FaultPlan::new(seed).with_rule(
         FaultRule::new(FaultTrigger::EveryNthRpc(5), FaultAction::CorruptReply).max_fires(3),
     );
-    let proxy = FaultProxy::spawn(&server.endpoint(), plan).unwrap();
-    let fs = chaos_cfs(&proxy.addr());
+    let faults = fault_dialer(plan);
+    let fs = chaos_cfs(&server.endpoint(), faults.dialer());
 
     let data = pattern(10_000, 9);
     fs.write_file("/blob", &data).unwrap();
@@ -214,7 +223,7 @@ fn corrupted_replies_are_retried_not_trusted() {
     for _ in 0..10 {
         assert_eq!(fs.read_file("/blob").unwrap(), data);
     }
-    assert!(proxy.stats().corruptions > 0, "corrupt plan never fired");
+    assert!(faults.stats().corruptions > 0, "corrupt plan never fired");
     assert!(fs.retries() > 0, "corruption should force a retry");
     assert!(fs.retries() <= 3 * u64::from(chaos_retry().max_retries));
 }
@@ -234,14 +243,14 @@ fn exclusive_create_survives_a_kill_at_any_rpc_of_its_open() {
     let mut kills = 0;
     for n in 1..=6 {
         let plan = FaultPlan::new(seed).rule(FaultTrigger::NthRpc(n), FaultAction::KillMidFrame);
-        let proxy = FaultProxy::spawn(&server.endpoint(), plan).unwrap();
-        let fs = chaos_cfs(&proxy.addr());
+        let faults = fault_dialer(plan);
+        let fs = chaos_cfs(&server.endpoint(), faults.dialer());
         let flags = OpenFlags::WRITE | OpenFlags::CREATE | OpenFlags::EXCLUSIVE;
         let mut h = fs
             .open(&format!("/x{n}"), flags, 0o644)
             .unwrap_or_else(|e| panic!("kill at RPC {n} of the open: {e}"));
         h.pwrite(b"mine", 0).unwrap();
-        let landed = proxy.stats().kills;
+        let landed = faults.stats().kills;
         assert_eq!(landed, u64::from(n <= 3), "kill at RPC {n}");
         kills += landed;
     }
@@ -256,19 +265,20 @@ fn part_create_survives_a_lost_reply_with_no_stray_part() {
     // made; the create must take that part as its own — not fail, and
     // not leave it behind beside a second one.
     let mut cuts = 0;
-    // (The fault-free set-up takes the proxy's first RPCs.)
+    // (The fault-free set-up takes the dialer's first RPCs.)
     for n in 1..=8 {
         let meta_dir = TempDir::new();
         let dir = TempDir::new();
         let server = open_server(dir.path());
         let plan = FaultPlan::new(seed).rule(FaultTrigger::NthRpc(n), FaultAction::TruncateReply);
-        let proxy = FaultProxy::spawn(&server.endpoint(), plan).unwrap();
-        let pool = vec![DataServer::new(&proxy.addr(), "/vol", auth())];
+        let faults = fault_dialer(plan);
+        let pool = vec![DataServer::new(&server.endpoint(), "/vol", auth())];
         let meta = Arc::new(LocalFs::new(meta_dir.path()).unwrap());
-        let fs = StubFs::new(meta, pool, Placement::round_robin(), chaos_options());
-        proxy.set_armed(false);
+        let options = chaos_options(faults.dialer());
+        let fs = StubFs::new(meta, pool, Placement::round_robin(), options);
+        faults.set_armed(false);
         fs.ensure_volumes().unwrap();
-        proxy.set_armed(true);
+        faults.set_armed(true);
         fs.write_file("/f", b"mine")
             .unwrap_or_else(|e| panic!("reply to RPC {n} lost: {e}"));
         assert_eq!(fs.read_file("/f").unwrap(), b"mine");
@@ -279,7 +289,7 @@ fn part_create_survives_a_lost_reply_with_no_stray_part() {
         );
         let report = fsck(&fs).unwrap();
         assert!(report.is_clean(), "RPC {n}: {report:?}");
-        cuts += proxy.stats().truncates;
+        cuts += faults.stats().truncates;
     }
     assert!(cuts >= 3, "the cuts never landed inside a create ({cuts})");
 }
@@ -292,8 +302,9 @@ fn blackholed_request_times_out_then_recovers() {
     let plan = FaultPlan::new(seed).with_rule(
         FaultRule::new(FaultTrigger::EveryNthRpc(6), FaultAction::BlackHole).max_fires(1),
     );
-    let proxy = FaultProxy::spawn(&server.endpoint(), plan).unwrap();
-    let mut cfg = CfsConfig::new(&proxy.addr(), auth());
+    let faults = fault_dialer(plan);
+    let mut cfg = CfsConfig::new(&server.endpoint(), auth());
+    cfg.dialer = faults.dialer();
     // A short timeout turns the black hole into a prompt Timeout.
     cfg.timeout = Duration::from_millis(250);
     cfg.retry = chaos_retry();
@@ -304,7 +315,7 @@ fn blackholed_request_times_out_then_recovers() {
     for _ in 0..8 {
         assert_eq!(fs.read_file("/t").unwrap(), data);
     }
-    assert_eq!(proxy.stats().blackholes, 1, "black hole never fired");
+    assert_eq!(faults.stats().blackholes, 1, "black hole never fired");
     assert!(fs.retries() >= 1, "the timed-out RPC should be retried");
 }
 
@@ -317,8 +328,8 @@ fn acl_denial_fails_immediately_with_zero_retries() {
     let cfg = ServerConfig::localhost(dir.path(), "test-owner")
         .with_root_acl(Acl::single("hostname:*", "rl").unwrap());
     let server = FileServer::start(cfg).unwrap();
-    let proxy = FaultProxy::spawn(&server.endpoint(), FaultPlan::new(seed)).unwrap();
-    let fs = chaos_cfs(&proxy.addr());
+    let faults = fault_dialer(FaultPlan::new(seed));
+    let fs = chaos_cfs(&server.endpoint(), faults.dialer());
 
     let t0 = Instant::now();
     let err = fs
@@ -342,8 +353,9 @@ fn fault_schedule_is_deterministic_for_a_fixed_seed() {
         let server = open_server(dir.path());
         let plan =
             FaultPlan::new(seed).rule(FaultTrigger::Probability(0.25), FaultAction::KillMidFrame);
-        let proxy = FaultProxy::spawn(&server.endpoint(), plan).unwrap();
-        let mut cfg = CfsConfig::new(&proxy.addr(), auth());
+        let faults = fault_dialer(plan);
+        let mut cfg = CfsConfig::new(&server.endpoint(), auth());
+        cfg.dialer = faults.dialer();
         cfg.timeout = Duration::from_millis(1500);
         // No retry: every injected fault surfaces, so the outcome
         // vector mirrors the fault schedule exactly.
@@ -352,7 +364,7 @@ fn fault_schedule_is_deterministic_for_a_fixed_seed() {
         let outcomes: Vec<bool> = (0..24)
             .map(|i| fs.write_file(&format!("/f{i}"), b"x").is_ok())
             .collect();
-        (outcomes, proxy.stats().kills)
+        (outcomes, faults.stats().kills)
     };
     let a = run(seed);
     let b = run(seed);
@@ -373,8 +385,8 @@ fn injected_fault_counts_line_up_with_retry_telemetry() {
         .with_rule(
             FaultRule::new(FaultTrigger::EveryNthRpc(7), FaultAction::KillMidFrame).max_fires(3),
         );
-    let proxy = FaultProxy::spawn(&server.endpoint(), plan).unwrap();
-    let fs = chaos_cfs(&proxy.addr());
+    let faults = fault_dialer(plan);
+    let fs = chaos_cfs(&server.endpoint(), faults.dialer());
 
     let data = pattern(16 * 1024, 11);
     fs.write_file("/chaos-ledger", &data).unwrap();
@@ -386,13 +398,13 @@ fn injected_fault_counts_line_up_with_retry_telemetry() {
         );
     }
 
-    let fires = proxy.fires();
+    let fires = faults.fires();
     let snap = fs.telemetry().snapshot();
     eprintln!(
         "fault/retry ledger: fires={fires} kills={} rpcs={} | client.retries={:?} \
          client.reconnects={:?} client.connects={:?}",
-        proxy.stats().kills,
-        proxy.stats().rpcs,
+        faults.stats().kills,
+        faults.stats().rpcs,
         snap.counter("client.retries"),
         snap.counter("client.reconnects"),
         snap.counter("client.connects"),
@@ -400,7 +412,7 @@ fn injected_fault_counts_line_up_with_retry_telemetry() {
     assert!(fires >= 2, "the capped kill rules should have fired");
     assert_eq!(
         fires,
-        proxy.stats().kills,
+        faults.stats().kills,
         "every firing was a kill in this plan"
     );
     // The contract under test: N injected transport faults must show

@@ -4,15 +4,18 @@
 //! items used by only one binary look dead in the others.
 #![allow(dead_code)]
 
-pub mod proxy;
+pub mod flaky;
 
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
 
 use chirp_client::AuthMethod;
+use chirp_proto::transport::Dialer;
+use chirp_proto::Clock;
 use chirp_server::acl::Acl;
 use chirp_server::{FileServer, ServerConfig};
+use faultline::{FaultDialer, FaultPlan};
 use tss_core::cfs::{Cfs, CfsConfig, RetryPolicy};
 
 /// Network timeout for tests: short, so failure paths stay fast.
@@ -33,7 +36,13 @@ pub fn auth() -> Vec<AuthMethod> {
 
 /// A CFS with a fast retry policy suited to tests.
 pub fn cfs(endpoint: &str) -> Cfs {
+    cfs_via(endpoint, Dialer::tcp())
+}
+
+/// [`cfs`] with its connections opened through `dialer`.
+pub fn cfs_via(endpoint: &str, dialer: Dialer) -> Cfs {
     let mut cfg = CfsConfig::new(endpoint, auth());
+    cfg.dialer = dialer;
     cfg.timeout = TIMEOUT;
     cfg.retry = RetryPolicy {
         max_retries: 5,
@@ -42,6 +51,13 @@ pub fn cfs(endpoint: &str) -> Cfs {
         ..RetryPolicy::default()
     };
     Cfs::new(cfg)
+}
+
+/// A fault injector over real TCP: `plan` applies to every
+/// connection dialed through it, and its delays and black-hole
+/// timeouts are served on the wall clock.
+pub fn fault_dialer(plan: FaultPlan) -> Arc<FaultDialer> {
+    FaultDialer::new(Dialer::tcp(), Clock::wall(), plan)
 }
 
 /// An Arc'd CFS for use as a DSFS metadata store.

@@ -10,8 +10,8 @@ use std::time::Duration;
 
 use chirp_proto::testutil::TempDir;
 use chirp_proto::OpenFlags;
-use common::{auth, cfs, open_server};
-use faultline::{FaultAction, FaultPlan, FaultProxy, FaultRule, FaultTrigger};
+use common::{auth, cfs_via, fault_dialer, open_server};
+use faultline::{FaultAction, FaultPlan, FaultRule, FaultTrigger};
 use proptest::prelude::*;
 use tss_core::fs::FileSystem;
 use tss_core::stubfs::DataServer;
@@ -152,7 +152,7 @@ proptest! {
     }
 }
 
-/// Idempotent subset of the model for the fault-proxied run: a fault
+/// Idempotent subset of the model for the fault-injected run: a fault
 /// can fire *after* the server applied an operation, so a retried
 /// non-idempotent op (exclusive create, unlink, rename) could
 /// legitimately observe its own first attempt and diverge. Writes,
@@ -177,17 +177,17 @@ proptest! {
     })]
 
     #[test]
-    fn fault_proxied_cfs_matches_the_local_reference_model(
+    fn fault_dialed_cfs_matches_the_local_reference_model(
         ops in proptest::collection::vec(idempotent_op_strategy(), 1..24),
         plan_seed in any::<u64>(),
     ) {
         // Reference: a plain local tree, no network at all.
         let ref_dir = TempDir::new();
         let reference = LocalFs::new(ref_dir.path()).unwrap();
-        // Subject: a CFS whose connection runs through a fault proxy
-        // injecting recoverable faults — corrupted replies and delays.
-        // The recovery layer must make the trace indistinguishable
-        // from the fault-free reference.
+        // Subject: a CFS whose connections are dialed through a fault
+        // injector firing recoverable faults — corrupted replies and
+        // delays. The recovery layer must make the trace
+        // indistinguishable from the fault-free reference.
         let host = TempDir::new();
         let server = open_server(host.path());
         let plan = FaultPlan::new(plan_seed)
@@ -202,8 +202,8 @@ proptest! {
                 )
                 .max_fires(8),
             );
-        let proxy = FaultProxy::spawn(&server.endpoint(), plan).unwrap();
-        let subject = cfs(&proxy.addr());
+        let faults = fault_dialer(plan);
+        let subject = cfs_via(&server.endpoint(), faults.dialer());
 
         for (i, op) in ops.iter().enumerate() {
             let a = apply(&reference, op);
@@ -213,5 +213,9 @@ proptest! {
         let a = snapshot(&reference);
         let b = snapshot(&subject);
         prop_assert_eq!(a, b, "final state diverged");
+        // Each corrupted reply severs the connection and costs exactly
+        // one retry; a 2 ms delay never reaches the timeout. Any other
+        // retry is a fault the plan did not inject.
+        prop_assert_eq!(subject.retries(), faults.stats().corruptions, "retries without a cause");
     }
 }

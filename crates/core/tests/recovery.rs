@@ -1,23 +1,25 @@
 //! Adapter recovery semantics (paper §6): reconnection with backoff,
 //! transparent re-open, inode verification, stale handles, and the
-//! retry cap — exercised through a severable TCP proxy between client
-//! and server.
+//! retry cap — exercised through a severable, retargetable dialer
+//! between client and server.
 
 mod common;
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use chirp_proto::testutil::TempDir;
 use chirp_proto::OpenFlags;
-use common::proxy::FlakyProxy;
+use common::flaky::FlakyDialer;
 use common::{auth, open_server};
 use tss_core::cfs::{Cfs, CfsConfig, RetryPolicy};
 use tss_core::fs::FileSystem;
 use tss_core::stubfs::{DataServer, StubFsOptions};
 use tss_core::ServerPool;
 
-fn recovering_cfs(endpoint: &str) -> Cfs {
-    let mut cfg = CfsConfig::new(endpoint, auth());
+fn recovering_cfs(net: &Arc<FlakyDialer>) -> Cfs {
+    let mut cfg = CfsConfig::new(&net.endpoint(), auth());
+    cfg.dialer = net.dialer();
     cfg.timeout = Duration::from_millis(1500);
     cfg.retry = RetryPolicy {
         max_retries: 6,
@@ -32,10 +34,10 @@ fn recovering_cfs(endpoint: &str) -> Cfs {
 fn pathless_ops_reconnect_transparently() {
     let dir = TempDir::new();
     let server = open_server(dir.path());
-    let proxy = FlakyProxy::start(server.addr());
-    let fs = recovering_cfs(&proxy.endpoint());
+    let net = FlakyDialer::new(server.addr());
+    let fs = recovering_cfs(&net);
     fs.write_file("/f", b"v1").unwrap();
-    proxy.drop_connections();
+    net.drop_connections();
     // The next operation sees a dead connection, reconnects, and
     // succeeds without the caller noticing.
     assert_eq!(fs.read_file("/f").unwrap(), b"v1");
@@ -45,14 +47,14 @@ fn pathless_ops_reconnect_transparently() {
 fn open_handles_survive_reconnection_when_inode_is_unchanged() {
     let dir = TempDir::new();
     let server = open_server(dir.path());
-    let proxy = FlakyProxy::start(server.addr());
-    let fs = recovering_cfs(&proxy.endpoint());
+    let net = FlakyDialer::new(server.addr());
+    let fs = recovering_cfs(&net);
     fs.write_file("/f", b"0123456789").unwrap();
     let mut h = fs.open("/f", OpenFlags::READ, 0).unwrap();
     let mut buf = [0u8; 5];
     assert_eq!(h.pread(&mut buf, 0).unwrap(), 5);
 
-    proxy.drop_connections();
+    net.drop_connections();
 
     // The server closed our descriptor when the connection dropped;
     // the adapter reconnects, re-opens, verifies the inode, and hides
@@ -65,8 +67,8 @@ fn open_handles_survive_reconnection_when_inode_is_unchanged() {
 fn replaced_file_becomes_a_stale_handle() {
     let dir = TempDir::new();
     let server = open_server(dir.path());
-    let proxy = FlakyProxy::start(server.addr());
-    let fs = recovering_cfs(&proxy.endpoint());
+    let net = FlakyDialer::new(server.addr());
+    let fs = recovering_cfs(&net);
     fs.write_file("/f", b"original").unwrap();
     let mut h = fs.open("/f", OpenFlags::READ, 0).unwrap();
     let mut buf = [0u8; 8];
@@ -76,7 +78,7 @@ fn replaced_file_becomes_a_stale_handle() {
     // different inode. (Renaming the original aside, rather than
     // unlinking it, keeps its inode allocated so the replacement is
     // guaranteed a different one.)
-    proxy.drop_connections();
+    net.drop_connections();
     fs.rename("/f", "/f-old").unwrap();
     fs.write_file("/f", b"replaced").unwrap();
 
@@ -89,11 +91,11 @@ fn replaced_file_becomes_a_stale_handle() {
 fn deleted_file_becomes_a_stale_handle() {
     let dir = TempDir::new();
     let server = open_server(dir.path());
-    let proxy = FlakyProxy::start(server.addr());
-    let fs = recovering_cfs(&proxy.endpoint());
+    let net = FlakyDialer::new(server.addr());
+    let fs = recovering_cfs(&net);
     fs.write_file("/f", b"original").unwrap();
     let mut h = fs.open("/f", OpenFlags::READ, 0).unwrap();
-    proxy.drop_connections();
+    net.drop_connections();
     fs.unlink("/f").unwrap();
     let mut buf = [0u8; 4];
     assert!(h.pread(&mut buf, 0).is_err());
@@ -103,8 +105,9 @@ fn deleted_file_becomes_a_stale_handle() {
 fn retry_cap_limits_recovery_attempts() {
     let dir = TempDir::new();
     let server = open_server(dir.path());
-    let proxy = FlakyProxy::start(server.addr());
-    let mut cfg = CfsConfig::new(&proxy.endpoint(), auth());
+    let net = FlakyDialer::new(server.addr());
+    let mut cfg = CfsConfig::new(&net.endpoint(), auth());
+    cfg.dialer = net.dialer();
     cfg.timeout = Duration::from_millis(300);
     cfg.retry = RetryPolicy {
         max_retries: 2,
@@ -115,8 +118,8 @@ fn retry_cap_limits_recovery_attempts() {
     let fs = Cfs::new(cfg);
     fs.write_file("/f", b"x").unwrap();
     // Sever and refuse further connections: retries must give up.
-    proxy.set_target(None);
-    proxy.drop_connections();
+    net.set_target(None);
+    net.drop_connections();
     let start = std::time::Instant::now();
     assert!(fs.read_file("/f").is_err());
     assert!(
@@ -129,13 +132,14 @@ fn retry_cap_limits_recovery_attempts() {
 fn no_retry_policy_fails_on_first_break() {
     let dir = TempDir::new();
     let server = open_server(dir.path());
-    let proxy = FlakyProxy::start(server.addr());
-    let mut cfg = CfsConfig::new(&proxy.endpoint(), auth());
+    let net = FlakyDialer::new(server.addr());
+    let mut cfg = CfsConfig::new(&net.endpoint(), auth());
+    cfg.dialer = net.dialer();
     cfg.timeout = Duration::from_millis(300);
     cfg.retry = RetryPolicy::none();
     let fs = Cfs::new(cfg);
     fs.write_file("/f", b"x").unwrap();
-    proxy.drop_connections();
+    net.drop_connections();
     assert!(fs.read_file("/f").is_err());
     // But a fresh operation after the failure reconnects lazily.
     assert_eq!(fs.read_file("/f").unwrap(), b"x");
@@ -150,9 +154,10 @@ fn server_restart_does_not_hand_out_stale_pool_sockets() {
     // socket as an immediate error.
     let dir = TempDir::new();
     let mut server = open_server(dir.path());
-    let proxy = FlakyProxy::start(server.addr());
-    let endpoint = proxy.endpoint();
+    let net = FlakyDialer::new(server.addr());
+    let endpoint = net.endpoint();
     let options = StubFsOptions {
+        dialer: net.dialer(),
         timeout: Duration::from_millis(1500),
         retry: RetryPolicy::none(),
         max_idle: Duration::from_millis(40),
@@ -167,8 +172,8 @@ fn server_restart_does_not_hand_out_stale_pool_sockets() {
     server.shutdown();
     drop(server);
     let server2 = open_server(dir.path());
-    proxy.set_target(Some(server2.addr()));
-    proxy.drop_connections();
+    net.set_target(Some(server2.addr()));
+    net.drop_connections();
     std::thread::sleep(Duration::from_millis(60));
 
     assert_eq!(
@@ -188,15 +193,15 @@ fn recovery_reaches_a_restarted_server() {
     // land on the new instance.
     let dir = TempDir::new();
     let mut server = open_server(dir.path());
-    let proxy = FlakyProxy::start(server.addr());
-    let fs = recovering_cfs(&proxy.endpoint());
+    let net = FlakyDialer::new(server.addr());
+    let fs = recovering_cfs(&net);
     fs.write_file("/f", b"before").unwrap();
 
     server.shutdown();
     drop(server);
     let server2 = open_server(dir.path());
-    proxy.set_target(Some(server2.addr()));
-    proxy.drop_connections();
+    net.set_target(Some(server2.addr()));
+    net.drop_connections();
 
     assert_eq!(fs.read_file("/f").unwrap(), b"before");
     fs.write_file("/g", b"after").unwrap();

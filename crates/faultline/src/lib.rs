@@ -1,13 +1,17 @@
-//! A deterministic fault-injecting TCP proxy for the Chirp protocol.
+//! Deterministic fault injection for the Chirp protocol, at the
+//! [`Dialer`] seam every client connection is opened through.
 //!
 //! The paper's resource layer is defined as much by its failure
 //! semantics as by its RPCs: a Chirp disconnect closes every open file,
 //! and the abstraction layer (CFS, DPFS) is responsible for masking
 //! resource loss. Testing that masking requires faults on demand, so
-//! this crate puts a proxy between a client and a real `chirp-server`
-//! and injects failures according to a [`FaultPlan`]: drop the socket
-//! mid-frame, delay a request, truncate or corrupt a reply, or
-//! black-hole a request (accept it, never answer).
+//! [`FaultDialer`] wraps the client's own [`Dialer`] — real TCP
+//! ([`Dialer::tcp`]) or the in-memory network ([`MemNet::dialer`]) —
+//! and every stream it produces is a [`FaultTransport`] that injects
+//! failures according to a [`FaultPlan`]: drop the stream mid-frame,
+//! delay a request, truncate or corrupt a reply, or black-hole a
+//! request (accept it, never answer). [`RouteDialer`] points a plan at
+//! one server while its peers are reached cleanly.
 //!
 //! Determinism: every random decision comes from a [`rand::rngs::SmallRng`]
 //! seeded from the plan (`FaultPlan::new(seed)`); there is no
@@ -17,25 +21,42 @@
 //! tests assert *outcomes* (data integrity, bounded retries), not which
 //! specific RPC a fault landed on.
 //!
-//! The proxy is frame-aware on the client→server direction: it parses
-//! each request line, knows that `PWRITE`/`PUTFILE` carry a payload of
-//! the length named on the line, and counts whole RPCs. The
-//! server→client direction is pumped opaquely, with per-RPC flags
-//! ("corrupt the next reply chunk", "truncate it") set by the request
-//! side — Chirp is strictly one RPC at a time per connection, so the
-//! next server bytes after a flagged request are that request's reply.
+//! The transport is frame-aware on the client→server direction: it
+//! parses each request line as it is written, knows that
+//! `PWRITE`/`PUTFILE` carry a payload of the length named on the line,
+//! and counts whole RPCs. Replies are read back opaquely, with
+//! per-connection flags ("corrupt the next reply chunk", "truncate
+//! it") set by the request side: the next bytes read after a flagged
+//! request are that request's reply when RPCs go one at a time, and
+//! otherwise an earlier reply still in flight, damaged the same way.
+//!
+//! * **Kill mid-frame** forwards half the request line (or the whole
+//!   line plus half the payload) and severs the stream.
+//! * **Delay** sleeps on the injected [`Clock`] — wall time over TCP,
+//!   simulated time under the harness, where a ten-second stall costs
+//!   nothing real.
+//! * **Truncate / corrupt reply** mark the connection; the next bytes
+//!   read back are cut in half or have their high bits flipped, then
+//!   the stream dies.
+//! * **Black hole** swallows the request and everything after it; the
+//!   connection stays open but mute, and each read charges the
+//!   configured read timeout to the clock before failing with
+//!   [`io::ErrorKind::TimedOut`] — the client's timeout machinery sees
+//!   exactly what a mute server would produce.
+//!
+//! [`MemNet::dialer`]: chirp_proto::MemNet::dialer
 
 #![warn(missing_docs)]
 
-pub mod mem;
-
+use std::fmt;
 use std::io::{self, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread;
 use std::time::Duration;
 
+use chirp_proto::transport::{Dial, Dialer, Transport};
+use chirp_proto::Clock;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -65,11 +86,11 @@ pub enum FaultAction {
 /// When a fault fires.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultTrigger {
-    /// On the `n`th RPC (1-based) observed across the whole proxy.
+    /// On the `n`th RPC (1-based) observed across the whole dialer.
     NthRpc(u64),
-    /// On every `n`th RPC observed across the whole proxy.
+    /// On every `n`th RPC observed across the whole dialer.
     EveryNthRpc(u64),
-    /// On the first RPC of the `n`th accepted connection (1-based).
+    /// On the first RPC of the `n`th dialed connection (1-based).
     NthConnection(u64),
     /// On each RPC independently with probability `p`, drawn from the
     /// plan's seeded RNG.
@@ -114,7 +135,7 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// An empty plan (a transparent proxy) with the given RNG seed.
+    /// An empty plan (a transparent dialer) with the given RNG seed.
     pub fn new(seed: u64) -> Self {
         FaultPlan {
             seed,
@@ -135,10 +156,10 @@ impl FaultPlan {
     }
 }
 
-/// Counters published by a running proxy, all monotone.
+/// Counters published by a [`FaultDialer`], all monotone.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ProxyStats {
-    /// Connections accepted from clients.
+pub struct FaultStats {
+    /// Connections dialed.
     pub connections: u64,
     /// Whole RPCs observed on the client→server direction.
     pub rpcs: u64,
@@ -154,7 +175,7 @@ pub struct ProxyStats {
     pub blackholes: u64,
 }
 
-/// The proxy's counters live in a telemetry registry (`fault.*`
+/// The dialer's counters live in a telemetry registry (`fault.*`
 /// names) so chaos runs can snapshot injected faults alongside the
 /// client's recovery counters; these are the prebuilt handles.
 struct StatCells {
@@ -185,8 +206,8 @@ impl Default for StatCells {
 }
 
 impl StatCells {
-    fn snapshot(&self) -> ProxyStats {
-        ProxyStats {
+    fn snapshot(&self) -> FaultStats {
+        FaultStats {
             connections: self.connections.get(),
             rpcs: self.rpcs.get(),
             kills: self.kills.get(),
@@ -209,8 +230,8 @@ struct Decider {
 
 struct PlanState {
     rules: Vec<FaultRule>,
-    /// When false the proxy forwards transparently (counters still
-    /// advance); flipped by [`FaultProxy::set_armed`].
+    /// When false the dialer forwards transparently (counters still
+    /// advance); flipped by [`FaultDialer::set_armed`].
     armed: AtomicBool,
     decider: Mutex<Decider>,
 }
@@ -251,87 +272,67 @@ impl PlanState {
     }
 }
 
-/// A running fault proxy. Dropping it shuts the listener down and
-/// severs every connection it is carrying.
-pub struct FaultProxy {
-    addr: SocketAddr,
-    stats: Arc<StatCells>,
-    state: Arc<PlanState>,
-    shutdown: Arc<AtomicBool>,
-    sockets: Arc<Mutex<Vec<TcpStream>>>,
-    accept_thread: Option<thread::JoinHandle<()>>,
+/// Payload length named on a request line, for the two verbs that
+/// carry one (`PWRITE fd length offset`, `PUTFILE path mode length`).
+fn payload_len(line: &[u8]) -> u64 {
+    let Ok(text) = std::str::from_utf8(line) else {
+        return 0;
+    };
+    let mut words = text.split_ascii_whitespace();
+    match words.next() {
+        Some("PWRITE") => words.nth(1).and_then(|w| w.parse().ok()).unwrap_or(0),
+        Some("PUTFILE") => words.nth(2).and_then(|w| w.parse().ok()).unwrap_or(0),
+        _ => 0,
+    }
 }
 
-impl FaultProxy {
-    /// Listen on an ephemeral localhost port and forward every accepted
-    /// connection to `upstream`, applying `plan` along the way.
-    pub fn spawn(upstream: &str, plan: FaultPlan) -> io::Result<FaultProxy> {
-        let listener = TcpListener::bind("127.0.0.1:0")?;
-        let addr = listener.local_addr()?;
-        let upstream = upstream.to_string();
-        let stats = Arc::new(StatCells::default());
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let sockets = Arc::new(Mutex::new(Vec::new()));
-        let state = Arc::new(PlanState {
-            armed: AtomicBool::new(true),
-            decider: Mutex::new(Decider {
-                rng: SmallRng::seed_from_u64(plan.seed),
-                rpc_count: 0,
-                conn_count: 0,
-                fires: vec![0; plan.rules.len()],
+/// A [`Dial`] wrapper injecting faults per a [`FaultPlan`].
+///
+/// Construct with [`FaultDialer::new`], hand [`FaultDialer::dialer`]
+/// to the client configuration, and keep the `Arc` to inspect
+/// [`stats`](FaultDialer::stats) and [`fires`](FaultDialer::fires) or
+/// to [`set_armed`](FaultDialer::set_armed) mid-test.
+pub struct FaultDialer {
+    inner: Dialer,
+    clock: Clock,
+    stats: Arc<StatCells>,
+    state: Arc<PlanState>,
+}
+
+impl FaultDialer {
+    /// Wrap `inner`, applying `plan` to every connection dialed.
+    /// Delays and black-hole timeouts are charged to `clock`.
+    pub fn new(inner: Dialer, clock: Clock, plan: FaultPlan) -> Arc<FaultDialer> {
+        Arc::new(FaultDialer {
+            inner,
+            clock,
+            stats: Arc::new(StatCells::default()),
+            state: Arc::new(PlanState {
+                armed: AtomicBool::new(true),
+                decider: Mutex::new(Decider {
+                    rng: SmallRng::seed_from_u64(plan.seed),
+                    rpc_count: 0,
+                    conn_count: 0,
+                    fires: vec![0; plan.rules.len()],
+                }),
+                rules: plan.rules,
             }),
-            rules: plan.rules,
-        });
-
-        let accept_thread = {
-            let state = Arc::clone(&state);
-            let stats = Arc::clone(&stats);
-            let shutdown = Arc::clone(&shutdown);
-            let sockets = Arc::clone(&sockets);
-            thread::spawn(move || {
-                for client in listener.incoming() {
-                    if shutdown.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let Ok(client) = client else { break };
-                    stats.connections.inc();
-                    let conn_index = state.next_conn();
-                    let upstream = upstream.clone();
-                    let state = Arc::clone(&state);
-                    let stats = Arc::clone(&stats);
-                    let sockets = Arc::clone(&sockets);
-                    thread::spawn(move || {
-                        let _ = serve_conn(client, &upstream, conn_index, &state, &stats, &sockets);
-                    });
-                }
-            })
-        };
-
-        Ok(FaultProxy {
-            addr,
-            stats,
-            state,
-            shutdown,
-            sockets,
-            accept_thread: Some(accept_thread),
         })
     }
 
-    /// Disarm (or re-arm) fault injection. A disarmed proxy forwards
-    /// transparently while its connection and RPC counters keep
-    /// advancing — useful for building test fixtures fault-free before
-    /// switching the chaos on.
+    /// A [`Dialer`] handle on this wrapper, for client configurations.
+    pub fn dialer(self: &Arc<Self>) -> Dialer {
+        Dialer::from_arc(self.clone())
+    }
+
+    /// Disarm (or re-arm) fault injection; a disarmed dialer forwards
+    /// transparently while its counters keep advancing.
     pub fn set_armed(&self, armed: bool) {
         self.state.armed.store(armed, Ordering::SeqCst);
     }
 
-    /// The `host:port` clients should connect to.
-    pub fn addr(&self) -> String {
-        self.addr.to_string()
-    }
-
-    /// Snapshot of the proxy's counters.
-    pub fn stats(&self) -> ProxyStats {
+    /// Snapshot of the injection counters.
+    pub fn stats(&self) -> FaultStats {
         self.stats.snapshot()
     }
 
@@ -348,494 +349,613 @@ impl FaultProxy {
         self.state.decider.lock().unwrap().fires.clone()
     }
 
-    /// The telemetry registry behind [`FaultProxy::stats`] (`fault.*`
+    /// The telemetry registry behind [`FaultDialer::stats`] (`fault.*`
     /// counters), for folding a chaos run's injected-fault counts into
     /// one snapshot with the client's recovery metrics.
     pub fn telemetry(&self) -> &telemetry::Registry {
         &self.stats.registry
     }
+}
 
-    /// Stop accepting, sever every carried connection, and join the
-    /// accept thread.
-    pub fn shutdown(&mut self) {
-        if self.shutdown.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        // Unblock the accept loop.
-        let _ = TcpStream::connect(self.addr);
-        for sock in self.sockets.lock().unwrap().drain(..) {
-            let _ = sock.shutdown(Shutdown::Both);
-        }
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
+impl fmt::Debug for FaultDialer {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("FaultDialer(..)")
     }
 }
 
-impl Drop for FaultProxy {
-    fn drop(&mut self) {
-        self.shutdown();
+impl Dial for FaultDialer {
+    fn dial(&self, endpoint: &str, timeout: Duration) -> io::Result<Box<dyn Transport>> {
+        let inner = self.inner.dial(endpoint, timeout)?;
+        self.stats.connections.inc();
+        let conn_index = self.state.next_conn();
+        Ok(Box::new(FaultTransport {
+            inner,
+            conn: Arc::new(ConnState {
+                state: self.state.clone(),
+                stats: self.stats.clone(),
+                clock: self.clock.clone(),
+                conn_index,
+                killed: AtomicBool::new(false),
+                blackholed: AtomicBool::new(false),
+                corrupt_next: AtomicBool::new(false),
+                truncate_next: AtomicBool::new(false),
+                parser: Mutex::new(Parser {
+                    line: Vec::new(),
+                    payload_left: 0,
+                    kill_after_payload: false,
+                    first_rpc: true,
+                }),
+            }),
+        }))
     }
 }
 
-/// Per-connection reply-side flags, set by the request pump and
-/// consumed by the reply pump.
-#[derive(Default)]
-struct ReplyFlags {
+/// Per-connection injection state, shared by every clone of the
+/// stream (reader and writer halves see one set of flags).
+struct ConnState {
+    state: Arc<PlanState>,
+    stats: Arc<StatCells>,
+    clock: Clock,
+    conn_index: u64,
+    /// The stream has been severed by a fault; writes fail, reads see
+    /// end-of-stream.
+    killed: AtomicBool,
+    /// Everything written from here on is swallowed; reads time out.
+    blackholed: AtomicBool,
     corrupt_next: AtomicBool,
     truncate_next: AtomicBool,
+    parser: Mutex<Parser>,
 }
 
-fn sever(a: &TcpStream, b: &TcpStream) {
-    let _ = a.shutdown(Shutdown::Both);
-    let _ = b.shutdown(Shutdown::Both);
+/// Frame parser for the client→server direction: accumulate one
+/// request line, decide a fault on completion, then track how much of
+/// the frame's payload remains to forward.
+struct Parser {
+    line: Vec<u8>,
+    payload_left: u64,
+    /// Sever once `payload_left` drains (kill-mid-frame on a frame
+    /// that carries a payload: forward line + half payload, then die).
+    kill_after_payload: bool,
+    first_rpc: bool,
 }
 
-fn serve_conn(
-    client: TcpStream,
-    upstream: &str,
-    conn_index: u64,
-    state: &Arc<PlanState>,
-    stats: &Arc<StatCells>,
-    sockets: &Arc<Mutex<Vec<TcpStream>>>,
-) -> io::Result<()> {
-    let server = TcpStream::connect(upstream)?;
-    client.set_nodelay(true).ok();
-    server.set_nodelay(true).ok();
-    {
-        let mut held = sockets.lock().unwrap();
-        held.push(client.try_clone()?);
-        held.push(server.try_clone()?);
+/// A [`Transport`] whose request frames and replies are subject to a
+/// [`FaultPlan`]. Produced by [`FaultDialer`]; not constructed
+/// directly.
+pub struct FaultTransport {
+    inner: Box<dyn Transport>,
+    conn: Arc<ConnState>,
+}
+
+impl fmt::Debug for FaultTransport {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("FaultTransport")
+            .field("conn_index", &self.conn.conn_index)
+            .finish_non_exhaustive()
     }
-    let flags = Arc::new(ReplyFlags::default());
+}
 
-    // Reply pump: opaque copy, honouring the per-RPC flags.
-    let reply_thread = {
-        let mut from = server.try_clone()?;
-        let mut to = client.try_clone()?;
-        let server = server.try_clone()?;
-        let client = client.try_clone()?;
-        let flags = Arc::clone(&flags);
-        let stats = Arc::clone(stats);
-        thread::spawn(move || {
-            let mut buf = [0u8; 64 * 1024];
-            loop {
-                let n = match from.read(&mut buf) {
-                    Ok(0) | Err(_) => break,
-                    Ok(n) => n,
-                };
-                if flags.corrupt_next.swap(false, Ordering::SeqCst) {
-                    // Flip high bits in the leading bytes: the status
-                    // line becomes unparseable, then the stream dies.
-                    for b in buf.iter_mut().take(n.min(4)) {
-                        *b |= 0x80;
-                    }
-                    stats.corruptions.inc();
-                    let _ = to.write_all(&buf[..n]);
-                    sever(&client, &server);
-                    break;
-                }
-                if flags.truncate_next.swap(false, Ordering::SeqCst) {
-                    stats.truncates.inc();
-                    let _ = to.write_all(&buf[..n / 2]);
-                    sever(&client, &server);
-                    break;
-                }
-                if to.write_all(&buf[..n]).is_err() {
-                    break;
-                }
+impl FaultTransport {
+    fn sever(&self) {
+        self.conn.killed.store(true, Ordering::SeqCst);
+        let _ = self.inner.shutdown();
+    }
+}
+
+impl Read for FaultTransport {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        if self.conn.killed.load(Ordering::SeqCst) {
+            return Ok(0);
+        }
+        if self.conn.blackholed.load(Ordering::SeqCst) {
+            // A mute server: the client waits out its own read timeout.
+            // Charge it to the clock (instant under simulation) and
+            // fail the way an expired socket timeout does.
+            if let Ok(Some(t)) = self.inner.read_timeout() {
+                self.conn.clock.sleep(t);
             }
-        })
-    };
-
-    // Request pump: frame-aware.
-    let result = pump_requests(&client, &server, conn_index, state, stats, &flags);
-    // Whatever ended the request side, make sure the reply side is not
-    // left blocked on a half-open socket.
-    sever(&client, &server);
-    let _ = reply_thread.join();
-    result
-}
-
-/// Payload length named on a request line, for the two verbs that
-/// carry one (`PWRITE fd length offset`, `PUTFILE path mode length`).
-fn payload_len(line: &[u8]) -> u64 {
-    let Ok(text) = std::str::from_utf8(line) else {
-        return 0;
-    };
-    let mut words = text.split_ascii_whitespace();
-    match words.next() {
-        Some("PWRITE") => words.nth(1).and_then(|w| w.parse().ok()).unwrap_or(0),
-        Some("PUTFILE") => words.nth(2).and_then(|w| w.parse().ok()).unwrap_or(0),
-        _ => 0,
+            return Err(io::Error::new(
+                io::ErrorKind::TimedOut,
+                "black-holed connection",
+            ));
+        }
+        let n = self.inner.read(buf)?;
+        if n > 0 && self.conn.corrupt_next.swap(false, Ordering::SeqCst) {
+            // Flip high bits in the leading bytes: the status line
+            // becomes unparseable, then the stream dies.
+            for b in buf.iter_mut().take(n.min(4)) {
+                *b |= 0x80;
+            }
+            self.conn.stats.corruptions.inc();
+            self.sever();
+            return Ok(n);
+        }
+        if n > 0 && self.conn.truncate_next.swap(false, Ordering::SeqCst) {
+            self.conn.stats.truncates.inc();
+            self.sever();
+            return Ok(n / 2);
+        }
+        Ok(n)
     }
 }
 
-fn pump_requests(
-    client: &TcpStream,
-    server: &TcpStream,
-    conn_index: u64,
-    state: &Arc<PlanState>,
-    stats: &Arc<StatCells>,
-    flags: &Arc<ReplyFlags>,
-) -> io::Result<()> {
-    let mut from = io::BufReader::new(client.try_clone()?);
-    let mut to = server.try_clone()?;
-    let mut first_rpc = true;
-
-    loop {
-        // Read one whole request line without forwarding it yet.
-        let mut line = Vec::new();
-        {
-            use io::BufRead;
-            loop {
-                let buf = from.fill_buf()?;
-                if buf.is_empty() {
-                    return Ok(()); // client hung up
+impl Write for FaultTransport {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        if self.conn.killed.load(Ordering::SeqCst) {
+            return Err(io::Error::new(
+                io::ErrorKind::BrokenPipe,
+                "connection severed by fault",
+            ));
+        }
+        if self.conn.blackholed.load(Ordering::SeqCst) {
+            return Ok(buf.len());
+        }
+        // Hold the parser lock via a cloned Arc so `frame_complete`
+        // can borrow `self` mutably while the guard lives.
+        let conn = self.conn.clone();
+        let mut parser = conn.parser.lock().unwrap();
+        let mut consumed = 0;
+        while consumed < buf.len() {
+            // Once a fault fires mid-buffer, accept the rest of the
+            // caller's bytes silently (they went to a socket that is
+            // now reset); the *next* write observes the severed state.
+            if self.conn.killed.load(Ordering::SeqCst)
+                || self.conn.blackholed.load(Ordering::SeqCst)
+            {
+                return Ok(buf.len());
+            }
+            if parser.payload_left > 0 {
+                let want = (buf.len() - consumed).min(parser.payload_left as usize);
+                self.inner.write_all(&buf[consumed..consumed + want])?;
+                parser.payload_left -= want as u64;
+                consumed += want;
+                if parser.payload_left == 0 && parser.kill_after_payload {
+                    parser.kill_after_payload = false;
+                    self.conn.stats.kills.inc();
+                    self.sever();
                 }
-                match buf.iter().position(|&b| b == b'\n') {
-                    Some(pos) => {
-                        line.extend_from_slice(&buf[..=pos]);
-                        from.consume(pos + 1);
-                        break;
-                    }
-                    None => {
-                        let n = buf.len();
-                        line.extend_from_slice(buf);
-                        from.consume(n);
-                        if line.len() > chirp_proto::MAX_LINE {
-                            sever(client, server);
-                            return Ok(());
-                        }
-                    }
+                continue;
+            }
+            // Accumulate the request line.
+            let rest = &buf[consumed..];
+            match rest.iter().position(|&b| b == b'\n') {
+                None => {
+                    parser.line.extend_from_slice(rest);
+                    consumed = buf.len();
+                }
+                Some(pos) => {
+                    parser.line.extend_from_slice(&rest[..=pos]);
+                    consumed += pos + 1;
+                    self.frame_complete(&mut parser)?;
                 }
             }
         }
-        stats.rpcs.inc();
-        let body = payload_len(&line[..line.len() - 1]);
-        let action = state.decide(first_rpc.then_some(conn_index));
-        first_rpc = false;
+        Ok(buf.len())
+    }
 
-        match action {
+    fn flush(&mut self) -> io::Result<()> {
+        if self.conn.killed.load(Ordering::SeqCst) || self.conn.blackholed.load(Ordering::SeqCst) {
+            return Ok(());
+        }
+        self.inner.flush()
+    }
+}
+
+impl FaultTransport {
+    /// One whole request line is buffered in `parser.line`: count it,
+    /// consult the plan, and forward (or sabotage) the frame.
+    fn frame_complete(&mut self, parser: &mut Parser) -> io::Result<()> {
+        let line = std::mem::take(&mut parser.line);
+        self.conn.stats.rpcs.inc();
+        let body = payload_len(&line[..line.len() - 1]);
+        let first = parser.first_rpc.then_some(self.conn.conn_index);
+        parser.first_rpc = false;
+        match self.conn.state.decide(first) {
             Some(FaultAction::Delay(d)) => {
-                stats.delays.inc();
-                thread::sleep(d);
+                self.conn.stats.delays.inc();
+                self.conn.clock.sleep(d);
             }
             Some(FaultAction::KillMidFrame) => {
-                stats.kills.inc();
-                // Forward a torn frame: half the line, or the whole
-                // line plus half the payload when one is present.
                 if body > 0 {
-                    to.write_all(&line)?;
-                    copy_bounded(&mut from, &mut to, body / 2)?;
+                    // Forward the whole line, then die halfway through
+                    // the payload (which has not been written yet).
+                    self.inner.write_all(&line)?;
+                    parser.payload_left = body / 2;
+                    parser.kill_after_payload = true;
+                    if parser.payload_left == 0 {
+                        parser.kill_after_payload = false;
+                        self.conn.stats.kills.inc();
+                        self.sever();
+                    }
                 } else {
-                    to.write_all(&line[..line.len() / 2])?;
+                    self.conn.stats.kills.inc();
+                    self.inner.write_all(&line[..line.len() / 2])?;
+                    self.sever();
                 }
-                sever(client, server);
                 return Ok(());
             }
             Some(FaultAction::TruncateReply) => {
-                flags.truncate_next.store(true, Ordering::SeqCst);
+                self.conn.truncate_next.store(true, Ordering::SeqCst);
             }
             Some(FaultAction::CorruptReply) => {
-                flags.corrupt_next.store(true, Ordering::SeqCst);
+                self.conn.corrupt_next.store(true, Ordering::SeqCst);
             }
             Some(FaultAction::BlackHole) => {
-                stats.blackholes.inc();
-                // Swallow this request and everything after it; the
-                // connection stays open but mute until the client
-                // gives up.
-                let mut sink = io::sink();
-                let _ = io::copy(&mut from, &mut sink);
+                self.conn.stats.blackholes.inc();
+                self.conn.blackholed.store(true, Ordering::SeqCst);
                 return Ok(());
             }
             None => {}
         }
-
-        to.write_all(&line)?;
-        if body > 0 {
-            copy_bounded(&mut from, &mut to, body)?;
-        }
+        self.inner.write_all(&line)?;
+        parser.payload_left = body;
+        Ok(())
     }
 }
 
-fn copy_bounded<R: Read, W: Write>(from: &mut R, to: &mut W, len: u64) -> io::Result<()> {
-    let mut buf = [0u8; 64 * 1024];
-    let mut remaining = len;
-    while remaining > 0 {
-        let want = buf.len().min(remaining as usize);
-        let got = from.read(&mut buf[..want])?;
-        if got == 0 {
-            return Err(io::ErrorKind::UnexpectedEof.into());
-        }
-        to.write_all(&buf[..got])?;
-        remaining -= got as u64;
+impl Transport for FaultTransport {
+    fn try_clone(&self) -> io::Result<Box<dyn Transport>> {
+        Ok(Box::new(FaultTransport {
+            inner: self.inner.try_clone()?,
+            conn: self.conn.clone(),
+        }))
     }
-    Ok(())
+
+    fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
+        self.inner.set_read_timeout(timeout)
+    }
+
+    fn read_timeout(&self) -> io::Result<Option<Duration>> {
+        self.inner.read_timeout()
+    }
+
+    fn set_write_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
+        self.inner.set_write_timeout(timeout)
+    }
+
+    fn peer_addr(&self) -> io::Result<SocketAddr> {
+        self.inner.peer_addr()
+    }
+
+    fn local_addr(&self) -> io::Result<SocketAddr> {
+        self.inner.local_addr()
+    }
+
+    fn shutdown(&self) -> io::Result<()> {
+        self.conn.killed.store(true, Ordering::SeqCst);
+        self.inner.shutdown()
+    }
+}
+
+/// A dialer routing chosen endpoints through designated dialers and
+/// everything else through a default — how a test points one
+/// [`FaultPlan`] at one server while its peers stay clean.
+pub struct RouteDialer {
+    routes: Vec<(String, Dialer)>,
+    fallback: Dialer,
+}
+
+impl RouteDialer {
+    /// Route every endpoint through `fallback` until [`route`]d
+    /// otherwise.
+    ///
+    /// [`route`]: RouteDialer::route
+    pub fn new(fallback: Dialer) -> RouteDialer {
+        RouteDialer {
+            routes: Vec::new(),
+            fallback,
+        }
+    }
+
+    /// Route `endpoint` through `via`. Returns `self` for chaining.
+    pub fn route(mut self, endpoint: &str, via: Dialer) -> RouteDialer {
+        self.routes.push((endpoint.to_string(), via));
+        self
+    }
+
+    /// Finish into a [`Dialer`] handle.
+    pub fn dialer(self) -> Dialer {
+        Dialer::from_arc(Arc::new(self))
+    }
+}
+
+impl Dial for RouteDialer {
+    fn dial(&self, endpoint: &str, timeout: Duration) -> io::Result<Box<dyn Transport>> {
+        for (ep, via) in &self.routes {
+            if ep == endpoint {
+                return via.dial(endpoint, timeout);
+            }
+        }
+        self.fallback.dial(endpoint, timeout)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::{BufRead, BufReader, Write};
-    use std::time::Instant;
+    use chirp_proto::transport::Listener;
+    use chirp_proto::MemNet;
+    use std::io::{BufRead, BufReader};
 
-    /// A line server that answers `PING x` with `PONG x` and `PWRITE`
-    /// frames with the payload length, enough protocol to exercise the
-    /// proxy's framing without a full chirp-server.
-    fn echo_server() -> (String, thread::JoinHandle<()>) {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    /// A line server over the in-memory network: `PING x` → `PONG x`,
+    /// `PWRITE fd len off` + payload → the payload length. Each
+    /// connection is served on its own thread.
+    fn spawn_line_server(net: &MemNet) -> (String, std::thread::JoinHandle<()>) {
+        let listener = net.listen();
         let addr = listener.local_addr().unwrap().to_string();
-        let handle = thread::spawn(move || {
-            for conn in listener.incoming() {
-                let Ok(conn) = conn else { break };
-                thread::spawn(move || {
-                    let mut reader = BufReader::new(conn.try_clone().unwrap());
-                    let mut writer = conn;
-                    loop {
-                        let mut line = String::new();
-                        match reader.read_line(&mut line) {
-                            Ok(0) | Err(_) => break,
-                            Ok(_) => {}
-                        }
-                        let body = payload_len(line.trim_end().as_bytes());
-                        if body > 0 {
-                            let mut payload = vec![0u8; body as usize];
-                            if reader.read_exact(&mut payload).is_err() {
-                                break;
-                            }
-                            if writeln!(writer, "{body}").is_err() {
-                                break;
-                            }
-                        } else if writeln!(writer, "PONG {}", line.trim_end()).is_err() {
-                            break;
-                        }
-                    }
-                });
+        let handle = std::thread::spawn(move || {
+            while let Ok((stream, _)) = listener.accept() {
+                std::thread::spawn(move || serve_lines(stream));
             }
         });
         (addr, handle)
     }
 
-    fn rpc(stream: &mut (impl BufRead + Write), req: &str) -> io::Result<String> {
-        writeln!(stream, "{req}")?;
+    fn serve_lines(stream: Box<dyn Transport>) {
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut writer = stream;
+        loop {
+            let mut line = String::new();
+            match reader.read_line(&mut line) {
+                Ok(0) | Err(_) => break,
+                Ok(_) => {}
+            }
+            let words: Vec<&str> = line.split_ascii_whitespace().collect();
+            let reply = match words.first().copied() {
+                Some("PING") => format!("PONG {}\n", words.get(1).unwrap_or(&"")),
+                Some("PWRITE") => {
+                    let len: u64 = words.get(2).and_then(|w| w.parse().ok()).unwrap_or(0);
+                    let mut payload = vec![0u8; len as usize];
+                    if reader.read_exact(&mut payload).is_err() {
+                        break;
+                    }
+                    format!("{len}\n")
+                }
+                _ => "-1\n".to_string(),
+            };
+            if writer.write_all(reply.as_bytes()).is_err() {
+                break;
+            }
+            let _ = writer.flush();
+        }
+    }
+
+    fn connect(
+        fd: &Arc<FaultDialer>,
+        addr: &str,
+    ) -> (BufReader<Box<dyn Transport>>, Box<dyn Transport>) {
+        let stream = fd.dialer().dial(addr, Duration::from_secs(5)).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_millis(200)))
+            .unwrap();
+        (BufReader::new(stream.try_clone().unwrap()), stream)
+    }
+
+    fn rpc(
+        reader: &mut BufReader<Box<dyn Transport>>,
+        writer: &mut Box<dyn Transport>,
+        req: &str,
+    ) -> io::Result<String> {
+        writer.write_all(req.as_bytes())?;
+        writer.flush()?;
         let mut reply = String::new();
-        if stream.read_line(&mut reply)? == 0 {
-            return Err(io::ErrorKind::ConnectionAborted.into());
+        let n = reader.read_line(&mut reply)?;
+        if n == 0 {
+            return Err(io::ErrorKind::UnexpectedEof.into());
         }
         Ok(reply.trim_end().to_string())
     }
 
-    struct Duplex {
-        reader: BufReader<TcpStream>,
-        writer: TcpStream,
-    }
-    impl Duplex {
-        fn connect(addr: &str) -> Self {
-            let s = TcpStream::connect(addr).unwrap();
-            s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-            Duplex {
-                reader: BufReader::new(s.try_clone().unwrap()),
-                writer: s,
-            }
-        }
-        fn rpc(&mut self, req: &str) -> io::Result<String> {
-            writeln!(self.writer, "{req}")?;
-            let mut reply = String::new();
-            if self.reader.read_line(&mut reply)? == 0 {
-                return Err(io::ErrorKind::ConnectionAborted.into());
-            }
-            Ok(reply.trim_end().to_string())
-        }
+    #[test]
+    fn transparent_when_plan_is_empty() {
+        let net = MemNet::new(Clock::fresh_virtual());
+        let (addr, _h) = spawn_line_server(&net);
+        let fd = FaultDialer::new(net.dialer(), net.clock().clone(), FaultPlan::new(1));
+        let (mut r, mut w) = connect(&fd, &addr);
+        assert_eq!(rpc(&mut r, &mut w, "PING a\n").unwrap(), "PONG a");
+        assert_eq!(rpc(&mut r, &mut w, "PING b\n").unwrap(), "PONG b");
+        let s = fd.stats();
+        assert_eq!(s.rpcs, 2);
+        assert_eq!(fd.fires(), 0);
     }
 
     #[test]
-    fn transparent_plan_forwards_both_directions() {
-        let (addr, _srv) = echo_server();
-        let proxy = FaultProxy::spawn(&addr, FaultPlan::new(1)).unwrap();
-        let mut conn = Duplex::connect(&proxy.addr());
-        assert_eq!(conn.rpc("PING a").unwrap(), "PONG PING a");
-        assert_eq!(conn.rpc("PING b").unwrap(), "PONG PING b");
-        let stats = proxy.stats();
-        assert_eq!(stats.connections, 1);
-        assert_eq!(stats.rpcs, 2);
+    fn kill_mid_frame_tears_the_stream() {
+        let net = MemNet::new(Clock::fresh_virtual());
+        let (addr, _h) = spawn_line_server(&net);
+        let plan = FaultPlan::new(7).rule(FaultTrigger::NthRpc(2), FaultAction::KillMidFrame);
+        let fd = FaultDialer::new(net.dialer(), net.clock().clone(), plan);
+        let (mut r, mut w) = connect(&fd, &addr);
+        assert_eq!(rpc(&mut r, &mut w, "PING a\n").unwrap(), "PONG a");
+        // The second RPC dies: either the write fails or the reply
+        // never comes (torn frame ⇒ EOF).
+        let err = rpc(&mut r, &mut w, "PING b\n").unwrap_err();
+        assert!(
+            matches!(
+                err.kind(),
+                io::ErrorKind::UnexpectedEof | io::ErrorKind::BrokenPipe
+            ),
+            "unexpected error: {err:?}"
+        );
+        assert_eq!(fd.stats().kills, 1);
+    }
+
+    #[test]
+    fn kill_mid_frame_with_payload_forwards_half() {
+        let net = MemNet::new(Clock::fresh_virtual());
+        let (addr, _h) = spawn_line_server(&net);
+        let plan = FaultPlan::new(7).rule(FaultTrigger::NthRpc(1), FaultAction::KillMidFrame);
+        let fd = FaultDialer::new(net.dialer(), net.clock().clone(), plan);
+        let (mut r, mut w) = connect(&fd, &addr);
+        let err = rpc(&mut r, &mut w, &format!("PWRITE 3 8 0\n{}", "ABCDEFGH")).unwrap_err();
+        assert!(matches!(
+            err.kind(),
+            io::ErrorKind::UnexpectedEof | io::ErrorKind::BrokenPipe
+        ));
+        assert_eq!(fd.stats().kills, 1);
+        // Subsequent writes observe the severed stream.
+        assert!(w.write_all(b"PING x\n").is_err());
+    }
+
+    #[test]
+    fn delay_charges_the_virtual_clock() {
+        let clock = Clock::fresh_virtual();
+        let net = MemNet::new(clock.clone());
+        let (addr, _h) = spawn_line_server(&net);
+        let plan = FaultPlan::new(7).rule(
+            FaultTrigger::NthRpc(1),
+            FaultAction::Delay(Duration::from_secs(30)),
+        );
+        let fd = FaultDialer::new(net.dialer(), clock.clone(), plan);
+        let (mut r, mut w) = connect(&fd, &addr);
+        let t0 = clock.now();
+        let wall = std::time::Instant::now();
+        assert_eq!(rpc(&mut r, &mut w, "PING a\n").unwrap(), "PONG a");
+        assert!(clock.elapsed_since(t0) >= Duration::from_secs(30));
+        assert!(wall.elapsed() < Duration::from_secs(5));
+        assert_eq!(fd.stats().delays, 1);
+    }
+
+    #[test]
+    fn blackhole_times_out_on_simulated_clock() {
+        let clock = Clock::fresh_virtual();
+        let net = MemNet::new(clock.clone());
+        let (addr, _h) = spawn_line_server(&net);
+        let plan = FaultPlan::new(7).rule(FaultTrigger::NthRpc(2), FaultAction::BlackHole);
+        let fd = FaultDialer::new(net.dialer(), clock.clone(), plan);
+        let (mut r, mut w) = connect(&fd, &addr);
+        assert_eq!(rpc(&mut r, &mut w, "PING a\n").unwrap(), "PONG a");
+        let t0 = clock.now();
+        let err = rpc(&mut r, &mut w, "PING b\n").unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::TimedOut);
+        // The 200ms read timeout was charged to simulated time.
+        assert!(clock.elapsed_since(t0) >= Duration::from_millis(200));
+        assert_eq!(fd.stats().blackholes, 1);
+    }
+
+    #[test]
+    fn corrupt_reply_flips_high_bits_then_dies() {
+        let net = MemNet::new(Clock::fresh_virtual());
+        let (addr, _h) = spawn_line_server(&net);
+        let plan = FaultPlan::new(7).rule(FaultTrigger::NthRpc(1), FaultAction::CorruptReply);
+        let fd = FaultDialer::new(net.dialer(), net.clock().clone(), plan);
+        let (mut r, mut w) = connect(&fd, &addr);
+        w.write_all(b"PING a\n").unwrap();
+        w.flush().unwrap();
+        let mut reply = Vec::new();
+        let _ = r.read_until(b'\n', &mut reply);
+        assert!(
+            reply.iter().take(4).all(|&b| b & 0x80 != 0),
+            "leading bytes not corrupted: {reply:?}"
+        );
+        assert_eq!(fd.stats().corruptions, 1);
+    }
+
+    #[test]
+    fn truncate_reply_halves_the_first_chunk() {
+        let net = MemNet::new(Clock::fresh_virtual());
+        let (addr, _h) = spawn_line_server(&net);
+        let plan = FaultPlan::new(7).rule(FaultTrigger::NthRpc(1), FaultAction::TruncateReply);
+        let fd = FaultDialer::new(net.dialer(), net.clock().clone(), plan);
+        let (mut r, mut w) = connect(&fd, &addr);
+        w.write_all(b"PING abcdefgh\n").unwrap();
+        w.flush().unwrap();
+        let mut reply = Vec::new();
+        let _ = r.read_until(b'\n', &mut reply);
+        // "PONG abcdefgh\n" is 14 bytes; we must see strictly fewer,
+        // with no trailing newline (the frame ends early).
+        assert!(reply.len() < 14, "reply not truncated: {reply:?}");
+        assert_eq!(fd.stats().truncates, 1);
+    }
+
+    #[test]
+    fn disarmed_dialer_is_transparent_until_rearmed() {
+        let net = MemNet::new(Clock::fresh_virtual());
+        let (addr, _h) = spawn_line_server(&net);
+        let plan = FaultPlan::new(7).rule(FaultTrigger::EveryNthRpc(1), FaultAction::KillMidFrame);
+        let fd = FaultDialer::new(net.dialer(), net.clock().clone(), plan);
+        fd.set_armed(false);
+        let (mut r, mut w) = connect(&fd, &addr);
+        for i in 0..5 {
+            assert_eq!(
+                rpc(&mut r, &mut w, &format!("PING {i}\n")).unwrap(),
+                format!("PONG {i}")
+            );
+        }
+        assert_eq!(fd.fires(), 0);
+        assert_eq!(fd.stats().rpcs, 5);
+        // Re-armed, the plan fires on the same connection.
+        fd.set_armed(true);
+        assert!(rpc(&mut r, &mut w, "PING x\n").is_err());
+        assert_eq!(fd.stats().kills, 1);
+        assert_eq!(fd.stats().rpcs, 6);
     }
 
     #[test]
     fn payload_frames_pass_intact() {
-        let (addr, _srv) = echo_server();
-        let proxy = FaultProxy::spawn(&addr, FaultPlan::new(1)).unwrap();
-        let mut conn = Duplex::connect(&proxy.addr());
-        writeln!(conn.writer, "PWRITE 3 10 0").unwrap();
-        conn.writer.write_all(b"0123456789").unwrap();
-        let mut reply = String::new();
-        conn.reader.read_line(&mut reply).unwrap();
-        assert_eq!(reply.trim_end(), "10");
-        // The stream is still framed after a payload.
-        assert_eq!(conn.rpc("PING z").unwrap(), "PONG PING z");
-    }
-
-    #[test]
-    fn nth_rpc_kill_severs_that_rpc_only() {
-        let (addr, _srv) = echo_server();
-        let plan = FaultPlan::new(7).rule(FaultTrigger::NthRpc(2), FaultAction::KillMidFrame);
-        let proxy = FaultProxy::spawn(&addr, plan).unwrap();
-        let mut conn = Duplex::connect(&proxy.addr());
-        assert_eq!(conn.rpc("PING a").unwrap(), "PONG PING a");
-        assert!(conn.rpc("PING b").is_err());
-        // A fresh connection works again.
-        let mut conn2 = Duplex::connect(&proxy.addr());
-        assert_eq!(conn2.rpc("PING c").unwrap(), "PONG PING c");
-        assert_eq!(proxy.stats().kills, 1);
-    }
-
-    #[test]
-    fn delay_holds_the_request() {
-        let (addr, _srv) = echo_server();
-        let plan = FaultPlan::new(7).rule(
-            FaultTrigger::NthRpc(1),
-            FaultAction::Delay(Duration::from_millis(80)),
-        );
-        let proxy = FaultProxy::spawn(&addr, plan).unwrap();
-        let mut conn = Duplex::connect(&proxy.addr());
-        let t0 = Instant::now();
-        assert_eq!(conn.rpc("PING a").unwrap(), "PONG PING a");
-        assert!(t0.elapsed() >= Duration::from_millis(80));
-        assert_eq!(proxy.stats().delays, 1);
-    }
-
-    #[test]
-    fn corrupt_reply_damages_then_severs() {
-        let (addr, _srv) = echo_server();
-        let plan = FaultPlan::new(7).rule(FaultTrigger::NthRpc(1), FaultAction::CorruptReply);
-        let proxy = FaultProxy::spawn(&addr, plan).unwrap();
-        let mut conn = Duplex::connect(&proxy.addr());
-        writeln!(conn.writer, "PING a").unwrap();
-        let mut bytes = Vec::new();
-        conn.reader.read_to_end(&mut bytes).unwrap();
-        assert!(!bytes.is_empty());
-        assert!(bytes[0] & 0x80 != 0, "leading byte should be damaged");
-        assert_eq!(proxy.stats().corruptions, 1);
-    }
-
-    #[test]
-    fn truncate_reply_cuts_the_frame_short() {
-        let (addr, _srv) = echo_server();
-        let plan = FaultPlan::new(7).rule(FaultTrigger::NthRpc(1), FaultAction::TruncateReply);
-        let proxy = FaultProxy::spawn(&addr, plan).unwrap();
-        let mut conn = Duplex::connect(&proxy.addr());
-        writeln!(conn.writer, "PING aaaaaaaaaaaaaaaa").unwrap();
-        let mut bytes = Vec::new();
-        conn.reader.read_to_end(&mut bytes).unwrap();
-        assert!(bytes.len() < "PONG PING aaaaaaaaaaaaaaaa\n".len());
-        assert_eq!(proxy.stats().truncates, 1);
-    }
-
-    #[test]
-    fn blackhole_never_replies() {
-        let (addr, _srv) = echo_server();
-        let plan = FaultPlan::new(7).with_rule(
-            FaultRule::new(FaultTrigger::NthRpc(1), FaultAction::BlackHole).max_fires(1),
-        );
-        let proxy = FaultProxy::spawn(&addr, plan).unwrap();
-        let s = TcpStream::connect(proxy.addr()).unwrap();
-        s.set_read_timeout(Some(Duration::from_millis(100)))
-            .unwrap();
-        let mut reader = BufReader::new(s.try_clone().unwrap());
-        let mut writer = s;
-        assert!(rpc(&mut DuplexRef(&mut reader, &mut writer), "PING a").is_err());
-        assert_eq!(proxy.stats().blackholes, 1);
-    }
-
-    /// Adapter so `rpc` can be used with split reader/writer halves.
-    struct DuplexRef<'a>(&'a mut BufReader<TcpStream>, &'a mut TcpStream);
-    impl io::Read for DuplexRef<'_> {
-        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-            self.0.read(buf)
-        }
-    }
-    impl BufRead for DuplexRef<'_> {
-        fn fill_buf(&mut self) -> io::Result<&[u8]> {
-            self.0.fill_buf()
-        }
-        fn consume(&mut self, n: usize) {
-            self.0.consume(n)
-        }
-    }
-    impl Write for DuplexRef<'_> {
-        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-            self.1.write(buf)
-        }
-        fn flush(&mut self) -> io::Result<()> {
-            self.1.flush()
-        }
-    }
-
-    #[test]
-    fn disarmed_proxy_is_transparent_until_rearmed() {
-        let (addr, _srv) = echo_server();
-        let plan = FaultPlan::new(7).rule(FaultTrigger::EveryNthRpc(1), FaultAction::KillMidFrame);
-        let proxy = FaultProxy::spawn(&addr, plan).unwrap();
-        proxy.set_armed(false);
-        let mut conn = Duplex::connect(&proxy.addr());
-        assert_eq!(conn.rpc("PING a").unwrap(), "PONG PING a");
-        assert_eq!(conn.rpc("PING b").unwrap(), "PONG PING b");
-        assert_eq!(proxy.stats().kills, 0);
-        proxy.set_armed(true);
-        assert!(conn.rpc("PING c").is_err());
-        assert_eq!(proxy.stats().kills, 1);
-        // Counters advanced through the disarmed phase.
-        assert_eq!(proxy.stats().rpcs, 3);
+        let net = MemNet::new(Clock::fresh_virtual());
+        let (addr, _h) = spawn_line_server(&net);
+        let fd = FaultDialer::new(net.dialer(), net.clock().clone(), FaultPlan::new(1));
+        let (mut r, mut w) = connect(&fd, &addr);
+        // A payload that reads like a request line is forwarded as
+        // payload, not counted, and the stream stays framed after it.
+        assert_eq!(rpc(&mut r, &mut w, "PWRITE 3 7 0\nPING p\n").unwrap(), "7");
+        assert_eq!(rpc(&mut r, &mut w, "PING z\n").unwrap(), "PONG z");
+        assert_eq!(fd.stats().rpcs, 2);
     }
 
     #[test]
     fn nth_connection_targets_one_connection() {
-        let (addr, _srv) = echo_server();
+        let net = MemNet::new(Clock::fresh_virtual());
+        let (addr, _h) = spawn_line_server(&net);
         let plan =
             FaultPlan::new(7).rule(FaultTrigger::NthConnection(2), FaultAction::KillMidFrame);
-        let proxy = FaultProxy::spawn(&addr, plan).unwrap();
-        let mut c1 = Duplex::connect(&proxy.addr());
-        assert_eq!(c1.rpc("PING a").unwrap(), "PONG PING a");
-        let mut c2 = Duplex::connect(&proxy.addr());
-        assert!(c2.rpc("PING b").is_err());
-        assert_eq!(c1.rpc("PING c").unwrap(), "PONG PING c");
+        let fd = FaultDialer::new(net.dialer(), net.clock().clone(), plan);
+        let (mut r1, mut w1) = connect(&fd, &addr);
+        assert_eq!(rpc(&mut r1, &mut w1, "PING a\n").unwrap(), "PONG a");
+        let (mut r2, mut w2) = connect(&fd, &addr);
+        assert!(rpc(&mut r2, &mut w2, "PING b\n").is_err());
+        assert_eq!(rpc(&mut r1, &mut w1, "PING c\n").unwrap(), "PONG c");
+        assert_eq!(fd.stats().kills, 1);
     }
 
     #[test]
     fn max_fires_caps_a_rule() {
-        let (addr, _srv) = echo_server();
+        let net = MemNet::new(Clock::fresh_virtual());
+        let (addr, _h) = spawn_line_server(&net);
         let plan = FaultPlan::new(7).with_rule(
             FaultRule::new(FaultTrigger::EveryNthRpc(1), FaultAction::KillMidFrame).max_fires(2),
         );
-        let proxy = FaultProxy::spawn(&addr, plan).unwrap();
+        let fd = FaultDialer::new(net.dialer(), net.clock().clone(), plan);
         for _ in 0..2 {
-            let mut conn = Duplex::connect(&proxy.addr());
-            assert!(conn.rpc("PING x").is_err());
+            let (mut r, mut w) = connect(&fd, &addr);
+            assert!(rpc(&mut r, &mut w, "PING x\n").is_err());
         }
-        let mut conn = Duplex::connect(&proxy.addr());
-        assert_eq!(conn.rpc("PING y").unwrap(), "PONG PING y");
-        assert_eq!(proxy.stats().kills, 2);
+        let (mut r, mut w) = connect(&fd, &addr);
+        assert_eq!(rpc(&mut r, &mut w, "PING y\n").unwrap(), "PONG y");
+        assert_eq!(fd.stats().kills, 2);
     }
 
     #[test]
     fn probability_draws_are_seed_deterministic() {
-        // Two proxies with the same seed make identical decisions for
+        // Two dialers with the same seed make identical decisions for
         // the same sequential RPC stream.
         let outcomes = |seed: u64| -> Vec<bool> {
-            let (addr, _srv) = echo_server();
+            let net = MemNet::new(Clock::fresh_virtual());
+            let (addr, _h) = spawn_line_server(&net);
             let plan = FaultPlan::new(seed)
                 .rule(FaultTrigger::Probability(0.5), FaultAction::KillMidFrame);
-            let proxy = FaultProxy::spawn(&addr, plan).unwrap();
-            let mut seen = Vec::new();
-            for i in 0..8 {
-                let mut conn = Duplex::connect(&proxy.addr());
-                seen.push(conn.rpc(&format!("PING {i}")).is_ok());
-            }
-            seen
+            let fd = FaultDialer::new(net.dialer(), net.clock().clone(), plan);
+            (0..8)
+                .map(|i| {
+                    let (mut r, mut w) = connect(&fd, &addr);
+                    rpc(&mut r, &mut w, &format!("PING {i}\n")).is_ok()
+                })
+                .collect()
         };
-        assert_eq!(outcomes(42), outcomes(42));
         let a = outcomes(42);
-        assert!(a.iter().any(|&ok| ok) && a.iter().any(|&ok| !ok));
+        assert_eq!(a, outcomes(42));
+        assert!(a.contains(&true) && a.contains(&false));
     }
 
     #[test]

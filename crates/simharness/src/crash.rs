@@ -64,6 +64,7 @@ use tss_core::localfs::LocalFs;
 use tss_core::placement::Placement;
 use tss_core::stubfs::StubFs;
 
+use crate::diff::ddmin;
 use crate::harness::{sim_root, SimTss};
 
 /// One whole-file operation against the simulated dsfs. Coarser than
@@ -404,7 +405,7 @@ impl CrashHarness {
         let ops = crash_ops_for_seed(seed);
         match self.sweep(seed, &ops, false) {
             Ok(stats) => Ok(stats),
-            Err(div) => Err(self.shrink(seed, ops, div, false)),
+            Err(_) => Err(self.shrink(seed, ops, false)),
         }
     }
 
@@ -416,7 +417,7 @@ impl CrashHarness {
         let ops = crash_ops_for_seed(seed);
         match self.sweep(seed, &ops, true) {
             Ok(stats) => Ok(stats),
-            Err(div) => Err(self.shrink(seed, ops, div, true)),
+            Err(_) => Err(self.shrink(seed, ops, true)),
         }
     }
 
@@ -438,44 +439,13 @@ impl CrashHarness {
         })
     }
 
-    /// Delta-debug `ops` down to a minimal still-failing trace.
-    fn shrink(
-        &mut self,
-        seed: u64,
-        ops: Vec<CrashOp>,
-        original: CrashDivergence,
-        torn: bool,
-    ) -> CrashDivergence {
-        let mut best_ops = ops;
-        let mut best = original;
-        let mut chunk = (best_ops.len() / 2).max(1);
-        loop {
-            let mut shrunk = false;
-            let mut i = 0;
-            while i < best_ops.len() && best_ops.len() > 1 {
-                let mut candidate = best_ops.clone();
-                let end = (i + chunk).min(candidate.len());
-                candidate.drain(i..end);
-                if candidate.is_empty() {
-                    i += chunk;
-                    continue;
-                }
-                match self.sweep(seed, &candidate, torn) {
-                    Err(d) => {
-                        best_ops = candidate;
-                        best = d;
-                        shrunk = true;
-                    }
-                    Ok(_) => i += chunk,
-                }
-            }
-            if chunk == 1 && !shrunk {
-                break;
-            }
-            chunk = (chunk / 2).max(1);
-        }
-        best.trace = best_ops;
-        best
+    /// Delta-debug `ops` down to a minimal still-failing trace with
+    /// [`ddmin`], then re-sweep it for the divergence to report (whose
+    /// `trace` is the minimized one).
+    fn shrink(&mut self, seed: u64, ops: Vec<CrashOp>, torn: bool) -> CrashDivergence {
+        let trace = ddmin(ops, &mut |c| self.sweep(seed, c, torn).is_err());
+        self.sweep(seed, &trace, torn)
+            .expect_err("shrunk trace still diverges")
     }
 
     /// One replay of `ops` with the given crash budget (`None` =

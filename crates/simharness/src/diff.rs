@@ -386,8 +386,8 @@ impl<'a> DiffRunner<'a> {
 /// (8, 4, 2, 1) from `items` while `still_fails` keeps holding, until
 /// no single drop preserves the failure. The predicate must be a
 /// function of the candidate alone — re-runs with stale shared state
-/// produce unsound minima. Shared by the differential checker (op
-/// traces) and the scenario runner (client fleets).
+/// produce unsound minima. Shared by the differential checker and the
+/// crash harness (op traces) and the scenario runner (client fleets).
 pub fn ddmin<T: Clone>(items: Vec<T>, still_fails: &mut dyn FnMut(&[T]) -> bool) -> Vec<T> {
     let mut cur = items;
     loop {

@@ -16,7 +16,7 @@ use std::time::Duration;
 use chirp_client::{AuthMethod, Connection};
 use chirp_proto::persist::Persist;
 use chirp_proto::testutil::TempDir;
-use chirp_proto::transport::{Dial, Dialer, Transport};
+use chirp_proto::transport::Dialer;
 use chirp_proto::{Clock, MemNet, VirtualClock};
 use chirp_server::acl::Acl;
 use chirp_server::{FileServer, KeyRing, ServerConfig};
@@ -280,48 +280,6 @@ pub fn sim_retry() -> RetryPolicy {
         initial_backoff: Duration::from_millis(10),
         max_backoff: Duration::from_millis(100),
         ..RetryPolicy::default()
-    }
-}
-
-/// A dialer routing one endpoint through a designated dialer and
-/// everything else through a default — how a simulation points fault
-/// injection at a single replica while its peers stay clean, the
-/// in-memory analogue of putting one TCP proxy in front of one server.
-pub struct RouteDialer {
-    routes: Vec<(String, Dialer)>,
-    fallback: Dialer,
-}
-
-impl RouteDialer {
-    /// Route `endpoint` through `via`; everything else through
-    /// `fallback`.
-    pub fn new(fallback: Dialer) -> RouteDialer {
-        RouteDialer {
-            routes: Vec::new(),
-            fallback,
-        }
-    }
-
-    /// Add a route. Returns `self` for chaining.
-    pub fn route(mut self, endpoint: &str, via: Dialer) -> RouteDialer {
-        self.routes.push((endpoint.to_string(), via));
-        self
-    }
-
-    /// Finish into a [`Dialer`] handle.
-    pub fn dialer(self) -> Dialer {
-        Dialer::from_arc(Arc::new(self))
-    }
-}
-
-impl Dial for RouteDialer {
-    fn dial(&self, endpoint: &str, timeout: Duration) -> std::io::Result<Box<dyn Transport>> {
-        for (ep, via) in &self.routes {
-            if ep == endpoint {
-                return via.dial(endpoint, timeout);
-            }
-        }
-        self.fallback.dial(endpoint, timeout)
     }
 }
 

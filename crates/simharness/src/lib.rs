@@ -51,7 +51,7 @@ pub mod scenario;
 pub use crash::{CrashDivergence, CrashHarness, CrashOp, CrashStats};
 pub use diff::{ddmin, run_seed, Divergence, OpResult};
 pub use gen::{Op, OpGen};
-pub use harness::{RouteDialer, SimTss};
+pub use harness::SimTss;
 pub use model::ModelServer;
 pub use scenario::{
     fleet_size, scenario_seed, standard_setup, ClientSpec, Phase, Role, Scenario, ScenarioFailure,

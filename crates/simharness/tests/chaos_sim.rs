@@ -1,17 +1,16 @@
 //! Chaos under simulation: the mirrored-read failover scenario from
 //! `crates/core/tests/chaos.rs` (`kill_mid_rpc_on_one_mirror_replica_
-//! is_masked`), reproduced with no TCP sockets, no proxies, and no
-//! sleeps — the fault plan runs inside an in-memory dialer, retry
-//! backoff is charged to a virtual clock, and the whole scenario is a
-//! deterministic function of the seed.
+//! is_masked`), reproduced with no TCP sockets and no sleeps — the
+//! same `FaultDialer` wraps the in-memory network's dialer instead of
+//! TCP, retry backoff is charged to a virtual clock, and the whole
+//! scenario is a deterministic function of the seed.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use chirp_proto::{OpenFlags, ReplyShape, Request};
-use faultline::mem::FaultDialer;
-use faultline::{FaultAction, FaultPlan, FaultTrigger};
-use simharness::harness::{auth, RouteDialer, SimTss};
+use faultline::{FaultAction, FaultDialer, FaultPlan, FaultTrigger, RouteDialer};
+use simharness::harness::{auth, SimTss};
 use tss_core::fs::FileSystem;
 use tss_core::localfs::LocalFs;
 use tss_core::mirrored::MirroredFs;
@@ -28,9 +27,8 @@ fn kill_mid_rpc_on_one_mirror_replica_is_masked_in_memory() {
     let sim = SimTss::builder().servers(2).build();
 
     // Replica 0's connections pass through a fault layer that kills
-    // every second RPC mid-frame; replica 1 is reached directly. This
-    // is the in-memory analogue of putting a TCP fault proxy in front
-    // of one server.
+    // every second RPC mid-frame; replica 1 is reached directly —
+    // the routing `chaos.rs` uses over TCP.
     let killer = FaultDialer::new(
         sim.dialer(),
         sim.clock().clone(),

@@ -7,8 +7,9 @@
 #   doctests, abstractions, extensions, recovery, readahead, chaos
 #   under its default seed) is run here as well, and so are the unit
 #   and property suites of the stream layer under it (`cargo test -p
-#   chirp-proto -p chirp-client -p telemetry`: the pipeline's FIFO and
-#   failure properties, the owed-reply contract, the metric cells),
+#   chirp-proto -p chirp-client -p telemetry -p faultline`: the
+#   pipeline's FIFO and failure properties, the owed-reply contract,
+#   the metric cells, the fault injector's triggers and actions),
 #   which no other default stage runs, and so are the file server's
 #   unit tests (handlers, jail, acl, cache) with its metadata,
 #   robustness, capacity and stress suites. The benchmark package
@@ -134,8 +135,8 @@ cargo test -q
 echo "== cargo test -q -p tss-core  (abstraction layer: units, doctests, integration, chaos)"
 cargo test -q -p tss-core
 
-echo "== cargo test -q -p chirp-proto -p chirp-client -p telemetry  (stream layer: pipeline props, owed-reply contract, metric cells)"
-cargo test -q -p chirp-proto -p chirp-client -p telemetry
+echo "== cargo test -q -p chirp-proto -p chirp-client -p telemetry -p faultline  (stream layer: pipeline props, owed-reply contract, metric cells, fault injector)"
+cargo test -q -p chirp-proto -p chirp-client -p telemetry -p faultline
 
 echo "== cargo test -q -p chirp-server --lib --test metadata_ops --test robustness --test capacity --test stress  (file server: units, metadata over LocalFs, hostile peers, capacity, stress)"
 cargo test -q -p chirp-server --lib --test metadata_ops --test robustness --test capacity --test stress
