@@ -1,7 +1,7 @@
-//! Fast-mode buffer-cache smoke for `scripts/verify.sh --cache`: the
-//! acceptance floor for the server-side page cache, measured at the
-//! handler layer (no sockets) so the cache's effect is not drowned in
-//! loopback round trips.
+//! Buffer-cache smoke, run in debug by stage 0 of `scripts/verify.sh`
+//! and in release by its `cache` row: the acceptance floor for the
+//! server-side page cache, measured at the handler layer (no sockets)
+//! so the cache's effect is not drowned in loopback round trips.
 //!
 //! * **Hot**: 8 KiB `PREAD`s over a working set that fits the cache
 //!   must run ≥2× faster than the same reads through a cacheless

@@ -1,4 +1,4 @@
-//! Request-pipelining smoke for `scripts/verify.sh --pipeline`: small
+//! Request-pipelining smoke, run by stage 0 of `scripts/verify.sh`: small
 //! ops (1 KiB `PREAD`, `STAT`) on one Chirp stream in batches of 8 and
 //! of 1, asserting the acceptance floor — ≥2× small-op throughput at
 //! pipeline depth 8 vs depth 1 — in a couple hundred milliseconds.

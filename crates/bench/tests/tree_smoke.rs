@@ -1,5 +1,5 @@
-//! Fast-mode THIRDPUT distribution-tree bench for
-//! `scripts/verify.sh --fed`: 8 real TCP file servers whose outbound
+//! THIRDPUT distribution-tree bench, run by stage 0 of
+//! `scripts/verify.sh`: 8 real TCP file servers whose outbound
 //! dialer charges a latency per round trip, so every THIRDPUT hop
 //! pays for its own connection to the next depot (loopback otherwise
 //! hides the transfer cost the tree amortizes), comparing three ways

@@ -415,18 +415,6 @@ pub fn ddmin<T: Clone>(items: Vec<T>, still_fails: &mut dyn FnMut(&[T]) -> bool)
     }
 }
 
-/// Check `count` consecutive seeds starting at `first_seed` against a
-/// fresh single-server instance. Returns the first divergence, if any.
-pub fn run_seed(first_seed: u64, count: u64) -> Result<(), Divergence> {
-    let root_acl = Acl::single("hostname:*", "rwlda").expect("valid rights");
-    let sim = SimTss::builder().root_acl(root_acl.clone()).build();
-    let mut runner = DiffRunner::new(&sim, root_acl);
-    for seed in first_seed..first_seed + count {
-        runner.check_seed(seed)?;
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -49,7 +49,7 @@ pub mod model;
 pub mod scenario;
 
 pub use crash::{CrashDivergence, CrashHarness, CrashOp, CrashStats};
-pub use diff::{ddmin, run_seed, Divergence, OpResult};
+pub use diff::{ddmin, Divergence, OpResult};
 pub use gen::{Op, OpGen};
 pub use harness::SimTss;
 pub use model::ModelServer;

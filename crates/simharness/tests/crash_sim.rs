@@ -8,7 +8,8 @@
 //!
 //! Knobs:
 //! * `SIM_SEQS=<n>`  — how many seeds to sweep (default: small in
-//!   debug builds, 1000 in release — the verify.sh `--crash` stage).
+//!   debug builds, 1000 in release — the `crash` row of
+//!   `scripts/verify.sh`).
 //! * `CRASH_SEED=<n>` — sweep exactly one seed, for reproducing a
 //!   printed failure.
 //!

@@ -1,71 +1,32 @@
-//! The reactor proven op-for-op, plus connection-scale soaks.
+//! The reactor at connection scale, over the in-memory network.
 //!
-//! * **Differential matrix** — seeded op sequences replayed against a
-//!   server over the in-memory network, every reply checked
-//!   byte-for-byte against the model oracle. Reproduce with
-//!   `REACTOR_SEED=<n>`.
 //! * **Idle-connection soak** — thousands of idle connections held on
 //!   one server: memory must stay flat while they idle (no
 //!   per-connection thread stacks, no buffer creep), the server must
 //!   stay responsive through the crowd, and shutdown must retire every
 //!   connection cleanly. `REACTOR_SOAK=50000` scales it to the
-//!   headline 50k; the default 2000 is the verify.sh gate and rides
-//!   the shared `SCENARIO_SCALE` knob with the rest of the
-//!   mass-client workloads.
+//!   headline 50k; the default 2000 rides the shared `SCENARIO_SCALE`
+//!   knob with the rest of the mass-client workloads.
 //! * **Listener-closed-is-terminal** — unbinding the address under a
 //!   live server (the simulated host death the tree chaos tests
 //!   inflict) must stop the accept loop without spinning, keep
 //!   already-accepted connections serving, and still shut down
 //!   cleanly.
+//!
+//! The reactor's replies are checked op-for-op against the model by
+//! the differential suite (`tests/differential.rs`).
 
 use std::io::Read;
 use std::time::Duration;
 
-use simharness::diff::DiffRunner;
+use simharness::scenario::rss_bytes;
 use simharness::SimTss;
-
-fn env_u64(name: &str) -> Option<u64> {
-    std::env::var(name).ok().and_then(|v| v.parse().ok())
-}
-
-#[test]
-fn differential_matrix_against_the_model() {
-    let seeds: Vec<u64> = match env_u64("REACTOR_SEED") {
-        Some(seed) => vec![seed],
-        None => {
-            let n = env_u64("SIM_SEQS").unwrap_or(if cfg!(debug_assertions) { 40 } else { 400 });
-            (0..n).collect()
-        }
-    };
-    let root_acl = chirp_server::acl::Acl::single("hostname:*", "rwlda").unwrap();
-    let sim = SimTss::builder().root_acl(root_acl.clone()).build();
-    let mut runner = DiffRunner::new(&sim, root_acl);
-    for &seed in &seeds {
-        if let Err(div) = runner.check_seed(seed) {
-            panic!(
-                "the server diverged from the model:\n{div}\n\
-                 reproduce: REACTOR_SEED={seed} cargo test -p simharness --test reactor_sim"
-            );
-        }
-    }
-}
-
-/// Resident set size in bytes, from /proc/self/statm.
-#[cfg(target_os = "linux")]
-fn rss_bytes() -> u64 {
-    let statm = std::fs::read_to_string("/proc/self/statm").expect("statm");
-    let pages: u64 = statm
-        .split_whitespace()
-        .nth(1)
-        .and_then(|f| f.parse().ok())
-        .expect("resident field");
-    pages * 4096
-}
 
 #[test]
 fn idle_connection_soak_holds_flat_memory() {
-    let n = env_u64("REACTOR_SOAK")
-        .map(|n| n as usize)
+    let n = std::env::var("REACTOR_SOAK")
+        .ok()
+        .and_then(|v| v.parse().ok())
         .unwrap_or_else(|| simharness::scenario::fleet_size(2000, 2000));
     // Room for the crowd plus the probe client.
     let sim = SimTss::builder().max_connections(n + 8).build();
@@ -93,7 +54,7 @@ fn idle_connection_soak_holds_flat_memory() {
     // not creep while nothing happens (level-triggered loops that
     // buffer per-tick would show up here).
     #[cfg(target_os = "linux")]
-    let settled = rss_bytes();
+    let settled = rss_bytes().expect("resident set size");
     let mut probe = sim.connect(0); // arrives pre-authenticated
     for _ in 0..5 {
         std::thread::sleep(Duration::from_millis(100));
@@ -102,7 +63,7 @@ fn idle_connection_soak_holds_flat_memory() {
     }
     #[cfg(target_os = "linux")]
     {
-        let held = rss_bytes();
+        let held = rss_bytes().expect("resident set size");
         let grown = held.saturating_sub(settled);
         assert!(
             grown < 16 * 1024 * 1024,
