@@ -121,9 +121,8 @@ fn run(
             out.flush()?;
         }
         "put" => {
-            let mut f = std::fs::File::open(arg(0)?)?;
-            let len = f.metadata()?.len();
-            conn.putfile_from(arg(1)?, 0o644, len, &mut f)?;
+            let f = std::fs::File::open(arg(0)?)?;
+            let len = conn.putfile_file(arg(1)?, 0o644, &f)?;
             println!("{len} bytes");
         }
         "get" => {

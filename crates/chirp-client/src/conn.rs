@@ -11,7 +11,8 @@
 //! its own. [`Connection::pipeline`] opens the window wider for the
 //! length of a closure.
 
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::fs::File;
+use std::io::{BufReader, BufWriter, Write};
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::time::Duration;
 
@@ -513,27 +514,36 @@ impl Connection {
         Ok(out)
     }
 
-    /// Stream `length` bytes from `source` into a new file at `path`.
-    pub fn putfile_from<R: Read>(
-        &mut self,
-        path: &str,
-        mode: u32,
-        length: u64,
-        source: &mut R,
-    ) -> ChirpResult<()> {
+    /// Store the whole of `file`, freshly opened, as a new file at
+    /// `path`; returns the byte count. The body leaves through
+    /// [`Transport::send_file`], which on TCP is sendfile(2).
+    pub fn putfile_file(&mut self, path: &str, mode: u32, file: &File) -> ChirpResult<u64> {
+        let length = file.metadata().map_err(|e| ChirpError::from_io(&e))?.len();
         let req = Request::Putfile {
             path: path.to_string(),
             mode,
             length,
         };
-        self.pipe.send_from(&req, source, ReplyShape::Status)?;
+        self.pipe.send_with(&req, ReplyShape::Status, |w| {
+            w.flush()?;
+            w.get_mut().send_file(file, length)
+        })?;
         self.pipe.recv()?;
-        Ok(())
+        Ok(length)
     }
 
     /// Store an in-memory buffer as a file.
     pub fn putfile(&mut self, path: &str, mode: u32, data: &[u8]) -> ChirpResult<()> {
-        self.putfile_from(path, mode, data.len() as u64, &mut &data[..])
+        let req = Request::Putfile {
+            path: path.to_string(),
+            mode,
+            length: data.len() as u64,
+        };
+        self.pipe.send_with(&req, ReplyShape::Status, |w| {
+            wire::copy_exact(&mut &data[..], w, req.payload_len())
+        })?;
+        self.pipe.recv()?;
+        Ok(())
     }
 
     /// Fetch a directory's ACL as text.

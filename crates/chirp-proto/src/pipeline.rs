@@ -41,7 +41,7 @@
 //! [`PipelinedConn::in_flight`].
 
 use std::collections::VecDeque;
-use std::io::{BufRead, Read, Write};
+use std::io::{BufRead, Write};
 
 use crate::error::{ChirpError, ChirpResult};
 use crate::message::Request;
@@ -171,11 +171,17 @@ impl<R: BufRead, W: Write> PipelinedConn<R, W> {
         Err(e)
     }
 
-    /// Write one request line and whatever `payload` adds behind it,
-    /// and queue its reply shape. A full window is a usage error
-    /// reported as `InvalidRequest`, not a wire event; an unclaimed
-    /// request takes no room.
-    fn enqueue(
+    /// Write one request line and whatever `payload` writes behind it,
+    /// which must be exactly [`Request::payload_len`] bytes, and queue
+    /// its reply shape: the hook for a payload that is not a slice in
+    /// memory, such as a file sent with [`Transport::send_file`]. A
+    /// payload that fails part way has already put the line on the
+    /// wire, so it kills the stream like any partial write. A full
+    /// window is a usage error reported as `InvalidRequest`, not a wire
+    /// event; an unclaimed request takes no room.
+    ///
+    /// [`Transport::send_file`]: crate::transport::Transport::send_file
+    pub fn send_with(
         &mut self,
         req: &Request,
         shape: ReplyShape,
@@ -220,21 +226,7 @@ impl<R: BufRead, W: Write> PipelinedConn<R, W> {
             req.payload_len(),
             "payload must match the length named on the request line"
         );
-        self.enqueue(req, shape, |w| payload.map_or(Ok(()), |p| w.write_all(p)))
-    }
-
-    /// [`PipelinedConn::send`] with the payload streamed from `source`
-    /// through a bounded buffer: exactly [`Request::payload_len`]
-    /// bytes. A source that ends early has already put the line on the
-    /// wire, so it kills the stream like any partial write.
-    pub fn send_from(
-        &mut self,
-        req: &Request,
-        source: &mut impl Read,
-        shape: ReplyShape,
-    ) -> ChirpResult<()> {
-        let len = req.payload_len();
-        self.enqueue(req, shape, |w| wire::copy_exact(source, w, len))
+        self.send_with(req, shape, |w| payload.map_or(Ok(()), |p| w.write_all(p)))
     }
 
     /// Push all queued request bytes to the wire.
@@ -575,12 +567,15 @@ mod tests {
         let empty = b"";
         let mut writer = Vec::new();
         let mut pipe = PipelinedConn::new(BufReader::new(&empty[..]), &mut writer, 2);
-        pipe.send_from(&put(4), &mut &b"datamore"[..], ReplyShape::Status)
+        let from = |source: &'static [u8], len| {
+            move |w: &mut &mut Vec<u8>| wire::copy_exact(&mut &source[..], w, len)
+        };
+        pipe.send_with(&put(4), ReplyShape::Status, from(b"datamore", 4))
             .unwrap();
         // A source that ends early leaves a line without its payload
         // on the wire: the stream is dead.
         assert_eq!(
-            pipe.send_from(&put(9), &mut &b"short"[..], ReplyShape::Status)
+            pipe.send_with(&put(9), ReplyShape::Status, from(b"short", 9))
                 .unwrap_err(),
             ChirpError::Disconnected
         );

@@ -22,6 +22,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
+use std::fs::File;
 use std::io::{self, Read, Write};
 use std::net::{IpAddr, Ipv4Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -56,6 +57,15 @@ pub trait Transport: Read + Write + Send + fmt::Debug {
     /// Sever both directions, for every clone of this stream. Blocked
     /// and future reads observe end-of-stream or an error.
     fn shutdown(&self) -> io::Result<()>;
+
+    /// Send the next `len` bytes of `file` down the stream: a file body,
+    /// `GETFILE`'s or a `THIRDPUT` push's. A file that ends first fails
+    /// with `UnexpectedEof`, and the stream's framing is then lost. By
+    /// default the bytes go through a bounded buffer and this stream's
+    /// own `write`, so a wrapper sees every one of them.
+    fn send_file(&mut self, file: &File, len: u64) -> io::Result<()> {
+        crate::wire::copy_exact(&mut &*file, self, len)
+    }
 
     // ---- readiness extension (see [`crate::ready`]) -----------------
     //
@@ -172,6 +182,43 @@ impl Transport for TcpStream {
     }
     fn shutdown(&self) -> io::Result<()> {
         TcpStream::shutdown(self, Shutdown::Both)
+    }
+    /// sendfile(2): the file's pages go to the socket without passing
+    /// through user space, a bounded run per call.
+    #[cfg(target_os = "linux")]
+    fn send_file(&mut self, file: &File, len: u64) -> io::Result<()> {
+        use std::os::fd::AsRawFd;
+        extern "C" {
+            // From the C library the standard library already links.
+            fn sendfile(out_fd: i32, in_fd: i32, offset: *mut i64, count: usize) -> isize;
+        }
+        const RUN: u64 = 256 * 1024;
+        let mut left = len;
+        while left > 0 {
+            let count = left.min(RUN) as usize;
+            // SAFETY: both descriptors stay open across the call, and a
+            // null offset makes it read from (and advance) the file's
+            // own offset.
+            let sent = unsafe {
+                sendfile(
+                    self.as_raw_fd(),
+                    file.as_raw_fd(),
+                    std::ptr::null_mut(),
+                    count,
+                )
+            };
+            match sent {
+                0 => return Err(io::ErrorKind::UnexpectedEof.into()),
+                n if n > 0 => left -= n as u64,
+                _ => {
+                    let e = io::Error::last_os_error();
+                    if e.kind() != io::ErrorKind::Interrupted {
+                        return Err(e);
+                    }
+                }
+            }
+        }
+        Ok(())
     }
     fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
         TcpStream::set_nonblocking(self, nonblocking)
@@ -512,6 +559,7 @@ struct StreamEnd {
     peer: SocketAddr,
     clock: Clock,
     read_timeout: Mutex<Option<Duration>>,
+    write_timeout: Mutex<Option<Duration>>,
     nonblocking: AtomicBool,
 }
 
@@ -549,6 +597,7 @@ impl MemStream {
                 peer: b_addr,
                 clock: clock.clone(),
                 read_timeout: Mutex::new(None),
+                write_timeout: Mutex::new(None),
                 nonblocking: AtomicBool::new(false),
             }),
         };
@@ -560,6 +609,7 @@ impl MemStream {
                 peer: a_addr,
                 clock,
                 read_timeout: Mutex::new(None),
+                write_timeout: Mutex::new(None),
                 nonblocking: AtomicBool::new(false),
             }),
         };
@@ -647,6 +697,10 @@ impl Write for MemStream {
         if bufs.iter().all(|b| b.is_empty()) {
             return Ok(0);
         }
+        // Only a bounded pipe ever makes a writer wait; its budget is
+        // real time, charged to a virtual clock on expiry, as a read's.
+        let timeout = *self.end.write_timeout.lock().unwrap();
+        let budget = timeout.unwrap_or(MEM_DEADLOCK_CAP);
         let start = Instant::now();
         let mut st = self.end.write_pipe.state.lock().unwrap();
         loop {
@@ -662,7 +716,13 @@ impl Write for MemStream {
                     return Err(io::ErrorKind::WouldBlock.into());
                 }
                 let elapsed = start.elapsed();
-                if elapsed >= MEM_DEADLOCK_CAP {
+                if elapsed >= budget {
+                    if timeout.is_some() {
+                        if self.end.clock.is_virtual() {
+                            self.end.clock.sleep(budget);
+                        }
+                        return Err(io::ErrorKind::TimedOut.into());
+                    }
                     return Err(io::Error::new(
                         io::ErrorKind::TimedOut,
                         "in-memory write exceeded the deadlock cap",
@@ -672,7 +732,7 @@ impl Write for MemStream {
                     .end
                     .write_pipe
                     .cond
-                    .wait_timeout(st, MEM_DEADLOCK_CAP - elapsed)
+                    .wait_timeout(st, budget - elapsed)
                     .unwrap();
                 st = next;
                 continue;
@@ -710,8 +770,9 @@ impl Transport for MemStream {
     fn read_timeout(&self) -> io::Result<Option<Duration>> {
         Ok(*self.end.read_timeout.lock().unwrap())
     }
-    fn set_write_timeout(&self, _timeout: Option<Duration>) -> io::Result<()> {
-        Ok(()) // writes to an unbounded pipe never block
+    fn set_write_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
+        *self.end.write_timeout.lock().unwrap() = timeout;
+        Ok(())
     }
     fn peer_addr(&self) -> io::Result<SocketAddr> {
         Ok(self.end.peer)
@@ -850,6 +911,23 @@ mod tests {
         Transport::set_read_timeout(&a, Some(Duration::from_millis(10))).unwrap();
         let t0 = clock.now();
         let err = a.read(&mut [0u8; 1]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::TimedOut);
+        assert!(clock.elapsed_since(t0) >= Duration::from_millis(10));
+    }
+
+    #[test]
+    fn write_timeout_expires_on_a_full_pipe() {
+        let clock = Clock::fresh_virtual();
+        let (mut a, _b) = MemStream::pair_with_capacity(
+            "10.77.0.1:1".parse().unwrap(),
+            "10.77.0.2:2".parse().unwrap(),
+            clock.clone(),
+            Some(4),
+        );
+        Transport::set_write_timeout(&a, Some(Duration::from_millis(10))).unwrap();
+        assert_eq!(a.write(b"abcdef").unwrap(), 4);
+        let t0 = clock.now();
+        let err = a.write(b"ef").unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::TimedOut);
         assert!(clock.elapsed_since(t0) >= Duration::from_millis(10));
     }

@@ -121,7 +121,11 @@ pub fn parse_status(line: &str) -> Result<StatusLine, ChirpError> {
 /// Copy exactly `len` bytes from `reader` to `writer` through a bounded
 /// buffer, so a multi-megabyte `putfile` payload never occupies more
 /// than one buffer of memory.
-pub fn copy_exact<R: Read, W: Write>(reader: &mut R, writer: &mut W, len: u64) -> io::Result<()> {
+pub fn copy_exact<R: Read + ?Sized, W: Write + ?Sized>(
+    reader: &mut R,
+    writer: &mut W,
+    len: u64,
+) -> io::Result<()> {
     let mut buf = [0u8; 64 * 1024];
     let mut remaining = len;
     while remaining > 0 {

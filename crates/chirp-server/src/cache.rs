@@ -454,43 +454,6 @@ impl PageCache {
         })
     }
 
-    /// `GETFILE` probe: the whole file, but only if every page is
-    /// already resident — a miss streams from disk without populating
-    /// (whole-file scans must not evict the hot working set).
-    pub fn probe_file(&self, key: FileKey, size: u64) -> Option<PageReply> {
-        if size == 0 {
-            return Some(PageReply::default());
-        }
-        if size > self.shard_budget * self.shards.len() as u64 * self.page as u64 {
-            return None;
-        }
-        let page = self.page as u64;
-        let last = (size - 1) / page;
-        let mut slices = Vec::with_capacity(last as usize + 1);
-        for idx in 0..=last {
-            let page_off = idx * page;
-            let want = (size - page_off).min(page) as usize;
-            let mut shard = self.shard_for(key, idx).lock().expect("shard poisoned");
-            match shard.map.get_mut(&(key, idx)) {
-                Some(entry) if entry.valid >= want => {
-                    entry.touch();
-                    slices.push(PageSlice {
-                        page: entry.data.clone(),
-                        start: 0,
-                        end: want,
-                    });
-                }
-                _ => return None,
-            }
-        }
-        self.hits.add(slices.len() as u64);
-        self.bytes_from_cache.add(size);
-        Some(PageReply {
-            total: size as usize,
-            slices,
-        })
-    }
-
     /// Write-through patch: `data` has reached disk at `offset`;
     /// update any resident pages. `old_size` is the file size before
     /// the write, for the old-EOF-page fixup (a page that was the
@@ -796,20 +759,6 @@ mod tests {
         let r = cache.read(&file, key, 0, 1024, size, false).unwrap();
         assert_eq!(collect(&r), data);
         assert_eq!(cache.resident_bytes(), 0);
-    }
-
-    #[test]
-    fn probe_file_requires_full_residency() {
-        let dir = TempDir::new();
-        let data = content(2500);
-        let (file, key, size) = open(&dir, "f", &data);
-        let cache = PageCache::new(1 << 20, 1024, &Registry::new());
-        assert!(cache.probe_file(key, size).is_none());
-        cache.read(&file, key, 0, 2048, size, true).unwrap();
-        assert!(cache.probe_file(key, size).is_none(), "last page missing");
-        cache.read(&file, key, 2048, 452, size, true).unwrap();
-        let r = cache.probe_file(key, size).expect("fully resident");
-        assert_eq!(collect(&r), data);
     }
 
     #[test]

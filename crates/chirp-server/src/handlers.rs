@@ -49,7 +49,8 @@ pub enum Reply {
 
 /// An in-progress streamed `PUTFILE` payload (see
 /// [`Session::begin_putfile`]), fed chunks as they arrive off the
-/// wire.
+/// wire ([`PutfileUpload::feed`]) and settled by
+/// [`Session::finish_putfile`].
 #[derive(Debug)]
 pub struct PutfileUpload {
     /// Payload bytes the connection still owes.
@@ -72,6 +73,9 @@ enum UploadFate {
         /// Size the path held before the upload, for capacity
         /// accounting (a replaced file frees its old bytes).
         old_size: u64,
+        /// The first failed file write. The rest of the payload is
+        /// then drained, and this is the reply.
+        failed: Option<ChirpError>,
     },
 }
 
@@ -84,9 +88,35 @@ impl PutfileUpload {
         }
     }
 
-    /// Payload bytes not yet delivered via [`Session::feed_putfile`].
+    /// Payload bytes not yet delivered via [`PutfileUpload::feed`].
     pub fn remaining(&self) -> u64 {
         self.remaining
+    }
+
+    /// Total payload length named on the request line.
+    pub fn length(&self) -> u64 {
+        self.length
+    }
+
+    /// Deliver the next payload chunk: consumes at most
+    /// [`PutfileUpload::remaining`] bytes of `buf` and returns how many.
+    /// A file write that fails turns the rest of the upload into a
+    /// drain, so the stream stays framed; the failure is the reply.
+    pub fn feed(&mut self, buf: &[u8]) -> usize {
+        let n = self.remaining.min(buf.len() as u64) as usize;
+        if let UploadFate::Write {
+            file,
+            failed: failed @ None,
+            ..
+        } = &mut self.fate
+        {
+            use std::io::Write;
+            if let Err(e) = file.write_all(&buf[..n]) {
+                *failed = Some(ChirpError::from_io(&e));
+            }
+        }
+        self.remaining -= n as u64;
+        n
     }
 }
 
@@ -143,7 +173,7 @@ impl Session {
 
     /// Handle one request. `payload` carries the body of a `PWRITE`.
     /// (`PUTFILE` is streamed through [`Session::begin_putfile`],
-    /// [`Session::feed_putfile`] and [`Session::finish_putfile`]
+    /// [`PutfileUpload::feed`] and [`Session::finish_putfile`]
     /// instead, so large uploads never sit in memory; `THIRDPUT` through
     /// [`Session::begin_thirdput`] and [`push_thirdput`], so its push
     /// runs off the serving thread.)
@@ -270,42 +300,43 @@ impl Session {
                 file: handle.into_file(),
                 key: file_key(&meta),
                 old_size,
+                failed: None,
             },
         }
     }
 
-    /// Deliver the next payload chunk of an upload started by
-    /// [`Session::begin_putfile`]. Consumes at most
-    /// [`PutfileUpload::remaining`] bytes of `buf`; returns how many.
-    pub fn feed_putfile(&mut self, upload: &mut PutfileUpload, buf: &[u8]) -> ChirpResult<usize> {
-        let n = (upload.remaining.min(buf.len() as u64)) as usize;
-        if let UploadFate::Write { file, .. } = &mut upload.fate {
-            use std::io::Write;
-            file.write_all(&buf[..n])
-                .map_err(|e| ChirpError::from_io(&e))?;
-        }
-        upload.remaining -= n as u64;
-        Ok(n)
-    }
-
-    /// Complete a fully-fed upload: settle caches, sizes, usage, and
-    /// stats, and produce the reply (the deferred rejection for a
-    /// drained upload).
+    /// Complete an upload: settle caches, sizes and usage, and produce
+    /// the reply (the deferred rejection for a drained upload). The
+    /// open truncated the inode, so it is settled however the upload
+    /// ended: fully fed, cut short, or drained after a failed write.
     pub fn finish_putfile(&mut self, upload: PutfileUpload) -> ChirpResult<Reply> {
-        debug_assert_eq!(upload.remaining, 0, "finish before payload fully fed");
-        let length = upload.length;
+        let complete = upload.remaining == 0;
         match upload.fate {
             UploadFate::Discard(e) => Err(e),
-            UploadFate::Write { key, old_size, .. } => {
-                // The upload truncated and rewrote the inode: stale
-                // pages go, and descriptors already open on it learn
-                // the new size.
+            UploadFate::Write {
+                file,
+                key,
+                old_size,
+                failed,
+            } => {
+                let size = match (&failed, complete) {
+                    (None, true) => upload.length,
+                    _ => file.metadata().map_or(0, |m| m.len()),
+                };
+                // Stale pages go, and descriptors already open on the
+                // inode learn its new size.
                 if let Some(cache) = &self.shared.cache {
                     cache.invalidate(key);
                 }
-                self.shared.sizes.set_size(key, length);
-                self.shared.adjust_usage(length as i64 - old_size as i64);
-                Ok(Reply::Value(0))
+                self.shared.sizes.set_size(key, size);
+                self.shared.adjust_usage(size as i64 - old_size as i64);
+                match (failed, complete) {
+                    (Some(e), _) => Err(e),
+                    (None, false) => Err(ChirpError::from_io(&io::Error::from(
+                        io::ErrorKind::UnexpectedEof,
+                    ))),
+                    (None, true) => Ok(Reply::Value(0)),
+                }
             }
         }
     }
@@ -731,15 +762,9 @@ impl Session {
     fn do_getfile(&self, path: &str) -> ChirpResult<Reply> {
         let (dir, _) = self.shared.jail.resolve_parent(path)?;
         self.require_rights(&dir, Rights::READ)?;
+        // Always from disk, never through the page cache: a whole-tree
+        // copy must not wipe out the hot working set.
         let (handle, meta) = self.open_read(path)?;
-        if let Some(cache) = &self.shared.cache {
-            // Serve a fully-resident file straight from pages; a
-            // partial miss streams from disk without populating, so a
-            // whole-tree copy can't wipe out the hot working set.
-            if let Some(reply) = cache.probe_file(file_key(&meta), meta.len()) {
-                return Ok(Reply::Pages(reply));
-            }
-        }
         Ok(Reply::FileStream(handle.into_file(), meta.len()))
     }
 
@@ -854,10 +879,9 @@ impl Session {
     ) -> ChirpResult<ThirdputPush> {
         let (dir, _) = self.shared.jail.resolve_parent(path)?;
         self.require_rights(&dir, Rights::READ)?;
-        let (handle, meta) = self.open_read(path)?;
+        let (handle, _) = self.open_read(path)?;
         Ok(ThirdputPush {
             file: handle.into_file(),
-            len: meta.len(),
             target: target.to_string(),
             target_path: target_path.to_string(),
         })
@@ -882,27 +906,20 @@ impl Session {
 #[derive(Debug)]
 pub struct ThirdputPush {
     file: File,
-    len: u64,
     target: String,
     target_path: String,
 }
 
 /// Run a third-party transfer to its end: dial the target, authenticate
-/// as this server's hostname, and stream the file in one `PUTFILE`.
+/// as this server's hostname, and send the file in one `PUTFILE`.
 /// Blocks on the peer for as long as the transfer takes, so it never
 /// runs on a serving thread. The reply value is the byte count.
 pub fn push_thirdput(shared: &Shared, push: ThirdputPush) -> ChirpResult<u64> {
-    let ThirdputPush {
-        mut file,
-        len,
-        target,
-        target_path,
-    } = push;
     let timeout = std::time::Duration::from_secs(30);
-    let mut conn = chirp_client::Connection::connect_via(&shared.config.dialer, &target, timeout)?;
+    let mut conn =
+        chirp_client::Connection::connect_via(&shared.config.dialer, &push.target, timeout)?;
     conn.authenticate(&[chirp_client::AuthMethod::Hostname])?;
-    conn.putfile_from(&target_path, 0o644, len, &mut file)?;
-    Ok(len)
+    conn.putfile_file(&push.target_path, 0o644, &push.file)
 }
 
 /// Total bytes of file data stored under `root` (recursive walk; the

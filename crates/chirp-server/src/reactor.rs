@@ -41,28 +41,37 @@
 //! Nothing waits behind bulk. A connection gets one *turn* at a time:
 //! once it has moved [`TURN_BYTES`] (written and read together) or had
 //! [`TURN_REQUESTS`] requests served, it yields and goes to the back of
-//! its shard's queue, so an 8 MiB `GETFILE` or `PUTFILE` is many short
-//! turns with everyone else's requests served between them. A
-//! `THIRDPUT`, which blocks on another server for its whole transfer,
-//! is checked and opened on the shard and then pushed by a small fixed
-//! pool beside the shards; its connection's parser is parked meanwhile,
-//! exactly as under the write cap, and the push's reply re-enters the
-//! shard through the ready-list.
+//! its shard's queue. Bulk leaves the shard: the shard parses, checks
+//! and opens every request, and hands the long part to a pool of
+//! threads beside the shards — a `THIRDPUT`'s push to another server,
+//! a `GETFILE` body longer than one `READ_CHUNK` (sent by
+//! [`Transport::send_file`], sendfile(2) on a socket), and whatever of
+//! a `PUTFILE` body the shard has not already buffered. A body is
+//! handed over only once every earlier reply has left, and the pool
+//! moves it with blocking calls on a clone of the stream while the
+//! shard leaves that stream alone, its readiness muted. The
+//! connection's parser is parked meanwhile, exactly as under the write
+//! cap, and the pool's answer re-enters the shard through the
+//! ready-list. The pool grows whenever a handoff finds no thread idle,
+//! so no handoff waits for a busy one: two servers pushing to each
+//! other each need a thread for their own push and one for the other's
+//! body.
 //!
 //! [`MemStream`]: chirp_proto::transport::MemStream
 //! [`Listener`]: chirp_proto::transport::Listener
 //! [`ReadyWatcher`]: chirp_proto::ready::ReadyWatcher
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
+use std::fs::File;
 use std::io::{self, Read, Write};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-use chirp_proto::ready::{ReadyWatcher, Token};
+use chirp_proto::ready::{ReadyWatcher, Token, Watcher};
 use chirp_proto::transport::Transport;
 use chirp_proto::{ChirpError, ChirpResult, Request, MAX_LINE, MAX_PAYLOAD};
 use telemetry::SpanTimer;
@@ -74,8 +83,8 @@ use crate::server::Shared;
 /// Token reserved for the poller's own wake channel.
 const WAKE_TOKEN: Token = usize::MAX;
 /// Bytes read from a stream per `read` call (the most a shard's read
-/// scratch grows to), and from a streamed file per staging round; a
-/// file reply up to this long is sent inline.
+/// scratch grows to); a file reply up to this long is sent inline, a
+/// longer one by the pool.
 const READ_CHUNK: usize = 64 * 1024;
 /// A shard's read scratch to begin with: one page. Each read that fills
 /// it doubles it, up to `READ_CHUNK`, so a shard that serves only small
@@ -88,7 +97,7 @@ const MAX_IOV: usize = 1024;
 const WQ_WATERMARK: usize = 64;
 /// Stop reading a connection once this many unparsed request bytes are
 /// buffered; also the largest run of reply bytes coalesced into one
-/// queue buffer.
+/// queue buffer, and a pool thread's buffer for a `PUTFILE` body.
 const RBUF_CAP: usize = 256 * 1024;
 /// Shrink an empty read buffer whose capacity grew past this.
 const RBUF_WATERMARK: usize = 16 * 1024;
@@ -99,17 +108,21 @@ const TURN_BYTES: usize = 4 * READ_CHUNK;
 /// Requests one connection may have served in one turn before it
 /// yields, so a pipelined burst cannot hold the shard either.
 const TURN_REQUESTS: usize = 32;
+/// How long a pool thread beyond the first ones waits for work before
+/// it retires.
+const IDLE_RETIRE: Duration = Duration::from_secs(5);
 
-/// A blocking push, run by the pool off the serving shards.
+/// Blocking work, run by the pool off the serving shards.
 type Job = Box<dyn FnOnce() + Send>;
-/// A finished push: its connection's token and the reply.
-type Pushed = (Token, ChirpResult<u64>);
+/// A finished handoff: its connection's token and the pool's answer.
+type Finished = (Token, Done);
 
 /// The sharded reactor serving one [`crate::FileServer`].
 pub(crate) struct Reactor {
     shards: Vec<Arc<Shard>>,
-    /// The shard workers, then the push pool.
+    /// The shard workers.
     threads: Mutex<Vec<JoinHandle<()>>>,
+    pool: Arc<Pool>,
     next: AtomicUsize,
 }
 
@@ -129,14 +142,13 @@ impl Reactor {
     /// only watcher-backed (in-memory) transports can be served.
     pub(crate) const SUPPORTS_FDS: bool = Poller::SUPPORTS_FDS;
 
-    /// Start the worker shards and, beside them, the push pool: as many
-    /// threads as shards, fed by every shard, each running one push at
-    /// a time until the last shard is gone.
+    /// Start the worker shards and, beside them, the pool: as many
+    /// threads as shards to begin with, fed by every shard.
     pub(crate) fn start(shared: &Arc<Shared>) -> io::Result<Reactor> {
         let workers = Reactor::worker_count(shared.config.reactor_workers);
+        let pool = Pool::start(workers)?;
         let mut shards = Vec::with_capacity(workers);
-        let mut threads = Vec::with_capacity(2 * workers);
-        let (jobs, queue) = mpsc::channel::<Job>();
+        let mut threads = Vec::with_capacity(workers);
         for i in 0..workers {
             let shard = Arc::new(Shard {
                 shared: shared.clone(),
@@ -144,31 +156,17 @@ impl Reactor {
                 inbox: Mutex::new(Vec::new()),
             });
             shards.push(shard.clone());
-            let jobs = jobs.clone();
+            let pool = pool.clone();
             threads.push(
                 std::thread::Builder::new()
                     .name(format!("chirp-react-{i}"))
-                    .spawn(move || shard.run(jobs))?,
-            );
-        }
-        let queue = Arc::new(Mutex::new(queue));
-        for i in 0..workers {
-            let queue = queue.clone();
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("chirp-push-{i}"))
-                    .spawn(move || loop {
-                        let job = queue.lock().unwrap().recv();
-                        match job {
-                            Ok(job) => job(),
-                            Err(_) => return,
-                        }
-                    })?,
+                    .spawn(move || shard.run(pool))?,
             );
         }
         Ok(Reactor {
             shards,
             threads: Mutex::new(threads),
+            pool,
             next: AtomicUsize::new(0),
         })
     }
@@ -182,14 +180,128 @@ impl Reactor {
     }
 
     /// Wake every shard (so it observes the server's shutdown flag,
-    /// closes its connections, and exits) and join the workers; the
-    /// push pool follows the shards out once their pushes finish.
+    /// closes its connections, and exits) and join the workers, then
+    /// the pool. Closing a connection severs every clone of its stream,
+    /// so a body the pool is moving ends at once; a push ends by its
+    /// own timeout.
     pub(crate) fn join(&self) {
         for shard in &self.shards {
             shard.poller.wake();
         }
         for handle in self.threads.lock().unwrap().drain(..) {
             let _ = handle.join();
+        }
+        self.pool.join();
+    }
+}
+
+/// The pool: threads that run a connection's blocking work off the
+/// shards. It starts with a fixed number of threads and grows whenever
+/// a job finds none idle, so no job waits for a busy thread; a thread
+/// it grew retires after [`IDLE_RETIRE`] without work. A connection has
+/// at most one job in flight, so the pool never outgrows the
+/// connections the server admits.
+struct Pool {
+    state: Mutex<PoolState>,
+    work: Condvar,
+}
+
+/// A pool thread panicked holding the lock: a bug in a job.
+const POISONED: &str = "pool lock poisoned";
+
+#[derive(Default)]
+struct PoolState {
+    queue: VecDeque<Job>,
+    /// Threads waiting for a job; each queued job has one of them.
+    idle: usize,
+    closed: bool,
+    threads: Vec<JoinHandle<()>>,
+    /// Threads started so far, to name the next one.
+    started: usize,
+}
+
+impl Pool {
+    fn start(threads: usize) -> io::Result<Arc<Pool>> {
+        let pool = Arc::new(Pool {
+            state: Mutex::default(),
+            work: Condvar::new(),
+        });
+        for _ in 0..threads {
+            pool.spawn(&mut pool.lock(), false)?;
+        }
+        Ok(pool)
+    }
+
+    fn spawn(self: &Arc<Pool>, st: &mut PoolState, retires: bool) -> io::Result<()> {
+        let pool = self.clone();
+        let thread = std::thread::Builder::new()
+            .name(format!("chirp-push-{}", st.started))
+            .spawn(move || pool.serve(retires))?;
+        st.started += 1;
+        // Collect the threads that retired.
+        let (retired, live) = std::mem::take(&mut st.threads)
+            .into_iter()
+            .partition::<Vec<_>, _>(|t| t.is_finished());
+        st.threads = live;
+        st.threads.push(thread);
+        for thread in retired {
+            let _ = thread.join();
+        }
+        Ok(())
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, PoolState> {
+        self.state.lock().expect(POISONED)
+    }
+
+    /// Run `job` on an idle thread, or on a new one if none is idle.
+    fn submit(self: &Arc<Pool>, job: Job) {
+        let mut st = self.lock();
+        let spare = st.idle > st.queue.len();
+        st.queue.push_back(job);
+        if spare {
+            self.work.notify_one();
+        } else {
+            // Should the system refuse a thread, the job waits for the
+            // next one to come free.
+            let _ = self.spawn(&mut st, true);
+        }
+    }
+
+    /// One thread's life: run jobs until the pool closes, or, for a
+    /// thread that `retires`, until it has waited out [`IDLE_RETIRE`].
+    fn serve(&self, retires: bool) {
+        let mut st = self.lock();
+        loop {
+            if let Some(job) = st.queue.pop_front() {
+                drop(st);
+                job();
+                st = self.lock();
+                continue;
+            }
+            if st.closed {
+                return;
+            }
+            st.idle += 1;
+            let (next, waited) = self.work.wait_timeout(st, IDLE_RETIRE).expect(POISONED);
+            st = next;
+            st.idle -= 1;
+            if retires && waited.timed_out() && st.queue.is_empty() {
+                return;
+            }
+        }
+    }
+
+    /// Close the pool and join every thread once the queued jobs ran.
+    fn join(&self) {
+        let threads = {
+            let mut st = self.lock();
+            st.closed = true;
+            std::mem::take(&mut st.threads)
+        };
+        self.work.notify_all();
+        for thread in threads {
+            let _ = thread.join();
         }
     }
 }
@@ -214,18 +326,18 @@ impl ReadyWatcher for MemWatcher {
     }
 }
 
-/// A shard's side of the push pool: where it sends pushes, and where
-/// the pool sends their replies back.
+/// A shard's side of the pool: where it sends work, and where the pool
+/// sends its answers back.
 struct Outbound {
-    jobs: Sender<Job>,
-    done: Sender<Pushed>,
+    pool: Arc<Pool>,
+    done: Sender<Finished>,
 }
 
 impl Shard {
-    fn run(self: Arc<Shard>, jobs: Sender<Job>) {
+    fn run(self: Arc<Shard>, pool: Arc<Pool>) {
         let shared = &self.shared;
-        let (done, pushed) = mpsc::channel();
-        let out = Outbound { jobs, done };
+        let (done, finished) = mpsc::channel();
+        let out = Outbound { pool, done };
         let mut conns: HashMap<Token, Conn> = HashMap::new();
         // Every read on this shard lands here first, and only the bytes
         // read are appended to the connection's buffer: a request costs
@@ -289,12 +401,15 @@ impl Shard {
             self.poller.wait(timeout_ms, &mut events);
             shared.telemetry.reactor_loop();
             shared.telemetry.reactor_wakeup(events.len() as u64);
-            // A finished push's reply re-enters its connection, and the
-            // token the pool put on the ready-list pumps it below. A
+            // The pool's answer re-enters its connection, and the token
+            // the pool put on the ready-list pumps it below. A
             // connection that retired meanwhile has nobody to answer.
-            for (token, reply) in pushed.try_iter() {
+            for (token, done) in finished.try_iter() {
                 if let Some(conn) = conns.get_mut(&token) {
-                    conn.finish_push(shared, reply);
+                    if matches!(conn.parked, Some(Parked::Lent)) {
+                        self.unmute(conn);
+                    }
+                    conn.finish_handoff(shared, done);
                 }
             }
             dirty.clear();
@@ -330,12 +445,14 @@ impl Shard {
             }
             // Idle policy: a connection quiet past the timeout ends
             // exactly like a disconnect, freeing its slot and
-            // descriptors. One waiting on its own push is not idle.
+            // descriptors. One whose work is out on the pool is not
+            // idle: a push has its own timeout, and a body's transfer
+            // has this one.
             if let Some(idle) = shared.config.idle_timeout {
                 let now = Instant::now();
                 let expired: Vec<Token> = conns
                     .iter()
-                    .filter(|(_, c)| c.parked.is_none() && now.duration_since(c.last_active) > idle)
+                    .filter(|(_, c)| !c.on_pool() && now.duration_since(c.last_active) > idle)
                     .map(|(t, _)| *t)
                     .collect();
                 for token in expired {
@@ -354,12 +471,7 @@ impl Shard {
         let registered = stream.set_nonblocking(true).is_ok()
             && match fd {
                 Some(fd) => self.poller.add_fd(fd, token, false).is_ok(),
-                None => stream.register_ready(
-                    token,
-                    Arc::new(MemWatcher {
-                        poller: self.poller.clone(),
-                    }),
-                ),
+                None => stream.register_ready(token, self.watcher()),
             };
         if !registered {
             let _ = stream.shutdown();
@@ -369,9 +481,16 @@ impl Shard {
         Some(Conn::new(stream, peer, token, fd, &self.shared))
     }
 
+    fn watcher(&self) -> Watcher {
+        Arc::new(MemWatcher {
+            poller: self.poller.clone(),
+        })
+    }
+
     /// Give a connection one turn: pump it, queue it for another turn
-    /// if it yielded, hand a push it authorized to the pool, and
-    /// reconcile its write interest.
+    /// if it yielded, reconcile its write interest, and hand work it
+    /// parked on to the pool. A connection whose stream the pool holds
+    /// is left alone until the pool answers.
     fn service(
         &self,
         conn: &mut Conn,
@@ -379,26 +498,86 @@ impl Shard {
         yielded: &mut Vec<Token>,
         scratch: &mut Vec<u8>,
     ) {
+        if matches!(conn.parked, Some(Parked::Lent)) {
+            return;
+        }
         if conn.pump(&self.shared, scratch) && !conn.yielded {
             conn.yielded = true;
             yielded.push(conn.token);
             self.shared.telemetry.reactor_yield();
         }
-        if let Some(push) = conn.parked.as_mut().and_then(|p| p.push.take()) {
-            let (token, shared, poller) = (conn.token, self.shared.clone(), self.poller.clone());
-            let done = out.done.clone();
-            let job: Job = Box::new(move || {
-                let reply = push_thirdput(&shared, push);
-                if done.send((token, reply)).is_ok() {
-                    poller.push_ready(token, false, false);
-                    poller.wake();
-                }
-            });
-            out.jobs
-                .send(job)
-                .expect("the push pool outlives the shards");
-        }
         self.settle(conn);
+        self.hand_off(conn, out);
+    }
+
+    /// Send the work a connection parked on to the pool: a push at
+    /// once, a body once every earlier reply has left (so replies stay
+    /// in order), together with a clone of the stream, whose readiness
+    /// the shard then mutes.
+    fn hand_off(&self, conn: &mut Conn, out: &Outbound) {
+        let ready = match &conn.parked {
+            Some(Parked::Waiting(Handoff::Push(..))) => true,
+            Some(Parked::Waiting(Handoff::Body(_))) => conn.wq.is_empty(),
+            _ => false,
+        };
+        if !ready || conn.dead {
+            return;
+        }
+        let Some(Parked::Waiting(work)) = conn.parked.take() else {
+            return;
+        };
+        let (token, poller, done) = (conn.token, self.poller.clone(), out.done.clone());
+        let answer = move |answer: Done| {
+            if done.send((token, answer)).is_ok() {
+                poller.push_ready(token, false, false);
+                poller.wake();
+            }
+        };
+        let job: Job = match work {
+            Handoff::Push(push, span) => {
+                conn.parked = Some(Parked::Pushing);
+                let shared = self.shared.clone();
+                Box::new(move || answer(Done::Pushed(push_thirdput(&shared, push), span)))
+            }
+            Handoff::Body(body) => {
+                let Ok(stream) = conn.stream.try_clone() else {
+                    conn.dead = true;
+                    return;
+                };
+                conn.parked = Some(Parked::Lent);
+                self.mute(conn);
+                let timeout = self.shared.config.idle_timeout;
+                Box::new(move || answer(body.transfer(stream, timeout)))
+            }
+        };
+        out.pool.submit(job);
+    }
+
+    /// Stop watching a connection whose stream the pool holds: a
+    /// socket keeps its epoll entry with no events, a watcher stream
+    /// loses its watcher.
+    fn mute(&self, conn: &mut Conn) {
+        match conn.fd {
+            Some(fd) => {
+                let _ = self.poller.mute_fd(fd, conn.token);
+                conn.want_write = false;
+            }
+            None => conn.stream.deregister_ready(),
+        }
+    }
+
+    /// Watch the connection again once the pool has answered. Whatever
+    /// arrived meanwhile is reported again: by epoll's level
+    /// triggering, or by the watcher's registration.
+    fn unmute(&self, conn: &mut Conn) {
+        match conn.fd {
+            Some(fd) => {
+                let _ = self.poller.mod_fd(fd, conn.token, false);
+            }
+            None => {
+                conn.stream.register_ready(conn.token, self.watcher());
+            }
+        }
     }
 
     /// Reconcile a connection's epoll write interest with its queue:
@@ -430,23 +609,17 @@ impl Shard {
 /// What one connection still owes the wire. Buffers are never empty,
 /// so a write that moves bytes always retires or advances the front.
 enum WItem {
-    /// Plain reply bytes: status lines, inline data, a staged chunk
-    /// of a streamed file.
+    /// Plain reply bytes: status lines, inline data.
     Bytes(Vec<u8>),
     /// One cache page's share of a scatter-gathered reply.
     Page(PageSlice),
-    /// A file streamed from disk in bounded chunks.
-    File(std::fs::File, u64),
 }
 
 impl WItem {
-    /// The bytes this item holds in memory; `None` for a file, whose
-    /// next chunk must be staged first.
-    fn buffer(&self) -> Option<&[u8]> {
+    fn buffer(&self) -> &[u8] {
         match self {
-            WItem::Bytes(vec) => Some(vec),
-            WItem::Page(slice) => Some(slice.as_slice()),
-            WItem::File(..) => None,
+            WItem::Bytes(vec) => vec,
+            WItem::Page(slice) => slice.as_slice(),
         }
     }
 }
@@ -462,20 +635,88 @@ enum RState {
         span: SpanTimer,
         bytes_in: u64,
     },
-    /// Streaming a `PUTFILE` payload straight into the file.
-    Putfile {
-        upload: PutfileUpload,
-        span: SpanTimer,
-        bytes_in: u64,
-    },
 }
 
-/// A `THIRDPUT` its connection waits on while the pool pushes it.
-struct Parked {
-    /// The request's span, closed when its reply is queued.
-    span: SpanTimer,
-    /// The authorized transfer, until the shard hands it to the pool.
-    push: Option<ThirdputPush>,
+/// Work a connection hands to the pool.
+enum Handoff {
+    /// A `THIRDPUT`'s push to its target, and the request's span.
+    Push(ThirdputPush, SpanTimer),
+    /// A body the pool moves over the connection's own stream.
+    Body(Body),
+}
+
+/// A body moved off the shard.
+enum Body {
+    /// A `GETFILE` body longer than one `READ_CHUNK`, behind its status
+    /// line.
+    Send(File, u64),
+    /// The part of a `PUTFILE` body the shard had not buffered, and the
+    /// request's span.
+    Receive(PutfileUpload, SpanTimer),
+}
+
+/// The pool's answer to a [`Handoff`].
+enum Done {
+    Pushed(ChirpResult<u64>, SpanTimer),
+    Sent(io::Result<()>),
+    Received(PutfileUpload, io::Result<()>, SpanTimer),
+}
+
+impl Body {
+    /// Move the body over `stream`, the pool's clone of the connection:
+    /// in blocking mode, each read and write bounded by `timeout`, and
+    /// nonblocking again before the answer, so the shard never finds a
+    /// stream that blocks.
+    fn transfer(self, mut stream: Box<dyn Transport>, timeout: Option<Duration>) -> Done {
+        let blocking = stream
+            .set_nonblocking(false)
+            .and_then(|()| stream.set_read_timeout(timeout))
+            .and_then(|()| stream.set_write_timeout(timeout));
+        match self {
+            Body::Send(file, len) => {
+                let sent = blocking.and_then(|()| stream.send_file(&file, len));
+                Done::Sent(sent.and(stream.set_nonblocking(true)))
+            }
+            Body::Receive(mut upload, span) => {
+                let received = blocking.and_then(|()| receive(stream.as_mut(), &mut upload));
+                Done::Received(upload, received.and(stream.set_nonblocking(true)), span)
+            }
+        }
+    }
+}
+
+/// Read the rest of an upload's payload off a blocking stream into its
+/// file, and not a byte past it: what follows is the next request.
+fn receive(stream: &mut dyn Transport, upload: &mut PutfileUpload) -> io::Result<()> {
+    // Larger than a shard's reads: a blocking read takes whatever has
+    // arrived, and fewer, longer reads keep the upload's pace.
+    let mut buf = vec![0u8; RBUF_CAP];
+    while upload.remaining() > 0 {
+        let want = upload.remaining().min(RBUF_CAP as u64) as usize;
+        match stream.read(&mut buf[..want]) {
+            Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
+            Ok(n) => {
+                upload.feed(&buf[..n]);
+            }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
+}
+
+/// A connection waiting on the pool: no request is served until the
+/// pool answers.
+enum Parked {
+    /// Work the shard has yet to hand over: a body waits for the
+    /// replies ahead of it to leave.
+    Waiting(Handoff),
+    /// A push out on the pool; the shard still watches the stream.
+    Pushing,
+    /// A body out on the pool, which holds a blocking clone of the
+    /// stream: the shard neither reads nor writes it, and its
+    /// readiness is muted.
+    Lent,
 }
 
 /// One multiplexed connection: transport, session, and the
@@ -509,8 +750,7 @@ struct Conn {
     closing: bool,
     dead: bool,
     backpressured: bool,
-    /// The push a `THIRDPUT` waits on: no request is served until its
-    /// reply is queued.
+    /// The work this connection waits on the pool for.
     parked: Option<Parked>,
     /// Bytes moved and requests served in the current turn.
     turn_bytes: usize,
@@ -596,15 +836,40 @@ impl Conn {
         self.turn_bytes >= TURN_BYTES || self.turn_requests >= TURN_REQUESTS
     }
 
-    /// Queue the reply of the push this connection is parked on, which
-    /// lets its parser go on.
-    fn finish_push(&mut self, shared: &Arc<Shared>, reply: ChirpResult<u64>) {
-        let parked = self
-            .parked
-            .take()
-            .expect("a push answers a parked connection");
-        let reply = reply.map(|n| Reply::Value(n as i64));
-        self.queue_reply(shared, "thirdput", 0, parked.span, reply);
+    /// Whether the pool is doing this connection's work right now.
+    fn on_pool(&self) -> bool {
+        matches!(self.parked, Some(Parked::Pushing | Parked::Lent))
+    }
+
+    /// Take the pool's answer and queue the reply it completes, which
+    /// lets the parser go on.
+    fn finish_handoff(&mut self, shared: &Arc<Shared>, done: Done) {
+        self.parked = None;
+        // The transfer kept the connection busy, if not the shard.
+        self.last_active = Instant::now();
+        match done {
+            Done::Pushed(reply, span) => {
+                let reply = reply.map(|n| Reply::Value(n as i64));
+                self.queue_reply(shared, "thirdput", 0, span, reply);
+            }
+            Done::Sent(Ok(())) => {}
+            // The promised length can no longer be delivered.
+            Done::Sent(Err(_)) => self.dead = true,
+            Done::Received(upload, received, span) => {
+                let bytes_in = upload.length();
+                let settled = self.session.finish_putfile(upload);
+                let reply = match received {
+                    Ok(()) => settled,
+                    // The peer left or stalled mid-body: framing is
+                    // lost, so answer and close.
+                    Err(e) => {
+                        self.closing = true;
+                        Err(ChirpError::from_io(&e))
+                    }
+                };
+                self.queue_reply(shared, "putfile", bytes_in, span, reply);
+            }
+        }
     }
 
     /// Parse and serve whatever complete requests the read buffer
@@ -616,12 +881,14 @@ impl Conn {
             if self.dead || self.closing || self.turn_requests >= TURN_REQUESTS {
                 return progress;
             }
-            if self.parked.is_some() {
-                // Waiting on its push: earlier replies still drain and
+            if let Some(parked) = &self.parked {
+                // Waiting on the pool: earlier replies still drain and
                 // later requests stay buffered, served in order once
-                // the push's reply is queued. A peer that hung up is
-                // not waited for; the push's reply is then dropped.
-                if self.eof {
+                // the pool answers. A peer that hung up is not waited
+                // for on a push, whose reply is then dropped; a body's
+                // transfer finds out for itself.
+                let push = matches!(parked, Parked::Pushing | Parked::Waiting(Handoff::Push(..)));
+                if self.eof && push {
                     self.dead = true;
                 }
                 return progress;
@@ -713,61 +980,6 @@ impl Conn {
                         return progress;
                     }
                 }
-                RState::Putfile { upload, .. } => {
-                    let avail = &self.rbuf[self.rpos..];
-                    if !avail.is_empty() && upload.remaining() > 0 {
-                        match self.session.feed_putfile(upload, avail) {
-                            Ok(n) => {
-                                self.rpos += n;
-                                self.scan = self.scan.max(self.rpos);
-                                progress = true;
-                            }
-                            Err(e) => {
-                                // A failed file write surfaces as the
-                                // request's error reply; the unread
-                                // payload remainder stays on the wire
-                                // undrained, so framing is lost from
-                                // here.
-                                let RState::Putfile { span, bytes_in, .. } =
-                                    std::mem::replace(&mut self.rstate, RState::Line)
-                                else {
-                                    unreachable!("matched Putfile above");
-                                };
-                                self.queue_reply(shared, "putfile", bytes_in, span, Err(e));
-                                progress = true;
-                                continue;
-                            }
-                        }
-                    }
-                    if upload.remaining() == 0 {
-                        let RState::Putfile {
-                            upload,
-                            span,
-                            bytes_in,
-                        } = std::mem::replace(&mut self.rstate, RState::Line)
-                        else {
-                            unreachable!("matched Putfile above");
-                        };
-                        let reply = self.session.finish_putfile(upload);
-                        self.queue_reply(shared, "putfile", bytes_in, span, reply);
-                        progress = true;
-                    } else if self.rbuf.len() == self.rpos {
-                        if self.eof {
-                            // Upload cut short: error reply, then the
-                            // line loop observes EOF and closes.
-                            let e =
-                                ChirpError::from_io(&io::Error::from(io::ErrorKind::UnexpectedEof));
-                            let RState::Putfile { span, bytes_in, .. } =
-                                std::mem::replace(&mut self.rstate, RState::Line)
-                            else {
-                                unreachable!("matched Putfile above");
-                            };
-                            self.queue_reply(shared, "putfile", bytes_in, span, Err(e));
-                            continue;
-                        }
-                        return progress;
-                    }
-                }
             }
         }
     }
@@ -786,16 +998,17 @@ impl Conn {
         match parsed {
             Err(e) => self.queue_reply(shared, op, bytes_in, span, Err(e)),
             Ok(Request::Putfile { path, mode, length }) => {
-                let upload = self.session.begin_putfile(&path, mode, length);
+                // The part of the body already buffered is fed here,
+                // and the pool receives the rest.
+                let mut upload = self.session.begin_putfile(&path, mode, length);
+                self.rpos += upload.feed(&self.rbuf[self.rpos..]);
+                self.scan = self.scan.max(self.rpos);
                 if upload.remaining() == 0 {
                     let reply = self.session.finish_putfile(upload);
                     self.queue_reply(shared, op, bytes_in, span, reply);
                 } else {
-                    self.rstate = RState::Putfile {
-                        upload,
-                        span,
-                        bytes_in,
-                    };
+                    let body = Body::Receive(upload, span);
+                    self.parked = Some(Parked::Waiting(Handoff::Body(body)));
                 }
             }
             Ok(Request::Thirdput {
@@ -803,12 +1016,7 @@ impl Conn {
                 target,
                 target_path,
             }) => match self.session.begin_thirdput(&path, &target, &target_path) {
-                Ok(push) => {
-                    self.parked = Some(Parked {
-                        span,
-                        push: Some(push),
-                    })
-                }
+                Ok(push) => self.parked = Some(Parked::Waiting(Handoff::Push(push, span))),
                 Err(e) => self.queue_reply(shared, op, bytes_in, span, Err(e)),
             },
             Ok(req @ Request::Pwrite { .. }) => {
@@ -878,9 +1086,10 @@ impl Conn {
                 }
             }
             Ok(Reply::FileStream(file, len)) => {
+                // Longer: the status line goes first, and the pool
+                // sends the body behind it.
                 self.push_bytes(format!("{len}\n").into_bytes());
-                self.wq.push_back(WItem::File(file, len));
-                self.wq_bytes += len;
+                self.parked = Some(Parked::Waiting(Handoff::Body(Body::Send(file, len))));
             }
             Ok(Reply::Pages(p)) => {
                 self.push_bytes(format!("{}\n", p.total()).into_bytes());
@@ -928,10 +1137,9 @@ impl Conn {
     }
 
     /// Transmit queued reply bytes until the stream would block, the
-    /// queue empties or the turn's budget is spent: every buffer up to
-    /// the next streamed file, as far as the budget reaches, goes to
-    /// the socket in one (vectored) write. Returns whether anything was
-    /// written.
+    /// queue empties or the turn's budget is spent: every buffer, as
+    /// far as the budget reaches, goes to the socket in one (vectored)
+    /// write. Returns whether anything was written.
     fn drain_writes(&mut self, shared: &Arc<Shared>) -> bool {
         let mut writes = 0u64;
         while self.writable && !self.dead && self.turn_bytes < TURN_BYTES {
@@ -941,7 +1149,7 @@ impl Conn {
                 .wq
                 .iter()
                 .take(MAX_IOV)
-                .map_while(WItem::buffer)
+                .map(WItem::buffer)
                 .take_while(|buf| {
                     let within = taken < budget;
                     taken += buf.len();
@@ -949,13 +1157,9 @@ impl Conn {
                 })
                 .count();
             if ready == 0 {
-                if self.wq.is_empty() {
-                    break;
-                }
-                self.stage_file_chunk();
-                continue;
+                break;
             }
-            let mut buffers = self.wq.iter().map_while(WItem::buffer);
+            let mut buffers = self.wq.iter().map(WItem::buffer);
             let head = &buffers.next().expect("ready > 0")[self.whead..];
             let written = if ready == 1 {
                 self.stream.write(head)
@@ -989,8 +1193,11 @@ impl Conn {
     fn advance(&mut self, mut n: usize) {
         self.wq_bytes -= n as u64;
         while n > 0 {
-            let front = self.wq.front().and_then(WItem::buffer);
-            let left = front.expect("the stream took bytes it was not given").len() - self.whead;
+            let front = self
+                .wq
+                .front()
+                .expect("the stream took bytes it was not given");
+            let left = front.buffer().len() - self.whead;
             if n < left {
                 self.whead += n;
                 return;
@@ -1001,35 +1208,14 @@ impl Conn {
         }
     }
 
-    /// Replace the file at the front of the queue by its next bounded
-    /// chunk, read into memory, ahead of whatever of it remains.
-    fn stage_file_chunk(&mut self) {
-        let Some(WItem::File(mut file, remaining)) = self.wq.pop_front() else {
-            unreachable!("caller saw a file at the front");
-        };
-        let mut chunk = vec![0u8; READ_CHUNK.min(remaining as usize)];
-        match file.read(&mut chunk) {
-            // File shrank mid-stream: the promised length cannot be
-            // delivered, so the connection dies.
-            Ok(0) => self.dead = true,
-            Ok(n) => {
-                chunk.truncate(n);
-                if remaining > n as u64 {
-                    self.wq.push_front(WItem::File(file, remaining - n as u64));
-                }
-                self.wq.push_front(WItem::Bytes(chunk));
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {
-                self.wq.push_front(WItem::File(file, remaining));
-            }
-            Err(_) => self.dead = true,
-        }
-    }
-
     /// Read newly arrived bytes into the request buffer through the
     /// shard's `scratch`, up to the buffering cap or the turn's budget.
     /// Returns whether anything arrived (or EOF did).
     fn fill(&mut self, scratch: &mut Vec<u8>) -> bool {
+        if let Some(Parked::Waiting(Handoff::Body(Body::Receive(..)))) = self.parked {
+            // The bytes on the wire are a body the pool is to receive.
+            return false;
+        }
         let mut progress = false;
         while self.readable && !self.eof && !self.dead && self.turn_bytes < TURN_BYTES {
             if self.rbuf.len() - self.rpos >= RBUF_CAP {
@@ -1179,13 +1365,13 @@ mod sys_epoll {
                 wakefd,
                 ready: Mutex::new(Vec::new()),
             };
-            poller.ctl(EPOLL_CTL_ADD, wakefd, WAKE_TOKEN, false)?;
+            poller.ctl(EPOLL_CTL_ADD, wakefd, WAKE_TOKEN, EPOLLIN)?;
             Ok(poller)
         }
 
-        fn ctl(&self, op: c_int, fd: c_int, token: Token, want_write: bool) -> io::Result<()> {
+        fn ctl(&self, op: c_int, fd: c_int, token: Token, events: u32) -> io::Result<()> {
             let mut ev = EpollEvent {
-                events: EPOLLIN | EPOLLRDHUP | if want_write { EPOLLOUT } else { 0 },
+                events,
                 data: token as u64,
             };
             let rc = unsafe { epoll_ctl(self.epfd, op, fd, &mut ev) };
@@ -1196,12 +1382,22 @@ mod sys_epoll {
             }
         }
 
+        fn interest(want_write: bool) -> u32 {
+            EPOLLIN | EPOLLRDHUP | if want_write { EPOLLOUT } else { 0 }
+        }
+
         pub(crate) fn add_fd(&self, fd: i32, token: Token, want_write: bool) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_ADD, fd, token, want_write)
+            self.ctl(EPOLL_CTL_ADD, fd, token, Poller::interest(want_write))
         }
 
         pub(crate) fn mod_fd(&self, fd: i32, token: Token, want_write: bool) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_MOD, fd, token, want_write)
+            self.ctl(EPOLL_CTL_MOD, fd, token, Poller::interest(want_write))
+        }
+
+        /// Keep `fd` in the set but ask for no events (the kernel still
+        /// reports an error or hangup).
+        pub(crate) fn mute_fd(&self, fd: i32, token: Token) -> io::Result<()> {
+            self.ctl(EPOLL_CTL_MOD, fd, token, 0)
         }
 
         pub(crate) fn del_fd(&self, fd: i32) {
@@ -1294,6 +1490,10 @@ mod sys_fallback {
         }
 
         pub(crate) fn mod_fd(&self, _fd: i32, _token: Token, _w: bool) -> io::Result<()> {
+            Err(io::ErrorKind::Unsupported.into())
+        }
+
+        pub(crate) fn mute_fd(&self, _fd: i32, _token: Token) -> io::Result<()> {
             Err(io::ErrorKind::Unsupported.into())
         }
 

@@ -7,6 +7,7 @@
 //! cache so the hit, miss, and eviction paths are all crossed, and
 //! every read is checked against what the filesystem itself says.
 
+use std::io::Read;
 use std::net::IpAddr;
 use std::sync::Arc;
 
@@ -238,8 +239,8 @@ fn rename_clobber_invalidates_the_victim() {
     assert_eq!(pread(&mut s, fv, 2000, 0), vec![1u8; 2000]);
 }
 
-/// GETFILE is served from cache only when the whole file is resident,
-/// and the streamed bytes are identical either way.
+/// GETFILE always streams from disk, a fully-resident file too, and
+/// the bytes are the ones written through the cache.
 #[test]
 fn getfile_from_cache_matches_the_disk() {
     let dir = TempDir::new();
@@ -257,14 +258,12 @@ fn getfile_from_cache_matches_the_disk() {
         .handle(Request::Getfile { path: "/g".into() }, None)
         .unwrap()
     {
-        Reply::Pages(p) => {
+        Reply::FileStream(file, len) => {
             let mut out = Vec::new();
-            for sl in p.slices() {
-                out.extend_from_slice(sl.as_slice());
-            }
-            assert_eq!(out, body, "cached GETFILE must serve exact bytes");
+            file.take(len).read_to_end(&mut out).unwrap();
+            assert_eq!(out, body, "GETFILE must serve exact bytes");
         }
-        other => panic!("expected a fully-resident cache hit, got {other:?}"),
+        other => panic!("expected a stream from disk, got {other:?}"),
     }
 }
 

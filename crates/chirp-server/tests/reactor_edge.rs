@@ -5,20 +5,22 @@
 //! listener close over a crowd of idle connections (clean shutdown,
 //! every client sees EOF); plus the two ways a listener can misbehave
 //! (a transport the reactor cannot watch, an accept that keeps
-//! failing); and nothing waiting behind bulk: an 8 MiB `GETFILE`
-//! yields its shard to a `STAT` within one turn's budget, and a
-//! `THIRDPUT` held open by a slow target leaves its shard serving,
-//! answers what was pipelined behind it in order, and gives a vanished
-//! client's slot back without waiting for the push.
+//! failing); and nothing waiting behind bulk: an 8 MiB `GETFILE` body
+//! leaves its shard free for a `STAT` and takes it no turns, a request
+//! pipelined behind a `GETFILE`, `PUTFILE` or `THIRDPUT` is answered
+//! after it, stalled bodies hold up nobody else and end on the idle
+//! timeout, two servers pushing to each other both finish, and a
+//! `THIRDPUT` held open by a slow target leaves its shard serving and
+//! gives a vanished client's slot back without waiting for the push.
 
 use std::io::Read;
 use std::io::Write;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Barrier, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use chirp_proto::ready::{Token, Watcher};
+use chirp_client::{AuthMethod, Connection};
 use chirp_proto::testutil::TempDir;
 use chirp_proto::transport::{Listener, MemListener, Transport};
 use chirp_proto::{Clock, MemNet, VirtualClock};
@@ -87,11 +89,14 @@ fn wait_for(what: &str, mut cond: impl FnMut() -> bool) {
 /// replies without bound: once the connection's write queue passes
 /// `reactor_write_cap`, the reactor parks the *read* side (stops
 /// consuming requests) until the client catches up. The queue may
-/// overshoot by at most the one reply that crossed the cap.
+/// overshoot by at most the one reply that crossed the cap. (The
+/// replies are files of one read chunk, which the shard reads in
+/// behind their status lines; a longer body is sent by the pool and
+/// never queues.)
 #[test]
 fn slow_reader_backpressure_caps_the_write_queue() {
     const CAP: usize = 64 * 1024;
-    const FILE: usize = 256 * 1024;
+    const FILE: usize = 64 * 1024;
     const REQUESTS: usize = 16;
     let (dir, net, server) = mem_server(|cfg| {
         cfg.reactor_write_cap = CAP;
@@ -360,8 +365,9 @@ fn rpc(t: &mut dyn Transport, request: &str, has_payload: bool) -> (i64, Vec<u8>
 /// `syscount::fstat_calls` test: a reply the socket can take leaves
 /// the reactor in exactly one write — status line and payload
 /// together, whether the payload is result words, cache pages or a
-/// file of up to one read chunk — and a longer file still streams in
-/// bounded chunks instead of being read whole.
+/// file of up to one read chunk — and a longer file's status line
+/// leaves alone, its body sent from disk by the pool, never queued on
+/// the shard.
 #[test]
 fn one_socket_write_per_reply_and_bounded_chunks_beyond() {
     const CHUNK: usize = 64 * 1024; // the reactor's READ_CHUNK
@@ -411,202 +417,215 @@ fn one_socket_write_per_reply_and_bounded_chunks_beyond() {
     }
     assert_eq!(settled(before + replies) - before, replies);
 
-    // One byte more than a chunk no longer rides inline: the status
-    // line goes out, then the file in reads of at most one chunk.
+    // Sixteen chunks no longer ride inline: the shard writes the
+    // status line, and the pool sends the file behind it.
     let before = writes.get();
     let (n, data) = rpc(t.as_mut(), "GETFILE /long\n", true);
     assert_eq!(n as usize, 16 * CHUNK);
     assert!(data.iter().all(|&b| b == 4));
-    assert_eq!(settled(before + 17) - before, 17, "status line + 16 chunks");
+    assert_eq!(settled(before + 1) - before, 1, "the status line alone");
     let peak = server.telemetry().registry().gauge("reactor.wq_peak_bytes");
-    assert!((peak.get() as usize) < 16 * CHUNK + 64);
+    assert!((peak.get() as usize) < CHUNK + 64);
 }
 
-/// The reactor's `READ_CHUNK` and its per-turn byte budget.
+/// The reactor's `READ_CHUNK`, and its `RBUF_CAP`: the most request
+/// bytes a connection buffers.
 const CHUNK: usize = 64 * 1024;
-const TURN_BYTES: usize = 4 * CHUNK;
+const RBUF_CAP: usize = 256 * 1024;
 
-/// Every write the server made on a [`Logged`] listener's connections,
-/// in order, as `(connection, bytes)`; the test adds [`MARK`] entries
-/// of its own.
-type WriteLog = Arc<Mutex<Vec<(usize, usize)>>>;
-const MARK: usize = usize::MAX;
-
-/// Hands the server its connections wrapped in [`LoggedStream`]s,
-/// numbered in accept order.
-struct Logged {
-    inner: MemListener,
-    log: WriteLog,
-    accepted: AtomicUsize,
+/// The size word of a `STAT` reply line.
+fn stat_size(line: &str) -> usize {
+    assert!(line.starts_with("0 "), "STAT failed: {line:?}");
+    line.split(' ').nth(6).unwrap().parse().unwrap()
 }
 
-impl Listener for Logged {
-    fn accept(&self) -> std::io::Result<(Box<dyn Transport>, SocketAddr)> {
-        let (inner, peer) = self.inner.accept()?;
-        let id = self.accepted.fetch_add(1, Ordering::SeqCst);
-        let log = self.log.clone();
-        Ok((Box::new(LoggedStream { inner, id, log }), peer))
-    }
-    fn local_addr(&self) -> std::io::Result<SocketAddr> {
-        Listener::local_addr(&self.inner)
-    }
-    fn wake(&self) {
-        self.inner.wake()
-    }
-}
-
-/// A server-side stream that logs every write it takes; everything
-/// else, readiness included, is forwarded.
-#[derive(Debug)]
-struct LoggedStream {
-    inner: Box<dyn Transport>,
-    id: usize,
-    log: WriteLog,
-}
-
-impl LoggedStream {
-    fn logged(&self, written: std::io::Result<usize>) -> std::io::Result<usize> {
-        if let Ok(n) = written {
-            self.log.lock().unwrap().push((self.id, n));
-        }
-        written
-    }
-}
-
-impl Read for LoggedStream {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        self.inner.read(buf)
-    }
-}
-
-impl Write for LoggedStream {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        let written = self.inner.write(buf);
-        self.logged(written)
-    }
-    fn write_vectored(&mut self, bufs: &[std::io::IoSlice<'_>]) -> std::io::Result<usize> {
-        let written = self.inner.write_vectored(bufs);
-        self.logged(written)
-    }
-    fn flush(&mut self) -> std::io::Result<()> {
-        self.inner.flush()
-    }
-}
-
-impl Transport for LoggedStream {
-    fn try_clone(&self) -> std::io::Result<Box<dyn Transport>> {
-        self.inner.try_clone()
-    }
-    fn set_read_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()> {
-        self.inner.set_read_timeout(timeout)
-    }
-    fn read_timeout(&self) -> std::io::Result<Option<Duration>> {
-        self.inner.read_timeout()
-    }
-    fn set_write_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()> {
-        self.inner.set_write_timeout(timeout)
-    }
-    fn peer_addr(&self) -> std::io::Result<SocketAddr> {
-        self.inner.peer_addr()
-    }
-    fn local_addr(&self) -> std::io::Result<SocketAddr> {
-        self.inner.local_addr()
-    }
-    fn shutdown(&self) -> std::io::Result<()> {
-        self.inner.shutdown()
-    }
-    fn set_nonblocking(&self, nonblocking: bool) -> std::io::Result<()> {
-        self.inner.set_nonblocking(nonblocking)
-    }
-    fn readiness_fd(&self) -> Option<i32> {
-        self.inner.readiness_fd()
-    }
-    fn register_ready(&self, token: Token, watcher: Watcher) -> bool {
-        self.inner.register_ready(token, watcher)
-    }
-    fn deregister_ready(&self) {
-        self.inner.deregister_ready()
-    }
-}
-
-/// One shard, an 8 MiB file streamed from disk to connection A, and a
-/// `STAT` on connection B sent just behind A's `GETFILE`: B's reply
-/// must leave after at most one turn's worth of A's bytes (plus the
-/// one chunk write that crossed the budget), not after all of them;
-/// and the transfer is counted as the turns it took.
+/// One shard, an 8 MiB file sent to connection A through pipes that
+/// hold 64 KiB, and a `STAT` on connection B sent once A's status line
+/// is in: B is answered while A's body waits undelivered in the pipe,
+/// and the body costs the shard no turns — `reactor.yields` does not
+/// grow with it, because the pool sends it.
 #[test]
 fn a_bulk_getfile_yields_its_shard_to_a_small_request() {
     const BULK: usize = 8 << 20;
-    let log = WriteLog::default();
-    let logged = log.clone();
-    let (dir, net, server) = mem_server_behind(
-        |cfg| cfg.reactor_workers = 1,
-        |inner| {
-            Arc::new(Logged {
-                inner,
-                log: logged,
-                accepted: AtomicUsize::new(0),
-            })
-        },
-    );
+    let (dir, net, server) = mem_server(|cfg| cfg.reactor_workers = 1);
     std::fs::write(dir.path().join("big"), vec![7u8; BULK]).unwrap();
     std::fs::write(dir.path().join("small"), b"x").unwrap();
-    let mut a = dial(&net, &server); // connection 0
+    net.set_stream_capacity(Some(64 * 1024));
+    let mut a = dial(&net, &server);
     auth(a.as_mut());
-    let mut b = dial(&net, &server); // connection 1
+    let mut b = dial(&net, &server);
     auth(b.as_mut());
+    let yields = server.telemetry().registry().counter("reactor.yields");
+    let before = yields.get();
 
     a.write_all(b"GETFILE /big\n").unwrap();
-    log.lock().unwrap().push((MARK, 0));
-    b.write_all(b"STAT /small\n").unwrap();
-    assert!(read_line(b.as_mut()).starts_with("0 "));
     assert_eq!(read_line(a.as_mut()), BULK.to_string());
+    b.write_all(b"STAT /small\n").unwrap();
+    assert_eq!(stat_size(&read_line(b.as_mut())), 1);
     let mut body = vec![0u8; BULK];
     a.read_exact(&mut body).unwrap();
     assert!(body.iter().all(|&x| x == 7));
+    assert_eq!(yields.get(), before, "the body took turns on the shard");
+}
 
-    let log = log.lock().unwrap();
-    let mark = log.iter().position(|&(id, _)| id == MARK).unwrap();
-    let stat = mark + log[mark..].iter().position(|&(id, _)| id == 1).unwrap();
-    let bulk_before: usize = log[mark..stat]
-        .iter()
-        .filter(|&&(id, _)| id == 0)
-        .map(|&(_, n)| n)
-        .sum();
-    assert!(
-        bulk_before <= TURN_BYTES + CHUNK,
-        "the STAT's reply waited behind {bulk_before} bulk bytes"
-    );
-    let yields = server.telemetry().registry().counter("reactor.yields");
-    assert!(
-        yields.get() as usize >= BULK / TURN_BYTES - 1,
-        "8 MiB in {} yields",
-        yields.get()
+/// A request pipelined behind a `GETFILE` body longer than one read
+/// chunk is answered after it: the body arrives whole, then the reply.
+#[test]
+fn a_request_pipelined_behind_a_getfile_body_is_answered_after_it() {
+    const BODY: usize = 4 * CHUNK + 1;
+    let (dir, net, server) = mem_server(|cfg| cfg.reactor_workers = 1);
+    std::fs::write(dir.path().join("big"), vec![5u8; BODY]).unwrap();
+    // The body takes many writes, so the pipelined request is read
+    // while it is still on its way.
+    net.set_stream_capacity(Some(16 * 1024));
+    let mut t = dial(&net, &server);
+    auth(t.as_mut());
+    t.write_all(b"GETFILE /big\nSTAT /big\n").unwrap();
+    let (n, body) = {
+        let line = read_line(t.as_mut());
+        let mut body = vec![0u8; line.parse().unwrap()];
+        t.read_exact(&mut body).unwrap();
+        (line, body)
+    };
+    assert_eq!(n, BODY.to_string());
+    assert!(body.iter().all(|&x| x == 5), "a reply inside the body");
+    assert_eq!(stat_size(&read_line(t.as_mut())), BODY);
+}
+
+/// A request pipelined behind a `PUTFILE` body longer than the shard
+/// buffers is answered after it, once the whole body has landed.
+#[test]
+fn a_request_pipelined_behind_a_putfile_body_is_answered_after_it() {
+    const BODY: usize = 4 * RBUF_CAP + 1;
+    let (dir, net, server) = mem_server(|cfg| cfg.reactor_workers = 1);
+    let mut t = dial(&net, &server);
+    auth(t.as_mut());
+    let mut request = format!("PUTFILE /up 420 {BODY}\n").into_bytes();
+    request.resize(request.len() + BODY, 9);
+    request.extend_from_slice(b"STAT /up\n");
+    t.write_all(&request).unwrap();
+    assert_eq!(read_line(t.as_mut()), "0");
+    assert_eq!(stat_size(&read_line(t.as_mut())), BODY);
+    assert_eq!(
+        std::fs::read(dir.path().join("up")).unwrap(),
+        vec![9u8; BODY]
     );
 }
 
-/// A listener that hands out nothing until its gate opens.
+/// A client that sends `GETFILE` for `/big` and reads nothing, and one
+/// that sends half of a `bulk`-byte `PUTFILE` body and stops: each
+/// holds a pool thread on its stalled transfer.
+fn stalled_clients(net: &MemNet, server: &FileServer, bulk: usize) -> [Box<dyn Transport>; 2] {
+    let mut getter = dial(net, server);
+    auth(getter.as_mut());
+    getter.write_all(b"GETFILE /big\n").unwrap();
+    let mut putter = dial(net, server);
+    auth(putter.as_mut());
+    putter
+        .write_all(format!("PUTFILE /half 420 {bulk}\n").as_bytes())
+        .unwrap();
+    putter.write_all(&vec![1u8; bulk / 2]).unwrap();
+    [getter, putter]
+}
+
+/// Two stalled bodies on a one-shard server with 64 KiB pipes hold up
+/// nobody else: a third connection's `STAT`, 8 MiB `GETFILE` and 8 MiB
+/// `PUTFILE` all complete. Dropping a stalled client gives its slot
+/// back.
+#[test]
+fn stalled_bodies_stall_nobody_else() {
+    const BULK: usize = 8 << 20;
+    let (dir, net, server) = mem_server(|cfg| cfg.reactor_workers = 1);
+    std::fs::write(dir.path().join("big"), vec![7u8; BULK]).unwrap();
+    net.set_stream_capacity(Some(64 * 1024));
+    let [getter, putter] = stalled_clients(&net, &server, BULK);
+
+    let mut conn =
+        Connection::connect_via(&net.dialer(), &server.endpoint(), Duration::from_secs(10))
+            .unwrap();
+    conn.authenticate(&[AuthMethod::Hostname]).unwrap();
+    assert_eq!(conn.stat("/big").unwrap().size, BULK as u64);
+    assert!(conn.getfile("/big").unwrap() == vec![7u8; BULK]);
+    conn.putfile("/new", 0o644, &vec![3u8; BULK]).unwrap();
+    assert!(std::fs::read(dir.path().join("new")).unwrap() == vec![3u8; BULK]);
+    assert_eq!(server.active_connections(), 3);
+
+    drop(getter);
+    wait_for("the getter's slot", || server.active_connections() == 2);
+    drop(putter);
+    wait_for("the putter's slot", || server.active_connections() == 1);
+}
+
+/// With `idle_timeout` set, a stalled body ends its connection as any
+/// quiet connection ends: the pool's transfer times out.
+#[test]
+fn stalled_bodies_end_on_the_idle_timeout() {
+    const BULK: usize = 8 << 20;
+    let (dir, net, server) = mem_server(|cfg| {
+        cfg.reactor_workers = 1;
+        cfg.idle_timeout = Some(Duration::from_millis(150));
+    });
+    std::fs::write(dir.path().join("big"), vec![7u8; BULK]).unwrap();
+    net.set_stream_capacity(Some(64 * 1024));
+    let stalled = stalled_clients(&net, &server, BULK);
+    wait_for("both stalled connections to end", || {
+        server.active_connections() == 0
+    });
+    for mut t in stalled {
+        let mut rest = Vec::new();
+        // What the server sent before it hung up, then end-of-stream.
+        t.read_to_end(&mut rest).unwrap();
+    }
+}
+
+/// A listener that hands its first `pass` connections straight over
+/// and holds each later one, accepted but not handed over, until its
+/// gate opens.
 struct Gate {
     inner: MemListener,
-    open: Mutex<bool>,
+    pass: usize,
+    state: Mutex<GateState>,
     cond: Condvar,
 }
 
+#[derive(Default)]
+struct GateState {
+    accepted: usize,
+    open: bool,
+}
+
 impl Gate {
+    fn new(inner: MemListener, pass: usize) -> Arc<Gate> {
+        Arc::new(Gate {
+            inner,
+            pass,
+            state: Mutex::default(),
+            cond: Condvar::new(),
+        })
+    }
+
     fn open(&self) {
-        *self.open.lock().unwrap() = true;
+        self.state.lock().unwrap().open = true;
         self.cond.notify_all();
+    }
+
+    /// Spin until `n` connections have reached the gate.
+    fn wait_for_arrivals(&self, n: usize) {
+        wait_for("connections at the gate", || {
+            self.state.lock().unwrap().accepted >= n
+        });
     }
 }
 
 impl Listener for Gate {
     fn accept(&self) -> std::io::Result<(Box<dyn Transport>, SocketAddr)> {
-        let mut open = self.open.lock().unwrap();
-        while !*open {
-            open = self.cond.wait(open).unwrap();
+        let accepted = self.inner.accept()?;
+        let mut st = self.state.lock().unwrap();
+        st.accepted += 1;
+        while st.accepted > self.pass && !st.open {
+            st = self.cond.wait(st).unwrap();
         }
-        drop(open);
-        self.inner.accept()
+        Ok(accepted)
     }
     fn local_addr(&self) -> std::io::Result<SocketAddr> {
         Listener::local_addr(&self.inner)
@@ -617,6 +636,20 @@ impl Listener for Gate {
     }
 }
 
+/// A one-shard server on `net` behind a gate that passes `pass`
+/// connections, holding `/src`.
+fn gated_server(net: &MemNet, pass: usize, src: &[u8]) -> (TempDir, FileServer, Arc<Gate>) {
+    let dir = TempDir::new();
+    std::fs::write(dir.path().join("src"), src).unwrap();
+    let mut cfg = ServerConfig::localhost(dir.path(), "owner")
+        .with_root_acl(Acl::single("hostname:*", "rwlda").unwrap());
+    cfg.dialer = net.dialer();
+    cfg.reactor_workers = 1;
+    let gate = Gate::new(net.listen(), pass);
+    let server = FileServer::start_on(cfg, gate.clone()).unwrap();
+    (dir, server, gate)
+}
+
 /// A one-shard server holding a 100 000-byte `/src`, and a push target
 /// on the same network that takes no connection until its gate opens:
 /// a `THIRDPUT` to it is held at the target's door for as long as the
@@ -624,17 +657,48 @@ impl Listener for Gate {
 fn pusher_and_gated_target() -> (TempDir, MemNet, FileServer, TempDir, FileServer, Arc<Gate>) {
     let (dir, net, server) = mem_server(|cfg| cfg.reactor_workers = 1);
     std::fs::write(dir.path().join("src"), vec![3u8; 100_000]).unwrap();
-    let target_dir = TempDir::new();
-    let mut cfg = ServerConfig::localhost(target_dir.path(), "owner")
-        .with_root_acl(Acl::single("hostname:*", "rwlda").unwrap());
-    cfg.dialer = net.dialer();
-    let gate = Arc::new(Gate {
-        inner: net.listen(),
-        open: Mutex::new(false),
-        cond: Condvar::new(),
-    });
-    let target = FileServer::start_on(cfg, gate.clone()).unwrap();
+    let (target_dir, target, gate) = gated_server(&net, 0, b"");
     (dir, net, server, target_dir, target, gate)
+}
+
+/// Two one-shard servers push a 1 MiB file to each other at the same
+/// time: both pushes are held at their targets' gates until each has
+/// taken its own server's pool thread. Each push is then a pool job on
+/// its own server and a body on the other's, so each server needs two
+/// pool threads at once: a pool that could not grow would stall both
+/// until a timeout fired. Both copies land byte-exact.
+#[test]
+fn two_servers_pushing_to_each_other_both_finish() {
+    const SIZE: usize = 1 << 20;
+    let net = MemNet::new(Clock::virtual_at(VirtualClock::new()));
+    let from_a: Vec<u8> = (0..SIZE).map(|i| (i % 251) as u8).collect();
+    let from_b: Vec<u8> = (0..SIZE).map(|i| (i % 241) as u8).collect();
+    // Each gate passes the test's own client, then holds the push.
+    let (dir_a, a, gate_a) = gated_server(&net, 1, &from_a);
+    let (dir_b, b, gate_b) = gated_server(&net, 1, &from_b);
+
+    // Both clients are in before either push dials, so each gate's
+    // first connection is the client's.
+    let both_in = Barrier::new(2);
+    let push = |from: &FileServer, to: &FileServer| {
+        let timeout = Duration::from_secs(10);
+        let mut conn = Connection::connect_via(&net.dialer(), &from.endpoint(), timeout).unwrap();
+        conn.authenticate(&[AuthMethod::Hostname]).unwrap();
+        both_in.wait();
+        conn.thirdput("/src", &to.endpoint(), "/copy")
+    };
+    std::thread::scope(|s| {
+        let ab = s.spawn(|| push(&a, &b));
+        let ba = s.spawn(|| push(&b, &a));
+        gate_a.wait_for_arrivals(2);
+        gate_b.wait_for_arrivals(2);
+        gate_a.open();
+        gate_b.open();
+        assert_eq!(ab.join().unwrap(), Ok(SIZE as u64));
+        assert_eq!(ba.join().unwrap(), Ok(SIZE as u64));
+    });
+    assert!(std::fs::read(dir_b.path().join("copy")).unwrap() == from_a);
+    assert!(std::fs::read(dir_a.path().join("copy")).unwrap() == from_b);
 }
 
 /// A dialed, authenticated client that gives up on a reply after 5 s

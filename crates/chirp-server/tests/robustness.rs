@@ -199,6 +199,34 @@ fn payload_of_rejected_putfile_does_not_desync_the_stream() {
     }
 }
 
+/// A `PUTFILE` whose file write fails mid-body (the export holds a
+/// symlink to `/dev/full`) drains the rest of its body and answers the
+/// write's error, and a request pipelined behind it gets its own reply.
+#[test]
+fn a_putfile_whose_write_fails_drains_its_body() {
+    let dir = TempDir::new();
+    std::os::unix::fs::symlink("/dev/full", dir.path().join("full")).unwrap();
+    let server = open_server(dir.path());
+    let mut stream = raw_conn(&server);
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    stream.write_all(b"AUTH hostname x x\n").unwrap();
+    assert!(read_line(&mut reader).starts_with("0 "));
+    let len = 1 << 20;
+    let mut request = format!("PUTFILE /full 420 {len}\n").into_bytes();
+    request.resize(request.len() + len, b'x');
+    request.extend_from_slice(b"STAT /\n");
+    stream.write_all(&request).unwrap();
+    assert_eq!(
+        read_line(&mut reader),
+        chirp_proto::ChirpError::NoSpace.code().to_string()
+    );
+    let stat = read_line(&mut reader);
+    assert!(
+        stat.starts_with("0 ") && stat.split(' ').count() > 2,
+        "after the failed PUTFILE: {stat:?}"
+    );
+}
+
 #[test]
 fn idle_connections_are_reaped() {
     use chirp_client::{AuthMethod, Connection};
