@@ -36,13 +36,7 @@ pub fn auth() -> Vec<AuthMethod> {
 
 /// A CFS with a fast retry policy suited to tests.
 pub fn cfs(endpoint: &str) -> Cfs {
-    cfs_via(endpoint, Dialer::tcp())
-}
-
-/// [`cfs`] with its connections opened through `dialer`.
-pub fn cfs_via(endpoint: &str, dialer: Dialer) -> Cfs {
     let mut cfg = CfsConfig::new(endpoint, auth());
-    cfg.dialer = dialer;
     cfg.timeout = TIMEOUT;
     cfg.retry = RetryPolicy {
         max_retries: 5,
@@ -58,11 +52,6 @@ pub fn cfs_via(endpoint: &str, dialer: Dialer) -> Cfs {
 /// timeouts are served on the wall clock.
 pub fn fault_dialer(plan: FaultPlan) -> Arc<FaultDialer> {
     FaultDialer::new(Dialer::tcp(), Clock::wall(), plan)
-}
-
-/// An Arc'd CFS for use as a DSFS metadata store.
-pub fn cfs_arc(endpoint: &str) -> Arc<Cfs> {
-    Arc::new(cfs(endpoint))
 }
 
 /// Count the data files in a host directory, ignoring the server's

@@ -3,148 +3,84 @@
 //! The typestate layer (`tss_core::protocol`) proves the *order* of the
 //! stub/data updates at compile time; this module proves the order is
 //! *sufficient*: no matter where a crash lands, the surviving on-disk
-//! state is one the paper's §5 argument accepts. For each seeded
-//! sequence of whole-file operations against a simulated dsfs:
+//! state is one the paper's §5 argument accepts. Every seed runs on
+//! each [`Cell`] — the stub engine's single, striped and mirrored
+//! layouts over a local tree, and the single layout over a tree on a
+//! file server (DSFS). For each seeded sequence of whole-file
+//! [`FsOp`]s:
 //!
-//! 1. **Golden run** — replay with an armed [`CrashPoint`] journaling
-//!    every durability point (stub writes, metadata creates/pwrites/
-//!    fsyncs/dirsyncs/renames/unlinks, data-server creates/pwrites/
-//!    truncates/unlinks) but unlimited budget, differentially checking
-//!    each op's verdict and the final state against a model. The
+//! 1. **Reference** — the ops run on a plain `LocalFs` tree, giving
+//!    each op's verdict and the path pool's [`snapshot`] around every
+//!    op; the harness counts rename clobbers itself (one orphaned data
+//!    file per part of the clobbered file).
+//! 2. **Golden run** — replay on the cell with an armed [`CrashPoint`]
+//!    journaling every durability point (stub writes, tree
+//!    creates/pwrites/fsyncs/dirsyncs/renames/unlinks, data-server
+//!    creates/pwrites/truncates/unlinks) but unlimited budget, checking
+//!    each verdict and the final state against the reference. The
 //!    journal's length `N` is the number of places this sequence
 //!    touches stable storage.
-//! 2. **Crash sweep** — for every prefix length `k < N`, replay the
-//!    same sequence with budget `k`: the k-th durability point (and
-//!    every later one) fails, exactly as if the process died there —
-//!    a dead process performs no further writes. The surviving state
-//!    is then *restarted*: a fresh stub filesystem over the same
-//!    metadata directory and data volume, with fresh connections.
-//! 3. **Acceptance** — `fsck` the restarted filesystem and check the
-//!    crash state against the model:
-//!    * every path not named by the crashed op is byte-identical to
-//!      the pre-crash model (failure coherence: a crash during one
-//!      op cannot disturb another file);
-//!    * the crashed op's own targets are in a state the protocol
-//!      allows — fully old, fully new, or (for an in-flight create)
-//!      an empty data file; a dangling or zero-length stub reads as
-//!      "file not found", never as garbage;
-//!    * orphaned data appears only where a rename clobber can leave
-//!      it, never from a crashed create or delete — the ordering
-//!      theorem;
-//!    * one `repair` pass yields a clean report, a second removes
-//!      nothing, and repair never touches a healthy file.
+//! 3. **Crash sweep** — for every `k < N`, replay with budget `k`: the
+//!    k-th durability point and every later one fail, exactly as if
+//!    the process died there. The survivors are then *restarted*: a
+//!    fresh filesystem over the same tree and volumes, with fresh
+//!    connections.
+//! 4. **Acceptance** — `fsck` the restarted filesystem and check it
+//!    against the reference: every pool path the crashed op does not
+//!    target is identical to its pre-crash state (failure coherence);
+//!    the crashed op's own targets are fully old, fully new, or an
+//!    in-flight create's empty file, and a dangling or zero-length stub
+//!    reads as "file not found", never as garbage; orphaned data
+//!    appears only where a rename clobber can leave it — the ordering
+//!    theorem; one `repair` pass yields a clean report, a further pass
+//!    removes nothing, and repair never touches a healthy file.
 //!
-//! A failure prints the seed, the crash budget, and a delta-debugged
-//! minimal op trace, reproducible with `CRASH_SEED=<seed>`.
+//! **Striped files** change part by part, so three rules differ for
+//! them: the crashed op's target may read as a per-part mix (a
+//! stripe-aligned prefix in which each stripe equals that stripe of the
+//! pre or of the post state); a clobber orphans every part; and repair
+//! may take two rounds, since removing a dangling stub surfaces its
+//! surviving part as an orphan. The fan-out runs parts on threads, so
+//! kill totals are deterministic but which part the k-th point lands
+//! on is not: a trace that fails once may pass when swept again.
 //!
-//! **Torn-write mode** ([`CrashHarness::run_seed_torn`]) repeats the
-//! sweep with the injector in partial-sector mode: the killing write
-//! persists a seeded strict prefix of its bytes before the process
-//! dies, modeling a power cut mid-sector instead of a clean kill. The
-//! stub writes tear (the metadata tree is a `LocalFs`) and so does the
-//! data server's `PWRITE` (its descriptors hold a `LocalHandle`); the
-//! acceptance relaxes exactly two clauses, both for the crashed op's
-//! own target only: a *corrupt* stub — one fsck cannot parse — is
-//! allowed iff it reads as an error (never as garbage data) and is
-//! removed by the same repair pass that removes dangling stubs; and a
-//! crashed write's file may read as a strict prefix of its bytes.
+//! A failure prints the cell, the seed, the crash budget and a
+//! delta-debugged minimal op trace, reproducible with
+//! `CRASH_SEED=<seed>`; a trace that did not fail again is reported as
+//! first seen and marked so.
+//!
+//! **Torn-write mode** (`torn` in [`CrashHarness::run_seed`]): the
+//! killing write persists a seeded strict prefix of its bytes before
+//! the process dies, a power cut mid-sector instead of a clean kill.
+//! Stub writes tear (in the local tree and on the DSFS tree server)
+//! and so does the data server's `PWRITE`. Two clauses relax, for the
+//! crashed op's own target only: a *corrupt* stub — one fsck cannot
+//! parse — is allowed iff it reads as an error and the repair pass
+//! that removes dangling stubs removes it; and a crashed write's file
+//! may read as a strict prefix of its bytes (for a striped file, its
+//! last stripe may be a strict prefix of its post stripe).
 
-use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::io;
+use std::ops::RangeInclusive;
 use std::sync::Arc;
 
 use chirp_proto::persist::{CrashPoint, Persist};
-use chirp_proto::OpenFlags;
+use chirp_proto::testutil::TempDir;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use tss_core::fs::FileSystem;
 use tss_core::fsck::{fsck, repair, RepairOptions};
 use tss_core::localfs::LocalFs;
+use tss_core::mirrored::MirroredFs;
 use tss_core::placement::Placement;
+use tss_core::striped::StripedFs;
 use tss_core::stubfs::StubFs;
+use tss_core::Dsfs;
 
 use crate::diff::ddmin;
-use crate::harness::{sim_root, SimTss};
-
-/// One whole-file operation against the simulated dsfs. Coarser than
-/// the RPC-level [`crate::gen::Op`] mix on purpose: each op is a full
-/// protocol transaction, so every crash budget lands *inside* a
-/// create, delete, rename, or truncate.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CrashOp {
-    /// Create or overwrite `path` with `data` (one open, one pwrite).
-    Write {
-        /// Tree path.
-        path: String,
-        /// File contents, written in a single pwrite.
-        data: Vec<u8>,
-    },
-    /// Delete `path` (data first, then stub).
-    Delete {
-        /// Tree path.
-        path: String,
-    },
-    /// Rename `from` over `to` (tree-only; clobber orphans data).
-    Rename {
-        /// Source path.
-        from: String,
-        /// Destination path.
-        to: String,
-    },
-    /// Create directory `path` in the tree.
-    Mkdir {
-        /// Tree path.
-        path: String,
-    },
-    /// Truncate `path` to `size`.
-    Truncate {
-        /// Tree path.
-        path: String,
-        /// New size.
-        size: u64,
-    },
-}
-
-impl CrashOp {
-    /// The tree paths this op mutates — the only paths a crash during
-    /// it may disturb.
-    pub fn targets(&self) -> BTreeSet<String> {
-        let mut t = BTreeSet::new();
-        match self {
-            CrashOp::Write { path, .. }
-            | CrashOp::Delete { path }
-            | CrashOp::Mkdir { path }
-            | CrashOp::Truncate { path, .. } => {
-                t.insert(path.clone());
-            }
-            CrashOp::Rename { from, to } => {
-                t.insert(from.clone());
-                t.insert(to.clone());
-            }
-        }
-        t
-    }
-}
-
-impl fmt::Display for CrashOp {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CrashOp::Write { path, data } => {
-                write!(
-                    f,
-                    "write {path} ({} x {:#04x})",
-                    data.len(),
-                    data.first().copied().unwrap_or(0)
-                )
-            }
-            CrashOp::Delete { path } => write!(f, "delete {path}"),
-            CrashOp::Rename { from, to } => write!(f, "rename {from} -> {to}"),
-            CrashOp::Mkdir { path } => write!(f, "mkdir {path}"),
-            CrashOp::Truncate { path, size } => write!(f, "truncate {path} to {size}"),
-        }
-    }
-}
+use crate::fsop::{apply, path_state, snapshot, FsOp, PathState, Snapshot};
+use crate::harness::{auth, sim_root, SimTss};
 
 /// File-name pool: a few root names plus nested names under the one
 /// generated directory, so creates race missing parents and renames
@@ -153,8 +89,16 @@ const FILES: &[&str] = &["/a", "/b", "/c", "/d0/x", "/d0/y"];
 /// Directory-name pool.
 const DIRS: &[&str] = &["/d0"];
 
-/// The op sequence for `seed` — a pure function of the seed.
-pub fn crash_ops_for_seed(seed: u64) -> Vec<CrashOp> {
+/// Every path the sweep generates ops on, and so checks.
+fn pool() -> impl Iterator<Item = &'static str> {
+    FILES.iter().chain(DIRS).copied()
+}
+
+/// The op sequence for `seed` — a pure function of the seed. Coarser
+/// than the RPC-level [`crate::gen::Op`] mix on purpose: each op is a
+/// full protocol transaction, so every crash budget lands *inside* a
+/// create, delete, rename, or truncate.
+pub fn crash_ops_for_seed(seed: u64) -> Vec<FsOp> {
     let mut rng = SmallRng::seed_from_u64(seed ^ 0xC4A5_1DE7);
     let n = rng.gen_range(2usize..6);
     (0..n)
@@ -164,147 +108,77 @@ pub fn crash_ops_for_seed(seed: u64) -> Vec<CrashOp> {
                 0..=44 => {
                     let len = rng.gen_range(1usize..25);
                     let byte = rng.gen_range(1u8..255);
-                    CrashOp::Write {
-                        path: pick(&mut rng),
-                        data: vec![byte; len],
-                    }
+                    FsOp::Write(pick(&mut rng), vec![byte; len])
                 }
-                45..=64 => CrashOp::Delete {
-                    path: pick(&mut rng),
-                },
-                65..=79 => CrashOp::Rename {
-                    from: pick(&mut rng),
-                    to: pick(&mut rng),
-                },
-                80..=89 => CrashOp::Mkdir {
-                    path: DIRS[rng.gen_range(0..DIRS.len())].to_string(),
-                },
-                _ => CrashOp::Truncate {
-                    path: pick(&mut rng),
-                    size: rng.gen_range(0u64..33),
-                },
+                45..=64 => FsOp::Unlink(pick(&mut rng)),
+                65..=79 => FsOp::Rename(pick(&mut rng), pick(&mut rng)),
+                80..=89 => FsOp::Mkdir(DIRS[rng.gen_range(0..DIRS.len())].to_string()),
+                _ => FsOp::Truncate(pick(&mut rng), rng.gen_range(0u64..33)),
             }
         })
         .collect()
 }
 
-/// What a path holds, in the model or on the real filesystem.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum State {
-    File(Vec<u8>),
-    Dir,
-    Absent,
-    /// A stub the filesystem refuses to follow (`InvalidData`): the
-    /// remains of a torn stub write. Never produced by the model; only
-    /// torn-mode acceptance may admit it, and only on the crashed
-    /// op's own target.
-    Torn,
+/// Stripe size of the striped cell: a few bytes, so the generated
+/// writes (1–24 bytes) span several stripes.
+const STRIPE: u64 = 4;
+/// Parts per striped file and replicas per mirrored file.
+const WIDTH: usize = 2;
+/// The sim server holding the DSFS cell's tree (servers `0..WIDTH`
+/// hold data).
+const TREE_SERVER: usize = WIDTH;
+
+/// One deployment the sweep runs every seed on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Cell {
+    /// DPFS: the tree on a local `LocalFs`, each file one part on
+    /// server 0.
+    Single,
+    /// The tree on a local `LocalFs`, each file striped in 4-byte
+    /// stripes over servers 0 and 1.
+    Striped,
+    /// The tree on a local `LocalFs`, each file mirrored on servers 0
+    /// and 1.
+    Mirrored,
+    /// DSFS: the tree on server 2 through a `Cfs`, each file one part
+    /// on server 0.
+    Dsfs,
 }
 
-impl fmt::Display for State {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+impl Cell {
+    /// Data files per logical file: what a rename clobber orphans.
+    fn parts(self) -> u64 {
         match self {
-            State::File(b) => write!(f, "file[{} bytes]", b.len()),
-            State::Dir => write!(f, "dir"),
-            State::Absent => write!(f, "absent"),
-            State::Torn => write!(f, "torn stub"),
-        }
-    }
-}
-
-/// The model: a map of whole files plus the directory set, with a
-/// count of data files operations have knowingly orphaned (rename
-/// clobbers — the only legal source of orphans).
-#[derive(Debug, Clone, Default)]
-pub struct CrashModel {
-    files: BTreeMap<String, Vec<u8>>,
-    dirs: BTreeSet<String>,
-    orphans: u64,
-}
-
-impl CrashModel {
-    /// An empty tree.
-    pub fn new() -> CrashModel {
-        CrashModel::default()
-    }
-
-    /// Count of data files legally orphaned so far.
-    pub fn orphans(&self) -> u64 {
-        self.orphans
-    }
-
-    fn parent_exists(&self, path: &str) -> bool {
-        match path.rfind('/') {
-            Some(0) => true,
-            Some(i) => self.dirs.contains(&path[..i]),
-            None => false,
+            Cell::Striped | Cell::Mirrored => WIDTH as u64,
+            Cell::Single | Cell::Dsfs => 1,
         }
     }
 
-    fn state(&self, path: &str) -> State {
-        if self.dirs.contains(path) {
-            State::Dir
-        } else if let Some(b) = self.files.get(path) {
-            State::File(b.clone())
+    /// fsck/repair rounds that reach a clean scan.
+    fn repair_rounds(self) -> usize {
+        if self == Cell::Striped {
+            2
         } else {
-            State::Absent
+            1
         }
     }
+}
 
-    /// Apply `op`; returns whether the op succeeds (the real side must
-    /// agree).
-    pub fn apply(&mut self, op: &CrashOp) -> bool {
-        match op {
-            CrashOp::Write { path, data } => {
-                if !self.parent_exists(path) {
-                    return false;
-                }
-                self.files.insert(path.clone(), data.clone());
-                true
-            }
-            CrashOp::Delete { path } => self.files.remove(path).is_some(),
-            CrashOp::Rename { from, to } => {
-                if !self.files.contains_key(from) || !self.parent_exists(to) {
-                    return false;
-                }
-                if from == to {
-                    return true;
-                }
-                if self.files.contains_key(to) {
-                    // The clobbered stub's data file is now referenced
-                    // by nothing: a legal, repairable orphan.
-                    self.orphans += 1;
-                }
-                let v = self.files.remove(from).expect("checked above");
-                self.files.insert(to.clone(), v);
-                true
-            }
-            CrashOp::Mkdir { path } => {
-                if self.dirs.contains(path)
-                    || self.files.contains_key(path)
-                    || !self.parent_exists(path)
-                {
-                    return false;
-                }
-                self.dirs.insert(path.clone());
-                true
-            }
-            CrashOp::Truncate { path, size } => match self.files.get_mut(path) {
-                Some(v) => {
-                    v.resize(*size as usize, 0);
-                    true
-                }
-                None => false,
-            },
-        }
+impl fmt::Display for Cell {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}", format!("{self:?}").to_lowercase())
     }
 }
 
 /// A rejected post-crash state (or a pre-crash differential mismatch).
 #[derive(Debug, Clone)]
 pub struct CrashDivergence {
+    /// The cell the sweep ran on.
+    pub cell: Cell,
     /// The generating seed.
     pub seed: u64,
+    /// Whether the injector ran in torn-write mode.
+    pub torn: bool,
     /// Durability-point budget of the failing run; `None` for the
     /// golden (crash-free) run.
     pub budget: Option<u64>,
@@ -313,12 +187,20 @@ pub struct CrashDivergence {
     /// What the checker rejected.
     pub detail: String,
     /// The (possibly shrunk) op trace.
-    pub trace: Vec<CrashOp>,
+    pub trace: Vec<FsOp>,
+    /// False when the failing trace passed on a second sweep: the
+    /// divergence is the first one seen, on the unshrunk trace.
+    pub replayed: bool,
 }
 
 impl fmt::Display for CrashDivergence {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "crash divergence (seed {}):", self.seed)?;
+        let mode = if self.torn { ", torn" } else { "" };
+        writeln!(
+            f,
+            "crash divergence ({} cell, seed {}{mode}):",
+            self.cell, self.seed
+        )?;
         match self.budget {
             Some(k) => writeln!(
                 f,
@@ -331,14 +213,23 @@ impl fmt::Display for CrashDivergence {
             None => writeln!(f, "  golden (crash-free) run")?,
         }
         writeln!(f, "  {}", self.detail)?;
+        if !self.replayed {
+            writeln!(
+                f,
+                "  did not replay: the trace passed when swept again (kill placement \
+                 over parallel parts is scheduler-dependent); shown as first seen"
+            )?;
+        }
         writeln!(f, "  trace ({} ops):", self.trace.len())?;
         for (i, op) in self.trace.iter().enumerate() {
             writeln!(f, "    {i}: {op}")?;
         }
         write!(
             f,
-            "  reproduce: CRASH_SEED={} cargo test --release -p simharness --test crash_sim",
-            self.seed
+            "  reproduce: CRASH_SEED={} cargo test --release -p simharness --test crash_sim {}_{}",
+            self.seed,
+            self.cell,
+            if self.torn { "torn" } else { "clean" }
         )
     }
 }
@@ -363,9 +254,82 @@ impl CrashStats {
     }
 }
 
-/// The crash-injection harness: one simulated data server plus a
-/// shared [`CrashPoint`] injector threaded through the server
-/// handlers, the metadata filesystem, and the stub protocol.
+/// The reference run of a sequence on a plain `LocalFs` tree.
+struct Reference {
+    /// Each op's verdict.
+    verdicts: Vec<bool>,
+    /// The pool before op `i`, and after the last op at the end.
+    states: Vec<Snapshot>,
+    /// Data files rename clobbers have orphaned before op `i`, and
+    /// after the last op at the end.
+    orphans: Vec<u64>,
+}
+
+impl Reference {
+    /// Run `ops` on a fresh local tree; a clobbered file orphans
+    /// `parts` data files.
+    fn run(ops: &[FsOp], parts: u64) -> Reference {
+        let dir = sim_root();
+        let fs = LocalFs::new(dir.path()).expect("reference root");
+        let mut r = Reference {
+            verdicts: Vec::new(),
+            states: vec![snapshot(&fs, pool())],
+            orphans: vec![0],
+        };
+        for op in ops {
+            let before = r.states.last().expect("initial state");
+            let ok = apply(&fs, op).succeeded();
+            let is_file = |p: &str| matches!(before.get(p), Some(PathState::File(_)));
+            let clobber = match op {
+                FsOp::Rename(from, to) => ok && from != to && is_file(from) && is_file(to),
+                _ => false,
+            };
+            let orphans =
+                r.orphans.last().expect("initial count") + if clobber { parts } else { 0 };
+            r.verdicts.push(ok);
+            r.states.push(snapshot(&fs, pool()));
+            r.orphans.push(orphans);
+        }
+        r
+    }
+}
+
+/// A cell's filesystem, built with its layout's own constructor.
+enum CellFs {
+    Single(StubFs),
+    Striped(StripedFs),
+    Mirrored(MirroredFs),
+    Dsfs(Dsfs),
+}
+
+impl CellFs {
+    /// The stub engine underneath: the layouts delegate every
+    /// `FileSystem` call to it, and `fsck` and `repair` take it.
+    fn engine(&self) -> &StubFs {
+        match self {
+            CellFs::Single(fs) => fs,
+            CellFs::Striped(fs) => fs.stubfs(),
+            CellFs::Mirrored(fs) => fs.stubfs(),
+            CellFs::Dsfs(fs) => fs.stubfs(),
+        }
+    }
+}
+
+/// One run's private namespace: a local tree and, on the servers, a
+/// data volume and a tree base.
+struct RunDirs {
+    tree: TempDir,
+    volume: String,
+    base: String,
+}
+
+/// A check a named case adds to the acceptance, run on each restarted
+/// filesystem before repair.
+type ExtraCheck<'a> = &'a mut dyn FnMut(&StubFs) -> Result<(), String>;
+
+/// The crash-injection harness: simulated data servers and a tree
+/// server plus a shared [`CrashPoint`] injector threaded through the
+/// server handlers, the local tree, and the stub protocol.
 pub struct CrashHarness {
     sim: SimTss,
     injector: Arc<CrashPoint>,
@@ -388,6 +352,7 @@ impl CrashHarness {
         let injector = CrashPoint::new();
         let persist = Persist::from_arc(injector.clone());
         let sim = SimTss::builder()
+            .servers(TREE_SERVER + 1)
             .cache_bytes(None)
             .persistence(persist.clone())
             .build();
@@ -399,38 +364,40 @@ impl CrashHarness {
         }
     }
 
-    /// Sweep one seed: golden run, then a kill at every durability
-    /// point. On failure the trace is delta-debug shrunk first.
-    pub fn run_seed(&mut self, seed: u64) -> Result<CrashStats, CrashDivergence> {
-        let ops = crash_ops_for_seed(seed);
-        match self.sweep(seed, &ops, false) {
-            Ok(stats) => Ok(stats),
-            Err(_) => Err(self.shrink(seed, ops, false)),
-        }
-    }
-
-    /// [`CrashHarness::run_seed`] with the injector in torn-write
-    /// mode: the killing write persists a seeded strict prefix of its
-    /// bytes before dying, so stub writes can leave *corrupt* (not
-    /// just dangling) stubs for fsck to classify and repair.
-    pub fn run_seed_torn(&mut self, seed: u64) -> Result<CrashStats, CrashDivergence> {
-        let ops = crash_ops_for_seed(seed);
-        match self.sweep(seed, &ops, true) {
-            Ok(stats) => Ok(stats),
-            Err(_) => Err(self.shrink(seed, ops, true)),
-        }
-    }
-
-    /// Golden run plus full budget sweep over `ops`.
-    fn sweep(
+    /// Sweep one seed on `cell`: golden run, then a kill at every
+    /// durability point, the killing write torn if `torn` (it persists
+    /// a seeded strict prefix of its bytes before dying, so stub writes
+    /// can leave *corrupt*, not just dangling, stubs). On failure the
+    /// trace is delta-debug shrunk first.
+    pub fn run_seed(
         &mut self,
+        cell: Cell,
         seed: u64,
-        ops: &[CrashOp],
         torn: bool,
     ) -> Result<CrashStats, CrashDivergence> {
-        let total = self.run_once(seed, ops, None, torn)?;
+        let ops = crash_ops_for_seed(seed);
+        let first = match self.sweep(cell, seed, &ops, torn, &mut |_| Ok(())) {
+            Ok(stats) => return Ok(stats),
+            Err(div) => div,
+        };
+        Err(shrink(first, &mut |trace| {
+            self.sweep(cell, seed, trace, torn, &mut |_| Ok(()))
+        }))
+    }
+
+    /// Reference, golden run plus full budget sweep over `ops`.
+    fn sweep(
+        &mut self,
+        cell: Cell,
+        seed: u64,
+        ops: &[FsOp],
+        torn: bool,
+        check: ExtraCheck<'_>,
+    ) -> Result<CrashStats, CrashDivergence> {
+        let reference = Reference::run(ops, cell.parts());
+        let total = self.run_once(cell, seed, ops, &reference, None, torn, check)?;
         for k in 0..total {
-            self.run_once(seed, ops, Some(k), torn)?;
+            self.run_once(cell, seed, ops, &reference, Some(k), torn, check)?;
         }
         Ok(CrashStats {
             sequences: 1,
@@ -439,50 +406,35 @@ impl CrashHarness {
         })
     }
 
-    /// Delta-debug `ops` down to a minimal still-failing trace with
-    /// [`ddmin`], then re-sweep it for the divergence to report (whose
-    /// `trace` is the minimized one).
-    fn shrink(&mut self, seed: u64, ops: Vec<CrashOp>, torn: bool) -> CrashDivergence {
-        let trace = ddmin(ops, &mut |c| self.sweep(seed, c, torn).is_err());
-        self.sweep(seed, &trace, torn)
-            .expect_err("shrunk trace still diverges")
-    }
-
     /// One replay of `ops` with the given crash budget (`None` =
     /// golden). Returns the number of durability points the run
     /// committed (meaningful for the golden run).
+    #[allow(clippy::too_many_arguments)]
     fn run_once(
         &mut self,
+        cell: Cell,
         seed: u64,
-        ops: &[CrashOp],
+        ops: &[FsOp],
+        reference: &Reference,
         budget: Option<u64>,
         torn: bool,
+        check: ExtraCheck<'_>,
     ) -> Result<u64, CrashDivergence> {
-        let run = self.run;
-        self.run += 1;
-        let volume = format!("/crash{run}");
+        let dirs = self.fresh_dirs();
         let fail = |detail: String, crashed_op: Option<usize>| CrashDivergence {
+            cell,
             seed,
+            torn,
             budget,
             crashed_op,
             detail,
             trace: ops.to_vec(),
+            replayed: true,
         };
 
         // Fresh per-run namespace, built with the injector disarmed.
-        let meta_dir = sim_root();
-        let meta =
-            LocalFs::with_persistence(meta_dir.path(), self.persist.clone()).expect("meta root");
-        let mut opts = self.sim.stubfs_options();
-        opts.persist = self.persist.clone();
-        opts.breaker_threshold = 0; // crash errors must stay raw
-        let fs = StubFs::new(
-            Arc::new(meta),
-            vec![self.sim.data_server(0, &volume)],
-            Placement::round_robin(),
-            opts,
-        );
-        fs.ensure_volumes().expect("create volume");
+        let subject = self.open_cell(cell, &dirs, self.persist.clone());
+        subject.engine().ensure_volumes().expect("create volumes");
 
         // The killable region: exactly the generated ops.
         if torn {
@@ -490,23 +442,21 @@ impl CrashHarness {
         } else {
             self.injector.arm(budget);
         }
-        let mut model = CrashModel::new();
         let mut crashed: Option<usize> = None;
         for (i, op) in ops.iter().enumerate() {
-            let res = apply_real(&fs, op);
+            let got = apply(subject.engine(), op);
             if self.injector.fired() {
                 crashed = Some(i);
                 break;
             }
-            let expect = model.apply(op);
-            if res.is_ok() != expect {
+            if got.succeeded() != reference.verdicts[i] {
                 self.injector.disarm();
-                self.cleanup(&volume);
+                drop(subject);
+                self.cleanup(&dirs);
+                let want = reference.verdicts[i];
                 return Err(fail(
                     format!(
-                        "pre-crash differential mismatch on op {i} ({op}): real {:?}, model {}",
-                        res.err().map(|e| e.kind()),
-                        if expect { "success" } else { "failure" },
+                        "pre-crash mismatch on op {i} ({op}): real {got:?}, reference ok={want}"
                     ),
                     None,
                 ));
@@ -514,76 +464,189 @@ impl CrashHarness {
         }
         let points = self.injector.points();
         self.injector.disarm();
-        drop(fs); // return pooled connections before the restart view
+        drop(subject); // return pooled connections before the restart view
+        if let (Some(k), None) = (budget, crashed) {
+            self.cleanup(&dirs);
+            return Err(fail(
+                format!("the kill at durability point {k} did not land inside the sequence"),
+                None,
+            ));
+        }
 
-        // Restart: fresh metadata filesystem and fresh connections
-        // over whatever survived on disk.
-        let rfs = StubFs::new(
-            Arc::new(LocalFs::new(meta_dir.path()).expect("reopen meta root")),
-            vec![self.sim.data_server(0, &volume)],
-            Placement::round_robin(),
-            {
-                let mut o = self.sim.stubfs_options();
-                o.breaker_threshold = 0;
-                o
-            },
-        );
-        let crashed_op = crashed.map(|i| &ops[i]);
-        let verdict = verify_post_state(&rfs, &model, crashed_op, torn);
-        drop(rfs);
-        self.cleanup(&volume);
+        // Restart: a fresh filesystem and fresh connections over
+        // whatever survived on disk.
+        let restarted = self.open_cell(cell, &dirs, Persist::none());
+        let at = crashed.unwrap_or(ops.len());
+        let after = (at + 1).min(ops.len());
+        let verdict = check(restarted.engine()).and_then(|()| {
+            verify_post_state(
+                restarted.engine(),
+                cell,
+                &reference.states[at],
+                &reference.states[after],
+                reference.orphans[at]..=reference.orphans[after],
+                crashed.map(|i| &ops[i]),
+                torn,
+            )
+        });
+        drop(restarted);
+        self.cleanup(&dirs);
         verdict.map_err(|detail| fail(detail, crashed))?;
         Ok(points)
     }
 
-    /// White-box removal of a run's volume from the server's root, so
-    /// tens of thousands of runs don't accumulate on RAM-backed disk.
-    fn cleanup(&self, volume: &str) {
-        let _ = std::fs::remove_dir_all(self.sim.root(0).join(volume.trim_start_matches('/')));
+    /// A fresh namespace for the next run, the DSFS tree base already
+    /// made (white-box, like [`CrashHarness::cleanup`]).
+    fn fresh_dirs(&mut self) -> RunDirs {
+        let run = self.run;
+        self.run += 1;
+        let dirs = RunDirs {
+            tree: sim_root(),
+            volume: format!("/crash{run}"),
+            base: format!("/tree{run}"),
+        };
+        std::fs::create_dir(self.host_path(TREE_SERVER, &dirs.base)).expect("tree base");
+        dirs
     }
-}
 
-fn apply_real(fs: &StubFs, op: &CrashOp) -> io::Result<()> {
-    match op {
-        CrashOp::Write { path, data } => {
-            let mut h = fs.open(
-                path,
-                OpenFlags::WRITE | OpenFlags::CREATE | OpenFlags::TRUNCATE,
-                0o644,
-            )?;
-            h.pwrite(data, 0)?;
-            Ok(())
+    /// `cell`'s filesystem over `dirs`, its tree and engine reporting
+    /// to `persist` (the servers always report to the injector).
+    fn open_cell(&self, cell: Cell, dirs: &RunDirs, persist: Persist) -> CellFs {
+        let mut opts = self.sim.stubfs_options();
+        opts.persist = persist.clone();
+        opts.breaker_threshold = 0; // crash errors must stay raw
+        let pool = |n: usize| -> Vec<_> {
+            (0..n)
+                .map(|i| self.sim.data_server(i, &dirs.volume))
+                .collect()
+        };
+        let tree = || -> Arc<dyn FileSystem> {
+            Arc::new(
+                LocalFs::with_persistence(dirs.tree.path(), persist.clone()).expect("tree root"),
+            )
+        };
+        match cell {
+            Cell::Single => {
+                CellFs::Single(StubFs::new(tree(), pool(1), Placement::round_robin(), opts))
+            }
+            Cell::Striped => CellFs::Striped(
+                StripedFs::new(tree(), pool(WIDTH), WIDTH, STRIPE, opts).expect("striped fs"),
+            ),
+            Cell::Mirrored => CellFs::Mirrored(
+                MirroredFs::new(tree(), pool(WIDTH), WIDTH, opts).expect("mirrored fs"),
+            ),
+            Cell::Dsfs => CellFs::Dsfs(
+                Dsfs::with_options(
+                    &self.sim.endpoint(TREE_SERVER),
+                    &dirs.base,
+                    auth(),
+                    pool(1),
+                    Placement::round_robin(),
+                    opts,
+                )
+                .expect("dsfs"),
+            ),
         }
-        CrashOp::Delete { path } => fs.unlink(path),
-        CrashOp::Rename { from, to } => fs.rename(from, to),
-        CrashOp::Mkdir { path } => fs.mkdir(path, 0o755),
-        CrashOp::Truncate { path, size } => fs.truncate(path, *size),
+    }
+
+    /// Where server `i` keeps `path` on the host.
+    fn host_path(&self, i: usize, path: &str) -> std::path::PathBuf {
+        self.sim.root(i).join(path.trim_start_matches('/'))
+    }
+
+    /// White-box removal of a run's volumes and tree base from the
+    /// servers' roots, so tens of thousands of runs don't accumulate
+    /// on RAM-backed disk.
+    fn cleanup(&self, dirs: &RunDirs) {
+        for i in 0..WIDTH {
+            let _ = std::fs::remove_dir_all(self.host_path(i, &dirs.volume));
+        }
+        let _ = std::fs::remove_dir_all(self.host_path(TREE_SERVER, &dirs.base));
     }
 }
 
-/// The state of `path` on the restarted filesystem.
-fn real_state(fs: &StubFs, path: &str) -> Result<State, String> {
-    match fs.stat(path) {
-        Ok(st) if st.is_dir() => Ok(State::Dir),
-        Ok(_) => match fs.read_file(path) {
-            Ok(b) => Ok(State::File(b)),
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(State::Absent),
-            Err(e) => Err(format!("read {path}: unexpected error {e}")),
+/// Delta-debug the failing trace of `first` down to a minimal one that
+/// still fails under `sweep` with [`ddmin`], then sweep it again for
+/// the divergence to report (whose `trace` is the minimized one). If
+/// that sweep passes — kill placement over parallel parts is
+/// scheduler-dependent — report `first` marked as not replayed.
+fn shrink(
+    first: CrashDivergence,
+    sweep: &mut dyn FnMut(&[FsOp]) -> Result<CrashStats, CrashDivergence>,
+) -> CrashDivergence {
+    let trace = ddmin(first.trace.clone(), &mut |c| sweep(c).is_err());
+    match sweep(&trace) {
+        Err(div) => div,
+        Ok(_) => CrashDivergence {
+            replayed: false,
+            ..first
         },
-        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(State::Absent),
-        Err(e) if e.kind() == io::ErrorKind::InvalidData => Ok(State::Torn),
-        Err(e) => Err(format!("stat {path}: unexpected error {e}")),
     }
 }
 
-/// Check a restarted filesystem against the model. `crashed_op` is the
-/// op the crash landed in (`None` for the golden run, where the state
-/// must match the model exactly). `torn` marks a torn-write run, the
-/// only mode in which a corrupt stub is an acceptable crash remnant.
+/// Whether `got` is a state a crash inside `op` may leave on its own
+/// target `path`, beyond the target's pre and post states.
+fn crash_remnant(
+    cell: Cell,
+    op: &FsOp,
+    path: &str,
+    got: &PathState,
+    pre: &PathState,
+    post: &PathState,
+    torn: bool,
+) -> bool {
+    // A torn stub reads as an error (InvalidData), never as garbage
+    // bytes.
+    if torn && *got == PathState::Error(io::ErrorKind::InvalidData) {
+        return true;
+    }
+    let PathState::File(got) = got else {
+        return false;
+    };
+    if cell == Cell::Striped {
+        return stripe_mix(got, pre.bytes(), post.bytes(), torn);
+    }
+    match op {
+        // The in-flight create (data file made, nothing written yet),
+        // or a torn data-server PWRITE: a strict prefix of the
+        // write's bytes behind a whole stub.
+        FsOp::Write(p, data) if p == path => {
+            got.is_empty() || (torn && got.len() < data.len() && data.starts_with(got))
+        }
+        _ => false,
+    }
+}
+
+/// Whether striped bytes `got` are a per-part mix of `pre` and `post`:
+/// each stripe equals that stripe of one of them, and in torn mode the
+/// last stripe may be a strict prefix of its post stripe.
+fn stripe_mix(got: &[u8], pre: &[u8], post: &[u8], torn: bool) -> bool {
+    fn nth(b: &[u8], i: usize) -> &[u8] {
+        let s = STRIPE as usize;
+        &b[(i * s).min(b.len())..((i + 1) * s).min(b.len())]
+    }
+    let n = got.len().div_ceil(STRIPE as usize);
+    (0..n).all(|i| {
+        let (g, post_i) = (nth(got, i), nth(post, i));
+        g == nth(pre, i)
+            || g == post_i
+            || (torn && i + 1 == n && g.len() < post_i.len() && post_i.starts_with(g))
+    })
+}
+
+/// Check a restarted filesystem against the reference. `pre` and
+/// `post` are the pool around the op the crash landed in, `crashed_op`
+/// (`None` for the golden run, where both are the final state and the
+/// filesystem must match it exactly); `orphans` is what rename clobbers
+/// explain. `torn` marks a torn-write run, the only mode in which a
+/// corrupt stub is an acceptable crash remnant.
 fn verify_post_state(
     fs: &StubFs,
-    pre: &CrashModel,
-    crashed_op: Option<&CrashOp>,
+    cell: Cell,
+    pre: &Snapshot,
+    post: &Snapshot,
+    orphans: RangeInclusive<u64>,
+    crashed_op: Option<&FsOp>,
     torn: bool,
 ) -> Result<(), String> {
     let report = fsck(fs).map_err(|e| format!("fsck failed: {e}"))?;
@@ -593,15 +656,7 @@ fn verify_post_state(
             report.unreachable
         ));
     }
-
-    let (post, targets) = match crashed_op {
-        Some(op) => {
-            let mut m = pre.clone();
-            m.apply(op);
-            (m, op.targets())
-        }
-        None => (pre.clone(), BTreeSet::new()),
-    };
+    let targets = crashed_op.map(FsOp::targets).unwrap_or_default();
 
     // Dangling stubs may only name the crashed op's own targets.
     for d in &report.dangling_stubs {
@@ -623,91 +678,81 @@ fn verify_post_state(
             return Err(format!("corrupt stub {c} outside the crashed op's targets"));
         }
     }
-    // Every healthy file must be one the model knows (no phantoms).
+    // Every healthy file must be one the reference has (no phantoms).
+    let is_file = |s: &Snapshot, p: &str| matches!(s.get(p), Some(PathState::File(_)));
     for h in &report.healthy {
-        if !pre.files.contains_key(h) && !post.files.contains_key(h) {
-            return Err(format!("phantom file {h} not in the model"));
+        if !is_file(pre, h) && !is_file(post, h) {
+            return Err(format!("phantom file {h} not in the reference"));
         }
     }
     // Orphans: only rename clobbers make them; a crash mid-op may or
     // may not have reached the clobber.
-    let lo = pre.orphans.min(post.orphans);
-    let hi = pre.orphans.max(post.orphans);
     let n = report.orphaned_data.len() as u64;
-    if n < lo || n > hi {
+    if !orphans.contains(&n) {
         return Err(format!(
-            "{n} orphaned data files; the ordering theorem allows {lo}..={hi}"
+            "{n} orphaned data files; the ordering theorem allows {orphans:?}"
         ));
     }
 
     // Per-path acceptance: untouched paths exactly match the pre-crash
-    // model (failure coherence); the crashed op's targets may be in
-    // the pre state, the post state, or — for a write — the in-flight
-    // empty data file.
-    let mut paths: BTreeSet<String> = BTreeSet::new();
-    paths.extend(pre.files.keys().cloned());
-    paths.extend(post.files.keys().cloned());
-    paths.extend(pre.dirs.iter().cloned());
-    paths.extend(post.dirs.iter().cloned());
-    paths.extend(targets.iter().cloned());
-    for p in &paths {
-        let got = real_state(fs, p)?;
-        let s_pre = pre.state(p);
-        let s_post = post.state(p);
-        let in_flight_write = matches!(
-            crashed_op,
-            Some(CrashOp::Write { path, .. }) if path == p
-        ) && got == State::File(Vec::new());
-        // A torn stub reads as an error (InvalidData), never as
-        // garbage bytes; acceptable only where the crash landed.
-        let torn_target = torn && targets.contains(p) && got == State::Torn;
-        // A torn data-server PWRITE leaves a strict prefix of the
-        // crashed write's bytes behind a whole stub.
-        let torn_write = torn
-            && matches!(
-                (crashed_op, &got),
-                (Some(CrashOp::Write { path, data }), State::File(b))
-                    if path == p && b.len() < data.len() && data.starts_with(b)
-            );
-        if got != s_pre && got != s_post && !in_flight_write && !torn_target && !torn_write {
+    // state (failure coherence); the crashed op's targets may be in
+    // the pre state, the post state, or a remnant the op may leave.
+    for (p, got) in snapshot(fs, pool()) {
+        let (s_pre, s_post) = (&pre[&p], &post[&p]);
+        let remnant = || {
+            crashed_op.is_some_and(|op| {
+                targets.contains(&p) && crash_remnant(cell, op, &p, &got, s_pre, s_post, torn)
+            })
+        };
+        if got != *s_pre && got != *s_post && !remnant() {
             return Err(format!(
                 "{p}: found {got}, accepted states are pre={s_pre} / post={s_post}"
             ));
         }
     }
 
-    // Repair must converge in one pass, be a no-op on the second, and
-    // remove exactly what the scan reported.
+    // Repair must reach a clean scan within the cell's rounds, each
+    // round removing exactly what its scan reported, and then be a
+    // no-op.
     let all = RepairOptions {
         remove_dangling_stubs: true,
         remove_orphans: true,
     };
-    let removed = repair(fs, &report, all).map_err(|e| format!("repair failed: {e}"))?;
-    let expected = (report.dangling_stubs.len()
-        + report.corrupt_stubs.len()
-        + report.orphaned_data.len()) as u64;
-    if removed != expected {
+    let mut report = report;
+    for round in 1..=cell.repair_rounds() {
+        let removed = repair(fs, &report, all).map_err(|e| format!("repair failed: {e}"))?;
+        let expected = (report.dangling_stubs.len()
+            + report.corrupt_stubs.len()
+            + report.orphaned_data.len()) as u64;
+        if removed != expected {
+            return Err(format!(
+                "repair round {round} removed {removed} items, scan reported {expected}"
+            ));
+        }
+        report = fsck(fs).map_err(|e| format!("post-repair fsck failed: {e}"))?;
+        if report.is_clean() && report.unreachable.is_empty() {
+            break;
+        }
+    }
+    if !report.is_clean() || !report.unreachable.is_empty() {
         return Err(format!(
-            "repair removed {removed} items, scan reported {expected}"
+            "repair did not converge in {} round(s): {report:?}",
+            cell.repair_rounds()
         ));
     }
-    let after = fsck(fs).map_err(|e| format!("post-repair fsck failed: {e}"))?;
-    if !after.is_clean() || !after.unreachable.is_empty() {
-        return Err(format!("repair did not converge: {after:?}"));
-    }
-    let removed2 = repair(fs, &after, all).map_err(|e| format!("second repair failed: {e}"))?;
-    if removed2 != 0 {
+    let again = repair(fs, &report, all).map_err(|e| format!("final repair failed: {e}"))?;
+    if again != 0 {
         return Err(format!(
-            "second repair removed {removed2} items; must be a no-op"
+            "repair on a clean scan removed {again} items; must be a no-op"
         ));
     }
-    // Repair must not have touched any path the crash did not.
-    for (p, bytes) in &pre.files {
-        if targets.contains(p) {
+    // Repair must not have touched any file the crash did not.
+    for (p, s) in pre {
+        if targets.contains(p) || !matches!(s, PathState::File(_)) {
             continue;
         }
-        let got = real_state(fs, p)?;
-        if got != State::File(bytes.clone()) {
+        let got = path_state(fs, p);
+        if got != *s {
             return Err(format!("repair disturbed healthy file {p}: now {got}"));
         }
     }
@@ -717,48 +762,34 @@ fn verify_post_state(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use chirp_proto::DurabilityPoint;
+    use chirp_proto::{DurabilityPoint, OpenFlags};
 
-    /// Build a StubFs over a fresh meta dir and a named volume on the
-    /// harness's server, instrumented (or not) with its injector.
-    fn fixture(
-        h: &CrashHarness,
-        volume: &str,
-        instrumented: bool,
-    ) -> (chirp_proto::testutil::TempDir, StubFs) {
-        let meta_dir = sim_root();
+    fn write(path: &str, data: &[u8]) -> FsOp {
+        FsOp::Write(path.into(), data.to_vec())
+    }
+
+    /// A single-layout filesystem over a fresh namespace on the
+    /// harness's servers, instrumented (or not) with its injector.
+    fn fixture(h: &mut CrashHarness, instrumented: bool) -> (RunDirs, StubFs) {
+        let dirs = h.fresh_dirs();
         let persist = if instrumented {
             h.persist.clone()
         } else {
             Persist::none()
         };
-        let meta = LocalFs::with_persistence(meta_dir.path(), persist.clone()).unwrap();
-        let mut opts = h.sim.stubfs_options();
-        opts.persist = persist;
-        opts.breaker_threshold = 0;
-        let fs = StubFs::new(
-            Arc::new(meta),
-            vec![h.sim.data_server(0, volume)],
-            Placement::round_robin(),
-            opts,
-        );
+        let CellFs::Single(fs) = h.open_cell(Cell::Single, &dirs, persist) else {
+            unreachable!("the single cell is a plain StubFs")
+        };
         fs.ensure_volumes().unwrap();
-        (meta_dir, fs)
+        (dirs, fs)
     }
 
     #[test]
     fn golden_journal_orders_stub_before_data_on_create() {
-        let h = CrashHarness::new();
-        let (_meta, fs) = fixture(&h, "/order", true);
+        let mut h = CrashHarness::new();
+        let (dirs, fs) = fixture(&mut h, true);
         h.injector.arm(None);
-        apply_real(
-            &fs,
-            &CrashOp::Write {
-                path: "/f".into(),
-                data: b"payload".to_vec(),
-            },
-        )
-        .unwrap();
+        assert!(apply(&fs, &write("/f", b"payload")).succeeded());
         let entries = h.injector.journal().entries();
         h.injector.disarm();
         let stub = entries
@@ -773,21 +804,14 @@ mod tests {
             stub < data,
             "stub must be durable before data exists: {entries:?}"
         );
-        h.cleanup("/order");
+        h.cleanup(&dirs);
     }
 
     #[test]
     fn golden_journal_orders_data_before_stub_on_delete() {
-        let h = CrashHarness::new();
-        let (_meta, fs) = fixture(&h, "/order2", true);
-        apply_real(
-            &fs,
-            &CrashOp::Write {
-                path: "/f".into(),
-                data: b"payload".to_vec(),
-            },
-        )
-        .unwrap();
+        let mut h = CrashHarness::new();
+        let (dirs, fs) = fixture(&mut h, true);
+        assert!(apply(&fs, &write("/f", b"payload")).succeeded());
         h.injector.arm(None);
         fs.unlink("/f").unwrap();
         let entries = h.injector.journal().entries();
@@ -804,20 +828,18 @@ mod tests {
             data < stub,
             "data must go before the stub on delete: {entries:?}"
         );
-        h.cleanup("/order2");
+        h.cleanup(&dirs);
     }
 
     #[test]
     fn create_killed_between_stub_and_data_reads_not_found_and_repairs() {
-        let h = CrashHarness::new();
-        let (meta_dir, fs) = fixture(&h, "/dangle", true);
-        let op = CrashOp::Write {
-            path: "/f".into(),
-            data: b"payload".to_vec(),
-        };
+        let mut h = CrashHarness::new();
+        let (dirs, fs) = fixture(&mut h, true);
+        let fs = &fs;
+        let op = write("/f", b"payload");
         // Golden pass to learn where the data-create point sits.
         h.injector.arm(None);
-        apply_real(&fs, &op).unwrap();
+        assert!(apply(fs, &op).succeeded());
         let pos = h
             .injector
             .journal()
@@ -829,47 +851,40 @@ mod tests {
         // Replay, killed right before the data file is created: the
         // stub is durable, the data is not — the paper's dangling case.
         h.injector.arm(Some(pos));
-        let err = apply_real(&fs, &op).expect_err("create must die");
+        assert!(!apply(fs, &op).succeeded(), "create must die");
         assert!(h.injector.fired(), "injector fired");
-        assert!(chirp_proto::persist::is_crash(&err) || err.kind() == io::ErrorKind::Other);
         h.injector.disarm();
         // White-box: the stub file itself survived with content.
-        let host_stub = meta_dir.path().join("f");
+        let host_stub = dirs.tree.path().join("f");
         assert!(host_stub.exists(), "stub survived the crash");
         assert!(std::fs::metadata(&host_stub).unwrap().len() > 0);
         // The mandated read-side behavior: file not found, not garbage.
         let e = fs.read_file("/f").expect_err("dangling stub must not read");
         assert_eq!(e.kind(), io::ErrorKind::NotFound);
         // fsck sees exactly one dangling stub; repair converges.
-        let report = fsck(&fs).unwrap();
+        let report = fsck(fs).unwrap();
         assert_eq!(report.dangling_stubs, vec!["/f".to_string()]);
         let all = RepairOptions {
             remove_dangling_stubs: true,
             remove_orphans: true,
         };
-        assert_eq!(repair(&fs, &report, all).unwrap(), 1);
-        let clean = fsck(&fs).unwrap();
+        assert_eq!(repair(fs, &report, all).unwrap(), 1);
+        let clean = fsck(fs).unwrap();
         assert!(clean.is_clean(), "{clean:?}");
-        assert_eq!(repair(&fs, &clean, all).unwrap(), 0);
-        h.cleanup("/dangle");
+        assert_eq!(repair(fs, &clean, all).unwrap(), 0);
+        h.cleanup(&dirs);
     }
 
     #[test]
     fn torn_stub_write_is_classified_corrupt_and_repaired() {
-        let h = CrashHarness::new();
-        let (_meta, fs) = fixture(&h, "/torn", true);
+        let mut h = CrashHarness::new();
+        let (dirs, fs) = fixture(&mut h, true);
+        let fs = &fs;
         // Golden pass to learn where the stub's pwrite point sits in a
         // create's durability sequence (same shape for every root
         // path).
         h.injector.arm(None);
-        apply_real(
-            &fs,
-            &CrashOp::Write {
-                path: "/probe".into(),
-                data: b"payload".to_vec(),
-            },
-        )
-        .unwrap();
+        assert!(apply(fs, &write("/probe", b"payload")).succeeded());
         let pos = h
             .injector
             .journal()
@@ -886,16 +901,11 @@ mod tests {
         let paths: Vec<String> = (0..8).map(|i| format!("/f{i}")).collect();
         for (i, path) in paths.iter().enumerate() {
             h.injector.arm_torn(Some(pos), i as u64);
-            let err = apply_real(
-                &fs,
-                &CrashOp::Write {
-                    path: path.clone(),
-                    data: b"payload".to_vec(),
-                },
-            )
-            .expect_err("create must die at the stub write");
+            assert!(
+                !apply(fs, &write(path, b"payload")).succeeded(),
+                "create must die at the stub write"
+            );
             assert!(h.injector.fired(), "injector fired for {path}");
-            assert!(chirp_proto::persist::is_crash(&err) || err.kind() == io::ErrorKind::Other);
             h.injector.disarm();
             // The mandated read-side behavior: an error, never
             // garbage bytes.
@@ -908,7 +918,7 @@ mod tests {
                 "torn stub read gave {e}"
             );
         }
-        let report = fsck(&fs).unwrap();
+        let report = fsck(fs).unwrap();
         let mut flagged: Vec<String> = report
             .dangling_stubs
             .iter()
@@ -930,91 +940,163 @@ mod tests {
             remove_dangling_stubs: true,
             remove_orphans: true,
         };
-        assert_eq!(repair(&fs, &report, all).unwrap(), paths.len() as u64);
-        let clean = fsck(&fs).unwrap();
+        assert_eq!(repair(fs, &report, all).unwrap(), paths.len() as u64);
+        let clean = fsck(fs).unwrap();
         assert!(clean.is_clean(), "{clean:?}");
-        assert_eq!(repair(&fs, &clean, all).unwrap(), 0);
-        h.cleanup("/torn");
+        assert_eq!(repair(fs, &clean, all).unwrap(), 0);
+        h.cleanup(&dirs);
+    }
+
+    /// Verify `fs` against the reference's final state after `ops`.
+    fn verify_final(fs: &StubFs, ops: &[FsOp]) -> Result<(), String> {
+        let r = Reference::run(ops, 1);
+        let (end, orphans) = (r.states.last().unwrap(), *r.orphans.last().unwrap());
+        verify_post_state(fs, Cell::Single, end, end, orphans..=orphans, None, false)
     }
 
     #[test]
     fn checker_rejects_planted_orphan() {
-        let h = CrashHarness::new();
-        let (_meta, fs) = fixture(&h, "/teeth1", false);
-        let mut model = CrashModel::new();
-        let op = CrashOp::Write {
-            path: "/a".into(),
-            data: b"abc".to_vec(),
-        };
-        apply_real(&fs, &op).unwrap();
-        assert!(model.apply(&op));
-        verify_post_state(&fs, &model, None, false).expect("clean state accepted");
+        let mut h = CrashHarness::new();
+        let (dirs, fs) = fixture(&mut h, false);
+        let ops = [write("/a", b"abc")];
+        assert!(apply(&fs, &ops[0]).succeeded());
+        verify_final(&fs, &ops).expect("clean state accepted");
         // Plant a data file no stub references, behind the fs's back.
         let mut conn = h.sim.connect(0);
         let (fd, _) = conn
             .open(
-                "/teeth1/planted.data",
+                &format!("{}/planted.data", dirs.volume),
                 OpenFlags::WRITE | OpenFlags::CREATE,
                 0o644,
             )
             .unwrap();
         conn.close(fd).unwrap();
-        let err = verify_post_state(&fs, &model, None, false).expect_err("orphan must be rejected");
+        let err = verify_final(&fs, &ops).expect_err("orphan must be rejected");
         assert!(err.contains("orphaned"), "unexpected detail: {err}");
-        h.cleanup("/teeth1");
+        h.cleanup(&dirs);
     }
 
     #[test]
     fn checker_rejects_phantom_file() {
-        let h = CrashHarness::new();
-        let (_meta, fs) = fixture(&h, "/teeth2", false);
-        let model = CrashModel::new();
-        // A file exists that the model never created.
-        apply_real(
-            &fs,
-            &CrashOp::Write {
-                path: "/ghost".into(),
-                data: b"boo".to_vec(),
-            },
-        )
-        .unwrap();
-        let err =
-            verify_post_state(&fs, &model, None, false).expect_err("phantom must be rejected");
+        let mut h = CrashHarness::new();
+        let (dirs, fs) = fixture(&mut h, false);
+        // A file exists that the reference never created.
+        assert!(apply(&fs, &write("/ghost", b"boo")).succeeded());
+        let err = verify_final(&fs, &[]).expect_err("phantom must be rejected");
         assert!(err.contains("phantom"), "unexpected detail: {err}");
-        h.cleanup("/teeth2");
+        h.cleanup(&dirs);
     }
 
     #[test]
-    fn model_rename_clobber_counts_an_orphan() {
-        let mut m = CrashModel::new();
-        assert!(m.apply(&CrashOp::Write {
-            path: "/a".into(),
-            data: vec![1],
-        }));
-        assert!(m.apply(&CrashOp::Write {
-            path: "/b".into(),
-            data: vec![2],
-        }));
-        assert!(m.apply(&CrashOp::Rename {
-            from: "/a".into(),
-            to: "/b".into(),
-        }));
-        assert_eq!(m.orphans(), 1);
-        // Self-rename is a no-op, not a clobber.
-        assert!(m.apply(&CrashOp::Rename {
-            from: "/b".into(),
-            to: "/b".into(),
-        }));
-        assert_eq!(m.orphans(), 1);
-        // Missing parent fails without touching state.
-        assert!(!m.apply(&CrashOp::Write {
-            path: "/d0/x".into(),
-            data: vec![3],
-        }));
-        assert!(m.apply(&CrashOp::Mkdir { path: "/d0".into() }));
-        assert!(m.apply(&CrashOp::Write {
-            path: "/d0/x".into(),
-            data: vec![3],
-        }));
+    fn reference_counts_one_orphan_per_part_of_a_clobbered_file() {
+        let rename = |from: &str, to: &str| FsOp::Rename(from.into(), to.into());
+        let ops = [
+            write("/a", &[1]),
+            write("/b", &[2]),
+            rename("/a", "/b"),
+            // Self-rename is a no-op, not a clobber.
+            rename("/b", "/b"),
+            // A missing parent fails without touching state.
+            write("/d0/x", &[3]),
+            FsOp::Mkdir("/d0".into()),
+            write("/d0/x", &[3]),
+            rename("/b", "/c"),
+        ];
+        let r = Reference::run(&ops, 2);
+        assert_eq!(
+            r.verdicts,
+            [true, true, true, true, false, true, true, true]
+        );
+        assert_eq!(r.orphans, [0, 0, 0, 2, 2, 2, 2, 2, 2]);
+        let end = r.states.last().unwrap();
+        assert_eq!(end["/c"], PathState::File(vec![1]));
+        assert_eq!(end["/d0"], PathState::Dir(vec!["x".into()]));
+    }
+
+    #[test]
+    fn stripe_mix_admits_per_part_states_only() {
+        // Seed 53's shape: 17 bytes truncated to 22, killed between
+        // the two parts' truncates, reads 20 bytes.
+        let pre = vec![7u8; 17];
+        let mut post = pre.clone();
+        post.resize(22, 0);
+        assert!(stripe_mix(&post[..20], &pre, &post, false));
+        assert!(stripe_mix(&post[..4], &[], &post, false));
+        // A short last stripe that is neither state's is torn-only.
+        assert!(!stripe_mix(&post[..2], &[], &post, false));
+        assert!(stripe_mix(&post[..2], &[], &post, true));
+        // A stripe from neither state is never accepted.
+        assert!(!stripe_mix(&[9, 9, 9, 9], &pre, &post, true));
+    }
+
+    #[test]
+    fn shrink_reports_the_first_divergence_when_the_trace_does_not_replay() {
+        let ops = vec![write("/a", b"x"), FsOp::Unlink("/a".into())];
+        let first = CrashDivergence {
+            cell: Cell::Striped,
+            seed: 7,
+            torn: false,
+            budget: Some(3),
+            crashed_op: Some(1),
+            detail: "first".into(),
+            trace: ops.clone(),
+            replayed: true,
+        };
+        // The sweep that produced `first` failed; every later one
+        // passes, as a scheduler-dependent kill placement can.
+        let mut sweep = |_: &[FsOp]| Ok(CrashStats::default());
+        let div = shrink(first, &mut sweep);
+        assert!(!div.replayed);
+        assert_eq!(div.trace, ops, "the unshrunk trace is reported");
+        assert_eq!(div.detail, "first");
+        let text = div.to_string();
+        assert!(text.contains("striped cell"), "{text}");
+        assert!(text.contains("did not replay"), "{text}");
+    }
+
+    /// The one-stripe create+write+delete, swept on `cell` at every
+    /// point, clean and torn, with the strict reading of `/a` added to
+    /// the acceptance, which already holds the orphan count to 0 (no
+    /// rename clobbers) and repair to convergence. Returns the points
+    /// per sequence.
+    fn one_stripe_create_delete(cell: Cell) -> u64 {
+        const PAYLOAD: &[u8] = b"abcd";
+        let ops = [write("/a", PAYLOAD), FsOp::Unlink("/a".into())];
+        let mut h = CrashHarness::new();
+        let mut points = Vec::new();
+        for torn in [false, true] {
+            // Only four states are legal, and a torn kill adds a
+            // fifth: a strict prefix of the payload, left by a data
+            // server's torn `PWRITE`.
+            let mut four_states = |fs: &StubFs| match fs.read_file("/a") {
+                Ok(b) if b == PAYLOAD || b.is_empty() || (torn && PAYLOAD.starts_with(&b)) => {
+                    Ok(())
+                }
+                Ok(b) => Err(format!("/a read {} bytes", b.len())),
+                Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(()),
+                Err(e) if torn && e.kind() == io::ErrorKind::InvalidData => Ok(()),
+                Err(e) => Err(format!("/a: unexpected read error {e}")),
+            };
+            let stats = h
+                .sweep(cell, 0, &ops, torn, &mut four_states)
+                .unwrap_or_else(|d| panic!("{d}"));
+            points.push(stats.crash_points);
+        }
+        assert_eq!(points[0], points[1], "clean and torn sweep the same points");
+        points[0]
+    }
+
+    /// Since the engines merged, striping and mirroring also cross the
+    /// engine's own `StubWrite`/`DataCreate`/`DataUnlink`/`StubUnlink`
+    /// points and the stub fsyncs: 17 and 18 points, up from 8 and 9
+    /// when each carried a private copy of the protocol.
+    #[test]
+    fn striped_one_stripe_create_delete_survives_every_kill() {
+        assert_eq!(one_stripe_create_delete(Cell::Striped), 17);
+    }
+
+    #[test]
+    fn mirrored_one_stripe_create_delete_survives_every_kill() {
+        assert_eq!(one_stripe_create_delete(Cell::Mirrored), 18);
     }
 }

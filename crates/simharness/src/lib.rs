@@ -9,7 +9,7 @@
 //! whole multi-server deployment becomes a deterministic function of
 //! a seed.
 //!
-//! Three pieces:
+//! The pieces:
 //!
 //! * [`harness`] — [`SimTss`](harness::SimTss), a builder that stands
 //!   up N real `FileServer`s in-process and wires clients, pools and
@@ -23,12 +23,16 @@
 //!   the real handler stack and the model, diffing results
 //!   byte-for-byte including error codes, and shrinks any divergence
 //!   to a minimal trace.
+//! * [`fsop`] — the file-level op vocabulary ([`FsOp`](fsop::FsOp)),
+//!   its one `apply` through the `FileSystem` interface, and the one
+//!   path-pool `snapshot`; a plain `LocalFs` tree run through them is
+//!   the reference for every file-level check.
 //! * [`crash`] — crash-injection differential testing: every seeded
-//!   sequence is re-run with a simulated kill at *each* durability
-//!   point the golden run journals, and the restarted filesystem is
-//!   checked (`fsck`, repair convergence, byte-level state) against
-//!   the set of post-crash states the paper's stub/data ordering
-//!   argument accepts.
+//!   sequence is re-run on each stub layout with a simulated kill at
+//!   *each* durability point the golden run journals, and the
+//!   restarted filesystem is checked (`fsck`, repair convergence,
+//!   byte-level state) against the set of post-crash states the
+//!   paper's stub/data ordering argument accepts.
 //! * [`scenario`] — declarative mass-tenant scenarios: fleets of
 //!   weighted client roles over phased load schedules, with named
 //!   telemetry *envelopes* (latency quantiles, throughput, failure
@@ -43,13 +47,15 @@
 
 pub mod crash;
 pub mod diff;
+pub mod fsop;
 pub mod gen;
 pub mod harness;
 pub mod model;
 pub mod scenario;
 
-pub use crash::{CrashDivergence, CrashHarness, CrashOp, CrashStats};
+pub use crash::{CrashDivergence, CrashHarness, CrashStats};
 pub use diff::{ddmin, Divergence, OpResult};
+pub use fsop::FsOp;
 pub use gen::{Op, OpGen};
 pub use harness::SimTss;
 pub use model::ModelServer;

@@ -17,8 +17,9 @@
 #
 # Knobs:
 #   SIM_SEQS=<n>        seeds per matrix: pipeline 2000, crash 1000
-#                       (the matrix whose 9019 kills crash_sim pins),
-#                       sim 10000.
+#                       (the matrix whose kill totals crash_sim pins
+#                       per cell: single 9019, striped 13311,
+#                       mirrored 11963, dsfs 8091), sim 10000.
 #   SCENARIO_SCALE=<f>  resizes every scenario fleet.
 #   CHAOS_SEED=<u64>    the chaos plan seed (default 0xC4A05EED).
 # The tests read their own repro knobs (SIM_SEED, CRASH_SEED,
