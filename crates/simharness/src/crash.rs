@@ -316,16 +316,12 @@ impl CellFs {
 }
 
 /// One run's private namespace: a local tree and, on the servers, a
-/// data volume and a tree base.
+/// data volume and, for the DSFS cell, a tree base.
 struct RunDirs {
     tree: TempDir,
     volume: String,
-    base: String,
+    base: Option<String>,
 }
-
-/// A check a named case adds to the acceptance, run on each restarted
-/// filesystem before repair.
-type ExtraCheck<'a> = &'a mut dyn FnMut(&StubFs) -> Result<(), String>;
 
 /// The crash-injection harness: simulated data servers and a tree
 /// server plus a shared [`CrashPoint`] injector threaded through the
@@ -376,12 +372,12 @@ impl CrashHarness {
         torn: bool,
     ) -> Result<CrashStats, CrashDivergence> {
         let ops = crash_ops_for_seed(seed);
-        let first = match self.sweep(cell, seed, &ops, torn, &mut |_| Ok(())) {
+        let first = match self.sweep(cell, seed, &ops, torn) {
             Ok(stats) => return Ok(stats),
             Err(div) => div,
         };
         Err(shrink(first, &mut |trace| {
-            self.sweep(cell, seed, trace, torn, &mut |_| Ok(()))
+            self.sweep(cell, seed, trace, torn)
         }))
     }
 
@@ -392,12 +388,11 @@ impl CrashHarness {
         seed: u64,
         ops: &[FsOp],
         torn: bool,
-        check: ExtraCheck<'_>,
     ) -> Result<CrashStats, CrashDivergence> {
         let reference = Reference::run(ops, cell.parts());
-        let total = self.run_once(cell, seed, ops, &reference, None, torn, check)?;
+        let total = self.run_once(cell, seed, ops, &reference, None, torn)?;
         for k in 0..total {
-            self.run_once(cell, seed, ops, &reference, Some(k), torn, check)?;
+            self.run_once(cell, seed, ops, &reference, Some(k), torn)?;
         }
         Ok(CrashStats {
             sequences: 1,
@@ -409,7 +404,6 @@ impl CrashHarness {
     /// One replay of `ops` with the given crash budget (`None` =
     /// golden). Returns the number of durability points the run
     /// committed (meaningful for the golden run).
-    #[allow(clippy::too_many_arguments)]
     fn run_once(
         &mut self,
         cell: Cell,
@@ -418,9 +412,8 @@ impl CrashHarness {
         reference: &Reference,
         budget: Option<u64>,
         torn: bool,
-        check: ExtraCheck<'_>,
     ) -> Result<u64, CrashDivergence> {
-        let dirs = self.fresh_dirs();
+        let dirs = self.fresh_dirs(cell);
         let fail = |detail: String, crashed_op: Option<usize>| CrashDivergence {
             cell,
             seed,
@@ -478,35 +471,35 @@ impl CrashHarness {
         let restarted = self.open_cell(cell, &dirs, Persist::none());
         let at = crashed.unwrap_or(ops.len());
         let after = (at + 1).min(ops.len());
-        let verdict = check(restarted.engine()).and_then(|()| {
-            verify_post_state(
-                restarted.engine(),
-                cell,
-                &reference.states[at],
-                &reference.states[after],
-                reference.orphans[at]..=reference.orphans[after],
-                crashed.map(|i| &ops[i]),
-                torn,
-            )
-        });
+        let verdict = verify_post_state(
+            restarted.engine(),
+            cell,
+            &reference.states[at],
+            &reference.states[after],
+            reference.orphans[at]..=reference.orphans[after],
+            crashed.map(|i| &ops[i]),
+            torn,
+        );
         drop(restarted);
         self.cleanup(&dirs);
         verdict.map_err(|detail| fail(detail, crashed))?;
         Ok(points)
     }
 
-    /// A fresh namespace for the next run, the DSFS tree base already
-    /// made (white-box, like [`CrashHarness::cleanup`]).
-    fn fresh_dirs(&mut self) -> RunDirs {
+    /// A fresh namespace for the next run on `cell`, a DSFS tree base
+    /// already made (white-box, like [`CrashHarness::cleanup`]).
+    fn fresh_dirs(&mut self, cell: Cell) -> RunDirs {
         let run = self.run;
         self.run += 1;
-        let dirs = RunDirs {
+        let base = (cell == Cell::Dsfs).then(|| format!("/tree{run}"));
+        if let Some(base) = &base {
+            std::fs::create_dir(self.host_path(TREE_SERVER, base)).expect("tree base");
+        }
+        RunDirs {
             tree: sim_root(),
             volume: format!("/crash{run}"),
-            base: format!("/tree{run}"),
-        };
-        std::fs::create_dir(self.host_path(TREE_SERVER, &dirs.base)).expect("tree base");
-        dirs
+            base,
+        }
     }
 
     /// `cell`'s filesystem over `dirs`, its tree and engine reporting
@@ -538,7 +531,7 @@ impl CrashHarness {
             Cell::Dsfs => CellFs::Dsfs(
                 Dsfs::with_options(
                     &self.sim.endpoint(TREE_SERVER),
-                    &dirs.base,
+                    dirs.base.as_deref().expect("a DSFS run has a tree base"),
                     auth(),
                     pool(1),
                     Placement::round_robin(),
@@ -561,7 +554,9 @@ impl CrashHarness {
         for i in 0..WIDTH {
             let _ = std::fs::remove_dir_all(self.host_path(i, &dirs.volume));
         }
-        let _ = std::fs::remove_dir_all(self.host_path(TREE_SERVER, &dirs.base));
+        if let Some(base) = &dirs.base {
+            let _ = std::fs::remove_dir_all(self.host_path(TREE_SERVER, base));
+        }
     }
 }
 
@@ -603,35 +598,41 @@ fn crash_remnant(
     let PathState::File(got) = got else {
         return false;
     };
-    if cell == Cell::Striped {
-        return stripe_mix(got, pre.bytes(), post.bytes(), torn);
-    }
+    // A striped file's parts are written, truncated and removed one
+    // at a time; a rename moves one stub, all or nothing.
+    let per_part = |p: &String| {
+        cell == Cell::Striped && p == path && stripe_mix(got, pre.bytes(), post.bytes(), torn)
+    };
     match op {
         // The in-flight create (data file made, nothing written yet),
         // or a torn data-server PWRITE: a strict prefix of the
         // write's bytes behind a whole stub.
         FsOp::Write(p, data) if p == path => {
-            got.is_empty() || (torn && got.len() < data.len() && data.starts_with(got))
+            got.is_empty()
+                || (torn && got.len() < data.len() && data.starts_with(got))
+                || per_part(p)
         }
+        FsOp::Truncate(p, _) | FsOp::Unlink(p) => per_part(p),
         _ => false,
     }
 }
 
 /// Whether striped bytes `got` are a per-part mix of `pre` and `post`:
-/// each stripe equals that stripe of one of them, and in torn mode the
-/// last stripe may be a strict prefix of its post stripe.
+/// non-empty, each stripe equals that stripe of one of them, and in
+/// torn mode the last stripe may be a strict prefix of its post stripe.
 fn stripe_mix(got: &[u8], pre: &[u8], post: &[u8], torn: bool) -> bool {
     fn nth(b: &[u8], i: usize) -> &[u8] {
         let s = STRIPE as usize;
         &b[(i * s).min(b.len())..((i + 1) * s).min(b.len())]
     }
     let n = got.len().div_ceil(STRIPE as usize);
-    (0..n).all(|i| {
-        let (g, post_i) = (nth(got, i), nth(post, i));
-        g == nth(pre, i)
-            || g == post_i
-            || (torn && i + 1 == n && g.len() < post_i.len() && post_i.starts_with(g))
-    })
+    n > 0
+        && (0..n).all(|i| {
+            let (g, post_i) = (nth(got, i), nth(post, i));
+            g == nth(pre, i)
+                || g == post_i
+                || (torn && i + 1 == n && g.len() < post_i.len() && post_i.starts_with(g))
+        })
 }
 
 /// Check a restarted filesystem against the reference. `pre` and
@@ -771,7 +772,7 @@ mod tests {
     /// A single-layout filesystem over a fresh namespace on the
     /// harness's servers, instrumented (or not) with its injector.
     fn fixture(h: &mut CrashHarness, instrumented: bool) -> (RunDirs, StubFs) {
-        let dirs = h.fresh_dirs();
+        let dirs = h.fresh_dirs(Cell::Single);
         let persist = if instrumented {
             h.persist.clone()
         } else {
@@ -851,8 +852,11 @@ mod tests {
         // Replay, killed right before the data file is created: the
         // stub is durable, the data is not — the paper's dangling case.
         h.injector.arm(Some(pos));
-        assert!(!apply(fs, &op).succeeded(), "create must die");
+        let err = fs
+            .write_file("/f", b"payload")
+            .expect_err("create must die");
         assert!(h.injector.fired(), "injector fired");
+        assert!(chirp_proto::persist::is_crash(&err) || err.kind() == io::ErrorKind::Other);
         h.injector.disarm();
         // White-box: the stub file itself survived with content.
         let host_stub = dirs.tree.path().join("f");
@@ -901,11 +905,11 @@ mod tests {
         let paths: Vec<String> = (0..8).map(|i| format!("/f{i}")).collect();
         for (i, path) in paths.iter().enumerate() {
             h.injector.arm_torn(Some(pos), i as u64);
-            assert!(
-                !apply(fs, &write(path, b"payload")).succeeded(),
-                "create must die at the stub write"
-            );
+            let err = fs
+                .write_file(path, b"payload")
+                .expect_err("create must die at the stub write");
             assert!(h.injector.fired(), "injector fired for {path}");
+            assert!(chirp_proto::persist::is_crash(&err) || err.kind() == io::ErrorKind::Other);
             h.injector.disarm();
             // The mandated read-side behavior: an error, never
             // garbage bytes.
@@ -1027,6 +1031,25 @@ mod tests {
         assert!(stripe_mix(&post[..2], &[], &post, true));
         // A stripe from neither state is never accepted.
         assert!(!stripe_mix(&[9, 9, 9, 9], &pre, &post, true));
+        // Nor is an empty file, which mixes no stripe at all.
+        assert!(!stripe_mix(&[], &pre, &post, true));
+
+        // Only ops that change parts one at a time leave a mix.
+        let (a, b) = (vec![1u8; 8], vec![2u8; 8]);
+        let (old, new) = (PathState::File(b.clone()), PathState::File(a.clone()));
+        let mixed = PathState::File([&b[..4], &a[4..]].concat());
+        let empty = PathState::File(Vec::new());
+        let ok = |cell, op: &FsOp, got| crash_remnant(cell, op, "/b", got, &old, &new, true);
+        // A rename moves one stub: its target is never a mix of the
+        // renamed and the clobbered file.
+        let clobber = FsOp::Rename("/a".into(), "/b".into());
+        assert!(!ok(Cell::Striped, &clobber, &mixed));
+        // A write changes a striped file's parts one at a time.
+        assert!(ok(Cell::Striped, &write("/b", &a), &mixed));
+        assert!(!ok(Cell::Single, &write("/b", &a), &mixed));
+        // Only a crashed write's own target may read empty.
+        assert!(ok(Cell::Striped, &write("/b", &a), &empty));
+        assert!(!ok(Cell::Striped, &FsOp::Unlink("/b".into()), &empty));
     }
 
     #[test]
@@ -1055,33 +1078,21 @@ mod tests {
     }
 
     /// The one-stripe create+write+delete, swept on `cell` at every
-    /// point, clean and torn, with the strict reading of `/a` added to
-    /// the acceptance, which already holds the orphan count to 0 (no
-    /// rename clobbers) and repair to convergence. Returns the points
-    /// per sequence.
+    /// point, clean and torn; returns the points per sequence. For these
+    /// ops the acceptance is the strict four-state read of `/a` (absent,
+    /// empty, the payload, or torn only a prefix or an InvalidData
+    /// stub), no orphaned part and a converging repair.
     fn one_stripe_create_delete(cell: Cell) -> u64 {
-        const PAYLOAD: &[u8] = b"abcd";
-        let ops = [write("/a", PAYLOAD), FsOp::Unlink("/a".into())];
+        let ops = [write("/a", b"abcd"), FsOp::Unlink("/a".into())];
         let mut h = CrashHarness::new();
-        let mut points = Vec::new();
-        for torn in [false, true] {
-            // Only four states are legal, and a torn kill adds a
-            // fifth: a strict prefix of the payload, left by a data
-            // server's torn `PWRITE`.
-            let mut four_states = |fs: &StubFs| match fs.read_file("/a") {
-                Ok(b) if b == PAYLOAD || b.is_empty() || (torn && PAYLOAD.starts_with(&b)) => {
-                    Ok(())
-                }
-                Ok(b) => Err(format!("/a read {} bytes", b.len())),
-                Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(()),
-                Err(e) if torn && e.kind() == io::ErrorKind::InvalidData => Ok(()),
-                Err(e) => Err(format!("/a: unexpected read error {e}")),
-            };
-            let stats = h
-                .sweep(cell, 0, &ops, torn, &mut four_states)
-                .unwrap_or_else(|d| panic!("{d}"));
-            points.push(stats.crash_points);
-        }
+        let points: Vec<u64> = [false, true]
+            .into_iter()
+            .map(|torn| {
+                h.sweep(cell, 0, &ops, torn)
+                    .unwrap_or_else(|d| panic!("{d}"))
+                    .crash_points
+            })
+            .collect();
         assert_eq!(points[0], points[1], "clean and torn sweep the same points");
         points[0]
     }
