@@ -20,7 +20,7 @@
 //!   (retry loops, pools, third-party transfer) hold a `Dialer` rather
 //!   than calling [`TcpStream::connect`] themselves.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{hash_map::Entry, HashMap, VecDeque};
 use std::fmt;
 use std::fs::File;
 use std::io::{self, Read, Write};
@@ -342,6 +342,14 @@ impl MemNet {
                 crate::DEFAULT_PORT,
             )
         };
+        self.listen_at(addr)
+            .expect("fabricated addresses are fresh")
+    }
+
+    /// Bind a listener at `addr`, typically one a restarted host held
+    /// before [`MemNet::unbind`] released it. Fails with
+    /// [`io::ErrorKind::AddrInUse`] while another listener holds it.
+    pub fn listen_at(&self, addr: SocketAddr) -> io::Result<MemListener> {
         let queue = Arc::new(AcceptQueue {
             state: Mutex::new(AcceptState {
                 pending: VecDeque::new(),
@@ -350,16 +358,18 @@ impl MemNet {
             }),
             cond: Condvar::new(),
         });
-        self.inner
-            .listeners
-            .lock()
-            .unwrap()
-            .insert(addr, queue.clone());
-        MemListener {
+        let mut listeners = self.inner.listeners.lock().expect("listener map poisoned");
+        match listeners.entry(addr) {
+            Entry::Occupied(_) => return Err(io::ErrorKind::AddrInUse.into()),
+            Entry::Vacant(slot) => {
+                slot.insert(queue.clone());
+            }
+        }
+        Ok(MemListener {
             net: self.inner.clone(),
             addr,
             queue,
-        }
+        })
     }
 
     /// A dialer connecting into this network.
@@ -429,7 +439,8 @@ impl Dial for MemNet {
     }
 }
 
-/// A bound in-memory accept point. Dropping it unbinds the address.
+/// A bound in-memory accept point. Dropping it unbinds the address,
+/// unless the address has since been released and bound again.
 pub struct MemListener {
     net: Arc<MemNetInner>,
     addr: SocketAddr,
@@ -478,9 +489,16 @@ impl Listener for MemListener {
 
 impl Drop for MemListener {
     fn drop(&mut self) {
-        // Addresses are never reused, so the entry (if an unbind left
-        // one) is ours.
-        self.net.listeners.lock().unwrap().remove(&self.addr);
+        // The address may have been released and bound again by a
+        // restarted host; remove the entry only if it is still ours.
+        if let Ok(mut listeners) = self.net.listeners.lock() {
+            if listeners
+                .get(&self.addr)
+                .is_some_and(|q| Arc::ptr_eq(q, &self.queue))
+            {
+                listeners.remove(&self.addr);
+            }
+        }
         let mut st = self.queue.state.lock().unwrap();
         st.closed = true;
         self.queue.cond.notify_all();
@@ -943,6 +961,23 @@ mod tests {
             .dial(&addr.to_string(), Duration::from_secs(1))
             .unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::ConnectionRefused);
+    }
+
+    #[test]
+    fn a_released_address_can_be_bound_again() {
+        let net = MemNet::new(Clock::fresh_virtual());
+        let old = net.listen();
+        let addr = old.addr();
+        let err = net.listen_at(addr).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::AddrInUse);
+        net.unbind(addr);
+        let new = net.listen_at(addr).unwrap();
+        // The old listener's late drop must not unbind the new one.
+        drop(old);
+        net.dialer()
+            .dial(&addr.to_string(), Duration::from_secs(1))
+            .unwrap();
+        assert!(new.accept().is_ok());
     }
 
     #[test]

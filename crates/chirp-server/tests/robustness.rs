@@ -258,3 +258,67 @@ fn idle_connections_are_reaped() {
     }
     assert!(server.active_connections() <= 1);
 }
+
+/// A client that dies mid-request — the request line cut part way, or
+/// a `PWRITE` whose payload is cut part way — leaves nothing behind:
+/// the torn request is not executed, the connection's slot is freed,
+/// and the next client is served.
+#[test]
+fn a_request_torn_by_a_closing_client_is_not_executed() {
+    use chirp_proto::{OpenFlags, Request};
+    let dir = TempDir::new();
+    std::fs::write(dir.path().join("f"), b"").unwrap();
+    let server = open_server(dir.path());
+    let authed = || {
+        let mut stream = raw_conn(&server);
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        stream.write_all(b"AUTH hostname x x\n").unwrap();
+        assert!(read_line(&mut reader).starts_with("0 "));
+        (stream, reader)
+    };
+
+    // A request line cut before its newline: "MKDIR /torn 49" would
+    // itself be a valid request.
+    let (mut stream, reader) = authed();
+    stream.write_all(b"MKDIR /torn 49").unwrap();
+    drop((stream, reader));
+
+    // A PWRITE cut half way through its payload.
+    let (mut stream, mut reader) = authed();
+    let open = Request::Open {
+        path: "/f".into(),
+        flags: OpenFlags::read_write(),
+        mode: 0,
+    };
+    stream.write_all(open.encode().as_bytes()).unwrap();
+    let fd: i64 = read_line(&mut reader)
+        .split(' ')
+        .next()
+        .unwrap()
+        .parse()
+        .unwrap();
+    assert!(fd >= 0, "OPEN failed: {fd}");
+    write!(stream, "PWRITE {fd} 8 0\nABCD").unwrap();
+    drop((stream, reader));
+
+    for _ in 0..500 {
+        if server.active_connections() == 0 {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(server.active_connections(), 0, "torn sessions not reaped");
+    assert!(!dir.path().join("torn").exists(), "torn MKDIR executed");
+    assert!(
+        std::fs::read(dir.path().join("f")).unwrap().is_empty(),
+        "torn PWRITE executed"
+    );
+
+    let (mut stream, mut reader) = authed();
+    stream.write_all(b"STAT /\n").unwrap();
+    let stat = read_line(&mut reader);
+    assert!(
+        stat.starts_with("0 ") && stat.split(' ').count() > 2,
+        "next client not served: {stat:?}"
+    );
+}

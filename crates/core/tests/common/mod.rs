@@ -1,21 +1,18 @@
-//! Shared helpers for tss-core integration tests.
+//! Shared helpers for tss-core integration tests, which run the
+//! abstractions against real file servers over loopback TCP. Injected
+//! faults and recovery are tested on simulated time instead, in
+//! `crates/simharness/tests/chaos_sim.rs`.
 //!
 //! Each integration test binary compiles this module separately, so
 //! items used by only one binary look dead in the others.
 #![allow(dead_code)]
 
-pub mod flaky;
-
 use std::path::Path;
-use std::sync::Arc;
 use std::time::Duration;
 
 use chirp_client::AuthMethod;
-use chirp_proto::transport::Dialer;
-use chirp_proto::Clock;
 use chirp_server::acl::Acl;
 use chirp_server::{FileServer, ServerConfig};
-use faultline::{FaultDialer, FaultPlan};
 use tss_core::cfs::{Cfs, CfsConfig, RetryPolicy};
 
 /// Network timeout for tests: short, so failure paths stay fast.
@@ -45,13 +42,6 @@ pub fn cfs(endpoint: &str) -> Cfs {
         ..RetryPolicy::default()
     };
     Cfs::new(cfg)
-}
-
-/// A fault injector over real TCP: `plan` applies to every
-/// connection dialed through it, and its delays and black-hole
-/// timeouts are served on the wall clock.
-pub fn fault_dialer(plan: FaultPlan) -> Arc<FaultDialer> {
-    FaultDialer::new(Dialer::tcp(), Clock::wall(), plan)
 }
 
 /// Count the data files in a host directory, ignoring the server's

@@ -103,6 +103,7 @@ impl SimTssBuilder {
         let clock = Clock::virtual_at(vclock.clone());
         let net = MemNet::new(clock.clone());
         let mut servers = Vec::new();
+        let mut configs = Vec::new();
         let mut roots = Vec::new();
         for _ in 0..self.servers {
             let root = sim_root();
@@ -122,8 +123,10 @@ impl SimTssBuilder {
                 cfg.keys = ring.clone();
             }
             let listener = net.listen();
-            let server = FileServer::start_on(cfg, Arc::new(listener)).expect("start sim server");
+            let server =
+                FileServer::start_on(cfg.clone(), Arc::new(listener)).expect("start sim server");
             servers.push(server);
+            configs.push(cfg);
             roots.push(root);
         }
         SimTss {
@@ -131,6 +134,7 @@ impl SimTssBuilder {
             vclock,
             net,
             servers,
+            configs,
             roots,
         }
     }
@@ -142,6 +146,7 @@ pub struct SimTss {
     vclock: Arc<VirtualClock>,
     net: MemNet,
     servers: Vec<FileServer>,
+    configs: Vec<ServerConfig>,
     roots: Vec<TempDir>,
 }
 
@@ -242,6 +247,19 @@ impl SimTss {
     /// A [`DataServer`] record for server `i` (pool construction).
     pub fn data_server(&self, i: usize, volume: &str) -> DataServer {
         DataServer::new(&self.endpoint(i), volume, auth())
+    }
+
+    /// Restart server `i` as a host restart would: shut it down, which
+    /// closes every live connection, then start a fresh server process
+    /// on the same root at the same address. Dials in between are
+    /// refused.
+    pub fn restart(&mut self, i: usize) {
+        let addr = self.servers[i].addr();
+        self.servers[i].shutdown();
+        self.net.unbind(addr);
+        let listener = self.net.listen_at(addr).expect("rebind sim address");
+        self.servers[i] = FileServer::start_on(self.configs[i].clone(), Arc::new(listener))
+            .expect("restart sim server");
     }
 
     /// Shut every server down.

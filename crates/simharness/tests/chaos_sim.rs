@@ -1,50 +1,147 @@
-//! Chaos under simulation: the mirrored-read failover scenario from
-//! `crates/core/tests/chaos.rs` (`kill_mid_rpc_on_one_mirror_replica_
-//! is_masked`), reproduced with no TCP sockets and no sleeps — the
-//! same `FaultDialer` wraps the in-memory network's dialer instead of
-//! TCP, retry backoff is charged to a virtual clock, and the whole
-//! scenario is a deterministic function of the seed.
+//! The fault and recovery suite, on simulated time.
+//!
+//! It checks the paper's §6 adapter contract: a client reconnects with
+//! capped backoff, re-opens its files, and compares inodes so that a
+//! replaced file becomes a stale handle. It also checks that transient
+//! transport faults (kills mid-RPC, delays, corrupted, truncated and
+//! black-holed replies) are masked within the retry budget with data
+//! intact, while protocol verdicts such as ACL denials surface at once
+//! and are never retried.
+//!
+//! Every test runs on a [`SimTss`]: real servers on the in-memory
+//! network, with every backoff, timeout and injected delay charged to
+//! one virtual clock. There are no sockets, no sleeps and no wall-clock
+//! bounds; a timing claim is a fact about the virtual clock. Faults use
+//! the seams the product dials through:
+//! * `FaultDialer`/`RouteDialer` wrap the in-memory dialer, for one
+//!   server or for all;
+//! * a live connection is severed by a one-shot kill, disarmed until
+//!   the moment of the sever ([`severer`]);
+//! * new connections are refused with `MemNet::unbind`;
+//! * a server restart is [`SimTss::restart`].
+//!
+//! Determinism: every fault plan is seeded from `CHAOS_SEED` when set
+//! (default below), and each seeded test announces its seed on stderr,
+//! which the test harness shows on failure. Sequential tests are
+//! exactly reproducible; the concurrent striped test asserts outcomes
+//! (data integrity, bounded retries), not fault placement.
 
+use std::io;
+use std::path::Path;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
+use chirp_proto::testutil::TempDir;
 use chirp_proto::{OpenFlags, ReplyShape, Request};
-use faultline::{FaultAction, FaultDialer, FaultPlan, FaultTrigger, RouteDialer};
-use simharness::harness::{auth, SimTss};
+use chirp_server::acl::Acl;
+use faultline::{FaultAction, FaultDialer, FaultPlan, FaultRule, FaultTrigger, RouteDialer};
+use simharness::harness::{sim_retry, SimTss};
+use tss_core::cfs::{Cfs, RetryPolicy};
 use tss_core::fs::FileSystem;
-use tss_core::localfs::LocalFs;
-use tss_core::mirrored::MirroredFs;
+use tss_core::fsck::fsck;
+use tss_core::stubfs::StubFsOptions;
+use tss_core::{LocalFs, MirroredFs, Placement, ServerPool, StripedFs, StubFs};
 
-fn pattern(len: usize, salt: u8) -> Vec<u8> {
-    (0..len)
-        .map(|i| (i as u8).wrapping_mul(31).wrapping_add(salt))
-        .collect()
+/// Default plan seed, overridable with `CHAOS_SEED=<u64>`.
+const DEFAULT_SEED: u64 = 0xC4A0_5EED;
+
+/// What a dial to an unbound in-memory address charges the clock
+/// (`MemNet`'s refused connect, for any timeout of 100 ms or more).
+const REFUSED_CONNECT: Duration = Duration::from_millis(100);
+
+/// The plan seed, announced on stderr: the harness prints captured
+/// output on failure, so a failing test always names its seed.
+fn announce(test: &str) -> u64 {
+    let seed = std::env::var("CHAOS_SEED")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(DEFAULT_SEED);
+    eprintln!("{test}: CHAOS_SEED={seed}");
+    seed
 }
 
-#[test]
-fn kill_mid_rpc_on_one_mirror_replica_is_masked_in_memory() {
-    let seed = 0xC4A05_u64;
-    let sim = SimTss::builder().servers(2).build();
+fn pattern(len: usize, salt: usize) -> Vec<u8> {
+    (0..len).map(|i| ((i * 131) ^ (salt * 7)) as u8).collect()
+}
 
-    // Replica 0's connections pass through a fault layer that kills
-    // every second RPC mid-frame; replica 1 is reached directly —
-    // the routing `chaos.rs` uses over TCP.
-    let killer = FaultDialer::new(
-        sim.dialer(),
-        sim.clock().clone(),
+/// A fault injector over `sim`'s network, charging its delays and
+/// black-hole timeouts to `sim`'s clock.
+fn faults(sim: &SimTss, plan: FaultPlan) -> Arc<FaultDialer> {
+    FaultDialer::new(sim.dialer(), sim.clock().clone(), plan)
+}
+
+/// A dialer that kills the next RPC mid-frame once armed, severing the
+/// connection that RPC runs on, and never fires again. It starts
+/// disarmed; arming it is the sever.
+fn severer(sim: &SimTss, seed: u64) -> Arc<FaultDialer> {
+    let once = FaultRule::new(FaultTrigger::EveryNthRpc(1), FaultAction::KillMidFrame).max_fires(1);
+    let dialer = faults(sim, FaultPlan::new(seed).with_rule(once));
+    dialer.set_armed(false);
+    dialer
+}
+
+/// A CFS on server 0 of `sim`, dialing through `faults`.
+fn cfs_via(sim: &SimTss, faults: &Arc<FaultDialer>) -> Cfs {
+    Cfs::new(sim.cfs_config(0).with_dialer(faults.dialer()))
+}
+
+/// [`SimTss::stubfs_options`] dialing through `dialer`.
+fn options_via(sim: &SimTss, dialer: chirp_proto::transport::Dialer) -> StubFsOptions {
+    StubFsOptions {
+        dialer,
+        ..sim.stubfs_options()
+    }
+}
+
+/// A metadata tree on local disk, kept alive beside the file system.
+fn meta_tree() -> (TempDir, Arc<LocalFs>) {
+    let dir = TempDir::new();
+    let meta = Arc::new(LocalFs::new(dir.path()).unwrap());
+    (dir, meta)
+}
+
+/// Count the data files in a host directory, ignoring the server's
+/// private ACL metadata.
+fn data_count(dir: &Path) -> usize {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .filter(|e| e.as_ref().unwrap().file_name().to_string_lossy().as_ref() != ".__acl")
+        .count()
+}
+
+/// Read `len` bytes of `path` through one handle, in preads of at
+/// most `chunk` bytes, checking each makes progress.
+fn pread_all(fs: &dyn FileSystem, path: &str, len: usize, chunk: usize) -> Vec<u8> {
+    let mut h = fs.open(path, OpenFlags::READ, 0).unwrap();
+    let mut got = vec![0u8; len];
+    let mut off = 0usize;
+    while off < len {
+        let end = (off + chunk).min(len);
+        let n = h.pread(&mut got[off..end], off as u64).unwrap();
+        assert!(n > 0, "pread returned 0 at offset {off}, before EOF");
+        off += n;
+    }
+    got
+}
+
+// ---- Masking transport faults ----
+
+#[test]
+fn kill_mid_rpc_on_one_mirror_replica_is_masked() {
+    let seed = announce("kill_mid_rpc_on_one_mirror_replica_is_masked");
+    let sim = SimTss::builder().servers(2).build();
+    // Replica 0 is dialed through a plan that kills every second RPC;
+    // replica 1 is dialed cleanly.
+    let killer = faults(
+        &sim,
         FaultPlan::new(seed).rule(FaultTrigger::EveryNthRpc(2), FaultAction::KillMidFrame),
     );
     let routed = RouteDialer::new(sim.dialer())
         .route(&sim.endpoint(0), killer.dialer())
         .dialer();
-
-    let mut options = sim.stubfs_options();
-    options.dialer = routed;
-
     let pool = vec![sim.data_server(0, "/vol"), sim.data_server(1, "/vol")];
-    let meta_dir = chirp_proto::testutil::TempDir::new();
-    let meta = Arc::new(LocalFs::new(meta_dir.path()).unwrap());
-    let fs = MirroredFs::new(meta, pool, 2, options).unwrap();
+    let (_meta_dir, meta) = meta_tree();
+    let fs = MirroredFs::new(meta, pool, 2, options_via(&sim, routed)).unwrap();
 
     // Fixture written fault-free.
     killer.set_armed(false);
@@ -52,113 +149,331 @@ fn kill_mid_rpc_on_one_mirror_replica_is_masked_in_memory() {
     let data = pattern(64 * 1024, 3);
     fs.write_file("/precious", &data).unwrap();
     killer.set_armed(true);
+    let t0 = sim.clock().now();
 
-    let wall = Instant::now();
-    let virtual_start = sim.clock().now();
-
-    // Kill-mid-pread: the read either recovers within the retry
-    // budget or fails over to the clean replica; the caller sees only
-    // correct data.
-    let mut h = fs.open("/precious", OpenFlags::READ, 0).unwrap();
-    let mut out = vec![0u8; data.len()];
-    let mut off = 0usize;
-    while off < out.len() {
-        let n = h.pread(&mut out[off..], off as u64).unwrap();
-        assert!(n > 0, "pread returned 0 before EOF");
-        off += n;
-    }
-    assert_eq!(out, data);
-    drop(h);
+    // Kill-mid-pread: the read either recovers within the retry budget
+    // or demotes the broken replica and fails over; the caller sees
+    // only correct data.
+    assert_eq!(pread_all(&fs, "/precious", data.len(), data.len()), data);
     assert_eq!(fs.read_file("/precious").unwrap(), data);
 
-    assert!(killer.fires() > 0, "kill plan never fired");
-
-    // The recovery timing ran on simulated time: retry backoffs
-    // advanced the virtual clock, while wall-clock stayed in
-    // interactive range (no sleep-based synchronization anywhere).
-    let virtual_elapsed = sim.clock().elapsed_since(virtual_start);
+    assert!(killer.stats().kills > 0, "kill plan never fired");
+    // Bounded recovery: each operation retries at most the policy
+    // budget; the workload above is comfortably under 16 pool-level
+    // operations.
+    let budget = u64::from(sim_retry().max_retries);
+    let stats = fs.pool_stats();
+    assert!(stats.retries <= budget * 16, "unbounded retries: {stats:?}");
+    // The recovery waited out its backoff on the virtual clock.
+    let elapsed = sim.clock().elapsed_since(t0);
     assert!(
-        virtual_elapsed >= Duration::from_millis(10),
-        "kills fired but no retry backoff was charged to the virtual \
-         clock (elapsed {virtual_elapsed:?})"
-    );
-    assert!(
-        wall.elapsed() < Duration::from_secs(10),
-        "scenario leaned on real time: {:?}",
-        wall.elapsed()
+        elapsed >= Duration::from_millis(10),
+        "kills fired but no retry backoff was charged (elapsed {elapsed:?})"
     );
 }
 
 #[test]
-fn same_seed_same_fault_schedule() {
-    // The fault decision stream is a function of the seed alone: two
-    // instances of the scenario fire the same number of kills at the
-    // same RPC indices.
-    let run = |seed: u64| {
-        let sim = SimTss::builder().servers(1).build();
-        let killer = FaultDialer::new(
-            sim.dialer(),
-            sim.clock().clone(),
-            FaultPlan::new(seed).rule(FaultTrigger::Probability(0.3), FaultAction::KillMidFrame),
-        );
-        // Dial through the fault layer; the AUTH RPC itself can be
-        // killed, so connecting is itself a retry loop. Every attempt
-        // consumes fault decisions deterministically.
-        let dialer = killer.dialer();
-        let connect = || loop {
-            if let Ok(mut c) = chirp_client::Connection::connect_via(
-                &dialer,
-                &sim.endpoint(0),
-                Duration::from_secs(5),
-            ) {
-                if c.authenticate(&auth()).is_ok() {
-                    return c;
-                }
-            }
-        };
-        let mut conn = connect();
-        let mut outcomes = Vec::new();
-        for _ in 0..40 {
-            let r = conn.stat("/");
-            outcomes.push(r.is_ok());
-            if r.is_err() {
-                // The stream died; redial through the same fault
-                // layer (connection counters advance
-                // deterministically too).
-                conn = connect();
-            }
-        }
-        (outcomes, killer.fires())
+fn striped_concurrent_workload_survives_kills_delays_and_corruption() {
+    let seed = announce("striped_concurrent_workload_survives_kills_delays_and_corruption");
+    let sim = SimTss::builder().servers(3).build();
+    // Each stripe server misbehaves differently: server 0 kills and
+    // delays, server 1 corrupts replies, server 2 is honest.
+    let plan_for = |i: usize| match i {
+        0 => FaultPlan::new(seed)
+            .with_rule(
+                FaultRule::new(FaultTrigger::EveryNthRpc(7), FaultAction::KillMidFrame)
+                    .max_fires(6),
+            )
+            .with_rule(
+                FaultRule::new(
+                    FaultTrigger::Probability(0.05),
+                    FaultAction::Delay(Duration::from_millis(3)),
+                )
+                .max_fires(20),
+            ),
+        1 => FaultPlan::new(seed ^ 1).with_rule(
+            FaultRule::new(FaultTrigger::EveryNthRpc(9), FaultAction::CorruptReply).max_fires(3),
+        ),
+        _ => FaultPlan::new(seed ^ 2),
     };
-    let (a, fires_a) = run(7);
-    let (b, fires_b) = run(7);
+    let injectors: Vec<Arc<FaultDialer>> = (0..3).map(|i| faults(&sim, plan_for(i))).collect();
+    let routed = injectors
+        .iter()
+        .enumerate()
+        .fold(RouteDialer::new(sim.dialer()), |r, (i, f)| {
+            r.route(&sim.endpoint(i), f.dialer())
+        })
+        .dialer();
+    let pool = (0..3).map(|i| sim.data_server(i, "/vol")).collect();
+    let (_meta_dir, meta) = meta_tree();
+    let fs = StripedFs::new(meta, pool, 3, 4096, options_via(&sim, routed)).unwrap();
+
+    for f in &injectors {
+        f.set_armed(false);
+    }
+    fs.ensure_volumes().unwrap();
+    for f in &injectors {
+        f.set_armed(true);
+    }
+
+    std::thread::scope(|scope| {
+        for t in 0..4usize {
+            let fs = &fs;
+            scope.spawn(move || {
+                let path = format!("/w{t}");
+                let data = pattern(8 * 4096 + 257 * t, t);
+                fs.write_file(&path, &data).unwrap();
+                assert_eq!(fs.read_file(&path).unwrap(), data, "thread {t}");
+            });
+        }
+    });
+
+    assert!(injectors[0].stats().kills > 0, "kill plan never fired");
+    let budget = u64::from(sim_retry().max_retries);
+    let stats = fs.pool_stats();
+    assert!(stats.retries <= budget * 64, "unbounded retries: {stats:?}");
+}
+
+#[test]
+fn corrupted_replies_are_retried_not_trusted() {
+    let seed = announce("corrupted_replies_are_retried_not_trusted");
+    let sim = SimTss::builder().build();
+    let plan = FaultPlan::new(seed).with_rule(
+        FaultRule::new(FaultTrigger::EveryNthRpc(5), FaultAction::CorruptReply).max_fires(3),
+    );
+    let corrupter = faults(&sim, plan);
+    let fs = cfs_via(&sim, &corrupter);
+
+    let data = pattern(10_000, 9);
+    fs.write_file("/blob", &data).unwrap();
+    // A damaged status line must read as a transport failure, so the
+    // client reconnects and retries rather than misparsing a verdict.
+    for _ in 0..10 {
+        assert_eq!(fs.read_file("/blob").unwrap(), data);
+    }
+    assert!(
+        corrupter.stats().corruptions > 0,
+        "corrupt plan never fired"
+    );
+    assert!(fs.retries() > 0, "corruption should force a retry");
+    assert!(fs.retries() <= 3 * u64::from(sim_retry().max_retries));
+}
+
+#[test]
+fn exclusive_create_survives_a_kill_at_any_rpc_of_its_open() {
+    let seed = announce("exclusive_create_survives_a_kill_at_any_rpc_of_its_open");
+    let sim = SimTss::builder().build();
+    // An open is a handshake and an OPEN, whose reply carries the
+    // attributes the handle's identity comes from; the first PWRITE
+    // follows. A kill at RPC 1 or 2 lands inside the open, and the
+    // replay must succeed; a kill at RPC 3 lands after the OPEN did,
+    // so the handle re-opens, and asking for an exclusive create again
+    // there would be refused by the file it just made. Later RPC
+    // numbers are never reached while the handle is open.
+    let mut kills = 0;
+    for n in 1..=6 {
+        let killer = faults(
+            &sim,
+            FaultPlan::new(seed).rule(FaultTrigger::NthRpc(n), FaultAction::KillMidFrame),
+        );
+        let fs = cfs_via(&sim, &killer);
+        let flags = OpenFlags::WRITE | OpenFlags::CREATE | OpenFlags::EXCLUSIVE;
+        let mut h = fs
+            .open(&format!("/x{n}"), flags, 0o644)
+            .unwrap_or_else(|e| panic!("kill at RPC {n} of the open: {e}"));
+        h.pwrite(b"mine", 0).unwrap();
+        let landed = killer.stats().kills;
+        assert_eq!(landed, u64::from(n <= 3), "kill at RPC {n}");
+        kills += landed;
+    }
+    assert_eq!(kills, 3, "one kill at each of RPCs 1-3 ({kills})");
+}
+
+#[test]
+fn part_create_survives_a_lost_reply_with_no_stray_part() {
+    let seed = announce("part_create_survives_a_lost_reply_with_no_stray_part");
+    // Part creates are exclusive. When the reply to one is lost after
+    // the request landed, the replay is refused by the part it just
+    // made; the create must take that part as its own — not fail, and
+    // not leave it behind beside a second one.
+    let mut cuts = 0;
+    // (The fault-free set-up takes the dialer's first RPCs.)
+    for n in 1..=8 {
+        let sim = SimTss::builder().build();
+        let cutter = faults(
+            &sim,
+            FaultPlan::new(seed).rule(FaultTrigger::NthRpc(n), FaultAction::TruncateReply),
+        );
+        let (_meta_dir, meta) = meta_tree();
+        let pool = vec![sim.data_server(0, "/vol")];
+        let options = options_via(&sim, cutter.dialer());
+        let fs = StubFs::new(meta, pool, Placement::round_robin(), options);
+        cutter.set_armed(false);
+        fs.ensure_volumes().unwrap();
+        cutter.set_armed(true);
+        fs.write_file("/f", b"mine")
+            .unwrap_or_else(|e| panic!("reply to RPC {n} lost: {e}"));
+        assert_eq!(fs.read_file("/f").unwrap(), b"mine");
+        assert_eq!(
+            data_count(&sim.root(0).join("vol")),
+            1,
+            "RPC {n}: stray part"
+        );
+        let report = fsck(&fs).unwrap();
+        assert!(report.is_clean(), "RPC {n}: {report:?}");
+        cuts += cutter.stats().truncates;
+    }
+    assert!(cuts >= 3, "the cuts never landed inside a create ({cuts})");
+}
+
+#[test]
+fn blackholed_request_times_out_then_recovers() {
+    let seed = announce("blackholed_request_times_out_then_recovers");
+    let sim = SimTss::builder().build();
+    let plan = FaultPlan::new(seed).with_rule(
+        FaultRule::new(FaultTrigger::EveryNthRpc(6), FaultAction::BlackHole).max_fires(1),
+    );
+    let hole = faults(&sim, plan);
+    // The timeout turns the black hole into a Timeout, charged to the
+    // virtual clock.
+    let timeout = Duration::from_millis(250);
+    let mut cfg = sim.cfs_config(0).with_dialer(hole.dialer());
+    cfg.timeout = timeout;
+    let fs = Cfs::new(cfg);
+    let t0 = sim.clock().now();
+
+    let data = pattern(2_000, 5);
+    fs.write_file("/t", &data).unwrap();
+    for _ in 0..8 {
+        assert_eq!(fs.read_file("/t").unwrap(), data);
+    }
+    assert_eq!(hole.stats().blackholes, 1, "black hole never fired");
+    assert!(fs.retries() >= 1, "the timed-out RPC should be retried");
+    assert!(
+        sim.clock().elapsed_since(t0) >= timeout,
+        "the mute server's timeout was not waited out"
+    );
+}
+
+#[test]
+fn acl_denial_fails_immediately_with_zero_retries() {
+    // Read/list grant only: a write draws a protocol verdict, which is
+    // fatal — unlike a fault, retrying it cannot help.
+    let sim = SimTss::builder()
+        .root_acl(Acl::single("hostname:*", "rl").unwrap())
+        .build();
+    let fs = Cfs::new(sim.cfs_config(0));
+    let t0 = sim.clock().now();
+    let err = fs
+        .write_file("/nope", b"data")
+        .expect_err("write must be denied");
+    assert_eq!(err.kind(), io::ErrorKind::PermissionDenied);
+    assert_eq!(fs.retries(), 0, "fatal verdicts must not be retried");
+    assert_eq!(
+        sim.clock().elapsed_since(t0),
+        Duration::ZERO,
+        "a denial must surface without backoff"
+    );
+}
+
+#[test]
+fn fault_schedule_is_deterministic_for_a_fixed_seed() {
+    let seed = announce("fault_schedule_is_deterministic_for_a_fixed_seed");
+    // Two instances with the same seed over the same sequential RPC
+    // stream must fail the same operations and fire the same faults.
+    let run = |seed: u64| {
+        let sim = SimTss::builder().build();
+        let killer = faults(
+            &sim,
+            FaultPlan::new(seed).rule(FaultTrigger::Probability(0.25), FaultAction::KillMidFrame),
+        );
+        // No retry: every injected fault surfaces, so the outcome
+        // vector mirrors the fault schedule exactly. A killed
+        // handshake fails its operation too, and the next one redials.
+        let mut cfg = sim.cfs_config(0).with_dialer(killer.dialer());
+        cfg.retry = RetryPolicy::none();
+        let fs = Cfs::new(cfg);
+        let outcomes: Vec<bool> = (0..24)
+            .map(|i| fs.write_file(&format!("/f{i}"), b"x").is_ok())
+            .collect();
+        (outcomes, killer.fires(), killer.stats())
+    };
+    let a = run(seed);
+    let b = run(seed);
     assert_eq!(
         a, b,
         "fault schedule depended on something besides the seed"
     );
-    assert_eq!(fires_a, fires_b);
-    assert!(fires_a > 0, "probability rule never fired in 40 RPCs");
+    assert!(a.1 > 0, "a 25% kill rate over 24 ops should fire");
 }
 
-/// The ISSUE-5 regression scenario at the protocol layer: three
-/// pipelined requests in flight on one stream when the transport dies
-/// mid-frame. The contract under test is the total classification
-/// from `PipelinedConn`: a reply read before the fault is *settled*
-/// (kept, never replayed), while everything still queued behind the
-/// fault comes back `Disconnected` (retriable), so the caller can
-/// reconnect and replay exactly the unsettled tail at its recorded
-/// offsets.
+#[test]
+fn injected_fault_counts_line_up_with_retry_telemetry() {
+    let seed = announce("injected_fault_counts_line_up_with_retry_telemetry");
+    let sim = SimTss::builder().build();
+    // Every seventh RPC is killed, plus the third. Seven is longer
+    // than a recovery cycle (AUTH, OPEN, the retried RPC), so a
+    // retried operation always completes before the next fault: each
+    // kill severs exactly one stream and is answered by exactly one
+    // retry.
+    let plan = FaultPlan::new(seed)
+        .with_rule(FaultRule::new(FaultTrigger::NthRpc(3), FaultAction::KillMidFrame).max_fires(1))
+        .rule(FaultTrigger::EveryNthRpc(7), FaultAction::KillMidFrame);
+    let killer = faults(&sim, plan);
+    let fs = cfs_via(&sim, &killer);
+
+    let data = pattern(16 * 1024, 11);
+    fs.write_file("/chaos-ledger", &data).unwrap();
+    for i in 0..30 {
+        assert_eq!(
+            fs.read_file("/chaos-ledger").unwrap(),
+            data,
+            "read {i} must be masked"
+        );
+    }
+    // With read-ahead off (the default) every pread is synchronous.
+    assert_eq!(pread_all(&fs, "/chaos-ledger", data.len(), 1024), data);
+
+    let fires = killer.fires();
+    let snap = fs.telemetry().snapshot();
+    eprintln!(
+        "fault/retry ledger: fires={fires} kills={} rpcs={} | client.retries={:?} \
+         client.reconnects={:?} client.connects={:?}",
+        killer.stats().kills,
+        killer.stats().rpcs,
+        snap.counter("client.retries"),
+        snap.counter("client.reconnects"),
+        snap.counter("client.connects"),
+    );
+    assert!(fires >= 2, "the kill rules should have fired");
+    assert_eq!(fires, killer.stats().kills, "every firing was a kill");
+    // The contract under test: N injected transport faults show up as
+    // exactly N recovery retries, in the retry loop and in telemetry,
+    // and each one costs exactly one reconnect.
+    assert_eq!(fs.retries(), fires, "one retry per injected kill");
+    assert_eq!(snap.counter("client.retries"), Some(fires));
+    assert_eq!(snap.counter("client.reconnects"), Some(fires));
+    assert_eq!(snap.counter("client.connects"), Some(fires + 1));
+}
+
+// ---- Pipelined streams ----
+
+/// Three pipelined requests are in flight on one stream when the
+/// transport dies mid-frame. `PipelinedConn` must classify every one:
+/// a reply read before the fault is *settled* (kept, never replayed),
+/// while everything still queued behind the fault comes back
+/// `Disconnected` (retriable), so the caller can reconnect and replay
+/// exactly the unsettled tail at its recorded offsets.
 #[test]
 fn kill_mid_frame_with_three_in_flight_keeps_settled_replies() {
+    let seed = announce("kill_mid_frame_with_three_in_flight_keeps_settled_replies");
     let sim = SimTss::builder().build();
-
     // Through this dialer: AUTH is RPC 1, OPEN is RPC 2, then the
     // three pipelined PWRITEs are RPCs 3..=5. The kill lands on the
     // third one's request frame.
-    let killer = FaultDialer::new(
-        sim.dialer(),
-        sim.clock().clone(),
-        FaultPlan::new(0x1F11_u64).rule(FaultTrigger::NthRpc(5), FaultAction::KillMidFrame),
+    let killer = faults(
+        &sim,
+        FaultPlan::new(seed).rule(FaultTrigger::NthRpc(5), FaultAction::KillMidFrame),
     );
 
     let mut conn = sim.connect_via(&killer.dialer(), 0);
@@ -253,36 +568,29 @@ fn kill_mid_frame_with_three_in_flight_keeps_settled_replies() {
 /// byte exactly once, at the right offset.
 #[test]
 fn killed_prefetch_stream_replays_reads_at_the_right_offset() {
+    let seed = announce("killed_prefetch_stream_replays_reads_at_the_right_offset");
     let sim = SimTss::builder().build();
-    let killer = FaultDialer::new(
-        sim.dialer(),
-        sim.clock().clone(),
-        FaultPlan::new(0xF00D_u64).rule(FaultTrigger::EveryNthRpc(6), FaultAction::KillMidFrame),
+    let killer = faults(
+        &sim,
+        FaultPlan::new(seed).rule(FaultTrigger::EveryNthRpc(6), FaultAction::KillMidFrame),
     );
 
     // Fixture written through a clean connection; the fault plan only
     // ever sees the reader's traffic.
     let data = pattern(64 * 1024, 9);
-    let mut setup = sim.connect(0);
-    setup.putfile("/chaos", 0o644, &data).unwrap();
-    drop(setup);
+    sim.connect(0).putfile("/chaos", 0o644, &data).unwrap();
 
-    let cfs = tss_core::cfs::Cfs::new(
+    let cfs = Cfs::new(
         sim.cfs_config(0)
             .with_dialer(killer.dialer())
             .with_readahead(4096)
             .with_pipeline_depth(8),
     );
-    let mut h = cfs.open("/chaos", OpenFlags::READ, 0).unwrap();
-    let mut got = vec![0u8; data.len()];
-    let mut off = 0usize;
-    while off < got.len() {
-        let end = (off + 1024).min(got.len());
-        let n = h.pread(&mut got[off..end], off as u64).unwrap();
-        assert!(n > 0, "short-circuited at offset {off}");
-        off += n;
-    }
-    assert_eq!(got, data, "replayed reads returned wrong bytes");
+    assert_eq!(
+        pread_all(&cfs, "/chaos", data.len(), 1024),
+        data,
+        "replayed reads returned wrong bytes"
+    );
     assert!(killer.fires() > 0, "plan never fired — scenario is vacuous");
     assert!(
         cfs.telemetry().counter("client.readahead.prefetches").get() > 0,
@@ -290,52 +598,180 @@ fn killed_prefetch_stream_replays_reads_at_the_right_offset() {
     );
 }
 
-/// Accounting half of the ISSUE-5 regression: with read-ahead off,
-/// every RPC is synchronous, so each injected kill severs exactly one
-/// stream and surfaces as exactly one counted retry. The period (7)
-/// is deliberately longer than the 3-RPC recovery cycle
-/// (AUTH/OPEN/retried PREAD) so a retried operation always
-/// completes before the next fault — no resonance, strict 1:1.
+// ---- Severed connections, stale handles and the retry cap ----
+
 #[test]
-fn retry_counters_equal_injected_fault_count() {
+fn pathless_ops_reconnect_transparently() {
+    let seed = announce("pathless_ops_reconnect_transparently");
     let sim = SimTss::builder().build();
-    let killer = FaultDialer::new(
-        sim.dialer(),
-        sim.clock().clone(),
-        FaultPlan::new(0xBEEF_u64).rule(FaultTrigger::EveryNthRpc(7), FaultAction::KillMidFrame),
-    );
+    let net = severer(&sim, seed);
+    let fs = cfs_via(&sim, &net);
+    fs.write_file("/f", b"v1").unwrap();
+    net.set_armed(true);
+    // The next operation sees a dead connection, reconnects, and
+    // succeeds without the caller noticing.
+    assert_eq!(fs.read_file("/f").unwrap(), b"v1");
+    assert_eq!(net.fires(), 1);
+    assert_eq!(fs.retries(), 1);
+}
 
-    let data = pattern(20 * 1024, 5);
-    let mut setup = sim.connect(0);
-    setup.putfile("/sync", 0o644, &data).unwrap();
-    drop(setup);
+#[test]
+fn open_handles_survive_reconnection_when_inode_is_unchanged() {
+    let seed = announce("open_handles_survive_reconnection_when_inode_is_unchanged");
+    let sim = SimTss::builder().build();
+    let net = severer(&sim, seed);
+    let fs = cfs_via(&sim, &net);
+    fs.write_file("/f", b"0123456789").unwrap();
+    let mut h = fs.open("/f", OpenFlags::READ, 0).unwrap();
+    let mut buf = [0u8; 5];
+    assert_eq!(h.pread(&mut buf, 0).unwrap(), 5);
 
-    let cfs = tss_core::cfs::Cfs::new(
-        sim.cfs_config(0)
-            .with_dialer(killer.dialer())
-            .with_readahead(0),
-    );
-    let mut h = cfs.open("/sync", OpenFlags::READ, 0).unwrap();
-    let mut got = vec![0u8; data.len()];
-    let mut off = 0usize;
-    while off < got.len() {
-        let end = (off + 1024).min(got.len());
-        let n = h.pread(&mut got[off..end], off as u64).unwrap();
-        assert!(n > 0);
-        off += n;
-    }
-    assert_eq!(got, data);
+    net.set_armed(true);
 
-    let fires = killer.fires();
-    assert!(fires > 0, "plan never fired — equality would be vacuous");
+    // The server closed our descriptor when the connection dropped;
+    // the adapter reconnects, re-opens, verifies the inode, and hides
+    // the change in the underlying file descriptor.
+    assert_eq!(h.pread(&mut buf, 5).unwrap(), 5);
+    assert_eq!(&buf, b"56789");
+    assert_eq!(net.fires(), 1);
+}
+
+#[test]
+fn replaced_file_becomes_a_stale_handle() {
+    let seed = announce("replaced_file_becomes_a_stale_handle");
+    let sim = SimTss::builder().build();
+    let net = severer(&sim, seed);
+    let fs = cfs_via(&sim, &net);
+    fs.write_file("/f", b"original").unwrap();
+    let mut h = fs.open("/f", OpenFlags::READ, 0).unwrap();
+    let mut buf = [0u8; 8];
+    h.pread(&mut buf, 0).unwrap();
+
+    // Replace the file across a sever: same name, different inode.
+    // (Renaming the original aside, rather than unlinking it, keeps
+    // its inode allocated so the replacement is guaranteed a different
+    // one.)
+    net.set_armed(true);
+    fs.rename("/f", "/f-old").unwrap();
+    fs.write_file("/f", b"replaced").unwrap();
+    assert_eq!(net.fires(), 1);
+
+    let err = h.pread(&mut buf, 0).expect_err("stale handle");
+    // "the client receives a 'stale file handle' error as in NFS."
+    assert!(err.to_string().contains("stale"), "got: {err}");
+}
+
+#[test]
+fn deleted_file_becomes_a_stale_handle() {
+    let seed = announce("deleted_file_becomes_a_stale_handle");
+    let sim = SimTss::builder().build();
+    let net = severer(&sim, seed);
+    let fs = cfs_via(&sim, &net);
+    fs.write_file("/f", b"original").unwrap();
+    let mut h = fs.open("/f", OpenFlags::READ, 0).unwrap();
+    net.set_armed(true);
+    fs.unlink("/f").unwrap();
+    assert_eq!(net.fires(), 1);
+    let mut buf = [0u8; 4];
+    assert!(h.pread(&mut buf, 0).is_err());
+}
+
+#[test]
+fn retry_cap_limits_recovery_attempts() {
+    let seed = announce("retry_cap_limits_recovery_attempts");
+    let sim = SimTss::builder().build();
+    let net = severer(&sim, seed);
+    let policy = RetryPolicy {
+        max_retries: 2,
+        initial_backoff: Duration::from_millis(5),
+        max_backoff: Duration::from_millis(10),
+        ..RetryPolicy::default()
+    };
+    let mut cfg = sim.cfs_config(0).with_dialer(net.dialer());
+    cfg.timeout = Duration::from_millis(300);
+    cfg.retry = policy;
+    let fs = Cfs::new(cfg);
+    fs.write_file("/f", b"x").unwrap();
+    // Sever and refuse further connections: retries must give up.
+    net.set_armed(true);
+    sim.net().unbind(sim.servers()[0].addr());
+    let t0 = sim.clock().now();
+    assert!(fs.read_file("/f").is_err());
+    // Exactly the cap, each retry waiting out its backoff and one
+    // refused connect, and nothing more.
+    assert_eq!(fs.retries(), u64::from(policy.max_retries));
+    let backoff: Duration = policy.schedule().iter().sum();
     assert_eq!(
-        cfs.retries(),
-        fires,
-        "each injected kill must surface as exactly one retry"
+        sim.clock().elapsed_since(t0),
+        backoff + REFUSED_CONNECT * policy.max_retries,
+        "bounded retries must fail promptly"
     );
+}
+
+#[test]
+fn no_retry_policy_fails_on_first_break() {
+    let seed = announce("no_retry_policy_fails_on_first_break");
+    let sim = SimTss::builder().build();
+    let net = severer(&sim, seed);
+    let mut cfg = sim.cfs_config(0).with_dialer(net.dialer());
+    cfg.retry = RetryPolicy::none();
+    let fs = Cfs::new(cfg);
+    fs.write_file("/f", b"x").unwrap();
+    net.set_armed(true);
+    assert!(fs.read_file("/f").is_err());
+    // But a fresh operation after the failure reconnects lazily.
+    assert_eq!(fs.read_file("/f").unwrap(), b"x");
+    assert_eq!(fs.retries(), 0);
+}
+
+// ---- Server restarts ----
+
+#[test]
+fn server_restart_does_not_hand_out_stale_pool_sockets() {
+    // Regression: a pooled connection that sat idle across a server
+    // restart leads to a dead peer. With `max_idle` elapsed the entry
+    // is evicted at checkout and a fresh connection is dialed — even
+    // under a no-retry policy that would otherwise surface the stale
+    // socket as an immediate error.
+    let mut sim = SimTss::builder().build();
+    let endpoint = sim.endpoint(0);
+    let options = StubFsOptions {
+        retry: RetryPolicy::none(),
+        max_idle: Duration::from_millis(40),
+        ..sim.stubfs_options()
+    };
+    let pool = ServerPool::new(vec![sim.data_server(0, "/vol")], options);
+    pool.with_conn(&endpoint, |cfs| cfs.write_file("/f", b"v1"))
+        .unwrap();
+    assert_eq!(pool.idle_count(&endpoint), 1);
+
+    // Restart the server: the cached socket's peer is gone.
+    sim.restart(0);
+    sim.clock().sleep(Duration::from_millis(60));
+
     assert_eq!(
-        cfs.telemetry().counter("client.retries").get(),
-        fires,
-        "telemetry retry counter disagrees with the retry loop"
+        pool.with_conn(&endpoint, |cfs| cfs.read_file("/f"))
+            .unwrap(),
+        b"v1"
     );
+    let stats = pool.stats();
+    assert_eq!(stats.evictions, 1, "aged entry evicted, not handed out");
+    assert_eq!(stats.misses, 2, "second checkout dialed fresh");
+}
+
+#[test]
+fn recovery_reaches_a_restarted_server() {
+    // The failure mode the paper's grid users actually hit: the
+    // server process is restarted and the client's retries land on
+    // the new instance.
+    let mut sim = SimTss::builder().build();
+    let fs = Cfs::new(sim.cfs_config(0));
+    fs.write_file("/f", b"before").unwrap();
+
+    sim.restart(0);
+
+    assert_eq!(fs.read_file("/f").unwrap(), b"before");
+    fs.write_file("/g", b"after").unwrap();
+    assert_eq!(fs.read_file("/g").unwrap(), b"after");
+    assert_eq!(fs.retries(), 1, "one retry crossed the restart");
 }

@@ -21,9 +21,8 @@
 #                       per cell: single 9019, striped 13311,
 #                       mirrored 11963, dsfs 8091), sim 10000.
 #   SCENARIO_SCALE=<f>  resizes every scenario fleet.
-#   CHAOS_SEED=<u64>    the chaos plan seed (default 0xC4A05EED).
 # The tests read their own repro knobs (SIM_SEED, CRASH_SEED,
-# SCENARIO_SEED) from the environment.
+# SCENARIO_SEED, CHAOS_SEED) from the environment.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -33,8 +32,7 @@ pipeline  on  SIM_SEED=<seed>      SIM_SEQS=${SIM_SEQS:-2000} cargo test -q --re
 cache     on  -                    cargo test -q --release -p tss-bench --test cache_smoke
 crash     on  CRASH_SEED=<seed>    SIM_SEQS=${SIM_SEQS:-1000} cargo test -q --release -p simharness --test crash_sim
 scenarios on  SCENARIO_SEED=<seed> cargo test -q --release -p simharness --test scenarios_sim
-chaos     off -                    CHAOS_SEED=${CHAOS_SEED:-3298844397} cargo test -q -p tss-core --test chaos
-sim       off SIM_SEED=<seed>/CRASH_SEED=<seed> SIM_SEQS=${SIM_SEQS:-10000} cargo test -q --release -p simharness
+sim       off SIM_SEED=<seed>/CRASH_SEED=<seed>/CHAOS_SEED=<seed> SIM_SEQS=${SIM_SEQS:-10000} cargo test -q --release -p simharness
 EOF
 }
 
