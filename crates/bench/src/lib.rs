@@ -245,7 +245,7 @@ mod tests {
 
 // ---- pipelining fixtures ---------------------------------------------------
 
-/// A [`Dialer`] wrapper charging a fixed turnaround latency every time
+/// A [`Dialer`](chirp_proto::transport::Dialer) wrapper charging a fixed turnaround latency every time
 /// a connection switches from writing to reading — one sleep per
 /// client-observed round trip. Loopback TCP completes a small RPC in
 /// microseconds, so without this a pipelining benchmark would measure

@@ -4,12 +4,10 @@
 //! A [`Connection`] is the typed RPC surface over one
 //! [`PipelinedConn`], which owns the stream and the queue of replies
 //! still owed on it. Every call here is a `send` and a `recv` on that
-//! pipe with the window at one, so a call made while a reply is owed
-//! — a [`Connection::defer`]red request not yet
-//! [`Connection::settle`]d — is refused with `InvalidRequest` and
-//! leaves the stream as it was; it can never read the owed reply as
-//! its own. [`Connection::pipeline`] opens the window wider for the
-//! length of a closure.
+//! pipe with the window at one, so no reply is owed between calls.
+//! [`Connection::pipeline`] opens the window wider for the length of a
+//! closure and poisons the connection if the closure leaves a reply
+//! unsettled.
 
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Write};
@@ -17,7 +15,7 @@ use std::net::{SocketAddr, ToSocketAddrs};
 use std::time::Duration;
 
 use chirp_proto::escape::unescape;
-use chirp_proto::pipeline::{PipelinedConn, Reply, ReplyShape};
+use chirp_proto::pipeline::{PipelinedConn, ReplyShape};
 use chirp_proto::transport::{Dialer, Transport};
 use chirp_proto::wire::{self, StatusLine};
 use chirp_proto::{ChirpError, ChirpResult, OpenFlags, Request, StatBuf, StatFs};
@@ -180,10 +178,6 @@ impl Connection {
         if self.pipe.is_dead() {
             return Err(ChirpError::Disconnected);
         }
-        if self.pipe.in_flight() > 0 {
-            // `f`'s first `recv` would settle the deferred request.
-            return Err(ChirpError::InvalidRequest);
-        }
         self.pipe.set_depth(depth);
         let out = f(&mut self.pipe);
         self.pipe.set_depth(1);
@@ -192,26 +186,6 @@ impl Connection {
             self.pipe.poison();
         }
         out
-    }
-
-    /// Issue `req` and return without waiting for its reply: the
-    /// server works on it while the caller is busy elsewhere, and the
-    /// reply waits in the stream for [`Connection::settle`]. Until
-    /// then the reply is owed and every other call on this connection
-    /// is refused with `InvalidRequest`.
-    pub fn defer(&mut self, req: &Request, shape: ReplyShape) -> ChirpResult<()> {
-        self.pipe.send(req, None, shape)?;
-        self.pipe.flush()
-    }
-
-    /// Read the reply owed to the [`Connection::defer`]red request.
-    pub fn settle(&mut self) -> ChirpResult<Reply> {
-        self.pipe.recv()
-    }
-
-    /// Replies owed on this stream: deferred and not yet settled.
-    pub fn owed(&self) -> usize {
-        self.pipe.in_flight()
     }
 
     // ---- authentication -------------------------------------------------
@@ -319,8 +293,7 @@ impl Connection {
     /// Close a descriptor without waiting for the verdict: the `CLOSE`
     /// leaves in the same write as the next request on this stream,
     /// and its status line is read and dropped ahead of that
-    /// request's reply (see [`ReplyShape::Unclaimed`]). It owes
-    /// nothing, so it is allowed while a deferred reply is owed.
+    /// request's reply (see [`ReplyShape::Unclaimed`]).
     pub fn close_later(&mut self, fd: i32) -> ChirpResult<()> {
         self.pipe
             .send(&Request::Close { fd }, None, ReplyShape::Unclaimed)

@@ -47,7 +47,7 @@ pub use error::{ChirpError, ChirpResult, ErrorClass};
 pub use flags::OpenFlags;
 pub use message::Request;
 pub use persist::{CrashPoint, DurabilityPoint, Persist, Persistence, WriteFate};
-pub use pipeline::{PipelinedConn, Reply, ReplyShape, DEFAULT_PIPELINE_DEPTH};
+pub use pipeline::{PipelinedConn, Reply, ReplyShape};
 pub use ready::{ReadyWatcher, Token, Watcher};
 pub use retry::{RetryPolicy, RetryState};
 pub use stat::{StatBuf, StatFs};

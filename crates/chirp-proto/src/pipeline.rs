@@ -47,9 +47,6 @@ use crate::error::{ChirpError, ChirpResult};
 use crate::message::Request;
 use crate::wire::{self, StatusLine};
 
-/// Default number of requests a pipelined client keeps in flight.
-pub const DEFAULT_PIPELINE_DEPTH: usize = 8;
-
 /// How a queued request's reply is framed on the stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReplyShape {

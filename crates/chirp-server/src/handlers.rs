@@ -4,7 +4,7 @@
 //! Metadata requests run over [`Shared::fs`], the export's
 //! [`LocalFs`](chirp_proto::localfs::LocalFs), once the jail and the
 //! ACL have passed them, and descriptors hold its concrete
-//! [`LocalHandle`](chirp_proto::localfs::LocalHandle); what stays here
+//! [`LocalHandle`]; what stays here
 //! is what only a server knows (the hidden `.__acl`, the ACL cache,
 //! page-cache and size-table coherence, capacity accounting).
 

@@ -506,7 +506,7 @@ impl Shard {
             yielded.push(conn.token);
             self.shared.telemetry.reactor_yield();
         }
-        self.settle(conn);
+        self.sync_write_interest(conn);
         self.hand_off(conn, out);
     }
 
@@ -584,7 +584,7 @@ impl Shard {
     /// `EPOLLOUT` is armed only while untransmitted bytes wait on an
     /// unwritable stream (level-triggered `EPOLLOUT` would otherwise
     /// fire on every wait).
-    fn settle(&self, conn: &mut Conn) {
+    fn sync_write_interest(&self, conn: &mut Conn) {
         let Some(fd) = conn.fd else { return };
         if conn.dead {
             return;

@@ -14,20 +14,18 @@
 //! was replaced or deleted while we were away, and the caller receives
 //! a "stale file handle" error, as in NFS.
 //!
-//! That policy is one loop, [`Mount::recover`]: connect if needed,
-//! settle whatever reply is still owed on the stream, run the attempt,
-//! and on a retriable failure count it, drop the connection, sleep the
-//! policy's backoff and go round again. A path operation, a descriptor
-//! operation (re-open and inode check first) and `open` itself are
-//! three attempts handed to that loop, so every `client.retries` tick
-//! and every backoff sleep in the system comes from one place.
+//! That policy is one loop, `Mount::recover`: connect if needed, run
+//! the attempt, and on a retriable failure count it, drop the
+//! connection, sleep the policy's backoff and go round again. A path
+//! operation, a descriptor operation (re-open and inode check first)
+//! and `open` itself are three attempts handed to that loop, so every
+//! `client.retries` tick and every backoff sleep in the system comes
+//! from one place.
 //!
-//! The read-ahead prefetch is the one request this module leaves
-//! unanswered on purpose. The slot keeps a note of *what* was asked
-//! (`fd`, offset, length); *whether* its reply is still owed is the
-//! connection's knowledge, and the connection refuses any other call
-//! until it is settled, so an unsettled prefetch cannot be mistaken
-//! for another request's answer.
+//! A handle buffers nothing: every `pread` is one `PREAD`, answered
+//! by the server from the file as it is now. A client-side read-ahead
+//! window would make sequential small reads cheaper, but it is a cache
+//! the server cannot invalidate, and the paper's CFS has none.
 
 use std::io;
 use std::sync::Arc;
@@ -35,10 +33,7 @@ use std::time::Duration;
 
 use chirp_client::{AuthMethod, Connection};
 use chirp_proto::transport::Dialer;
-use chirp_proto::{
-    ChirpError, ChirpResult, Clock, OpenFlags, Reply, ReplyShape, Request, StatBuf, StatFs,
-    DEFAULT_PIPELINE_DEPTH,
-};
+use chirp_proto::{ChirpError, ChirpResult, Clock, OpenFlags, StatBuf, StatFs};
 use parking_lot::Mutex;
 
 use crate::fs::{normalize_path, FileHandle, FileSystem};
@@ -83,25 +78,8 @@ pub struct CfsConfig {
     /// Transparently append `O_SYNC` to every open (the adapter's
     /// synchronous-write switch).
     pub sync_writes: bool,
-    /// Read-ahead window in bytes for handle reads: each `pread` over
-    /// the wire fetches at least this much, and later sequential reads
-    /// are served from the window without a round trip. `0` (default)
-    /// disables buffering — every read is one RPC, preserving the
-    /// system's no-client-caching coherence story. The window lives
-    /// per handle and is dropped on any write, truncate, or
-    /// reconnection of that handle.
-    pub readahead: usize,
-    /// Pipeline depth for request pipelining on this mount's single
-    /// connection: how many RPCs may ride the stream unanswered. With
-    /// a window (`readahead > 0`) and depth ≥ 2, the handle read path
-    /// refills by *deferred prefetch* — after filling a window it
-    /// issues the next window's `PREAD` and leaves the reply in the
-    /// stream, so the server services it while the application is
-    /// busy consuming the current window. Depth 1 keeps the classic
-    /// one-RPC-at-a-time behavior.
-    pub pipeline_depth: usize,
     /// Telemetry registry the mount records into (`client.*` metrics:
-    /// connects, reconnects, retries, readahead hits/misses). Each
+    /// connects, reconnects, retries). Each
     /// mount gets a private registry by default; a pool installs its
     /// own so one registry aggregates across every member connection.
     pub telemetry: telemetry::Registry,
@@ -124,8 +102,6 @@ impl CfsConfig {
             timeout: Duration::from_secs(10),
             retry: RetryPolicy::default(),
             sync_writes: false,
-            readahead: 0,
-            pipeline_depth: DEFAULT_PIPELINE_DEPTH,
             telemetry: telemetry::Registry::default(),
             dialer: Dialer::tcp(),
             clock: Clock::wall(),
@@ -141,18 +117,6 @@ impl CfsConfig {
     /// Set the recovery policy.
     pub fn with_retry(mut self, retry: RetryPolicy) -> CfsConfig {
         self.retry = retry;
-        self
-    }
-
-    /// Set the per-handle read-ahead window (bytes; 0 disables).
-    pub fn with_readahead(mut self, readahead: usize) -> CfsConfig {
-        self.readahead = readahead;
-        self
-    }
-
-    /// Set the pipeline depth (1 disables pipelined prefetch).
-    pub fn with_pipeline_depth(mut self, depth: usize) -> CfsConfig {
-        self.pipeline_depth = depth.max(1);
         self
     }
 
@@ -177,17 +141,14 @@ impl CfsConfig {
     }
 }
 
-/// Prebuilt handles into the mount's registry, so the recovery and
-/// read paths bump plain atomics instead of taking the registration
-/// lock per event.
+/// Prebuilt handles into the mount's registry, so the recovery loop
+/// bumps plain atomics instead of taking the registration lock per
+/// event.
 #[derive(Debug)]
 struct ClientTelemetry {
     retries: telemetry::Counter,
     connects: telemetry::Counter,
     reconnects: telemetry::Counter,
-    ra_hits: telemetry::Counter,
-    ra_misses: telemetry::Counter,
-    ra_prefetches: telemetry::Counter,
 }
 
 impl ClientTelemetry {
@@ -196,23 +157,8 @@ impl ClientTelemetry {
             retries: registry.counter("client.retries"),
             connects: registry.counter("client.connects"),
             reconnects: registry.counter("client.reconnects"),
-            ra_hits: registry.counter("client.readahead.hits"),
-            ra_misses: registry.counter("client.readahead.misses"),
-            ra_prefetches: registry.counter("client.readahead.prefetches"),
         }
     }
-}
-
-/// A `PREAD` issued ahead of need. At most one exists per mount.
-/// While the connection owes its reply, `data` is `None`; once settled
-/// the bytes wait here for the handle that asked (identified by
-/// descriptor and connection generation).
-struct Prefetch {
-    generation: u64,
-    fd: i32,
-    offset: u64,
-    len: usize,
-    data: Option<Vec<u8>>,
 }
 
 struct ConnSlot {
@@ -220,7 +166,6 @@ struct ConnSlot {
     /// Bumped on every reconnection; handles compare it to notice that
     /// their descriptors died with the old connection.
     generation: u64,
-    prefetch: Option<Prefetch>,
 }
 
 impl ConnSlot {
@@ -228,36 +173,6 @@ impl ConnSlot {
         if self.conn.take().is_some() {
             self.generation += 1;
         }
-        // Any prefetch died with the stream it was queued on.
-        self.prefetch = None;
-    }
-
-    /// Read the reply the connection still owes — only a prefetch is
-    /// ever left owed — so the stream is free for the next request. A
-    /// transport failure here poisons the connection exactly as it
-    /// would on a real read; the prefetch itself is speculative, so
-    /// its loss is silent — the next window miss simply fetches over a
-    /// fresh connection.
-    fn settle_prefetch(&mut self) {
-        let Some(conn) = self.conn.as_mut().filter(|c| c.owed() > 0) else {
-            return;
-        };
-        let data = conn.settle().ok().map(Reply::into_body);
-        match (&mut self.prefetch, data) {
-            (Some(p), Some(data)) if data.len() <= p.len => p.data = Some(data),
-            _ => self.prefetch = None,
-        }
-    }
-
-    /// Settle, then hand over the prefetch if it is the one the handle
-    /// holding (`fd`, `generation`) issued: its offset and bytes, or
-    /// nothing if the reply was lost.
-    fn take_prefetch(&mut self, fd: i32, generation: u64) -> Option<(u64, Vec<u8>)> {
-        self.settle_prefetch();
-        let p = self
-            .prefetch
-            .take_if(|p| p.fd == fd && p.generation == generation)?;
-        Some((p.offset, p.data?))
     }
 }
 
@@ -310,7 +225,6 @@ impl Mount {
             .begin_with_clock(self.config.clock.clone());
         loop {
             let res = self.ensure_connected(&mut slot).and_then(|_| {
-                slot.settle_prefetch();
                 let generation = slot.generation;
                 attempt(slot.conn.as_mut().expect("ensured above"), generation)
             });
@@ -346,7 +260,6 @@ impl Cfs {
                 slot: Mutex::new(ConnSlot {
                     conn: None,
                     generation: 0,
-                    prefetch: None,
                 }),
                 tele,
             }),
@@ -525,22 +438,6 @@ struct CfsHandle {
     /// Identity recorded at first open; a different inode after
     /// reconnection means the file was replaced — stale handle.
     identity: (u64, u64),
-    /// Read-ahead window: reusable scratch filled by one oversized
-    /// `pread`, serving later sequential reads locally. Empty when
-    /// `config.readahead == 0`.
-    ra_buf: Vec<u8>,
-    /// File offset of `ra_buf[0]`.
-    ra_off: u64,
-    /// Valid bytes in `ra_buf`.
-    ra_len: usize,
-    /// Connection generation the window was filled under; a reconnect
-    /// invalidates the window (the file may have changed identity
-    /// checks aside — stay conservative).
-    ra_gen: u64,
-    /// True while this handle has a deferred prefetch it still trusts.
-    /// Cleared by a write/truncate, which also discards whatever the
-    /// prefetch delivers.
-    prefetching: bool,
 }
 
 impl CfsHandle {
@@ -561,98 +458,6 @@ impl CfsHandle {
             op(conn, self.fd)
         })
     }
-
-    /// Serve as much of the request as the current window covers.
-    fn serve_from_window(&self, buf: &mut [u8], offset: u64) -> Option<usize> {
-        if self.ra_len == 0 || self.ra_gen != self.generation {
-            return None;
-        }
-        if offset < self.ra_off || offset >= self.ra_off + self.ra_len as u64 {
-            return None;
-        }
-        let start = (offset - self.ra_off) as usize;
-        let n = buf.len().min(self.ra_len - start);
-        buf[..n].copy_from_slice(&self.ra_buf[start..start + n]);
-        Some(n)
-    }
-
-    /// Settle and claim this handle's deferred prefetch, installing it
-    /// as the window when it covers `offset`. Returns `true` on
-    /// install — `serve_from_window` will then answer without an RPC.
-    fn try_claim_prefetch(&mut self, offset: u64) -> bool {
-        if !std::mem::take(&mut self.prefetching) {
-            return false;
-        }
-        let claimed = self
-            .mount
-            .slot
-            .lock()
-            .take_prefetch(self.fd, self.generation);
-        let Some((at, data)) = claimed else {
-            return false;
-        };
-        if data.is_empty() || offset < at || offset >= at + data.len() as u64 {
-            // A seek away from the speculated range (or EOF): the
-            // prefetch is wasted, not wrong.
-            return false;
-        }
-        self.ra_off = at;
-        self.ra_len = data.len();
-        self.ra_buf = data;
-        self.ra_gen = self.generation;
-        true
-    }
-
-    /// Issue the next window's `PREAD` without waiting for the reply
-    /// (readahead over pipelining): the server services it while the
-    /// application consumes the window just delivered, and the reply
-    /// waits in the stream until claimed or settled. Only one deferred
-    /// read rides the connection at a time, and only when the window
-    /// is current; a dead or busy connection refuses it.
-    fn maybe_prefetch_next(&mut self) {
-        let window = self.mount.config.readahead;
-        if window == 0 || self.mount.config.pipeline_depth < 2 {
-            return;
-        }
-        if self.ra_len < window || self.ra_gen != self.generation {
-            // A short window means end of file; nothing to speculate.
-            return;
-        }
-        let offset = self.ra_off + self.ra_len as u64;
-        let mut slot = self.mount.slot.lock();
-        if slot.generation != self.generation || slot.prefetch.is_some() {
-            return;
-        }
-        let Some(conn) = slot.conn.as_mut() else {
-            return;
-        };
-        let req = Request::Pread {
-            fd: self.fd,
-            length: window as u64,
-            offset,
-        };
-        if conn.defer(&req, ReplyShape::Body).is_ok() {
-            slot.prefetch = Some(Prefetch {
-                generation: self.generation,
-                fd: self.fd,
-                offset,
-                len: window,
-                data: None,
-            });
-            self.prefetching = true;
-            self.mount.tele.ra_prefetches.inc();
-        }
-    }
-
-    /// Drop any prefetch this handle has outstanding: settle the owed
-    /// reply and discard the data (a write just made it stale).
-    fn discard_prefetch(&mut self) {
-        self.prefetching = false;
-        self.mount
-            .slot
-            .lock()
-            .take_prefetch(self.fd, self.generation);
-    }
 }
 
 impl FileHandle for CfsHandle {
@@ -660,66 +465,12 @@ impl FileHandle for CfsHandle {
         if buf.is_empty() {
             return Ok(0);
         }
-        let window = self.mount.config.readahead;
-        if window == 0 {
-            // One RPC round trip straight into the caller's buffer;
-            // the server may return short only at EOF.
-            return self.with_fd(|c, fd| c.pread_into(fd, buf, offset));
-        }
-        if let Some(n) = self.serve_from_window(buf, offset) {
-            if n == buf.len() {
-                self.mount.tele.ra_hits.inc();
-                return Ok(n);
-            }
-            // The window ended mid-request; refill from the server at
-            // the requested offset (below) rather than stitching, so a
-            // short result still means end of file.
-        }
-        // Before paying a round trip, claim the deferred prefetch: on
-        // a sequential stream the next window's reply is already in
-        // the stream (or the server is writing it), so the exchange
-        // pipelines with the application's consumption of the last
-        // window instead of stalling it.
-        if self.try_claim_prefetch(offset) {
-            if let Some(n) = self.serve_from_window(buf, offset) {
-                if n == buf.len() {
-                    self.mount.tele.ra_hits.inc();
-                    self.maybe_prefetch_next();
-                    return Ok(n);
-                }
-            }
-        }
-        // Refill: fetch at least the window size in one RPC. The
-        // buffer is taken out of `self` for the duration because
-        // `with_fd` needs `&mut self`.
-        self.mount.tele.ra_misses.inc();
-        let want = buf.len().max(window);
-        let mut scratch = std::mem::take(&mut self.ra_buf);
-        scratch.resize(want, 0);
-        let res = self.with_fd(|c, fd| c.pread_into(fd, &mut scratch, offset));
-        self.ra_buf = scratch;
-        match res {
-            Ok(filled) => {
-                self.ra_off = offset;
-                self.ra_len = filled;
-                self.ra_gen = self.generation;
-                let n = buf.len().min(filled);
-                buf[..n].copy_from_slice(&self.ra_buf[..n]);
-                self.maybe_prefetch_next();
-                Ok(n)
-            }
-            Err(e) => {
-                self.ra_len = 0;
-                Err(e)
-            }
-        }
+        // One RPC round trip straight into the caller's buffer; the
+        // server may return short only at EOF.
+        self.with_fd(|c, fd| c.pread_into(fd, buf, offset))
     }
 
     fn pwrite(&mut self, buf: &[u8], offset: u64) -> io::Result<usize> {
-        // Any write invalidates the read-ahead window and whatever the
-        // deferred prefetch was about to deliver.
-        self.ra_len = 0;
-        self.discard_prefetch();
         let n = self.with_fd(|c, fd| c.pwrite(fd, buf, offset))?;
         Ok(n as usize)
     }
@@ -733,8 +484,6 @@ impl FileHandle for CfsHandle {
     }
 
     fn ftruncate(&mut self, size: u64) -> io::Result<()> {
-        self.ra_len = 0;
-        self.discard_prefetch();
         self.with_fd(|c, fd| c.ftruncate(fd, size))
     }
 }
@@ -742,8 +491,6 @@ impl FileHandle for CfsHandle {
 impl Drop for CfsHandle {
     fn drop(&mut self) {
         let mut slot = self.mount.slot.lock();
-        // Nobody is left to claim a prefetch of ours.
-        slot.take_prefetch(self.fd, self.generation);
         // Best-effort, so nobody waits for the verdict: the CLOSE rides
         // the next request on the stream. If the connection died, the
         // server has already closed the descriptor for us.
@@ -775,11 +522,6 @@ impl FileSystem for Cfs {
             fd,
             generation,
             identity: (st.device, st.inode),
-            ra_buf: Vec::new(),
-            ra_off: 0,
-            ra_len: 0,
-            ra_gen: 0,
-            prefetching: false,
         }))
     }
 

@@ -64,7 +64,6 @@ impl Dsfs {
         // TCP dependence through its metadata path.
         cfg.dialer = options.dialer.clone();
         cfg.clock = options.clock.clone();
-        cfg.pipeline_depth = options.pipeline_depth;
         let meta = Arc::new(Cfs::new(cfg));
         Ok(Dsfs {
             inner: StubFs::new(meta, pool, placement, options),

@@ -147,8 +147,6 @@ impl PoolShared {
         let mut cfg = CfsConfig::new(endpoint, auth);
         cfg.timeout = self.options.timeout;
         cfg.retry = self.options.retry;
-        cfg.readahead = self.options.readahead;
-        cfg.pipeline_depth = self.options.pipeline_depth;
         cfg.dialer = self.options.dialer.clone();
         cfg.clock = self.options.clock.clone();
         cfg.telemetry = self.registry.clone();

@@ -15,7 +15,7 @@
 //! file of them. The engine treats all layouts alike except in four
 //! decisions, each read from the stub (so any engine opens any file):
 //! the part count of a new file (`width`), `StubFs::compose`/`assemble`,
-//! [`StubFs::stat_record`] and [`Layout::needs_every_part`].
+//! `StubFs::stat_record` and [`Layout::needs_every_part`].
 //!
 //! ## The create/delete protocol (paper §5)
 //!
@@ -90,15 +90,6 @@ pub struct StubFsOptions {
     /// Checked-out connections are not bounded by this — it caps only
     /// what is kept warm for reuse. Minimum effective value is 1.
     pub max_conns_per_endpoint: usize,
-    /// Per-handle read-ahead window in bytes for sequential reads over
-    /// a data connection; `0` (the default) disables client-side
-    /// buffering entirely, preserving the no-caching coherence story.
-    pub readahead: usize,
-    /// Pipeline depth for data connections (see
-    /// [`crate::cfs::CfsConfig::pipeline_depth`]); with a readahead
-    /// window this turns sequential reads into deferred prefetches
-    /// that overlap server service with client consumption.
-    pub pipeline_depth: usize,
     /// Maximum time a connection may sit idle in the pool before it is
     /// evicted instead of handed out. A long-idle socket to a server
     /// that has restarted looks healthy until the first RPC fails, so
@@ -131,8 +122,6 @@ impl Default for StubFsOptions {
             timeout: Duration::from_secs(10),
             retry: RetryPolicy::default(),
             max_conns_per_endpoint: 4,
-            readahead: 0,
-            pipeline_depth: chirp_proto::DEFAULT_PIPELINE_DEPTH,
             max_idle: Duration::from_secs(60),
             breaker_threshold: 3,
             breaker_cooldown: Duration::from_secs(2),
@@ -206,7 +195,7 @@ impl StubFs {
     }
 
     /// A pooled connection to a data endpoint (used by maintenance
-    /// tools such as [`crate::fsck`]); returns to the pool on drop.
+    /// tools such as [`crate::fsck()`]); returns to the pool on drop.
     pub fn data_conn(&self, endpoint: &str) -> io::Result<PooledConn> {
         Ok(self.pool.checkout(endpoint))
     }
@@ -469,7 +458,7 @@ impl FileSystem for StubFs {
         let listed = self.meta.readdir_stat(path)?;
         let mut out: Vec<Option<(String, StatBuf)>> = Vec::with_capacity(listed.len());
         // Fill `out[slot]` from a data-server verdict.
-        fn settle(
+        fn fill_slot(
             entry: &mut Option<(String, StatBuf)>,
             verdict: io::Result<StatBuf>,
         ) -> io::Result<()> {
@@ -499,7 +488,7 @@ impl FileSystem for StubFs {
             let slot = out.len();
             out.push(Some((name, meta_stat)));
             if record.parts.len() > 1 {
-                settle(&mut out[slot], self.stat_record(&record))?;
+                fill_slot(&mut out[slot], self.stat_record(&record))?;
             } else {
                 slots.push(slot);
                 batch.extend(record.parts);
@@ -511,7 +500,7 @@ impl FileSystem for StubFs {
                 .pool
                 .with_conn(endpoint, |cfs| cfs.stat_multi(&paths))?;
             for (&i, verdict) in idxs.iter().zip(verdicts) {
-                settle(&mut out[slots[i]], verdict.map_err(io::Error::from))?;
+                fill_slot(&mut out[slots[i]], verdict.map_err(io::Error::from))?;
             }
         }
         Ok(out.into_iter().flatten().collect())

@@ -64,6 +64,60 @@ fn cfs_positional_handles() {
     h.fsync().unwrap();
 }
 
+// CFS buffers nothing on the client: every `pread` asks the server,
+// so a handle sees its own writes and truncates at once.
+
+#[test]
+fn cfs_handle_reads_its_own_pwrite() {
+    let dir = TempDir::new();
+    let server = open_server(dir.path());
+    let fs = cfs(&server.endpoint());
+    fs.write_file("/f", b"old old old old").unwrap();
+
+    let mut h = fs
+        .open("/f", OpenFlags::READ | OpenFlags::WRITE, 0)
+        .unwrap();
+    let mut buf = [0u8; 3];
+    h.pread(&mut buf, 0).unwrap();
+    assert_eq!(&buf, b"old");
+    h.pwrite(b"new", 0).unwrap();
+    h.pread(&mut buf, 0).unwrap();
+    assert_eq!(&buf, b"new");
+}
+
+#[test]
+fn cfs_handle_reads_after_its_own_ftruncate() {
+    let dir = TempDir::new();
+    let server = open_server(dir.path());
+    let fs = cfs(&server.endpoint());
+    fs.write_file("/f", b"0123456789").unwrap();
+
+    let mut h = fs
+        .open("/f", OpenFlags::READ | OpenFlags::WRITE, 0)
+        .unwrap();
+    let mut buf = [0u8; 10];
+    assert_eq!(h.pread(&mut buf, 0).unwrap(), 10);
+    h.ftruncate(4).unwrap();
+    assert_eq!(h.pread(&mut buf, 0).unwrap(), 4);
+    assert_eq!(&buf[..4], b"0123");
+}
+
+#[test]
+fn cfs_pread_is_one_rpc() {
+    let dir = TempDir::new();
+    let server = open_server(dir.path());
+    let fs = cfs(&server.endpoint());
+    fs.write_file("/f", b"abcdef").unwrap();
+
+    let mut h = fs.open("/f", OpenFlags::READ, 0).unwrap();
+    let before = server.stats().snapshot().requests;
+    let mut b = [0u8; 2];
+    for off in [0u64, 2, 4] {
+        h.pread(&mut b, off).unwrap();
+    }
+    assert_eq!(server.stats().snapshot().requests - before, 3);
+}
+
 // ---- DPFS --------------------------------------------------------------
 
 fn data_pool(servers: &[&chirp_server::FileServer]) -> Vec<DataServer> {

@@ -11,10 +11,10 @@
 //!
 //! The pieces:
 //!
-//! * [`harness`] — [`SimTss`](harness::SimTss), a builder that stands
+//! * [`harness`] — [`SimTss`], a builder that stands
 //!   up N real `FileServer`s in-process and wires clients, pools and
 //!   abstractions to the shared memory network and virtual clock.
-//! * [`model`] — [`ModelServer`](model::ModelServer), an executable
+//! * [`model`] — [`ModelServer`], an executable
 //!   specification of one Chirp server: an in-memory tree with ACL
 //!   inheritance and POSIX-style fd semantics, small enough to audit
 //!   by eye.
@@ -23,7 +23,7 @@
 //!   the real handler stack and the model, diffing results
 //!   byte-for-byte including error codes, and shrinks any divergence
 //!   to a minimal trace.
-//! * [`fsop`] — the file-level op vocabulary ([`FsOp`](fsop::FsOp)),
+//! * [`fsop`] — the file-level op vocabulary ([`FsOp`]),
 //!   its one `apply` through the `FileSystem` interface, and the one
 //!   path-pool `snapshot`; a plain `LocalFs` tree run through them is
 //!   the reference for every file-level check.

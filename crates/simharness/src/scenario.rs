@@ -2,7 +2,7 @@
 //!
 //! A [`Scenario`] composes a fleet — N in-process servers, M client
 //! sessions with weighted roles — and a phased load schedule (ramp,
-//! stampede, steady state) over the [`SimTss`](crate::harness::SimTss)
+//! stampede, steady state) over the [`SimTss`]
 //! harness: everything runs on the in-memory network and the shared
 //! virtual clock, so a thousand-tenant stampede needs no ports and no
 //! wall-clock sleeps. After the fleet drains, the runner evaluates

@@ -7,8 +7,9 @@
 # compiles, so it is built next: a break in a public item it calls
 # fails this gate, not the benchmark pipeline. Then each row of the
 # table below runs a sweep that stage 0's debug run does not: a larger
-# release default, an assertion skipped in debug, or a knob. Clippy and
-# rustfmt close the run.
+# release default, an assertion skipped in debug, or a knob. Clippy,
+# rustdoc (every warning an error, so a deleted item cannot leave a
+# dangling doc link) and rustfmt close the run.
 #
 # A row is `flag default repro command`. `--<flag>` turns a row on and
 # `--no-<flag>` turns a default-on row off. Each command runs as given,
@@ -78,6 +79,9 @@ done
 
 echo "== cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== RUSTDOCFLAGS=-Dwarnings cargo doc --workspace --no-deps"
+RUSTDOCFLAGS=-Dwarnings cargo doc --workspace --no-deps
 
 echo "== cargo fmt --check"
 cargo fmt --check
