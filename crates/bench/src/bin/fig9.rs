@@ -10,6 +10,7 @@
 use std::time::Duration;
 
 use chirp_client::AuthMethod;
+use chirp_proto::localfs::LocalFs;
 use chirp_proto::testutil::TempDir;
 use simnet::gems::{run, GemsParams};
 use tss_bench::{open_server, print_table};
@@ -77,7 +78,10 @@ fn main() {
     }
     let stored = |dirs: &Vec<TempDir>| -> u64 {
         dirs.iter()
-            .map(|d| chirp_server::handlers::disk_usage(&d.path().join("gems")))
+            .map(|d| {
+                let volume = LocalFs::new(d.path().join("gems")).expect("volume root");
+                chirp_server::handlers::disk_usage(&volume)
+            })
             .sum()
     };
     println!(

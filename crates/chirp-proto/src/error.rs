@@ -179,7 +179,7 @@ impl ChirpError {
     }
 
     /// Map a local I/O failure into the closest protocol error, used by
-    /// the server when a jailed filesystem operation fails.
+    /// the server when a filesystem operation on its export fails.
     pub fn from_io(err: &io::Error) -> ChirpError {
         match err.kind() {
             io::ErrorKind::NotFound => ChirpError::NotFound,

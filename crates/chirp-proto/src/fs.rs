@@ -93,12 +93,7 @@ pub trait FileSystem: Send + Sync {
         self.readdir(path)?
             .into_iter()
             .map(|name| {
-                let p = if base == "/" {
-                    format!("/{name}")
-                } else {
-                    format!("{base}/{name}")
-                };
-                let st = self.stat(&p)?;
+                let st = self.stat(&join_path(&base, &name))?;
                 Ok((name, st))
             })
             .collect()
@@ -196,11 +191,29 @@ impl io::Seek for OpenedFile {
 /// no trailing slash. Abstractions call this so path identity is
 /// consistent across layers.
 pub fn normalize_path(path: &str) -> String {
-    let parts = path_components(path);
-    if parts.is_empty() {
-        "/".to_string()
+    let mut out = String::with_capacity(path.len() + 1);
+    for comp in path.split('/') {
+        match comp {
+            "" | "." => {}
+            ".." => out.truncate(out.rfind('/').unwrap_or(0)),
+            c => {
+                out.push('/');
+                out.push_str(c);
+            }
+        }
+    }
+    if out.is_empty() {
+        out.push('/');
+    }
+    out
+}
+
+/// `name` inside the normalized directory `dir`.
+pub fn join_path(dir: &str, name: &str) -> String {
+    if dir == "/" {
+        format!("/{name}")
     } else {
-        format!("/{}", parts.join("/"))
+        format!("{dir}/{name}")
     }
 }
 
@@ -241,6 +254,28 @@ mod tests {
         assert_eq!(normalize_path(""), "/");
         assert_eq!(normalize_path("/.."), "/");
         assert_eq!(normalize_path("a/b"), "/a/b");
+    }
+
+    #[test]
+    fn normalize_agrees_with_the_components() {
+        for path in [
+            "",
+            "/",
+            "a",
+            "/a/../..",
+            "//a/./b//",
+            "/a/b/../../c",
+            "/x/..",
+        ] {
+            let parts = path_components(path);
+            assert_eq!(
+                normalize_path(path),
+                format!("/{}", parts.join("/")),
+                "{path:?}"
+            );
+        }
+        assert_eq!(join_path("/", "a"), "/a");
+        assert_eq!(join_path("/a", "b"), "/a/b");
     }
 
     #[test]

@@ -43,6 +43,18 @@ impl LocalFs {
         })
     }
 
+    /// A view of `root` exactly as named: nothing is created or
+    /// canonicalized, so it costs one path copy. For the host-path
+    /// `Acl` adapters that the ledger's ACL probe still calls once per
+    /// lookup.
+    #[doc(hidden)]
+    pub fn unchecked(root: &Path) -> LocalFs {
+        LocalFs {
+            root: root.to_path_buf(),
+            persist: Persist::none(),
+        }
+    }
+
     /// The root directory.
     pub fn root(&self) -> &Path {
         &self.root
@@ -107,6 +119,15 @@ impl LocalFs {
             },
             meta,
         ))
+    }
+
+    /// Set `path`'s modification time to `mtime` seconds after the
+    /// epoch, announced as a [`DurabilityPoint::SetTimes`].
+    pub fn set_mtime(&self, path: &str, mtime: u64) -> io::Result<()> {
+        let file = OpenOptions::new().write(true).open(self.host(path))?;
+        self.persist.reached(DurabilityPoint::SetTimes, path)?;
+        let t = std::time::UNIX_EPOCH + std::time::Duration::from_secs(mtime);
+        file.set_times(std::fs::FileTimes::new().set_modified(t))
     }
 }
 
@@ -472,11 +493,60 @@ mod tests {
     }
 
     #[test]
+    fn set_mtime_is_announced_and_lands() {
+        use crate::persist::{CrashPoint, Persist};
+        let dir = TempDir::new();
+        let crash = CrashPoint::new();
+        let fs = LocalFs::with_persistence(dir.path(), Persist::from_arc(crash.clone())).unwrap();
+        fs.write_file("/t", b"x").unwrap();
+        crash.arm(Some(0));
+        assert!(
+            fs.set_mtime("/t", 1_000).is_err(),
+            "a dead server sets nothing"
+        );
+        crash.arm(None);
+        fs.set_mtime("/t", 1_120_000_000).unwrap();
+        assert_eq!(fs.stat("/t").unwrap().mtime, 1_120_000_000);
+        let points: Vec<DurabilityPoint> =
+            crash.journal().entries().iter().map(|e| e.point).collect();
+        assert_eq!(points, [DurabilityPoint::SetTimes]);
+    }
+
+    /// Protocol paths resolve logically under the root: `.` and empty
+    /// components vanish and `..` never climbs above it (`/..` is `/`).
+    #[test]
+    fn host_paths_stay_under_the_root() {
+        let (_d, fs) = fs();
+        let root = fs.root().to_path_buf();
+        assert_eq!(fs.host("/a/b"), root.join("a/b"));
+        assert_eq!(fs.host("/../../../etc/passwd"), root.join("etc/passwd"));
+        assert_eq!(fs.host("/a/../.."), root);
+        assert_eq!(fs.host("//a/./b//"), root.join("a/b"));
+    }
+
+    #[test]
     fn paths_are_jailed_to_root() {
         let (d, fs) = fs();
         std::fs::write(d.path().join("..").join("sentinel-lfs"), b"x").ok();
         // `..` cannot escape: it resolves to the root itself.
         assert!(fs.stat("/../sentinel-lfs").is_err());
         let _ = std::fs::remove_file(d.path().join("..").join("sentinel-lfs"));
+    }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #[test]
+            fn resolved_paths_never_escape_the_root(path in "\\PC{0,64}") {
+                let fs = LocalFs::unchecked(Path::new("/export/root"));
+                let host = fs.host(&path);
+                prop_assert!(
+                    host.starts_with(fs.root()),
+                    "{path:?} resolved outside the root: {host:?}"
+                );
+            }
+        }
     }
 }

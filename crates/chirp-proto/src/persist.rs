@@ -41,6 +41,8 @@ pub enum DurabilityPoint {
     Fsync,
     /// A file is about to change length.
     Truncate,
+    /// A file's modification time is about to change.
+    SetTimes,
     /// A directory entry is about to be atomically renamed.
     Rename,
     /// A directory entry is about to be removed.
@@ -69,6 +71,7 @@ impl DurabilityPoint {
             DurabilityPoint::Pwrite => "pwrite",
             DurabilityPoint::Fsync => "fsync",
             DurabilityPoint::Truncate => "truncate",
+            DurabilityPoint::SetTimes => "set-times",
             DurabilityPoint::Rename => "rename",
             DurabilityPoint::Unlink => "unlink",
             DurabilityPoint::DirSync => "dirsync",

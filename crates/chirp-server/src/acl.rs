@@ -21,17 +21,57 @@
 //! directory with no ACL file inherits the nearest ancestor's ACL,
 //! which is how pre-existing data exported in place gets protection
 //! from the root ACL.
+//!
+//! Everything here speaks the export's virtual paths through the
+//! common [`FileSystem`] interface; [`virtual_path`] is the one place
+//! a protocol path becomes one.
 
 use std::collections::HashMap;
 use std::fmt;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
+use chirp_proto::fs::{join_path, normalize_path, FileSystem};
+use chirp_proto::localfs::LocalFs;
 use chirp_proto::{ChirpError, ChirpResult};
 use telemetry::{Counter, Gauge, Registry};
 
-use crate::jail::ACL_FILE;
+/// Name of the per-directory ACL file. It is part of the server's
+/// private metadata: invisible to `GETDIR` and unreachable through any
+/// protocol path.
+pub const ACL_FILE: &str = ".__acl";
+
+/// The name a new ACL is written under before it is renamed over
+/// [`ACL_FILE`]; reserved like it. A write killed part-way leaves it
+/// behind, never a prefix of the ACL itself.
+pub const ACL_TEMP: &str = ".__acl.new";
+
+/// Whether `name` is one of the server's reserved metadata names.
+pub fn is_reserved(name: &str) -> bool {
+    name == ACL_FILE || name == ACL_TEMP
+}
+
+/// A protocol path in the export's namespace: normalized (`.` and
+/// empty components vanish, `..` pops but never climbs above the
+/// root), or `NotAuthorized` if any component names a reserved file —
+/// even one a later `..` would pop.
+pub fn virtual_path(raw: &str) -> ChirpResult<String> {
+    if raw.split('/').any(is_reserved) {
+        return Err(ChirpError::NotAuthorized);
+    }
+    Ok(normalize_path(raw))
+}
+
+/// The parent of the normalized `path`: the directory whose ACL
+/// governs it. `InvalidRequest` for the root, which has none.
+pub fn parent_dir(path: &str) -> ChirpResult<&str> {
+    match path.rfind('/') {
+        Some(0) if path.len() > 1 => Ok("/"),
+        Some(i) if i > 0 => Ok(&path[..i]),
+        _ => Err(ChirpError::InvalidRequest),
+    }
+}
 
 /// A set of ACL rights.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Hash)]
@@ -330,42 +370,65 @@ impl Acl {
         out
     }
 
-    /// Load the ACL governing `dir`: its own `.__acl` if present, else
-    /// the nearest ancestor's, searching no higher than `root`.
-    pub fn load_effective(root: &Path, dir: &Path) -> ChirpResult<Acl> {
-        let mut cur = dir.to_path_buf();
+    /// Load the ACL governing the normalized directory `dir` of `fs`:
+    /// its own `.__acl` if present, else the nearest ancestor's.
+    pub fn load_effective_in(fs: &dyn FileSystem, dir: &str) -> ChirpResult<Acl> {
+        let mut cur = dir;
         loop {
-            let f = cur.join(ACL_FILE);
-            match std::fs::read_to_string(&f) {
-                Ok(text) => return Acl::parse(&text),
+            match fs.read_file(&join_path(cur, ACL_FILE)) {
+                Ok(bytes) => {
+                    return Acl::parse(std::str::from_utf8(&bytes).map_err(|_| ChirpError::Io)?)
+                }
                 Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
                 Err(e) => return Err(ChirpError::from_io(&e)),
             }
-            if cur == root {
-                // No ACL anywhere up to the root: deny-all. The server
-                // always writes a root ACL at startup, so this means
-                // someone deleted it out from under us.
+            // No ACL anywhere up to the root: deny-all. The server
+            // always writes a root ACL at startup, so this means
+            // someone deleted it out from under us.
+            let Ok(up) = parent_dir(cur) else {
                 return Ok(Acl::new());
-            }
-            if !cur.pop() {
-                return Ok(Acl::new());
-            }
+            };
+            cur = up;
         }
     }
 
-    /// Write this ACL as `dir`'s own `.__acl`.
+    /// Write this ACL as the directory `dir`'s own: whole under
+    /// [`ACL_TEMP`], then renamed over [`ACL_FILE`]. A write cut short
+    /// leaves the old ACL governing (or, for a new directory, the
+    /// parent's), never a prefix of this one.
+    pub fn store_in(&self, fs: &dyn FileSystem, dir: &str) -> ChirpResult<()> {
+        let temp = join_path(dir, ACL_TEMP);
+        fs.write_file(&temp, self.render().as_bytes())
+            .and_then(|()| fs.rename(&temp, &join_path(dir, ACL_FILE)))
+            .map_err(|e| ChirpError::from_io(&e))
+    }
+
+    /// [`Acl::load_effective_in`] for host directory `dir` under the
+    /// export root `root`.
+    #[doc(hidden)]
+    pub fn load_effective(root: &Path, dir: &Path) -> ChirpResult<Acl> {
+        let rel = dir
+            .strip_prefix(root)
+            .map_err(|_| ChirpError::InvalidRequest)?;
+        let rel = rel.to_str().ok_or(ChirpError::InvalidRequest)?;
+        Acl::load_effective_in(&LocalFs::unchecked(root), &normalize_path(rel))
+    }
+
+    /// [`Acl::store_in`] for host directory `dir`.
+    #[doc(hidden)]
     pub fn store(&self, dir: &Path) -> ChirpResult<()> {
-        std::fs::write(dir.join(ACL_FILE), self.render()).map_err(|e| ChirpError::from_io(&e))
+        self.store_in(&LocalFs::unchecked(dir), "/")
     }
 }
 
 /// The server's in-memory copy of the effective ACLs it has looked
-/// up: `dir → Arc<Acl>`, so an ACL-checked RPC costs a map lookup
-/// instead of an open + read + parse of `.__acl` (plus the walk up on
-/// inheritance). [`Acl::load_effective`] remains the miss path.
+/// up: virtual directory `→ Arc<Acl>`, so an ACL-checked RPC costs a
+/// map lookup instead of an open + read + parse of `.__acl` (plus the
+/// walk up on inheritance). [`Acl::load_effective_in`] through the
+/// export's `fs.read_file` remains the miss path.
 ///
 /// Coherence is one generation counter. Whoever changes what
-/// `load_effective` could return for *any* directory — `SETACL`,
+/// `load_effective_in` could return for *any* directory — `SETACL`,
 /// `MKDIR`, `RMDIR`, a `RENAME` of a directory — calls
 /// [`AclCache::invalidate`] *after* touching the disk and before
 /// replying: it bumps the generation and drops the whole map (with
@@ -388,7 +451,7 @@ impl Acl {
 #[derive(Debug)]
 pub struct AclCache {
     generation: AtomicU64,
-    map: RwLock<HashMap<PathBuf, Arc<Acl>>>,
+    map: RwLock<HashMap<String, Arc<Acl>>>,
     hits: Counter,
     misses: Counter,
     invalidations: Counter,
@@ -413,9 +476,9 @@ impl AclCache {
         }
     }
 
-    /// The ACL governing `dir`, from memory when known, else through
-    /// [`Acl::load_effective`].
-    pub fn effective(&self, root: &Path, dir: &Path) -> ChirpResult<Arc<Acl>> {
+    /// The ACL governing the normalized directory `dir` of `fs`, from
+    /// memory when known, else through [`Acl::load_effective_in`].
+    pub fn effective(&self, fs: &dyn FileSystem, dir: &str) -> ChirpResult<Arc<Acl>> {
         if let Some(acl) = self.map.read().expect("acl cache poisoned").get(dir) {
             self.hits.inc();
             return Ok(acl.clone());
@@ -425,8 +488,8 @@ impl AclCache {
         // before this load is visible to the disk read below; one that
         // finishes after it fails the re-check under the lock.
         let generation = self.generation.load(Ordering::SeqCst);
-        let acl = Arc::new(Acl::load_effective(root, dir)?);
-        if !dir.is_dir() {
+        let acl = Arc::new(Acl::load_effective_in(fs, dir)?);
+        if !fs.stat(dir).is_ok_and(|st| st.is_dir()) {
             return Ok(acl);
         }
         let mut map = self.map.write().expect("acl cache poisoned");
@@ -434,7 +497,7 @@ impl AclCache {
             if map.len() >= AclCache::MAX_ENTRIES {
                 map.clear();
             }
-            map.insert(dir.to_path_buf(), acl.clone());
+            map.insert(dir.to_string(), acl.clone());
             self.entries.set(map.len() as i64);
         }
         Ok(acl)
@@ -566,23 +629,66 @@ mod tests {
     #[test]
     fn effective_acl_inherits_from_ancestors() {
         let dir = TempDir::new();
-        let root = dir.path();
+        let fs = LocalFs::new(dir.path()).unwrap();
         Acl::single("unix:alice", "rwl")
             .unwrap()
-            .store(root)
+            .store_in(&fs, "/")
             .unwrap();
-        let deep = root.join("a/b/c");
-        std::fs::create_dir_all(&deep).unwrap();
-        let acl = Acl::load_effective(root, &deep).unwrap();
+        for d in ["/a", "/a/b", "/a/b/c"] {
+            fs.mkdir(d, 0o755).unwrap();
+        }
+        let acl = Acl::load_effective_in(&fs, "/a/b/c").unwrap();
         assert!(acl.rights_of("unix:alice").contains(Rights::READ));
-        // A closer ACL overrides.
+        // A closer ACL overrides, and its temporary name is gone.
         Acl::single("unix:bob", "r")
             .unwrap()
-            .store(&root.join("a/b"))
+            .store_in(&fs, "/a/b")
             .unwrap();
-        let acl = Acl::load_effective(root, &deep).unwrap();
+        assert_eq!(fs.readdir("/a/b").unwrap(), [ACL_FILE, "c"]);
+        let acl = Acl::load_effective_in(&fs, "/a/b/c").unwrap();
         assert!(acl.rights_of("unix:alice").is_empty());
         assert!(acl.rights_of("unix:bob").contains(Rights::READ));
+        // The host-path adapters walk the same files.
+        let host = Acl::load_effective(fs.root(), &fs.root().join("a/b/c")).unwrap();
+        assert_eq!(host, acl);
+    }
+
+    #[test]
+    fn plain_paths_normalize() {
+        assert_eq!(virtual_path("/a/b").unwrap(), "/a/b");
+        assert_eq!(virtual_path("//a/./b//").unwrap(), "/a/b");
+        // `..` cannot escape: as in a real chroot, `/..` is `/`.
+        assert_eq!(virtual_path("/../../../etc/passwd").unwrap(), "/etc/passwd");
+        assert_eq!(virtual_path("/a/../..").unwrap(), "/");
+    }
+
+    #[test]
+    fn reserved_names_are_unreachable() {
+        for raw in [
+            "/.__acl",
+            "/sub/.__acl",
+            "/.__acl.new",
+            "/d/.__acl.new/x",
+            "/.__acl/..",
+        ] {
+            assert_eq!(
+                virtual_path(raw).unwrap_err(),
+                ChirpError::NotAuthorized,
+                "{raw}"
+            );
+        }
+        assert_eq!(virtual_path("/.__acl.old").unwrap(), "/.__acl.old");
+    }
+
+    #[test]
+    fn parent_of_root_is_invalid() {
+        assert_eq!(parent_dir("/").unwrap_err(), ChirpError::InvalidRequest);
+        assert_eq!(
+            parent_dir(&virtual_path("/a/..").unwrap()).unwrap_err(),
+            ChirpError::InvalidRequest
+        );
+        assert_eq!(parent_dir("/a").unwrap(), "/");
+        assert_eq!(parent_dir("/a/b").unwrap(), "/a");
     }
 
     proptest! {
@@ -602,6 +708,17 @@ mod tests {
             let (r, v) = AclEntry::parse_rights(&spec).unwrap();
             prop_assert_eq!(r, entry.rights);
             prop_assert_eq!(v, entry.reserve);
+        }
+
+        #[test]
+        fn virtual_paths_never_leave_the_root(raw in "\\PC{0,64}") {
+            if let Ok(path) = virtual_path(&raw) {
+                prop_assert!(path.starts_with('/'), "{raw:?} -> {path:?}");
+                prop_assert!(
+                    path.split('/').all(|c| c != ".." && c != "." && !is_reserved(c)),
+                    "{raw:?} -> {path:?}"
+                );
+            }
         }
 
         #[test]

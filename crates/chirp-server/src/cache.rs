@@ -46,6 +46,13 @@ use telemetry::{Counter, Gauge, Registry};
 /// descriptors and paths naming the same file.
 pub type FileKey = (u64, u64);
 
+/// The [`FileKey`] of a path's attributes, as the export's `stat`
+/// reports them: the same pair [`file_key`] takes from an open's
+/// `fstat`.
+pub fn stat_key(st: &chirp_proto::StatBuf) -> FileKey {
+    (st.device, st.inode)
+}
+
 /// The [`FileKey`] of host metadata.
 pub fn file_key(meta: &std::fs::Metadata) -> FileKey {
     #[cfg(unix)]
@@ -581,6 +588,10 @@ fn read_at(file: &File, buf: &mut [u8], offset: u64) -> ChirpResult<usize> {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "the cache's tests stand in for the descriptors an open would hand it"
+)]
 mod tests {
     use super::*;
     use chirp_proto::testutil::TempDir;

@@ -1,28 +1,27 @@
 //! Per-connection request handling: authentication gate, ACL
-//! enforcement, and dispatch to jailed filesystem operations.
+//! enforcement, and dispatch to the export's file interface.
 //!
-//! Metadata requests run over [`Shared::fs`], the export's
-//! [`LocalFs`](chirp_proto::localfs::LocalFs), once the jail and the
-//! ACL have passed them, and descriptors hold its concrete
-//! [`LocalHandle`]; what stays here
-//! is what only a server knows (the hidden `.__acl`, the ACL cache,
+//! Every request runs over [`Shared::fs`], the export's
+//! [`LocalFs`](chirp_proto::localfs::LocalFs), by *virtual* path: a
+//! protocol path goes through [`virtual_path`] once, its parent names
+//! the ACL that governs it, and no host path is built above `LocalFs`.
+//! Descriptors hold its concrete [`LocalHandle`]; what stays here is
+//! what only a server knows (the hidden `.__acl`, the ACL cache,
 //! page-cache and size-table coherence, capacity accounting).
 
-use std::fs::{File, OpenOptions};
+use std::fs::File;
 use std::io;
-use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use chirp_proto::escape::escape;
-use chirp_proto::fs::{FileHandle, FileSystem};
+use chirp_proto::fs::{join_path, FileHandle, FileSystem};
 use chirp_proto::localfs::{meta_to_stat, read_full_at, LocalHandle};
 use chirp_proto::{ChirpError, ChirpResult, OpenFlags, Request, StatFs};
 
-use crate::acl::{wildcard_match, Acl, Rights};
+use crate::acl::{is_reserved, parent_dir, virtual_path, wildcard_match, Acl, Rights};
 use crate::auth::{AuthOutcome, Authenticator};
-use crate::cache::{file_key, FileKey, PageReply};
+use crate::cache::{file_key, stat_key, FileKey, PageReply};
 use crate::fdtable::{FdTable, OpenFile};
-use crate::jail::ACL_FILE;
 use crate::server::Shared;
 
 /// What the connection loop should send back for one request.
@@ -269,18 +268,18 @@ impl Session {
     /// by a check or by the open itself, still owes the stream
     /// `length` bytes of framing.
     pub fn begin_putfile(&mut self, path: &str, mode: u32, length: u64) -> PutfileUpload {
-        let checked = (|| -> ChirpResult<PathBuf> {
+        let checked = (|| -> ChirpResult<String> {
             self.require_subject()?;
-            let (dir, leaf) = self.shared.jail.resolve_parent(path)?;
-            self.require_rights(&dir, Rights::WRITE)?;
-            Ok(dir.join(leaf))
+            let path = virtual_path(path)?;
+            self.require_rights(parent_dir(&path)?, Rights::WRITE)?;
+            Ok(path)
         })();
-        let host = match checked {
+        let path = match checked {
             Ok(p) => p,
             Err(e) => return PutfileUpload::discard(length, e),
         };
         // Capacity policy: a replaced file frees its old bytes first.
-        let old_size = std::fs::metadata(&host).map(|m| m.len()).unwrap_or(0);
+        let old_size = self.shared.fs.stat(&path).map_or(0, |st| st.size);
         let growth = length.saturating_sub(old_size);
         if self.shared.over_capacity(growth) {
             return PutfileUpload::discard(length, ChirpError::NoSpace);
@@ -289,7 +288,7 @@ impl Session {
         // point; the chunks announce none. The crash harness drives
         // writes through OPEN/PWRITE, where every step is killable.
         let flags = OpenFlags::WRITE | OpenFlags::CREATE | OpenFlags::TRUNCATE;
-        let (handle, meta) = match self.shared.fs.open_handle(path, flags, mode) {
+        let (handle, meta) = match self.shared.fs.open_handle(&path, flags, mode) {
             Ok(opened) => opened,
             Err(e) => return PutfileUpload::discard(length, ChirpError::from_io(&e)),
         };
@@ -377,10 +376,10 @@ impl Session {
 
     // ---- authorization --------------------------------------------------
 
-    /// Effective rights of the session subject in the directory at
-    /// host path `dir`. The owner's superuser patterns grant all
+    /// Effective rights of the session subject in the virtual
+    /// directory `dir`. The owner's superuser patterns grant all
     /// rights everywhere ("the owner retains access to all data").
-    fn rights_in(&self, dir: &Path) -> ChirpResult<Rights> {
+    fn rights_in(&self, dir: &str) -> ChirpResult<Rights> {
         let subject = self.require_subject()?;
         for pat in &self.shared.config.superuser {
             if wildcard_match(pat, subject) {
@@ -390,23 +389,23 @@ impl Session {
         Ok(self.effective_acl(dir)?.rights_of(subject))
     }
 
-    /// The ACL governing host directory `dir`, through the shared
+    /// The ACL governing directory `dir`, through the shared
     /// in-memory cache.
-    fn effective_acl(&self, dir: &Path) -> ChirpResult<Arc<Acl>> {
-        self.shared.acls.effective(self.shared.jail.root(), dir)
+    fn effective_acl(&self, dir: &str) -> ChirpResult<Arc<Acl>> {
+        self.shared.acls.effective(&self.shared.fs, dir)
     }
 
     /// Write `acl` as `dir`'s own, then drop every remembered ACL —
     /// whether or not the write came through whole: the change reaches
     /// whatever inherits from `dir`.
-    fn store_acl(&self, acl: &Acl, dir: &Path) -> ChirpResult<()> {
-        let stored = acl.store(dir);
+    fn store_acl(&self, acl: &Acl, dir: &str) -> ChirpResult<()> {
+        let stored = acl.store_in(&self.shared.fs, dir);
         self.shared.acls.invalidate();
         stored
     }
 
     /// Require at least one of `any_of` in `dir`.
-    fn require_rights(&self, dir: &Path, any_of: Rights) -> ChirpResult<Rights> {
+    fn require_rights(&self, dir: &str, any_of: Rights) -> ChirpResult<Rights> {
         let r = self.rights_in(dir)?;
         if r.intersects(any_of) {
             Ok(r)
@@ -419,7 +418,8 @@ impl Session {
 
     fn do_open(&mut self, path: &str, flags: OpenFlags, mode: u32) -> ChirpResult<Reply> {
         self.require_subject()?;
-        let (dir, leaf) = self.shared.jail.resolve_parent(path)?;
+        let path = virtual_path(path)?;
+        let dir = parent_dir(&path)?;
         let mut need = Rights::empty();
         if flags.contains(OpenFlags::READ) {
             need |= Rights::READ;
@@ -430,7 +430,7 @@ impl Session {
         if need.is_empty() {
             return Err(ChirpError::InvalidRequest);
         }
-        let have = self.rights_in(&dir)?;
+        let have = self.rights_in(dir)?;
         if !have.contains(need) {
             return Err(ChirpError::NotAuthorized);
         }
@@ -438,9 +438,7 @@ impl Session {
         // them so the capacity policy sees rewrites as reuse, not
         // growth.
         let truncated_bytes = if flags.contains(OpenFlags::TRUNCATE) {
-            std::fs::metadata(dir.join(leaf))
-                .map(|m| m.len())
-                .unwrap_or(0)
+            self.shared.fs.stat(&path).map_or(0, |st| st.size)
         } else {
             0
         };
@@ -451,7 +449,7 @@ impl Session {
         let (handle, meta) = self
             .shared
             .fs
-            .open_handle(path, flags, mode)
+            .open_handle(&path, flags, mode)
             .map_err(|e| ChirpError::from_io(&e))?;
         self.shared.adjust_usage(-(truncated_bytes as i64));
         let key = file_key(&meta);
@@ -552,23 +550,21 @@ impl Session {
     /// `STATMULTI` line), with `STAT`'s exact error ordering.
     fn stat_words(&self, path: &str) -> ChirpResult<String> {
         // The parent's ACL governs a path; the root, which has no
-        // parent in the jail, is governed by its own.
+        // parent, is governed by its own, and so is the verdict on a
+        // reserved name.
         let need = Rights::READ | Rights::LIST;
-        match self.shared.jail.resolve_parent(path) {
-            Ok((dir, _)) => {
-                self.require_rights(&dir, need)?;
-            }
+        let path = match virtual_path(path) {
+            Ok(path) => path,
             Err(e) => {
-                self.require_rights(self.shared.jail.root(), need)?;
-                if e != ChirpError::InvalidRequest {
-                    return Err(e);
-                }
+                self.require_rights("/", need)?;
+                return Err(e);
             }
-        }
+        };
+        self.require_rights(parent_dir(&path).unwrap_or("/"), need)?;
         let st = self
             .shared
             .fs
-            .stat(path)
+            .stat(&path)
             .map_err(|e| ChirpError::from_io(&e))?;
         Ok(st.to_words())
     }
@@ -590,48 +586,46 @@ impl Session {
     }
 
     fn do_unlink(&self, path: &str) -> ChirpResult<Reply> {
-        let (dir, leaf) = self.shared.jail.resolve_parent(path)?;
-        self.require_rights(&dir, Rights::WRITE | Rights::DELETE)?;
-        let meta = std::fs::metadata(dir.join(leaf)).ok();
-        if meta.as_ref().is_some_and(|m| m.is_dir()) {
+        let path = virtual_path(path)?;
+        self.require_rights(parent_dir(&path)?, Rights::WRITE | Rights::DELETE)?;
+        let st = self.shared.fs.stat(&path).ok();
+        if st.is_some_and(|st| st.is_dir()) {
             return Err(ChirpError::IsADirectory);
         }
         self.shared
             .fs
-            .unlink(path)
+            .unlink(&path)
             .map_err(|e| ChirpError::from_io(&e))?;
-        if let Some(meta) = &meta {
+        if let Some(st) = &st {
             // Open descriptors keep the inode readable, but once the
             // last one closes the inode number can be recycled — drop
             // the pages now and doom the incarnation so nothing
             // repopulates them (see the cache module docs).
-            let key = file_key(meta);
+            let key = stat_key(st);
             self.shared.sizes.doom(key);
             if let Some(cache) = &self.shared.cache {
                 cache.invalidate(key);
             }
         }
-        let size = meta.map(|m| m.len()).unwrap_or(0);
+        let size = st.map_or(0, |st| st.size);
         self.shared.adjust_usage(-(size as i64));
         Ok(Reply::Value(0))
     }
 
     fn do_rename(&self, from: &str, to: &str) -> ChirpResult<Reply> {
-        let (from_dir, from_leaf) = self.shared.jail.resolve_parent(from)?;
-        let (to_dir, to_leaf) = self.shared.jail.resolve_parent(to)?;
-        self.require_rights(&from_dir, Rights::WRITE | Rights::DELETE)?;
-        self.require_rights(&to_dir, Rights::WRITE)?;
-        let src = from_dir.join(from_leaf);
-        let Ok(src_meta) = std::fs::metadata(&src) else {
+        let from = virtual_path(from)?;
+        let from_dir = parent_dir(&from)?;
+        let to = virtual_path(to)?;
+        let to_dir = parent_dir(&to)?;
+        self.require_rights(from_dir, Rights::WRITE | Rights::DELETE)?;
+        self.require_rights(to_dir, Rights::WRITE)?;
+        let fs = &self.shared.fs;
+        let Ok(src) = fs.stat(&from) else {
             return Err(ChirpError::NotFound);
         };
-        let dst = to_dir.join(to_leaf);
-        let clobbered = std::fs::metadata(&dst).ok().map(|m| file_key(&m));
-        self.shared
-            .fs
-            .rename(from, to)
-            .map_err(|e| ChirpError::from_io(&e))?;
-        if src_meta.is_dir() {
+        let clobbered = fs.stat(&to).ok().map(|st| stat_key(&st));
+        fs.rename(&from, &to).map_err(|e| ChirpError::from_io(&e))?;
+        if src.is_dir() {
             // The directory took its `.__acl` (and its subtree's) to a
             // new path and freed the old one.
             self.shared.acls.invalidate();
@@ -640,7 +634,7 @@ impl Session {
             // The rename unlinked the old target inode — same
             // treatment as UNLINK, unless the "target" was the source
             // itself (rename onto self replaces nothing).
-            let now = std::fs::metadata(&dst).ok().map(|m| file_key(&m));
+            let now = fs.stat(&to).ok().map(|st| stat_key(&st));
             if now != Some(key) {
                 self.shared.sizes.doom(key);
                 if let Some(cache) = &self.shared.cache {
@@ -653,27 +647,27 @@ impl Session {
 
     fn do_mkdir(&self, path: &str, mode: u32) -> ChirpResult<Reply> {
         let subject = self.require_subject()?.to_string();
-        let (dir, leaf) = self.shared.jail.resolve_parent(path)?;
-        let have = self.rights_in(&dir)?;
-        let host = dir.join(leaf);
+        let path = virtual_path(path)?;
+        let dir = parent_dir(&path)?;
+        let have = self.rights_in(dir)?;
         let mkdir = || {
             self.shared
                 .fs
-                .mkdir(path, mode)
+                .mkdir(&path, mode)
                 .map_err(|e| ChirpError::from_io(&e))
         };
         if have.contains(Rights::WRITE) {
             // Ordinary create: the new directory inherits a copy of the
             // parent's effective ACL.
             mkdir()?;
-            self.store_acl(&*self.effective_acl(&dir)?, &host)?;
+            self.store_acl(&*self.effective_acl(dir)?, &path)?;
             return Ok(Reply::Value(0));
         }
         if have.contains(Rights::RESERVE) {
             // Reserve: the new directory's ACL grants only the calling
             // subject, with exactly the rights named in the parent's
             // v(...) grant (paper §4).
-            let granted = self.effective_acl(&dir)?.reserve_rights_of(&subject);
+            let granted = self.effective_acl(dir)?.reserve_rights_of(&subject);
             if granted.is_empty() {
                 return Err(ChirpError::NotAuthorized);
             }
@@ -682,47 +676,48 @@ impl Session {
             fresh
                 .set(&subject, &format!("{granted}"))
                 .expect("rights render round-trips");
-            self.store_acl(&fresh, &host)?;
+            self.store_acl(&fresh, &path)?;
             return Ok(Reply::Value(0));
         }
         Err(ChirpError::NotAuthorized)
     }
 
     fn do_rmdir(&self, path: &str) -> ChirpResult<Reply> {
-        let (dir, _) = self.shared.jail.resolve_parent(path)?;
-        self.require_rights(&dir, Rights::WRITE | Rights::DELETE)?;
+        let path = virtual_path(path)?;
+        self.require_rights(parent_dir(&path)?, Rights::WRITE | Rights::DELETE)?;
         let fs = &self.shared.fs;
-        let st = fs.stat(path).map_err(|e| ChirpError::from_io(&e))?;
+        let st = fs.stat(&path).map_err(|e| ChirpError::from_io(&e))?;
         if !st.is_dir() {
             return Err(ChirpError::NotADirectory);
         }
-        // A directory holding only its own ACL metadata counts as
-        // empty from the protocol's point of view: that file goes
-        // first, then the directory.
-        let names = fs.readdir(path).map_err(|e| ChirpError::from_io(&e))?;
-        if names.iter().any(|n| n != ACL_FILE) {
+        // A directory holding only its own ACL metadata (and a
+        // temporary ACL a killed write left behind) counts as empty
+        // from the protocol's point of view: those files go first,
+        // then the directory.
+        let names = fs.readdir(&path).map_err(|e| ChirpError::from_io(&e))?;
+        if names.iter().any(|n| !is_reserved(n)) {
             return Err(ChirpError::NotEmpty);
         }
-        let removed = match fs.unlink(&format!("{path}/{ACL_FILE}")) {
-            Err(e) if e.kind() != io::ErrorKind::NotFound => Err(e),
-            _ => fs.rmdir(path),
-        };
+        let removed = names
+            .iter()
+            .try_for_each(|name| fs.unlink(&join_path(&path, name)))
+            .and_then(|()| fs.rmdir(&path));
         self.shared.acls.invalidate();
         removed.map_err(|e| ChirpError::from_io(&e))?;
         Ok(Reply::Value(0))
     }
 
     fn do_getdir(&self, path: &str) -> ChirpResult<Reply> {
-        let host = self.shared.jail.resolve(path)?;
-        self.require_rights(&host, Rights::LIST)?;
+        let path = virtual_path(path)?;
+        self.require_rights(&path, Rights::LIST)?;
         let names = self
             .shared
             .fs
-            .readdir(path)
+            .readdir(&path)
             .map_err(|e| ChirpError::from_io(&e))?;
         let mut names: Vec<String> = names
             .into_iter()
-            .filter(|n| n != ACL_FILE)
+            .filter(|n| !is_reserved(n))
             .map(|n| escape(n.as_bytes()))
             .collect();
         names.sort_unstable();
@@ -743,16 +738,16 @@ impl Session {
 
     /// One `escape(name) statwords` line per entry, sorted.
     fn listing_with_stats(&self, path: &str) -> ChirpResult<Reply> {
-        let host = self.shared.jail.resolve(path)?;
-        self.require_rights(&host, Rights::LIST)?;
+        let path = virtual_path(path)?;
+        self.require_rights(&path, Rights::LIST)?;
         let listed = self
             .shared
             .fs
-            .readdir_stat(path)
+            .readdir_stat(&path)
             .map_err(|e| ChirpError::from_io(&e))?;
         let mut lines: Vec<String> = listed
             .into_iter()
-            .filter(|(name, _)| name != ACL_FILE)
+            .filter(|(name, _)| !is_reserved(name))
             .map(|(name, st)| format!("{} {}", escape(name.as_bytes()), st.to_words()))
             .collect();
         lines.sort_unstable();
@@ -760,11 +755,11 @@ impl Session {
     }
 
     fn do_getfile(&self, path: &str) -> ChirpResult<Reply> {
-        let (dir, _) = self.shared.jail.resolve_parent(path)?;
-        self.require_rights(&dir, Rights::READ)?;
+        let path = virtual_path(path)?;
+        self.require_rights(parent_dir(&path)?, Rights::READ)?;
         // Always from disk, never through the page cache: a whole-tree
         // copy must not wipe out the hot working set.
-        let (handle, meta) = self.open_read(path)?;
+        let (handle, meta) = self.open_read(&path)?;
         Ok(Reply::FileStream(handle.into_file(), meta.len()))
     }
 
@@ -778,39 +773,38 @@ impl Session {
     }
 
     fn do_getacl(&self, path: &str) -> ChirpResult<Reply> {
-        let host = self.shared.jail.resolve(path)?;
-        if !host.is_dir() {
+        let path = virtual_path(path)?;
+        if !self.shared.fs.stat(&path).is_ok_and(|st| st.is_dir()) {
             return Err(ChirpError::NotADirectory);
         }
         // Any right on the directory allows inspecting its ACL.
-        let r = self.rights_in(&host)?;
+        let r = self.rights_in(&path)?;
         if r.is_empty() {
             return Err(ChirpError::NotAuthorized);
         }
         Ok(Reply::Data(
-            self.effective_acl(&host)?.render().into_bytes(),
+            self.effective_acl(&path)?.render().into_bytes(),
         ))
     }
 
     fn do_setacl(&self, path: &str, subject: &str, rights: &str) -> ChirpResult<Reply> {
-        let host = self.shared.jail.resolve(path)?;
-        if !host.is_dir() {
+        let path = virtual_path(path)?;
+        if !self.shared.fs.stat(&path).is_ok_and(|st| st.is_dir()) {
             return Err(ChirpError::NotADirectory);
         }
-        self.require_rights(&host, Rights::ADMIN)?;
+        self.require_rights(&path, Rights::ADMIN)?;
         // Materialize the inherited ACL on first modification so the
         // change is scoped to this directory.
-        let mut acl = Acl::clone(&*self.effective_acl(&host)?);
+        let mut acl = Acl::clone(&*self.effective_acl(&path)?);
         acl.set(subject, rights)?;
-        self.store_acl(&acl, &host)?;
+        self.store_acl(&acl, &path)?;
         Ok(Reply::Value(0))
     }
 
     fn do_checksum(&self, path: &str) -> ChirpResult<Reply> {
-        let (dir, leaf) = self.shared.jail.resolve_parent(path)?;
-        self.require_rights(&dir, Rights::READ)?;
-        let host = dir.join(leaf);
-        let mut file = File::open(&host).map_err(|e| ChirpError::from_io(&e))?;
+        let path = virtual_path(path)?;
+        self.require_rights(parent_dir(&path)?, Rights::READ)?;
+        let mut file = self.open_read(&path)?.0.into_file();
         let mut crc = chirp_proto::checksum::Crc64::new();
         let mut buf = [0u8; 64 * 1024];
         loop {
@@ -830,7 +824,7 @@ impl Session {
         // Reconcile the approximate counter with a real walk, so any
         // drift from untracked mutations is bounded by the statfs
         // interval.
-        let used = disk_usage(self.shared.jail.root());
+        let used = disk_usage(&self.shared.fs);
         self.shared
             .used_bytes
             .store(used, std::sync::atomic::Ordering::Relaxed);
@@ -842,21 +836,25 @@ impl Session {
     }
 
     fn do_truncate(&self, path: &str, size: u64) -> ChirpResult<Reply> {
-        let (dir, leaf) = self.shared.jail.resolve_parent(path)?;
-        self.require_rights(&dir, Rights::WRITE)?;
-        let meta = std::fs::metadata(dir.join(leaf)).map_err(|e| ChirpError::from_io(&e))?;
-        if meta.is_dir() {
+        let path = virtual_path(path)?;
+        self.require_rights(parent_dir(&path)?, Rights::WRITE)?;
+        let st = self
+            .shared
+            .fs
+            .stat(&path)
+            .map_err(|e| ChirpError::from_io(&e))?;
+        if st.is_dir() {
             return Err(ChirpError::IsADirectory);
         }
-        let old = meta.len();
+        let old = st.size;
         if size > old && self.shared.over_capacity(size - old) {
             return Err(ChirpError::NoSpace);
         }
         self.shared
             .fs
-            .truncate(path, size)
+            .truncate(&path, size)
             .map_err(|e| ChirpError::from_io(&e))?;
-        let key = file_key(&meta);
+        let key = stat_key(&st);
         if let Some(cache) = &self.shared.cache {
             cache.truncate(key, old, size);
         }
@@ -877,9 +875,9 @@ impl Session {
         target: &str,
         target_path: &str,
     ) -> ChirpResult<ThirdputPush> {
-        let (dir, _) = self.shared.jail.resolve_parent(path)?;
-        self.require_rights(&dir, Rights::READ)?;
-        let (handle, _) = self.open_read(path)?;
+        let path = virtual_path(path)?;
+        self.require_rights(parent_dir(&path)?, Rights::READ)?;
+        let (handle, _) = self.open_read(&path)?;
         Ok(ThirdputPush {
             file: handle.into_file(),
             target: target.to_string(),
@@ -888,14 +886,11 @@ impl Session {
     }
 
     fn do_utime(&self, path: &str, mtime: u64) -> ChirpResult<Reply> {
-        let (dir, leaf) = self.shared.jail.resolve_parent(path)?;
-        self.require_rights(&dir, Rights::WRITE)?;
-        let file = OpenOptions::new()
-            .write(true)
-            .open(dir.join(leaf))
-            .map_err(|e| ChirpError::from_io(&e))?;
-        let t = std::time::SystemTime::UNIX_EPOCH + std::time::Duration::from_secs(mtime);
-        file.set_times(std::fs::FileTimes::new().set_modified(t))
+        let path = virtual_path(path)?;
+        self.require_rights(parent_dir(&path)?, Rights::WRITE)?;
+        self.shared
+            .fs
+            .set_mtime(&path, mtime)
             .map_err(|e| ChirpError::from_io(&e))?;
         Ok(Reply::Value(0))
     }
@@ -922,22 +917,22 @@ pub fn push_thirdput(shared: &Shared, push: ThirdputPush) -> ChirpResult<u64> {
     conn.putfile_file(&push.target_path, 0o644, &push.file)
 }
 
-/// Total bytes of file data stored under `root` (recursive walk; the
-/// exported trees in a personal server are small enough that a walk
-/// beats tracking every mutation).
-pub fn disk_usage(root: &Path) -> u64 {
+/// Total bytes of file data stored in `fs` (a walk from its root,
+/// skipping any directory that fails to list; the exported trees in a
+/// personal server are small enough that a walk beats tracking every
+/// mutation).
+pub fn disk_usage(fs: &dyn FileSystem) -> u64 {
     let mut total = 0;
-    let mut stack = vec![root.to_path_buf()];
+    let mut stack = vec!["/".to_string()];
     while let Some(dir) = stack.pop() {
-        let Ok(entries) = std::fs::read_dir(&dir) else {
+        let Ok(entries) = fs.readdir_stat(&dir) else {
             continue;
         };
-        for entry in entries.flatten() {
-            let Ok(meta) = entry.metadata() else { continue };
-            if meta.is_dir() {
-                stack.push(entry.path());
+        for (name, st) in entries {
+            if st.is_dir() {
+                stack.push(join_path(&dir, &name));
             } else {
-                total += meta.len();
+                total += st.size;
             }
         }
     }
@@ -952,10 +947,11 @@ mod tests {
     #[test]
     fn disk_usage_sums_recursively() {
         let dir = TempDir::new();
-        std::fs::write(dir.path().join("a"), vec![0u8; 100]).unwrap();
-        let sub = dir.subdir("s");
-        std::fs::write(sub.join("b"), vec![0u8; 50]).unwrap();
-        assert_eq!(disk_usage(dir.path()), 150);
+        let fs = chirp_proto::localfs::LocalFs::new(dir.path()).unwrap();
+        fs.write_file("/a", &[0u8; 100]).unwrap();
+        fs.mkdir("/s", 0o755).unwrap();
+        fs.write_file("/s/b", &[0u8; 50]).unwrap();
+        assert_eq!(disk_usage(&fs), 150);
     }
 
     /// One session, end to end at the handler layer: a burst of

@@ -12,8 +12,11 @@
 //! * **Rapid deployment** — [`FileServer::start`] needs a directory and
 //!   nothing else: no privileges, no kernel modules, no configuration
 //!   files. Any user can export fresh space or existing data.
-//! * **Software chroot** — the server confines all paths to its root
-//!   directory in software ([`jail`]), since real `chroot` needs root.
+//! * **Software chroot** — the handlers speak only virtual paths
+//!   ([`acl::virtual_path`]: normalized, `..` never above the root,
+//!   the ACL files unreachable) to the export's
+//!   [`LocalFs`](chirp_proto::localfs::LocalFs), the only code that
+//!   joins a path onto the host root — real `chroot` needs root.
 //! * **Simple failure semantics** — when a connection drops, the server
 //!   frees everything associated with it; descriptors never outlive the
 //!   connection. Recovery policy belongs to the client-side adapter.
@@ -30,7 +33,6 @@ pub mod cache;
 pub mod config;
 pub mod fdtable;
 pub mod handlers;
-pub mod jail;
 mod reactor;
 pub mod report;
 pub mod server;
@@ -40,6 +42,5 @@ pub use acl::{Acl, AclEntry, Rights};
 pub use auth::{AuthOutcome, Authenticator};
 pub use cache::{PageCache, PageReply};
 pub use config::{KeyCredential, KeyRing, ServerConfig};
-pub use jail::Jail;
 pub use server::FileServer;
 pub use stats::{ServerStats, ServerTelemetry};

@@ -1528,6 +1528,10 @@ mod sys_fallback {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "the tests lay out the export before a server starts on it"
+)]
 mod tests {
     use super::*;
     use crate::acl::Acl;

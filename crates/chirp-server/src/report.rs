@@ -26,9 +26,9 @@ pub fn compose_report(shared: &Shared, addr: SocketAddr) -> String {
         .server_name
         .clone()
         .unwrap_or_else(|| addr.to_string());
-    let used = disk_usage(shared.jail.root());
+    let used = disk_usage(&shared.fs);
     let total = shared.config.capacity_bytes;
-    let topacl = Acl::load_effective(shared.jail.root(), shared.jail.root())
+    let topacl = Acl::load_effective_in(&shared.fs, "/")
         .map(|a| a.render())
         .unwrap_or_default();
     let stats = shared.stats.snapshot();
@@ -89,6 +89,10 @@ pub fn report_loop(shared: Arc<Shared>, addr: SocketAddr) {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "the tests lay out the export before a server starts on it"
+)]
 mod tests {
     use super::*;
     use crate::config::ServerConfig;

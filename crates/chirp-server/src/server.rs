@@ -17,10 +17,12 @@ use chirp_proto::transport::Listener;
 use chirp_proto::wire;
 use chirp_proto::ChirpError;
 
-use crate::acl::AclCache;
+use chirp_proto::fs::{join_path, FileSystem};
+
+use crate::acl::{AclCache, ACL_FILE};
 use crate::cache::{PageCache, SizeTable};
 use crate::config::ServerConfig;
-use crate::jail::Jail;
+use crate::handlers::disk_usage;
 use crate::reactor::Reactor;
 use crate::stats::{ServerStats, ServerTelemetry};
 
@@ -28,11 +30,10 @@ use crate::stats::{ServerStats, ServerTelemetry};
 pub struct Shared {
     /// The server configuration.
     pub config: ServerConfig,
-    /// The path jail rooted at the export directory.
-    pub jail: Jail,
     /// The export directory behind the common file interface: the
-    /// metadata handlers' backend, announcing every durability point
-    /// to `config.persistence` before it mutates.
+    /// only code that turns a protocol path into a host path, and
+    /// the one that announces every durability point to
+    /// `config.persistence` before it mutates.
     pub fs: LocalFs,
     /// Activity counters: a view over `telemetry`'s registry.
     pub stats: ServerStats,
@@ -58,26 +59,24 @@ pub struct Shared {
 }
 
 impl Shared {
-    /// Build the shared server state: create and jail the root,
-    /// install the root ACL if the directory is not already governed,
+    /// Build the shared server state: create the root and open it as
+    /// a `LocalFs`, install the root ACL if the directory is not
+    /// already governed,
     /// size the buffer cache, and take the initial usage walk. This
     /// is everything [`FileServer::start_on`] does short of spawning
     /// threads, exposed so benches and tests can drive
     /// [`Session`](crate::handlers::Session)s directly.
     pub fn new(config: ServerConfig) -> std::io::Result<Arc<Shared>> {
-        std::fs::create_dir_all(&config.root)?;
-        let jail = Jail::new(&config.root)?;
+        let fs = LocalFs::with_persistence(&config.root, config.persistence.clone())?;
         // Install the root ACL only if the directory is not already
         // governed (exporting existing data must not clobber policy).
-        let acl_path = jail.root().join(crate::jail::ACL_FILE);
-        if !acl_path.exists() && !config.root_acl.entries().is_empty() {
+        if fs.stat(&join_path("/", ACL_FILE)).is_err() && !config.root_acl.entries().is_empty() {
             config
                 .root_acl
-                .store(jail.root())
+                .store_in(&fs, "/")
                 .map_err(|e| std::io::Error::other(e.to_string()))?;
         }
-        let fs = LocalFs::with_persistence(jail.root(), config.persistence.clone())?;
-        let used = crate::handlers::disk_usage(jail.root());
+        let used = disk_usage(&fs);
         let telemetry = ServerTelemetry::default();
         let cache = config
             .cache_bytes
@@ -86,7 +85,6 @@ impl Shared {
         let acls = AclCache::new(telemetry.registry());
         Ok(Arc::new(Shared {
             config,
-            jail,
             fs,
             stats: ServerStats::new(telemetry.registry()),
             telemetry,

@@ -1,18 +1,25 @@
 //! Coherence of the in-memory ACL cache, over the in-memory network.
 //!
 //! The cache may never answer differently from
-//! [`Acl::load_effective`] reading the disk at that instant: a change
+//! [`Acl::load_effective_in`] reading the export at that instant: a change
 //! made through one connection governs the very next RPC on any
 //! other. Each scenario warms the cache through one connection,
 //! changes policy through another, and checks the first again; the
 //! random mirror does the same two thousand times against the uncached
 //! loader itself.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "a test lays out and inspects the export on the host, as its owner would"
+)]
+
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
 
 use chirp_client::{AuthMethod, Connection};
+use chirp_proto::fs::{join_path, FileSystem};
+use chirp_proto::localfs::LocalFs;
 use chirp_proto::testutil::TempDir;
 use chirp_proto::{ChirpError, Clock, MemNet, OpenFlags, VirtualClock};
 use chirp_server::acl::{Acl, AclCache, Rights};
@@ -216,15 +223,14 @@ fn pick(rng: &mut SmallRng, from: &[&'static str]) -> &'static str {
 }
 
 /// What an uncached server would answer `STAT <dir>/probe` with, from
-/// the disk as it is now — `stat_words` with [`Acl::load_effective`]
-/// in place of the cache.
-fn uncached_stat(root: &Path, dir: &str, subject: &str) -> Result<(), ChirpError> {
-    let host_dir = root.join(dir.trim_start_matches('/'));
-    let rights = Acl::load_effective(root, &host_dir)?.rights_of(subject);
+/// the export as it is now — `stat_words` with
+/// [`Acl::load_effective_in`] in place of the cache.
+fn uncached_stat(fs: &LocalFs, dir: &str, subject: &str) -> Result<(), ChirpError> {
+    let rights = Acl::load_effective_in(fs, dir)?.rights_of(subject);
     if !rights.intersects(Rights::READ | Rights::LIST) {
         return Err(ChirpError::NotAuthorized);
     }
-    std::fs::metadata(host_dir.join("probe"))
+    fs.stat(&join_path(dir, "probe"))
         .map(|_| ())
         .map_err(|e| ChirpError::from_io(&e))
 }
@@ -254,7 +260,7 @@ fn random_mirror_against_the_uncached_loader() {
     let rig = Rig::start(OPEN, |root| {
         std::fs::create_dir_all(root.join("old/in")).unwrap();
     });
-    let root = rig.dir.path().canonicalize().unwrap();
+    let fs = LocalFs::new(rig.dir.path()).unwrap();
     let mut conns = [rig.connect(), rig.connect()];
     let me = conns[0].whoami().unwrap();
     let mut rng = SmallRng::seed_from_u64(0xac1_c0de);
@@ -285,17 +291,18 @@ fn random_mirror_against_the_uncached_loader() {
         };
         let watcher = &mut conns[1 - actor];
         let seen = pick(&mut rng, &DIRS);
-        let host = root.join(seen.trim_start_matches('/'));
         let at = format!("step {step}: {seen}");
         assert_eq!(
             watcher.stat(&format!("{seen}/probe")).map(|_| ()),
-            uncached_stat(&root, seen, &me),
+            uncached_stat(&fs, seen, &me),
             "{at}"
         );
-        let expect = Acl::load_effective(&root, &host).unwrap_or_default();
+        let expect = Acl::load_effective_in(&fs, seen).unwrap_or_default();
         match watcher.getacl(seen) {
             Ok(text) => assert_eq!(text, expect.render(), "{at}"),
-            Err(ChirpError::NotADirectory) => assert!(!host.is_dir(), "{at}"),
+            Err(ChirpError::NotADirectory) => {
+                assert!(!fs.stat(seen).is_ok_and(|st| st.is_dir()), "{at}")
+            }
             Err(ChirpError::NotAuthorized) => {
                 assert!(expect.rights_of(&me).is_empty(), "{at}")
             }

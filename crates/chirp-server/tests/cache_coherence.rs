@@ -7,6 +7,11 @@
 //! cache so the hit, miss, and eviction paths are all crossed, and
 //! every read is checked against what the filesystem itself says.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "a test lays out and inspects the export on the host, as its owner would"
+)]
+
 use std::io::Read;
 use std::net::IpAddr;
 use std::sync::Arc;

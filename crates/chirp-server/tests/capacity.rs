@@ -2,6 +2,11 @@
 //! silently filling up — the failure mode the paper's introduction
 //! blames for a third of Grid3's job losses.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "a test lays out and inspects the export on the host, as its owner would"
+)]
+
 use std::time::Duration;
 
 use chirp_client::{AuthMethod, Connection};

@@ -1,13 +1,18 @@
 //! The metadata handlers over the export's `LocalFs`.
 //!
 //! A session's `MKDIR`, `RMDIR` and listings run through the same
-//! `FileSystem` every abstraction speaks, behind the jail and the ACL
-//! check, and its descriptors hold the same `LocalHandle`. These tests
+//! `FileSystem` every abstraction speaks, by virtual path behind the
+//! ACL check, and its descriptors hold the same `LocalHandle`. These tests
 //! pin what the server adds and what it must not lose on the way: a
 //! durability point before every mutation (a process killed at that
 //! point changes nothing on disk, or a torn prefix of one write),
 //! journaled under the file's path, and listings ordered by the escaped
 //! name the wire carries, not by the raw name.
+
+#![allow(
+    clippy::disallowed_methods,
+    reason = "a test lays out and inspects the export on the host, as its owner would"
+)]
 
 use std::net::IpAddr;
 use std::path::Path;
@@ -76,12 +81,27 @@ fn mkdir_on_a_dead_server_creates_nothing() {
     assert!(crash.fired());
     assert!(!dir.path().join("d").exists(), "MKDIR mutated after death");
 
-    // Alive, the same request announces its point and succeeds.
+    // Alive, the same request announces its points and succeeds: the
+    // directory, then its ACL written whole under the temporary name
+    // and renamed into place.
     crash.arm(None);
     mkdir(&mut s, "/d").unwrap();
-    let journal = crash.journal().entries();
-    assert_eq!(journal.len(), 1);
-    assert_eq!(journal[0].point, DurabilityPoint::Create);
+    let journal: Vec<(DurabilityPoint, String)> = crash
+        .journal()
+        .entries()
+        .into_iter()
+        .map(|e| (e.point, e.path))
+        .collect();
+    let temp = "/d/.__acl.new".to_string();
+    assert_eq!(
+        journal,
+        [
+            (DurabilityPoint::Create, "/d".to_string()),
+            (DurabilityPoint::Create, temp.clone()),
+            (DurabilityPoint::Pwrite, temp.clone()),
+            (DurabilityPoint::Rename, temp),
+        ]
+    );
     assert!(dir.path().join("d").is_dir());
 }
 
@@ -251,4 +271,130 @@ fn listings_sort_by_the_escaped_name() {
         .map(|l| l.split(' ').next().unwrap())
         .collect();
     assert_eq!(names, expect);
+}
+
+fn request(s: &mut Session, req: Request) -> Result<Vec<u8>, ChirpError> {
+    match s.handle(req, None)? {
+        Reply::Data(body) => Ok(body),
+        other => Ok(format!("{other:?}").into_bytes()),
+    }
+}
+
+fn getacl(s: &mut Session, path: &str) -> Result<String, ChirpError> {
+    let body = request(s, Request::Getacl { path: path.into() })?;
+    Ok(String::from_utf8(body).unwrap())
+}
+
+fn setacl(s: &mut Session, path: &str, subject: &str, rights: &str) -> Result<(), ChirpError> {
+    let req = Request::Setacl {
+        path: path.into(),
+        subject: subject.into(),
+        rights: rights.into(),
+    };
+    s.handle(req, None).map(|_| ())
+}
+
+/// Kill `op` at each of its durability points in turn, the killing
+/// write torn by `seed`, each time on a fresh export that `prepare`
+/// set up alive; then restart a server on the same root and hand its
+/// session to `check` with the point's index.
+fn kill_at_every_point(
+    seed: u64,
+    prepare: impl Fn(&mut Session),
+    op: impl Fn(&mut Session) -> Result<(), ChirpError>,
+    check: impl Fn(&mut Session, u64),
+) -> u64 {
+    for k in 0.. {
+        let dir = TempDir::new();
+        let crash = CrashPoint::new();
+        let shared = rig(dir.path(), Persist::from_arc(crash.clone()));
+        let mut s = session(&shared);
+        prepare(&mut s);
+        crash.arm_torn(Some(k), seed);
+        let done = op(&mut s);
+        crash.disarm();
+        if !crash.fired() {
+            done.unwrap();
+            return k;
+        }
+        drop((s, shared));
+        let restarted = rig(dir.path(), Persist::none());
+        check(&mut session(&restarted), k);
+    }
+    unreachable!()
+}
+
+/// A server killed anywhere inside the ACL write of a `MKDIR` or a
+/// `SETACL` — the killing write torn — never locks the directory: the
+/// new directory stays listable under its parent's rights, and a
+/// changed ACL is its old self or its new self, never a prefix.
+#[test]
+fn a_killed_acl_write_never_locks_a_directory() {
+    const ROOT: &str = "hostname:* rwlad\n";
+    let mut points = Vec::new();
+    for seed in 0..8 {
+        let mkdir_points = kill_at_every_point(
+            seed,
+            |_| {},
+            |s| mkdir(s, "/d"),
+            |s, k| match request(s, Request::Getdir { path: "/d".into() }) {
+                Ok(body) => assert!(body.is_empty(), "seed {seed} point {k}: {body:?}"),
+                Err(e) => {
+                    assert_eq!((k, e), (0, ChirpError::NotFound), "seed {seed}");
+                }
+            },
+        );
+        let post = format!("{ROOT}unix:bob rl\n");
+        let setacl_points = kill_at_every_point(
+            seed,
+            |s| mkdir(s, "/s").unwrap(),
+            |s| setacl(s, "/s", "unix:bob", "rl"),
+            |s, k| {
+                let acl = getacl(s, "/s").unwrap();
+                assert!(acl == ROOT || acl == post, "seed {seed} point {k}: {acl:?}");
+            },
+        );
+        points.push((mkdir_points, setacl_points));
+    }
+    // MKDIR: the directory, then the ACL's three; SETACL: the ACL's.
+    assert!(points.iter().all(|&p| p == (4, 3)), "{points:?}");
+}
+
+/// What a killed ACL write leaves behind is the server's own: hidden
+/// from listings, refused by name, and no obstacle to `RMDIR`.
+#[test]
+fn a_leftover_temporary_acl_is_hidden_and_removable() {
+    let dir = TempDir::new();
+    let crash = CrashPoint::new();
+    let shared = rig(dir.path(), Persist::from_arc(crash.clone()));
+    let mut s = session(&shared);
+    mkdir(&mut s, "/s").unwrap();
+    // Killed at the rename: the new ACL sits whole under its
+    // temporary name, and the old one still governs.
+    crash.arm(Some(2));
+    assert!(setacl(&mut s, "/s", "unix:bob", "rl").is_err());
+    crash.disarm();
+    assert!(dir.path().join("s/.__acl.new").exists());
+    let mut s = session(&rig(dir.path(), Persist::none()));
+    assert_eq!(getacl(&mut s, "/s").unwrap(), "hostname:* rwlad\n");
+
+    let getdir = request(&mut s, Request::Getdir { path: "/s".into() }).unwrap();
+    assert!(getdir.is_empty(), "{getdir:?}");
+    let getdirstat = request(&mut s, Request::GetdirStat { path: "/s".into() }).unwrap();
+    assert!(getdirstat.is_empty(), "{getdirstat:?}");
+    for path in ["/s/.__acl.new", "/s/.__acl.new/x", "/.__acl.new"] {
+        let stat = s.handle(Request::Stat { path: path.into() }, None);
+        assert_eq!(stat.err(), Some(ChirpError::NotAuthorized), "STAT {path}");
+        let opened = s.handle(
+            Request::Open {
+                path: path.into(),
+                flags: OpenFlags::READ,
+                mode: 0,
+            },
+            None,
+        );
+        assert_eq!(opened.err(), Some(ChirpError::NotAuthorized), "OPEN {path}");
+    }
+    rmdir(&mut s, "/s").unwrap();
+    assert!(!dir.path().join("s").exists());
 }

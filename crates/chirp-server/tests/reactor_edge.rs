@@ -13,6 +13,11 @@
 //! `THIRDPUT` held open by a slow target leaves its shard serving and
 //! gives a vanished client's slot back without waiting for the push.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "a test lays out and inspects the export on the host, as its owner would"
+)]
+
 use std::io::Read;
 use std::io::Write;
 use std::net::SocketAddr;

@@ -2,6 +2,11 @@
 //! corner cases exercised over raw TCP (no client library) so the
 //! server's own defenses are what is under test.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "a test lays out and inspects the export on the host, as its owner would"
+)]
+
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;

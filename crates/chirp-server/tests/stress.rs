@@ -2,6 +2,11 @@
 //! operations, asserting the server neither corrupts data nor leaks
 //! connection state.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "a test lays out and inspects the export on the host, as its owner would"
+)]
+
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;

@@ -65,11 +65,7 @@ pub fn fsck(fs: &StubFs) -> io::Result<FsckReport> {
     let mut stack = vec!["/".to_string()];
     while let Some(dir) = stack.pop() {
         for name in meta.readdir(&dir)? {
-            let path = if dir == "/" {
-                format!("/{name}")
-            } else {
-                format!("{dir}/{name}")
-            };
+            let path = crate::fs::join_path(&dir, &name);
             let st = meta.stat(&path)?;
             if st.is_dir() {
                 stack.push(path);

@@ -448,13 +448,7 @@ impl FileSystem for StubFs {
     /// would report.
     fn readdir_stat(&self, path: &str) -> io::Result<Vec<(String, StatBuf)>> {
         let base = crate::fs::normalize_path(path);
-        let child = |name: &str| {
-            if base == "/" {
-                format!("/{name}")
-            } else {
-                format!("{base}/{name}")
-            }
-        };
+        let child = |name: &str| crate::fs::join_path(&base, name);
         let listed = self.meta.readdir_stat(path)?;
         let mut out: Vec<Option<(String, StatBuf)>> = Vec::with_capacity(listed.len());
         // Fill `out[slot]` from a data-server verdict.

@@ -2,11 +2,11 @@
 //!
 //! [`ModelServer`] is the specification half of the differential
 //! checker: an in-memory directory tree with the same ACL inheritance,
-//! jail normalization, fd-table, and error-ordering semantics as the
+//! path normalization, fd-table, and error-ordering semantics as the
 //! real handler stack in `chirp-server`, but small enough to audit by
-//! eye. The real server consults the host filesystem; the model holds
-//! a [`BTreeMap`] tree. Everywhere the real code asks the kernel a
-//! question (`is_dir`, `read_to_string` of an ACL file, `create_dir`),
+//! eye. The real server asks its export's `LocalFs`; the model holds
+//! a [`BTreeMap`] tree. Everywhere the real code asks the export a
+//! question (`is_dir`, `read_file` of an ACL file, `mkdir`),
 //! the model answers from the tree — including the *error* the kernel
 //! would have produced (`ENOENT` → `NotFound`, `ENOTDIR` →
 //! `NotADirectory`), in the same order the handlers ask.
@@ -88,10 +88,12 @@ impl ModelServer {
         }
     }
 
-    // ---- path plumbing (mirrors chirp-server's Jail) -----------------
+    // ---- path plumbing (mirrors chirp-server's `virtual_path`) -------
 
-    /// Jail normalization: `.` and empty components vanish, `..` pops
-    /// but never escapes, the ACL metadata name is unreachable.
+    /// `virtual_path` normalization: `.` and empty components vanish,
+    /// `..` pops but never escapes, and the reserved ACL names (the
+    /// ACL file and the temporary one it is written under) are
+    /// unreachable.
     fn components(path: &str) -> ChirpResult<Vec<String>> {
         let mut parts: Vec<String> = Vec::new();
         for comp in path.split('/') {
@@ -100,7 +102,7 @@ impl ModelServer {
                 ".." => {
                     parts.pop();
                 }
-                ".__acl" => return Err(ChirpError::NotAuthorized),
+                ".__acl" | ".__acl.new" => return Err(ChirpError::NotAuthorized),
                 c => parts.push(c.to_string()),
             }
         }
@@ -139,13 +141,13 @@ impl ModelServer {
         Ok(Some(dir))
     }
 
-    /// `host.is_dir()` — false for missing paths and on any error,
-    /// exactly like `std::path::Path::is_dir`.
+    /// The server's `is_dir` — false for missing paths and on any
+    /// error, since it asks the export's `stat`.
     fn is_dir(&self, comps: &[String]) -> bool {
         matches!(self.dir_at(comps), Ok(Some(_)))
     }
 
-    // ---- ACL resolution (mirrors Acl::load_effective) ----------------
+    // ---- ACL resolution (mirrors Acl::load_effective_in) -------------
 
     /// Reading `<comps>/.__acl`: `Ok(Some)` if the directory exists
     /// (every model directory has an ACL), `Ok(None)` for `ENOENT`

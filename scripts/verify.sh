@@ -20,7 +20,7 @@
 #   SIM_SEQS=<n>        seeds per matrix: pipeline 2000, crash 1000
 #                       (the matrix whose kill totals crash_sim pins
 #                       per cell: single 9019, striped 13311,
-#                       mirrored 11963, dsfs 8091), sim 10000.
+#                       mirrored 11963, dsfs 8925), sim 10000.
 #   SCENARIO_SCALE=<f>  resizes every scenario fleet.
 # The tests read their own repro knobs (SIM_SEED, CRASH_SEED,
 # SCENARIO_SEED, CHAOS_SEED) from the environment.
