@@ -296,8 +296,13 @@ impl FileSystem for LocalFs {
         let mut out = Vec::new();
         for entry in std::fs::read_dir(self.host(path))? {
             let entry = entry?;
-            let st = meta_to_stat(&entry.metadata()?);
-            out.push((entry_name(&entry), st));
+            // An entry unlinked or renamed away between the scan and
+            // its stat is simply no longer listed.
+            match entry.metadata() {
+                Ok(meta) => out.push((entry_name(&entry), meta_to_stat(&meta))),
+                Err(e) if e.kind() == io::ErrorKind::NotFound => {}
+                Err(e) => return Err(e),
+            }
         }
         out.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         Ok(out)
@@ -460,6 +465,40 @@ mod tests {
         }
         assert!(listed[0].1.is_file() && listed[0].1.size == 3);
         assert!(listed[1].1.is_dir());
+    }
+
+    /// Entries unlinked while a listing runs drop out of it; they never
+    /// fail the listing (a usage walk would lose the whole subtree).
+    #[test]
+    fn readdir_stat_survives_entries_vanishing_mid_listing() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let (_d, fs) = fs();
+        for i in 0..32 {
+            fs.write_file(&format!("/keep{i}"), b"k").unwrap();
+        }
+        let stop = AtomicBool::new(false);
+        let outcome = std::thread::scope(|s| {
+            s.spawn(|| {
+                while !stop.load(Ordering::Relaxed) {
+                    for i in 0..64 {
+                        let _ = fs.write_file(&format!("/churn{i}"), b"x");
+                    }
+                    for i in 0..64 {
+                        let _ = fs.unlink(&format!("/churn{i}"));
+                    }
+                }
+            });
+            let outcome = (0..2000).try_for_each(|_| {
+                let listed = fs.readdir_stat("/")?;
+                match listed.iter().filter(|(n, _)| n.starts_with("keep")).count() {
+                    32 => Ok(()),
+                    n => Err(io::Error::other(format!("{n} of 32 kept files listed"))),
+                }
+            });
+            stop.store(true, Ordering::Relaxed);
+            outcome
+        });
+        outcome.expect("a listing beside unlinks succeeds");
     }
 
     #[test]

@@ -30,9 +30,9 @@ use std::collections::HashMap;
 use std::fmt;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 
-use chirp_proto::fs::{join_path, normalize_path, FileSystem};
+use chirp_proto::fs::{join_path, normalize_path, parent_of, FileSystem};
 use chirp_proto::localfs::LocalFs;
 use chirp_proto::{ChirpError, ChirpResult};
 use telemetry::{Counter, Gauge, Registry};
@@ -66,11 +66,7 @@ pub fn virtual_path(raw: &str) -> ChirpResult<String> {
 /// The parent of the normalized `path`: the directory whose ACL
 /// governs it. `InvalidRequest` for the root, which has none.
 pub fn parent_dir(path: &str) -> ChirpResult<&str> {
-    match path.rfind('/') {
-        Some(0) if path.len() > 1 => Ok("/"),
-        Some(i) if i > 0 => Ok(&path[..i]),
-        _ => Err(ChirpError::InvalidRequest),
-    }
+    parent_of(path).ok_or(ChirpError::InvalidRequest)
 }
 
 /// A set of ACL rights.
@@ -448,10 +444,14 @@ impl Acl {
 ///
 /// Like the page cache, this assumes the server is the only writer
 /// under its root once started.
+///
+/// It also holds the one lock that ACL writers take (see
+/// [`AclCache::writing`]).
 #[derive(Debug)]
 pub struct AclCache {
     generation: AtomicU64,
     map: RwLock<HashMap<String, Arc<Acl>>>,
+    writes: Mutex<()>,
     hits: Counter,
     misses: Counter,
     invalidations: Counter,
@@ -469,6 +469,7 @@ impl AclCache {
         AclCache {
             generation: AtomicU64::new(0),
             map: RwLock::new(HashMap::new()),
+            writes: Mutex::new(()),
             hits: registry.counter("acl.cache.hits"),
             misses: registry.counter("acl.cache.misses"),
             invalidations: registry.counter("acl.cache.invalidations"),
@@ -501,6 +502,14 @@ impl AclCache {
             self.entries.set(map.len() as i64);
         }
         Ok(acl)
+    }
+
+    /// Serialize one ACL write, from reading the ACL it changes to its
+    /// rename: every write goes through the same [`ACL_TEMP`] name of
+    /// its directory, and two `SETACL`s must not lose each other's
+    /// entry.
+    pub fn writing(&self) -> MutexGuard<'_, ()> {
+        self.writes.lock().expect("acl write lock poisoned")
     }
 
     /// Forget everything. Call after the disk change, before the reply.

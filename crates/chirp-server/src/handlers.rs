@@ -395,11 +395,13 @@ impl Session {
         self.shared.acls.effective(&self.shared.fs, dir)
     }
 
-    /// Write `acl` as `dir`'s own, then drop every remembered ACL —
-    /// whether or not the write came through whole: the change reaches
-    /// whatever inherits from `dir`.
-    fn store_acl(&self, acl: &Acl, dir: &str) -> ChirpResult<()> {
-        let stored = acl.store_in(&self.shared.fs, dir);
+    /// Write the ACL that `make` computes as `dir`'s own, under the
+    /// ACL write lock, then drop every remembered ACL — whether or not
+    /// the write came through whole: the change reaches whatever
+    /// inherits from `dir`.
+    fn store_acl(&self, dir: &str, make: impl FnOnce() -> ChirpResult<Acl>) -> ChirpResult<()> {
+        let _writing = self.shared.acls.writing();
+        let stored = make().and_then(|acl| acl.store_in(&self.shared.fs, dir));
         self.shared.acls.invalidate();
         stored
     }
@@ -660,7 +662,7 @@ impl Session {
             // Ordinary create: the new directory inherits a copy of the
             // parent's effective ACL.
             mkdir()?;
-            self.store_acl(&*self.effective_acl(dir)?, &path)?;
+            self.store_acl(&path, || Ok(Acl::clone(&*self.effective_acl(dir)?)))?;
             return Ok(Reply::Value(0));
         }
         if have.contains(Rights::RESERVE) {
@@ -672,11 +674,7 @@ impl Session {
                 return Err(ChirpError::NotAuthorized);
             }
             mkdir()?;
-            let mut fresh = Acl::new();
-            fresh
-                .set(&subject, &format!("{granted}"))
-                .expect("rights render round-trips");
-            self.store_acl(&fresh, &path)?;
+            self.store_acl(&path, || Acl::single(&subject, &format!("{granted}")))?;
             return Ok(Reply::Value(0));
         }
         Err(ChirpError::NotAuthorized)
@@ -795,9 +793,11 @@ impl Session {
         self.require_rights(&path, Rights::ADMIN)?;
         // Materialize the inherited ACL on first modification so the
         // change is scoped to this directory.
-        let mut acl = Acl::clone(&*self.effective_acl(&path)?);
-        acl.set(subject, rights)?;
-        self.store_acl(&acl, &path)?;
+        self.store_acl(&path, || {
+            let mut acl = Acl::clone(&*self.effective_acl(&path)?);
+            acl.set(subject, rights)?;
+            Ok(acl)
+        })?;
         Ok(Reply::Value(0))
     }
 

@@ -398,3 +398,34 @@ fn a_leftover_temporary_acl_is_hidden_and_removable() {
     rmdir(&mut s, "/s").unwrap();
     assert!(!dir.path().join("s").exists());
 }
+
+/// ACL writes to one directory from two connections at once all land:
+/// none fails on the other's temporary file, none loses the other's
+/// entry.
+#[test]
+fn concurrent_setacls_on_one_directory_all_land() {
+    const EACH: usize = 100;
+    let dir = TempDir::new();
+    let shared = rig(dir.path(), Persist::none());
+    mkdir(&mut session(&shared), "/s").unwrap();
+    std::thread::scope(|scope| {
+        for writer in ["a", "b"] {
+            let shared = &shared;
+            scope.spawn(move || {
+                let mut s = session(shared);
+                for i in 0..EACH {
+                    setacl(&mut s, "/s", &format!("unix:{writer}{i}"), "rl")
+                        .unwrap_or_else(|e| panic!("SETACL {writer}{i}: {e:?}"));
+                }
+            });
+        }
+    });
+    let acl = getacl(&mut session(&shared), "/s").unwrap();
+    for writer in ["a", "b"] {
+        for i in 0..EACH {
+            let line = format!("unix:{writer}{i} rl\n");
+            assert!(acl.contains(&line), "{line:?} lost from\n{acl}");
+        }
+    }
+    assert!(!dir.path().join("s/.__acl.new").exists());
+}
