@@ -18,6 +18,7 @@ use chirp_client::AuthMethod;
 use chirp_proto::testutil::TempDir;
 use chirp_server::acl::Acl;
 use chirp_server::{FileServer, ServerConfig};
+use nfs_sim::NfsShape;
 use tss_core::cfs::{Cfs, CfsConfig, RetryPolicy};
 use tss_core::fs::FileSystem;
 use tss_core::stubfs::DataServer;
@@ -33,14 +34,13 @@ pub struct Fixtures {
     pub dirs: Vec<TempDir>,
     /// Keeps the servers alive.
     pub chirp_servers: Vec<FileServer>,
-    /// Keeps the NFS server alive.
-    pub nfs_server: nfs_sim::NfsServer,
     /// Plain host filesystem ("Unix").
     pub local: Arc<LocalFs>,
     /// Chirp-backed central filesystem ("Parrot+CFS").
     pub cfs: Arc<Cfs>,
-    /// NFS-shaped baseline ("Unix+NFS").
-    pub nfs: Arc<nfs_sim::NfsFs>,
+    /// NFS-shaped baseline ("Unix+NFS"): the NFS request shape over
+    /// a CFS on a server of its own, configured as the CFS one.
+    pub nfs: Arc<NfsShape<Cfs>>,
     /// Distributed shared filesystem ("Parrot+DSFS").
     pub dsfs: Arc<Dsfs>,
 }
@@ -59,6 +59,14 @@ pub fn open_server(root: &std::path::Path) -> FileServer {
     .expect("start chirp server")
 }
 
+/// A CFS on `server` with the fixtures' timeout and default retry.
+fn fixture_cfs(server: &FileServer) -> Cfs {
+    let mut cfg = CfsConfig::new(&server.endpoint(), auth());
+    cfg.timeout = TIMEOUT;
+    cfg.retry = RetryPolicy::default();
+    Cfs::new(cfg)
+}
+
 /// Build all four backends on loopback.
 pub fn fixtures() -> Fixtures {
     let local_dir = TempDir::new();
@@ -66,15 +74,11 @@ pub fn fixtures() -> Fixtures {
 
     let cfs_dir = TempDir::new();
     let cfs_server = open_server(cfs_dir.path());
-    let mut cfg = CfsConfig::new(&cfs_server.endpoint(), auth());
-    cfg.timeout = TIMEOUT;
-    cfg.retry = RetryPolicy::default();
-    let cfs = Arc::new(Cfs::new(cfg));
+    let cfs = Arc::new(fixture_cfs(&cfs_server));
 
     let nfs_dir = TempDir::new();
-    let nfs_server =
-        nfs_sim::NfsServer::start(nfs_sim::NfsServerConfig::localhost(nfs_dir.path())).unwrap();
-    let nfs = Arc::new(nfs_sim::NfsFs::connect(nfs_server.addr(), TIMEOUT).unwrap());
+    let nfs_server = open_server(nfs_dir.path());
+    let nfs = Arc::new(NfsShape::new(fixture_cfs(&nfs_server)));
 
     let meta_dir = TempDir::new();
     let data_dir = TempDir::new();
@@ -86,8 +90,7 @@ pub fn fixtures() -> Fixtures {
 
     Fixtures {
         dirs: vec![local_dir, cfs_dir, nfs_dir, meta_dir, data_dir],
-        chirp_servers: vec![cfs_server, dir_server, data_server],
-        nfs_server,
+        chirp_servers: vec![cfs_server, nfs_server, dir_server, data_server],
         local,
         cfs,
         nfs,

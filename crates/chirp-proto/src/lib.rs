@@ -13,9 +13,9 @@
 //! optionally followed by result words or a raw payload.
 //!
 //! This crate holds the protocol — message types, encoding and
-//! decoding, error codes, framing helpers, and the checksum used by the
-//! `CHECKSUM` RPC — and the file interface both ends speak: the
-//! [`fs::FileSystem`] trait every abstraction implements and
+//! decoding, error codes, framing helpers, the checksum used by the
+//! `CHECKSUM` RPC, and the `*` pattern match of ACL subjects — and the
+//! file interface both ends speak: the [`fs::FileSystem`] trait every abstraction implements and
 //! [`localfs::LocalFs`], the host filesystem behind it, which the
 //! server exports and `tss-core` re-exports. The server lives in
 //! `chirp-server`, the client in `chirp-client`.
@@ -39,6 +39,7 @@ pub mod stat;
 #[doc(hidden)]
 pub mod testutil;
 pub mod transport;
+pub mod wildcard;
 pub mod wire;
 
 pub use checksum::crc64;
@@ -52,6 +53,7 @@ pub use ready::{ReadyWatcher, Token, Watcher};
 pub use retry::{RetryPolicy, RetryState};
 pub use stat::{StatBuf, StatFs};
 pub use transport::{Dial, Dialer, Listener, MemListener, MemNet, MemStream, Transport};
+pub use wildcard::wildcard_match;
 
 /// Maximum length of a single request or response line, in bytes.
 ///

@@ -16,9 +16,9 @@ use std::sync::Arc;
 use chirp_proto::escape::escape;
 use chirp_proto::fs::{join_path, FileHandle, FileSystem};
 use chirp_proto::localfs::{meta_to_stat, read_full_at, LocalHandle};
-use chirp_proto::{ChirpError, ChirpResult, OpenFlags, Request, StatFs};
+use chirp_proto::{wildcard_match, ChirpError, ChirpResult, OpenFlags, Request, StatFs};
 
-use crate::acl::{is_reserved, parent_dir, virtual_path, wildcard_match, Acl, Rights};
+use crate::acl::{is_reserved, parent_dir, virtual_path, Acl, Rights};
 use crate::auth::{AuthOutcome, Authenticator};
 use crate::cache::{file_key, stat_key, FileKey, PageReply};
 use crate::fdtable::{FdTable, OpenFile};
@@ -625,13 +625,26 @@ impl Session {
         let Ok(src) = fs.stat(&from) else {
             return Err(ChirpError::NotFound);
         };
-        let clobbered = fs.stat(&to).ok().map(|st| stat_key(&st));
-        fs.rename(&from, &to).map_err(|e| ChirpError::from_io(&e))?;
+        let dst = fs.stat(&to).ok();
+        let clobbered = dst.as_ref().map(stat_key);
+        // A directory may replace an empty one, as rename(2) allows;
+        // the target's own ACL files do not count, as for RMDIR.
+        let replaces_dir = src.is_dir()
+            && dst
+                .as_ref()
+                .is_some_and(|d| d.is_dir() && stat_key(d) != stat_key(&src));
+        let renamed = if replaces_dir {
+            self.remove_acl_files(&to)
+        } else {
+            Ok(())
+        }
+        .and_then(|()| fs.rename(&from, &to).map_err(|e| ChirpError::from_io(&e)));
         if src.is_dir() {
             // The directory took its `.__acl` (and its subtree's) to a
             // new path and freed the old one.
             self.shared.acls.invalidate();
         }
+        renamed?;
         if let Some(key) = clobbered {
             // The rename unlinked the old target inode — same
             // treatment as UNLINK, unless the "target" was the source
@@ -688,21 +701,29 @@ impl Session {
         if !st.is_dir() {
             return Err(ChirpError::NotADirectory);
         }
-        // A directory holding only its own ACL metadata (and a
-        // temporary ACL a killed write left behind) counts as empty
-        // from the protocol's point of view: those files go first,
-        // then the directory.
-        let names = fs.readdir(&path).map_err(|e| ChirpError::from_io(&e))?;
+        let removed = self
+            .remove_acl_files(&path)
+            .and_then(|()| fs.rmdir(&path).map_err(|e| ChirpError::from_io(&e)));
+        self.shared.acls.invalidate();
+        removed?;
+        Ok(Reply::Value(0))
+    }
+
+    /// Empty the directory `path` of its ACL files, or fail with
+    /// `NotEmpty` if it holds anything else. A directory holding only
+    /// its own ACL metadata (and a temporary ACL a killed write left
+    /// behind) counts as empty from the protocol's point of view, so
+    /// those files go before the directory is removed or replaced.
+    fn remove_acl_files(&self, path: &str) -> ChirpResult<()> {
+        let fs = &self.shared.fs;
+        let names = fs.readdir(path).map_err(|e| ChirpError::from_io(&e))?;
         if names.iter().any(|n| !is_reserved(n)) {
             return Err(ChirpError::NotEmpty);
         }
-        let removed = names
+        names
             .iter()
-            .try_for_each(|name| fs.unlink(&join_path(&path, name)))
-            .and_then(|()| fs.rmdir(&path));
-        self.shared.acls.invalidate();
-        removed.map_err(|e| ChirpError::from_io(&e))?;
-        Ok(Reply::Value(0))
+            .try_for_each(|name| fs.unlink(&join_path(path, name)))
+            .map_err(|e| ChirpError::from_io(&e))
     }
 
     fn do_getdir(&self, path: &str) -> ChirpResult<Reply> {

@@ -399,6 +399,43 @@ fn a_leftover_temporary_acl_is_hidden_and_removable() {
     assert!(!dir.path().join("s").exists());
 }
 
+fn rename(s: &mut Session, from: &str, to: &str) -> Result<(), ChirpError> {
+    let req = Request::Rename {
+        from: from.into(),
+        to: to.into(),
+    };
+    s.handle(req, None).map(|_| ())
+}
+
+/// A directory replaces an empty one by `RENAME`, as rename(2) allows,
+/// though the target holds its ACL file; it carries its own ACL there.
+/// A target with an entry, or a file moved over a directory, still
+/// fails.
+#[test]
+fn a_directory_replaces_an_empty_one_by_rename() {
+    let dir = TempDir::new();
+    let mut s = session(&rig(dir.path(), Persist::none()));
+    for d in ["/a", "/b", "/full"] {
+        mkdir(&mut s, d).unwrap();
+    }
+    mkdir(&mut s, "/full/x").unwrap();
+    setacl(&mut s, "/a", "unix:bob", "rl").unwrap();
+    mkdir(&mut s, "/a/inner").unwrap();
+
+    rename(&mut s, "/a", "/b").unwrap();
+    assert!(!dir.path().join("a").exists());
+    assert!(dir.path().join("b/inner").is_dir());
+    assert!(getacl(&mut s, "/b").unwrap().contains("unix:bob rl"));
+    // Onto itself: nothing changes, its ACL stays.
+    rename(&mut s, "/b", "/b").unwrap();
+    assert!(getacl(&mut s, "/b").unwrap().contains("unix:bob rl"));
+
+    assert_eq!(rename(&mut s, "/b", "/full"), Err(ChirpError::NotEmpty));
+    assert!(dir.path().join("full/.__acl").exists());
+    std::fs::write(dir.path().join("f"), b"x").unwrap();
+    assert_eq!(rename(&mut s, "/f", "/full"), Err(ChirpError::IsADirectory));
+}
+
 /// ACL writes to one directory from two connections at once all land:
 /// none fails on the other's temporary file, none loses the other's
 /// entry.

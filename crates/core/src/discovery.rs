@@ -15,6 +15,7 @@ use std::time::Duration;
 
 use catalog::ServerReport;
 use chirp_client::AuthMethod;
+use chirp_proto::wildcard_match;
 
 use crate::stubfs::DataServer;
 
@@ -31,33 +32,6 @@ pub struct PoolPolicy {
     pub max_servers: Option<usize>,
 }
 
-/// Simple `*` wildcard match (same semantics as ACL subjects).
-fn wildcard(pattern: &str, text: &str) -> bool {
-    let p: Vec<char> = pattern.chars().collect();
-    let t: Vec<char> = text.chars().collect();
-    let (mut pi, mut ti) = (0usize, 0usize);
-    let mut star: Option<(usize, usize)> = None;
-    while ti < t.len() {
-        if pi < p.len() && p[pi] == t[ti] {
-            pi += 1;
-            ti += 1;
-        } else if pi < p.len() && p[pi] == '*' {
-            star = Some((pi, ti));
-            pi += 1;
-        } else if let Some((sp, st)) = star {
-            pi = sp + 1;
-            ti = st + 1;
-            star = Some((sp, st + 1));
-        } else {
-            return false;
-        }
-    }
-    while pi < p.len() && p[pi] == '*' {
-        pi += 1;
-    }
-    pi == p.len()
-}
-
 /// Filter and rank a listing into pool candidates (most free space
 /// first).
 pub fn select(reports: &[ServerReport], policy: &PoolPolicy) -> Vec<ServerReport> {
@@ -69,7 +43,7 @@ pub fn select(reports: &[ServerReport], policy: &PoolPolicy) -> Vec<ServerReport
             policy
                 .owner_pattern
                 .as_deref()
-                .is_none_or(|p| wildcard(p, &r.owner))
+                .is_none_or(|p| wildcard_match(p, &r.owner))
         })
         .collect();
     picked.sort_by(|a, b| b.free.cmp(&a.free).then(a.name.cmp(&b.name)));

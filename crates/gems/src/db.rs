@@ -17,39 +17,10 @@ use std::time::Duration;
 
 use chirp_proto::escape::{escape, unescape};
 use chirp_proto::wire;
-use chirp_proto::ChirpError;
+use chirp_proto::{wildcard_match, ChirpError};
 use parking_lot::RwLock;
 
 use crate::record::FileRecord;
-
-/// Wildcard match shared with the ACL engine's semantics: `*` matches
-/// any run of characters.
-fn wildcard(pattern: &str, text: &str) -> bool {
-    // Local copy to keep crate dependencies acyclic.
-    let p: Vec<char> = pattern.chars().collect();
-    let t: Vec<char> = text.chars().collect();
-    let (mut pi, mut ti) = (0usize, 0usize);
-    let mut star: Option<(usize, usize)> = None;
-    while ti < t.len() {
-        if pi < p.len() && (p[pi] == t[ti]) {
-            pi += 1;
-            ti += 1;
-        } else if pi < p.len() && p[pi] == '*' {
-            star = Some((pi, ti));
-            pi += 1;
-        } else if let Some((sp, st)) = star {
-            pi = sp + 1;
-            ti = st + 1;
-            star = Some((sp, st + 1));
-        } else {
-            return false;
-        }
-    }
-    while pi < p.len() && p[pi] == '*' {
-        pi += 1;
-    }
-    pi == p.len()
-}
 
 struct Store {
     records: RwLock<BTreeMap<String, FileRecord>>,
@@ -290,8 +261,8 @@ fn serve(stream: TcpStream, store: &Store) -> std::io::Result<()> {
                     .values()
                     .filter(|r| {
                         constraints.iter().all(|(k, p)| match k.as_str() {
-                            "name" => wildcard(p, &r.name),
-                            k => r.attrs.get(k).is_some_and(|v| wildcard(p, v)),
+                            "name" => wildcard_match(p, &r.name),
+                            k => r.attrs.get(k).is_some_and(|v| wildcard_match(p, v)),
                         })
                     })
                     .map(|r| escape(r.name.as_bytes()))
@@ -312,8 +283,8 @@ fn serve(stream: TcpStream, store: &Store) -> std::io::Result<()> {
                     .read()
                     .values()
                     .filter(|r| match key.as_str() {
-                        "name" => wildcard(&pattern, &r.name),
-                        k => r.attrs.get(k).is_some_and(|v| wildcard(&pattern, v)),
+                        "name" => wildcard_match(&pattern, &r.name),
+                        k => r.attrs.get(k).is_some_and(|v| wildcard_match(&pattern, v)),
                     })
                     .map(|r| escape(r.name.as_bytes()))
                     .collect();

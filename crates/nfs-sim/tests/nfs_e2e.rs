@@ -1,25 +1,33 @@
-//! End-to-end tests of the NFS-shaped baseline, including the
-//! protocol-shape assertions the Figure 4/5 comparisons rest on.
+//! End-to-end tests of the NFS-shaped baseline over a CFS on a
+//! simulated Chirp server, including the exact request counts the
+//! Figure 4/5 comparisons rest on.
 
-use std::time::Duration;
-
-use chirp_proto::testutil::TempDir;
 use chirp_proto::OpenFlags;
-use nfs_sim::{NfsFs, NfsServer, NfsServerConfig, MAX_TRANSFER};
+use nfs_sim::{NfsShape, MAX_TRANSFER};
+use simharness::SimTss;
+use tss_core::cfs::Cfs;
 use tss_core::fs::FileSystem;
 
-const TIMEOUT: Duration = Duration::from_secs(5);
+fn client(sim: &SimTss) -> NfsShape<Cfs> {
+    NfsShape::new(Cfs::new(sim.cfs_config(0)))
+}
 
-fn setup() -> (TempDir, NfsServer, NfsFs) {
-    let dir = TempDir::new();
-    let server = NfsServer::start(NfsServerConfig::localhost(dir.path())).unwrap();
-    let fs = NfsFs::connect(server.addr(), TIMEOUT).unwrap();
-    (dir, server, fs)
+fn setup() -> (SimTss, NfsShape<Cfs>) {
+    let sim = SimTss::builder().build();
+    let fs = client(&sim);
+    (sim, fs)
+}
+
+/// The requests the server received while `op` ran, and its result.
+fn requests<T>(sim: &SimTss, op: impl FnOnce() -> T) -> (u64, T) {
+    let before = sim.servers()[0].stats().snapshot().requests;
+    let out = op();
+    (sim.servers()[0].stats().snapshot().requests - before, out)
 }
 
 #[test]
 fn basic_file_round_trip() {
-    let (_d, _s, fs) = setup();
+    let (_sim, fs) = setup();
     fs.write_file("/f", b"hello nfs").unwrap();
     assert_eq!(fs.read_file("/f").unwrap(), b"hello nfs");
     assert_eq!(fs.stat("/f").unwrap().size, 9);
@@ -27,7 +35,7 @@ fn basic_file_round_trip() {
 
 #[test]
 fn transfers_larger_than_one_rpc() {
-    let (_d, _s, fs) = setup();
+    let (_sim, fs) = setup();
     // 10 * MAX_TRANSFER + remainder: exercises the serial RPC chain.
     let data: Vec<u8> = (0..MAX_TRANSFER * 10 + 123)
         .map(|i| (i % 251) as u8)
@@ -38,7 +46,7 @@ fn transfers_larger_than_one_rpc() {
 
 #[test]
 fn deep_paths_resolve_per_component() {
-    let (_d, _s, fs) = setup();
+    let (_sim, fs) = setup();
     fs.mkdir("/a", 0o755).unwrap();
     fs.mkdir("/a/b", 0o755).unwrap();
     fs.mkdir("/a/b/c", 0o755).unwrap();
@@ -49,7 +57,7 @@ fn deep_paths_resolve_per_component() {
 
 #[test]
 fn namespace_operations() {
-    let (_d, _s, fs) = setup();
+    let (_sim, fs) = setup();
     fs.mkdir("/d", 0o755).unwrap();
     fs.write_file("/d/f", b"1").unwrap();
     fs.rename("/d/f", "/g").unwrap();
@@ -62,7 +70,7 @@ fn namespace_operations() {
 
 #[test]
 fn truncate_both_ways() {
-    let (_d, _s, fs) = setup();
+    let (_sim, fs) = setup();
     fs.write_file("/t", b"0123456789").unwrap();
     fs.truncate("/t", 3).unwrap();
     assert_eq!(fs.read_file("/t").unwrap(), b"012");
@@ -73,7 +81,7 @@ fn truncate_both_ways() {
 
 #[test]
 fn exclusive_create_collides() {
-    let (_d, _s, fs) = setup();
+    let (_sim, fs) = setup();
     let fl = OpenFlags::WRITE | OpenFlags::CREATE | OpenFlags::EXCLUSIVE;
     fs.open("/x", fl, 0o644).unwrap();
     assert_eq!(
@@ -83,28 +91,30 @@ fn exclusive_create_collides() {
 }
 
 #[test]
-fn file_handles_survive_across_connections() {
-    // The NFS property: handles name files, not sessions.
-    let dir = TempDir::new();
-    let server = NfsServer::start(NfsServerConfig::localhost(dir.path())).unwrap();
-    let fs1 = NfsFs::connect(server.addr(), TIMEOUT).unwrap();
+fn writes_are_visible_to_a_second_client() {
+    // Two clients, two connections, one server: each sees the other's
+    // writes and renames with no cache in between.
+    let (sim, fs1) = setup();
+    let fs2 = client(&sim);
     fs1.write_file("/shared", b"from-1").unwrap();
-    let fs2 = NfsFs::connect(server.addr(), TIMEOUT).unwrap();
     assert_eq!(fs2.read_file("/shared").unwrap(), b"from-1");
+    fs2.rename("/shared", "/moved").unwrap();
+    assert!(fs1.stat("/shared").is_err());
+    assert_eq!(fs1.read_file("/moved").unwrap(), b"from-1");
 }
 
 #[test]
 fn lookup_cannot_escape_export() {
-    let (_d, _s, fs) = setup();
+    let (_sim, fs) = setup();
     assert!(fs.stat("/../etc/passwd").is_err() || !fs.stat("/../etc/passwd").unwrap().is_dir());
-    // normalize_path collapses `..` before it reaches the wire, and
-    // the server additionally rejects `..` components.
+    // normalize_path collapses `..` before the first lookup, and the
+    // server additionally resolves every path inside its export.
     assert!(fs.read_file("/../../etc/hostname").is_err());
 }
 
 #[test]
 fn missing_files_report_not_found() {
-    let (_d, _s, fs) = setup();
+    let (_sim, fs) = setup();
     assert_eq!(
         fs.stat("/nope").err().map(|e| e.kind()),
         Some(std::io::ErrorKind::NotFound)
@@ -113,4 +123,68 @@ fn missing_files_report_not_found() {
         fs.read_file("/a/b/c").err().map(|e| e.kind()),
         Some(std::io::ErrorKind::NotFound)
     );
+}
+
+#[test]
+fn a_file_ancestor_is_not_a_directory() {
+    let (_sim, fs) = setup();
+    fs.write_file("/f", b"x").unwrap();
+    for err in [fs.stat("/f/g").err(), fs.mkdir("/f/g/h", 0o755).err()] {
+        assert_eq!(
+            err.map(|e| e.kind()),
+            Some(std::io::ErrorKind::NotADirectory)
+        );
+    }
+}
+
+#[test]
+fn request_counts_are_exact() {
+    let (sim, fs) = setup();
+    // Fixtures come from a plain CFS on a connection of its own.
+    // Handles stay open to the end: a dropped handle's CLOSE rides the
+    // next request on its connection and would be counted against it.
+    let cfs = Cfs::new(sim.cfs_config(0));
+    let mut handles = Vec::new();
+    // Connect and authenticate before counting.
+    fs.stat("/").unwrap();
+
+    // A call on a depth-d path: d - 1 lookups, then its own request.
+    let mut dir = String::new();
+    for depth in 1..=4 {
+        let file = format!("{dir}/f");
+        cfs.write_file(&file, b"x").unwrap();
+        let (n, _) = requests(&sim, || fs.stat(&file).unwrap());
+        assert_eq!(n, depth, "stat {file}");
+        let (n, h) = requests(&sim, || fs.open(&file, OpenFlags::READ, 0).unwrap());
+        assert_eq!(n, depth, "open {file}");
+        handles.push(h);
+        dir = format!("{dir}/d{depth}");
+        cfs.mkdir(&dir, 0o755).unwrap();
+    }
+
+    // n bytes move in ceil(n / 4096) requests, each way.
+    let mut h = fs.open("/f", OpenFlags::read_write(), 0).unwrap();
+    for len in [0usize, 1, 4095, 4096, 4097, 8192, 10 * 1024, 3 * 4096 + 1] {
+        let rpcs = len.div_ceil(MAX_TRANSFER) as u64;
+        let data = vec![7u8; len];
+        assert_eq!(requests(&sim, || h.pwrite(&data, 0).unwrap()), (rpcs, len));
+        let mut buf = vec![0u8; len];
+        assert_eq!(
+            requests(&sim, || h.pread(&mut buf, 0).unwrap()),
+            (rpcs, len)
+        );
+    }
+
+    // Whole-file calls go through the cap too: OPEN, FSTAT and three
+    // PREADs, where a forwarded read_file would be one GETFILE.
+    let big = vec![1u8; 10 * 1024];
+    cfs.write_file("/big", &big).unwrap();
+    let (n, data) = requests(&sim, || fs.read_file("/big").unwrap());
+    assert_eq!(n, 2 + 3);
+    assert!(data == big, "read_file returned other bytes");
+    // Send the read's CLOSE, then OPEN and three PWRITEs, where a
+    // forwarded write_file would be one PUTFILE.
+    fs.stat("/").unwrap();
+    let (n, _) = requests(&sim, || fs.write_file("/big", &big).unwrap());
+    assert_eq!(n, 1 + 3);
 }

@@ -10,7 +10,9 @@
 use std::time::Duration;
 
 use chirp_proto::testutil::TempDir;
+use chirp_proto::OpenFlags;
 use faultline::{FaultAction, FaultDialer, FaultPlan, FaultRule, FaultTrigger};
+use nfs_sim::NfsShape;
 use proptest::prelude::*;
 use simharness::fsop::{apply, snapshot};
 use simharness::{FsOp, SimTss};
@@ -35,8 +37,9 @@ fn path() -> impl Strategy<Value = String> {
     (0..PATHS.len()).prop_map(|i| PATHS[i].to_string())
 }
 
-fn write() -> impl Strategy<Value = FsOp> {
-    (path(), proptest::collection::vec(any::<u8>(), 0..64))
+/// Whole-file writes of fewer than `max_len` bytes.
+fn write(max_len: usize) -> impl Strategy<Value = FsOp> {
+    (path(), proptest::collection::vec(any::<u8>(), 0..max_len))
         .prop_map(|(path, data)| FsOp::Write(path, data))
 }
 
@@ -44,10 +47,10 @@ fn truncate() -> impl Strategy<Value = FsOp> {
     (path(), 0u64..100).prop_map(|(path, size)| FsOp::Truncate(path, size))
 }
 
-/// Every op.
-fn op() -> impl Strategy<Value = FsOp> {
+/// Every op, with writes of fewer than `max_write` bytes.
+fn op(max_write: usize) -> impl Strategy<Value = FsOp> {
     prop_oneof![
-        write(),
+        write(max_write),
         path().prop_map(FsOp::Read),
         path().prop_map(FsOp::Stat),
         path().prop_map(FsOp::Unlink),
@@ -67,7 +70,7 @@ fn op() -> impl Strategy<Value = FsOp> {
 /// reads, stats, listings, and truncates replay to the same outcome.
 fn idempotent_op() -> impl Strategy<Value = FsOp> {
     prop_oneof![
-        write(),
+        write(64),
         path().prop_map(FsOp::Read),
         path().prop_map(FsOp::Stat),
         path().prop_map(FsOp::Readdir),
@@ -104,7 +107,7 @@ proptest! {
     })]
 
     #[test]
-    fn dpfs_matches_the_local_reference(ops in proptest::collection::vec(op(), 1..24)) {
+    fn dpfs_matches_the_local_reference(ops in proptest::collection::vec(op(64), 1..24)) {
         // A DPFS over two data servers.
         let sim = SimTss::builder().servers(2).build();
         let meta_dir = TempDir::new();
@@ -118,6 +121,46 @@ proptest! {
         .unwrap();
         subject.ensure_volumes().unwrap();
         check_against_reference(&subject, &ops);
+    }
+
+    #[test]
+    fn nfs_shape_matches_the_local_reference(
+        ops in proptest::collection::vec(op(10 * 1024), 1..24)
+    ) {
+        // The NFS-shaped baseline over a CFS: per-component lookups
+        // before every call, writes of up to 10 KiB split into several
+        // 4 KiB requests.
+        let sim = SimTss::builder().build();
+        let subject = NfsShape::new(Cfs::new(sim.cfs_config(0)));
+        check_against_reference(&subject, &ops);
+    }
+}
+
+/// The NFS-shaped baseline accepts and refuses the same open-flag
+/// combinations as a local tree, on an existing and a fresh path.
+#[test]
+fn open_flag_combinations_match_reference() {
+    let ref_dir = TempDir::new();
+    let reference = LocalFs::new(ref_dir.path()).unwrap();
+    let sim = SimTss::builder().build();
+    let subject = NfsShape::new(Cfs::new(sim.cfs_config(0)));
+
+    for fs in [&reference as &dyn FileSystem, &subject] {
+        fs.write_file("/seed", b"0123456789").unwrap();
+    }
+    let combos = [
+        OpenFlags::READ,
+        OpenFlags::read_write(),
+        OpenFlags::WRITE | OpenFlags::CREATE,
+        OpenFlags::WRITE | OpenFlags::CREATE | OpenFlags::EXCLUSIVE,
+        OpenFlags::read_write() | OpenFlags::TRUNCATE,
+    ];
+    for (i, &flags) in combos.iter().enumerate() {
+        for path in ["/seed", &format!("/fresh{i}")] {
+            let a = reference.open(path, flags, 0o644).is_ok();
+            let b = subject.open(path, flags, 0o644).is_ok();
+            assert_eq!(a, b, "flags {flags:?} on {path}");
+        }
     }
 }
 
