@@ -83,11 +83,20 @@ pub struct FileState {
 /// point at which the kernel may recycle the inode number.
 #[derive(Debug, Default)]
 pub struct SizeTable {
-    inner: Mutex<HashMap<FileKey, Weak<FileState>>>,
+    inner: Mutex<Sizes>,
 }
 
-/// Dead-entry sweep threshold: past this many entries, a lookup first
-/// drops stale `Weak`s so the table tracks open files, not history.
+#[derive(Debug, Default)]
+struct Sizes {
+    map: HashMap<FileKey, Weak<FileState>>,
+    /// Twice the entries the last sweep kept, so a sweep's cost is
+    /// spread over at least as many calls as entries it keeps.
+    sweep_at: usize,
+}
+
+/// Dead-entry sweep threshold: past this many entries (and past twice
+/// what the last sweep kept), a lookup first drops stale `Weak`s so the
+/// table tracks open files, not history.
 const SIZE_TABLE_SWEEP: usize = 4096;
 
 impl SizeTable {
@@ -101,18 +110,19 @@ impl SizeTable {
     /// wins — it is maintained by every mutation path, while `size`
     /// is merely a point-in-time `fstat`.
     pub fn track(&self, key: FileKey, size: u64) -> Arc<FileState> {
-        let mut map = self.inner.lock().expect("size table poisoned");
-        if map.len() > SIZE_TABLE_SWEEP {
-            map.retain(|_, w| w.strong_count() > 0);
+        let mut sizes = self.inner.lock().expect("size table poisoned");
+        if sizes.map.len() > sizes.sweep_at.max(SIZE_TABLE_SWEEP) {
+            sizes.map.retain(|_, w| w.strong_count() > 0);
+            sizes.sweep_at = 2 * sizes.map.len();
         }
-        if let Some(live) = map.get(&key).and_then(Weak::upgrade) {
+        if let Some(live) = sizes.map.get(&key).and_then(Weak::upgrade) {
             return live;
         }
         let state = Arc::new(FileState {
             size: AtomicU64::new(size),
             ..FileState::default()
         });
-        map.insert(key, Arc::downgrade(&state));
+        sizes.map.insert(key, Arc::downgrade(&state));
         state
     }
 
@@ -120,8 +130,8 @@ impl SizeTable {
     /// Path-level mutations (`TRUNCATE`, `PUTFILE`) call this so
     /// descriptors open on the same inode stay coherent.
     pub fn set_size(&self, key: FileKey, size: u64) {
-        let map = self.inner.lock().expect("size table poisoned");
-        if let Some(live) = map.get(&key).and_then(Weak::upgrade) {
+        let sizes = self.inner.lock().expect("size table poisoned");
+        if let Some(live) = sizes.map.get(&key).and_then(Weak::upgrade) {
             live.size.store(size, Ordering::Relaxed);
         }
     }
@@ -129,8 +139,8 @@ impl SizeTable {
     /// Mark `key`'s current incarnation doomed (unlinked): open
     /// descriptors keep working but stop populating the cache.
     pub fn doom(&self, key: FileKey) {
-        let map = self.inner.lock().expect("size table poisoned");
-        if let Some(live) = map.get(&key).and_then(Weak::upgrade) {
+        let sizes = self.inner.lock().expect("size table poisoned");
+        if let Some(live) = sizes.map.get(&key).and_then(Weak::upgrade) {
             live.doomed.store(true, Ordering::Relaxed);
         }
     }
@@ -616,6 +626,26 @@ mod tests {
 
     fn content(n: usize) -> Vec<u8> {
         (0..n).map(|i| (i % 251) as u8).collect()
+    }
+
+    /// Past the sweep threshold, dead entries are still reclaimed, and
+    /// every live state is still the one `track` hands back.
+    #[test]
+    fn size_table_reclaims_dead_entries_and_keeps_live_ones() {
+        const N: u64 = 5_000;
+        let table = SizeTable::new();
+        let live: Vec<_> = (0..N)
+            .map(|i| {
+                drop(table.track((1, i), 0));
+                table.track((0, i), i)
+            })
+            .collect();
+        let held = table.inner.lock().unwrap().map.len();
+        assert!(held < 2 * N as usize, "{held} entries held, none reclaimed");
+        for (i, state) in (0..N).zip(&live) {
+            assert!(Arc::ptr_eq(&table.track((0, i), 0), state), "key {i}");
+            assert_eq!(state.size.load(Ordering::Relaxed), i);
+        }
     }
 
     #[test]

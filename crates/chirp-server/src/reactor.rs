@@ -57,6 +57,21 @@
 //! other each need a thread for their own push and one for the other's
 //! body.
 //!
+//! Nor does a small request wait behind bulk on the processor. A pool
+//! thread copying a body shares a processor with a shard, and the
+//! kernel lets a running thread finish its scheduler slice (1.4 ms by
+//! default on a two-processor Linux 6.18) before it runs a thread that
+//! woke. So each shard, as it starts, asks the kernel for the shortest
+//! slice it grants, 100 µs (`sched_setattr`'s `sched_runtime`), and
+//! keeps its policy and nice. A slice changes *when* a thread runs, not
+//! *how much*: from Linux 6.12 on, a waking thread with a shorter slice
+//! preempts the running one at once (`PREEMPT_SHORT`), while the
+//! weights stay as they were. The pool's threads run on the kernel's
+//! default slice; one that a shard spawns sets it back. An older kernel
+//! ignores the request and a refusal is ignored, so the server serves
+//! the same either way; `reactor.shard_slice_ns` reports the slice the
+//! shards got, 0 for none.
+//!
 //! [`MemStream`]: chirp_proto::transport::MemStream
 //! [`Listener`]: chirp_proto::transport::Listener
 //! [`ReadyWatcher`]: chirp_proto::ready::ReadyWatcher
@@ -108,6 +123,9 @@ const TURN_BYTES: usize = 4 * READ_CHUNK;
 /// Requests one connection may have served in one turn before it
 /// yields, so a pipelined burst cannot hold the shard either.
 const TURN_REQUESTS: usize = 32;
+/// The scheduler slice a shard asks for, in nanoseconds: the shortest
+/// the kernel grants a fair thread (it clamps a shorter one up to it).
+const SHARD_SLICE_NS: u64 = 100_000;
 /// How long a pool thread beyond the first ones waits for work before
 /// it retires.
 const IDLE_RETIRE: Duration = Duration::from_secs(5);
@@ -271,6 +289,9 @@ impl Pool {
     /// One thread's life: run jobs until the pool closes, or, for a
     /// thread that `retires`, until it has waited out [`IDLE_RETIRE`].
     fn serve(&self, retires: bool) {
+        // A thread the pool grows is spawned by a shard and inherits
+        // its short slice; a bulk copy runs on the kernel's default.
+        sched_slice(0);
         let mut st = self.lock();
         loop {
             if let Some(job) = st.queue.pop_front() {
@@ -336,6 +357,9 @@ struct Outbound {
 impl Shard {
     fn run(self: Arc<Shard>, pool: Arc<Pool>) {
         let shared = &self.shared;
+        shared
+            .telemetry
+            .reactor_shard_slice(sched_slice(SHARD_SLICE_NS));
         let (done, finished) = mpsc::channel();
         let out = Outbound { pool, done };
         let mut conns: HashMap<Token, Conn> = HashMap::new();
@@ -1288,7 +1312,7 @@ use sys_epoll as sys;
 #[cfg(not(target_os = "linux"))]
 use sys_fallback as sys;
 
-use sys::Poller;
+use sys::{sched_slice, Poller};
 
 /// Vendored epoll + eventfd poller (Linux). Raw syscall bindings —
 /// the workspace carries no libc crate; these symbols come from the
@@ -1298,7 +1322,7 @@ mod sys_epoll {
     use super::WAKE_TOKEN;
     use chirp_proto::ready::Token;
     use std::io;
-    use std::os::raw::{c_int, c_void};
+    use std::os::raw::{c_int, c_long, c_void};
     use std::sync::Mutex;
 
     const EPOLL_CLOEXEC: c_int = 0o2000000;
@@ -1450,6 +1474,74 @@ mod sys_epoll {
             }
         }
     }
+
+    /// `sched_getattr`/`sched_setattr` (glibc 2.36 wraps neither).
+    #[cfg(target_arch = "x86_64")]
+    const SCHED_ATTR_CALLS: Option<(c_long, c_long)> = Some((315, 314));
+    #[cfg(target_arch = "aarch64")]
+    const SCHED_ATTR_CALLS: Option<(c_long, c_long)> = Some((275, 274));
+    #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
+    const SCHED_ATTR_CALLS: Option<(c_long, c_long)> = None;
+
+    extern "C" {
+        fn syscall(number: c_long, ...) -> c_long;
+    }
+
+    /// A thread's scheduling attributes, the kernel's first
+    /// (`SCHED_ATTR_SIZE_VER0`) layout. For a fair-class thread on
+    /// Linux ≥ 6.12, `runtime` is its slice.
+    #[repr(C)]
+    #[derive(Debug, Default)]
+    pub(crate) struct SchedAttr {
+        size: u32,
+        pub(crate) policy: u32,
+        flags: u64,
+        pub(crate) nice: i32,
+        priority: u32,
+        pub(crate) runtime: u64,
+        deadline: u64,
+        period: u64,
+    }
+
+    /// The scheduling attributes of thread `tid` (0: the caller).
+    pub(crate) fn sched_attr(tid: i32) -> Option<SchedAttr> {
+        let (get, _) = SCHED_ATTR_CALLS?;
+        let mut attr = SchedAttr::default();
+        let size = std::mem::size_of::<SchedAttr>() as c_long;
+        // SAFETY: `attr` is a live, writable `SchedAttr` and `size` is
+        // its size, the most the kernel writes; it keeps no pointer.
+        let rc = unsafe {
+            syscall(
+                get,
+                tid as c_long,
+                &mut attr as *mut SchedAttr,
+                size,
+                0 as c_long,
+            )
+        };
+        (rc == 0).then_some(attr)
+    }
+
+    /// Ask the kernel to run the calling thread on a slice of `ns`
+    /// nanoseconds (0: the kernel's default), keeping its policy and
+    /// nice: writing nice 0 back into a niced thread would be refused.
+    /// Returns the slice the kernel then reports, or 0 if it refused;
+    /// a kernel before 6.12 ignores the slice of a fair thread and
+    /// reports 0 too.
+    pub(crate) fn sched_slice(ns: u64) -> u64 {
+        let (Some((_, set)), Some(mut attr)) = (SCHED_ATTR_CALLS, sched_attr(0)) else {
+            return 0;
+        };
+        attr.runtime = ns;
+        // SAFETY: `attr` is a live `SchedAttr` whose `size` field the
+        // kernel filled in with this layout's size; the call only reads
+        // it and keeps no pointer.
+        let rc = unsafe { syscall(set, 0 as c_long, &attr as *const SchedAttr, 0 as c_long) };
+        match sched_attr(0) {
+            Some(now) if rc == 0 => now.runtime,
+            _ => 0,
+        }
+    }
 }
 
 /// Portable poller for hosts without epoll: watcher-backed streams
@@ -1524,6 +1616,11 @@ mod sys_fallback {
             st.woken = false;
             out.append(&mut st.ready);
         }
+    }
+
+    /// No scheduler slice to ask for here: report it unsupported.
+    pub(crate) fn sched_slice(_ns: u64) -> u64 {
+        0
     }
 }
 
@@ -1677,5 +1774,135 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The slice a shard is granted: 100 µs on a kernel with custom
+    /// slices for fair threads (Linux ≥ 6.12), 0 before.
+    #[cfg(target_os = "linux")]
+    fn granted_slice() -> u64 {
+        let release = std::fs::read_to_string("/proc/sys/kernel/osrelease").unwrap();
+        let mut numbers = release.split(['.', '-']).map(|n| n.parse().unwrap_or(0));
+        let version: (u32, u32) = (numbers.next().unwrap_or(0), numbers.next().unwrap_or(0));
+        if version >= (6, 12) {
+            SHARD_SLICE_NS
+        } else {
+            0
+        }
+    }
+
+    /// Wait until at least `count` threads of this process have names
+    /// starting with `prefix` (a thread names itself once it runs), then
+    /// until every one of them reports a slice of `want` (it asks for
+    /// its slice just after).
+    #[cfg(target_os = "linux")]
+    fn assert_slices(prefix: &str, count: usize, want: u64) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let named = || -> Vec<(i32, String)> {
+            let tasks = std::fs::read_dir("/proc/self/task").unwrap().flatten();
+            tasks
+                .filter_map(|task| {
+                    let comm = std::fs::read_to_string(task.path().join("comm")).ok()?;
+                    let tid = task.file_name().to_str()?.parse().ok()?;
+                    comm.starts_with(prefix)
+                        .then(|| (tid, comm.trim().to_string()))
+                })
+                .collect()
+        };
+        let mut threads = named();
+        while threads.len() < count {
+            assert!(Instant::now() < deadline, "{prefix}*: {threads:?}");
+            std::thread::sleep(Duration::from_millis(1));
+            threads = named();
+        }
+        for (tid, name) in threads {
+            // A thread that exited meanwhile reports nothing.
+            while let Some(attr) = sys::sched_attr(tid) {
+                if attr.runtime == want {
+                    break;
+                }
+                assert!(
+                    Instant::now() < deadline,
+                    "{name} (thread {tid}) runs on a {} ns slice, not {want}",
+                    attr.runtime
+                );
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+    }
+
+    /// The slice the kernel gives a thread that asks for none.
+    #[cfg(target_os = "linux")]
+    fn default_slice() -> u64 {
+        std::thread::spawn(|| sched_slice(0)).join().unwrap()
+    }
+
+    /// The hint changes a thread's slice and nothing else: a thread at
+    /// nice 5 keeps nice 5 and `SCHED_OTHER`. (Raising one's own nice
+    /// needs no privilege.)
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn the_slice_hint_keeps_policy_and_nice() {
+        extern "C" {
+            fn setpriority(which: i32, who: u32, prio: i32) -> i32;
+        }
+        const PRIO_PROCESS: i32 = 0;
+        const SCHED_OTHER: u32 = 0;
+        std::thread::spawn(|| {
+            let nice = sys::sched_attr(0).unwrap().nice.max(5);
+            // On Linux `who` 0 is the calling thread, not the process.
+            // SAFETY: a plain call with integer arguments.
+            assert_eq!(unsafe { setpriority(PRIO_PROCESS, 0, nice) }, 0);
+            assert_eq!(sched_slice(SHARD_SLICE_NS), granted_slice());
+            let attr = sys::sched_attr(0).unwrap();
+            assert_eq!(
+                (attr.policy, attr.nice, attr.runtime),
+                (SCHED_OTHER, nice, granted_slice())
+            );
+        })
+        .join()
+        .unwrap();
+    }
+
+    /// In a running server every shard runs on the short slice and
+    /// reports it, and every pool thread runs on the kernel's default.
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn a_server_shortens_its_shards_slices_only() {
+        let dir = TempDir::new();
+        let mut cfg = ServerConfig::localhost(dir.path(), "o");
+        cfg.reactor_workers = 2;
+        let mut server = crate::FileServer::start(cfg).unwrap();
+        let gauge = server
+            .telemetry()
+            .registry()
+            .gauge("reactor.shard_slice_ns");
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while gauge.get() as u64 != granted_slice() {
+            assert!(Instant::now() < deadline, "shards report {}", gauge.get());
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_slices("chirp-react-", 2, granted_slice());
+        assert_slices("chirp-push-", 2, default_slice());
+        server.shutdown();
+    }
+
+    /// A thread the pool grows is spawned by a shard, whose short slice
+    /// it would inherit: it runs on the default all the same.
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn a_pool_thread_grown_by_a_shard_keeps_the_default_slice() {
+        let pool = Pool::start(0).unwrap();
+        let (tx, rx) = mpsc::channel();
+        let grower = pool.clone();
+        std::thread::spawn(move || {
+            assert_eq!(sched_slice(SHARD_SLICE_NS), granted_slice());
+            grower.submit(Box::new(move || {
+                tx.send(sys::sched_attr(0).unwrap().runtime).unwrap();
+            }));
+        })
+        .join()
+        .unwrap();
+        assert_eq!(rx.recv().unwrap(), default_slice());
+        pool.join();
     }
 }

@@ -29,6 +29,7 @@ pub struct ServerTelemetry {
     reactor_writes: Counter,
     reactor_backpressure: Counter,
     reactor_wq_peak: Gauge,
+    reactor_shard_slice: Gauge,
     reactor_yields: Counter,
     auth_success: Counter,
     auth_failure: Counter,
@@ -57,6 +58,7 @@ impl Default for ServerTelemetry {
             reactor_writes: registry.counter("reactor.writes"),
             reactor_backpressure: registry.counter("reactor.backpressure"),
             reactor_wq_peak: registry.gauge("reactor.wq_peak_bytes"),
+            reactor_shard_slice: registry.gauge("reactor.shard_slice_ns"),
             reactor_yields: registry.counter("reactor.yields"),
             auth_success: registry.counter("auth.success"),
             auth_failure: registry.counter("auth.failure"),
@@ -99,6 +101,12 @@ impl ServerTelemetry {
     /// the observable ceiling the backpressure cap enforces.
     pub fn reactor_wq_high_water(&self, bytes: u64) {
         self.reactor_wq_peak.raise(bytes as i64);
+    }
+
+    /// The scheduler slice a shard runs on, as the kernel reports it
+    /// (0: no custom slice, unsupported or refused).
+    pub fn reactor_shard_slice(&self, ns: u64) {
+        self.reactor_shard_slice.set(ns as i64);
     }
 
     /// A connection spent its turn's budget and went to the back of

@@ -7,7 +7,9 @@
 # compiles, so it is built next: a break in a public item it calls
 # fails this gate, not the benchmark pipeline. Then each row of the
 # table below runs a sweep that stage 0's debug run does not: a larger
-# release default, an assertion skipped in debug, or a knob. Clippy,
+# release default, an assertion skipped in debug, a knob, or the
+# benchmark's own tests (a smoke of every workload's self-checks, so a
+# change that breaks a workload fails here). Clippy,
 # rustdoc (every warning an error, so a deleted item cannot leave a
 # dangling doc link) and rustfmt close the run.
 #
@@ -33,6 +35,7 @@ pipeline  on  SIM_SEED=<seed>      SIM_SEQS=${SIM_SEQS:-2000} cargo test -q --re
 cache     on  -                    cargo test -q --release -p tss-bench --test cache_smoke
 crash     on  CRASH_SEED=<seed>    SIM_SEQS=${SIM_SEQS:-1000} cargo test -q --release -p simharness --test crash_sim
 scenarios on  SCENARIO_SEED=<seed> cargo test -q --release -p simharness --test scenarios_sim
+bench     on  -                    cargo test -q --release --offline --manifest-path bench/Cargo.toml
 sim       off SIM_SEED=<seed>/CRASH_SEED=<seed>/CHAOS_SEED=<seed> SIM_SEQS=${SIM_SEQS:-10000} cargo test -q --release -p simharness
 EOF
 }
