@@ -91,7 +91,6 @@ fn drive(s: &mut Session, fd: i32, reads: u64) -> (f64, u64) {
             None,
         ) {
             Ok(Reply::Pages(p)) => total += p.total() as u64,
-            Ok(Reply::Scratch(n)) => total += n as u64,
             other => panic!("pread: {other:?}"),
         }
     }

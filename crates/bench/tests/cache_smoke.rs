@@ -10,6 +10,11 @@
 //! * **Cold/oversized**: reads past the bypass threshold must stay
 //!   near the read-through baseline — the cache can lose a little to
 //!   bookkeeping but must never fall off a cliff.
+//! * **Cold misses**: 64 KiB reads uniform over four times the cache
+//!   hit about a quarter of the time whatever the cache does, so they
+//!   must cost at most 1.3× the cacheless rig: a full cache admits a
+//!   page only on its second miss, and reads the rest straight into
+//!   the reply.
 //!
 //! Thresholds are deliberately lax versions of the measured ratios
 //! (see EXPERIMENTS.md) so only a real regression trips them. The
@@ -98,7 +103,6 @@ fn read_loop(s: &mut Session, fd: i32) -> u64 {
             None,
         ) {
             Ok(Reply::Pages(p)) => total += p.total() as u64,
-            Ok(Reply::Scratch(n)) => total += n as u64,
             other => panic!("pread: {other:?}"),
         }
     }
@@ -160,7 +164,7 @@ fn oversized_reads_stay_near_the_baseline() {
     let (_, mut base, fd_b) = rig(dir_b.path(), None);
 
     // Reads larger than the bypass threshold (CACHE/2 = 4 MiB) take
-    // the scratch read-through path even on a cache-enabled server;
+    // the read-through path even on a cache-enabled server;
     // grow the file past that first.
     let big = 6 << 20;
     for (s, fd) in [(&mut cached, fd_c), (&mut base, fd_b)] {
@@ -185,7 +189,8 @@ fn oversized_reads_stay_near_the_baseline() {
                 },
                 None,
             ) {
-                Ok(Reply::Scratch(n)) => total += n as u64,
+                // Read through: one buffer of its own, no cache pages.
+                Ok(Reply::Pages(p)) if p.slices().len() == 1 => total += p.total() as u64,
                 other => panic!("oversized pread should read through, got {other:?}"),
             }
         }
@@ -203,5 +208,104 @@ fn oversized_reads_stay_near_the_baseline() {
     assert!(
         cfg!(debug_assertions) || ratio <= 1.5,
         "oversized reads on the cached server are {ratio:.2}x the baseline"
+    );
+}
+
+/// Uniform 64 KiB `PREAD`s over a file four times the cache, on a rig
+/// warmed past full: the cache may not charge a miss much more than the
+/// read-through rig pays (it filled every miss, ≈ 2×, before admission).
+#[test]
+fn cold_uniform_misses_stay_near_read_through() {
+    const BLOCK: u64 = 64 << 10;
+    const FILE: u64 = 4 * CACHE;
+    const COLD_READS: usize = 4_000;
+    let dir_a = TempDir::new();
+    let dir_b = TempDir::new();
+    let (shared, mut cached, fd_c) = rig(dir_a.path(), Some(CACHE));
+    let (_, mut base, fd_b) = rig(dir_b.path(), None);
+    // Grow both files to four times the cache, one block at a time,
+    // each block's bytes naming it.
+    for (s, fd) in [(&mut cached, fd_c), (&mut base, fd_b)] {
+        for b in WORKING_SET / BLOCK..FILE / BLOCK {
+            s.handle(
+                Request::Pwrite {
+                    fd,
+                    length: BLOCK,
+                    offset: b * BLOCK,
+                },
+                Some(vec![(b % 251) as u8; BLOCK as usize]),
+            )
+            .unwrap();
+        }
+    }
+    // Returns an FNV-1a digest of every byte delivered, in order, or
+    // (untimed by it) just their count.
+    let sweep = |s: &mut Session, fd: i32, reads: usize, digest_bytes: bool| -> u64 {
+        let mut state: u64 = 0x2545_f491_4f6c_dd1d;
+        let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
+        for _ in 0..reads {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let offset = ((state >> 33) % (FILE / BLOCK)) * BLOCK;
+            match s.handle(
+                Request::Pread {
+                    fd,
+                    length: BLOCK,
+                    offset,
+                },
+                None,
+            ) {
+                Ok(Reply::Pages(p)) if p.total() == BLOCK as usize => {
+                    if !digest_bytes {
+                        digest += BLOCK;
+                        continue;
+                    }
+                    for byte in p.slices().iter().flat_map(|sl| sl.as_slice()) {
+                        digest = (digest ^ *byte as u64).wrapping_mul(0x100_0000_01b3);
+                    }
+                }
+                other => panic!("pread: {other:?}"),
+            }
+        }
+        digest
+    };
+    // Twice the cache in reads: full, and at its steady state. The
+    // bytes are checked here, and after the timed runs.
+    let warm = (2 * CACHE / BLOCK) as usize;
+    let d1 = sweep(&mut cached, fd_c, warm, true);
+    assert_eq!(
+        d1,
+        sweep(&mut base, fd_b, warm, true),
+        "the rigs' bytes differ"
+    );
+    // Alternate the rigs, so drift in the machine's speed hits both.
+    let (mut t_cached, mut t_base) = (Duration::MAX, Duration::MAX);
+    for _ in 0..5 {
+        for (s, fd, best) in [
+            (&mut cached, fd_c, &mut t_cached),
+            (&mut base, fd_b, &mut t_base),
+        ] {
+            let t = Instant::now();
+            sweep(s, fd, COLD_READS, false);
+            *best = (*best).min(t.elapsed());
+        }
+    }
+    assert_eq!(
+        d1,
+        sweep(&mut cached, fd_c, warm, true),
+        "the cache's bytes moved"
+    );
+    let ratio = t_cached.as_secs_f64() / t_base.as_secs_f64();
+    println!("cold 64KiB preads: cached {t_cached:?}, read-through {t_base:?} ({ratio:.2}x)");
+    assert!(
+        cfg!(debug_assertions) || ratio <= 1.3,
+        "cold cached reads are {ratio:.2}x read-through (ceiling is 1.3x)"
+    );
+    let reg = shared.telemetry.registry();
+    assert_eq!(
+        reg.gauge("cache.resident_bytes").get(),
+        CACHE as i64,
+        "full"
     );
 }

@@ -34,15 +34,12 @@ pub enum Reply {
     Words(i64, String),
     /// Status = payload length, then the raw payload bytes.
     Data(Vec<u8>),
-    /// Status = `n`, then the first `n` bytes of the session's scratch
-    /// buffer. Lets `PREAD` reuse one allocation across calls instead
-    /// of building a fresh `Vec` per RPC.
-    Scratch(usize),
     /// Status = file length, then the file streamed from disk.
     FileStream(File, u64),
-    /// Status = total length, then buffer-cache pages scatter-gathered
-    /// to the socket — a hot read does zero disk I/O and at most one
-    /// copy (into the socket buffer).
+    /// Status = total length, then the read's bytes scatter-gathered
+    /// to the socket: every `PREAD` answers this way. Cached pages and
+    /// buffers filled by the read alike go out with no copy but the one
+    /// into the socket buffer.
     Pages(PageReply),
 }
 
@@ -126,10 +123,6 @@ pub struct Session {
     /// Shared with every trace event this session records.
     subject: Option<Arc<str>>,
     fds: FdTable,
-    /// Reusable read buffer for `PREAD` replies (see [`Reply::Scratch`]).
-    /// Grows to the largest read this connection has served and stays
-    /// there, bounded by [`chirp_proto::MAX_PAYLOAD`].
-    scratch: Vec<u8>,
 }
 
 impl Session {
@@ -141,27 +134,6 @@ impl Session {
             auth: Authenticator::new(peer_ip),
             subject: None,
             fds: FdTable::new(max_open),
-            scratch: Vec::new(),
-        }
-    }
-
-    /// The scratch bytes a [`Reply::Scratch`] refers to.
-    pub fn scratch(&self) -> &[u8] {
-        &self.scratch
-    }
-
-    /// Scratch watermark: a connection's reusable read buffer shrinks
-    /// back to this after serving an oversized reply, so one
-    /// `MAX_PAYLOAD` read doesn't pin 64 MB for the connection's
-    /// lifetime.
-    pub const SCRATCH_WATERMARK: usize = 64 * 1024;
-
-    /// Release scratch memory above [`Session::SCRATCH_WATERMARK`].
-    /// The connection loop calls this after each reply is written.
-    pub fn trim_scratch(&mut self) {
-        if self.scratch.capacity() > Self::SCRATCH_WATERMARK {
-            self.scratch.truncate(Self::SCRATCH_WATERMARK);
-            self.scratch.shrink_to(Self::SCRATCH_WATERMARK);
         }
     }
 
@@ -493,16 +465,13 @@ impl Session {
                 return Ok(Reply::Pages(reply));
             }
         }
-        if self.scratch.len() < length as usize {
-            self.scratch.resize(length as usize, 0);
-        }
-        let n = read_full_at(
-            f.handle.file(),
-            &mut self.scratch[..length as usize],
-            offset,
-        )
-        .map_err(|e| ChirpError::from_io(&e))?;
-        Ok(Reply::Scratch(n))
+        // No cache, or a read past its bypass: into a buffer the reply
+        // owns, sent like a page.
+        let mut buf = vec![0u8; length as usize];
+        let n =
+            read_full_at(f.handle.file(), &mut buf, offset).map_err(|e| ChirpError::from_io(&e))?;
+        buf.truncate(n);
+        Ok(Reply::Pages(PageReply::from_vec(buf)))
     }
 
     fn do_pwrite(&mut self, fd: i32, data: &[u8], offset: u64) -> ChirpResult<Reply> {
@@ -978,10 +947,10 @@ mod tests {
     /// One session, end to end at the handler layer: a burst of
     /// writes, reads, and ftruncates on an open descriptor must make
     /// zero `fstat` calls (the fd table tracks the size) while one
-    /// `FSTAT` makes exactly one, and an oversized read must not pin
-    /// its scratch buffer after trimming.
+    /// `FSTAT` makes exactly one, and an oversized read (past the cache
+    /// bypass) answers one slice of its own buffer.
     #[test]
-    fn hot_io_burst_is_fstat_free_and_scratch_shrinks() {
+    fn hot_io_burst_is_fstat_free_and_an_oversized_read_is_one_slice() {
         use chirp_proto::localfs::syscount::fstat_calls;
         use chirp_proto::message::Request;
 
@@ -1051,8 +1020,8 @@ mod tests {
         s.handle(Request::Fstat { fd }, None).unwrap();
         assert_eq!(fstat_calls() - before, 1, "FSTAT must fstat once");
 
-        // An oversized read (past the cache bypass threshold) lands in
-        // scratch and grows it; the post-reply trim must release it.
+        // An oversized read (past the cache bypass threshold) reads
+        // through into a buffer of its own.
         let big = 4 << 20;
         s.handle(
             Request::Pwrite {
@@ -1073,13 +1042,11 @@ mod tests {
                 None,
             )
             .unwrap();
-        assert!(matches!(reply, Reply::Scratch(n) if n == big as usize));
-        assert!(s.scratch.capacity() >= big as usize);
-        s.trim_scratch();
-        assert!(
-            s.scratch.capacity() <= Session::SCRATCH_WATERMARK,
-            "scratch must shrink to the watermark, got {}",
-            s.scratch.capacity()
-        );
+        let Reply::Pages(pages) = reply else {
+            panic!("an oversized pread answers pages, got {reply:?}");
+        };
+        assert_eq!(pages.total(), big as usize);
+        assert_eq!(pages.slices().len(), 1, "one buffer the reply owns");
+        assert!(pages.slices()[0].as_slice().iter().all(|&b| b == 9));
     }
 }

@@ -1067,8 +1067,8 @@ impl Conn {
         }
     }
 
-    /// Queue a reply's bytes and account for it: the reply write,
-    /// `trim_scratch`, and the telemetry record.
+    /// Queue a reply's bytes and account for it: the reply write and
+    /// the telemetry record.
     fn queue_reply(
         &mut self,
         shared: &Arc<Shared>,
@@ -1079,7 +1079,6 @@ impl Conn {
     ) {
         let bytes_out = match &reply {
             Ok(Reply::Data(data)) => data.len() as u64,
-            Ok(Reply::Scratch(n)) => *n as u64,
             Ok(Reply::FileStream(_, len)) => *len,
             Ok(Reply::Pages(p)) => p.total() as u64,
             _ => 0,
@@ -1091,11 +1090,6 @@ impl Conn {
             Ok(Reply::Data(data)) => {
                 self.push_bytes(format!("{}\n", data.len()).into_bytes());
                 self.push_bytes(data);
-            }
-            Ok(Reply::Scratch(n)) => {
-                let mut out = format!("{n}\n").into_bytes();
-                out.extend_from_slice(&self.session.scratch()[..n]);
-                self.push_bytes(out);
             }
             Ok(Reply::FileStream(file, len)) if len <= READ_CHUNK as u64 => {
                 // Small enough to hold: read it in behind its status
@@ -1126,7 +1120,6 @@ impl Conn {
             }
         }
         shared.telemetry.reactor_wq_high_water(self.wq_bytes);
-        self.session.trim_scratch();
         shared.telemetry.record(
             op,
             self.session.subject(),

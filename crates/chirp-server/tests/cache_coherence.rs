@@ -91,7 +91,6 @@ fn pread(s: &mut Session, fd: i32, length: u64, offset: u64) -> Vec<u8> {
             assert_eq!(out.len(), p.total(), "PageReply total mismatch");
             out
         }
-        Ok(Reply::Scratch(n)) => s.scratch()[..n].to_vec(),
         other => panic!("pread: {other:?}"),
     }
 }
