@@ -43,7 +43,6 @@ fn main() {
 
     // -- real mini-run against live servers ---------------------------
     println!("\n== Figure 9 (real mini-run): live gems crate, 12 servers ==");
-    let db = gems::DbServer::start_ephemeral().unwrap();
     let mut dirs = Vec::new();
     let mut servers = Vec::new();
     let mut pool = Vec::new();
@@ -58,7 +57,14 @@ fn main() {
         dirs.push(dir);
         servers.push(server);
     }
-    let mut config = gems::GemsConfig::new(db.addr(), pool);
+    // The record index lives beside the pool volume on the last
+    // server, which no wipe below touches.
+    let records = DataServer::new(
+        &servers[11].endpoint(),
+        "/gems-records",
+        vec![AuthMethod::Hostname],
+    );
+    let mut config = gems::GemsConfig::new(records, pool);
     config.default_target = 3;
     config.timeout = Duration::from_secs(5);
     let g = gems::Gems::connect(config).unwrap();

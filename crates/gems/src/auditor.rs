@@ -25,12 +25,12 @@ pub struct AuditReport {
 /// the pruned deficits are what [`crate::replicator::replicate_once`]
 /// repairs.
 pub fn audit_once(gems: &Gems) -> io::Result<AuditReport> {
-    let names = gems.db.lock().list()?;
+    let names = gems.list()?;
     let mut report = AuditReport::default();
     for name in names {
         // Fetch fresh state per record: the system keeps running while
         // we scan.
-        let Ok(mut rec) = gems.db.lock().get(&name) else {
+        let Ok(mut rec) = gems.record(&name) else {
             continue; // deleted mid-scan
         };
         report.records += 1;
@@ -69,7 +69,7 @@ pub fn audit_once(gems: &Gems) -> io::Result<AuditReport> {
             }
         });
         if changed {
-            gems.db.lock().put(&rec)?;
+            gems.put_record(&rec)?;
         }
     }
     Ok(report)

@@ -1,7 +1,7 @@
 //! `gems` — command line for the distributed shared database.
 //!
 //! ```text
-//! gems --db HOST:PORT --pool HOST:PORT/VOL[,HOST:PORT/VOL...] COMMAND [ARGS]
+//! gems --records HOST:PORT/DIR --pool HOST:PORT/VOL[,HOST:PORT/VOL...] COMMAND [ARGS]
 //!
 //! commands:
 //!   ingest NAME LOCALFILE [k=v ...]   store a file with attributes
@@ -12,12 +12,14 @@
 //!   rm NAME                           delete everywhere
 //!   audit                             one auditor pass
 //!   repair                            one replicator pass
+//!   rebuild                           rebuild the index from sidecars
 //!   daemon SECS                       run maintenance every SECS
 //! ```
 //!
-//! Authentication: `--hostname` (default) or `--key M:S:KEY`,
-//! applied to every pool server. Database server: `gems::DbServer`
-//! (e.g. started by another `gems daemon` deployment or a test rig).
+//! Authentication: `--hostname` (default) or `--key M:S:KEY`, applied
+//! to every server named. The record index is one directory on any
+//! Chirp server (`--records`), one file per logical name; it may sit on
+//! a pool server, outside the pool's volume.
 
 use std::io::Read;
 use std::sync::Arc;
@@ -29,7 +31,7 @@ use tss_core::stubfs::DataServer;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: gems --db HOST:PORT --pool H:P/VOL[,H:P/VOL...] \\\n\
+        "usage: gems --records H:P/DIR --pool H:P/VOL[,H:P/VOL...] \\\n\
          \x20      [--target N] [--hostname|--key M:S:KEY] COMMAND [ARGS]\n\
          commands: ingest NAME FILE [k=v...] | get NAME FILE | ls |\n\
          \x20         query KEY PATTERN | show NAME | rm NAME |\n\
@@ -47,7 +49,7 @@ fn main() {
 
 fn run() -> Result<(), Box<dyn std::error::Error>> {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut db: Option<String> = None;
+    let mut records_spec: Option<String> = None;
     let mut pool_spec: Option<String> = None;
     let mut target = 2u32;
     let mut auth: Vec<AuthMethod> = Vec::new();
@@ -55,7 +57,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--db" => db = it.next(),
+            "--records" => records_spec = it.next(),
             "--pool" => pool_spec = it.next(),
             "--target" => {
                 target = it
@@ -80,20 +82,18 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
             }
         }
     }
-    let (Some(db), Some(pool_spec)) = (db, pool_spec) else {
+    let (Some(records_spec), Some(pool_spec)) = (records_spec, pool_spec) else {
         usage()
     };
     if auth.is_empty() {
         auth.push(AuthMethod::Hostname);
     }
-    let pool: Vec<DataServer> = pool_spec
-        .split(',')
-        .map(|spec| {
-            let (endpoint, volume) = spec.split_once('/').unwrap_or((spec, "gems"));
-            DataServer::new(endpoint, &format!("/{volume}"), auth.clone())
-        })
-        .collect();
-    let mut config = GemsConfig::new(db.parse()?, pool);
+    let server = |spec: &str, default_dir: &str| {
+        let (endpoint, dir) = spec.split_once('/').unwrap_or((spec, default_dir));
+        DataServer::new(endpoint, &format!("/{dir}"), auth.clone())
+    };
+    let pool: Vec<DataServer> = pool_spec.split(',').map(|s| server(s, "gems")).collect();
+    let mut config = GemsConfig::new(server(&records_spec, "gems-records"), pool);
     config.default_target = target;
     let gems = Gems::connect(config)?;
 

@@ -4,12 +4,13 @@
 //! Scientific data is often better served by a database than a
 //! filesystem: simulation outputs must be indexed, searched, and
 //! replicated. GEMS stores file data on ordinary Chirp file servers
-//! and indexes it in a *database server* ([`db`]) that records, for
-//! every file, its size, checksum, free-form attributes, and the
-//! location of every replica. Clients query the database for matching
-//! files and then access the data directly on the file servers with
-//! the ordinary adapter machinery — the DSDB is just the DSFS with a
-//! richer directory service.
+//! and indexes it in a *record directory* ([`records`]) on one more
+//! ordinary Chirp server: one file per logical name holding its size,
+//! checksum, free-form attributes, and the location of every replica.
+//! Clients query the records for matching files and then access the
+//! data directly on the file servers with the ordinary adapter
+//! machinery — the DSDB is just the DSFS with a richer directory
+//! service, and needs no server code of its own.
 //!
 //! Two active components maintain the data (§9):
 //!
@@ -34,16 +35,15 @@
 
 pub mod auditor;
 pub mod daemons;
-pub mod db;
 pub mod rebuild;
 pub mod record;
+pub mod records;
 pub mod replicator;
 pub mod system;
 pub mod tree;
 
 pub use auditor::{audit_once, AuditReport};
 pub use daemons::GemsDaemons;
-pub use db::{DbClient, DbServer};
 pub use rebuild::{rebuild, RebuildReport};
 pub use record::FileRecord;
 pub use replicator::{replicate_once, ReplicationReport};

@@ -79,7 +79,7 @@ pub fn rebuild(gems: &Gems) -> io::Result<RebuildReport> {
         }
     }
     for rec in assembled.values() {
-        gems.db.lock().put(rec)?;
+        gems.put_record(rec)?;
         report.records += 1;
     }
     Ok(report)

@@ -1,4 +1,4 @@
-//! Database records: one per logical file.
+//! GEMS records: one per logical file.
 
 use std::collections::BTreeMap;
 
@@ -59,7 +59,7 @@ impl FileRecord {
         core.render()
     }
 
-    /// Render to the line format stored and shipped by the database.
+    /// Render to the line format stored in a record file.
     pub fn render(&self) -> String {
         let e = |s: &str| escape(s.as_bytes());
         let mut out = String::new();

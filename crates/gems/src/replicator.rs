@@ -27,11 +27,11 @@ pub struct ReplicationReport {
 /// back to a pull-push through this client; either way the new copy is
 /// verified with the server-side checksum before it is advertised.
 pub fn replicate_once(gems: &Gems, max_copies: usize) -> io::Result<ReplicationReport> {
-    let names = gems.db.lock().list()?;
+    let names = gems.list()?;
     let mut report = ReplicationReport::default();
     let mut budget = max_copies;
     for name in names {
-        let Ok(mut rec) = gems.db.lock().get(&name) else {
+        let Ok(mut rec) = gems.record(&name) else {
             continue;
         };
         if rec.deficit() == 0 {
@@ -72,7 +72,7 @@ pub fn replicate_once(gems: &Gems, max_copies: usize) -> io::Result<ReplicationR
                 endpoint: server.endpoint.clone(),
                 path,
             });
-            gems.db.lock().put(&rec)?;
+            gems.put_record(&rec)?;
             report.copied += 1;
             budget -= 1;
             progressed = true;

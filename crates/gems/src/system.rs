@@ -1,17 +1,17 @@
-//! The assembled GEMS system: database + file server pool.
+//! The assembled GEMS system: record index + file server pool.
 
 use std::collections::HashMap;
 use std::io;
-use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Duration;
 
 use chirp_client::AuthMethod;
+use chirp_proto::transport::Dialer;
+use chirp_proto::Clock;
 use parking_lot::Mutex;
 use tss_core::cfs::{Cfs, CfsConfig, RetryPolicy};
 use tss_core::stubfs::DataServer;
 
-use crate::db::DbClient;
 use crate::record::{FileRecord, Replica};
 
 /// One storage server in the GEMS pool (endpoint + volume + auth) —
@@ -26,8 +26,9 @@ pub fn sidecar_path(data_path: &str) -> String {
 /// Configuration of a GEMS client.
 #[derive(Debug, Clone)]
 pub struct GemsConfig {
-    /// Database server address.
-    pub db_addr: SocketAddr,
+    /// Where the record index lives: one directory on a Chirp
+    /// server, one file per record ([`crate::records`]).
+    pub records: DataServer,
     /// Storage servers replicas may be placed on.
     pub pool: GemsPool,
     /// Default replica target for newly ingested files.
@@ -36,17 +37,25 @@ pub struct GemsConfig {
     pub timeout: Duration,
     /// Recovery policy for storage connections.
     pub retry: RetryPolicy,
+    /// How connections are opened: real TCP by default, the in-memory
+    /// network under the simulation harness.
+    pub dialer: Dialer,
+    /// The clock recovery sleeps are charged to: wall time by default,
+    /// virtual under simulation.
+    pub clock: Clock,
 }
 
 impl GemsConfig {
     /// A config with library defaults.
-    pub fn new(db_addr: SocketAddr, pool: GemsPool) -> GemsConfig {
+    pub fn new(records: DataServer, pool: GemsPool) -> GemsConfig {
         GemsConfig {
-            db_addr,
+            records,
             pool,
             default_target: 2,
             timeout: Duration::from_secs(10),
             retry: RetryPolicy::default(),
+            dialer: Dialer::tcp(),
+            clock: Clock::wall(),
         }
     }
 }
@@ -55,20 +64,18 @@ impl GemsConfig {
 /// scientific data.
 pub struct Gems {
     pub(crate) config: GemsConfig,
-    pub(crate) db: Mutex<DbClient>,
     conns: Mutex<HashMap<String, Arc<Cfs>>>,
 }
 
 impl Gems {
-    /// Connect to the database and prepare the pool volumes.
+    /// Prepare the record directory and the pool volumes.
     pub fn connect(config: GemsConfig) -> io::Result<Gems> {
-        let db = DbClient::connect(config.db_addr, config.timeout)?;
         let gems = Gems {
             config,
-            db: Mutex::new(db),
             conns: Mutex::new(HashMap::new()),
         };
-        for server in gems.config.pool.clone() {
+        let records = std::iter::once(gems.config.records.clone());
+        for server in records.chain(gems.config.pool.clone()) {
             let cfs = gems.conn_for(&server.endpoint, &server.auth);
             match tss_core::fs::FileSystem::mkdir(cfs.as_ref(), &server.volume, 0o755) {
                 Ok(()) => {}
@@ -88,6 +95,8 @@ impl Gems {
                 let mut cfg = CfsConfig::new(endpoint, auth.to_vec());
                 cfg.timeout = self.config.timeout;
                 cfg.retry = self.config.retry;
+                cfg.dialer = self.config.dialer.clone();
+                cfg.clock = self.config.clock.clone();
                 Arc::new(Cfs::new(cfg))
             })
             .clone()
@@ -124,12 +133,22 @@ impl Gems {
     /// Store `data` under the logical `name` with searchable
     /// attributes; writes one replica and registers the record. The
     /// replicator brings it up to the target.
+    ///
+    /// A name that already has a record is refused with
+    /// `AlreadyExists` before any replica is written: a second
+    /// generation would orphan the first one's replicas, and a rebuild
+    /// could bring either back. To replace a file, delete it first.
     pub fn ingest(
         &self,
         name: &str,
         attrs: &[(&str, &str)],
         data: &[u8],
     ) -> io::Result<FileRecord> {
+        match self.record(name) {
+            Ok(_) => return Err(io::ErrorKind::AlreadyExists.into()),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => {}
+            Err(e) => return Err(e),
+        }
         let checksum = chirp_proto::crc64(data);
         let mut rec = FileRecord::new(
             name,
@@ -157,7 +176,7 @@ impl Gems {
             endpoint: server.endpoint.clone(),
             path,
         });
-        self.db.lock().put(&rec)?;
+        self.put_record(&rec)?;
         Ok(rec)
     }
 
@@ -165,7 +184,7 @@ impl Gems {
     /// the checksum — the loss of any one device leaves the data
     /// reachable through the others (failure coherence).
     pub fn fetch(&self, name: &str) -> io::Result<Vec<u8>> {
-        let rec = self.db.lock().get(name)?;
+        let rec = self.record(name)?;
         let mut last: io::Error = io::ErrorKind::NotFound.into();
         for replica in &rec.replicas {
             let cfs = self.conn_for_replica(replica);
@@ -185,30 +204,10 @@ impl Gems {
         &self.config.pool
     }
 
-    /// The record for a logical name.
-    pub fn record(&self, name: &str) -> io::Result<FileRecord> {
-        self.db.lock().get(name)
-    }
-
-    /// All logical names.
-    pub fn list(&self) -> io::Result<Vec<String>> {
-        self.db.lock().list()
-    }
-
-    /// Names whose attribute `key` matches the wildcard `pattern`.
-    pub fn query(&self, key: &str, pattern: &str) -> io::Result<Vec<String>> {
-        self.db.lock().query(key, pattern)
-    }
-
-    /// Names matching *every* `(key, pattern)` constraint.
-    pub fn query_all(&self, constraints: &[(&str, &str)]) -> io::Result<Vec<String>> {
-        self.db.lock().query_all(constraints)
-    }
-
     /// Remove a file everywhere: every replica, then the record
     /// (data first, then metadata, as in the DSFS delete protocol).
     pub fn delete(&self, name: &str) -> io::Result<()> {
-        let rec = self.db.lock().get(name)?;
+        let rec = self.record(name)?;
         for replica in &rec.replicas {
             let cfs = self.conn_for_replica(replica);
             for path in [replica.path.clone(), sidecar_path(&replica.path)] {
@@ -219,7 +218,7 @@ impl Gems {
                 }
             }
         }
-        self.db.lock().delete(name)
+        self.delete_record(name)
     }
 
     /// One full maintenance cycle: audit everything, then repair.

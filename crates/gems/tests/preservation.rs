@@ -1,54 +1,68 @@
 //! The GEMS preservation workflow against live Chirp servers: ingest,
 //! query, failure injection, audit, repair — Figure 9 at test scale.
+//!
+//! Every fixture runs on [`SimTss`]: the pool is servers `0..n` and the
+//! record index is a directory on server `n`, so wiping or killing a
+//! pool server never touches the index.
 
+use std::io::ErrorKind;
 use std::time::Duration;
 
 use chirp_client::AuthMethod;
 use chirp_proto::testutil::TempDir;
 use chirp_server::acl::Acl;
 use chirp_server::{FileServer, ServerConfig};
-use gems::{DbServer, Gems, GemsConfig};
+use gems::{Gems, GemsConfig, RebuildReport};
+use simharness::harness::{SimTss, SIM_TIMEOUT};
 use tss_core::cfs::RetryPolicy;
 use tss_core::stubfs::DataServer;
 
 struct Fixture {
-    _db: DbServer,
-    _dirs: Vec<TempDir>,
-    servers: Vec<FileServer>,
+    sim: SimTss,
     gems: Gems,
 }
 
 fn fixture(nservers: usize, target: u32) -> Fixture {
-    let db = DbServer::start_ephemeral().unwrap();
-    let mut dirs = Vec::new();
-    let mut servers = Vec::new();
-    let mut pool = Vec::new();
-    for _ in 0..nservers {
-        let dir = TempDir::new();
-        let server = FileServer::start(
-            ServerConfig::localhost(dir.path(), "owner")
-                .with_root_acl(Acl::single("hostname:*", "rwlda").unwrap()),
-        )
-        .unwrap();
-        pool.push(DataServer::new(
-            &server.endpoint(),
-            "/gems",
-            vec![AuthMethod::Hostname],
-        ));
-        dirs.push(dir);
-        servers.push(server);
-    }
-    let mut config = GemsConfig::new(db.addr(), pool);
+    let sim = SimTss::builder().servers(nservers + 1).build();
+    let gems = Gems::connect(config(&sim, "/index", target)).unwrap();
+    Fixture { sim, gems }
+}
+
+/// A session over `sim`'s pool with its index in `records_dir` on the
+/// last server.
+fn config(sim: &SimTss, records_dir: &str, target: u32) -> GemsConfig {
+    let index = sim.servers().len() - 1;
+    let pool = (0..index).map(|i| sim.data_server(i, "/gems")).collect();
+    let mut config = GemsConfig::new(sim.data_server(index, records_dir), pool);
     config.default_target = target;
-    config.timeout = Duration::from_millis(1500);
+    config.timeout = SIM_TIMEOUT;
     config.retry = RetryPolicy::none();
-    let gems = Gems::connect(config).unwrap();
-    Fixture {
-        _db: db,
-        _dirs: dirs,
-        servers,
-        gems,
+    config.dialer = sim.dialer();
+    config.clock = sim.clock().clone();
+    config
+}
+
+/// The pool server whose endpoint is `endpoint`.
+fn server_index(sim: &SimTss, endpoint: &str) -> usize {
+    sim.servers()
+        .iter()
+        .position(|s| s.endpoint() == endpoint)
+        .unwrap()
+}
+
+/// Host paths of every file in the pool volumes but the ACL.
+fn volume_files(f: &Fixture) -> Vec<std::path::PathBuf> {
+    let mut files = Vec::new();
+    for i in 0..f.gems.pool().len() {
+        for entry in std::fs::read_dir(f.sim.root(i).join("gems")).unwrap() {
+            let entry = entry.unwrap();
+            if entry.file_name() != ".__acl" {
+                files.push(entry.path());
+            }
+        }
     }
+    files.sort();
+    files
 }
 
 fn payload(i: u64) -> Vec<u8> {
@@ -129,7 +143,7 @@ fn audit_detects_forcible_deletion_and_replicator_repairs() {
     gems::replicate_once(&f.gems, usize::MAX).unwrap();
 
     // Wipe all GEMS data on server 0, as its owner is free to do.
-    let victim = f._dirs[0].path().join("gems");
+    let victim = f.sim.root(0).join("gems");
     let mut deleted = 0u64;
     for entry in std::fs::read_dir(&victim).unwrap() {
         let entry = entry.unwrap();
@@ -170,13 +184,9 @@ fn audit_detects_corruption_by_checksum() {
     // Corrupt one replica in place (same size, different bytes).
     let rec = f.gems.record("precious").unwrap();
     let victim = &rec.replicas[0];
-    let server_idx = f
-        .servers
-        .iter()
-        .position(|s| s.endpoint() == victim.endpoint)
-        .unwrap();
-    let host_path = f._dirs[server_idx]
-        .path()
+    let host_path = f
+        .sim
+        .root(server_index(&f.sim, &victim.endpoint))
         .join(victim.path.trim_start_matches('/'));
     let mut bytes = std::fs::read(&host_path).unwrap();
     bytes[0] ^= 0xff;
@@ -202,12 +212,8 @@ fn audit_prunes_replicas_on_a_dead_server() {
     gems::replicate_once(&f.gems, usize::MAX).unwrap();
     let rec = f.gems.record("x").unwrap();
     let dead_ep = rec.replicas[0].endpoint.clone();
-    let idx = f
-        .servers
-        .iter()
-        .position(|s| s.endpoint() == dead_ep)
-        .unwrap();
-    f.servers[idx].shutdown();
+    let idx = server_index(&f.sim, &dead_ep);
+    f.sim.kill(idx);
 
     let audit = gems::audit_once(&f.gems).unwrap();
     assert_eq!(audit.missing, 1);
@@ -238,14 +244,7 @@ fn delete_removes_data_then_record() {
     f.gems.delete("victim").unwrap();
     assert!(f.gems.record("victim").is_err());
     // No orphaned data on any server.
-    for dir in &f._dirs {
-        let vol = dir.path().join("gems");
-        let data_files = std::fs::read_dir(&vol)
-            .unwrap()
-            .filter(|e| e.as_ref().unwrap().file_name() != ".__acl")
-            .count();
-        assert_eq!(data_files, 0);
-    }
+    assert_eq!(volume_files(&f), Vec::<std::path::PathBuf>::new());
 }
 
 #[test]
@@ -278,7 +277,7 @@ fn daemons_repair_without_manual_intervention() {
         assert_eq!(g.record(&format!("d{i}")).unwrap().replicas.len(), 2);
     }
     // Induce a failure behind the daemons' back...
-    let victim = f._dirs[0].path().join("gems");
+    let victim = f.sim.root(0).join("gems");
     for entry in std::fs::read_dir(&victim).unwrap().flatten() {
         if entry.file_name() != ".__acl" {
             std::fs::remove_file(entry.path()).unwrap();
@@ -302,7 +301,6 @@ fn daemons_repair_without_manual_intervention() {
 fn placement_prefers_servers_with_free_space() {
     // Two servers, one nearly full: ingest must land on the roomy one,
     // and when everything is full the error is NoSpace, not silence.
-    let db = DbServer::start_ephemeral().unwrap();
     let full_dir = TempDir::new();
     let roomy_dir = TempDir::new();
     let mut full_cfg = ServerConfig::localhost(full_dir.path(), "o")
@@ -314,11 +312,21 @@ fn placement_prefers_servers_with_free_space() {
     roomy_cfg.capacity_bytes = 100_000;
     let roomy = FileServer::start(roomy_cfg).unwrap();
 
+    // The index sits on a third server, so only replicas count
+    // against the two capacities.
+    let index_dir = TempDir::new();
+    let index = FileServer::start(
+        ServerConfig::localhost(index_dir.path(), "o")
+            .with_root_acl(Acl::single("hostname:*", "rwlda").unwrap()),
+    )
+    .unwrap();
+
     let pool = vec![
         DataServer::new(&full.endpoint(), "/gems", vec![AuthMethod::Hostname]),
         DataServer::new(&roomy.endpoint(), "/gems", vec![AuthMethod::Hostname]),
     ];
-    let mut config = GemsConfig::new(db.addr(), pool);
+    let records = DataServer::new(&index.endpoint(), "/index", vec![AuthMethod::Hostname]);
+    let mut config = GemsConfig::new(records, pool);
     config.default_target = 1;
     let g = Gems::connect(config).unwrap();
 
@@ -336,7 +344,7 @@ fn placement_prefers_servers_with_free_space() {
     // Exhaust the roomy server too: the refusal surfaces as an error.
     for i in 5..20u64 {
         if let Err(e) = g.ingest(&format!("f{i}"), &[], &vec![1u8; 8_000]) {
-            assert_eq!(e.kind(), std::io::ErrorKind::StorageFull, "got {e}");
+            assert_eq!(e.kind(), ErrorKind::StorageFull, "got {e}");
             return;
         }
     }
@@ -359,17 +367,12 @@ fn lost_database_is_rebuilt_by_rescanning_servers() {
     }
     gems::replicate_once(&f.gems, usize::MAX).unwrap();
 
-    // Catastrophe: the database is lost entirely. Attach a brand-new,
+    // Catastrophe: the index is lost entirely. Attach a brand-new,
     // empty one.
-    let fresh_db = gems::DbServer::start_ephemeral().unwrap();
-    let mut config = gems::GemsConfig::new(fresh_db.addr(), f.gems.pool().clone());
-    config.default_target = 2;
-    config.timeout = Duration::from_millis(1500);
-    config.retry = RetryPolicy::none();
-    let recovered = Gems::connect(config).unwrap();
+    let recovered = Gems::connect(config(&f.sim, "/recovered", 2)).unwrap();
     assert!(
         recovered.list().unwrap().is_empty(),
-        "fresh db starts empty"
+        "fresh index starts empty"
     );
 
     let report = gems::rebuild(&recovered).unwrap();
@@ -403,26 +406,74 @@ fn rebuild_rejects_tampered_replicas() {
     // Tamper with one replica's bytes (sidecar checksum now disagrees).
     let rec = f.gems.record("honest").unwrap();
     let victim = &rec.replicas[0];
-    let idx = f
-        .servers
-        .iter()
-        .position(|s| s.endpoint() == victim.endpoint)
-        .unwrap();
-    let host_path = f._dirs[idx]
-        .path()
+    let host_path = f
+        .sim
+        .root(server_index(&f.sim, &victim.endpoint))
         .join(victim.path.trim_start_matches('/'));
     let mut bytes = std::fs::read(&host_path).unwrap();
     bytes[0] ^= 0xff;
     std::fs::write(&host_path, &bytes).unwrap();
 
-    let fresh_db = gems::DbServer::start_ephemeral().unwrap();
-    let mut config = gems::GemsConfig::new(fresh_db.addr(), f.gems.pool().clone());
-    config.timeout = Duration::from_millis(1500);
-    config.retry = RetryPolicy::none();
-    let recovered = Gems::connect(config).unwrap();
+    let recovered = Gems::connect(config(&f.sim, "/recovered", 2)).unwrap();
     let report = gems::rebuild(&recovered).unwrap();
     assert_eq!(report.records, 1);
     assert_eq!(report.replicas, 1, "only the intact copy is trusted");
     assert_eq!(report.rejected, 1);
     assert_eq!(recovered.fetch("honest").unwrap(), payload(7));
+}
+
+#[test]
+fn reingesting_a_name_is_refused_and_rebuild_keeps_the_live_generation() {
+    // A second ingest of one name used to write a second generation
+    // beside the first: the first one's replica and sidecar were
+    // orphaned, and a rebuild kept whichever generation it scanned
+    // first, so it could bring back the old bytes.
+    let f = fixture(2, 2);
+    f.gems.ingest("y", &[], &[7u8; 7]).unwrap();
+    let old = vec![4u8; 4_000];
+    f.gems.ingest("x", &[], &old).unwrap();
+    let before = volume_files(&f);
+    let err = f.gems.ingest("x", &[], &[15u8; 15]).unwrap_err();
+    assert_eq!(err.kind(), ErrorKind::AlreadyExists);
+    assert_eq!(volume_files(&f), before, "no replica was written");
+    assert_eq!(f.gems.fetch("x").unwrap(), old);
+
+    // Replacing a file is delete, then ingest; a rebuild then finds
+    // the new generation only.
+    f.gems.delete("x").unwrap();
+    let new = vec![15u8; 15];
+    f.gems.ingest("x", &[], &new).unwrap();
+    let recovered = Gems::connect(config(&f.sim, "/recovered", 2)).unwrap();
+    let report = gems::rebuild(&recovered).unwrap();
+    assert_eq!(
+        report,
+        RebuildReport {
+            records: 2,
+            replicas: 2,
+            rejected: 0
+        }
+    );
+    assert_eq!(recovered.fetch("x").unwrap(), new);
+}
+
+#[test]
+fn a_name_too_long_for_its_record_file_is_refused_before_any_replica() {
+    let f = fixture(2, 2);
+    // 251 bytes + ".rec" is the longest record file a server takes.
+    let longest = "a".repeat(251);
+    f.gems.ingest(&longest, &[], &payload(1)).unwrap();
+    let before = volume_files(&f);
+    let err = f
+        .gems
+        .ingest(&"a".repeat(252), &[], &payload(2))
+        .unwrap_err();
+    assert_eq!(err.kind(), ErrorKind::InvalidInput);
+    // Escaping counts: 42 two-byte characters are 252 bytes on disk.
+    let err = f
+        .gems
+        .ingest(&"é".repeat(42), &[], &payload(3))
+        .unwrap_err();
+    assert_eq!(err.kind(), ErrorKind::InvalidInput);
+    assert_eq!(volume_files(&f), before, "no replica was written");
+    assert_eq!(f.gems.list().unwrap(), vec![longest]);
 }

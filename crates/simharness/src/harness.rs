@@ -255,11 +255,18 @@ impl SimTss {
     /// refused.
     pub fn restart(&mut self, i: usize) {
         let addr = self.servers[i].addr();
-        self.servers[i].shutdown();
-        self.net.unbind(addr);
+        self.kill(i);
         let listener = self.net.listen_at(addr).expect("rebind sim address");
         self.servers[i] = FileServer::start_on(self.configs[i].clone(), Arc::new(listener))
             .expect("restart sim server");
+    }
+
+    /// Kill server `i` for good, as a host death would: shut it down,
+    /// which closes every live connection, and unbind its address, so
+    /// every later dial is refused.
+    pub fn kill(&mut self, i: usize) {
+        self.servers[i].shutdown();
+        self.net.unbind(self.servers[i].addr());
     }
 
     /// Shut every server down.

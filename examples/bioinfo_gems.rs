@@ -18,7 +18,7 @@ use tss::chirp_proto::testutil::TempDir;
 use tss::chirp_server::acl::Acl;
 use tss::chirp_server::{FileServer, ServerConfig};
 use tss::core::stubfs::DataServer;
-use tss::gems::{DbServer, Gems, GemsConfig};
+use tss::gems::{Gems, GemsConfig};
 
 fn main() -> std::io::Result<()> {
     // A pool of six file servers — workstations, classroom machines,
@@ -40,12 +40,18 @@ fn main() -> std::io::Result<()> {
         dirs.push(dir);
         servers.push(server);
     }
-    let db = DbServer::start_ephemeral()?;
-    let mut config = GemsConfig::new(db.addr(), pool);
+    // The record index is one more directory on the last server: any
+    // Chirp server can hold it, beside the volume it lends the pool.
+    let records = DataServer::new(
+        &servers[5].endpoint(),
+        "/gems-records",
+        vec![AuthMethod::Hostname],
+    );
+    let mut config = GemsConfig::new(records, pool);
     config.default_target = 3;
     config.timeout = Duration::from_secs(5);
     let gems = Gems::connect(config)?;
-    println!("GEMS online: database + {} file servers", servers.len());
+    println!("GEMS online: record index + {} file servers", servers.len());
 
     // -- ingest a batch of simulation outputs ---------------------------
     for run in 0..8u32 {

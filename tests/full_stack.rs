@@ -261,8 +261,10 @@ fn gems_can_run_on_catalog_discovered_storage() {
         .iter()
         .map(|r| DataServer::new(&r.address, "/gems", auth()))
         .collect();
-    let db = tss::gems::DbServer::start_ephemeral().unwrap();
-    let mut config = tss::gems::GemsConfig::new(db.addr(), pool);
+    // The record index is one more directory on a discovered server:
+    // the whole DSDB runs on discovered storage.
+    let records = DataServer::new(&listing[0].address, "/gems-records", auth());
+    let mut config = tss::gems::GemsConfig::new(records, pool);
     config.default_target = 2;
     let g = tss::gems::Gems::connect(config).unwrap();
     g.ingest("discovered", &[("via", "catalog")], b"data")
