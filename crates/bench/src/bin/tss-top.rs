@@ -158,7 +158,9 @@ fn render(rows: &[Row]) {
             .map(|(rate, resident)| {
                 (
                     format!("{:.1}", rate * 100.0),
-                    format!("{}", resident / 1024),
+                    // Rounded up: a page holds only its file's bytes,
+                    // so a small resident file must not read as 0.
+                    format!("{}", (resident + 1023) / 1024),
                 )
             })
             .unwrap_or_else(|| ("-".to_string(), "-".to_string()));

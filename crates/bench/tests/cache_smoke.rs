@@ -15,6 +15,8 @@
 //!   must cost at most 1.3× the cacheless rig: a full cache admits a
 //!   page only on its second miss, and reads the rest straight into
 //!   the reply.
+//! * **Exact pages**: small files read through a real server cost the
+//!   cache their own bytes, not a page each.
 //!
 //! Thresholds are deliberately lax versions of the measured ratios
 //! (see EXPERIMENTS.md) so only a real regression trips them. The
@@ -307,5 +309,52 @@ fn cold_uniform_misses_stay_near_read_through() {
         reg.gauge("cache.resident_bytes").get(),
         CACHE as i64,
         "full"
+    );
+}
+
+/// Through a real server, over loopback TCP: files of 3 KiB and one of
+/// a page and a byte, each read twice with `PREAD`, leave the cache
+/// holding exactly their bytes, since a page is as long as the bytes
+/// its file has in it.
+#[test]
+fn small_files_cost_the_cache_their_own_bytes() {
+    use chirp_client::AuthMethod;
+    use chirp_server::FileServer;
+    use tss_core::{Cfs, FileSystem};
+
+    const SMALL: usize = 3 << 10;
+    const FILES: usize = 100;
+    let dir = TempDir::new();
+    let server = FileServer::start(
+        ServerConfig::localhost(dir.path(), "bench")
+            .with_root_acl(Acl::single("hostname:*", "rwlda").unwrap())
+            .with_cache(CACHE),
+    )
+    .unwrap();
+    let cfs = Cfs::connect(&server.endpoint(), vec![AuthMethod::Hostname]);
+    let files: Vec<(String, Vec<u8>)> = (0..FILES)
+        .map(|i| (format!("/small{i}"), vec![(i % 251) as u8; SMALL]))
+        .chain([("/big".to_string(), vec![7u8; PAGE as usize + 1])])
+        .collect();
+    for (path, data) in &files {
+        cfs.write_file(path, data).unwrap();
+    }
+    for _ in 0..2 {
+        for (path, data) in &files {
+            let mut h = cfs.open(path, OpenFlags::READ, 0).unwrap();
+            let mut buf = vec![0u8; 2 * PAGE as usize];
+            let n = h.pread(&mut buf, 0).unwrap();
+            assert_eq!(&buf[..n], &data[..], "{path}");
+        }
+    }
+    let reg = server.telemetry().registry();
+    let pages = FILES as u64 + 2;
+    assert_eq!(reg.counter("cache.misses").get(), pages, "the first pass");
+    assert_eq!(reg.counter("cache.hits").get(), pages, "the second pass");
+    let total: usize = files.iter().map(|(_, data)| data.len()).sum();
+    assert_eq!(
+        reg.gauge("cache.resident_bytes").get(),
+        total as i64,
+        "resident bytes are the files' bytes"
     );
 }

@@ -36,9 +36,15 @@
 //!   populates absent ones, nor records them in the ghost. The host filesystem stays the single
 //!   durable truth, so crash semantics and out-of-band inspection
 //!   (the recursive-abstraction property) are unchanged.
-//! * **Zero-tail invariant.** Bytes of a page buffer beyond its
-//!   `valid` length are always zero, so sparse growth (pwrite past
-//!   EOF, truncate up) extends `valid` without touching memory.
+//! * **Exact pages.** A page buffer holds exactly the bytes its file
+//!   has in that page, so only a file's last page is short and
+//!   `cache.resident_bytes` counts data, never padding. Sparse growth
+//!   (pwrite past EOF, truncate up) extends the old last page with the
+//!   zeros its hole reads as on disk; a truncate down shortens it into
+//!   a fresh buffer, so a reply in flight keeps the bytes it took. A
+//!   page shorter than the old EOF where growth reaches it (filled
+//!   under a size a racing write had already passed) is dropped, not
+//!   extended: the bytes it lacks are data on disk, not a hole.
 //! * **Fill/write race.** A reader loads a page from disk without
 //!   holding any shard lock. A per-file *epoch* (striped atomics)
 //!   is bumped by every mutation after it hits disk and before it
@@ -234,10 +240,9 @@ impl PageReply {
 
 #[derive(Debug)]
 struct Entry {
+    /// The file's bytes in this page, and no more: only the file's
+    /// last page is short.
     data: Arc<Vec<u8>>,
-    /// Bytes of `data` that mirror the file; the rest are zero. Only
-    /// the file's last page may be partially valid.
-    valid: usize,
     /// This page's index in its shard's `ring`.
     slot: usize,
     /// Read since the hand last passed.
@@ -315,12 +320,14 @@ impl Shard {
         }
     }
 
-    fn remove(&mut self, key: (FileKey, u64)) {
-        let slot = self.map.remove(&key).expect("ring key resident").slot;
-        self.ring.swap_remove(slot);
-        if let Some(moved) = self.ring.get(slot) {
-            self.map.get_mut(moved).expect("ring key resident").slot = slot;
+    /// Drop a resident page; return the bytes it held.
+    fn remove(&mut self, key: (FileKey, u64)) -> usize {
+        let entry = self.map.remove(&key).expect("ring key resident");
+        self.ring.swap_remove(entry.slot);
+        if let Some(moved) = self.ring.get(entry.slot) {
+            self.map.get_mut(moved).expect("ring key resident").slot = entry.slot;
         }
+        entry.data.len()
     }
 }
 
@@ -451,7 +458,7 @@ impl PageCache {
     /// Cache a page read from disk while `key`'s epoch was `epoch`.
     /// The epoch is checked under the shard lock: a mutation that
     /// bumps it later patches or drops this page after we unlock.
-    fn insert(&self, key: FileKey, idx: u64, data: Arc<Vec<u8>>, valid: usize, epoch: u64) {
+    fn insert(&self, key: FileKey, idx: u64, data: Arc<Vec<u8>>, epoch: u64) {
         let mut guard = self.shard_for(key, idx).lock().expect("shard poisoned");
         if self.epoch_cell(key).load(Ordering::Acquire) != epoch {
             return;
@@ -461,20 +468,24 @@ impl PageCache {
             // A racing reader filled it first, from the same disk bytes.
             return;
         }
+        let held = data.len() as i64;
         let slot = if shard.ring.len() as u64 >= self.shard_budget {
             let slot = shard.victim();
             let victim = std::mem::replace(&mut shard.ring[slot], (key, idx));
-            shard.map.remove(&victim);
+            let victim = shard.map.remove(&victim).expect("ring key resident");
             self.evicted.inc();
+            let grown = held - victim.data.len() as i64;
+            if grown != 0 {
+                self.resident.adjust(grown);
+            }
             slot
         } else {
             shard.ring.push((key, idx));
-            self.resident.adjust(self.page as i64);
+            self.resident.adjust(held);
             shard.ring.len() - 1
         };
         let entry = Entry {
             data,
-            valid,
             slot,
             referenced: false,
         };
@@ -513,7 +524,7 @@ impl PageCache {
         };
         // Hits and misses are added up and counted once per read: two
         // shared atomics per page cost more than the rest of a hit.
-        let (mut hits, mut hit_bytes, mut admitted, mut passed) = (0, 0, 0, 0);
+        let (mut hits, mut hit_bytes, mut passed) = (0, 0, 0);
         // Pages up to the first miss go straight into the reply; from
         // there on, what each page needs is noted for the fill.
         let mut slices: Vec<PageSlice> = Vec::with_capacity(count as usize);
@@ -521,19 +532,21 @@ impl PageCache {
         for idx in pages.clone() {
             let (s, e, _) = span(idx);
             let mut shard = self.shard_for(key, idx).lock().expect("shard poisoned");
-            let look =
-                if let Some(entry) = shard.map.get_mut(&(key, idx)).filter(|en| en.valid >= e) {
-                    entry.touch();
-                    hits += 1;
-                    hit_bytes += (e - s) as u64;
-                    Look::Hit(entry.data.clone())
-                } else if allow_insert && shard.admits((key, idx), self.shard_budget) {
-                    admitted += 1;
-                    Look::Admit
-                } else {
-                    passed += e - s;
-                    Look::Pass
-                };
+            let look = if let Some(entry) = shard
+                .map
+                .get_mut(&(key, idx))
+                .filter(|en| en.data.len() >= e)
+            {
+                entry.touch();
+                hits += 1;
+                hit_bytes += (e - s) as u64;
+                Look::Hit(entry.data.clone())
+            } else if allow_insert && shard.admits((key, idx), self.shard_budget) {
+                Look::Admit
+            } else {
+                passed += e - s;
+                Look::Pass
+            };
             match look {
                 Look::Hit(page) if looked.is_empty() => slices.push(PageSlice {
                     page,
@@ -556,9 +569,13 @@ impl PageCache {
         self.misses.add(misses);
         let epoch = self.epoch_cell(key).load(Ordering::Acquire);
         // Fresh memory for the misses, written first by the kernel's
-        // copy: zeroing it beforehand would write every byte twice.
-        let mut fresh: Vec<Vec<u8>> = (0..admitted)
-            .map(|_| Vec::with_capacity(self.page))
+        // copy: zeroing it beforehand would write every byte twice. An
+        // admitted page is as long as the file's bytes in it.
+        let mut fresh: Vec<Vec<u8>> = pages
+            .clone()
+            .zip(&looked)
+            .filter(|(_, look)| matches!(look, Look::Admit))
+            .map(|(idx, _)| Vec::with_capacity(span(idx).2))
             .collect();
         let mut pass: Vec<u8> = Vec::with_capacity(passed);
         let mut whole = true;
@@ -626,12 +643,11 @@ impl PageCache {
                 Look::Admit => {
                     let mut buf = fresh.next().expect("one per admit");
                     // SAFETY: `read_run` wrote (or zeroed) the page's
-                    // first `want` bytes; the zero tail follows them.
+                    // `want` bytes, all it was made with room for.
                     unsafe { buf.set_len(want) };
-                    buf.resize(self.page, 0);
                     let data = Arc::new(buf);
                     if whole {
-                        self.insert(key, idx, data.clone(), want, epoch);
+                        self.insert(key, idx, data.clone(), epoch);
                     }
                     data
                 }
@@ -660,9 +676,9 @@ impl PageCache {
 
     /// Write-through patch: `data` has reached disk at `offset`;
     /// update any resident pages. `old_size` is the file size before
-    /// the write, for the old-EOF-page fixup (a page that was the
-    /// partial last page becomes fully valid when the file grows past
-    /// it — the gap bytes are zero on disk and in the buffer alike).
+    /// the write: a page that was the partial last page first takes the
+    /// zeros of the gap the write leaves (see `grow`), so every page
+    /// the write reaches is long enough to patch.
     pub fn write_through(&self, key: FileKey, offset: u64, data: &[u8], old_size: u64) {
         if data.is_empty() {
             return;
@@ -670,44 +686,64 @@ impl PageCache {
         self.bump_epoch(key);
         let page = self.page as u64;
         let end = offset + data.len() as u64;
+        self.grow(key, old_size, end);
         for idx in offset / page..=(end - 1) / page {
             let page_off = idx * page;
             let s = (offset.max(page_off) - page_off) as usize;
             let e = (end.min(page_off + page) - page_off) as usize;
             let src = (page_off + s as u64 - offset) as usize;
             let mut shard = self.shard_for(key, idx).lock().expect("shard poisoned");
-            if let Some(entry) = shard.map.get_mut(&(key, idx)) {
-                // A reply in flight may still hold this page; give it
-                // its own copy rather than mutating what it reads.
-                let buf = Arc::make_mut(&mut entry.data);
-                buf[s..e].copy_from_slice(&data[src..src + (e - s)]);
-                entry.valid = entry.valid.max(e);
-                entry.touch();
+            let Some(entry) = shard.map.get_mut(&(key, idx)) else {
+                continue;
+            };
+            if entry.data.len() < e {
+                // Shorter than the file was (see the module docs): what
+                // it lacks is data on disk, not zeros.
+                self.discard(&mut shard, (key, idx));
+                continue;
             }
+            // A reply in flight may still hold this page; give it
+            // its own copy rather than mutating what it reads.
+            let buf = Arc::make_mut(&mut entry.data);
+            buf[s..e].copy_from_slice(&data[src..src + (e - s)]);
+            entry.touch();
         }
-        self.grow(key, old_size, end);
     }
 
     /// The file grew from `old_size` to `new_size`: its old partial
-    /// last page is now backed up to the page end (or the new EOF) by
-    /// a zero-filled gap, which the zero-tail invariant already holds.
+    /// last page, if resident, is extended with the zeros of the hole
+    /// on disk, up to the page end or the new EOF. A page that does not
+    /// end at the old EOF is dropped instead.
     fn grow(&self, key: FileKey, old_size: u64, new_size: u64) {
         let page = self.page as u64;
         if new_size <= old_size || old_size.is_multiple_of(page) {
             return;
         }
         let idx = old_size / page;
-        let new_valid = (new_size - idx * page).min(page) as usize;
+        let old_len = (old_size % page) as usize;
+        let new_len = (new_size - idx * page).min(page) as usize;
         let mut shard = self.shard_for(key, idx).lock().expect("shard poisoned");
-        if let Some(entry) = shard.map.get_mut(&(key, idx)) {
-            entry.valid = entry.valid.max(new_valid);
+        let Some(entry) = shard.map.get_mut(&(key, idx)) else {
+            return;
+        };
+        let len = entry.data.len();
+        if len >= new_len {
+            return;
         }
+        if len != old_len {
+            self.discard(&mut shard, (key, idx));
+            return;
+        }
+        let buf = Arc::make_mut(&mut entry.data);
+        // No more room than bytes: the gauge counts lengths.
+        buf.reserve_exact(new_len - len);
+        buf.resize(new_len, 0);
+        self.resident.adjust((new_len - len) as i64);
     }
 
     /// The file was truncated on disk from `old_size` to `new_size`:
-    /// drop pages past the new EOF, zero the boundary page's tail
-    /// (re-establishing the zero-tail invariant so a later extension
-    /// reads back zeros), or extend the old last page on growth.
+    /// drop pages past the new EOF and shorten the boundary page, or
+    /// extend the old last page on growth.
     pub fn truncate(&self, key: FileKey, old_size: u64, new_size: u64) {
         if old_size == new_size {
             return;
@@ -720,12 +756,13 @@ impl PageCache {
         self.drop_pages(key, new_size.div_ceil(page));
         if !new_size.is_multiple_of(page) {
             let idx = new_size / page;
-            let new_valid = (new_size % page) as usize;
+            let keep = (new_size % page) as usize;
             let mut shard = self.shard_for(key, idx).lock().expect("shard poisoned");
             if let Some(entry) = shard.map.get_mut(&(key, idx)) {
-                if entry.valid > new_valid {
-                    Arc::make_mut(&mut entry.data)[new_valid..entry.valid].fill(0);
-                    entry.valid = new_valid;
+                if entry.data.len() > keep {
+                    self.resident.adjust(keep as i64 - entry.data.len() as i64);
+                    // A fresh buffer: a reply in flight keeps the old one.
+                    entry.data = Arc::new(entry.data[..keep].to_vec());
                 }
             }
         }
@@ -747,14 +784,17 @@ impl PageCache {
                 .filter(|&&(k, idx)| k == key && idx >= first)
                 .copied()
                 .collect();
-            for &k in &doomed {
-                shard.remove(k);
-            }
-            if !doomed.is_empty() {
-                self.invalidated.add(doomed.len() as u64);
-                self.resident.adjust(-((doomed.len() * self.page) as i64));
+            for k in doomed {
+                self.discard(&mut shard, k);
             }
         }
+    }
+
+    /// Drop one resident page, counting it invalidated.
+    fn discard(&self, shard: &mut Shard, key: (FileKey, u64)) {
+        let held = shard.remove(key);
+        self.invalidated.inc();
+        self.resident.adjust(-(held as i64));
     }
 
     /// Resident bytes right now (for tests and `tss-top`).
@@ -902,7 +942,7 @@ mod tests {
         let r = cache.read(&file, key, 0, 3000, size, true).unwrap();
         assert_eq!(collect(&r), data);
         assert_eq!(cache.hits.get(), 3, "all three pages now resident");
-        assert_eq!(cache.resident_bytes(), 3 * 1024);
+        assert_eq!(cache.resident_bytes(), 3000, "the file's bytes, no padding");
     }
 
     #[test]
@@ -1152,7 +1192,7 @@ mod tests {
         file.read_exact_at(&mut stale, 0).unwrap();
         file.write_all_at(&[9; 100], 10).unwrap();
         cache.write_through(key, 10, &[9; 100], 2048);
-        cache.insert(key, 0, Arc::new(stale), 1024, epoch);
+        cache.insert(key, 0, Arc::new(stale), epoch);
         assert!(!cache.shards[0].lock().unwrap().map.contains_key(&(key, 0)));
         let r = cache.read(&file, key, 0, 1024, 2048, true).unwrap();
         assert_eq!(collect(&r)[10..110], [9; 100]);
@@ -1177,40 +1217,112 @@ mod tests {
         assert_eq!(cache.misses.get(), 2, "no refill after patch");
     }
 
+    /// The bytes of page `idx` of `key` resident now, if it is.
+    fn page_of(cache: &PageCache, key: FileKey, idx: u64) -> Option<Vec<u8>> {
+        let shard = cache.shard_for(key, idx).lock().unwrap();
+        shard.map.get(&(key, idx)).map(|e| e.data.to_vec())
+    }
+
+    /// A small file costs the cache its own bytes, not a page.
     #[test]
-    fn sparse_write_extends_the_old_eof_page_with_zeros() {
+    fn a_short_file_holds_only_its_bytes() {
         let dir = TempDir::new();
-        let data = content(600); // partial first page, valid=600
+        let data = content(3 * 1024);
         let (file, key, size) = open(&dir, "f", &data);
+        let cache = PageCache::new(1 << 20, 8192, &Registry::new());
+        for _ in 0..2 {
+            let r = cache.read(&file, key, 0, 8192, size, true).unwrap();
+            assert_eq!(collect(&r), data);
+        }
+        assert_eq!((cache.misses.get(), cache.hits.get()), (1, 1));
+        assert_eq!(cache.resident_bytes(), 3072);
+        assert_eq!(page_of(&cache, key, 0).unwrap(), data);
+    }
+
+    /// A `PWRITE` past EOF extends the resident short last page with
+    /// the hole's zeros: to the page end when it lands in a later page,
+    /// up to its own bytes when it lands in that page.
+    #[test]
+    fn a_write_past_eof_extends_the_short_page_with_zeros() {
+        for (offset, len) in [(2000, 48), (800, 100)] {
+            let dir = TempDir::new();
+            let data = content(600); // a short first page: 600 bytes
+            let (file, key, size) = open(&dir, "f", &data);
+            let cache = PageCache::new(1 << 20, 1024, &Registry::new());
+            cache.read(&file, key, 0, 600, size, true).unwrap();
+            assert_eq!(cache.resident_bytes(), 600);
+            cache.write_through(key, offset as u64, &vec![7; len], 600);
+            let end = offset + len;
+            let mut expect = data.clone();
+            expect.resize(end.min(1024), 0);
+            if end <= 1024 {
+                expect[offset..].fill(7);
+            }
+            assert_eq!(page_of(&cache, key, 0).unwrap(), expect, "at {offset}");
+            assert_eq!(cache.resident_bytes(), expect.len() as i64);
+            // Disk is stale in this unit test: a hit proves the page.
+            let r = cache.read(&file, key, 0, 1024, end as u64, true).unwrap();
+            assert_eq!(collect(&r), expect, "the hole reads back as zeros");
+            assert_eq!(cache.misses.get(), 1, "page 0 stayed resident");
+        }
+    }
+
+    /// A page filled under a size that a racing write had already
+    /// passed is shorter than the file; growth past it must not claim
+    /// the bytes it lacks are zeros.
+    #[test]
+    fn growth_past_a_page_short_of_the_old_eof_drops_it() {
+        use std::os::unix::fs::FileExt;
+        let dir = TempDir::new();
+        let path = dir.path().join("f");
+        let data = content(3000);
+        std::fs::write(&path, &data).unwrap();
+        let file = std::fs::OpenOptions::new()
+            .read(true)
+            .write(true)
+            .open(&path)
+            .unwrap();
+        let key = file_key(&file.metadata().unwrap());
         let cache = PageCache::new(1 << 20, 1024, &Registry::new());
-        cache.read(&file, key, 0, 600, size, true).unwrap();
-        // Write far past EOF: bytes 600..2000 are a zero gap.
-        cache.write_through(key, 2000, &[7; 48], 600);
-        let new_size = 2048;
-        let r = cache.read(&file, key, 0, 1024, new_size, true).unwrap();
-        let mut expect = data.clone();
-        expect.resize(1024, 0);
-        assert_eq!(collect(&r), expect, "gap reads back as zeros");
-        assert_eq!(cache.misses.get(), 1, "page 0 stayed valid");
+        // Page 2 as a reader holding size 2500 filled it.
+        let epoch = cache.epoch_cell(key).load(Ordering::Acquire);
+        cache.insert(key, 2, Arc::new(data[2048..2500].to_vec()), epoch);
+        file.write_all_at(&[5; 200], 2900).unwrap();
+        cache.write_through(key, 2900, &[5; 200], 3000);
+        assert!(
+            page_of(&cache, key, 2).is_none(),
+            "the short page is dropped"
+        );
+        assert_eq!(cache.invalidated.get(), 1);
+        assert_eq!(cache.resident_bytes(), 0);
+        let r = cache.read(&file, key, 2048, 2000, 3100, true).unwrap();
+        let mut expect = data[2048..2900].to_vec();
+        expect.extend_from_slice(&[5; 200]);
+        assert_eq!(collect(&r), expect);
     }
 
     #[test]
-    fn truncate_down_zeroes_the_boundary_tail() {
+    fn truncate_down_shortens_the_boundary_page() {
         let dir = TempDir::new();
         let data = content(2048);
         let (file, key, size) = open(&dir, "f", &data);
         let cache = PageCache::new(1 << 20, 1024, &Registry::new());
         cache.read(&file, key, 0, 2048, size, true).unwrap();
+        // A reply taken before the truncate keeps the bytes it took.
+        let before = cache.read(&file, key, 0, 1024, size, true).unwrap();
         cache.truncate(key, 2048, 300);
         assert_eq!(cache.invalidated.get(), 1, "page 1 dropped");
-        // Extend again: bytes 300..  must read back zero, even though
-        // the cached page still holds the old bytes physically.
+        assert_eq!(page_of(&cache, key, 0).unwrap(), data[..300]);
+        assert_eq!(cache.resident_bytes(), 300);
+        assert_eq!(collect(&before), data[..1024]);
+        // Extend again: bytes 300.. read back zero.
         cache.truncate(key, 300, 1024);
         let r = cache.read(&file, key, 0, 1024, 1024, true).unwrap();
         let mut expect = data[..300].to_vec();
         expect.resize(1024, 0);
         assert_eq!(collect(&r), expect);
         assert_eq!(cache.misses.get(), 2, "boundary page reused, not refilled");
+        assert_eq!(cache.resident_bytes(), 1024);
     }
 
     #[test]
@@ -1286,9 +1398,9 @@ mod tests {
     }
 
     /// Ring and map name the same pages, each entry's `slot` indexes
-    /// its own key, and the resident gauge counts exactly those pages.
+    /// its own key, and the resident gauge counts exactly their bytes.
     fn check_ring(cache: &PageCache, capacity: u64) {
-        let mut pages = 0;
+        let mut held = 0;
         for shard in &cache.shards {
             let shard = shard.lock().unwrap();
             assert_eq!(shard.ring.len(), shard.map.len());
@@ -1296,14 +1408,14 @@ mod tests {
             for (slot, key) in shard.ring.iter().enumerate() {
                 assert_eq!(shard.map[key].slot, slot, "{key:?}");
             }
-            pages += shard.ring.len() as i64;
+            held += shard.map.values().map(|e| e.data.len() as i64).sum::<i64>();
             let ghost = &shard.ghost;
             assert!(ghost.slots.len() as u64 <= cache.shard_budget);
             for (key, &slot) in &ghost.map {
                 assert_eq!(ghost.slots[slot], *key, "ghost slot of {key:?}");
             }
         }
-        assert_eq!(cache.resident_bytes(), pages * cache.page as i64);
+        assert_eq!(cache.resident_bytes(), held);
         assert!(cache.resident_bytes() as u64 <= capacity);
     }
 
@@ -1378,6 +1490,15 @@ mod tests {
                         Op::Invalidate => cache.invalidate(key),
                     }
                     check_ring(&cache, capacity);
+                    // Each resident page is the file's bytes in it, no more.
+                    for shard in &cache.shards {
+                        for (&(_, idx), entry) in &shard.lock().unwrap().map {
+                            let lo = idx as usize * PAGE;
+                            let hi = (lo + PAGE).min(mirror.len());
+                            prop_assert!(lo < hi, "page {} resident past EOF", idx);
+                            prop_assert_eq!(&entry.data[..], &mirror[lo..hi], "page {}", idx);
+                        }
+                    }
                 }
             }
         }

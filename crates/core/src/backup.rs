@@ -18,12 +18,15 @@
 //! DSFS create protocol uses — one more payoff of recursive
 //! abstractions). Unchanged files across images share their blobs, so
 //! "many backup images" cost little more than one.
+//!
+//! The side being backed up or restored into is a [`FileSystem`] too,
+//! usually a [`crate::LocalFs`] rooted at a host directory, so the
+//! vault never names a host path itself.
 
 use std::io;
-use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use crate::fs::FileSystem;
+use crate::fs::{join_path, normalize_path, parent_of, path_components, FileSystem};
 
 /// One recorded backup image.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -60,25 +63,12 @@ pub struct BackupVault {
 impl BackupVault {
     /// Open (creating if needed) a vault at `root` on `fs`.
     pub fn open(fs: Arc<dyn FileSystem>, root: &str) -> io::Result<BackupVault> {
-        let root = crate::fs::normalize_path(root);
+        let root = normalize_path(root);
         let vault = BackupVault { fs, root };
         // Create the root's ancestors too, so a vault can live at any
         // depth of a fresh server.
-        let mut dirs: Vec<String> = Vec::new();
-        let mut prefix = String::new();
-        for comp in vault.root.split('/').filter(|c| !c.is_empty()) {
-            prefix = format!("{prefix}/{comp}");
-            dirs.push(prefix.clone());
-        }
-        dirs.push(vault.path("objects"));
-        dirs.push(vault.path("images"));
-        for dir in dirs {
-            match vault.fs.mkdir(&dir, 0o755) {
-                Ok(()) => {}
-                Err(e) if e.kind() == io::ErrorKind::AlreadyExists => {}
-                Err(e) => return Err(e),
-            }
-        }
+        mkdir_all(&*vault.fs, &vault.path("objects"))?;
+        mkdir_all(&*vault.fs, &vault.path("images"))?;
         Ok(vault)
     }
 
@@ -94,12 +84,12 @@ impl BackupVault {
         self.path(&format!("objects/{checksum:016x}"))
     }
 
-    /// Record a backup image of the local directory `source`.
+    /// Record a backup image of the whole of `source`, from its root.
     ///
     /// Only blobs not already present are uploaded; the manifest is
     /// staged under a temporary name and atomically renamed into
     /// place.
-    pub fn backup(&self, source: &Path, label: &str) -> io::Result<ImageInfo> {
+    pub fn backup(&self, source: &dyn FileSystem, label: &str) -> io::Result<ImageInfo> {
         if label.is_empty() || label.contains('/') || label.contains('-') {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
@@ -107,18 +97,16 @@ impl BackupVault {
             ));
         }
         let mut entries = Vec::new();
-        let mut stack = vec![PathBuf::new()];
-        while let Some(rel_dir) = stack.pop() {
-            let host_dir = source.join(&rel_dir);
-            let mut names: Vec<_> = std::fs::read_dir(&host_dir)?.collect::<Result<Vec<_>, _>>()?;
-            names.sort_by_key(|e| e.file_name());
-            for entry in names {
-                let meta = entry.metadata()?;
-                let rel = rel_dir.join(entry.file_name());
-                if meta.is_dir() {
-                    stack.push(rel);
-                } else if meta.is_file() {
-                    let data = std::fs::read(entry.path())?;
+        let mut stack = vec!["/".to_string()];
+        while let Some(dir) = stack.pop() {
+            let mut names = source.readdir_stat(&dir)?;
+            names.sort_by(|a, b| a.0.cmp(&b.0));
+            for (name, st) in names {
+                let path = join_path(&dir, &name);
+                if st.is_dir() {
+                    stack.push(path);
+                } else if st.is_file() {
+                    let data = source.read_file(&path)?;
                     let checksum = chirp_proto::crc64(&data);
                     let object = self.object_path(checksum);
                     // Content addressing makes dedup a stat.
@@ -126,7 +114,7 @@ impl BackupVault {
                         self.fs.write_file(&object, &data)?;
                     }
                     entries.push(ManifestEntry {
-                        path: rel.to_string_lossy().replace('\\', "/"),
+                        path: path[1..].to_string(),
                         checksum,
                         size: data.len() as u64,
                     });
@@ -240,16 +228,16 @@ impl BackupVault {
         Ok(data)
     }
 
-    /// Recovery: materialize a whole image into the local `dest`.
-    pub fn restore(&self, image: &str, dest: &Path) -> io::Result<u64> {
+    /// Recovery: materialize a whole image into `dest`, from its root.
+    pub fn restore(&self, image: &str, dest: &dyn FileSystem) -> io::Result<u64> {
         let entries = self.manifest(image)?;
         for e in &entries {
-            let target = dest.join(&e.path);
-            if let Some(parent) = target.parent() {
-                std::fs::create_dir_all(parent)?;
+            let target = normalize_path(&e.path);
+            if let Some(parent) = parent_of(&target) {
+                mkdir_all(dest, parent)?;
             }
             let data = self.read_file(image, &e.path)?;
-            std::fs::write(target, data)?;
+            dest.write_file(&target, &data)?;
         }
         Ok(entries.len() as u64)
     }
@@ -293,4 +281,18 @@ impl BackupVault {
         }
         Ok(total)
     }
+}
+
+/// Make `dir` and each missing ancestor on `fs`.
+fn mkdir_all(fs: &dyn FileSystem, dir: &str) -> io::Result<()> {
+    let mut prefix = "/".to_string();
+    for comp in path_components(dir) {
+        prefix = join_path(&prefix, comp);
+        match fs.mkdir(&prefix, 0o755) {
+            Ok(()) => {}
+            Err(e) if e.kind() == io::ErrorKind::AlreadyExists => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }

@@ -1,6 +1,11 @@
 //! Integration tests: the CFS/DPFS/DSFS abstractions against real file
 //! servers over loopback TCP.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "a test inspects the servers' exports and a DPFS's metadata directory on the host, to check what the abstractions left there"
+)]
+
 mod common;
 
 use chirp_proto::testutil::TempDir;

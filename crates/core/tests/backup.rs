@@ -1,13 +1,23 @@
 //! The distributed-backup application over live storage: record,
 //! peruse, restore, dedup, prune — the conclusion's closing scenario.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "a test lays out the tree it backs up, and inspects a restore and the server's export, on the host"
+)]
+
 mod common;
 
 use std::sync::Arc;
 
 use chirp_proto::testutil::TempDir;
 use common::{cfs, data_count, open_server};
-use tss_core::BackupVault;
+use tss_core::{BackupVault, LocalFs};
+
+/// The host directory `dir` as the side of a backup or a restore.
+fn local(dir: &TempDir) -> LocalFs {
+    LocalFs::new(dir.path()).unwrap()
+}
 
 fn write_tree(root: &std::path::Path) {
     std::fs::create_dir_all(root.join("src")).unwrap();
@@ -29,12 +39,12 @@ fn backup_restore_round_trip() {
     let (_host, _server, vault) = vault_fixture();
     let src = TempDir::new();
     write_tree(src.path());
-    let image = vault.backup(src.path(), "nightly").unwrap();
+    let image = vault.backup(&local(&src), "nightly").unwrap();
     assert_eq!(image.seq, 1);
     assert_eq!(image.file_count, 3);
 
     let dest = TempDir::new();
-    let restored = vault.restore(&image.name, dest.path()).unwrap();
+    let restored = vault.restore(&image.name, &local(&dest)).unwrap();
     assert_eq!(restored, 3);
     assert_eq!(
         std::fs::read(dest.path().join("README")).unwrap(),
@@ -51,13 +61,13 @@ fn unchanged_files_share_blobs_across_images() {
     let (host, _server, vault) = vault_fixture();
     let src = TempDir::new();
     write_tree(src.path());
-    vault.backup(src.path(), "one").unwrap();
+    vault.backup(&local(&src), "one").unwrap();
     let objects_after_first = data_count(&host.path().join("backups/objects"));
     assert_eq!(objects_after_first, 3);
 
     // Change one file, add none: only one new blob appears.
     std::fs::write(src.path().join("README"), b"project docs v2").unwrap();
-    let image2 = vault.backup(src.path(), "two").unwrap();
+    let image2 = vault.backup(&local(&src), "two").unwrap();
     assert_eq!(image2.seq, 2);
     let objects_after_second = data_count(&host.path().join("backups/objects"));
     assert_eq!(
@@ -73,9 +83,9 @@ fn online_perusal_and_forensics_over_time() {
     let (_host, _server, vault) = vault_fixture();
     let src = TempDir::new();
     write_tree(src.path());
-    vault.backup(src.path(), "before").unwrap();
+    vault.backup(&local(&src), "before").unwrap();
     std::fs::write(src.path().join("src/main.rs"), b"fn main() { pwned(); }").unwrap();
-    vault.backup(src.path(), "after").unwrap();
+    vault.backup(&local(&src), "after").unwrap();
 
     let images = vault.images().unwrap();
     assert_eq!(images.len(), 2);
@@ -98,7 +108,7 @@ fn prune_keeps_recent_images_and_collects_garbage() {
     write_tree(src.path());
     for label in ["a", "b", "c"] {
         std::fs::write(src.path().join("README"), format!("version {label}")).unwrap();
-        vault.backup(src.path(), label).unwrap();
+        vault.backup(&local(&src), label).unwrap();
     }
     // 3 shared blobs + 3 README versions... shared: main.rs, lib.rs
     // constant; README differs per image.
@@ -112,7 +122,7 @@ fn prune_keeps_recent_images_and_collects_garbage() {
     assert_eq!(images[0].label, "c");
     // The survivor is fully restorable.
     let dest = TempDir::new();
-    vault.restore(&images[0].name, dest.path()).unwrap();
+    vault.restore(&images[0].name, &local(&dest)).unwrap();
     assert_eq!(
         std::fs::read(dest.path().join("README")).unwrap(),
         b"version c"
@@ -124,7 +134,7 @@ fn corrupted_blob_is_detected_on_read() {
     let (host, _server, vault) = vault_fixture();
     let src = TempDir::new();
     write_tree(src.path());
-    let image = vault.backup(src.path(), "x").unwrap();
+    let image = vault.backup(&local(&src), "x").unwrap();
     // Corrupt one object in place on the storage host.
     let objects = host.path().join("backups/objects");
     let victim = std::fs::read_dir(&objects)
@@ -148,7 +158,7 @@ fn labels_are_validated() {
     let (_host, _server, vault) = vault_fixture();
     let src = TempDir::new();
     write_tree(src.path());
-    assert!(vault.backup(src.path(), "").is_err());
-    assert!(vault.backup(src.path(), "has/slash").is_err());
-    assert!(vault.backup(src.path(), "has-dash").is_err());
+    assert!(vault.backup(&local(&src), "").is_err());
+    assert!(vault.backup(&local(&src), "has/slash").is_err());
+    assert!(vault.backup(&local(&src), "has-dash").is_err());
 }

@@ -5,6 +5,11 @@
 //!
 //! Each integration test binary compiles this module separately, so
 //! items used by only one binary look dead in the others.
+
+#![allow(
+    clippy::disallowed_methods,
+    reason = "the helpers count what a server's export holds on the host"
+)]
 #![allow(dead_code)]
 
 use std::path::Path;

@@ -2,6 +2,11 @@
 //! future work): transparent striping and transparent replication,
 //! against live file servers.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "a test inspects and damages the volumes and metadata on the host, to check what the abstractions left there"
+)]
+
 mod common;
 
 use std::sync::Arc;

@@ -12,7 +12,7 @@ use tss::chirp_client::AuthMethod;
 use tss::chirp_proto::testutil::TempDir;
 use tss::chirp_server::acl::Acl;
 use tss::chirp_server::{FileServer, ServerConfig};
-use tss::core::{BackupVault, Cfs};
+use tss::core::{BackupVault, Cfs, LocalFs};
 
 fn main() -> std::io::Result<()> {
     // A friend shares a directory on their workstation.
@@ -27,10 +27,11 @@ fn main() -> std::io::Result<()> {
 
     // A working directory evolves over three days.
     let work = TempDir::new();
+    let work_fs = LocalFs::new(work.path())?;
     std::fs::create_dir_all(work.path().join("chapters"))?;
     std::fs::write(work.path().join("chapters/intro.tex"), b"\\section{Intro}")?;
     std::fs::write(work.path().join("refs.bib"), b"@article{thain2005}")?;
-    let day1 = vault.backup(work.path(), "day1")?;
+    let day1 = vault.backup(&work_fs, "day1")?;
     println!(
         "day1: {} files, {} bytes recorded",
         day1.file_count, day1.total_bytes
@@ -40,7 +41,7 @@ fn main() -> std::io::Result<()> {
         work.path().join("chapters/eval.tex"),
         b"\\section{Evaluation}",
     )?;
-    let day2 = vault.backup(work.path(), "day2")?;
+    let day2 = vault.backup(&work_fs, "day2")?;
     println!(
         "day2: {} files (only the new chapter uploaded — dedup)",
         day2.file_count
@@ -49,7 +50,7 @@ fn main() -> std::io::Result<()> {
     // Day three: disaster. The intro is overwritten with garbage and
     // backed up before anyone notices.
     std::fs::write(work.path().join("chapters/intro.tex"), b"asdfasdf")?;
-    vault.backup(work.path(), "day3")?;
+    vault.backup(&work_fs, "day3")?;
 
     // On-line forensics: find when it broke, without restoring.
     for image in vault.images()? {
@@ -68,7 +69,7 @@ fn main() -> std::io::Result<()> {
 
     // Or restore a whole image elsewhere.
     let restore_dir = TempDir::new();
-    let files = vault.restore(&day2.name, restore_dir.path())?;
+    let files = vault.restore(&day2.name, &LocalFs::new(restore_dir.path())?)?;
     println!(
         "restored {} files from {} into a fresh tree",
         files, day2.label
