@@ -13,6 +13,7 @@ use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
+use chirp_proto::transport::Dialer;
 use telemetry::json::Value;
 use telemetry::{MetricValue, MetricsSnapshot};
 
@@ -38,7 +39,7 @@ fn fetch(
     addr: SocketAddr,
     timeout: Duration,
 ) -> std::io::Result<Vec<(String, String, MetricsSnapshot)>> {
-    let body = catalog::client::query_metrics_json(addr, timeout)?;
+    let body = catalog::client::fetch(&Dialer::tcp(), &addr.to_string(), "metrics-json", timeout)?;
     let parsed = Value::parse(body.trim())
         .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidData, "bad JSON"))?;
     let mut out = Vec::new();

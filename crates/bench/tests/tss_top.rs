@@ -16,7 +16,7 @@ fn tss_top_renders_live_server_metrics() {
     let dir = TempDir::new();
     let mut cfg = ServerConfig::localhost(dir.path(), "owner")
         .with_root_acl(Acl::single("hostname:*", "rwlda").unwrap())
-        .with_catalog(cat.udp_addr(), Duration::from_millis(50));
+        .with_catalog(cat.udp_addr().unwrap(), Duration::from_millis(50));
     cfg.server_name = Some("bench-node".to_string());
     cfg.cache_bytes = Some(1 << 20);
     let server = FileServer::start(cfg).unwrap();

@@ -41,7 +41,7 @@ fn main() {
         Ok(server) => {
             println!(
                 "catalog-server: reports on udp {}, queries on tcp {}",
-                server.udp_addr(),
+                server.udp_addr().expect("start binds a report socket"),
                 server.tcp_addr()
             );
             loop {

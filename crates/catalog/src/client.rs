@@ -1,82 +1,34 @@
 //! Querying a catalog for the current set of storage resources.
 
 use std::io::{BufReader, Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::time::Duration;
 
 use chirp_proto::transport::Dialer;
 
 use crate::report::ServerReport;
 
-/// Fetch the text-format listing from a catalog and parse it.
+/// Fetch the text-format listing from a catalog over TCP and parse it:
+/// [`fetch`] through [`Dialer::tcp`].
 ///
 /// Returns the live (non-expired) servers the catalog knows of. The
 /// result is a *hint*: every field may be stale by the time it is
 /// acted upon.
 pub fn query(addr: SocketAddr, timeout: Duration) -> std::io::Result<Vec<ServerReport>> {
-    let stream = TcpStream::connect_timeout(&addr, timeout)?;
-    stream.set_read_timeout(Some(timeout))?;
-    stream.set_write_timeout(Some(timeout))?;
-    let mut writer = stream.try_clone()?;
-    writer.write_all(b"text\n")?;
-    let mut reader = BufReader::new(stream);
-    let mut body = String::new();
-    reader.read_to_string(&mut body)?;
+    let body = fetch(&Dialer::tcp(), &addr.to_string(), "text", timeout)?;
     Ok(parse_listing(&body))
 }
 
-/// Fetch the raw JSON listing (for external tools and tests).
-pub fn query_json(addr: SocketAddr, timeout: Duration) -> std::io::Result<String> {
-    query_raw(addr, timeout, "json")
-}
-
-/// Fetch the browsable HTML listing.
-pub fn query_html(addr: SocketAddr, timeout: Duration) -> std::io::Result<String> {
-    query_raw(addr, timeout, "html")
-}
-
-/// Fetch the per-server metrics listing in ClassAd text form
-/// (blank-line separated records of `metric.<name> <token>` lines with
-/// derived `.p50`/`.p99`/`.mean` values per histogram).
-pub fn query_metrics(addr: SocketAddr, timeout: Duration) -> std::io::Result<String> {
-    query_raw(addr, timeout, "metrics")
-}
-
-/// Fetch the per-server metrics listing as a JSON array.
-pub fn query_metrics_json(addr: SocketAddr, timeout: Duration) -> std::io::Result<String> {
-    query_raw(addr, timeout, "metrics-json")
-}
-
-fn query_raw(addr: SocketAddr, timeout: Duration, format: &str) -> std::io::Result<String> {
-    let stream = TcpStream::connect_timeout(&addr, timeout)?;
-    stream.set_read_timeout(Some(timeout))?;
-    stream.set_write_timeout(Some(timeout))?;
-    let mut writer = stream.try_clone()?;
-    writer.write_all(format!("{format}\n").as_bytes())?;
-    let mut reader = BufReader::new(stream);
-    let mut body = String::new();
-    reader.read_to_string(&mut body)?;
-    Ok(body)
-}
-
-/// Fetch the text-format listing over a [`Dialer`] — the
-/// transport-generic twin of [`query`], usable against catalogs bound
-/// on the in-memory network as well as TCP.
-pub fn query_via(
+/// Fetch one listing format from the catalog at `endpoint` through
+/// `dialer`, returning the raw body. The formats are `text` (parse it
+/// with [`parse_listing`]), `json`, `html`, `metrics` (ClassAd-style
+/// records of `metric.<name> <token>` lines with derived
+/// `.p50`/`.p99`/`.mean` values per histogram) and `metrics-json`.
+pub fn fetch(
     dialer: &Dialer,
     endpoint: &str,
-    timeout: Duration,
-) -> std::io::Result<Vec<ServerReport>> {
-    query_raw_via(dialer, endpoint, timeout, "text").map(|body| parse_listing(&body))
-}
-
-/// Fetch any listing format over a [`Dialer`], returning the raw body
-/// (the transport-generic twin of the `query_*` helpers).
-fn query_raw_via(
-    dialer: &Dialer,
-    endpoint: &str,
-    timeout: Duration,
     format: &str,
+    timeout: Duration,
 ) -> std::io::Result<String> {
     let stream = dialer.dial(endpoint, timeout)?;
     stream.set_read_timeout(Some(timeout))?;
@@ -131,7 +83,8 @@ mod tests {
     fn json_listing_is_an_array() {
         let cat = CatalogServer::start(CatalogConfig::localhost(Duration::from_secs(5))).unwrap();
         cat.ingest(report("alpha", 10));
-        let json = query_json(cat.tcp_addr(), Duration::from_secs(5)).unwrap();
+        let endpoint = cat.tcp_addr().to_string();
+        let json = fetch(&Dialer::tcp(), &endpoint, "json", Duration::from_secs(5)).unwrap();
         let json = json.trim();
         assert!(json.starts_with('[') && json.ends_with(']'));
         assert!(json.contains("\"alpha\""));
@@ -143,7 +96,8 @@ mod tests {
         let mut evil = report("x<script>", 10);
         evil.owner = "a&b".into();
         cat.ingest(evil);
-        let html = query_html(cat.tcp_addr(), Duration::from_secs(5)).unwrap();
+        let endpoint = cat.tcp_addr().to_string();
+        let html = fetch(&Dialer::tcp(), &endpoint, "html", Duration::from_secs(5)).unwrap();
         assert!(html.contains("<table"));
         assert!(html.contains("x&lt;script&gt;"));
         assert!(html.contains("a&amp;b"));

@@ -2,9 +2,10 @@
 //!
 //! Each file server periodically reports itself (owner, address,
 //! capacity, top-level ACL, activity) to one or more catalogs over
-//! UDP. The catalog publishes the aggregate listing over TCP in both a
-//! ClassAd-style text format and JSON, and expires servers that stop
-//! reporting.
+//! UDP. The catalog publishes the aggregate listing on a transport
+//! [`Listener`](chirp_proto::transport::Listener) (TCP in production)
+//! in both a ClassAd-style text format and JSON, and expires servers
+//! that stop reporting.
 //!
 //! All catalog data is necessarily stale: anything a file server
 //! reported may have changed between a catalog query and a query to

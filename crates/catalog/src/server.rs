@@ -1,13 +1,23 @@
-//! The catalog service: UDP ingest, staleness expiry, TCP publication.
+//! The catalog service: report ingest, staleness expiry, and query
+//! publication.
+//!
+//! [`CatalogServer::start`] binds a UDP socket for reports and a TCP
+//! listener for queries. [`CatalogServer::start_on`] serves queries on
+//! any [`Listener`] and takes reports only through
+//! [`CatalogServer::ingest`]: the simulation harness hands it an
+//! in-memory listener and feeds it each server's report directly.
+//! Either way queries arrive through the accept loop every service
+//! shares ([`serve_accepts`]), one thread per query.
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, UdpSocket};
+use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use std::net::{SocketAddr, TcpListener, UdpSocket};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use chirp_proto::transport::{serve_accepts, Listener, Transport};
 use chirp_proto::{Clock, Tick};
 use parking_lot::RwLock;
 
@@ -16,9 +26,11 @@ use crate::report::ServerReport;
 /// Catalog configuration.
 #[derive(Debug, Clone)]
 pub struct CatalogConfig {
-    /// UDP address for report ingest; port 0 for ephemeral.
+    /// UDP address for report ingest; port 0 for ephemeral. Read only
+    /// by [`CatalogServer::start`].
     pub bind_udp: SocketAddr,
-    /// TCP address for queries; port 0 for ephemeral.
+    /// TCP address for queries; port 0 for ephemeral. Read only by
+    /// [`CatalogServer::start`].
     pub bind_tcp: SocketAddr,
     /// Servers that have not reported within this window are dropped
     /// from the listing.
@@ -62,83 +74,114 @@ struct State {
 /// A running catalog server.
 pub struct CatalogServer {
     state: Arc<State>,
-    udp_addr: SocketAddr,
+    listener: Arc<dyn Listener>,
+    udp_addr: Option<SocketAddr>,
     tcp_addr: SocketAddr,
     udp_thread: Option<JoinHandle<()>>,
-    tcp_thread: Option<JoinHandle<()>>,
+    accept_thread: Option<JoinHandle<()>>,
 }
 
 impl CatalogServer {
-    /// Start the catalog; returns once both sockets are bound.
-    pub fn start(config: CatalogConfig) -> std::io::Result<CatalogServer> {
+    /// Start the catalog on UDP (reports) and TCP (queries); returns
+    /// once both sockets are bound.
+    pub fn start(config: CatalogConfig) -> io::Result<CatalogServer> {
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "file servers report to the production catalog by UDP datagram"
+        )]
         let udp = UdpSocket::bind(config.bind_udp)?;
         udp.set_read_timeout(Some(Duration::from_millis(50)))?;
         let udp_addr = udp.local_addr()?;
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "the production catalog serves queries on TCP"
+        )]
         let tcp = TcpListener::bind(config.bind_tcp)?;
-        let tcp_addr = tcp.local_addr()?;
+        let mut server = CatalogServer::start_on(config, Arc::new(tcp))?;
+        let state = server.state.clone();
+        server.udp_thread = Some(
+            std::thread::Builder::new()
+                .name("catalog-udp".into())
+                .spawn(move || ingest_loop(udp, state))?,
+        );
+        server.udp_addr = Some(udp_addr);
+        Ok(server)
+    }
+
+    /// Start the catalog on an already-bound [`Listener`] — any
+    /// transport, including the in-memory network. It takes reports
+    /// only through [`ingest`](CatalogServer::ingest), and
+    /// `config.bind_udp` and `config.bind_tcp` are ignored.
+    pub fn start_on(
+        config: CatalogConfig,
+        listener: Arc<dyn Listener>,
+    ) -> io::Result<CatalogServer> {
+        let tcp_addr = listener.local_addr()?;
         let state = Arc::new(State {
             entries: RwLock::new(HashMap::new()),
             expiry: config.expiry,
             clock: config.clock,
             shutdown: AtomicBool::new(false),
         });
-        let udp_state = state.clone();
-        let udp_thread = std::thread::Builder::new()
-            .name("catalog-udp".into())
-            .spawn(move || ingest_loop(udp, udp_state))?;
-        let tcp_state = state.clone();
-        let tcp_thread = std::thread::Builder::new()
-            .name("catalog-tcp".into())
-            .spawn(move || query_loop(tcp, tcp_state))?;
+        let accept_state = state.clone();
+        let accept_listener = listener.clone();
+        let accept_thread = std::thread::Builder::new()
+            .name("catalog-accept".into())
+            .spawn(move || {
+                serve_accepts(&*accept_listener, &accept_state.shutdown, |stream, _| {
+                    let state = accept_state.clone();
+                    let _ = std::thread::Builder::new()
+                        .name("catalog-query".into())
+                        .spawn(move || {
+                            let _ = serve_query(stream, &state);
+                        });
+                })
+            })?;
         Ok(CatalogServer {
             state,
-            udp_addr,
+            listener,
+            udp_addr: None,
             tcp_addr,
-            udp_thread: Some(udp_thread),
-            tcp_thread: Some(tcp_thread),
+            udp_thread: None,
+            accept_thread: Some(accept_thread),
         })
     }
 
-    /// Address file servers should report to.
-    pub fn udp_addr(&self) -> SocketAddr {
+    /// Address file servers should report to; `None` for a catalog
+    /// started with [`start_on`](CatalogServer::start_on), which has
+    /// no report socket.
+    pub fn udp_addr(&self) -> Option<SocketAddr> {
         self.udp_addr
     }
 
-    /// Address clients should query.
+    /// Address clients should query: the listener's own address.
     pub fn tcp_addr(&self) -> SocketAddr {
         self.tcp_addr
     }
 
-    /// Current non-expired listing, newest data first by name order.
+    /// Current non-expired listing, sorted by name.
     pub fn listing(&self) -> Vec<ServerReport> {
-        let now = self.state.clock.now();
         let entries = self.state.entries.read();
-        let mut out: Vec<ServerReport> = entries
-            .values()
-            .filter(|e| now.duration_since(e.last_seen) < self.state.expiry)
-            .map(|e| e.report.clone())
-            .collect();
-        out.sort_by(|a, b| a.name.cmp(&b.name));
-        out
+        self.state.live(&entries).into_iter().cloned().collect()
     }
 
-    /// Directly ingest a report (used by tests and simulations; the
-    /// production path is UDP).
+    /// Ingest one report: the path every report takes once parsed,
+    /// whether it came by UDP or from a harness.
     pub fn ingest(&self, report: ServerReport) {
         ingest(&self.state, report);
     }
 
-    /// Stop both service threads.
+    /// Stop the service threads. In-flight queries finish on their
+    /// own threads.
     pub fn shutdown(&mut self) {
         if self.state.shutdown.swap(true, Ordering::SeqCst) {
             return;
         }
-        // Wake the TCP accept loop.
-        let _ = TcpStream::connect(self.tcp_addr);
-        if let Some(h) = self.udp_thread.take() {
-            let _ = h.join();
-        }
-        if let Some(h) = self.tcp_thread.take() {
+        self.listener.wake();
+        for h in [self.udp_thread.take(), self.accept_thread.take()]
+            .into_iter()
+            .flatten()
+        {
             let _ = h.join();
         }
     }
@@ -147,6 +190,20 @@ impl CatalogServer {
 impl Drop for CatalogServer {
     fn drop(&mut self) {
         self.shutdown();
+    }
+}
+
+impl State {
+    /// The reports still inside the expiry window, sorted by name.
+    fn live<'a>(&self, entries: &'a HashMap<String, Entry>) -> Vec<&'a ServerReport> {
+        let now = self.clock.now();
+        let mut live: Vec<&ServerReport> = entries
+            .values()
+            .filter(|e| now.duration_since(e.last_seen) < self.expiry)
+            .map(|e| &e.report)
+            .collect();
+        live.sort_by(|a, b| a.name.cmp(&b.name));
+        live
     }
 }
 
@@ -182,26 +239,6 @@ fn ingest_loop(udp: UdpSocket, state: Arc<State>) {
     }
 }
 
-fn query_loop(tcp: TcpListener, state: Arc<State>) {
-    loop {
-        let Ok((stream, _)) = tcp.accept() else {
-            if state.shutdown.load(Ordering::SeqCst) {
-                return;
-            }
-            continue;
-        };
-        if state.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        let state = state.clone();
-        let _ = std::thread::Builder::new()
-            .name("catalog-query".into())
-            .spawn(move || {
-                let _ = serve_query(stream, &state);
-            });
-    }
-}
-
 fn html_escape(s: &str) -> String {
     s.replace('&', "&amp;")
         .replace('<', "&lt;")
@@ -213,23 +250,16 @@ fn html_escape(s: &str) -> String {
 /// with the whole listing and closes. The metrics formats publish only
 /// the telemetry portion of each live report, enriched with derived
 /// p50/p99/mean values per histogram.
-fn serve_query(stream: TcpStream, state: &State) -> std::io::Result<()> {
+fn serve_query(stream: Box<dyn Transport>, state: &State) -> io::Result<()> {
     stream.set_read_timeout(Some(Duration::from_secs(10)))?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = BufWriter::new(stream);
     let mut format = String::new();
     reader.read_line(&mut format)?;
-    let now = state.clock.now();
-    let entries = state.entries.read();
-    let live: Vec<&ServerReport> = {
-        let mut v: Vec<&Entry> = entries
-            .values()
-            .filter(|e| now.duration_since(e.last_seen) < state.expiry)
-            .collect();
-        v.sort_by(|a, b| a.report.name.cmp(&b.report.name));
-        v.into_iter().map(|e| &e.report).collect()
-    };
-    writer.write_all(render_listing(format.trim(), &live).as_bytes())?;
+    // Render under the lock, write after it: a slow reader must not
+    // hold up ingest.
+    let body = render_listing(format.trim(), &state.live(&state.entries.read()));
+    writer.write_all(body.as_bytes())?;
     writer.flush()
 }
 
@@ -293,8 +323,15 @@ pub(crate) fn render_listing(format: &str, live: &[&ServerReport]) -> String {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "the UDP tests send real datagrams to the production ingest path"
+)]
 mod tests {
     use super::*;
+    use crate::client::fetch;
+    use chirp_proto::transport::Dialer;
+    use chirp_proto::MemNet;
     use std::collections::BTreeMap;
 
     fn report(name: &str) -> ServerReport {
@@ -316,7 +353,7 @@ mod tests {
     fn udp_report_appears_in_listing() {
         let cat = CatalogServer::start(CatalogConfig::localhost(Duration::from_secs(5))).unwrap();
         let sock = UdpSocket::bind("127.0.0.1:0").unwrap();
-        sock.send_to(report("n1").render().as_bytes(), cat.udp_addr())
+        sock.send_to(report("n1").render().as_bytes(), cat.udp_addr().unwrap())
             .unwrap();
         for _ in 0..100 {
             if !cat.listing().is_empty() {
@@ -383,17 +420,59 @@ mod tests {
     #[test]
     fn malformed_packets_are_ignored() {
         let cat = CatalogServer::start(CatalogConfig::localhost(Duration::from_secs(5))).unwrap();
+        let udp = cat.udp_addr().unwrap();
         let sock = UdpSocket::bind("127.0.0.1:0").unwrap();
-        sock.send_to(b"complete garbage \xff\xfe", cat.udp_addr())
+        sock.send_to(b"complete garbage \xff\xfe", udp).unwrap();
+        sock.send_to(b"type chirp\n", udp).unwrap();
+        // One valid report after the garbage: once it is listed, the
+        // ingest thread has read (and dropped) both packets before it.
+        sock.send_to(report("valid").render().as_bytes(), udp)
             .unwrap();
-        sock.send_to(b"type chirp\n", cat.udp_addr()).unwrap();
-        std::thread::sleep(Duration::from_millis(100));
-        assert!(cat.listing().is_empty());
+        for _ in 0..500 {
+            if !cat.listing().is_empty() {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        let names: Vec<String> = cat.listing().into_iter().map(|r| r.name).collect();
+        assert_eq!(names, vec!["valid".to_string()]);
+    }
+
+    #[test]
+    fn an_unbound_listener_ends_the_accept_thread() {
+        let net = MemNet::new(Clock::fresh_virtual());
+        let listener = net.listen();
+        let addr = listener.addr();
+        let mut cat = CatalogServer::start_on(
+            CatalogConfig::localhost(Duration::from_secs(5)),
+            Arc::new(listener),
+        )
+        .unwrap();
+        assert_eq!(cat.udp_addr(), None, "no report socket");
+        assert_eq!(cat.tcp_addr(), addr);
+        cat.ingest(report("n1"));
+        let body = fetch(
+            &net.dialer(),
+            &addr.to_string(),
+            "text",
+            Duration::from_secs(5),
+        )
+        .unwrap();
+        assert!(body.contains("name n1"), "{body}");
+        net.unbind(addr);
+        let accept = cat.accept_thread.as_ref().unwrap();
+        for _ in 0..500 {
+            if accept.is_finished() {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        assert!(accept.is_finished(), "accept thread still running");
+        cat.shutdown();
     }
 
     #[test]
     fn silent_servers_metrics_expire_with_the_report() {
-        use std::io::{Read as _, Write as _};
         let clock = Clock::fresh_virtual();
         let cat = CatalogServer::start(
             CatalogConfig::localhost(Duration::from_millis(120)).with_clock(clock.clone()),
@@ -405,11 +484,8 @@ mod tests {
             .insert("rpc.open.count".into(), telemetry::MetricValue::Counter(99));
         cat.ingest(r);
         let fetch = |format: &str| -> String {
-            let mut s = TcpStream::connect(cat.tcp_addr()).unwrap();
-            s.write_all(format!("{format}\n").as_bytes()).unwrap();
-            let mut body = String::new();
-            s.read_to_string(&mut body).unwrap();
-            body
+            let endpoint = cat.tcp_addr().to_string();
+            fetch(&Dialer::tcp(), &endpoint, format, Duration::from_secs(5)).unwrap()
         };
         let live = fetch("metrics");
         assert!(live.contains("metric.rpc.open.count c99"));
@@ -425,7 +501,6 @@ mod tests {
 
     #[test]
     fn metrics_json_preserves_exact_u64_counters() {
-        use std::io::{Read as _, Write as _};
         // Counters near u64::MAX must survive the whole publication
         // path — snapshot → JSON render → wire → parse — without any
         // float rounding (2^64-1 is not representable as f64).
@@ -436,10 +511,14 @@ mod tests {
             telemetry::MetricValue::Counter(u64::MAX),
         );
         cat.ingest(r);
-        let mut s = TcpStream::connect(cat.tcp_addr()).unwrap();
-        s.write_all(b"metrics-json\n").unwrap();
-        let mut body = String::new();
-        s.read_to_string(&mut body).unwrap();
+        let endpoint = cat.tcp_addr().to_string();
+        let body = fetch(
+            &Dialer::tcp(),
+            &endpoint,
+            "metrics-json",
+            Duration::from_secs(5),
+        )
+        .unwrap();
         assert!(
             body.contains(&u64::MAX.to_string()),
             "digits not verbatim in {body}"

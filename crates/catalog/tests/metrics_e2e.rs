@@ -6,10 +6,11 @@
 
 use std::time::Duration;
 
-use catalog::client::{query_metrics, query_metrics_json};
+use catalog::client::fetch;
 use catalog::{CatalogConfig, CatalogServer, ServerReport};
 use chirp_client::{AuthMethod, Connection};
 use chirp_proto::testutil::TempDir;
+use chirp_proto::transport::Dialer;
 use chirp_server::acl::Acl;
 use chirp_server::{FileServer, ServerConfig};
 use telemetry::json::Value;
@@ -38,7 +39,7 @@ fn server_metrics_flow_through_the_catalog() {
     let dir = TempDir::new();
     let cfg = ServerConfig::localhost(dir.path(), "owner")
         .with_root_acl(Acl::single("hostname:*", "rwlda").unwrap())
-        .with_catalog(cat.udp_addr(), Duration::from_millis(50));
+        .with_catalog(cat.udp_addr().unwrap(), Duration::from_millis(50));
     let server = FileServer::start(cfg).unwrap();
 
     // Drive real RPC traffic through the server.
@@ -79,7 +80,7 @@ fn server_metrics_flow_through_the_catalog() {
     assert!(report.metrics.counter("rpc.bytes_out").unwrap() >= 16);
 
     // ClassAd metrics view: per-metric lines plus derived quantiles.
-    let text = query_metrics(cat.tcp_addr(), T).unwrap();
+    let text = fetch(&Dialer::tcp(), &cat.tcp_addr().to_string(), "metrics", T).unwrap();
     assert!(text.contains("metric.rpc.stat.count c"));
     let p99_line = text
         .lines()
@@ -92,7 +93,13 @@ fn server_metrics_flow_through_the_catalog() {
     // JSON metrics view: an array of per-server objects whose
     // histogram members carry p50/p99 and still decode back into a
     // MetricsSnapshot equal to what the server published.
-    let json = query_metrics_json(cat.tcp_addr(), T).unwrap();
+    let json = fetch(
+        &Dialer::tcp(),
+        &cat.tcp_addr().to_string(),
+        "metrics-json",
+        T,
+    )
+    .unwrap();
     let parsed = Value::parse(json.trim()).expect("valid JSON");
     let servers = parsed.as_array().expect("array of servers");
     assert_eq!(servers.len(), 1);
@@ -116,7 +123,7 @@ fn acl_denials_are_counted_and_published() {
     // Read/list only: writes draw NotAuthorized.
     let cfg = ServerConfig::localhost(dir.path(), "owner")
         .with_root_acl(Acl::single("hostname:*", "rl").unwrap())
-        .with_catalog(cat.udp_addr(), Duration::from_millis(50));
+        .with_catalog(cat.udp_addr().unwrap(), Duration::from_millis(50));
     let server = FileServer::start(cfg).unwrap();
 
     let mut conn = Connection::connect(server.addr(), T).unwrap();

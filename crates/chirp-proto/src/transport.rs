@@ -115,6 +115,34 @@ pub trait Listener: Send + Sync {
     fn wake(&self);
 }
 
+/// How long [`serve_accepts`] waits after an error that is neither
+/// shutdown nor a closed listener. `EMFILE`/`ENFILE` persist until a
+/// descriptor frees up; retrying at once would burn a core meanwhile.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
+
+/// The accept loop every service runs: hand each accepted stream to
+/// `serve` until `shutdown` is set (and the listener woken with
+/// [`Listener::wake`]) or the listener is closed for good.
+///
+/// A closed listener (a simulated host unbound from under the
+/// service) answers `NotConnected` and never accepts again, so the
+/// loop returns. Any other error is retried after a short backoff.
+pub fn serve_accepts(
+    listener: &dyn Listener,
+    shutdown: &AtomicBool,
+    mut serve: impl FnMut(Box<dyn Transport>, SocketAddr),
+) {
+    loop {
+        match listener.accept() {
+            Ok(_) if shutdown.load(Ordering::SeqCst) => return,
+            Ok((stream, peer)) => serve(stream, peer),
+            Err(_) if shutdown.load(Ordering::SeqCst) => return,
+            Err(e) if e.kind() == io::ErrorKind::NotConnected => return,
+            Err(_) => std::thread::sleep(ACCEPT_BACKOFF),
+        }
+    }
+}
+
 /// Object-safe connection factory behind [`Dialer`].
 pub trait Dial: Send + Sync {
     /// Connect to `endpoint` (a `host:port` string), bounding the
@@ -989,6 +1017,28 @@ mod tests {
         std::thread::sleep(Duration::from_millis(20));
         listener.wake();
         assert!(t.join().unwrap().is_err());
+    }
+
+    #[test]
+    fn serve_accepts_serves_until_its_listener_closes() {
+        let net = MemNet::new(Clock::wall());
+        let listener = net.listen();
+        let addr = listener.addr();
+        let dialer = net.dialer();
+        let served = std::thread::spawn(move || {
+            let mut peers = Vec::new();
+            serve_accepts(&listener, &AtomicBool::new(false), |_, peer| {
+                peers.push(peer)
+            });
+            peers
+        });
+        let client = dialer
+            .dial(&addr.to_string(), Duration::from_secs(1))
+            .unwrap();
+        let peer = client.local_addr().unwrap();
+        std::thread::sleep(Duration::from_millis(20));
+        net.unbind(addr);
+        assert_eq!(served.join().unwrap(), vec![peer]);
     }
 
     #[test]

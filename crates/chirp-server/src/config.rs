@@ -157,15 +157,12 @@ pub struct ServerConfig {
     /// method. Both client and server must see this directory (it
     /// proves the client shares the local filesystem).
     pub unix_challenge_dir: Option<PathBuf>,
-    /// Advertised storage capacity; `STATFS` reports
-    /// `free = capacity - bytes currently stored`.
+    /// Storage capacity: `STATFS` reports `free = capacity - bytes
+    /// currently stored`, and a write that would exceed it fails with
+    /// `NoSpace`. Space-aware abstractions (GEMS placement, DSFS pools)
+    /// rely on servers actually saying no — the Grid3 job failures the
+    /// paper opens with were exactly unadvertised full disks.
     pub capacity_bytes: u64,
-    /// Refuse writes that would exceed `capacity_bytes` with
-    /// `NoSpace`, instead of merely advertising the limit. Space-aware
-    /// abstractions (GEMS placement, DSFS pools) rely on servers
-    /// actually saying no — the Grid3 job failures the paper opens
-    /// with were exactly unadvertised full disks.
-    pub enforce_capacity: bool,
     /// Maximum descriptors per connection.
     pub max_open_per_connection: usize,
     /// Maximum concurrent connections; further ones are refused.
@@ -223,7 +220,6 @@ impl ServerConfig {
             hostname_resolver: Arc::new(default_resolver),
             unix_challenge_dir: None,
             capacity_bytes: 1 << 30,
-            enforce_capacity: true,
             max_open_per_connection: 256,
             max_connections: 256,
             idle_timeout: None,

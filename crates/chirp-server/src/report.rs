@@ -56,10 +56,14 @@ pub fn compose_report(shared: &Shared, addr: SocketAddr) -> String {
     out
 }
 
-/// Send one report to every configured catalog. Best-effort: a dead
-/// catalog must never take the file server down with it.
-pub fn send_report(shared: &Shared, addr: SocketAddr) {
-    let Ok(socket) = UdpSocket::bind("0.0.0.0:0") else {
+/// Send one report to every configured catalog from `socket`, binding
+/// it first if it is not bound yet. Best-effort: a dead catalog, or no
+/// socket at all, must never take the file server down with it.
+fn send_report(shared: &Shared, addr: SocketAddr, socket: &mut Option<UdpSocket>) {
+    if socket.is_none() {
+        *socket = UdpSocket::bind("0.0.0.0:0").ok();
+    }
+    let Some(socket) = socket else {
         return;
     };
     let packet = compose_report(shared, addr);
@@ -70,9 +74,11 @@ pub fn send_report(shared: &Shared, addr: SocketAddr) {
 
 /// Body of the reporting thread: report immediately, then on the
 /// configured interval, polling the shutdown flag often enough to exit
-/// promptly.
+/// promptly. Every report leaves from one socket, bound once for the
+/// thread's life (a failed bind is retried at the next report).
 pub fn report_loop(shared: Arc<Shared>, addr: SocketAddr) {
-    send_report(&shared, addr);
+    let mut socket = None;
+    send_report(&shared, addr, &mut socket);
     let tick = Duration::from_millis(25);
     let mut since_report = Duration::ZERO;
     loop {
@@ -82,7 +88,7 @@ pub fn report_loop(shared: Arc<Shared>, addr: SocketAddr) {
         std::thread::sleep(tick);
         since_report += tick;
         if since_report >= shared.config.report_interval {
-            send_report(&shared, addr);
+            send_report(&shared, addr, &mut socket);
             since_report = Duration::ZERO;
         }
     }

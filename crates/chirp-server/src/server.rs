@@ -10,10 +10,9 @@ use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 use chirp_proto::localfs::LocalFs;
-use chirp_proto::transport::Listener;
+use chirp_proto::transport::{serve_accepts, Listener};
 use chirp_proto::wire;
 use chirp_proto::ChirpError;
 
@@ -118,10 +117,9 @@ impl Shared {
         }
     }
 
-    /// Would storing `additional` bytes exceed the capacity policy?
+    /// Would storing `additional` bytes exceed the advertised capacity?
     pub fn over_capacity(&self, additional: u64) -> bool {
-        self.config.enforce_capacity
-            && self.used_bytes.load(Ordering::Relaxed) + additional > self.config.capacity_bytes
+        self.used_bytes.load(Ordering::Relaxed) + additional > self.config.capacity_bytes
     }
 }
 
@@ -250,45 +248,20 @@ impl Drop for FileServer {
     }
 }
 
-/// How long the accept loop waits after an error that is neither
-/// shutdown nor a closed listener. `EMFILE`/`ENFILE` persist until a
-/// descriptor frees up; retrying at once would burn a core meanwhile.
-const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
-
 fn accept_loop(listener: Arc<dyn Listener>, shared: Arc<Shared>, reactor: Arc<Reactor>) {
-    loop {
-        let accepted = listener.accept();
-        let (stream, peer) = match accepted {
-            Ok(pair) => pair,
-            Err(e) => {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                // A closed listener (the simulated host was unbound
-                // from under us) never accepts again; exit instead of
-                // spinning on the error.
-                if e.kind() == std::io::ErrorKind::NotConnected {
-                    return;
-                }
-                std::thread::sleep(ACCEPT_BACKOFF);
-                continue;
-            }
-        };
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
+    serve_accepts(&*listener, &shared.shutdown, |stream, peer| {
         if shared.active.load(Ordering::Relaxed) >= shared.config.max_connections {
             // Refuse politely: one error line, then close.
             let mut stream = stream;
             let mut w = BufWriter::new(&mut stream);
             let _ = wire::write_error(&mut w, ChirpError::Busy);
             let _ = w.flush();
-            continue;
+            return;
         }
         shared.active.fetch_add(1, Ordering::Relaxed);
         shared.stats.connection();
         // The shard that adopts the connection owns the `active`
         // decrement from here on.
         reactor.dispatch(stream, peer);
-    }
+    });
 }

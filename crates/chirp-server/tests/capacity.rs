@@ -90,21 +90,6 @@ fn statfs_reports_shrinking_free_space() {
 }
 
 #[test]
-fn enforcement_can_be_disabled() {
-    let dir = TempDir::new();
-    let mut cfg = ServerConfig::localhost(dir.path(), "owner")
-        .with_root_acl(Acl::single("hostname:*", "rwl").unwrap());
-    cfg.capacity_bytes = 1_000;
-    cfg.enforce_capacity = false;
-    let server = FileServer::start(cfg).unwrap();
-    let mut conn = connect(&server);
-    // Advisory-only capacity: the write is admitted, the report shows
-    // zero free.
-    conn.putfile("/big", 0o644, &vec![0u8; 5_000]).unwrap();
-    assert_eq!(conn.statfs().unwrap().free_bytes, 0);
-}
-
-#[test]
 fn preexisting_data_counts_against_capacity() {
     let dir = TempDir::new();
     std::fs::write(dir.path().join("existing"), vec![0u8; 9_000]).unwrap();

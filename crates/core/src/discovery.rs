@@ -10,11 +10,12 @@
 //! operation re-verifies by simply being attempted.
 
 use std::io;
-use std::net::SocketAddr;
 use std::time::Duration;
 
+use catalog::client::{fetch, parse_listing};
 use catalog::ServerReport;
 use chirp_client::AuthMethod;
+use chirp_proto::transport::Dialer;
 use chirp_proto::wildcard_match;
 
 use crate::stubfs::DataServer;
@@ -53,16 +54,18 @@ pub fn select(reports: &[ServerReport], policy: &PoolPolicy) -> Vec<ServerReport
     picked.into_iter().cloned().collect()
 }
 
-/// Query a catalog and build a data pool: each qualifying server
-/// contributes `volume` with the given `auth`.
+/// Query the catalog at `catalog` through `dialer` and build a data
+/// pool: each qualifying server contributes `volume` with the given
+/// `auth`.
 pub fn discover_pool(
-    catalog: SocketAddr,
+    dialer: &Dialer,
+    catalog: &str,
     timeout: Duration,
     policy: &PoolPolicy,
     volume: &str,
     auth: Vec<AuthMethod>,
 ) -> io::Result<Vec<DataServer>> {
-    let listing = catalog::query(catalog, timeout)?;
+    let listing = parse_listing(&fetch(dialer, catalog, "text", timeout)?);
     Ok(select(&listing, policy)
         .into_iter()
         .map(|r| DataServer::new(&r.address, volume, auth.clone()))

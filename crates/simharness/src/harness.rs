@@ -9,10 +9,17 @@
 //! sleeps, and no wall-clock dependence: a chaos scenario that
 //! nominally waits out seconds of backoff completes in milliseconds
 //! and behaves identically on a loaded CI machine.
+//!
+//! An instance may also host a catalog on the same network and clock.
+//! Its servers do not report by themselves: [`SimTss::report`] is one
+//! round of reports, each composed exactly as a server's report thread
+//! would send it, and a seeded [`ReportLoss`] plan decides which are
+//! lost on the way.
 
 use std::sync::Arc;
 use std::time::Duration;
 
+use catalog::{CatalogConfig, CatalogServer, ServerReport};
 use chirp_client::{AuthMethod, Connection};
 use chirp_proto::persist::Persist;
 use chirp_proto::testutil::TempDir;
@@ -20,6 +27,8 @@ use chirp_proto::transport::Dialer;
 use chirp_proto::{Clock, MemNet, VirtualClock};
 use chirp_server::acl::Acl;
 use chirp_server::{FileServer, KeyRing, ServerConfig};
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 use tss_core::cfs::{CfsConfig, RetryPolicy};
 use tss_core::stubfs::{DataServer, StubFsOptions};
 
@@ -37,6 +46,7 @@ pub struct SimTssBuilder {
     max_connections: Option<usize>,
     reactor_workers: usize,
     keys: Option<KeyRing>,
+    catalog_expiry: Option<Duration>,
 }
 
 impl SimTssBuilder {
@@ -97,6 +107,16 @@ impl SimTssBuilder {
         self
     }
 
+    /// Host a catalog that expires a server `expiry` after its last
+    /// report, measured on the instance's virtual clock (default: no
+    /// catalog). It serves queries on the in-memory network at
+    /// [`SimTss::catalog_endpoint`]; reports reach it only through
+    /// [`SimTss::report`].
+    pub fn catalog(mut self, expiry: Duration) -> SimTssBuilder {
+        self.catalog_expiry = Some(expiry);
+        self
+    }
+
     /// Start the instance.
     pub fn build(self) -> SimTss {
         let vclock = VirtualClock::new();
@@ -129,14 +149,43 @@ impl SimTssBuilder {
             configs.push(cfg);
             roots.push(root);
         }
+        let catalog = self.catalog_expiry.map(|expiry| {
+            let config = CatalogConfig::localhost(expiry).with_clock(clock.clone());
+            CatalogServer::start_on(config, Arc::new(net.listen())).expect("start sim catalog")
+        });
         SimTss {
             clock,
             vclock,
             net,
+            live: vec![true; servers.len()],
             servers,
             configs,
             roots,
+            catalog,
         }
+    }
+}
+
+/// A seeded plan of lost catalog reports: each report is dropped with
+/// probability `loss`, drawn in server order from a generator seeded
+/// like a fault plan, so a run replays exactly from its seed.
+pub struct ReportLoss {
+    rng: SmallRng,
+    loss: f64,
+}
+
+impl ReportLoss {
+    /// Drop each report with probability `loss`, drawing from `seed`.
+    pub fn new(seed: u64, loss: f64) -> ReportLoss {
+        ReportLoss {
+            rng: SmallRng::seed_from_u64(seed),
+            loss,
+        }
+    }
+
+    /// Deliver every report.
+    pub fn none() -> ReportLoss {
+        ReportLoss::new(0, 0.0)
     }
 }
 
@@ -148,6 +197,9 @@ pub struct SimTss {
     servers: Vec<FileServer>,
     configs: Vec<ServerConfig>,
     roots: Vec<TempDir>,
+    /// Per server: not killed, so it still reports.
+    live: Vec<bool>,
+    catalog: Option<CatalogServer>,
 }
 
 impl SimTss {
@@ -161,6 +213,7 @@ impl SimTss {
             max_connections: None,
             reactor_workers: 0,
             keys: None,
+            catalog_expiry: None,
         }
     }
 
@@ -249,6 +302,38 @@ impl SimTss {
         DataServer::new(&self.endpoint(i), volume, auth())
     }
 
+    /// The hosted catalog. Panics unless the instance was built with
+    /// [`SimTssBuilder::catalog`].
+    pub fn catalog(&self) -> &CatalogServer {
+        self.catalog
+            .as_ref()
+            .expect("SimTss built without a catalog")
+    }
+
+    /// Endpoint (`host:port`) the hosted catalog answers queries on.
+    pub fn catalog_endpoint(&self) -> String {
+        self.catalog().tcp_addr().to_string()
+    }
+
+    /// One round of catalog reports at the current virtual time: every
+    /// server not killed composes its report
+    /// ([`FileServer::compose_report`]), and `loss` decides whether it
+    /// reaches the catalog. Returns the indices of the servers whose
+    /// report was delivered, in order.
+    pub fn report(&self, loss: &mut ReportLoss) -> Vec<usize> {
+        let catalog = self.catalog();
+        let mut delivered = Vec::new();
+        for (i, server) in self.servers.iter().enumerate() {
+            if !self.live[i] || loss.rng.gen_bool(loss.loss) {
+                continue;
+            }
+            let report = ServerReport::parse(&server.compose_report()).expect("parseable report");
+            catalog.ingest(report);
+            delivered.push(i);
+        }
+        delivered
+    }
+
     /// Restart server `i` as a host restart would: shut it down, which
     /// closes every live connection, then start a fresh server process
     /// on the same root at the same address. Dials in between are
@@ -259,20 +344,26 @@ impl SimTss {
         let listener = self.net.listen_at(addr).expect("rebind sim address");
         self.servers[i] = FileServer::start_on(self.configs[i].clone(), Arc::new(listener))
             .expect("restart sim server");
+        self.live[i] = true;
     }
 
     /// Kill server `i` for good, as a host death would: shut it down,
     /// which closes every live connection, and unbind its address, so
-    /// every later dial is refused.
+    /// every later dial is refused. A killed server sends no more
+    /// catalog reports.
     pub fn kill(&mut self, i: usize) {
         self.servers[i].shutdown();
         self.net.unbind(self.servers[i].addr());
+        self.live[i] = false;
     }
 
-    /// Shut every server down.
+    /// Shut every server, and the catalog, down.
     pub fn shutdown(&mut self) {
         for s in &mut self.servers {
             s.shutdown();
+        }
+        if let Some(catalog) = &mut self.catalog {
+            catalog.shutdown();
         }
     }
 }

@@ -18,7 +18,13 @@
 //! * a live connection is severed by a one-shot kill, disarmed until
 //!   the moment of the sever ([`severer`]);
 //! * new connections are refused with `MemNet::unbind`;
-//! * a server restart is [`SimTss::restart`].
+//! * a server restart is [`SimTss::restart`];
+//! * a lost catalog report is a draw of a seeded [`ReportLoss`] plan in
+//!   [`SimTss::report`].
+//!
+//! The discovery cases (paper §4) read every listing through
+//! `discover_pool` from a catalog hosted on the same network and clock,
+//! so an expiry boundary is exact to the nanosecond.
 //!
 //! Determinism: every fault plan is seeded from `CHAOS_SEED` when set
 //! (default below), and each seeded test announces its seed on stderr,
@@ -35,12 +41,14 @@ use chirp_proto::testutil::TempDir;
 use chirp_proto::{OpenFlags, ReplyShape, Request};
 use chirp_server::acl::Acl;
 use faultline::{FaultAction, FaultDialer, FaultPlan, FaultRule, FaultTrigger, RouteDialer};
-use simharness::harness::{sim_retry, SimTss};
-use tss_core::cfs::{Cfs, RetryPolicy};
+use simharness::harness::{auth, sim_retry, ReportLoss, SimTss, SIM_TIMEOUT};
+use tss_core::cfs::{is_transport_error, Cfs, RetryPolicy};
+use tss_core::discovery::{discover_pool, PoolPolicy};
 use tss_core::fs::FileSystem;
 use tss_core::fsck::fsck;
-use tss_core::stubfs::StubFsOptions;
-use tss_core::{LocalFs, MirroredFs, Placement, ServerPool, StripedFs, StubFs};
+use tss_core::stub::StubRecord;
+use tss_core::stubfs::{DataServer, StubFsOptions};
+use tss_core::{Dsfs, LocalFs, MirroredFs, Placement, ServerPool, StripedFs, StubFs};
 
 /// Default plan seed, overridable with `CHAOS_SEED=<u64>`.
 const DEFAULT_SEED: u64 = 0xC4A0_5EED;
@@ -764,4 +772,147 @@ fn recovery_reaches_a_restarted_server() {
     fs.write_file("/g", b"after").unwrap();
     assert_eq!(fs.read_file("/g").unwrap(), b"after");
     assert_eq!(fs.retries(), 1, "one retry crossed the restart");
+}
+
+/// The pool `discover_pool` builds from `sim`'s catalog right now.
+fn discover(sim: &SimTss) -> Vec<DataServer> {
+    discover_pool(
+        &sim.dialer(),
+        &sim.catalog_endpoint(),
+        SIM_TIMEOUT,
+        &PoolPolicy::default(),
+        "/vol",
+        auth(),
+    )
+    .unwrap()
+}
+
+/// The endpoints of [`discover`]'s pool, sorted.
+fn discovered(sim: &SimTss) -> Vec<String> {
+    let mut endpoints: Vec<String> = discover(sim).into_iter().map(|d| d.endpoint).collect();
+    endpoints.sort();
+    endpoints
+}
+
+/// The endpoints of servers `ids` of `sim`, sorted and unique.
+fn endpoints(sim: &SimTss, ids: impl IntoIterator<Item = usize>) -> Vec<String> {
+    let mut endpoints: Vec<String> = ids.into_iter().map(|i| sim.endpoint(i)).collect();
+    endpoints.sort();
+    endpoints.dedup();
+    endpoints
+}
+
+#[test]
+fn a_silent_server_leaves_discovery_exactly_at_expiry() {
+    let expiry = Duration::from_secs(30);
+    let mut sim = SimTss::builder().servers(2).catalog(expiry).build();
+    assert_eq!(sim.report(&mut ReportLoss::none()), vec![0, 1]);
+    let silent_since = sim.clock().now();
+    sim.kill(1);
+    sim.clock().sleep(expiry / 2);
+    assert_eq!(
+        sim.report(&mut ReportLoss::none()),
+        vec![0],
+        "a dead server sends nothing"
+    );
+
+    let left = expiry - sim.clock().elapsed_since(silent_since);
+    sim.clock().sleep(left - Duration::from_nanos(1));
+    assert_eq!(
+        discovered(&sim),
+        endpoints(&sim, [0, 1]),
+        "one tick before expiry"
+    );
+    sim.clock().sleep(Duration::from_nanos(1));
+    assert_eq!(
+        discovered(&sim),
+        endpoints(&sim, [0]),
+        "gone exactly at expiry"
+    );
+}
+
+#[test]
+fn discovery_under_report_loss_lists_exactly_the_servers_heard_within_expiry() {
+    const SERVERS: usize = 4;
+    const ROUNDS: usize = 8;
+    const SEEDS: u64 = 50;
+    let period = Duration::from_secs(60);
+    let expiry = 3 * period;
+    let base = announce("discovery_under_report_loss");
+    let sim = SimTss::builder().servers(SERVERS).catalog(expiry).build();
+    let mut short_listings = 0;
+    for seed in base..base + SEEDS {
+        let mut loss = ReportLoss::new(seed, 0.3);
+        // Every report of the previous seed has expired.
+        sim.clock().sleep(expiry);
+        assert!(discovered(&sim).is_empty(), "seed {seed}: stale listing");
+        let mut heard: Vec<Vec<usize>> = Vec::new();
+        for round in 0..ROUNDS {
+            if round > 0 {
+                sim.clock().sleep(period);
+            }
+            heard.push(sim.report(&mut loss));
+            // A report is live for `expiry` = three periods: the one
+            // delivered this round and those of the two rounds before.
+            let window = &heard[heard.len().saturating_sub(3)..];
+            let want = endpoints(&sim, window.iter().flatten().copied());
+            short_listings += usize::from(want.len() < SERVERS);
+            assert_eq!(discovered(&sim), want, "seed {seed}, round {round}");
+        }
+    }
+    assert!(short_listings > 0, "the plan never silenced a server");
+}
+
+#[test]
+fn a_dsfs_built_from_discovery_survives_a_dead_data_server() {
+    let mut sim = SimTss::builder()
+        .servers(4)
+        .catalog(Duration::from_secs(300))
+        .build();
+    sim.report(&mut ReportLoss::none());
+    // The catalog is the only source of addresses: the first
+    // discovered server holds the tree, the other three hold data.
+    let pool = discover(&sim);
+    assert_eq!(pool.len(), 4);
+    let fs = Dsfs::format_with_options(
+        &pool[0].endpoint,
+        "/tree",
+        auth(),
+        pool[1..].to_vec(),
+        Placement::round_robin(),
+        sim.stubfs_options(),
+    )
+    .unwrap();
+    fs.mkdir("/d", 0o755).unwrap();
+    let names: Vec<String> = (0..6).map(|i| format!("f{i}")).collect();
+    for (i, name) in names.iter().enumerate() {
+        fs.write_file(&format!("/d/{name}"), &pattern(1000 + i, i))
+            .unwrap();
+    }
+    let home = |name: &str| -> String {
+        let stub = fs.stubfs().meta().read_file(&format!("/d/{name}")).unwrap();
+        StubRecord::decode(&stub).unwrap().parts[0].0.clone()
+    };
+    let dead = home(&names[0]);
+    let victim = (0..4).find(|&i| sim.endpoint(i) == dead).unwrap();
+    sim.kill(victim);
+
+    let mut listed = fs.readdir("/d").unwrap();
+    listed.sort();
+    assert_eq!(listed, names, "the tree stays navigable");
+    let mut served = 0;
+    for (i, name) in names.iter().enumerate() {
+        match fs.read_file(&format!("/d/{name}")) {
+            Ok(bytes) => {
+                assert_ne!(home(name), dead, "{name} read from a dead server");
+                assert_eq!(bytes, pattern(1000 + i, i), "{name}");
+                served += 1;
+            }
+            Err(e) => {
+                assert_eq!(home(name), dead, "{name} on a live server failed: {e}");
+                assert!(is_transport_error(&e), "{name}: {e}");
+            }
+        }
+    }
+    assert_eq!(served, 4, "two files of each of the two live data servers");
 }

@@ -43,7 +43,10 @@ fn main() -> std::io::Result<()> {
             .with_key("globus", "/O=Demo/CN=alice", b"alice-secret-key")
             // The owner retains access to all data on her server.
             .with_superuser("globus:/O=Demo/CN=alice")
-            .with_catalog(catalog.udp_addr(), Duration::from_millis(100)),
+            .with_catalog(
+                catalog.udp_addr().expect("UDP catalog"),
+                Duration::from_millis(100),
+            ),
     )?;
     println!("file server deployed at {}", server.endpoint());
 

@@ -53,7 +53,7 @@ fn open_server_with_catalog(root: &std::path::Path, catalog: Option<&CatalogServ
     let mut cfg = ServerConfig::localhost(root, "integration")
         .with_root_acl(Acl::single("hostname:*", "rwlda").unwrap());
     if let Some(cat) = catalog {
-        cfg = cfg.with_catalog(cat.udp_addr(), Duration::from_millis(50));
+        cfg = cfg.with_catalog(cat.udp_addr().unwrap(), Duration::from_millis(50));
     }
     FileServer::start(cfg).unwrap()
 }
