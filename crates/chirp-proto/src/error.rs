@@ -257,6 +257,13 @@ impl fmt::Display for ChirpError {
 
 impl std::error::Error for ChirpError {}
 
+/// [`ChirpError::from_io`], so `?` maps a failure on the export.
+impl From<io::Error> for ChirpError {
+    fn from(err: io::Error) -> ChirpError {
+        ChirpError::from_io(&err)
+    }
+}
+
 impl From<ChirpError> for io::Error {
     fn from(err: ChirpError) -> io::Error {
         io::Error::new(err.io_kind(), err)

@@ -8,10 +8,13 @@
 //! calls *recursive storage abstraction*.
 //!
 //! The interface lives beside the wire types rather than in the
-//! abstraction layer so the file server can name it too: the server's
-//! metadata handlers run over a [`crate::localfs::LocalFs`], the same
-//! bottom layer every abstraction can stand on.
+//! abstraction layer so the file server can name it too: a server
+//! serves any `FileSystem` (its export is a
+//! [`crate::localfs::LocalFs`], the same bottom layer every abstraction
+//! can stand on), and its page cache and sendfile paths ask a handle
+//! for the one host capability, [`FileHandle::host_file`].
 
+use std::fs::File;
 use std::io;
 
 use crate::{OpenFlags, StatBuf};
@@ -31,6 +34,19 @@ pub trait FileHandle: Send {
     fn fsync(&mut self) -> io::Result<()>;
     /// Truncate to `size`.
     fn ftruncate(&mut self, size: u64) -> io::Result<()>;
+
+    /// The host file behind the handle, for a caller that reads or
+    /// sends it with no buffer in between (a page-cache fill, sendfile).
+    /// `None` by default: such a caller then uses `pread`/`pwrite`.
+    fn host_file(&self) -> Option<&File> {
+        None
+    }
+}
+
+impl std::fmt::Debug for dyn FileHandle + '_ {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "FileHandle {{ host_file: {:?} }}", self.host_file())
+    }
 }
 
 /// A filesystem abstraction: the Unix interface of §2.
@@ -41,6 +57,19 @@ pub trait FileHandle: Send {
 pub trait FileSystem: Send + Sync {
     /// Open a file, creating it if `flags` say so.
     fn open(&self, path: &str, flags: OpenFlags, mode: u32) -> io::Result<Box<dyn FileHandle>>;
+    /// [`FileSystem::open`], answered with the opened file's
+    /// attributes. The default pays a second call, `fstat`; a store
+    /// that learns them with the open overrides it.
+    fn open_stat(
+        &self,
+        path: &str,
+        flags: OpenFlags,
+        mode: u32,
+    ) -> io::Result<(Box<dyn FileHandle>, StatBuf)> {
+        let mut handle = self.open(path, flags, mode)?;
+        let st = handle.fstat()?;
+        Ok((handle, st))
+    }
     /// Attributes by path.
     fn stat(&self, path: &str) -> io::Result<StatBuf>;
     /// Remove a file.
@@ -55,6 +84,12 @@ pub trait FileSystem: Send + Sync {
     fn readdir(&self, path: &str) -> io::Result<Vec<String>>;
     /// Truncate by path.
     fn truncate(&self, path: &str, size: u64) -> io::Result<()>;
+
+    /// Set `path`'s modification time to `mtime` seconds after the
+    /// epoch. `Unsupported` by default.
+    fn set_mtime(&self, _path: &str, _mtime: u64) -> io::Result<()> {
+        Err(io::ErrorKind::Unsupported.into())
+    }
 
     /// Flush a directory's entry list to stable storage, so entries
     /// created (or removed) inside it survive a crash. The default is
@@ -129,11 +164,6 @@ impl OpenedFile {
     /// Wrap a positional handle with a cursor at offset zero.
     pub fn new(handle: Box<dyn FileHandle>) -> OpenedFile {
         OpenedFile { handle, offset: 0 }
-    }
-
-    /// The underlying positional handle.
-    pub fn handle_mut(&mut self) -> &mut dyn FileHandle {
-        self.handle.as_mut()
     }
 
     /// Current cursor position.

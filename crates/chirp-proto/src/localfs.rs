@@ -3,11 +3,12 @@
 //! This is "Unix" in the paper's evaluation — the zero-overhead
 //! baseline — the metadata store of a DPFS, whose directory tree lives
 //! in a local filesystem chosen by the user, and the store a Chirp
-//! server exports. A server's descriptor table holds the concrete
-//! [`LocalHandle`] that [`LocalFs::open_handle`] returns, so every
-//! write it serves announces its durability point here, once.
+//! server exports. Every write a server serves goes through a
+//! [`LocalHandle`] and announces its durability point here, once; the
+//! handle lends its host file ([`FileHandle::host_file`]) to the
+//! server's page cache and sendfile paths.
 
-use std::fs::{File, Metadata, OpenOptions};
+use std::fs::{File, OpenOptions};
 use std::io;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
@@ -67,68 +68,6 @@ impl LocalFs {
         }
         out
     }
-
-    /// Open `path` as the concrete handle, with the `fstat` taken right
-    /// after the open. Unobserved, that is the whole cost: one `open`,
-    /// one `fstat`, no allocation; an observed open first stats to pick
-    /// `Create` or `Truncate`.
-    pub fn open_handle(
-        &self,
-        path: &str,
-        flags: OpenFlags,
-        mode: u32,
-    ) -> io::Result<(LocalHandle, Metadata)> {
-        let host = self.host(path);
-        if self.persist.is_enabled() {
-            let meta = std::fs::metadata(&host).ok();
-            if meta.as_ref().is_some_and(|m| m.is_dir()) {
-                return Err(io::ErrorKind::IsADirectory.into());
-            }
-            let exists = meta.is_some();
-            if flags.contains(OpenFlags::CREATE) && !exists {
-                self.persist.reached(DurabilityPoint::Create, path)?;
-            } else if flags.contains(OpenFlags::TRUNCATE) && exists {
-                self.persist.reached(DurabilityPoint::Truncate, path)?;
-            }
-        }
-        let file = match open_options(flags, mode).open(&host) {
-            Ok(file) => file,
-            // A directory fails every open but a plain read-only one
-            // (EISDIR, EEXIST under O_EXCL, ...): the failure path can
-            // afford the stat that names it.
-            Err(_) if host.is_dir() => return Err(io::ErrorKind::IsADirectory.into()),
-            Err(e) => return Err(e),
-        };
-        // The fstat also catches a directory opened read-only.
-        let meta = syscount::fstat(&file)?;
-        if meta.is_dir() {
-            return Err(io::ErrorKind::IsADirectory.into());
-        }
-        let path = if self.persist.is_enabled() {
-            normalize_path(path)
-        } else {
-            String::new()
-        };
-        let persist = self.persist.clone();
-        Ok((
-            LocalHandle {
-                file,
-                flags,
-                persist,
-                path,
-            },
-            meta,
-        ))
-    }
-
-    /// Set `path`'s modification time to `mtime` seconds after the
-    /// epoch, announced as a [`DurabilityPoint::SetTimes`].
-    pub fn set_mtime(&self, path: &str, mtime: u64) -> io::Result<()> {
-        let file = OpenOptions::new().write(true).open(self.host(path))?;
-        self.persist.reached(DurabilityPoint::SetTimes, path)?;
-        let t = std::time::UNIX_EPOCH + std::time::Duration::from_secs(mtime);
-        file.set_times(std::fs::FileTimes::new().set_modified(t))
-    }
 }
 
 /// Counted descriptor `fstat`s: an open takes one, a handle's `fstat`
@@ -161,9 +100,9 @@ fn entry_name(entry: &std::fs::DirEntry) -> String {
         .unwrap_or_else(|raw| raw.to_string_lossy().into_owned())
 }
 
-/// An open host file. [`LocalFs::open`] boxes it; a Chirp server's
-/// descriptor table holds it unboxed, so the page cache and the
-/// streamed replies take [`LocalHandle::file`] without a copy.
+/// An open host file, boxed by [`LocalFs::open`]. It lends the file
+/// ([`FileHandle::host_file`]), so a server's page cache and streamed
+/// replies read it without a copy.
 #[derive(Debug)]
 pub struct LocalHandle {
     file: File,
@@ -172,24 +111,6 @@ pub struct LocalHandle {
     /// The durability points' label: the normalized path when an
     /// observer is installed, empty otherwise.
     path: String,
-}
-
-impl LocalHandle {
-    /// The host file, for reads that bypass the handle (the page
-    /// cache's fills, a scratch-buffer `PREAD`).
-    pub fn file(&self) -> &File {
-        &self.file
-    }
-
-    /// The host file, for a caller that streams it to the end.
-    pub fn into_file(self) -> File {
-        self.file
-    }
-
-    /// The flags the file was opened with.
-    pub fn flags(&self) -> OpenFlags {
-        self.flags
-    }
 }
 
 impl FileHandle for LocalHandle {
@@ -234,12 +155,65 @@ impl FileHandle for LocalHandle {
             .reached(DurabilityPoint::Truncate, &self.path)?;
         self.file.set_len(size)
     }
+
+    fn host_file(&self) -> Option<&File> {
+        Some(&self.file)
+    }
 }
 
 impl FileSystem for LocalFs {
     fn open(&self, path: &str, flags: OpenFlags, mode: u32) -> io::Result<Box<dyn FileHandle>> {
-        let (handle, _) = self.open_handle(path, flags, mode)?;
-        Ok(Box::new(handle))
+        Ok(self.open_stat(path, flags, mode)?.0)
+    }
+
+    /// The attributes come from an `fstat` taken right after the open.
+    /// Unobserved, that is the whole cost: one `open`, one `fstat`; an
+    /// observed open first stats to pick `Create` or `Truncate`.
+    fn open_stat(
+        &self,
+        path: &str,
+        flags: OpenFlags,
+        mode: u32,
+    ) -> io::Result<(Box<dyn FileHandle>, StatBuf)> {
+        let host = self.host(path);
+        if self.persist.is_enabled() {
+            let meta = std::fs::metadata(&host).ok();
+            if meta.as_ref().is_some_and(|m| m.is_dir()) {
+                return Err(io::ErrorKind::IsADirectory.into());
+            }
+            let exists = meta.is_some();
+            if flags.contains(OpenFlags::CREATE) && !exists {
+                self.persist.reached(DurabilityPoint::Create, path)?;
+            } else if flags.contains(OpenFlags::TRUNCATE) && exists {
+                self.persist.reached(DurabilityPoint::Truncate, path)?;
+            }
+        }
+        let file = match open_options(flags, mode).open(&host) {
+            Ok(file) => file,
+            // A directory fails every open but a plain read-only one
+            // (EISDIR, EEXIST under O_EXCL, ...): the failure path can
+            // afford the stat that names it.
+            Err(_) if host.is_dir() => return Err(io::ErrorKind::IsADirectory.into()),
+            Err(e) => return Err(e),
+        };
+        // The fstat also catches a directory opened read-only.
+        let meta = syscount::fstat(&file)?;
+        if meta.is_dir() {
+            return Err(io::ErrorKind::IsADirectory.into());
+        }
+        let path = if self.persist.is_enabled() {
+            normalize_path(path)
+        } else {
+            String::new()
+        };
+        let persist = self.persist.clone();
+        let handle = LocalHandle {
+            file,
+            flags,
+            persist,
+            path,
+        };
+        Ok((Box::new(handle), meta_to_stat(&meta)))
     }
 
     fn stat(&self, path: &str) -> io::Result<StatBuf> {
@@ -314,6 +288,14 @@ impl FileSystem for LocalFs {
         f.set_len(size)
     }
 
+    /// Announced as a [`DurabilityPoint::SetTimes`].
+    fn set_mtime(&self, path: &str, mtime: u64) -> io::Result<()> {
+        let file = OpenOptions::new().write(true).open(self.host(path))?;
+        self.persist.reached(DurabilityPoint::SetTimes, path)?;
+        let t = std::time::UNIX_EPOCH + std::time::Duration::from_secs(mtime);
+        file.set_times(std::fs::FileTimes::new().set_modified(t))
+    }
+
     fn sync_dir(&self, path: &str) -> io::Result<()> {
         let host = self.host(path);
         self.persist.reached(DurabilityPoint::DirSync, path)?;
@@ -375,7 +357,7 @@ fn open_options(flags: OpenFlags, mode: u32) -> OpenOptions {
 /// Fill `buf` from `file` at `offset`: positional reads may come back
 /// short before end of file, so loop until the buffer is full or a
 /// read returns nothing. Short only at EOF.
-pub fn read_full_at(file: &File, buf: &mut [u8], offset: u64) -> io::Result<usize> {
+fn read_full_at(file: &File, buf: &mut [u8], offset: u64) -> io::Result<usize> {
     let mut filled = 0;
     while filled < buf.len() {
         match file.read_at(&mut buf[filled..], offset + filled as u64) {
@@ -390,7 +372,7 @@ pub fn read_full_at(file: &File, buf: &mut [u8], offset: u64) -> io::Result<usiz
 
 /// Convert host metadata to the shared stat structure: the words of a
 /// `STAT`/`FSTAT` reply, and of the attributes an `OPEN` answers with.
-pub fn meta_to_stat(meta: &std::fs::Metadata) -> StatBuf {
+fn meta_to_stat(meta: &std::fs::Metadata) -> StatBuf {
     use std::os::unix::fs::MetadataExt;
     StatBuf {
         device: meta.dev(),
@@ -501,6 +483,23 @@ mod tests {
         outcome.expect("a listing beside unlinks succeeds");
     }
 
+    /// `open_stat` is one open and one `fstat`: its attributes are the
+    /// handle's own, and the handle lends its host file.
+    #[test]
+    fn open_stat_is_one_fstat_and_lends_the_host_file() {
+        let (_d, fs) = fs();
+        fs.write_file("/x", b"hello").unwrap();
+        let before = syscount::fstat_calls();
+        let (mut h, st) = fs.open_stat("/x", OpenFlags::READ, 0).unwrap();
+        assert_eq!(syscount::fstat_calls() - before, 1);
+        assert_eq!(st, h.fstat().unwrap());
+        assert!(st.is_file() && st.size == 5);
+        assert!(h.host_file().is_some());
+        fs.mkdir("/d", 0o755).unwrap();
+        let err = fs.open_stat("/d", OpenFlags::READ, 0).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::IsADirectory);
+    }
+
     #[test]
     fn exclusive_create() {
         let (_d, fs) = fs();
@@ -508,8 +507,7 @@ mod tests {
         fs.open("/x", fl, 0o644).unwrap();
         let err = fs
             .open("/x", fl, 0o644)
-            .err()
-            .expect("second exclusive create fails");
+            .expect_err("second exclusive create fails");
         assert_eq!(err.kind(), io::ErrorKind::AlreadyExists);
     }
 

@@ -178,9 +178,7 @@ pub fn read_payload<R: Read>(reader: &mut R, len: u64) -> Result<Vec<u8>, ChirpE
         return Err(ChirpError::TooBig);
     }
     let mut buf = vec![0u8; len as usize];
-    reader
-        .read_exact(&mut buf)
-        .map_err(|e| ChirpError::from_io(&e))?;
+    reader.read_exact(&mut buf)?;
     Ok(buf)
 }
 

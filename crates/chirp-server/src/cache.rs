@@ -71,14 +71,14 @@ use telemetry::{Counter, Gauge, Registry};
 /// descriptors and paths naming the same file.
 pub type FileKey = (u64, u64);
 
-/// The [`FileKey`] of a path's attributes, as the export's `stat`
-/// reports them: the same pair [`file_key`] takes from an open's
-/// `fstat`.
+/// The [`FileKey`] of a file's attributes, as the export's `stat` or
+/// `open_stat` reports them: the key of every descriptor and path.
 pub fn stat_key(st: &chirp_proto::StatBuf) -> FileKey {
     (st.device, st.inode)
 }
 
-/// The [`FileKey`] of host metadata.
+/// The [`FileKey`] of host metadata, for a caller that holds the host
+/// file itself; the same pair [`stat_key`] takes from its attributes.
 pub fn file_key(meta: &std::fs::Metadata) -> FileKey {
     #[cfg(unix)]
     {
@@ -420,11 +420,6 @@ impl PageCache {
             bytes_from_cache: registry.counter("cache.bytes_from_cache"),
             resident: registry.gauge("cache.resident_bytes"),
         }
-    }
-
-    /// Page size in bytes.
-    pub fn page_bytes(&self) -> usize {
-        self.page
     }
 
     /// Should a single read of `len` bytes skip the cache?

@@ -5,20 +5,24 @@
 //! returned by `OPEN` is therefore only valid for the life of the
 //! connection, and clients must re-open after a disconnection — the
 //! paper's deliberately simple server-side failure semantics.
+//! Each descriptor holds the export's boxed [`FileHandle`], whatever
+//! store is behind it.
 
 use std::sync::Arc;
 
-use chirp_proto::localfs::LocalHandle;
-use chirp_proto::{ChirpError, ChirpResult};
+use chirp_proto::fs::FileHandle;
+use chirp_proto::{ChirpError, ChirpResult, OpenFlags};
 
 use crate::cache::{FileKey, FileState};
 
 /// One open file.
 #[derive(Debug)]
 pub struct OpenFile {
-    /// The export's handle on the host file: writes, syncs and
-    /// truncates go through it and announce their durability points.
-    pub handle: LocalHandle,
+    /// The export's handle on the file: writes, syncs and truncates
+    /// go through it and announce their durability points.
+    pub handle: Box<dyn FileHandle>,
+    /// The flags the file was opened with.
+    pub flags: OpenFlags,
     /// The file's `(device, inode)` identity — the buffer cache key.
     pub key: FileKey,
     /// Size and liveness shared by every descriptor on this inode,
@@ -92,17 +96,18 @@ impl FdTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use chirp_proto::fs::FileSystem;
     use chirp_proto::localfs::LocalFs;
     use chirp_proto::testutil::TempDir;
-    use chirp_proto::OpenFlags;
 
     fn open_file(dir: &TempDir, name: &str) -> OpenFile {
         let fs = LocalFs::new(dir.path()).unwrap();
         let flags = OpenFlags::read_write() | OpenFlags::CREATE;
-        let (handle, meta) = fs.open_handle(name, flags, 0o644).unwrap();
+        let (handle, st) = fs.open_stat(name, flags, 0o644).unwrap();
         OpenFile {
             handle,
-            key: crate::cache::file_key(&meta),
+            flags,
+            key: crate::cache::stat_key(&st),
             state: Arc::default(),
         }
     }

@@ -1,26 +1,28 @@
 //! Per-connection request handling: authentication gate, ACL
 //! enforcement, and dispatch to the export's file interface.
 //!
-//! Every request runs over [`Shared::fs`], the export's
-//! [`LocalFs`](chirp_proto::localfs::LocalFs), by *virtual* path: a
-//! protocol path goes through [`virtual_path`] once, its parent names
-//! the ACL that governs it, and no host path is built above `LocalFs`.
-//! Descriptors hold its concrete [`LocalHandle`]; what stays here is
-//! what only a server knows (the hidden `.__acl`, the ACL cache,
-//! page-cache and size-table coherence, capacity accounting).
+//! Every request runs over [`Shared::fs`], the export as a
+//! [`FileSystem`], by *virtual* path: a protocol path goes through
+//! [`virtual_path`] once, its parent names the ACL that governs it, and
+//! no host path is built here. Descriptors hold boxed [`FileHandle`]s;
+//! one that lends its host file ([`FileHandle::host_file`]) gets the
+//! page cache and sendfile, any other is served owned bytes through
+//! `pread`/`pwrite`. What stays here is what only a server knows (the
+//! hidden `.__acl`, the ACL cache, page-cache and size-table coherence,
+//! capacity accounting).
 
 use std::fs::File;
 use std::io;
+use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 
 use chirp_proto::escape::escape;
 use chirp_proto::fs::{join_path, FileHandle, FileSystem};
-use chirp_proto::localfs::{meta_to_stat, read_full_at, LocalHandle};
 use chirp_proto::{wildcard_match, ChirpError, ChirpResult, OpenFlags, Request, StatFs};
 
 use crate::acl::{is_reserved, parent_dir, virtual_path, Acl, Rights};
 use crate::auth::{AuthOutcome, Authenticator};
-use crate::cache::{file_key, stat_key, FileKey, PageReply};
+use crate::cache::{stat_key, FileKey, PageReply};
 use crate::fdtable::{FdTable, OpenFile};
 use crate::server::Shared;
 
@@ -35,12 +37,32 @@ pub enum Reply {
     /// Status = payload length, then the raw payload bytes.
     Data(Vec<u8>),
     /// Status = file length, then the file streamed from disk.
-    FileStream(File, u64),
+    FileStream(HostFile, u64),
     /// Status = total length, then the read's bytes scatter-gathered
     /// to the socket: every `PREAD` answers this way. Cached pages and
     /// buffers filled by the read alike go out with no copy but the one
     /// into the socket buffer.
     Pages(PageReply),
+}
+
+/// An open file that lends its host `File`: built only from a handle
+/// whose [`FileHandle::host_file`] is `Some`, so a reply can borrow it.
+#[derive(Debug)]
+pub struct HostFile(Box<dyn FileHandle>);
+
+impl HostFile {
+    /// `handle` as a host file, or back as it was if it lends none.
+    pub fn new(handle: Box<dyn FileHandle>) -> Result<HostFile, Box<dyn FileHandle>> {
+        match handle.host_file() {
+            Some(_) => Ok(HostFile(handle)),
+            None => Err(handle),
+        }
+    }
+
+    /// The host file.
+    pub fn file(&self) -> &File {
+        self.0.host_file().expect("a HostFile lends its host file")
+    }
 }
 
 /// An in-progress streamed `PUTFILE` payload (see
@@ -63,7 +85,7 @@ enum UploadFate {
     Discard(ChirpError),
     /// Checks passed: bytes stream straight into the opened file.
     Write {
-        file: File,
+        handle: Box<dyn FileHandle>,
         /// The file's identity, from the open's `fstat`.
         key: FileKey,
         /// Size the path held before the upload, for capacity
@@ -101,13 +123,21 @@ impl PutfileUpload {
     pub fn feed(&mut self, buf: &[u8]) -> usize {
         let n = self.remaining.min(buf.len() as u64) as usize;
         if let UploadFate::Write {
-            file,
+            handle,
             failed: failed @ None,
             ..
         } = &mut self.fate
         {
-            use std::io::Write;
-            if let Err(e) = file.write_all(&buf[..n]) {
+            // The host file's cursor follows the stream, so a chunk is
+            // one write(2) that announces nothing; any other handle
+            // writes at the offset the stream has reached.
+            let written = match handle.host_file() {
+                Some(mut file) => io::Write::write_all(&mut file, &buf[..n]),
+                None => handle
+                    .pwrite(&buf[..n], self.length - self.remaining)
+                    .map(drop),
+            };
+            if let Err(e) = written {
                 *failed = Some(ChirpError::from_io(&e));
             }
         }
@@ -173,13 +203,13 @@ impl Session {
             Request::Fstat { fd } => {
                 self.require_subject()?;
                 let f = self.fds.get(fd)?;
-                let st = f.handle.fstat().map_err(|e| ChirpError::from_io(&e))?;
+                let st = f.handle.fstat()?;
                 Ok(Reply::Words(0, st.to_words()))
             }
             Request::Fsync { fd } => {
                 self.require_subject()?;
                 let f = self.fds.get(fd)?;
-                f.handle.fsync().map_err(|e| ChirpError::from_io(&e))?;
+                f.handle.fsync()?;
                 Ok(Reply::Value(0))
             }
             Request::Ftruncate { fd, size } => {
@@ -189,26 +219,25 @@ impl Session {
                 if size > old && self.shared.over_capacity(size - old) {
                     return Err(ChirpError::NoSpace);
                 }
-                f.handle
-                    .ftruncate(size)
-                    .map_err(|e| ChirpError::from_io(&e))?;
+                f.handle.ftruncate(size)?;
                 if let Some(cache) = &self.shared.cache {
                     cache.truncate(f.key, old, size);
                 }
-                f.state
-                    .size
-                    .store(size, std::sync::atomic::Ordering::Relaxed);
+                f.state.size.store(size, Relaxed);
                 self.shared.adjust_usage(size as i64 - old as i64);
                 Ok(Reply::Value(0))
             }
-            Request::Stat { path } => self.do_stat(&path),
+            Request::Stat { path } => Ok(Reply::Words(0, self.stat_words(&path)?)),
             Request::Unlink { path } => self.do_unlink(&path),
             Request::Rename { from, to } => self.do_rename(&from, &to),
             Request::Mkdir { path, mode } => self.do_mkdir(&path, mode),
             Request::Rmdir { path } => self.do_rmdir(&path),
             Request::Getdir { path } => self.do_getdir(&path),
-            Request::Getlongdir { path } => self.do_getlongdir(&path),
-            Request::GetdirStat { path } => self.do_getdirstat(&path),
+            // `GETDIRSTAT` is `GETLONGDIR`'s pipelined spelling, kept as
+            // its own verb so telemetry tracks the batched ops apart.
+            Request::Getlongdir { path } | Request::GetdirStat { path } => {
+                self.listing_with_stats(&path)
+            }
             Request::StatMulti { paths } => self.do_stat_multi(&paths),
             Request::Getfile { path } => self.do_getfile(&path),
             Request::Putfile { .. } => {
@@ -260,7 +289,7 @@ impl Session {
         // point; the chunks announce none. The crash harness drives
         // writes through OPEN/PWRITE, where every step is killable.
         let flags = OpenFlags::WRITE | OpenFlags::CREATE | OpenFlags::TRUNCATE;
-        let (handle, meta) = match self.shared.fs.open_handle(&path, flags, mode) {
+        let (handle, st) = match self.shared.fs.open_stat(&path, flags, mode) {
             Ok(opened) => opened,
             Err(e) => return PutfileUpload::discard(length, ChirpError::from_io(&e)),
         };
@@ -268,8 +297,8 @@ impl Session {
             remaining: length,
             length,
             fate: UploadFate::Write {
-                file: handle.into_file(),
-                key: file_key(&meta),
+                handle,
+                key: stat_key(&st),
                 old_size,
                 failed: None,
             },
@@ -285,14 +314,14 @@ impl Session {
         match upload.fate {
             UploadFate::Discard(e) => Err(e),
             UploadFate::Write {
-                file,
+                mut handle,
                 key,
                 old_size,
                 failed,
             } => {
                 let size = match (&failed, complete) {
                     (None, true) => upload.length,
-                    _ => file.metadata().map_or(0, |m| m.len()),
+                    _ => handle.fstat().map_or(0, |st| st.size),
                 };
                 // Stale pages go, and descriptors already open on the
                 // inode learn its new size.
@@ -303,9 +332,7 @@ impl Session {
                 self.shared.adjust_usage(size as i64 - old_size as i64);
                 match (failed, complete) {
                     (Some(e), _) => Err(e),
-                    (None, false) => Err(ChirpError::from_io(&io::Error::from(
-                        io::ErrorKind::UnexpectedEof,
-                    ))),
+                    (None, false) => Err(io::Error::from(io::ErrorKind::UnexpectedEof).into()),
                     (None, true) => Ok(Reply::Value(0)),
                 }
             }
@@ -364,7 +391,7 @@ impl Session {
     /// The ACL governing directory `dir`, through the shared
     /// in-memory cache.
     fn effective_acl(&self, dir: &str) -> ChirpResult<Arc<Acl>> {
-        self.shared.acls.effective(&self.shared.fs, dir)
+        self.shared.acls.effective(&*self.shared.fs, dir)
     }
 
     /// Write the ACL that `make` computes as `dir`'s own, under the
@@ -373,7 +400,7 @@ impl Session {
     /// inherits from `dir`.
     fn store_acl(&self, dir: &str, make: impl FnOnce() -> ChirpResult<Acl>) -> ChirpResult<()> {
         let _writing = self.shared.acls.writing();
-        let stored = make().and_then(|acl| acl.store_in(&self.shared.fs, dir));
+        let stored = make().and_then(|acl| acl.store_in(&*self.shared.fs, dir));
         self.shared.acls.invalidate();
         stored
     }
@@ -416,17 +443,13 @@ impl Session {
         } else {
             0
         };
-        // The open's one fstat seeds the inode key, the tracked size
-        // and the reply's attributes; every later write and ftruncate
-        // on the descriptor maintains the size without touching the
-        // kernel again.
-        let (handle, meta) = self
-            .shared
-            .fs
-            .open_handle(&path, flags, mode)
-            .map_err(|e| ChirpError::from_io(&e))?;
+        // The open's attributes (on the export, its one fstat) seed the
+        // inode key, the tracked size and the reply; every later write
+        // and ftruncate on the descriptor maintains the size without
+        // touching the kernel again.
+        let (handle, st) = self.shared.fs.open_stat(&path, flags, mode)?;
         self.shared.adjust_usage(-(truncated_bytes as i64));
-        let key = file_key(&meta);
+        let key = stat_key(&st);
         if truncated_bytes > 0 {
             // O_TRUNC reused the inode but emptied it.
             if let Some(cache) = &self.shared.cache {
@@ -434,11 +457,16 @@ impl Session {
             }
             self.shared.sizes.set_size(key, 0);
         }
-        let state = self.shared.sizes.track(key, meta.len());
-        let fd = self.fds.insert(OpenFile { handle, key, state })?;
+        let state = self.shared.sizes.track(key, st.size);
+        let fd = self.fds.insert(OpenFile {
+            handle,
+            flags,
+            key,
+            state,
+        })?;
         // The descriptor rides with its attributes, in `FSTAT`'s words,
         // so a client that checks what it opened needs no second trip.
-        Ok(Reply::Words(fd as i64, meta_to_stat(&meta).to_words()))
+        Ok(Reply::Words(fd as i64, st.to_words()))
     }
 
     fn do_pread(&mut self, fd: i32, length: u64, offset: u64) -> ChirpResult<Reply> {
@@ -454,23 +482,22 @@ impl Session {
                     // empty buffer — succeeds even on a write-only fd.
                     return Ok(Reply::Pages(PageReply::default()));
                 }
-                if !f.handle.flags().contains(OpenFlags::READ) {
+                if !f.flags.contains(OpenFlags::READ) {
                     // read(2) on a write-only descriptor: EBADF. A
                     // cache hit must fail exactly like the syscall.
                     return Err(ChirpError::Io);
                 }
-                let doomed = f.state.doomed.load(std::sync::atomic::Ordering::Relaxed);
-                let file = f.handle.file();
-                let reply = cache.read(file, f.key, offset, length as usize, f.size(), !doomed)?;
-                return Ok(Reply::Pages(reply));
+                if let Some(file) = f.handle.host_file() {
+                    let doomed = f.state.doomed.load(Relaxed);
+                    let reply =
+                        cache.read(file, f.key, offset, length as usize, f.size(), !doomed)?;
+                    return Ok(Reply::Pages(reply));
+                }
             }
         }
-        // No cache, or a read past its bypass: into a buffer the reply
-        // owns, sent like a page.
-        let mut buf = vec![0u8; length as usize];
-        let n =
-            read_full_at(f.handle.file(), &mut buf, offset).map_err(|e| ChirpError::from_io(&e))?;
-        buf.truncate(n);
+        // No cache, a read past its bypass, or a handle with no host
+        // file: into a buffer the reply owns, sent like a page.
+        let buf = read_owned(f.handle.as_mut(), length, offset)?;
         Ok(Reply::Pages(PageReply::from_vec(buf)))
     }
 
@@ -484,7 +511,7 @@ impl Session {
         // pwrite(2) on an O_APPEND descriptor writes at EOF no matter
         // the offset; mirror the kernel so the cache patches the
         // bytes the disk actually took.
-        let eff_off = if f.handle.flags().contains(OpenFlags::APPEND) {
+        let eff_off = if f.flags.contains(OpenFlags::APPEND) {
             old_size
         } else {
             offset
@@ -498,23 +525,15 @@ impl Session {
         if growth > 0 && self.shared.over_capacity(growth) {
             return Err(ChirpError::NoSpace);
         }
-        f.handle
-            .pwrite(data, offset)
-            .map_err(|e| ChirpError::from_io(&e))?;
+        f.handle.pwrite(data, offset)?;
         if !data.is_empty() {
             if let Some(cache) = &self.shared.cache {
                 cache.write_through(f.key, eff_off, data, old_size);
             }
-            f.state
-                .size
-                .fetch_max(new_size, std::sync::atomic::Ordering::Relaxed);
+            f.state.size.fetch_max(new_size, Relaxed);
         }
         self.shared.adjust_usage(growth as i64);
         Ok(Reply::Value(data.len() as i64))
-    }
-
-    fn do_stat(&self, path: &str) -> ChirpResult<Reply> {
-        Ok(Reply::Words(0, self.stat_words(path)?))
     }
 
     /// The stat words for one path (the body of `STAT` and of each
@@ -532,11 +551,7 @@ impl Session {
             }
         };
         self.require_rights(parent_dir(&path).unwrap_or("/"), need)?;
-        let st = self
-            .shared
-            .fs
-            .stat(&path)
-            .map_err(|e| ChirpError::from_io(&e))?;
+        let st = self.shared.fs.stat(&path)?;
         Ok(st.to_words())
     }
 
@@ -563,10 +578,7 @@ impl Session {
         if st.is_some_and(|st| st.is_dir()) {
             return Err(ChirpError::IsADirectory);
         }
-        self.shared
-            .fs
-            .unlink(&path)
-            .map_err(|e| ChirpError::from_io(&e))?;
+        self.shared.fs.unlink(&path)?;
         if let Some(st) = &st {
             // Open descriptors keep the inode readable, but once the
             // last one closes the inode number can be recycled — drop
@@ -607,7 +619,7 @@ impl Session {
         } else {
             Ok(())
         }
-        .and_then(|()| fs.rename(&from, &to).map_err(|e| ChirpError::from_io(&e)));
+        .and_then(|()| fs.rename(&from, &to).map_err(ChirpError::from));
         if src.is_dir() {
             // The directory took its `.__acl` (and its subtree's) to a
             // new path and freed the old one.
@@ -634,12 +646,7 @@ impl Session {
         let path = virtual_path(path)?;
         let dir = parent_dir(&path)?;
         let have = self.rights_in(dir)?;
-        let mkdir = || {
-            self.shared
-                .fs
-                .mkdir(&path, mode)
-                .map_err(|e| ChirpError::from_io(&e))
-        };
+        let mkdir = || self.shared.fs.mkdir(&path, mode);
         if have.contains(Rights::WRITE) {
             // Ordinary create: the new directory inherits a copy of the
             // parent's effective ACL.
@@ -666,13 +673,13 @@ impl Session {
         let path = virtual_path(path)?;
         self.require_rights(parent_dir(&path)?, Rights::WRITE | Rights::DELETE)?;
         let fs = &self.shared.fs;
-        let st = fs.stat(&path).map_err(|e| ChirpError::from_io(&e))?;
+        let st = fs.stat(&path)?;
         if !st.is_dir() {
             return Err(ChirpError::NotADirectory);
         }
         let removed = self
             .remove_acl_files(&path)
-            .and_then(|()| fs.rmdir(&path).map_err(|e| ChirpError::from_io(&e)));
+            .and_then(|()| fs.rmdir(&path).map_err(ChirpError::from));
         self.shared.acls.invalidate();
         removed?;
         Ok(Reply::Value(0))
@@ -685,24 +692,19 @@ impl Session {
     /// those files go before the directory is removed or replaced.
     fn remove_acl_files(&self, path: &str) -> ChirpResult<()> {
         let fs = &self.shared.fs;
-        let names = fs.readdir(path).map_err(|e| ChirpError::from_io(&e))?;
+        let names = fs.readdir(path)?;
         if names.iter().any(|n| !is_reserved(n)) {
             return Err(ChirpError::NotEmpty);
         }
-        names
+        Ok(names
             .iter()
-            .try_for_each(|name| fs.unlink(&join_path(path, name)))
-            .map_err(|e| ChirpError::from_io(&e))
+            .try_for_each(|name| fs.unlink(&join_path(path, name)))?)
     }
 
     fn do_getdir(&self, path: &str) -> ChirpResult<Reply> {
         let path = virtual_path(path)?;
         self.require_rights(&path, Rights::LIST)?;
-        let names = self
-            .shared
-            .fs
-            .readdir(&path)
-            .map_err(|e| ChirpError::from_io(&e))?;
+        let names = self.shared.fs.readdir(&path)?;
         let mut names: Vec<String> = names
             .into_iter()
             .filter(|n| !is_reserved(n))
@@ -712,27 +714,11 @@ impl Session {
         Ok(Reply::Data(names.join("\n").into_bytes()))
     }
 
-    fn do_getlongdir(&self, path: &str) -> ChirpResult<Reply> {
-        self.listing_with_stats(path)
-    }
-
-    /// `GETDIRSTAT`, the batched listing of the pipelined data path:
-    /// identical framing to `GETLONGDIR` (its pre-pipelining spelling),
-    /// kept as its own verb so telemetry can track adoption of the
-    /// batched ops separately.
-    fn do_getdirstat(&self, path: &str) -> ChirpResult<Reply> {
-        self.listing_with_stats(path)
-    }
-
     /// One `escape(name) statwords` line per entry, sorted.
     fn listing_with_stats(&self, path: &str) -> ChirpResult<Reply> {
         let path = virtual_path(path)?;
         self.require_rights(&path, Rights::LIST)?;
-        let listed = self
-            .shared
-            .fs
-            .readdir_stat(&path)
-            .map_err(|e| ChirpError::from_io(&e))?;
+        let listed = self.shared.fs.readdir_stat(&path)?;
         let mut lines: Vec<String> = listed
             .into_iter()
             .filter(|(name, _)| !is_reserved(name))
@@ -747,17 +733,11 @@ impl Session {
         self.require_rights(parent_dir(&path)?, Rights::READ)?;
         // Always from disk, never through the page cache: a whole-tree
         // copy must not wipe out the hot working set.
-        let (handle, meta) = self.open_read(&path)?;
-        Ok(Reply::FileStream(handle.into_file(), meta.len()))
-    }
-
-    /// Open `path` read-only through the export, for a whole-file
-    /// stream.
-    fn open_read(&self, path: &str) -> ChirpResult<(LocalHandle, std::fs::Metadata)> {
-        self.shared
-            .fs
-            .open_handle(path, OpenFlags::READ, 0)
-            .map_err(|e| ChirpError::from_io(&e))
+        let (handle, st) = self.shared.fs.open_stat(&path, OpenFlags::READ, 0)?;
+        match HostFile::new(handle) {
+            Ok(file) => Ok(Reply::FileStream(file, st.size)),
+            Err(mut handle) => Ok(Reply::Data(read_owned(handle.as_mut(), st.size, 0)?)),
+        }
     }
 
     fn do_getacl(&self, path: &str) -> ChirpResult<Reply> {
@@ -794,16 +774,18 @@ impl Session {
     fn do_checksum(&self, path: &str) -> ChirpResult<Reply> {
         let path = virtual_path(path)?;
         self.require_rights(parent_dir(&path)?, Rights::READ)?;
-        let mut file = self.open_read(&path)?.0.into_file();
+        let mut handle = self.shared.fs.open(&path, OpenFlags::READ, 0)?;
         let mut crc = chirp_proto::checksum::Crc64::new();
         let mut buf = [0u8; 64 * 1024];
+        let mut offset = 0;
         loop {
-            let n =
-                std::io::Read::read(&mut file, &mut buf).map_err(|e| ChirpError::from_io(&e))?;
-            if n == 0 {
+            // Short only at EOF.
+            let n = handle.pread(&mut buf, offset)?;
+            crc.update(&buf[..n]);
+            if n < buf.len() {
                 break;
             }
-            crc.update(&buf[..n]);
+            offset += n as u64;
         }
         Ok(Reply::Words(0, format!("{:016x}", crc.finish())))
     }
@@ -814,10 +796,8 @@ impl Session {
         // Reconcile the approximate counter with a real walk, so any
         // drift from untracked mutations is bounded by the statfs
         // interval.
-        let used = disk_usage(&self.shared.fs);
-        self.shared
-            .used_bytes
-            .store(used, std::sync::atomic::Ordering::Relaxed);
+        let used = disk_usage(&*self.shared.fs);
+        self.shared.used_bytes.store(used, Relaxed);
         let st = StatFs {
             total_bytes: total,
             free_bytes: total.saturating_sub(used),
@@ -828,11 +808,7 @@ impl Session {
     fn do_truncate(&self, path: &str, size: u64) -> ChirpResult<Reply> {
         let path = virtual_path(path)?;
         self.require_rights(parent_dir(&path)?, Rights::WRITE)?;
-        let st = self
-            .shared
-            .fs
-            .stat(&path)
-            .map_err(|e| ChirpError::from_io(&e))?;
+        let st = self.shared.fs.stat(&path)?;
         if st.is_dir() {
             return Err(ChirpError::IsADirectory);
         }
@@ -840,10 +816,7 @@ impl Session {
         if size > old && self.shared.over_capacity(size - old) {
             return Err(ChirpError::NoSpace);
         }
-        self.shared
-            .fs
-            .truncate(&path, size)
-            .map_err(|e| ChirpError::from_io(&e))?;
+        self.shared.fs.truncate(&path, size)?;
         let key = stat_key(&st);
         if let Some(cache) = &self.shared.cache {
             cache.truncate(key, old, size);
@@ -867,9 +840,9 @@ impl Session {
     ) -> ChirpResult<ThirdputPush> {
         let path = virtual_path(path)?;
         self.require_rights(parent_dir(&path)?, Rights::READ)?;
-        let (handle, _) = self.open_read(&path)?;
+        let handle = self.shared.fs.open(&path, OpenFlags::READ, 0)?;
         Ok(ThirdputPush {
-            file: handle.into_file(),
+            handle,
             target: target.to_string(),
             target_path: target_path.to_string(),
         })
@@ -878,10 +851,7 @@ impl Session {
     fn do_utime(&self, path: &str, mtime: u64) -> ChirpResult<Reply> {
         let path = virtual_path(path)?;
         self.require_rights(parent_dir(&path)?, Rights::WRITE)?;
-        self.shared
-            .fs
-            .set_mtime(&path, mtime)
-            .map_err(|e| ChirpError::from_io(&e))?;
+        self.shared.fs.set_mtime(&path, mtime)?;
         Ok(Reply::Value(0))
     }
 }
@@ -890,7 +860,7 @@ impl Session {
 /// opened source and where it goes.
 #[derive(Debug)]
 pub struct ThirdputPush {
-    file: File,
+    handle: Box<dyn FileHandle>,
     target: String,
     target_path: String,
 }
@@ -898,13 +868,29 @@ pub struct ThirdputPush {
 /// Run a third-party transfer to its end: dial the target, authenticate
 /// as this server's hostname, and send the file in one `PUTFILE`.
 /// Blocks on the peer for as long as the transfer takes, so it never
-/// runs on a serving thread. The reply value is the byte count.
-pub fn push_thirdput(shared: &Shared, push: ThirdputPush) -> ChirpResult<u64> {
+/// runs on a serving thread. The reply value is the byte count. A host
+/// file is sent as it is; any other source is read into a buffer first.
+pub fn push_thirdput(shared: &Shared, mut push: ThirdputPush) -> ChirpResult<u64> {
     let timeout = std::time::Duration::from_secs(30);
     let mut conn =
         chirp_client::Connection::connect_via(&shared.config.dialer, &push.target, timeout)?;
     conn.authenticate(&[chirp_client::AuthMethod::Hostname])?;
-    conn.putfile_file(&push.target_path, 0o644, &push.file)
+    if let Some(file) = push.handle.host_file() {
+        return conn.putfile_file(&push.target_path, 0o644, file);
+    }
+    let size = push.handle.fstat()?.size;
+    let data = read_owned(push.handle.as_mut(), size, 0)?;
+    conn.putfile(&push.target_path, 0o644, &data)?;
+    Ok(data.len() as u64)
+}
+
+/// Up to `length` bytes at `offset`, read through the handle into a
+/// buffer of their own: short only at EOF.
+fn read_owned(handle: &mut dyn FileHandle, length: u64, offset: u64) -> ChirpResult<Vec<u8>> {
+    let mut buf = vec![0u8; length as usize];
+    let n = handle.pread(&mut buf, offset)?;
+    buf.truncate(n);
+    Ok(buf)
 }
 
 /// Total bytes of file data stored in `fs` (a walk from its root,
@@ -944,11 +930,13 @@ mod tests {
         assert_eq!(disk_usage(&fs), 150);
     }
 
-    /// One session, end to end at the handler layer: a burst of
-    /// writes, reads, and ftruncates on an open descriptor must make
-    /// zero `fstat` calls (the fd table tracks the size) while one
-    /// `FSTAT` makes exactly one, and an oversized read (past the cache
-    /// bypass) answers one slice of its own buffer.
+    /// One session, end to end at the handler layer: `OPEN` makes
+    /// exactly one `fstat` and answers the attributes a following
+    /// `FSTAT` reports; a burst of writes, reads, and ftruncates on the
+    /// descriptor then makes zero `fstat` calls (the fd table tracks
+    /// the size) while one `FSTAT` makes exactly one, and an oversized
+    /// read (past the cache bypass) answers one slice of its own
+    /// buffer.
     #[test]
     fn hot_io_burst_is_fstat_free_and_an_oversized_read_is_one_slice() {
         use chirp_proto::localfs::syscount::fstat_calls;
@@ -969,6 +957,7 @@ mod tests {
             None,
         )
         .unwrap();
+        let before_open = fstat_calls();
         let open = s
             .handle(
                 Request::Open {
@@ -979,10 +968,15 @@ mod tests {
                 None,
             )
             .unwrap();
-        let Reply::Words(fd, _) = open else {
+        assert_eq!(fstat_calls() - before_open, 1, "OPEN must fstat once");
+        let Reply::Words(fd, opened) = open else {
             panic!("open reply");
         };
         let fd = fd as i32;
+        let Reply::Words(0, fstat) = s.handle(Request::Fstat { fd }, None).unwrap() else {
+            panic!("fstat reply");
+        };
+        assert_eq!(opened, fstat, "OPEN answers FSTAT's attributes");
 
         let before = fstat_calls();
         for i in 0..256u64 {

@@ -14,9 +14,11 @@
 //!   files. Any user can export fresh space or existing data.
 //! * **Software chroot** — the handlers speak only virtual paths
 //!   ([`acl::virtual_path`]: normalized, `..` never above the root,
-//!   the ACL files unreachable) to the export's
-//!   [`LocalFs`](chirp_proto::localfs::LocalFs), the only code that
-//!   joins a path onto the host root — real `chroot` needs root.
+//!   the ACL files unreachable) to the export, a
+//!   [`FileSystem`](chirp_proto::fs::FileSystem) that
+//!   [`Shared::new`](server::Shared::new) makes a `LocalFs`, the only
+//!   code that joins a path onto the host root — real `chroot` needs
+//!   root.
 //! * **Simple failure semantics** — when a connection drops, the server
 //!   frees everything associated with it; descriptors never outlive the
 //!   connection. Recovery policy belongs to the client-side adapter.

@@ -77,7 +77,6 @@
 //! [`ReadyWatcher`]: chirp_proto::ready::ReadyWatcher
 
 use std::collections::{HashMap, VecDeque};
-use std::fs::File;
 use std::io::{self, Read, Write};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -92,7 +91,7 @@ use chirp_proto::{ChirpError, ChirpResult, Request, MAX_LINE, MAX_PAYLOAD};
 use telemetry::SpanTimer;
 
 use crate::cache::PageSlice;
-use crate::handlers::{push_thirdput, PutfileUpload, Reply, Session, ThirdputPush};
+use crate::handlers::{push_thirdput, HostFile, PutfileUpload, Reply, Session, ThirdputPush};
 use crate::server::Shared;
 
 /// Token reserved for the poller's own wake channel.
@@ -673,7 +672,7 @@ enum Handoff {
 enum Body {
     /// A `GETFILE` body longer than one `READ_CHUNK`, behind its status
     /// line.
-    Send(File, u64),
+    Send(HostFile, u64),
     /// The part of a `PUTFILE` body the shard had not buffered, and the
     /// request's span.
     Receive(PutfileUpload, SpanTimer),
@@ -698,7 +697,7 @@ impl Body {
             .and_then(|()| stream.set_write_timeout(timeout));
         match self {
             Body::Send(file, len) => {
-                let sent = blocking.and_then(|()| stream.send_file(&file, len));
+                let sent = blocking.and_then(|()| stream.send_file(file.file(), len));
                 Done::Sent(sent.and(stream.set_nonblocking(true)))
             }
             Body::Receive(mut upload, span) => {
@@ -1098,7 +1097,7 @@ impl Conn {
                 // can no longer be delivered.
                 let mut out = format!("{len}\n").into_bytes();
                 out.reserve(len as usize);
-                match file.take(len).read_to_end(&mut out) {
+                match file.file().take(len).read_to_end(&mut out) {
                     Ok(n) if n as u64 == len => self.push_bytes(out),
                     _ => self.dead = true,
                 }

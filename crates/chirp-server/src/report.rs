@@ -26,9 +26,9 @@ pub fn compose_report(shared: &Shared, addr: SocketAddr) -> String {
         .server_name
         .clone()
         .unwrap_or_else(|| addr.to_string());
-    let used = disk_usage(&shared.fs);
+    let used = disk_usage(&*shared.fs);
     let total = shared.config.capacity_bytes;
-    let topacl = Acl::load_effective_in(&shared.fs, "/")
+    let topacl = Acl::load_effective_in(&*shared.fs, "/")
         .map(|a| a.render())
         .unwrap_or_default();
     let stats = shared.stats.snapshot();

@@ -29,11 +29,12 @@ use crate::stats::{ServerStats, ServerTelemetry};
 pub struct Shared {
     /// The server configuration.
     pub config: ServerConfig,
-    /// The export directory behind the common file interface: the
-    /// only code that turns a protocol path into a host path, and
-    /// the one that announces every durability point to
-    /// `config.persistence` before it mutates.
-    pub fs: LocalFs,
+    /// The export behind the common file interface, which every
+    /// handler speaks by virtual path. [`Shared::new`] makes it a
+    /// `LocalFs` over `config.root`: the only code that turns a
+    /// protocol path into a host path, and the one that announces every
+    /// durability point to `config.persistence` before it mutates.
+    pub fs: Arc<dyn FileSystem>,
     /// Activity counters: a view over `telemetry`'s registry.
     pub stats: ServerStats,
     /// Per-op metrics, latency histograms, and the RPC trace ring;
@@ -58,24 +59,30 @@ pub struct Shared {
 }
 
 impl Shared {
-    /// Build the shared server state: create the root and open it as
-    /// a `LocalFs`, install the root ACL if the directory is not
-    /// already governed,
-    /// size the buffer cache, and take the initial usage walk. This
-    /// is everything [`FileServer::start_on`] does short of spawning
-    /// threads, exposed so benches and tests can drive
-    /// [`Session`](crate::handlers::Session)s directly.
+    /// Build the shared server state over a `LocalFs` of `config.root`
+    /// (created if missing) that announces to `config.persistence`, by
+    /// [`Shared::with_fs`]: everything [`FileServer::start_on`] does
+    /// short of spawning threads, exposed so benches and tests can
+    /// drive [`Session`](crate::handlers::Session)s directly.
     pub fn new(config: ServerConfig) -> std::io::Result<Arc<Shared>> {
         let fs = LocalFs::with_persistence(&config.root, config.persistence.clone())?;
+        Shared::with_fs(config, Arc::new(fs))
+    }
+
+    /// Build the shared server state over any export `fs`, which
+    /// replaces `config.root` and `config.persistence`: install the
+    /// root ACL if `fs` is not already governed, size the buffer cache,
+    /// and take the initial usage walk.
+    pub fn with_fs(config: ServerConfig, fs: Arc<dyn FileSystem>) -> std::io::Result<Arc<Shared>> {
         // Install the root ACL only if the directory is not already
         // governed (exporting existing data must not clobber policy).
         if fs.stat(&join_path("/", ACL_FILE)).is_err() && !config.root_acl.entries().is_empty() {
             config
                 .root_acl
-                .store_in(&fs, "/")
+                .store_in(&*fs, "/")
                 .map_err(|e| std::io::Error::other(e.to_string()))?;
         }
-        let used = disk_usage(&fs);
+        let used = disk_usage(&*fs);
         let telemetry = ServerTelemetry::default();
         let cache = config
             .cache_bytes
@@ -95,26 +102,13 @@ impl Shared {
             used_bytes: AtomicU64::new(used),
         }))
     }
-    /// Record `delta` bytes added (positive) or removed (negative).
+    /// Record `delta` bytes added (positive) or removed (negative),
+    /// never below zero.
     pub fn adjust_usage(&self, delta: i64) {
-        if delta >= 0 {
-            self.used_bytes.fetch_add(delta as u64, Ordering::Relaxed);
-        } else {
-            let dec = (-delta) as u64;
-            let mut cur = self.used_bytes.load(Ordering::Relaxed);
-            loop {
-                let next = cur.saturating_sub(dec);
-                match self.used_bytes.compare_exchange_weak(
-                    cur,
-                    next,
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => break,
-                    Err(now) => cur = now,
-                }
-            }
-        }
+        let add = |used: u64| Some(used.saturating_add_signed(delta));
+        let _ = self
+            .used_bytes
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, add);
     }
 
     /// Would storing `additional` bytes exceed the advertised capacity?

@@ -264,7 +264,7 @@ fn getfile_from_cache_matches_the_disk() {
     {
         Reply::FileStream(file, len) => {
             let mut out = Vec::new();
-            file.take(len).read_to_end(&mut out).unwrap();
+            file.file().take(len).read_to_end(&mut out).unwrap();
             assert_eq!(out, body, "GETFILE must serve exact bytes");
         }
         other => panic!("expected a stream from disk, got {other:?}"),

@@ -11,9 +11,6 @@ pub enum Placement {
     /// Cycle through the servers in order (balanced under uniform
     /// file sizes; deterministic for tests).
     RoundRobin(AtomicUsize),
-    /// Pick uniformly at random (the paper's clients select servers
-    /// randomly; robust to correlated create bursts).
-    Random,
 }
 
 impl Placement {
@@ -27,7 +24,6 @@ impl Placement {
         assert!(n > 0, "placement over an empty server set");
         match self {
             Placement::RoundRobin(next) => next.fetch_add(1, Ordering::Relaxed) % n,
-            Placement::Random => (rand::thread_rng().next_u64() % n as u64) as usize,
         }
     }
 }
@@ -60,21 +56,6 @@ mod tests {
     }
 
     #[test]
-    fn random_stays_in_range() {
-        let p = Placement::Random;
-        for _ in 0..100 {
-            assert!(p.choose(4) < 4);
-        }
-    }
-
-    #[test]
-    fn random_covers_all_servers_eventually() {
-        let p = Placement::Random;
-        let seen: HashSet<usize> = (0..200).map(|_| p.choose(4)).collect();
-        assert_eq!(seen.len(), 4);
-    }
-
-    #[test]
     fn unique_names_do_not_collide() {
         let names: HashSet<String> = (0..1000).map(|_| unique_data_name()).collect();
         assert_eq!(names.len(), 1000);
@@ -83,6 +64,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "empty server set")]
     fn empty_set_panics() {
-        Placement::Random.choose(0);
+        Placement::round_robin().choose(0);
     }
 }

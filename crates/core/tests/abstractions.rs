@@ -226,7 +226,7 @@ fn dpfs_exclusive_create_collision_aborts() {
     fs.ensure_volumes().unwrap();
     let fl = OpenFlags::WRITE | OpenFlags::CREATE | OpenFlags::EXCLUSIVE;
     fs.open("/x", fl, 0o644).unwrap();
-    let err = fs.open("/x", fl, 0o644).err().expect("collision");
+    let err = fs.open("/x", fl, 0o644).expect_err("collision");
     assert_eq!(err.kind(), std::io::ErrorKind::AlreadyExists);
     // Exactly one data file was created: the aborted create did not
     // leak garbage.

@@ -353,10 +353,7 @@ fn exclusive_create_collision_creates_no_part() {
     let exclusive = OpenFlags::WRITE | OpenFlags::CREATE | OpenFlags::EXCLUSIVE;
     for (i, (path, fs)) in engines.into_iter().enumerate() {
         drop(fs.open(path, exclusive, 0o644).unwrap());
-        let err = fs
-            .open(path, exclusive, 0o644)
-            .err()
-            .expect("name is taken");
+        let err = fs.open(path, exclusive, 0o644).expect_err("name is taken");
         assert_eq!(err.kind(), std::io::ErrorKind::AlreadyExists);
         for host in 0..2 {
             assert_eq!(data_count(&fx.volume(host)), i + 1, "{path}: extra part");
