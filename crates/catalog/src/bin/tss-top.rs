@@ -10,9 +10,9 @@
 //! interrupted; tests pass a small count to get a bounded run.
 
 use std::collections::HashMap;
-use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
+use catalog::client::{fetch, parse_listing};
 use chirp_proto::transport::Dialer;
 use telemetry::json::Value;
 use telemetry::{MetricValue, MetricsSnapshot};
@@ -35,11 +35,11 @@ struct Row {
     backpressure: Option<u64>,
 }
 
-fn fetch(
-    addr: SocketAddr,
+fn fetch_metrics(
+    endpoint: &str,
     timeout: Duration,
 ) -> std::io::Result<Vec<(String, String, MetricsSnapshot)>> {
-    let body = catalog::client::fetch(&Dialer::tcp(), &addr.to_string(), "metrics-json", timeout)?;
+    let body = fetch(&Dialer::tcp(), endpoint, "metrics-json", timeout)?;
     let parsed = Value::parse(body.trim())
         .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidData, "bad JSON"))?;
     let mut out = Vec::new();
@@ -65,9 +65,14 @@ fn fetch(
 
 /// Free space per server comes from the full listing, not the metrics
 /// view; fold it in opportunistically.
-fn free_by_name(addr: SocketAddr, timeout: Duration) -> HashMap<String, u64> {
-    catalog::query(addr, timeout)
-        .map(|reports| reports.into_iter().map(|r| (r.name, r.free)).collect())
+fn free_by_name(endpoint: &str, timeout: Duration) -> HashMap<String, u64> {
+    fetch(&Dialer::tcp(), endpoint, "text", timeout)
+        .map(|body| {
+            parse_listing(&body)
+                .into_iter()
+                .map(|r| (r.name, r.free))
+                .collect()
+        })
         .unwrap_or_default()
 }
 
@@ -179,9 +184,11 @@ fn render(rows: &[Row]) {
     }
 }
 
+const USAGE: &str = "usage: tss-top <catalog-host:port> [--interval SECS] [--iterations N]";
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let mut catalog_addr: Option<SocketAddr> = None;
+    let mut endpoint: Option<String> = None;
     let mut interval = Duration::from_secs(2);
     let mut iterations: u64 = 0;
     let mut i = 1;
@@ -202,21 +209,19 @@ fn main() {
                     std::process::exit(2);
                 });
             }
+            other if endpoint.is_none() && !other.starts_with('-') => {
+                endpoint = Some(other.to_string());
+            }
             other => {
-                catalog_addr = other.parse().ok();
-                if catalog_addr.is_none() {
-                    eprintln!("unrecognized argument or bad address: {other}");
-                    eprintln!(
-                        "usage: tss-top <catalog-host:port> [--interval SECS] [--iterations N]"
-                    );
-                    std::process::exit(2);
-                }
+                eprintln!("unrecognized argument: {other}");
+                eprintln!("{USAGE}");
+                std::process::exit(2);
             }
         }
         i += 1;
     }
-    let Some(addr) = catalog_addr else {
-        eprintln!("usage: tss-top <catalog-host:port> [--interval SECS] [--iterations N]");
+    let Some(endpoint) = endpoint else {
+        eprintln!("{USAGE}");
         std::process::exit(2);
     };
 
@@ -224,9 +229,9 @@ fn main() {
     let mut prev: HashMap<String, (u64, Instant)> = HashMap::new();
     let mut round = 0u64;
     loop {
-        match fetch(addr, timeout) {
+        match fetch_metrics(&endpoint, timeout) {
             Ok(servers) => {
-                let free = free_by_name(addr, timeout);
+                let free = free_by_name(&endpoint, timeout);
                 let table = rows(&servers, &prev, &free);
                 let now = Instant::now();
                 for r in &table {
@@ -235,7 +240,7 @@ fn main() {
                 println!();
                 render(&table);
             }
-            Err(e) => eprintln!("query {addr} failed: {e}"),
+            Err(e) => eprintln!("query {endpoint} failed: {e}"),
         }
         round += 1;
         if iterations > 0 && round >= iterations {

@@ -48,7 +48,7 @@ fn tss_top_renders_live_server_metrics() {
     }
 
     let out = std::process::Command::new(env!("CARGO_BIN_EXE_tss-top"))
-        .arg(cat.tcp_addr().to_string())
+        .arg(format!("localhost:{}", cat.tcp_addr().port()))
         .args(["--iterations", "1", "--interval", "0.1"])
         .output()
         .expect("run tss-top");

@@ -561,6 +561,12 @@ impl FileSystem for Cfs {
         self.run(|c| c.truncate(&p, size))
     }
 
+    /// One `UTIME`.
+    fn set_mtime(&self, path: &str, mtime: u64) -> io::Result<()> {
+        let p = self.full_path(path);
+        self.run(|c| c.utime(&p, mtime))
+    }
+
     /// Whole-file read in a single `GETFILE` RPC instead of the
     /// open/stat/read/close sequence — the streaming call the Chirp
     /// protocol provides exactly for this (§4). DSFS stub reads ride

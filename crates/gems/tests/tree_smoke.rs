@@ -1,9 +1,9 @@
 //! THIRDPUT distribution-tree bench, run by stage 0 of
 //! `scripts/verify.sh`: 8 real TCP file servers whose outbound
-//! dialer charges a latency per round trip, so every THIRDPUT hop
-//! pays for its own connection to the next depot (loopback otherwise
-//! hides the transfer cost the tree amortizes), comparing three ways
-//! to place 8 replicas of one file:
+//! dialer delays every RPC (faultline's `FaultAction::Delay`), so
+//! every THIRDPUT hop pays for its own round trips to the next depot
+//! (loopback otherwise hides the transfer cost the tree amortizes),
+//! comparing three ways to place 8 replicas of one file:
 //!
 //! * **direct** — one source→target push, the unit of cost;
 //! * **serial** — the naive loop, 7 pushes from the source, ~7 units;
@@ -11,7 +11,7 @@
 //!   doubling, where every completed replica immediately pushes to
 //!   the next orphan, so wall time is ~⌈log2⌉ units.
 //!
-//! The asserted floor is the ISSUE's acceptance bar — the 8-replica
+//! The asserted floor is the acceptance bar — the 8-replica
 //! tree lands within 4× of one direct push — with the true ratio on
 //! this rig ~3× (depth 3), so a loaded CI machine has real slack.
 //! The printed table feeds EXPERIMENTS.md.
@@ -19,22 +19,28 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use chirp_client::AuthMethod;
 use chirp_proto::testutil::TempDir;
 use chirp_proto::transport::Dialer;
+use chirp_proto::Clock;
 use chirp_server::acl::Acl;
 use chirp_server::{FileServer, ServerConfig};
+use faultline::{FaultAction, FaultDialer, FaultPlan, FaultTrigger};
 use gems::{distribute, ideal_depth, TreeConfig, TreeTarget};
-use tss_bench::{auth, latency_dialer};
 use tss_core::cfs::{Cfs, CfsConfig};
 
-/// Charged per round trip on a server's connection to a peer; a push
-/// is two (authenticate, then `PUTFILE`).
+/// Charged per RPC on a server's connection to a peer. A push is two
+/// (authenticate, then `PUTFILE`), each answered before the next is
+/// sent, so one delay per RPC is one per round trip.
 const HOP_LATENCY: Duration = Duration::from_millis(25);
 const PAYLOAD_LEN: usize = 64 * 1024;
 const REPLICAS: usize = 8;
 
 fn cfs_for(endpoint: &str) -> Arc<Cfs> {
-    Arc::new(Cfs::new(CfsConfig::new(endpoint, auth())))
+    Arc::new(Cfs::new(CfsConfig::new(
+        endpoint,
+        vec![AuthMethod::Hostname],
+    )))
 }
 
 /// Best-of-3 wall time, to shrug off load spikes on a shared CI box
@@ -59,7 +65,11 @@ fn eight_replica_tree_lands_within_4x_of_one_direct_push() {
         .map(|d| {
             let mut cfg = ServerConfig::localhost(d.path(), "bench")
                 .with_root_acl(Acl::single("hostname:*", "rwlda").unwrap());
-            cfg.dialer = latency_dialer(Dialer::tcp(), HOP_LATENCY);
+            let delay = FaultPlan::new(0).rule(
+                FaultTrigger::EveryNthRpc(1),
+                FaultAction::Delay(HOP_LATENCY),
+            );
+            cfg.dialer = FaultDialer::new(Dialer::tcp(), Clock::wall(), delay).dialer();
             FileServer::start(cfg).expect("start chirp server")
         })
         .collect();

@@ -107,6 +107,10 @@ impl<F: FileSystem> FileSystem for NfsShape<F> {
     fn truncate(&self, path: &str, size: u64) -> io::Result<()> {
         self.inner.truncate(&self.lookup(path)?, size)
     }
+
+    fn set_mtime(&self, path: &str, mtime: u64) -> io::Result<()> {
+        self.inner.set_mtime(&self.lookup(path)?, mtime)
+    }
 }
 
 /// An open file whose transfers are split into [`MAX_TRANSFER`]-byte

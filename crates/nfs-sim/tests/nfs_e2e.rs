@@ -188,3 +188,21 @@ fn request_counts_are_exact() {
     let (n, _) = requests(&sim, || fs.write_file("/big", &big).unwrap());
     assert_eq!(n, 1 + 3);
 }
+
+/// `set_mtime` is one `UTIME` through `Cfs`, and through `NfsShape`
+/// the same after its lookups; `stat` reads the time back either way.
+#[test]
+fn set_mtime_sends_utime_after_the_lookups() {
+    let (sim, fs) = setup();
+    let cfs = Cfs::new(sim.cfs_config(0));
+    cfs.mkdir("/d", 0o755).unwrap();
+    cfs.write_file("/d/f", b"x").unwrap();
+    let (n, ()) = requests(&sim, || cfs.set_mtime("/d/f", 1_120_000_000).unwrap());
+    assert_eq!(n, 1, "one UTIME");
+    assert_eq!(cfs.stat("/d/f").unwrap().mtime, 1_120_000_000);
+    fs.stat("/").unwrap();
+    let (n, ()) = requests(&sim, || fs.set_mtime("/d/f", 1_130_000_000).unwrap());
+    assert_eq!(n, 2, "a lookup of /d, then UTIME");
+    assert_eq!(fs.stat("/d/f").unwrap().mtime, 1_130_000_000);
+    assert_eq!(cfs.stat("/d/f").unwrap().mtime, 1_130_000_000);
+}

@@ -93,11 +93,11 @@ impl LruFileCache {
 ///
 /// Runs the actual LRU model with a deterministic LCG access stream:
 /// one warm-up sweep to fill the cache, then `samples` measured
-/// accesses. The live cache sweep (`tss-bench`'s `cache-sweep`) drives
-/// the real server with the same access law and compares against this
-/// curve — the paper's analytic/experimental loop in miniature. Under
-/// uniform access the curve is the resource fraction itself: hit rate
-/// ≈ min(1, capacity / (files * file_size)).
+/// accesses. Under uniform access the curve is the resource fraction
+/// itself: hit rate ≈ min(1, capacity / (files * file_size)). The
+/// server's own page cache is modelled page for page by
+/// [`PageCacheModel`], which `chirp-server`'s `cache_smoke` test holds
+/// the live cache to.
 pub fn predict_uniform_hit_rate(capacity: u64, files: u64, file_size: u64, samples: u64) -> f64 {
     assert!(files > 0 && file_size > 0 && samples > 0);
     let mut cache = LruFileCache::new(capacity);

@@ -7,7 +7,8 @@
 # compiles, so it is built next: a break in a public item it calls
 # fails this gate, not the benchmark pipeline. Then each row of the
 # table below runs a sweep that stage 0's debug run does not: a larger
-# release default, an assertion skipped in debug, a knob, or the
+# release default, an assertion skipped in debug (the `cache` row:
+# chirp-server's `cache_smoke` timing floors), a knob, or the
 # benchmark's own tests (a smoke of every workload's self-checks, so a
 # change that breaks a workload fails here). Clippy,
 # rustdoc (every warning an error, so a deleted item cannot leave a
@@ -32,7 +33,7 @@ cd "$(dirname "$0")/.."
 rows() {
     cat <<EOF
 pipeline  on  SIM_SEED=<seed>      SIM_SEQS=${SIM_SEQS:-2000} cargo test -q --release -p simharness --test differential
-cache     on  -                    cargo test -q --release -p tss-bench --test cache_smoke
+cache     on  -                    cargo test -q --release -p chirp-server --test cache_smoke
 crash     on  CRASH_SEED=<seed>    SIM_SEQS=${SIM_SEQS:-1000} cargo test -q --release -p simharness --test crash_sim
 scenarios on  SCENARIO_SEED=<seed> cargo test -q --release -p simharness --test scenarios_sim
 bench     on  -                    cargo test -q --release --offline --manifest-path bench/Cargo.toml

@@ -4,33 +4,42 @@
 //!    connections with per-file slow start;
 //! 2. the recursive-abstraction stub access path: one `GETFILE` RPC
 //!    vs an open/stat/read/close sequence (measured live);
-//! 3. per-server buffer cache size vs the Figure 7 crossover.
+//! 3. per-server buffer cache size vs the Figure 7 crossover, and
+//!    (3b) server-to-server replication vs through the client
+//!    (measured live);
+//! 4. access skew vs server scaling.
 
-use simnet::ablation::{access_skew_sweep, cache_sweep, chirp_batch, ftp_batch};
-use simnet::CostModel;
-use tss_bench::{fixtures, fmt_us, measure_latency, print_table};
-use tss_core::fs::FileSystem;
+use tss::chirp_proto::testutil::TempDir;
+use tss::chirp_proto::OpenFlags;
+use tss::core::fs::FileSystem;
+use tss::core::Cfs;
+use tss::simnet::ablation::{access_skew_sweep, cache_sweep, chirp_batch, ftp_batch};
+use tss::simnet::CostModel;
 
-fn main() {
+use crate::rig::{auth, fixtures, fmt_us, measure_latency, open_server, print_table};
+
+pub fn ablation() {
     let m = CostModel::default();
 
     // -- 1: single-stream vs split control/data ------------------------
-    let mut rows = Vec::new();
-    for (files, bytes) in [
+    let rows: Vec<Vec<String>> = [
         (1000u64, 16u64 << 10),
         (1000, 64 << 10),
         (100, 1 << 20),
         (10, 64 << 20),
-    ] {
+    ]
+    .iter()
+    .map(|&(files, bytes)| {
         let chirp = chirp_batch(&m, files, bytes);
         let ftp = ftp_batch(&m, files, bytes);
-        rows.push(vec![
+        vec![
             format!("{files} x {}KB", bytes >> 10),
             format!("{:.2}", chirp),
             format!("{:.2}", ftp),
             format!("{:.1}x", ftp / chirp),
-        ]);
-    }
+        ]
+    })
+    .collect();
     print_table(
         "Ablation 1 (modelled): batch transfer, one stream vs FTP-style, seconds",
         &["workload", "chirp", "ftp-style", "ftp/chirp"],
@@ -46,28 +55,24 @@ fn main() {
     f.cfs
         .write_file("/stub", b"#tss-stub-v1\nh:1\n/x\n")
         .unwrap();
-    let iters = 1500;
     let single = measure_latency(
         || {
             f.cfs.read_file("/stub").unwrap();
         },
         50,
-        iters,
+        1500,
     );
     let multi = measure_latency(
         || {
             // The naive path: open, fstat, read, close — what the stub
             // read would cost without the whole-file RPC.
-            let mut h = f
-                .cfs
-                .open("/stub", chirp_proto::OpenFlags::READ, 0)
-                .unwrap();
+            let mut h = f.cfs.open("/stub", OpenFlags::READ, 0).unwrap();
             let size = h.fstat().unwrap().size as usize;
             let mut buf = vec![0u8; size];
             h.pread(&mut buf, 0).unwrap();
         },
         50,
-        iters,
+        1500,
     );
     print_table(
         "Ablation 2 (measured): stub read via GETFILE vs open/stat/read/close, us",
@@ -84,14 +89,11 @@ fn main() {
 
     // -- 3: buffer cache sweep ------------------------------------------
     let caches = [128u64 << 20, 256 << 20, 512 << 20, 1024 << 20];
-    let servers = [1usize, 2, 3, 4];
-    let rows: Vec<Vec<String>> = cache_sweep(&m, &caches, &servers)
+    let rows: Vec<Vec<String>> = cache_sweep(&m, &caches, &[1, 2, 3, 4])
         .into_iter()
         .map(|row| {
             let mut cells = vec![format!("{} MB", row.cache >> 20)];
-            for (_, mbps) in row.throughput {
-                cells.push(format!("{mbps:.0}"));
-            }
+            cells.extend(row.throughput.iter().map(|(_, mbps)| format!("{mbps:.0}")));
             cells
         })
         .collect();
@@ -109,52 +111,48 @@ fn main() {
     // THIRDPUT (server pushes to server) vs pull-push through the
     // replicating client: same bytes, one network traversal instead of
     // two plus a client copy.
-    {
-        use tss_bench::open_server;
-        let dir_a = chirp_proto::testutil::TempDir::new();
-        let dir_b = chirp_proto::testutil::TempDir::new();
-        let a_srv = open_server(dir_a.path());
-        let b_srv = open_server(dir_b.path());
-        let cfs_a = tss_core::Cfs::connect(&a_srv.endpoint(), tss_bench::auth());
-        let cfs_b = tss_core::Cfs::connect(&b_srv.endpoint(), tss_bench::auth());
-        let payload = vec![0x5au8; 8 << 20];
-        cfs_a.putfile("/src", 0o644, &payload).unwrap();
-        let (third, _) = tss_bench::measure_latency(
-            || {
-                cfs_a
-                    .thirdput("/src", &b_srv.endpoint(), "/dst-third")
-                    .unwrap();
-            },
-            2,
-            10,
-        );
-        let (pullpush, _) = tss_bench::measure_latency(
-            || {
-                let data = cfs_a.getfile("/src").unwrap();
-                cfs_b.putfile("/dst-pp", 0o644, &data).unwrap();
-            },
-            2,
-            10,
-        );
-        print_table(
-            "Ablation 3b (measured): replicating 8 MiB between servers, ms",
-            &["path", "time"],
-            &[
-                vec![
-                    "thirdput (server-to-server)".into(),
-                    format!("{:.1}", third * 1e3),
-                ],
-                vec![
-                    "pull+push (via client)".into(),
-                    format!("{:.1}", pullpush * 1e3),
-                ],
+    let (dir_a, dir_b) = (TempDir::new(), TempDir::new());
+    let (a_srv, b_srv) = (open_server(dir_a.path()), open_server(dir_b.path()));
+    let cfs_a = Cfs::connect(&a_srv.endpoint(), auth());
+    let cfs_b = Cfs::connect(&b_srv.endpoint(), auth());
+    cfs_a
+        .putfile("/src", 0o644, &vec![0x5au8; 8 << 20])
+        .unwrap();
+    let (third, _) = measure_latency(
+        || {
+            cfs_a
+                .thirdput("/src", &b_srv.endpoint(), "/dst-third")
+                .unwrap();
+        },
+        2,
+        10,
+    );
+    let (pullpush, _) = measure_latency(
+        || {
+            let data = cfs_a.getfile("/src").unwrap();
+            cfs_b.putfile("/dst-pp", 0o644, &data).unwrap();
+        },
+        2,
+        10,
+    );
+    print_table(
+        "Ablation 3b (measured): replicating 8 MiB between servers, ms",
+        &["path", "time"],
+        &[
+            vec![
+                "thirdput (server-to-server)".into(),
+                format!("{:.1}", third * 1e3),
             ],
-        );
-        println!(
-            "  the GEMS replicator directs THIRDPUT so bulk repair traffic never\n\
-             \x20 visits the replicator host."
-        );
-    }
+            vec![
+                "pull+push (via client)".into(),
+                format!("{:.1}", pullpush * 1e3),
+            ],
+        ],
+    );
+    println!(
+        "  the GEMS replicator directs THIRDPUT so bulk repair traffic never\n\
+         \x20 visits the replicator host."
+    );
 
     // -- 4: access skew vs server scaling --------------------------------
     let rows: Vec<Vec<String>> = access_skew_sweep(&m, 2.0, &[1, 2, 4, 8])

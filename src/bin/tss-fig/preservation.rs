@@ -3,32 +3,36 @@
 //! budget, surviving induced failures of 1, 5, and 10 disks.
 //!
 //! Two views: the paper-scale simulation (`simnet::gems`) and a real
-//! mini-run of the actual `gems` crate against live Chirp servers,
-//! with data forcibly deleted from 1, 2, and 3 of 12 servers —
-//! proportionally the paper's 1/5/10 of 120.
+//! mini-run of the `gems` crate against live Chirp servers, with data
+//! forcibly deleted from 1, 2, and 3 of 12 servers — proportionally
+//! the paper's 1/5/10 of 120.
 
 use std::time::Duration;
 
-use chirp_client::AuthMethod;
-use chirp_proto::localfs::LocalFs;
-use chirp_proto::testutil::TempDir;
-use simnet::gems::{run, GemsParams};
-use tss_bench::{open_server, print_table};
-use tss_core::stubfs::DataServer;
+use tss::chirp_proto::localfs::LocalFs;
+use tss::chirp_proto::testutil::TempDir;
+use tss::core::stubfs::DataServer;
+use tss::gems::{Gems, GemsConfig};
+use tss::simnet::gems::{run, GemsParams};
 
-fn main() {
-    // -- paper-scale simulation ---------------------------------------
+use crate::rig::{auth, open_server, print_table};
+
+pub fn fig9() {
     let p = GemsParams::default();
     let r = run(&p);
-    let mut rows = Vec::new();
     // Downsample the series for a readable table.
-    for s in r.series.iter().step_by(10) {
-        rows.push(vec![
-            format!("{:.0}", s.time),
-            format!("{:.1}", s.stored as f64 / (1u64 << 30) as f64),
-            s.files_alive.to_string(),
-        ]);
-    }
+    let rows: Vec<Vec<String>> = r
+        .series
+        .iter()
+        .step_by(10)
+        .map(|s| {
+            vec![
+                format!("{:.0}", s.time),
+                format!("{:.1}", s.stored as f64 / (1u64 << 30) as f64),
+                s.files_alive.to_string(),
+            ]
+        })
+        .collect();
     print_table(
         "Figure 9 (simulated, paper scale): GEMS preservation",
         &["t (s)", "stored (GB)", "files alive"],
@@ -41,33 +45,20 @@ fn main() {
         p.disks, r.files_lost
     );
 
-    // -- real mini-run against live servers ---------------------------
     println!("\n== Figure 9 (real mini-run): live gems crate, 12 servers ==");
-    let mut dirs = Vec::new();
-    let mut servers = Vec::new();
-    let mut pool = Vec::new();
-    for _ in 0..12 {
-        let dir = TempDir::new();
-        let server = open_server(dir.path());
-        pool.push(DataServer::new(
-            &server.endpoint(),
-            "/gems",
-            vec![AuthMethod::Hostname],
-        ));
-        dirs.push(dir);
-        servers.push(server);
-    }
+    let dirs: Vec<TempDir> = (0..12).map(|_| TempDir::new()).collect();
+    let servers: Vec<_> = dirs.iter().map(|d| open_server(d.path())).collect();
+    let pool = servers
+        .iter()
+        .map(|s| DataServer::new(&s.endpoint(), "/gems", auth()))
+        .collect();
     // The record index lives beside the pool volume on the last
     // server, which no wipe below touches.
-    let records = DataServer::new(
-        &servers[11].endpoint(),
-        "/gems-records",
-        vec![AuthMethod::Hostname],
-    );
-    let mut config = gems::GemsConfig::new(records, pool);
+    let records = DataServer::new(&servers[11].endpoint(), "/gems-records", auth());
+    let mut config = GemsConfig::new(records, pool);
     config.default_target = 3;
     config.timeout = Duration::from_secs(5);
-    let g = gems::Gems::connect(config).unwrap();
+    let g = Gems::connect(config).unwrap();
 
     // "Dataset": 56 files x 256 KB = 14 MB (scale 1:1000).
     let file_bytes = 256 * 1024;
@@ -82,22 +73,24 @@ fn main() {
         )
         .unwrap();
     }
-    let stored = |dirs: &Vec<TempDir>| -> u64 {
-        dirs.iter()
+    let stored_mb = || -> f64 {
+        let bytes: u64 = dirs
+            .iter()
             .map(|d| {
                 let volume = LocalFs::new(d.path().join("gems")).expect("volume root");
-                chirp_server::handlers::disk_usage(&volume)
+                tss::chirp_server::handlers::disk_usage(&volume)
             })
-            .sum()
+            .sum();
+        bytes as f64 / 1e6
     };
     println!(
         "  after ingest (1 copy each):   {:>6.1} MB stored",
-        stored(&dirs) as f64 / 1e6
+        stored_mb()
     );
     g.maintain().unwrap();
     println!(
         "  after replication (target 3): {:>6.1} MB stored",
-        stored(&dirs) as f64 / 1e6
+        stored_mb()
     );
 
     for wipe in [1usize, 2, 3] {
@@ -111,22 +104,19 @@ fn main() {
         }
         println!(
             "  wiped {wipe} server(s):          {:>6.1} MB stored",
-            stored(&dirs) as f64 / 1e6
+            stored_mb()
         );
         let (audit, repair) = g.maintain().unwrap();
         println!(
             "  audit found {} missing; replicator copied {}: {:>6.1} MB stored",
             audit.missing,
             repair.copied,
-            stored(&dirs) as f64 / 1e6
+            stored_mb()
         );
     }
     // Final integrity check: every file still fetchable and intact.
-    let mut intact = 0;
-    for i in 0..56u64 {
-        if g.fetch(&format!("dataset/file{i:03}")).is_ok() {
-            intact += 1;
-        }
-    }
+    let intact = (0..56u64)
+        .filter(|i| g.fetch(&format!("dataset/file{i:03}")).is_ok())
+        .count();
     println!("  files intact after all failures: {intact}/56");
 }
