@@ -606,6 +606,11 @@ impl Session {
         let Ok(src) = fs.stat(&from) else {
             return Err(ChirpError::NotFound);
         };
+        // rename(2) refuses to move a directory into its own subtree
+        // (EINVAL); refuse it before an empty target loses its ACL.
+        if src.is_dir() && to.starts_with(&format!("{from}/")) {
+            return Err(ChirpError::InvalidRequest);
+        }
         let dst = fs.stat(&to).ok();
         let clobbered = dst.as_ref().map(stat_key);
         // A directory may replace an empty one, as rename(2) allows;

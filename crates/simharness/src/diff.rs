@@ -11,6 +11,9 @@
 //! plus the minimized trace, so reproduction is
 //! `SIM_SEED=<n> cargo test -p simharness`.
 //!
+//! [`run`] is the one place an [`Op`] becomes `Connection` calls: the
+//! differential replays through it, and so does every scenario round.
+//!
 //! Results are *normalized* rather than compared raw: stat replies
 //! keep only what the model defines (file-vs-directory and file size),
 //! not host inode numbers or mtimes.
@@ -21,7 +24,7 @@ use chirp_client::Connection;
 use chirp_proto::{ChirpError, ChirpResult, Reply, ReplyShape, Request, StatBuf};
 use chirp_server::acl::Acl;
 
-use crate::gen::{ops_for_seed, BurstOp, Op};
+use crate::gen::{ops_for_seed, Op};
 use crate::harness::SimTss;
 use crate::model::ModelServer;
 
@@ -36,7 +39,7 @@ pub enum OpResult {
     Opened(i32, bool, u64),
     /// Plain success with no interesting value.
     Unit,
-    /// Returned bytes (`PREAD`) or rendered text (`GETACL`).
+    /// Returned bytes (`PREAD`, `GETFILE`).
     Data(Vec<u8>),
     /// Sorted entry names (`GETDIR`).
     Names(Vec<String>),
@@ -51,76 +54,91 @@ pub enum OpResult {
     /// checks both the values *and* the ordering contract: the n-th
     /// verdict must answer the n-th request on both sides.
     Multi(Vec<OpResult>),
-    /// A text reply (`WHOAMI`).
+    /// A text reply (`WHOAMI`, `GETACL`).
     Text(String),
     /// The protocol error.
     Err(ChirpError),
 }
 
 impl OpResult {
-    pub(crate) fn from_val(r: ChirpResult<i32>) -> OpResult {
-        match r {
-            Ok(v) => OpResult::Val(v),
-            Err(e) => OpResult::Err(e),
-        }
+    /// A call's outcome: its protocol error, or its value normalized.
+    pub(crate) fn of<T: Into<OpResult>>(r: ChirpResult<T>) -> OpResult {
+        r.map_or_else(OpResult::Err, Into::into)
     }
 
-    pub(crate) fn from_open(r: ChirpResult<(i32, (bool, u64))>) -> OpResult {
-        match r {
-            Ok((fd, (is_dir, size))) => OpResult::Opened(fd, is_dir, if is_dir { 0 } else { size }),
-            Err(e) => OpResult::Err(e),
+    /// The `(is_dir, size)` a stat-shaped value normalizes to.
+    fn attrs(st: impl Into<OpResult>) -> (bool, u64) {
+        match st.into() {
+            OpResult::Stat(is_dir, size) => (is_dir, size),
+            other => unreachable!("{other:?} is not stat-shaped"),
         }
     }
+}
 
-    pub(crate) fn from_unit(r: ChirpResult<()>) -> OpResult {
-        match r {
-            Ok(()) => OpResult::Unit,
-            Err(e) => OpResult::Err(e),
-        }
+impl From<()> for OpResult {
+    fn from((): ()) -> OpResult {
+        OpResult::Unit
     }
+}
 
-    pub(crate) fn from_data(r: ChirpResult<Vec<u8>>) -> OpResult {
-        match r {
-            Ok(d) => OpResult::Data(d),
-            Err(e) => OpResult::Err(e),
-        }
+/// A byte count (`PWRITE`, `THIRDPUT`).
+impl From<u64> for OpResult {
+    fn from(n: u64) -> OpResult {
+        OpResult::Val(n as i32)
     }
+}
 
-    pub(crate) fn from_names(r: ChirpResult<Vec<String>>) -> OpResult {
-        match r {
-            Ok(n) => OpResult::Names(n),
-            Err(e) => OpResult::Err(e),
+macro_rules! op_result_from {
+    ($($ty:ty => $variant:ident),*) => {$(
+        impl From<$ty> for OpResult {
+            fn from(v: $ty) -> OpResult {
+                OpResult::$variant(v)
+            }
         }
-    }
+    )*};
+}
+op_result_from!(Vec<u8> => Data, String => Text, Vec<String> => Names);
 
-    pub(crate) fn from_text(r: ChirpResult<String>) -> OpResult {
-        match r {
-            Ok(t) => OpResult::Text(t),
-            Err(e) => OpResult::Err(e),
-        }
+/// The model's `(is_dir, size)`.
+impl From<(bool, u64)> for OpResult {
+    fn from((is_dir, size): (bool, u64)) -> OpResult {
+        OpResult::Stat(is_dir, if is_dir { 0 } else { size })
     }
+}
 
-    pub(crate) fn from_stat(r: ChirpResult<(bool, u64)>) -> OpResult {
-        match r {
-            Ok((is_dir, size)) => OpResult::Stat(is_dir, if is_dir { 0 } else { size }),
-            Err(e) => OpResult::Err(e),
-        }
+impl From<StatBuf> for OpResult {
+    fn from(st: StatBuf) -> OpResult {
+        (st.is_dir(), st.size).into()
     }
+}
 
-    fn from_statbuf(r: ChirpResult<StatBuf>) -> OpResult {
-        OpResult::from_stat(r.map(|st| (st.is_dir(), st.size)))
+/// An `OPEN`'s descriptor and attributes.
+impl<S: Into<OpResult>> From<(i32, S)> for OpResult {
+    fn from((fd, st): (i32, S)) -> OpResult {
+        let (is_dir, size) = OpResult::attrs(st);
+        OpResult::Opened(fd, is_dir, size)
     }
+}
 
-    pub(crate) fn from_entries(r: ChirpResult<Vec<(String, bool, u64)>>) -> OpResult {
-        match r {
-            Ok(entries) => OpResult::Entries(
-                entries
-                    .into_iter()
-                    .map(|(name, is_dir, size)| (name, is_dir, if is_dir { 0 } else { size }))
-                    .collect(),
-            ),
-            Err(e) => OpResult::Err(e),
-        }
+/// A `GETDIRSTAT` listing.
+impl<S: Into<OpResult>> From<Vec<(String, S)>> for OpResult {
+    fn from(entries: Vec<(String, S)>) -> OpResult {
+        OpResult::Entries(
+            entries
+                .into_iter()
+                .map(|(name, st)| {
+                    let (is_dir, size) = OpResult::attrs(st);
+                    (name, is_dir, size)
+                })
+                .collect(),
+        )
+    }
+}
+
+/// Per-request verdicts (`STATMULTI`, a burst).
+impl<T: Into<OpResult>> From<Vec<ChirpResult<T>>> for OpResult {
+    fn from(verdicts: Vec<ChirpResult<T>>) -> OpResult {
+        OpResult::Multi(verdicts.into_iter().map(OpResult::of).collect())
     }
 }
 
@@ -182,11 +200,6 @@ impl<'a> DiffRunner<'a> {
         }
     }
 
-    /// The authenticated subject (also the model's identity).
-    pub fn subject(&self) -> &str {
-        &self.subject
-    }
-
     /// Check one seed: generate, replay both sides, compare. On
     /// divergence, shrink and return the minimized report.
     pub fn check_seed(&mut self, seed: u64) -> Result<(), Divergence> {
@@ -222,7 +235,7 @@ impl<'a> DiffRunner<'a> {
         let mut model = ModelServer::new(&self.subject, self.root_acl.clone());
         let mut diverged = None;
         for (i, op) in ops.iter().enumerate() {
-            let real = self.apply_real(&base, op);
+            let real = run(self.sim, 0, &mut self.conn, &base, op);
             let modeled = model.apply(op);
             if real != modeled {
                 diverged = Some((i, real, modeled));
@@ -233,7 +246,7 @@ impl<'a> DiffRunner<'a> {
             // Real and model descriptor state may disagree past the
             // divergent op; a reconnect restores the invariant (and
             // divergences are rare, so the extra session is cheap).
-            self.reconnect();
+            self.conn = self.sim.connect(0);
         } else {
             // Identical results all the way through mean identical fd
             // tables, so the model knows exactly which descriptors the
@@ -246,88 +259,56 @@ impl<'a> DiffRunner<'a> {
         diverged
     }
 
-    fn reconnect(&mut self) {
-        self.conn = self.sim.connect(0);
+    /// Delta-debugging: drop chunks of decreasing size while the
+    /// divergence persists. Each candidate replays in a fresh
+    /// namespace, so candidates cannot contaminate each other.
+    fn shrink(&mut self, ops: Vec<Op>) -> Vec<Op> {
+        ddmin(ops, &mut |cand| self.first_divergence(cand).is_some())
     }
+}
 
-    /// Run one op against the real server, under the `base` namespace.
-    fn apply_real(&mut self, base: &str, op: &Op) -> OpResult {
-        let p = |path: &str| {
-            if path == "/" {
-                base.to_string()
-            } else {
-                format!("{base}{path}")
-            }
-        };
-        match op {
-            Op::Open { path, flags } => OpResult::from_open(
-                self.conn
-                    .open(&p(path), *flags, 0o644)
-                    .map(|(fd, st)| (fd, (st.is_dir(), st.size))),
-            ),
-            Op::Close { fd } => OpResult::from_unit(self.conn.close(*fd)),
-            Op::Pread { fd, len, off } => OpResult::from_data(self.conn.pread(*fd, *len, *off)),
-            Op::Pwrite { fd, data, off } => {
-                OpResult::from_val(self.conn.pwrite(*fd, data, *off).map(|n| n as i32))
-            }
-            Op::Fstat { fd } => OpResult::from_statbuf(self.conn.fstat(*fd)),
-            Op::Fsync { fd } => OpResult::from_unit(self.conn.fsync(*fd)),
-            Op::Stat { path } => OpResult::from_statbuf(self.conn.stat(&p(path))),
-            Op::Unlink { path } => OpResult::from_unit(self.conn.unlink(&p(path))),
-            Op::Rename { from, to } => OpResult::from_unit(self.conn.rename(&p(from), &p(to))),
-            Op::Mkdir { path } => OpResult::from_unit(self.conn.mkdir(&p(path), 0o755)),
-            Op::Rmdir { path } => OpResult::from_unit(self.conn.rmdir(&p(path))),
-            Op::Getdir { path } => OpResult::from_names(self.conn.getdir(&p(path))),
-            Op::Getacl { path } => OpResult::from_text(self.conn.getacl(&p(path))),
-            Op::Setacl {
-                path,
-                subject,
-                rights,
-            } => OpResult::from_unit(self.conn.setacl(&p(path), subject, rights)),
-            Op::Truncate { path, size } => OpResult::from_unit(self.conn.truncate(&p(path), *size)),
-            Op::GetdirStat { path } => {
-                OpResult::from_entries(self.conn.getdir_stat(&p(path)).map(|entries| {
-                    entries
-                        .into_iter()
-                        .map(|(name, st)| (name, st.is_dir(), st.size))
-                        .collect()
-                }))
-            }
-            Op::StatMulti { paths } => {
-                let full: Vec<String> = paths.iter().map(|x| p(x)).collect();
-                match self.conn.stat_multi(&full) {
-                    Ok(verdicts) => {
-                        OpResult::Multi(verdicts.into_iter().map(OpResult::from_statbuf).collect())
-                    }
-                    Err(e) => OpResult::Err(e),
-                }
-            }
-            Op::Burst { ops } => self.apply_burst_real(base, ops),
-            Op::Whoami => OpResult::from_text(self.conn.whoami()),
-            Op::Disconnect => {
-                self.reconnect();
-                OpResult::Unit
-            }
+/// Run `op` on `conn`, a session with server `server` of `sim`, with
+/// every path taken under the namespace `base` (empty for the export
+/// root). The one place an [`Op`] becomes `Connection` calls: a single
+/// op goes through the typed methods `Cfs` calls, a burst through
+/// [`Connection::pipeline`], where every request goes onto the wire
+/// before the first reply is read and the replies settle strictly in
+/// send order — a verdict landing on the wrong request after a
+/// mid-pipeline error diverges from the model.
+pub fn run(sim: &SimTss, server: usize, conn: &mut Connection, base: &str, op: &Op) -> OpResult {
+    let p = |path: &str| match path {
+        "/" if !base.is_empty() => base.to_string(),
+        _ => format!("{base}{path}"),
+    };
+    match op {
+        Op::Open { path, flags } => OpResult::of(conn.open(&p(path), *flags, 0o644)),
+        Op::Close { fd } => OpResult::of(conn.close(*fd)),
+        Op::Pread { fd, len, off } => OpResult::of(conn.pread(*fd, *len, *off)),
+        Op::Pwrite { fd, data, off } => OpResult::of(conn.pwrite(*fd, data, *off)),
+        Op::Fstat { fd } => OpResult::of(conn.fstat(*fd)),
+        Op::Fsync { fd } => OpResult::of(conn.fsync(*fd)),
+        Op::Stat { path } => OpResult::of(conn.stat(&p(path))),
+        Op::Unlink { path } => OpResult::of(conn.unlink(&p(path))),
+        Op::Rename { from, to } => OpResult::of(conn.rename(&p(from), &p(to))),
+        Op::Mkdir { path } => OpResult::of(conn.mkdir(&p(path), 0o755)),
+        Op::Rmdir { path } => OpResult::of(conn.rmdir(&p(path))),
+        Op::Getdir { path } => OpResult::of(conn.getdir(&p(path))),
+        Op::GetdirStat { path } => OpResult::of(conn.getdir_stat(&p(path))),
+        Op::StatMulti { paths } => {
+            let full: Vec<String> = paths.iter().map(|x| p(x)).collect();
+            OpResult::of(conn.stat_multi(&full))
         }
-    }
-
-    /// Run a burst pipelined for real: every request goes onto the wire
-    /// before the first reply is read, then the replies settle strictly
-    /// in send order. Divergence here — including a verdict landing on
-    /// the wrong request after a mid-pipeline protocol error — is an
-    /// ordering-contract violation, not just a value mismatch.
-    fn apply_burst_real(&mut self, base: &str, ops: &[BurstOp]) -> OpResult {
-        let p = |path: &str| {
-            if path == "/" {
-                base.to_string()
-            } else {
-                format!("{base}{path}")
-            }
-        };
-        let verdicts = self.conn.pipeline(ops.len().max(1), |pipe| {
+        Op::Getfile { path } => OpResult::of(conn.getfile(&p(path))),
+        Op::Putfile { path, data } => OpResult::of(conn.putfile(&p(path), 0o644, data)),
+        Op::Thirdput {
+            path,
+            server: target,
+            to,
+        } => OpResult::of(conn.thirdput(&p(path), &sim.endpoint(*target), &p(to))),
+        Op::Burst { ops } => OpResult::of(conn.pipeline(ops.len().max(1), |pipe| {
             for op in ops {
                 match op {
-                    BurstOp::Pread { fd, len, off } => pipe.send(
+                    Op::Pread { fd, len, off } => pipe.send(
                         &Request::Pread {
                             fd: *fd,
                             length: *len,
@@ -336,7 +317,7 @@ impl<'a> DiffRunner<'a> {
                         None,
                         ReplyShape::Body,
                     )?,
-                    BurstOp::Pwrite { fd, data, off } => pipe.send(
+                    Op::Pwrite { fd, data, off } => pipe.send(
                         &Request::Pwrite {
                             fd: *fd,
                             length: data.len() as u64,
@@ -345,40 +326,39 @@ impl<'a> DiffRunner<'a> {
                         Some(data),
                         ReplyShape::Status,
                     )?,
-                    BurstOp::Stat { path } => {
+                    Op::Stat { path } => {
                         pipe.send(&Request::Stat { path: p(path) }, None, ReplyShape::Status)?
                     }
+                    other => panic!("{other:?} does not pipeline"),
                 }
             }
-            Ok(pipe.settle_all())
-        });
-        let verdicts = match verdicts {
-            Ok(v) => v,
-            Err(e) => return OpResult::Err(e),
-        };
-        OpResult::Multi(
-            ops.iter()
-                .zip(verdicts)
-                .map(|(op, v)| match op {
-                    BurstOp::Pread { .. } => OpResult::from_data(v.map(Reply::into_body)),
-                    BurstOp::Pwrite { .. } => {
-                        OpResult::from_val(v.map(|r| r.status().value as i32))
-                    }
-                    BurstOp::Stat { .. } => OpResult::from_statbuf(v.and_then(|r| {
-                        let words: Vec<&str> =
-                            r.status().words.iter().map(String::as_str).collect();
-                        StatBuf::from_words(&words)
-                    })),
-                })
-                .collect(),
-        )
-    }
-
-    /// Delta-debugging: drop chunks of decreasing size while the
-    /// divergence persists. Each candidate replays in a fresh
-    /// namespace, so candidates cannot contaminate each other.
-    fn shrink(&mut self, ops: Vec<Op>) -> Vec<Op> {
-        ddmin(ops, &mut |cand| self.first_divergence(cand).is_some())
+            let verdicts = ops.iter().zip(pipe.settle_all());
+            Ok(OpResult::Multi(
+                verdicts
+                    .map(|(op, v)| match op {
+                        Op::Pread { .. } => OpResult::of(v.map(Reply::into_body)),
+                        Op::Pwrite { .. } => OpResult::of(v.map(|r| r.status().value as u64)),
+                        _ => OpResult::of(v.and_then(|r| {
+                            let words: Vec<&str> =
+                                r.status().words.iter().map(String::as_str).collect();
+                            StatBuf::from_words(&words)
+                        })),
+                    })
+                    .collect(),
+            ))
+        })),
+        Op::Getacl { path } => OpResult::of(conn.getacl(&p(path))),
+        Op::Setacl {
+            path,
+            subject,
+            rights,
+        } => OpResult::of(conn.setacl(&p(path), subject, rights)),
+        Op::Truncate { path, size } => OpResult::of(conn.truncate(&p(path), *size)),
+        Op::Whoami => OpResult::of(conn.whoami()),
+        Op::Disconnect => {
+            *conn = sim.connect(server);
+            OpResult::Unit
+        }
     }
 }
 
@@ -418,7 +398,6 @@ pub fn ddmin<T: Clone>(items: Vec<T>, still_fails: &mut dyn FnMut(&[T]) -> bool)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gen::BurstOp;
     use crate::harness::SimTss;
     use chirp_proto::OpenFlags;
 
@@ -443,22 +422,22 @@ mod tests {
             },
             Op::Burst {
                 ops: vec![
-                    BurstOp::Pwrite {
+                    Op::Pwrite {
                         fd: 0,
                         data: b"hello".to_vec(),
                         off: 0,
                     },
                     // BadFd mid-pipeline: a settled verdict, pipe alive.
-                    BurstOp::Pread {
+                    Op::Pread {
                         fd: 9,
                         len: 4,
                         off: 0,
                     },
                     // NotFound mid-pipeline, same contract.
-                    BurstOp::Stat {
+                    Op::Stat {
                         path: "/missing".into(),
                     },
-                    BurstOp::Pread {
+                    Op::Pread {
                         fd: 0,
                         len: 5,
                         off: 0,
@@ -470,5 +449,92 @@ mod tests {
             r.first_divergence(&ops).is_none(),
             "mid-pipeline error ordering diverged from the model"
         );
+    }
+
+    #[test]
+    fn putfile_over_cached_pages_reaches_an_open_descriptor() {
+        // PUTFILE truncates the inode in place: the pages a PREAD
+        // cached must go, and the old descriptor must read the new
+        // bytes, at every cache size.
+        let root_acl = Acl::single("hostname:*", "rwlda").unwrap();
+        for cache in [None, Some(2 * 8192), Some(64 * 1024)] {
+            let sim = SimTss::builder()
+                .root_acl(root_acl.clone())
+                .cache_bytes(cache)
+                .build();
+            let mut r = runner(&sim, root_acl.clone());
+            let ops = vec![
+                Op::Putfile {
+                    path: "/f".into(),
+                    data: vec![1; 300],
+                },
+                Op::Open {
+                    path: "/f".into(),
+                    flags: OpenFlags::READ,
+                },
+                Op::Pread {
+                    fd: 0,
+                    len: 192,
+                    off: 0,
+                },
+                Op::Putfile {
+                    path: "/f".into(),
+                    data: vec![2; 200],
+                },
+                Op::Pread {
+                    fd: 0,
+                    len: 192,
+                    off: 0,
+                },
+                Op::Fstat { fd: 0 },
+            ];
+            assert_eq!(r.first_divergence(&ops), None, "cache={cache:?}");
+        }
+    }
+
+    #[test]
+    fn directory_renamed_into_its_own_subtree_is_refused_whole() {
+        // `/d1` moves to `/d0/f0` with its own ACL; `/d0` then cannot
+        // move over it, whether `/d0/f0` is empty or not, and the
+        // refused rename leaves the target's ACL in place.
+        let root_acl = Acl::single("hostname:*", "rwlda").unwrap();
+        let sim = SimTss::builder().root_acl(root_acl.clone()).build();
+        let mut r = runner(&sim, root_acl);
+        let setup = |extra: Vec<Op>| {
+            let mut ops = vec![
+                Op::Mkdir { path: "/d0".into() },
+                Op::Mkdir { path: "/d1".into() },
+                Op::Setacl {
+                    path: "/d1".into(),
+                    subject: "unix:alice".into(),
+                    rights: "rl".into(),
+                },
+            ];
+            ops.extend(extra);
+            ops.extend([
+                Op::Rename {
+                    from: "/d1".into(),
+                    to: "/d0/f0".into(),
+                },
+                Op::Rename {
+                    from: "/d0".into(),
+                    to: "/d0/f0".into(),
+                },
+                Op::Getacl {
+                    path: "/d0/f0".into(),
+                },
+                Op::Getdir {
+                    path: "/d0/f0".into(),
+                },
+            ]);
+            ops
+        };
+        let full = vec![Op::Putfile {
+            path: "/d1/f0".into(),
+            data: b"x".to_vec(),
+        }];
+        for ops in [setup(Vec::new()), setup(full)] {
+            assert_eq!(r.first_divergence(&ops), None, "{ops:?}");
+        }
     }
 }

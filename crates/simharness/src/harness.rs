@@ -38,6 +38,7 @@ use tss_core::stubfs::{DataServer, StubFsOptions};
 pub const SIM_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Builder for a [`SimTss`] instance.
+#[derive(Clone)]
 pub struct SimTssBuilder {
     servers: usize,
     root_acl: Acl,

@@ -18,11 +18,12 @@
 //!   specification of one Chirp server: an in-memory tree with ACL
 //!   inheritance and POSIX-style fd semantics, small enough to audit
 //!   by eye.
-//! * [`gen`] + [`diff`] — a seeded generator of operation sequences
-//!   and a differential checker that replays each sequence against
-//!   the real handler stack and the model, diffing results
-//!   byte-for-byte including error codes, and shrinks any divergence
-//!   to a minimal trace.
+//! * [`gen`] + [`diff`] — [`Op`], the one Chirp-level op vocabulary,
+//!   with a seeded generator of op sequences; [`diff::run`], the one
+//!   place an op becomes `Connection` calls; and a differential checker
+//!   that replays each sequence through it and through the model,
+//!   diffing results byte-for-byte including error codes, and shrinks
+//!   any divergence to a minimal trace.
 //! * [`fsop`] — the file-level op vocabulary ([`FsOp`]),
 //!   its one `apply` through the `FileSystem` interface, and the one
 //!   path-pool `snapshot`; a plain `LocalFs` tree run through them is
@@ -34,9 +35,10 @@
 //!   byte-level state) against the set of post-crash states the
 //!   paper's stub/data ordering argument accepts.
 //! * [`scenario`] — declarative mass-tenant scenarios: fleets of
-//!   weighted client roles over phased load schedules, with named
-//!   telemetry *envelopes* (latency quantiles, throughput, failure
-//!   and RSS bounds) asserted over the run's metric deltas.
+//!   weighted client roles, each round an [`Op`] script run through
+//!   [`diff::run`], over phased load schedules, with named telemetry
+//!   *envelopes* (latency quantiles, throughput, failure and RSS
+//!   bounds) asserted over the run's metric deltas.
 //!
 //! Reproducing a failure is one number: the checker prints the seed,
 //! and `SIM_SEED=<n> cargo test -p simharness` replays it exactly

@@ -16,7 +16,10 @@
 //! * File content is held behind `Rc<RefCell<...>>` shared between the
 //!   tree and open descriptors, so unlink/rename/truncate behave like
 //!   real inodes: open handles keep working on unlinked files, and an
-//!   `O_TRUNC` or `truncate()` is visible through every open fd.
+//!   `O_TRUNC`, a `truncate()` or a `PUTFILE` is visible through every
+//!   open fd.
+//! * A renamed directory takes its subtree and its materialized ACL
+//!   with it, as the real `.__acl` file goes with the directory.
 //! * Descriptors allocate lowest-free-slot, as the real
 //!   [`chirp_server`] fd table does, so generated sequences can refer
 //!   to descriptors by number and get identical `BadFd` behavior on
@@ -34,6 +37,7 @@ use chirp_proto::{ChirpError, ChirpResult, OpenFlags};
 use chirp_server::acl::{Acl, Rights};
 
 use crate::diff::OpResult;
+use crate::gen::Op;
 
 /// Shared file bytes — the model's inode.
 type Content = Rc<RefCell<Vec<u8>>>;
@@ -149,33 +153,16 @@ impl ModelServer {
 
     // ---- ACL resolution (mirrors Acl::load_effective_in) -------------
 
-    /// Reading `<comps>/.__acl`: `Ok(Some)` if the directory exists
-    /// (every model directory has an ACL), `Ok(None)` for `ENOENT`
-    /// (missing directory — the real walk skips it), `Err` for
-    /// `ENOTDIR` (a file somewhere in the path — the real walk
-    /// propagates it).
-    fn acl_file_at(&self, comps: &[String]) -> ChirpResult<Option<&Acl>> {
-        let mut dir = &self.root;
-        for comp in comps {
-            match dir.children.get(comp) {
-                None => return Ok(None),
-                // `<file>/.__acl` and `<file>/more/.__acl` are both
-                // ENOTDIR, whether the file is the last component or
-                // not.
-                Some(Node::File(_)) => return Err(ChirpError::NotADirectory),
-                Some(Node::Dir(d)) => dir = d,
-            }
-        }
-        Ok(Some(&dir.acl))
-    }
-
     /// The ACL governing the directory at `comps`: its own if the
-    /// directory exists, else the nearest existing ancestor's.
+    /// directory exists, else the nearest existing ancestor's. Reading
+    /// `<dir>/.__acl` finds one in every model directory, skips a
+    /// missing directory (`ENOENT`) and propagates a file in the path
+    /// (`ENOTDIR`), as the real walk does.
     fn effective_acl(&self, comps: &[String]) -> ChirpResult<Acl> {
         let mut cur = comps.to_vec();
         loop {
-            if let Some(acl) = self.acl_file_at(&cur)? {
-                return Ok(acl.clone());
+            if let Some(dir) = self.dir_at(&cur)? {
+                return Ok(dir.acl.clone());
             }
             if cur.pop().is_none() {
                 return Ok(Acl::new());
@@ -367,14 +354,6 @@ impl ModelServer {
         Ok((false, len))
     }
 
-    /// `FSYNC`: durability is invisible to the model (it has no
-    /// volatile/stable distinction), so the semantics are exactly the
-    /// descriptor check — `BadFd` for a stale or never-opened number,
-    /// success otherwise.
-    pub fn fsync(&self, fd: i32) -> ChirpResult<()> {
-        self.fd_get(fd).map(|_| ())
-    }
-
     /// `STAT`: `(is_dir, size)`; rights come from the governing
     /// directory (the parent, or the root for the root itself).
     pub fn stat(&self, path: &str) -> ChirpResult<(bool, u64)> {
@@ -422,105 +401,81 @@ impl ModelServer {
         }
     }
 
-    /// `RENAME` (files only — the generator never moves directories).
+    /// `RENAME`: a file, or a directory with its subtree and its ACL,
+    /// checked in the server's order — the rights, the source, a
+    /// directory moved into its own subtree (`EINVAL`), then what
+    /// `rename(2)` makes of the destination.
     pub fn rename(&mut self, from: &str, to: &str) -> ChirpResult<()> {
         let (from_dir, from_leaf) = Self::resolve_parent(from)?;
         let (to_dir, to_leaf) = Self::resolve_parent(to)?;
         self.require_rights(&from_dir, Rights::WRITE | Rights::DELETE)?;
         self.require_rights(&to_dir, Rights::WRITE)?;
-        // `src.exists()`: false on ENOENT *and* ENOTDIR, like
-        // Path::exists.
-        let src_exists = match self.dir_at(&from_dir) {
-            Ok(Some(p)) => p.children.contains_key(&from_leaf),
-            _ => false,
+        // The server's `stat` of the source: a file in the way is as
+        // missing as a missing name.
+        let src = match self.dir_at(&from_dir) {
+            Ok(Some(p)) => p.children.get(&from_leaf),
+            _ => None,
         };
-        if !src_exists {
-            return Err(ChirpError::NotFound);
-        }
-        if from_dir == to_dir && from_leaf == to_leaf {
+        let src_is_dir = matches!(src.ok_or(ChirpError::NotFound)?, Node::Dir(_));
+        let src = [&from_dir[..], std::slice::from_ref(&from_leaf)].concat();
+        let dst = [&to_dir[..], std::slice::from_ref(&to_leaf)].concat();
+        if src == dst {
             // rename(2) of a name onto itself succeeds and changes
             // nothing.
             return Ok(());
         }
-        // Destination parent must exist as a directory.
-        match self.dir_at(&to_dir)? {
-            None => return Err(ChirpError::NotFound),
-            Some(p) => {
-                if matches!(p.children.get(&to_leaf), Some(Node::Dir(_))) {
-                    // Renaming a file over a directory: EISDIR.
-                    return Err(ChirpError::IsADirectory);
-                }
-            }
+        if src_is_dir && dst.starts_with(&src) {
+            return Err(ChirpError::InvalidRequest);
         }
-        let node = match self.dir_at_mut(&from_dir)? {
-            Some(p) => p.children.remove(&from_leaf).expect("checked above"),
-            None => return Err(ChirpError::NotFound),
+        let parent = self.dir_at(&to_dir)?.ok_or(ChirpError::NotFound)?;
+        let refused = match (src_is_dir, parent.children.get(&to_leaf)) {
+            // A directory replaces only an empty one, whose ACL goes.
+            (true, Some(Node::Dir(d))) if !d.children.is_empty() => Some(ChirpError::NotEmpty),
+            (true, Some(Node::File(_))) => Some(ChirpError::NotADirectory),
+            // A file onto a directory is EISDIR, unless the directory
+            // holds the file: rename(2) refuses that first.
+            (false, Some(Node::Dir(_))) if src.starts_with(&dst) => Some(ChirpError::NotEmpty),
+            (false, Some(Node::Dir(_))) => Some(ChirpError::IsADirectory),
+            _ => None,
         };
-        match self.dir_at_mut(&to_dir)? {
-            Some(p) => {
-                p.children.insert(to_leaf, node);
-                Ok(())
-            }
-            None => Err(ChirpError::NotFound),
-        }
+        refused.map_or(Ok(()), Err)?;
+        let parent = self.dir_at_mut(&from_dir)?.ok_or(ChirpError::NotFound)?;
+        let node = parent.children.remove(&from_leaf).expect("checked above");
+        let parent = self.dir_at_mut(&to_dir)?.ok_or(ChirpError::NotFound)?;
+        parent.children.insert(to_leaf, node);
+        Ok(())
     }
 
     /// `MKDIR`: ordinary create under the write right (inheriting the
     /// parent's effective ACL), or a reserve create under `v(...)`
     /// (fresh ACL granting the caller exactly the reserved rights).
     pub fn mkdir(&mut self, path: &str) -> ChirpResult<()> {
-        let subject = self.subject.clone();
         let (dir, leaf) = Self::resolve_parent(path)?;
         let have = self.rights_in(&dir)?;
-        if have.contains(Rights::WRITE) {
-            let acl = {
-                self.create_dir_check(&dir, &leaf)?;
-                self.effective_acl(&dir)?
-            };
-            self.insert_dir(&dir, leaf, acl);
-            return Ok(());
-        }
-        if have.contains(Rights::RESERVE) {
-            let acl = self.effective_acl(&dir)?;
-            let granted = acl.reserve_rights_of(&subject);
+        let acl = if have.contains(Rights::WRITE) {
+            self.effective_acl(&dir)?
+        } else if have.contains(Rights::RESERVE) {
+            let granted = self.effective_acl(&dir)?.reserve_rights_of(&self.subject);
             if granted.is_empty() {
                 return Err(ChirpError::NotAuthorized);
             }
-            self.create_dir_check(&dir, &leaf)?;
-            let fresh =
-                Acl::single(&subject, &format!("{granted}")).expect("rights render round-trips");
-            self.insert_dir(&dir, leaf, fresh);
-            return Ok(());
+            Acl::single(&self.subject, &format!("{granted}")).expect("rights render round-trips")
+        } else {
+            return Err(ChirpError::NotAuthorized);
+        };
+        // What `create_dir` answers, then the directory and its ACL.
+        let parent = self.dir_at_mut(&dir)?.ok_or(ChirpError::NotFound)?;
+        if parent.children.contains_key(&leaf) {
+            return Err(ChirpError::AlreadyExists);
         }
-        Err(ChirpError::NotAuthorized)
-    }
-
-    /// The error `create_dir` would produce, without creating.
-    fn create_dir_check(&self, dir: &[String], leaf: &str) -> ChirpResult<()> {
-        match self.dir_at(dir)? {
-            None => Err(ChirpError::NotFound),
-            Some(p) => {
-                if p.children.contains_key(leaf) {
-                    Err(ChirpError::AlreadyExists)
-                } else {
-                    Ok(())
-                }
-            }
-        }
-    }
-
-    fn insert_dir(&mut self, dir: &[String], leaf: String, acl: Acl) {
-        if let Ok(Some(p)) = self.dir_at_mut(dir) {
-            p.children.insert(leaf, Node::Dir(DirNode::new(acl)));
-        }
+        parent.children.insert(leaf, Node::Dir(DirNode::new(acl)));
+        Ok(())
     }
 
     /// `RMDIR`: only empty directories (the ACL file does not count).
     pub fn rmdir(&mut self, path: &str) -> ChirpResult<()> {
         let (dir, leaf) = Self::resolve_parent(path)?;
         self.require_rights(&dir, Rights::WRITE | Rights::DELETE)?;
-        let mut full = dir.clone();
-        full.push(leaf.clone());
         match self.dir_at(&dir)? {
             None => return Err(ChirpError::NotFound),
             Some(p) => match p.children.get(&leaf) {
@@ -556,7 +511,7 @@ impl ModelServer {
     /// `(is_dir, size)`. Same rights and error ordering as `GETDIR`;
     /// the real handler resolves the listing and every entry's
     /// attributes in one exchange.
-    pub fn getdir_stat(&self, path: &str) -> ChirpResult<Vec<(String, bool, u64)>> {
+    pub fn getdir_stat(&self, path: &str) -> ChirpResult<Vec<(String, (bool, u64))>> {
         let comps = Self::components(path)?;
         self.require_rights(&comps, Rights::LIST)?;
         match self.dir_at(&comps)? {
@@ -565,19 +520,30 @@ impl ModelServer {
                 .children
                 .iter()
                 .map(|(name, node)| match node {
-                    Node::File(f) => (name.clone(), false, f.borrow().len() as u64),
-                    Node::Dir(_) => (name.clone(), true, 0),
+                    Node::File(f) => (name.clone(), (false, f.borrow().len() as u64)),
+                    Node::Dir(_) => (name.clone(), (true, 0)),
                 })
                 .collect()),
         }
     }
 
-    /// `STATMULTI`: one verdict per path, in request order. A missing
-    /// path settles as its own error without failing the batch — the
-    /// real handler stats each path independently after the session
-    /// check.
-    pub fn stat_multi(&self, paths: &[String]) -> Vec<ChirpResult<(bool, u64)>> {
-        paths.iter().map(|p| self.stat(p)).collect()
+    /// `GETFILE`: the server opens the file read-only exactly as for
+    /// `OPEN`, so the model does too, and closes it again. (The table
+    /// never fills: 256 slots against sequences of at most 23 ops.)
+    pub fn getfile(&mut self, path: &str) -> ChirpResult<Vec<u8>> {
+        let fd = self.open(path, OpenFlags::READ)?;
+        let data = self.fd_get(fd)?.content.borrow().clone();
+        self.close(fd).map(|()| data)
+    }
+
+    /// `PUTFILE`: an `OPEN` for writing that creates or truncates —
+    /// the same inode, so descriptors already open see the new bytes —
+    /// then the bytes, on a descriptor that does not outlive the call.
+    pub fn putfile(&mut self, path: &str, data: &[u8]) -> ChirpResult<()> {
+        let flags = OpenFlags::WRITE | OpenFlags::CREATE | OpenFlags::TRUNCATE;
+        let fd = self.open(path, flags)?;
+        self.pwrite(fd, data, 0)?;
+        self.close(fd)
     }
 
     /// `GETACL`: the effective ACL text.
@@ -625,66 +591,54 @@ impl ModelServer {
         }
     }
 
-    /// `WHOAMI`.
-    pub fn whoami(&self) -> ChirpResult<String> {
-        Ok(self.subject.clone())
-    }
-
-    /// Apply one generated operation, normalizing to an [`OpResult`].
-    pub fn apply(&mut self, op: &crate::gen::Op) -> OpResult {
-        use crate::gen::Op;
+    /// Apply one operation, normalizing to an [`OpResult`].
+    pub fn apply(&mut self, op: &Op) -> OpResult {
         match op {
-            Op::Open { path, flags } => OpResult::from_open(
+            Op::Open { path, flags } => OpResult::of(
                 self.open(path, *flags)
                     .and_then(|fd| Ok((fd, self.fstat(fd)?))),
             ),
-            Op::Close { fd } => OpResult::from_unit(self.close(*fd)),
-            Op::Pread { fd, len, off } => OpResult::from_data(self.pread(*fd, *len, *off)),
-            Op::Pwrite { fd, data, off } => {
-                OpResult::from_val(self.pwrite(*fd, data, *off).map(|n| n as i32))
+            Op::Close { fd } => OpResult::of(self.close(*fd)),
+            Op::Pread { fd, len, off } => OpResult::of(self.pread(*fd, *len, *off)),
+            Op::Pwrite { fd, data, off } => OpResult::of(self.pwrite(*fd, data, *off)),
+            Op::Fstat { fd } => OpResult::of(self.fstat(*fd)),
+            // Durability is invisible to the model (it has no
+            // volatile/stable distinction): FSYNC is its descriptor check.
+            Op::Fsync { fd } => OpResult::of(self.fd_get(*fd).map(|_| ())),
+            Op::Stat { path } => OpResult::of(self.stat(path)),
+            Op::Unlink { path } => OpResult::of(self.unlink(path)),
+            Op::Rename { from, to } => OpResult::of(self.rename(from, to)),
+            Op::Mkdir { path } => OpResult::of(self.mkdir(path)),
+            Op::Rmdir { path } => OpResult::of(self.rmdir(path)),
+            Op::Getdir { path } => OpResult::of(self.getdir(path)),
+            Op::GetdirStat { path } => OpResult::of(self.getdir_stat(path)),
+            // One verdict per path: a missing path settles as its own
+            // error without failing the batch.
+            Op::StatMulti { paths } => {
+                OpResult::from(paths.iter().map(|p| self.stat(p)).collect::<Vec<_>>())
             }
-            Op::Fstat { fd } => OpResult::from_stat(self.fstat(*fd)),
-            Op::Fsync { fd } => OpResult::from_unit(self.fsync(*fd)),
-            Op::Stat { path } => OpResult::from_stat(self.stat(path)),
-            Op::Unlink { path } => OpResult::from_unit(self.unlink(path)),
-            Op::Rename { from, to } => OpResult::from_unit(self.rename(from, to)),
-            Op::Mkdir { path } => OpResult::from_unit(self.mkdir(path)),
-            Op::Rmdir { path } => OpResult::from_unit(self.rmdir(path)),
-            Op::Getdir { path } => OpResult::from_names(self.getdir(path)),
-            Op::Getacl { path } => OpResult::from_text(self.getacl(path)),
+            Op::Getfile { path } => OpResult::of(self.getfile(path)),
+            Op::Putfile { path, data } => OpResult::of(self.putfile(path, data)),
+            // Whether the target accepts a push is the target server's
+            // ACL decision, which one server's model cannot know; the
+            // generator never draws THIRDPUT.
+            Op::Thirdput { .. } => unimplemented!("THIRDPUT's verdict is another server's"),
+            // The model is sequential, so a burst is just its ops in
+            // send order — which is exactly the pipelining contract:
+            // the n-th reply answers the n-th request.
+            Op::Burst { ops } => OpResult::Multi(ops.iter().map(|op| self.apply(op)).collect()),
+            Op::Getacl { path } => OpResult::of(self.getacl(path)),
             Op::Setacl {
                 path,
                 subject,
                 rights,
-            } => OpResult::from_unit(self.setacl(path, subject, rights)),
-            Op::Truncate { path, size } => OpResult::from_unit(self.truncate(path, *size)),
-            Op::GetdirStat { path } => OpResult::from_entries(self.getdir_stat(path)),
-            Op::StatMulti { paths } => OpResult::Multi(
-                self.stat_multi(paths)
-                    .into_iter()
-                    .map(OpResult::from_stat)
-                    .collect(),
-            ),
-            // The model is sequential, so a burst is just its ops in
-            // send order — which is exactly the pipelining contract:
-            // the n-th reply answers the n-th request.
-            Op::Burst { ops } => OpResult::Multi(ops.iter().map(|b| self.apply_burst(b)).collect()),
-            Op::Whoami => OpResult::from_text(self.whoami()),
+            } => OpResult::of(self.setacl(path, subject, rights)),
+            Op::Truncate { path, size } => OpResult::of(self.truncate(path, *size)),
+            Op::Whoami => OpResult::Text(self.subject.clone()),
             Op::Disconnect => {
                 self.disconnect();
                 OpResult::Unit
             }
-        }
-    }
-
-    fn apply_burst(&mut self, op: &crate::gen::BurstOp) -> OpResult {
-        use crate::gen::BurstOp;
-        match op {
-            BurstOp::Pread { fd, len, off } => OpResult::from_data(self.pread(*fd, *len, *off)),
-            BurstOp::Pwrite { fd, data, off } => {
-                OpResult::from_val(self.pwrite(*fd, data, *off).map(|n| n as i32))
-            }
-            BurstOp::Stat { path } => OpResult::from_stat(self.stat(path)),
         }
     }
 }

@@ -1,11 +1,13 @@
 //! Declarative mass-tenant scenarios with asserted telemetry envelopes.
 //!
-//! A [`Scenario`] composes a fleet — N in-process servers, M client
-//! sessions with weighted roles — and a phased load schedule (ramp,
-//! stampede, steady state) over the [`SimTss`]
-//! harness: everything runs on the in-memory network and the shared
-//! virtual clock, so a thousand-tenant stampede needs no ports and no
-//! wall-clock sleeps. After the fleet drains, the runner evaluates
+//! A [`Scenario`] composes a fleet — M client sessions with weighted
+//! roles — and a phased load schedule (ramp, stampede, steady state)
+//! over instances of a [`SimTssBuilder`]: everything runs on the
+//! in-memory network and the shared virtual clock, so a
+//! thousand-tenant stampede needs no ports and no wall-clock sleeps.
+//! A role's round is an [`Op`] script, each op run through
+//! [`crate::diff::run`] and held to the result the role expects.
+//! After the fleet drains, the runner evaluates
 //! *envelopes* — named predicates over a [`ScenarioReport`] holding
 //! the client-side metrics, the merged server-side telemetry delta,
 //! and resource measurements (RSS growth, wall/virtual elapsed).
@@ -20,22 +22,28 @@
 
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use chirp_client::{AuthMethod, Connection};
-use chirp_server::KeyRing;
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
 use telemetry::{MetricsSnapshot, Registry};
 
-use crate::diff::ddmin;
-use crate::harness::{SimTss, SIM_TIMEOUT};
+use crate::diff::{ddmin, run, OpResult};
+use crate::gen::Op;
+use crate::harness::{SimTss, SimTssBuilder, SIM_TIMEOUT};
 
 /// Fleets above this size are not delta-debugged on failure: each
 /// shrink candidate replays the whole scenario against a fresh
 /// instance, which is only worth the cycles when the fleet is small
 /// enough to minimize quickly.
 const SHRINK_CAP: usize = 96;
+
+/// Worker threads multiplexing a phase's client sessions: thousands of
+/// short-lived tenants run on a bounded pool, so the fleet scales
+/// without a thread per client.
+const WORKERS: usize = 32;
 
 /// Number of files the [`standard_setup`] fixture creates under
 /// `/shared` on every server.
@@ -61,9 +69,9 @@ pub fn scenario_scale() -> f64 {
 
 /// A fleet size: the debug or release base (optimized builds push the
 /// simulated tenancy an order of magnitude higher) scaled by
-/// [`scenario_scale`], never below 1. Shared by the scenario suite,
-/// the connection-scale bench, and the idle soak so one knob resizes
-/// every mass-tenant workload.
+/// [`scenario_scale`], never below 1. Shared by the scenario suite and
+/// the reactor suite's idle-connection soak, so one knob resizes every
+/// mass-tenant workload.
 pub fn fleet_size(debug_base: usize, release_base: usize) -> usize {
     let base = if cfg!(debug_assertions) {
         debug_base
@@ -86,6 +94,7 @@ pub fn rss_bytes() -> Option<u64> {
 pub enum Role {
     /// Cold-opens the shared tree: stat, list, and read one of the
     /// [`standard_setup`] files — the SP5 init-stampede access shape.
+    /// The listing and the bytes must be the fixture's exactly.
     Reader,
     /// Writes a private file and reads it back, verifying the bytes.
     Writer,
@@ -105,14 +114,14 @@ pub enum Role {
     /// Grants and revokes rights for a crowd of virtual users on its
     /// own directory — mass ACL churn.
     AclChurner,
-    /// Reads one fixed path and verifies its length — the fan-in side
+    /// Reads one fixed path and verifies its bytes — the fan-in side
     /// of an artifact distribution (every CI consumer pulls the same
     /// file from whichever replica it landed on).
     PathReader {
         /// Path to fetch.
         path: String,
-        /// Expected byte count.
-        len: usize,
+        /// The bytes it must hold (shared by every clone of the role).
+        data: Arc<[u8]>,
     },
     /// Runs a full challenge–response handshake on a fresh connection
     /// every round (connect, nonce, MAC, verify, drop).
@@ -138,7 +147,7 @@ impl fmt::Debug for Role {
             Role::Replicator => write!(f, "Replicator"),
             Role::Pusher { from, to } => write!(f, "Pusher({from}->{to})"),
             Role::AclChurner => write!(f, "AclChurner"),
-            Role::PathReader { path, len } => write!(f, "PathReader({path}, {len}B)"),
+            Role::PathReader { path, data } => write!(f, "PathReader({path}, {}B)", data.len()),
             // Key bytes stay out of failure reports and logs.
             Role::AuthStormer {
                 method,
@@ -149,6 +158,69 @@ impl fmt::Debug for Role {
                 f,
                 "AuthStormer({method}:{name}, expect_success={expect_success})"
             ),
+        }
+    }
+}
+
+/// One round as an op script: each op with the result it must return,
+/// or `None` where the role does not pin the value and any success
+/// will do.
+type Script = Vec<(Op, Option<OpResult>)>;
+
+impl Role {
+    /// The ops of round `round` of a session tagged `tag`, drawing from
+    /// the session's `rng` on an instance of `servers` servers.
+    fn round(&self, tag: &str, round: usize, rng: &mut SmallRng, servers: usize) -> Script {
+        use OpResult::{Data, Names, Stat, Unit};
+        match self {
+            Role::Reader => {
+                let (file, bytes) = shared_file(rng.gen_range(0usize..SHARED_FILES));
+                let names = (0..SHARED_FILES).map(|k| format!("f{k}")).collect();
+                let dir = || "/shared".to_string();
+                vec![
+                    (Op::Stat { path: dir() }, Some(Stat(true, 0))),
+                    (Op::Getdir { path: dir() }, Some(Names(names))),
+                    (Op::Getfile { path: file }, Some(Data(bytes))),
+                ]
+            }
+            Role::Writer => {
+                let len = rng.gen_range(1usize..2048);
+                let data: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+                let path = format!("/w_{tag}_{round}");
+                let get = (Op::Getfile { path: path.clone() }, Some(Data(data.clone())));
+                vec![(Op::Putfile { path, data }, Some(Unit)), get]
+            }
+            Role::Replicator | Role::Pusher { .. } => {
+                let server = match self {
+                    Role::Pusher { to, .. } => *to,
+                    _ => rng.gen_range(0usize..servers),
+                };
+                let (path, bytes) = shared_file(rng.gen_range(0usize..SHARED_FILES));
+                let to = format!("/rep_{tag}_{round}");
+                let moved = OpResult::from(bytes.len() as u64);
+                vec![(Op::Thirdput { path, server, to }, Some(moved))]
+            }
+            Role::AclChurner => {
+                let path = format!("/acl_{tag}");
+                let mkdir = (round == 0).then(|| (Op::Mkdir { path: path.clone() }, Some(Unit)));
+                // Thousands of distinct virtual users churn through the
+                // grant table; one in four rounds revokes instead.
+                let subject = format!("globus:/O=Sim/CN=user{}", rng.gen_range(0u32..4096));
+                let rights = ["", "rl", "rl", "rl"][rng.gen_range(0u32..4) as usize].into();
+                let grant = Op::Setacl {
+                    path: path.clone(),
+                    subject,
+                    rights,
+                };
+                // The rendered ACL holds every grant so far.
+                let edits = [(grant, Some(Unit)), (Op::Getacl { path }, None)];
+                mkdir.into_iter().chain(edits).collect()
+            }
+            Role::PathReader { path, data } => {
+                let want = Some(Data(data.to_vec()));
+                vec![(Op::Getfile { path: path.clone() }, want)]
+            }
+            Role::AuthStormer { .. } => unreachable!("an auth storm's round is a handshake"),
         }
     }
 }
@@ -173,7 +245,8 @@ pub struct Phase {
     /// Phase label (failure reports and minimized fleets name it).
     pub name: &'static str,
     /// Runs on the harness at the phase boundary — where a rotation
-    /// scenario swaps keys in the shared [`KeyRing`] under load.
+    /// scenario swaps keys in the shared [`chirp_server::KeyRing`]
+    /// under load.
     pub on_start: Option<fn(&SimTss)>,
     /// The client sessions this phase launches.
     pub clients: Vec<ClientSpec>,
@@ -218,11 +291,7 @@ pub type Check = (&'static str, fn(&ScenarioReport) -> Result<(), String>);
 pub struct Scenario {
     name: &'static str,
     seed: u64,
-    servers: usize,
-    workers: usize,
-    max_connections: Option<usize>,
-    reactor_workers: usize,
-    keys: Option<KeyRing>,
+    sim: SimTssBuilder,
     setup: Option<fn(&SimTss)>,
     phases: Vec<Phase>,
     checks: Vec<Check>,
@@ -230,54 +299,20 @@ pub struct Scenario {
 
 impl Scenario {
     /// A scenario named `name`, seeded with `seed` (pass it through
-    /// [`scenario_seed`] so `SCENARIO_SEED` reproduces failures).
-    pub fn new(name: &'static str, seed: u64) -> Scenario {
+    /// [`scenario_seed`] so `SCENARIO_SEED` reproduces failures), on
+    /// instances of `sim`. Every run and every shrink candidate builds
+    /// a fresh one, with each server's connection limit raised to the
+    /// widest phase plus slack, so an intentional stampede isn't
+    /// refused.
+    pub fn new(name: &'static str, seed: u64, sim: SimTssBuilder) -> Scenario {
         Scenario {
             name,
             seed,
-            servers: 1,
-            workers: 32,
-            max_connections: None,
-            reactor_workers: 0,
-            keys: None,
+            sim,
             setup: None,
             phases: Vec::new(),
             checks: Vec::new(),
         }
-    }
-
-    /// Number of servers in the instance (default 1).
-    pub fn servers(mut self, n: usize) -> Scenario {
-        self.servers = n;
-        self
-    }
-
-    /// Worker threads multiplexing the client sessions (default 32):
-    /// thousands of short-lived tenants run on a bounded pool, so the
-    /// fleet scales without a thread per client.
-    pub fn workers(mut self, n: usize) -> Scenario {
-        self.workers = n.max(1);
-        self
-    }
-
-    /// Per-server connection limit (default: sized to the widest
-    /// phase plus slack, so an intentional stampede isn't refused).
-    pub fn max_connections(mut self, n: usize) -> Scenario {
-        self.max_connections = Some(n);
-        self
-    }
-
-    /// Reactor shards per server (default: the production default).
-    pub fn reactor_workers(mut self, n: usize) -> Scenario {
-        self.reactor_workers = n;
-        self
-    }
-
-    /// Key ring installed on every server. Keep a clone to rotate
-    /// credentials from a phase hook.
-    pub fn keys(mut self, ring: KeyRing) -> Scenario {
-        self.keys = Some(ring);
-        self
     }
 
     /// Fixture preparation, run once before the first phase
@@ -375,17 +410,9 @@ impl Scenario {
     /// Stand up a fresh instance and drain the given schedule through
     /// the worker pool.
     fn execute(&self, phases: &[Phase]) -> ScenarioReport {
-        let mut builder = SimTss::builder()
-            .servers(self.servers)
-            .reactor_workers(self.reactor_workers);
+        // Every phase client may hold a session at once.
         let widest = phases.iter().map(|p| p.clients.len()).max().unwrap_or(0);
-        // Every phase client may hold a session at once; servers must
-        // not refuse an intentional stampede unless the scenario says so.
-        builder = builder.max_connections(self.max_connections.unwrap_or(widest + 16));
-        if let Some(ring) = &self.keys {
-            builder = builder.keys(ring.clone());
-        }
-        let sim = builder.build();
+        let sim = self.sim.clone().max_connections(widest + 16).build();
         if let Some(setup) = self.setup {
             setup(&sim);
         }
@@ -405,7 +432,7 @@ impl Scenario {
                 hook(&sim);
             }
             let next = AtomicUsize::new(0);
-            let workers = self.workers.min(phase.clients.len().max(1));
+            let workers = WORKERS.min(phase.clients.len().max(1));
             std::thread::scope(|s| {
                 for _ in 0..workers {
                     s.spawn(|| loop {
@@ -413,13 +440,7 @@ impl Scenario {
                         let Some(spec) = phase.clients.get(i) else {
                             break;
                         };
-                        run_client(
-                            &sim,
-                            spec,
-                            client_seed(self.seed, pi, i),
-                            &registry,
-                            self.servers,
-                        );
+                        run_client(&sim, spec, client_seed(self.seed, pi, i), &registry);
                     });
                 }
             });
@@ -456,23 +477,36 @@ fn client_seed(seed: u64, phase: usize, client: usize) -> u64 {
         ^ (client as u64 + 1).wrapping_mul(0xD1B5_4A32_D192_ED03)
 }
 
-/// Create the shared fixture every role layout assumes: `/shared`
-/// with [`SHARED_FILES`] seeded files on every server.
+/// The path and the bytes of `/shared/f<k>`, a [`standard_setup`] file.
+fn shared_file(k: usize) -> (String, Vec<u8>) {
+    let bytes = (0..512 + 64 * k).map(|j| (j % 251) as u8).collect();
+    (format!("/shared/f{k}"), bytes)
+}
+
+/// Create the shared fixture every role layout assumes on every
+/// server: the script `MKDIR /shared` plus one `PUTFILE` for each of
+/// the [`SHARED_FILES`] files.
 pub fn standard_setup(sim: &SimTss) {
+    let mkdir = Op::Mkdir {
+        path: "/shared".into(),
+    };
+    let files = (0..SHARED_FILES).map(shared_file);
+    let script: Vec<Op> = std::iter::once(mkdir)
+        .chain(files.map(|(path, data)| Op::Putfile { path, data }))
+        .collect();
     for i in 0..sim.servers().len() {
         let mut conn = sim.connect(i);
-        conn.mkdir("/shared", 0o755).expect("mkdir /shared");
-        for k in 0..SHARED_FILES {
-            let body: Vec<u8> = (0..512 + 64 * k).map(|j| (j % 251) as u8).collect();
-            conn.putfile(&format!("/shared/f{k}"), 0o644, &body)
-                .expect("seed shared file");
+        for op in &script {
+            let got = run(sim, i, &mut conn, "", op);
+            assert_eq!(got, OpResult::Unit, "fixture op on server {i}");
         }
     }
 }
 
 /// Run one client session: dial, authenticate, run the role's rounds,
 /// drop the session. Outcomes land in the client registry.
-fn run_client(sim: &SimTss, spec: &ClientSpec, seed: u64, reg: &Registry, servers: usize) {
+fn run_client(sim: &SimTss, spec: &ClientSpec, seed: u64, reg: &Registry) {
+    let servers = sim.servers().len();
     let mut rng = SmallRng::seed_from_u64(seed);
     let ops = reg.counter("client.ops");
     let failures = reg.counter("client.failures");
@@ -495,13 +529,8 @@ fn run_client(sim: &SimTss, spec: &ClientSpec, seed: u64, reg: &Registry, server
                 .and_then(|mut conn| conn.authenticate(&[AuthMethod::key(method, name, key)]));
             latency.record(t.elapsed().as_nanos() as u64);
             match (granted.is_ok(), expect_success) {
-                (true, true) | (false, false) => {
-                    if granted.is_ok() {
-                        ops.inc()
-                    } else {
-                        denied.inc()
-                    }
-                }
+                (true, true) => ops.inc(),
+                (false, false) => denied.inc(),
                 // A rotated-out key that still verifies is as much a
                 // failure as a live key that doesn't.
                 _ => failures.inc(),
@@ -526,73 +555,16 @@ fn run_client(sim: &SimTss, spec: &ClientSpec, seed: u64, reg: &Registry, server
     let tag = format!("{seed:016x}");
     for round in 0..spec.rounds {
         let t = Instant::now();
-        let ok = run_round(sim, &mut conn, &spec.role, &tag, round, &mut rng, servers);
-        latency.record(t.elapsed().as_nanos() as u64);
-        if ok {
-            ops.inc()
-        } else {
-            failures.inc()
-        }
-    }
-}
-
-/// One round of a hostname-authenticated role. `true` on success.
-fn run_round(
-    sim: &SimTss,
-    conn: &mut Connection,
-    role: &Role,
-    tag: &str,
-    round: usize,
-    rng: &mut SmallRng,
-    servers: usize,
-) -> bool {
-    match role {
-        Role::Reader => {
-            let k = rng.gen_range(0usize..SHARED_FILES);
-            conn.stat("/shared").is_ok()
-                && conn.getdir("/shared").map(|d| d.len() == SHARED_FILES) == Ok(true)
-                && conn
-                    .getfile(&format!("/shared/f{k}"))
-                    .map(|b| b.len() == 512 + 64 * k)
-                    == Ok(true)
-        }
-        Role::Writer => {
-            let len = rng.gen_range(1usize..2048);
-            let body: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
-            let path = format!("/w_{tag}_{round}");
-            conn.putfile(&path, 0o644, &body).is_ok() && conn.getfile(&path) == Ok(body)
-        }
-        Role::Replicator | Role::Pusher { .. } => {
-            let to = match role {
-                Role::Pusher { to, .. } => *to,
-                _ => rng.gen_range(0usize..servers),
-            };
-            let k = rng.gen_range(0usize..SHARED_FILES);
-            conn.thirdput(
-                &format!("/shared/f{k}"),
-                &sim.endpoint(to),
-                &format!("/rep_{tag}_{round}"),
-            )
-            .map(|n| n as usize == 512 + 64 * k)
-                == Ok(true)
-        }
-        Role::AclChurner => {
-            let dir = format!("/acl_{tag}");
-            if round == 0 && conn.mkdir(&dir, 0o755).is_err() {
-                return false;
+        let script = spec.role.round(&tag, round, &mut rng, servers);
+        let ok = script.iter().all(|(op, want)| {
+            let got = run(sim, si, &mut conn, "", op);
+            match want {
+                Some(want) => got == *want,
+                None => !matches!(got, OpResult::Err(_)),
             }
-            // Thousands of distinct virtual users churn through the
-            // grant table; one in four rounds revokes instead.
-            let user = format!("globus:/O=Sim/CN=user{}", rng.gen_range(0u32..4096));
-            let rights = if rng.gen_range(0u32..4) == 0 {
-                ""
-            } else {
-                "rl"
-            };
-            conn.setacl(&dir, &user, rights).is_ok() && conn.getacl(&dir).is_ok()
-        }
-        Role::PathReader { path, len } => conn.getfile(path).map(|b| b.len() == *len) == Ok(true),
-        Role::AuthStormer { .. } => unreachable!("handled by run_client"),
+        });
+        latency.record(t.elapsed().as_nanos() as u64);
+        if ok { &ops } else { &failures }.inc();
     }
 }
 
@@ -739,9 +711,7 @@ mod tests {
 
     #[test]
     fn mixed_fleet_meets_a_zero_failure_envelope() {
-        let report = Scenario::new("unit-mixed", 7)
-            .servers(2)
-            .workers(8)
+        let report = Scenario::new("unit-mixed", 7, SimTss::builder().servers(2))
             .setup(standard_setup)
             .phase(
                 Phase::new("steady")
@@ -773,7 +743,7 @@ mod tests {
 
     #[test]
     fn violated_envelope_reports_seed_and_minimizes_the_fleet() {
-        let err = Scenario::new("unit-impossible", 11)
+        let err = Scenario::new("unit-impossible", 11, SimTss::builder())
             .setup(standard_setup)
             .phase(Phase::new("load").with(9, Role::Reader, 1))
             .check("impossible", |r| {
@@ -787,6 +757,30 @@ mod tests {
         // ddmin over a fleet whose envelope always fails lands on one
         // client.
         assert_eq!(err.minimized.as_ref().map(Vec::len), Some(1), "{text}");
+    }
+
+    #[test]
+    fn a_reader_fleet_fails_on_one_flipped_fixture_byte() {
+        // `/shared/f3` keeps its length but not its bytes: a length
+        // check would pass every read of it.
+        fn flipped_setup(sim: &SimTss) {
+            standard_setup(sim);
+            let (path, mut data) = shared_file(3);
+            data[100] ^= 1;
+            let flip = Op::Putfile { path, data };
+            assert_eq!(run(sim, 0, &mut sim.connect(0), "", &flip), OpResult::Unit);
+        }
+        let err = Scenario::new("unit-flipped-byte", 12, SimTss::builder())
+            .setup(flipped_setup)
+            .phase(Phase::new("read").with(16, Role::Reader, 2))
+            .check("zero-failures", |r| {
+                (r.failures() == 0)
+                    .then_some(())
+                    .ok_or_else(|| format!("{} client failures", r.failures()))
+            })
+            .run()
+            .expect_err("some reader reads f3");
+        assert_eq!(err.failed[0].0, "zero-failures", "{err}");
     }
 
     #[test]

@@ -16,9 +16,10 @@ use std::time::Duration;
 
 use chirp_server::KeyRing;
 use gems::tree::{distribute, ideal_depth, TreeConfig, TreeReport, TreeTarget};
+use simharness::diff;
 use simharness::harness::{auth, sim_retry, SIM_TIMEOUT};
 use simharness::scenario::{fleet_size, scenario_seed, standard_setup, Phase, Role, Scenario};
-use simharness::SimTss;
+use simharness::{Op, OpResult, SimTss};
 use telemetry::{MetricsSnapshot, Registry};
 use tss_core::cfs::{Cfs, CfsConfig};
 
@@ -37,8 +38,7 @@ fn run(scenario: Scenario) {
 // once.
 
 fn stampede(seed: u64, fleet: usize) -> Scenario {
-    Scenario::new("sp5-init-stampede", seed)
-        .servers(1)
+    Scenario::new("sp5-init-stampede", seed, SimTss::builder())
         .setup(standard_setup)
         .phase(Phase::new("stampede").with(fleet, Role::Reader, 1))
         .check("zero-failures", |r| {
@@ -105,12 +105,18 @@ fn sp5_init_stampede() {
 static ARTIFACT_LEN: AtomicUsize = AtomicUsize::new(0);
 static FANOUT: Mutex<Option<(TreeReport, MetricsSnapshot)>> = Mutex::new(None);
 
+/// The artifact's bytes.
+fn artifact(len: usize) -> Vec<u8> {
+    (0..len).map(|i| (i % 249) as u8).collect()
+}
+
 fn publish_artifact(sim: &SimTss) {
-    let len = ARTIFACT_LEN.load(Ordering::Relaxed);
-    let body: Vec<u8> = (0..len).map(|i| (i % 249) as u8).collect();
-    sim.connect(0)
-        .putfile("/artifact", 0o644, &body)
-        .expect("publish artifact");
+    let publish = Op::Putfile {
+        path: "/artifact".into(),
+        data: artifact(ARTIFACT_LEN.load(Ordering::Relaxed)),
+    };
+    let published = diff::run(sim, 0, &mut sim.connect(0), "", &publish);
+    assert_eq!(published, OpResult::Unit, "publish artifact");
     let source = TreeTarget::new(&sim.endpoint(0), "/artifact");
     let targets: Vec<TreeTarget> = (1..sim.servers().len())
         .map(|i| TreeTarget::new(&sim.endpoint(i), "/artifact"))
@@ -142,14 +148,14 @@ fn ci_artifact_fanout_over_thirdput_tree() {
     let len = 50_000 + (seed as usize % 7) * 10_000;
     ARTIFACT_LEN.store(len, Ordering::Relaxed);
 
-    let scenario = Scenario::new("ci-artifact-fanout", seed)
-        .servers(servers)
+    let sim = SimTss::builder().servers(servers);
+    let scenario = Scenario::new("ci-artifact-fanout", seed, sim)
         .phase(Phase::new("publish").on_start(publish_artifact))
         .phase(Phase::new("consume").with(
             consumers,
             Role::PathReader {
                 path: "/artifact".into(),
-                len,
+                data: artifact(len).into(),
             },
             2,
         ))
@@ -204,8 +210,7 @@ fn ci_artifact_fanout_over_thirdput_tree() {
 
 fn acl_churn(seed: u64, fleet: usize) -> Scenario {
     const ROUNDS: usize = 4;
-    Scenario::new("mass-acl-churn", seed)
-        .servers(1)
+    Scenario::new("mass-acl-churn", seed, SimTss::builder())
         .phase(Phase::new("churn").with(fleet, Role::AclChurner, ROUNDS))
         .check("zero-failures", |r| {
             (r.failures() == 0)
@@ -253,9 +258,8 @@ fn mixed_soak(seed: u64, unit: usize) -> Scenario {
         key: SOAK_KEY.to_vec(),
         expect_success: true,
     };
-    Scenario::new("mixed-fleet-soak", seed)
-        .servers(3)
-        .keys(ring)
+    let sim = SimTss::builder().servers(3).keys(ring);
+    Scenario::new("mixed-fleet-soak", seed, sim)
         .setup(standard_setup)
         .phase(Phase::new("ramp-1").with(unit, Role::Reader, 2))
         .phase(
@@ -317,9 +321,8 @@ fn auth_storm(seed: u64, genuine: usize, forged: usize) -> Scenario {
     const ROUNDS: usize = 2;
     let ring = KeyRing::new();
     ring.register("globus", STORM_SUBJECT, STORM_KEY);
-    Scenario::new("mass-auth-storm", seed)
-        .servers(2)
-        .keys(ring)
+    let sim = SimTss::builder().servers(2).keys(ring);
+    Scenario::new("mass-auth-storm", seed, sim)
         .phase(
             Phase::new("storm")
                 .with(
@@ -428,9 +431,8 @@ fn rotation_under_load(seed: u64, unit: usize) -> Scenario {
         key: key.to_vec(),
         expect_success,
     };
-    Scenario::new("rotation-under-load", seed)
-        .servers(2)
-        .keys(rotation_ring().clone())
+    let sim = SimTss::builder().servers(2).keys(rotation_ring().clone());
+    Scenario::new("rotation-under-load", seed, sim)
         .setup(arm_alpha)
         .phase(Phase::new("alpha-era").with(2 * unit, stormer(KEY_ALPHA, true), ROUNDS))
         .phase(
@@ -476,9 +478,8 @@ fn key_rotation_under_auth_load() {
 fn cyclic_thirdput(seed: u64, unit: usize) -> Scenario {
     const ROUNDS: usize = 3;
     let edge = |from, to| Role::Pusher { from, to };
-    Scenario::new("cyclic-thirdput", seed)
-        .servers(3)
-        .reactor_workers(1)
+    let sim = SimTss::builder().servers(3).reactor_workers(1);
+    Scenario::new("cyclic-thirdput", seed, sim)
         .setup(standard_setup)
         .phase(
             Phase::new("cycles")
